@@ -2,7 +2,7 @@
 tree embeddings, and execute seeded experiments.
 
 Exit codes: 0 when all assertions pass, 1 on an assertion failure,
-2 on usage errors.
+2 on usage errors and on input that cannot be read or parsed.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,7 @@ from .rng import DOMAIN_HOST, DOMAIN_STEP_LAW, DOMAIN_TRIALS, derive_seed, strea
 from .trees import (gen_nary_tree, gen_path_tree, gen_random_tree,
                     image_subgraph, random_homomorphism)
 from .walks import (Distribution, ListModel, balanced_start, run_walk,
-                    stationary, tv_distance, walk_subgraph)
+                    stationary, step_positions, tv_distance, walk_subgraph)
 
 
 @dataclass
@@ -305,26 +305,6 @@ def exp_pathology(cfg: ExperimentConfig) -> ExperimentReport:
                "crossing_interval": [p_lo, p_hi]})
 
 
-def _batched_step_counts(g: Graph, start: int, i: int, trials: int, seed: int,
-                         batches: int) -> np.ndarray:
-    """Counts of W_i per vertex from ``trials`` walks, in equal batches.
-
-    Trials round down to a multiple of ``batches``; batches exist so
-    callers can estimate standard errors of derived statistics.
-    """
-    gen = stream(seed, DOMAIN_STEP_LAW, 0)
-    per = trials // batches
-    counts = np.zeros((batches, g.n), dtype=np.int64)
-    deg = g.degrees
-    for b in range(batches):
-        cur = np.full(per, start, dtype=np.int64)
-        for _ in range(i):
-            u = gen.random(per)
-            cur = g.indices[g.indptr[cur] + (u * deg[cur]).astype(np.int64)]
-        counts[b] = np.bincount(cur, minlength=g.n)
-    return counts
-
-
 def exp_mixing(cfg: ExperimentConfig) -> ExperimentReport:
     """Total variation distance to stationarity along a step schedule.
 
@@ -345,14 +325,15 @@ def exp_mixing(cfg: ExperimentConfig) -> ExperimentReport:
                    "flagged": True})
     start = _pick_start(cfg, g)
     pi = stationary(g)
-    batches = min(20, cfg.mixing_trials)
-    used = (cfg.mixing_trials // batches) * batches
+    batches = min(20, cfg.mixing_trials)  # for standard errors of the tv trend
+    per = cfg.mixing_trials // batches
+    used = per * batches
     per_trial = []
     batch_tv = {}
     for k, i in enumerate(cfg.schedule):
-        counts = _batched_step_counts(g, start, int(i), cfg.mixing_trials,
-                                      derive_seed(cfg.seed, DOMAIN_TRIALS, k),
-                                      batches)
+        gen = stream(derive_seed(cfg.seed, DOMAIN_TRIALS, k), DOMAIN_STEP_LAW, 0)
+        counts = np.array([np.bincount(step_positions(g, start, int(i), per, gen),
+                                       minlength=g.n) for _ in range(batches)])
         law = Distribution.from_counts(counts.sum(axis=0))
         tv = tv_distance(law, pi)
         batch_tv[int(i)] = np.array(

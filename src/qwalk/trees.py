@@ -5,8 +5,8 @@ Trees are stored as a parent array in prefix-connected enumeration
 order: every prefix of the vertex list spans a connected subtree
 containing the root.  A random homomorphism maps the root to a chosen
 host vertex and each later vertex to the next unused list entry of its
-parent's image, consuming the same per-vertex lists that drive walks.
-A path tree therefore reproduces a walk exactly, seed for seed.
+parent's image, through ``ListModel.consume``, the loop that also drives
+walks.  A path tree therefore reproduces a walk exactly, seed for seed.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .rng import DOMAIN_LIST, DOMAIN_TREE_GEN, stream
-from .walks import _CHUNK, EdgeSubgraph, ListModel
+from .rng import DOMAIN_TREE_GEN, uniform_words
+from .walks import EdgeSubgraph, ListModel
 
 
 class RootedTree:
@@ -126,10 +126,9 @@ def gen_random_tree(n_vertices: int, max_deg: int, seed: int) -> RootedTree:
         raise ValueError("need at least the root")
     parents = np.empty(n_vertices, dtype=np.int64)
     parents[0] = -1
-    gen = stream(seed, DOMAIN_TREE_GEN, 0)
     eligible = [0]          # vertices with degree < max_deg, swap-removed
     degree = [0] * n_vertices
-    u = gen.random(max(n_vertices - 1, 1))
+    u = uniform_words(seed, DOMAIN_TREE_GEN, 0, 0, max(n_vertices - 1, 1))
     for j in range(1, n_vertices):
         pick = int(u[j - 1] * len(eligible))
         p = eligible[pick]
@@ -173,30 +172,7 @@ def random_homomorphism(g: Graph, t: RootedTree, model: ListModel,
     Vertices are processed in enumeration order, so a path tree consumes
     entries exactly as run_walk does and yields the identical sequence.
     """
-    if t.size > 1 and g.degree(root_image) == 0:
-        raise ValueError(f"root image {root_image} has no neighbors")
-    nbrs, deg = model._nbrs, model._deg
-    gens, iters = model._gens, model._iters
-    seed = model.seed
-    parents = t.parents.tolist()
-    img = [0] * t.size  # python ints keep the hot loop cheap
-    img[0] = int(root_image)
-    for j in range(1, t.size):
-        x = img[parents[j]]
-        it = iters[x]
-        try:
-            nxt = next(it)
-        except (StopIteration, TypeError):
-            gen = gens[x]
-            if gen is None:
-                gen = gens[x] = stream(seed, DOMAIN_LIST, x)
-            buf = nbrs[x][(gen.random(_CHUNK) * deg[x]).astype(np.int64)]
-            it = iters[x] = iter(buf.tolist())
-            nxt = next(it)
-        img[j] = nxt
-    image = np.array(img, dtype=np.int64)
-    if t.size > 1:
-        model.consumed += np.bincount(image[t.parents[1:]], minlength=g.n)
+    image = model.consume(t.parents[1:].tolist(), root_image)
     return TreeHomomorphism(tree=t, host=g, image=image)
 
 
@@ -304,17 +280,31 @@ def save_tree(t: RootedTree, path: str) -> None:
 
 
 def load_tree(path: str) -> RootedTree:
+    """Read the format of save_tree; violations name the line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}:1: missing vertex count")
+    if not lines[0].strip().isdecimal() or int(lines[0]) < 1:
+        raise ValueError(f"{path}:1: vertex count must be a positive integer, "
+                         f"got {lines[0]!r}")
     size = int(lines[0])
-    parents = [-1] * size
+    parents = [-1] + [None] * (size - 1)
     for i, line in enumerate(lines[1:], start=2):
         toks = line.split()
-        if len(toks) != 2:
-            raise ValueError(f"{path}:{i}: expected 'j parent'")
-        parents[int(toks[0])] = int(toks[1])
+        if len(toks) != 2 or not all(t.lstrip("-").isdecimal() for t in toks):
+            raise ValueError(f"{path}:{i}: expected 'j parent', got {line!r}")
+        j, p = int(toks[0]), int(toks[1])
+        if not 1 <= j < size:
+            raise ValueError(f"{path}:{i}: vertex {j} outside 1..{size - 1}")
+        if parents[j] is not None:
+            raise ValueError(f"{path}:{i}: vertex {j} listed twice")
+        if not 0 <= p < j:
+            raise ValueError(f"{path}:{i}: parent of vertex {j} is {p}; "
+                             f"must be an earlier vertex")
+        parents[j] = p
+    if None in parents:
+        raise ValueError(f"{path}:1: vertex {parents.index(None)} of {size} has no line")
     return build_tree(parents)
 
 

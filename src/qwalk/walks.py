@@ -6,6 +6,10 @@ the j-th time takes entry j, so a walk and the prefix subgraphs built
 from the same seed realize one coupled experiment: the traversed
 subgraph is sandwiched between two prefix subgraphs exactly.
 
+Walks and tree embeddings are one operation, ``ListModel.consume``:
+each new vertex maps to the next unused entry of the list of its
+parent's image, and a walk is the path tree.
+
 A "visit" is a departure: visit counts run over walk positions
 0 .. steps-1, one list entry consumed per visit, so counts sum to the
 number of steps and the terminal vertex consumes nothing.
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import gzip
 from dataclasses import dataclass, field
+from operator import length_hint
 
 import numpy as np
 
@@ -31,19 +36,24 @@ class ListModel:
     """Seeded per-vertex streams of uniform neighbor choices.
 
     ``entry``/``entries`` replay list values without touching the
-    consumption state; walks and tree embeddings consume entries in
-    order through the buffered iterators and advance ``consumed``.
+    consumption state.  ``consume`` is the one loop that takes entries
+    in order, from per-vertex buffers of ``_CHUNK`` words that
+    ``_refill`` draws; walks, tree embeddings and ``next_entry`` all go
+    through it, so any mix of them continues the same lists.
     """
 
     def __init__(self, graph: Graph, seed: int):
         self.graph = graph
         self.seed = int(seed)
-        self.consumed = np.zeros(graph.n, dtype=np.int64)
-        self._nbrs = [graph.indices[graph.indptr[v]:graph.indptr[v + 1]]
-                      for v in range(graph.n)]
-        self._deg = graph.degrees.astype(np.float64)
+        self._drawn = np.zeros(graph.n, dtype=np.int64)  # list words drawn per vertex
         self._gens = [None] * graph.n   # sequential stream per vertex
         self._iters = [None] * graph.n  # buffered unconsumed entries
+
+    @property
+    def consumed(self) -> np.ndarray:
+        """Entries taken from each list so far (read-only)."""
+        return self._drawn - np.fromiter(map(length_hint, self._iters),
+                                         dtype=np.int64, count=self.graph.n)
 
     def entry(self, v: int, j: int) -> int:
         """The j-th (1-indexed) list entry of v, replayed statelessly."""
@@ -59,27 +69,42 @@ class ListModel:
                 return np.empty(0, dtype=np.int64)
             raise ValueError(f"vertex {v} has no neighbors")
         u = uniform_words(self.seed, DOMAIN_LIST, v, 0, count)
-        return self._nbrs[v][(u * d).astype(np.int64)]
+        return self.graph.neighbors(v)[(u * d).astype(np.int64)]
 
     def _refill(self, v: int):
+        d = self.graph.degree(v)
+        if d == 0:
+            raise ValueError(f"vertex {v} has no neighbors")
         gen = self._gens[v]
         if gen is None:
             gen = self._gens[v] = stream(self.seed, DOMAIN_LIST, v)
-        buf = self._nbrs[v][(gen.random(_CHUNK) * self._deg[v]).astype(np.int64)]
+        buf = self.graph.neighbors(v)[(gen.random(_CHUNK) * d).astype(np.int64)]
+        self._drawn[v] += _CHUNK
         it = self._iters[v] = iter(buf.tolist())
         return it
 
+    def consume(self, parents, root: int) -> np.ndarray:
+        """Image of a tree given by ``parents``: image[0] = root, and
+        image[j+1] is the next unused entry of the list of
+        image[parents[j]], for j in order.
+
+        ``parents`` may be any iterable of earlier indices; a walk passes
+        ``range(steps)``, which keeps the parent sequence lazy.
+        """
+        iters = self._iters
+        img = [int(root)]  # python ints keep the hot loop cheap
+        push = img.append
+        for p in parents:
+            x = img[p]
+            try:
+                push(next(iters[x]))
+            except (StopIteration, TypeError):
+                push(next(self._refill(x)))
+        return np.array(img, dtype=np.int64)
+
     def next_entry(self, v: int) -> int:
         """Consume and return the next unused entry of the list of v."""
-        if self.graph.degree(v) == 0:
-            raise ValueError(f"vertex {v} has no neighbors")
-        it = self._iters[v]
-        try:
-            nxt = next(it)
-        except (StopIteration, TypeError):
-            nxt = next(self._refill(v))
-        self.consumed[v] += 1
-        return nxt
+        return int(self.consume((0,), v)[1])
 
 
 @dataclass
@@ -192,28 +217,7 @@ def run_walk(g: Graph, model: ListModel, start: int, steps: int) -> WalkTrace:
     """
     if g.degree(start) == 0:
         raise ValueError(f"start vertex {start} has no neighbors")
-    nbrs, deg = model._nbrs, model._deg
-    gens, iters = model._gens, model._iters
-    seed = model.seed
-    cur = int(start)
-    seq = [cur] * (steps + 1)  # python ints keep the hot loop cheap
-    i = 1
-    for _ in range(steps):
-        it = iters[cur]
-        try:
-            nxt = next(it)
-        except (StopIteration, TypeError):
-            gen = gens[cur]
-            if gen is None:
-                gen = gens[cur] = stream(seed, DOMAIN_LIST, cur)
-            buf = nbrs[cur][(gen.random(_CHUNK) * deg[cur]).astype(np.int64)]
-            it = iters[cur] = iter(buf.tolist())
-            nxt = next(it)
-        seq[i] = nxt
-        i += 1
-        cur = nxt
-    sequence = np.array(seq, dtype=np.int64)
-    model.consumed += np.bincount(sequence[:-1], minlength=g.n)
+    sequence = model.consume(range(steps), start)
     return WalkTrace(graph=g, start=int(start), steps=int(steps), sequence=sequence)
 
 
@@ -281,24 +285,22 @@ def default_block_length(n: int) -> int:
     return max(1, round(float(np.log(n)) ** 2))
 
 
-def _batch_walk_positions(g: Graph, start: int, i: int, trials: int, seed: int,
-                          want_all_steps: bool = False):
-    """Vertices at step i for ``trials`` independent walks (vectorized).
+def step_positions(g: Graph, start, i: int, trials: int, rng) -> np.ndarray:
+    """Vertices at step i of ``trials`` independent walks (vectorized).
 
-    One seeded stream drives all trials; draws are independent across
-    trials and steps, which realizes the law of W_i for fresh walks.
+    ``start`` is one vertex or one per walk.  ``rng`` is a seed, whose
+    step-law stream is opened, or a generator to continue, so callers
+    can batch walks or advance them step by step.  Every step draws
+    ``trials`` words in order; draws are independent across trials and
+    steps, which realizes the law of W_i for fresh walks.
     """
-    gen = stream(seed, DOMAIN_STEP_LAW, 0)
+    gen = stream(rng, DOMAIN_STEP_LAW, 0) if isinstance(rng, (int, np.integer)) else rng
     cur = np.full(trials, start, dtype=np.int64)
     deg = g.degrees
-    hist = [cur.copy()] if want_all_steps else None
     for _ in range(i):
         u = gen.random(trials)
-        nxt = g.indices[g.indptr[cur] + (u * deg[cur]).astype(np.int64)]
-        cur = nxt
-        if want_all_steps:
-            hist.append(cur.copy())
-    return (cur, hist) if want_all_steps else cur
+        cur = g.indices[g.indptr[cur] + (u * deg[cur]).astype(np.int64)]
+    return cur
 
 
 def empirical_step_distribution(g: Graph, start: int, i: int, trials: int,
@@ -308,7 +310,7 @@ def empirical_step_distribution(g: Graph, start: int, i: int, trials: int,
         raise ValueError("need at least one trial")
     if g.degree(start) == 0 and i > 0:
         raise ValueError(f"start vertex {start} has no neighbors")
-    where = _batch_walk_positions(g, start, i, trials, seed)
+    where = step_positions(g, start, i, trials, seed)
     return Distribution.from_counts(np.bincount(where, minlength=g.n))
 
 
@@ -333,7 +335,7 @@ def hit_probability_check(g: Graph, start: int, s: VertexSet, i: int,
         raise ValueError("target set smaller than eps*n")
     if i < 2:
         raise ValueError("the floor applies to steps i >= 2")
-    where = _batch_walk_positions(g, start, i, trials, seed)
+    where = step_positions(g, start, i, trials, seed)
     empirical = float(s.bool_mask()[where].mean())
     floor = s.size / g.n - 9.0 * np.sqrt(eps) / rho
     return empirical, float(floor)
@@ -349,11 +351,31 @@ def save_trace(trace: WalkTrace, path: str) -> None:
 
 
 def load_trace(g: Graph, path: str) -> WalkTrace:
+    """Read the format of save_trace; reject anything that is not a walk on g."""
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rt") as fh:
         head = fh.readline().split()
-        start, steps = int(head[0]), int(head[1])
-        seq = np.array(fh.readline().split(), dtype=np.int64)
+        toks = fh.readline().split()
+    if len(head) != 2 or not all(t.isdecimal() for t in head):
+        raise ValueError(f"{path}:1: header must be 'start steps', "
+                         f"got {' '.join(head)!r}")
+    start, steps = int(head[0]), int(head[1])
+    try:
+        seq = np.array(toks, dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{path}:2: the sequence must be integer vertex ids") from None
     if len(seq) != steps + 1:
-        raise ValueError(f"{path}: sequence length {len(seq)} != steps+1")
+        raise ValueError(f"{path}:2: sequence length {len(seq)} != steps+1")
+    if seq[0] != start:
+        raise ValueError(f"{path}:2: sequence starts at {seq[0]}, header says {start}")
+    bad = np.flatnonzero((seq < 0) | (seq >= g.n))
+    if len(bad):
+        raise ValueError(f"{path}:2: position {bad[0]} is vertex {seq[bad[0]]}, "
+                         f"outside the host's 0..{g.n - 1}")
+    lo, hi = np.minimum(seq[:-1], seq[1:]), np.maximum(seq[:-1], seq[1:])
+    bad = np.flatnonzero(~np.isin(lo * g.n + hi, g.edge_codes()))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"{path}:2: step {i + 1} from {seq[i]} to {seq[i + 1]} "
+                         f"is not a host edge")
     return WalkTrace(graph=g, start=start, steps=steps, sequence=seq)

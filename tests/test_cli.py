@@ -76,3 +76,9 @@ def test_usage_error_exit_code():
 def test_bad_input_file_returns_2(tmp_path):
     missing = str(tmp_path / "nope.txt")
     assert main(["certify", "--graph", missing, "--eps", "0.1"]) == 2
+
+
+def test_directory_path_returns_2(tmp_path, capsys):
+    assert main(["certify", "--graph", str(tmp_path), "--eps", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

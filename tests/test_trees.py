@@ -242,6 +242,24 @@ class TestTreeIO:
         save_tree(t, path)
         assert np.array_equal(load_tree(path).parents, t.parents)
 
+    @pytest.mark.parametrize("body, where, match", [
+        ("3\n1 0\n5 1\n", 3, "vertex 5 outside 1..2"),
+        ("3\n1 0\n0 1\n", 3, "vertex 0 outside 1..2"),
+        ("3\n1 0\n1 0\n", 3, "vertex 1 listed twice"),
+        ("3\n1 0\n2 2\n", 3, "parent of vertex 2 is 2"),
+        ("3\n1 0\n2 x\n", 3, "expected 'j parent'"),
+        ("three\n1 0\n", 1, "vertex count"),
+        ("0\n", 1, "vertex count"),
+        ("3\n1 0\n", 1, "vertex 2 of 3 has no line"),
+        ("", 1, "missing vertex count"),
+    ])
+    def test_malformed_file_names_the_line(self, tmp_path, body, where, match):
+        path = tmp_path / "t.txt"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=match) as info:
+            load_tree(str(path))
+        assert str(info.value).startswith(f"{path}:{where}: ")
+
     def test_homomorphism_export(self, tmp_path):
         g = gen_complete(8)
         t = gen_path_tree(5)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from qwalk.graph import VertexSet, build_graph, gen_complete, gen_gnp
-from qwalk.rng import DOMAIN_TRIALS, derive_seed
+from qwalk.rng import DOMAIN_STEP_LAW, DOMAIN_TRIALS, derive_seed, stream
+from qwalk.trees import gen_random_tree, random_homomorphism, tree_visit_counts
 from qwalk.walks import (Distribution, ListModel, WalkTrace, balanced_start,
                          empirical_step_distribution, hit_probability_check,
                          list_subgraph, load_trace, run_walk, sandwich_bounds,
-                         save_trace, stationary, subsequence_visit_counts,
-                         tv_distance, walk_subgraph)
+                         save_trace, stationary, step_positions,
+                         subsequence_visit_counts, tv_distance, walk_subgraph)
 
 
 def path_graph(k):
@@ -91,6 +92,40 @@ class TestListModel:
         trace = run_walk(g, model, 0, 300)
         assert np.array_equal(model.consumed, trace.visit_counts)
 
+    def test_consumed_is_read_only(self):
+        g = gen_complete(4)
+        model = ListModel(g, 1)
+        with pytest.raises(AttributeError):
+            model.consumed = np.zeros(4, dtype=np.int64)
+
+    def test_refill_boundary_and_interleaved_consumers(self):
+        # a 20k-step walk on 6 vertices takes thousands of entries from
+        # every list, so each crosses several 2048-word buffer refills;
+        # a tree and single entries then continue the same lists
+        g = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                            (3, 4), (4, 5)])
+        model = ListModel(g, 21)
+        trace = run_walk(g, model, 5, 20_000)
+        hom = random_homomorphism(g, gen_random_tree(4000, 4, 8), model, 4)
+        singles = [(v, model.next_entry(v)) for v in (5, 0, 3, 3, 1)]
+        taken = {v: [] for v in range(g.n)}
+        seq = trace.sequence.tolist()
+        for u, w in zip(seq, seq[1:]):
+            taken[u].append(w)
+        img = hom.image.tolist()
+        for j, p in enumerate(hom.tree.parents[1:].tolist(), start=1):
+            taken[img[p]].append(img[j])
+        for v, w in singles:
+            taken[v].append(w)
+        assert max(len(t) for t in taken.values()) > 2 * 2048
+        replay = ListModel(g, 21)
+        for v, got in taken.items():
+            assert replay.entries(v, len(got)).tolist() == got
+        departures = (trace.visit_counts + tree_visit_counts(hom)
+                      + np.bincount([v for v, _ in singles], minlength=g.n))
+        assert np.array_equal(model.consumed, departures)
+        assert (model.consumed == [len(taken[v]) for v in range(g.n)]).all()
+
     def test_walk_consumes_prefix_of_lists(self):
         g = gen_gnp(15, 0.5, 2)
         model = ListModel(g, 9)
@@ -136,11 +171,12 @@ class TestRunWalk:
 
     def test_uniform_law_on_k4_chi_square(self):
         # on K_4 every non-stuttering length-3 continuation has mass 27^-1
-        from qwalk.walks import _batch_walk_positions
         g = gen_complete(4)
         trials = 1_000_000
-        _, hist = _batch_walk_positions(g, 0, 3, trials, 999, want_all_steps=True)
-        w1, w2, w3 = hist[1], hist[2], hist[3]
+        gen = stream(999, DOMAIN_STEP_LAW, 0)
+        w1 = step_positions(g, 0, 1, trials, gen)
+        w2 = step_positions(g, w1, 1, trials, gen)
+        w3 = step_positions(g, w2, 1, trials, gen)
         # rank each step among its predecessor's 3 allowed successors
         offsets = {v: np.array([u if u < v else u - 1 for u in range(4)])
                    for v in range(4)}
@@ -381,3 +417,21 @@ class TestTraceIO:
             loaded = load_trace(g, path)
             assert loaded.start == trace.start
             assert np.array_equal(loaded.sequence, trace.sequence)
+
+    @pytest.mark.parametrize("body, match", [
+        ("0 2\n0 7 0\n", "position 1 is vertex 7"),
+        ("0 2\n0 -1 0\n", "position 1 is vertex -1"),
+        ("0 2\n0 2 0\n", "step 1 from 0 to 2 is not a host edge"),
+        ("0 1\n0 0\n", "step 1 from 0 to 0 is not a host edge"),
+        ("1 1\n0 1\n", "starts at 0, header says 1"),
+        ("0 3\n0 1 0\n", "sequence length 3 != steps\\+1"),
+        ("0 x\n0\n", ":1: header"),
+        ("0 1\n0 1.5\n", ":2: the sequence must be integer"),
+    ])
+    def test_invalid_trace_rejected(self, tmp_path, body, match):
+        g = build_graph(3, [(0, 1)])  # vertex 2 is isolated
+        path = tmp_path / "bad.txt"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=match) as info:
+            load_trace(g, str(path))
+        assert str(info.value).startswith(f"{path}:")
