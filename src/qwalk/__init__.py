@@ -15,10 +15,10 @@ from .graph import (DegreeProfile, Graph, VertexSet, balanced_vertices,
                     build_graph, connectivity_profile, density, edges_between,
                     gen_complete, gen_gnp, gen_two_clique_bridge, load_graph,
                     save_graph)
-from .certify import (PowerIterationError, QuasirandomnessReport, certify,
-                      count_c4_labelled, discrepancy_exhaustive,
-                      discrepancy_refined, discrepancy_sampled,
-                      lambda_bound_from_trace, lambda_estimate, trace_p4)
+from .certify import (QuasirandomnessReport, certify, count_c4_labelled,
+                      discrepancy_exhaustive, discrepancy_refined,
+                      discrepancy_sampled, lambda_bound_from_trace,
+                      lambda_estimate, trace_p4)
 from .walks import (Distribution, EdgeSubgraph, ListModel, WalkTrace,
                     balanced_start, default_block_length,
                     empirical_step_distribution, hit_probability_check,
@@ -39,7 +39,7 @@ __all__ = [
     "density", "balanced_vertices", "gen_gnp", "gen_complete",
     "gen_two_clique_bridge", "connectivity_profile", "load_graph",
     "save_graph",
-    "QuasirandomnessReport", "PowerIterationError", "certify",
+    "QuasirandomnessReport", "certify",
     "discrepancy_exhaustive", "discrepancy_sampled", "discrepancy_refined",
     "count_c4_labelled",
     "trace_p4", "lambda_bound_from_trace", "lambda_estimate",

@@ -13,9 +13,13 @@ hub set, say) that uniform subsets almost never hit.  Every discrepancy
 value comes with a witness pair whose exact edge count reproduces it.
 
 All spectral quantities live on the transition matrix P = D^-1 A.  The
-symmetrization D^-1/2 A D^-1/2 shares its spectrum, which keeps the
-arithmetic real and symmetric.  Products of adjacency counts stay far
-below 2**53, so float64 matrix products are exact integer arithmetic.
+symmetrization M = D^-1/2 A D^-1/2 shares its spectrum, which keeps the
+arithmetic real and symmetric: trace(P^4) is the squared norm of M @ M,
+and lambda = max(|lambda_2|, |lambda_n|) comes exactly from one dense
+symmetric eigensolve of M, an O(n^3) step like the C4 count and the
+trace.  The trace bound lambda <= (trace(P^4) - 1)^(1/4) stays as a
+certified cross-check.  Products of adjacency counts stay far below
+2**53, so float64 matrix products are exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -27,19 +31,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .graph import Graph, VertexSet, connectivity_profile, density
-from .rng import DOMAIN_POWER_ITER, DOMAIN_SUBSETS, stream
+from .rng import DOMAIN_SUBSETS, stream
 
 EXHAUSTIVE_MAX_N = 16
 _BLOCK = 4096
-
-
-class PowerIterationError(RuntimeError):
-    """Eigenvalue iteration failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, estimate: float, residual: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.residual = residual
 
 
 def _deviation(e, rho, size_a, size_b):
@@ -200,12 +195,41 @@ def discrepancy_refined(g: Graph, eps: float, start: tuple[VertexSet, VertexSet]
     return float(best), (VertexSet.from_mask(n, a), VertexSet.from_mask(n, b))
 
 
-def count_c4_labelled(g: Graph) -> int:
-    """Labelled 4-cycles: 2 * sum over ordered pairs of C(codegree, 2)."""
-    adj = g.adjacency_dense()
+def _c4_from_adjacency(adj: np.ndarray) -> int:
+    """Labelled 4-cycles from the dense adjacency matrix."""
     codeg = adj @ adj  # exact: entries are common-neighborhood sizes
     np.fill_diagonal(codeg, 0.0)
     return int(round(float((codeg * (codeg - 1.0)).sum())))
+
+
+def _walk_matrix(g: Graph, adj: np.ndarray) -> np.ndarray:
+    """M = D^-1/2 A D^-1/2, which shares its spectrum with P = D^-1 A."""
+    deg = g.degrees
+    if g.n and deg.min() == 0:
+        raise ValueError("transition matrix undefined with isolated vertices")
+    s = 1.0 / np.sqrt(deg.astype(np.float64))
+    return adj * s[:, None] * s[None, :]
+
+
+def _trace_from_square(m2: np.ndarray) -> float:
+    """trace(M^4) = sum of squared entries of the symmetric M^2."""
+    return float((m2 * m2).sum())
+
+
+def _bound_from_trace(tr: float) -> float:
+    """lambda <= (trace(P^4) - 1)^(1/4), capped at 1."""
+    return min(max(tr - 1.0, 0.0) ** 0.25, 1.0)
+
+
+def _lambda_from_spectrum(m: np.ndarray) -> float:
+    """max(|lambda_2|, |lambda_n|), the top eigenvalue 1 being simple."""
+    eigs = np.linalg.eigvalsh(m)
+    return float(max(abs(eigs[0]), abs(eigs[-2])))
+
+
+def count_c4_labelled(g: Graph) -> int:
+    """Labelled 4-cycles: 2 * sum over ordered pairs of C(codegree, 2)."""
+    return _c4_from_adjacency(g.adjacency_dense())
 
 
 def trace_p4(g: Graph) -> float:
@@ -214,13 +238,8 @@ def trace_p4(g: Graph) -> float:
     Each closed walk uvwx carries weight 1/(d(u)d(v)d(w)d(x)); the trace
     equals the sum of fourth powers of the eigenvalues of P.
     """
-    deg = g.degrees
-    if g.n and deg.min() == 0:
-        raise ValueError("transition matrix undefined with isolated vertices")
-    s = 1.0 / np.sqrt(deg.astype(np.float64))
-    m = g.adjacency_dense() * s[:, None] * s[None, :]
-    m2 = m @ m
-    return float((m2 * m2).sum())
+    m = _walk_matrix(g, g.adjacency_dense())
+    return _trace_from_square(m @ m)
 
 
 def lambda_bound_from_trace(g: Graph) -> float:
@@ -233,53 +252,21 @@ def lambda_bound_from_trace(g: Graph) -> float:
     connected, bipartite = connectivity_profile(g)
     if not connected or bipartite:
         return 1.0
-    bound = max(trace_p4(g) - 1.0, 0.0) ** 0.25
-    return min(bound, 1.0)
+    return _bound_from_trace(trace_p4(g))
 
 
-def _walk_matvec(g: Graph, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y = D^-1/2 A D^-1/2 x via the CSR arrays; needs min degree >= 1."""
-    z = (x * s)[g.indices]
-    return np.add.reduceat(z, g.indptr[:-1]) * s
+def lambda_estimate(g: Graph) -> float:
+    """lambda = max(|lambda_2|, |lambda_n|) from the full dense spectrum.
 
-
-def lambda_estimate(g: Graph, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """lambda via power iteration with the known top eigenvector deflated.
-
-    The top eigenvector of the symmetrized walk matrix has entries
-    proportional to sqrt(d(v)); it is projected out every iteration so
-    the dominant remaining eigenvalue is lambda.  Converges when the
-    symmetric residual drops below tol, which certifies the estimate is
-    within tol of a true eigenvalue.
+    Exact to floating-point rounding; defined only when the walk is
+    irreducible and aperiodic, so that the eigenvalue 1 is simple.
     """
     connected, bipartite = connectivity_profile(g)
     if not connected:
         raise ValueError("lambda estimation requires a connected graph")
     if bipartite:
         raise ValueError("lambda estimation requires a non-bipartite graph")
-    deg = g.degrees.astype(np.float64)
-    s = 1.0 / np.sqrt(deg)
-    top = np.sqrt(deg)
-    top /= np.linalg.norm(top)
-    x = stream(0, DOMAIN_POWER_ITER, 0).random(g.n) - 0.5
-    x -= (top @ x) * top
-    x /= np.linalg.norm(x)
-    theta = 0.0
-    residual = np.inf
-    for _ in range(max_iter):
-        y = _walk_matvec(g, s, x)
-        y -= (top @ y) * top
-        theta = float(x @ y)
-        residual = float(np.linalg.norm(y - theta * x))
-        if residual <= tol:
-            return abs(theta)
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return 0.0  # deflated operator annihilated x: spectrum is {0}
-        x = y / norm
-    raise PowerIterationError(
-        f"no convergence after {max_iter} iterations (residual {residual:.3e})",
-        estimate=abs(theta), residual=residual)
+    return _lambda_from_spectrum(_walk_matrix(g, g.adjacency_dense()))
 
 
 @dataclass
@@ -308,13 +295,13 @@ class QuasirandomnessReport:
 
 
 def certify(g: Graph, eps: float, trials: int = 2000, seed: int = 0,
-            exhaustive: bool = False, tol: float = 1e-8,
-            max_iter: int = 2000) -> QuasirandomnessReport:
+            exhaustive: bool = False) -> QuasirandomnessReport:
     """Run the full certification battery and collect a report.
 
-    The eigenvalue estimate is best-effort: graphs with clustered
-    spectra may not converge within max_iter, in which case the report
-    carries null there and the certified trace bound stands alone.
+    One breadth-first search, one dense adjacency for the C4 count, the
+    trace and the spectrum, and one eigensolve.  The trace is null on
+    hosts with isolated vertices; lambda_estimate is null, and
+    lambda_bound is 1, on disconnected or bipartite hosts.
     """
     connected, bipartite = connectivity_profile(g)
     if exhaustive:
@@ -324,23 +311,24 @@ def certify(g: Graph, eps: float, trials: int = 2000, seed: int = 0,
     else:
         disc, _ = discrepancy_sampled(g, eps, trials, seed)
         method, pairs = "sampled", trials
-    degenerate = not connected or bipartite
-    tr = trace_p4(g) if g.n and g.degrees.min() > 0 else None
-    lam_est = None
-    if not degenerate:
-        try:
-            lam_est = lambda_estimate(g, tol=tol, max_iter=max_iter)
-        except PowerIterationError:
-            lam_est = None
+    adj = g.adjacency_dense()
+    c4 = _c4_from_adjacency(adj)
+    tr, lam_bound, lam_est = None, 1.0, None
+    if g.n and g.degrees.min() > 0:
+        m = _walk_matrix(g, adj)
+        tr = _trace_from_square(m @ m)
+        if connected and not bipartite:
+            lam_bound = _bound_from_trace(tr)
+            lam_est = _lambda_from_spectrum(m)
     return QuasirandomnessReport(
         rho=density(g),
         eps_target=eps,
         discrepancy=disc,
         method=method,
         pairs_checked=pairs,
-        c4_labelled=count_c4_labelled(g),
+        c4_labelled=c4,
         trace_p4=tr,
-        lambda_bound=lambda_bound_from_trace(g),
+        lambda_bound=lam_bound,
         lambda_estimate=lam_est,
         connected=connected,
         bipartite=bipartite,

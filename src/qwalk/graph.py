@@ -284,15 +284,16 @@ def load_graph(path: str) -> Graph:
     if not lines:
         raise ValueError(f"{path}:1: missing header line 'n m'")
     head = lines[0].split()
-    if len(head) != 2 or not all(t.lstrip("-").isdigit() for t in head):
-        raise ValueError(f"{path}:1: header must be 'n m', got {lines[0]!r}")
+    if len(head) != 2 or not all(t.isdecimal() for t in head):
+        raise ValueError(f"{path}:1: header must be 'n m' with non-negative "
+                         f"integers, got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"{path}: header promises {m} edges, found {len(lines) - 1}")
     edges = np.empty((m, 2), dtype=np.int64)
     for i, line in enumerate(lines[1:], start=2):
         toks = line.split()
-        if len(toks) != 2 or not all(t.lstrip("-").isdigit() for t in toks):
+        if len(toks) != 2 or not all(t.removeprefix("-").isdecimal() for t in toks):
             raise ValueError(f"{path}:{i}: expected 'u v', got {line!r}")
         u, v = int(toks[0]), int(toks[1])
         if not u < v:

@@ -26,7 +26,6 @@ DOMAIN_STEP_LAW = 3     # index = 0; batched independent walks
 DOMAIN_TRIALS = 4       # index = trial number; derives per-trial seeds
 DOMAIN_TREE_GEN = 5     # index = 0; random tree attachment choices
 DOMAIN_HOST = 6         # index = 0; host generation inside experiments
-DOMAIN_POWER_ITER = 7   # fixed-seed start vectors for eigenvalue iteration
 
 
 def stream_key(seed: int, domain: int, index: int) -> np.ndarray:

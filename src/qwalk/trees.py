@@ -292,7 +292,7 @@ def load_tree(path: str) -> RootedTree:
     parents = [-1] + [None] * (size - 1)
     for i, line in enumerate(lines[1:], start=2):
         toks = line.split()
-        if len(toks) != 2 or not all(t.lstrip("-").isdecimal() for t in toks):
+        if len(toks) != 2 or not all(t.removeprefix("-").isdecimal() for t in toks):
             raise ValueError(f"{path}:{i}: expected 'j parent', got {line!r}")
         j, p = int(toks[0]), int(toks[1])
         if not 1 <= j < size:

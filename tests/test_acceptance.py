@@ -155,9 +155,9 @@ def test_criterion_05_spectral_certification():
     for s in range(5):
         g = gen_gnp(500, 0.5, derive_seed(MASTER_SEED, DOMAIN_TRIALS, 500_000 + s))
         bounds.append(lambda_bound_from_trace(g))
-    c5_err = abs(lambda_estimate(cycle_graph(5), tol=1e-10)
+    c5_err = abs(lambda_estimate(cycle_graph(5))
                  - abs(math.cos(4 * math.pi / 5)))
-    c7_err = abs(lambda_estimate(cycle_graph(7), tol=1e-10)
+    c7_err = abs(lambda_estimate(cycle_graph(7))
                  - math.cos(math.pi / 7))
     ok = (checked == 50 and worst <= 1e-9 and max(bounds) <= 0.5
           and c5_err <= 1e-8 and c7_err <= 1e-8)

@@ -1,18 +1,21 @@
 """Discrepancy, 4-cycle counting, and spectral certification, each checked
 against an independent brute-force or dense-eigensolver oracle."""
 
+import importlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qwalk.certify import (PowerIterationError, certify, count_c4_labelled,
-                           discrepancy_exhaustive, discrepancy_refined,
-                           discrepancy_sampled, lambda_bound_from_trace,
-                           lambda_estimate, trace_p4)
-from qwalk.graph import (VertexSet, build_graph, density, edges_between,
-                         gen_complete, gen_gnp)
+from qwalk.certify import (certify, count_c4_labelled, discrepancy_exhaustive,
+                           discrepancy_refined, discrepancy_sampled,
+                           lambda_bound_from_trace, lambda_estimate, trace_p4)
+from qwalk.graph import (Graph, VertexSet, build_graph, density, edges_between,
+                         gen_complete, gen_gnp, gen_two_clique_bridge)
+
+# the package re-exports the function ``certify`` under the module's name
+certify_module = importlib.import_module("qwalk.certify")
 
 
 def cycle_graph(k):
@@ -249,11 +252,11 @@ class TestLambdaBound:
 
 class TestLambdaEstimate:
     def test_c5_circulant(self):
-        est = lambda_estimate(cycle_graph(5), tol=1e-10)
+        est = lambda_estimate(cycle_graph(5))
         assert est == pytest.approx(abs(np.cos(4 * np.pi / 5)), abs=1e-8)
 
     def test_c7_circulant(self):
-        est = lambda_estimate(cycle_graph(7), tol=1e-10)
+        est = lambda_estimate(cycle_graph(7))
         assert est == pytest.approx(np.cos(np.pi / 7), abs=1e-8)
 
     def test_k4(self):
@@ -269,7 +272,7 @@ class TestLambdaEstimate:
                 continue
             eigs = walk_matrix_eigs(g)
             true_lambda = max(abs(eigs[0]), abs(eigs[-2]))
-            est = lambda_estimate(g, tol=1e-10, max_iter=200_000)
+            est = lambda_estimate(g)
             assert est == pytest.approx(true_lambda, abs=1e-8)
             hits += 1
         assert hits >= 10
@@ -282,13 +285,15 @@ class TestLambdaEstimate:
             if not connected or bipartite:
                 continue
             tol = 1e-9
-            assert lambda_bound_from_trace(g) >= lambda_estimate(g, tol=tol) - tol
+            assert lambda_bound_from_trace(g) >= lambda_estimate(g) - tol
 
-    def test_non_convergence_carries_iterate(self):
-        with pytest.raises(PowerIterationError) as info:
-            lambda_estimate(cycle_graph(5), tol=1e-12, max_iter=2)
-        assert 0.0 <= info.value.estimate <= 1.0
-        assert info.value.residual > 0
+    def test_positive_end_of_spectrum(self):
+        # two cliques joined by one edge: lambda_2 is near 1 and dominates
+        g = gen_two_clique_bridge(20, 0.5)
+        eigs = walk_matrix_eigs(g)
+        assert eigs[-2] > abs(eigs[0])
+        second = np.sort(np.abs(eigs))[-2]
+        assert lambda_estimate(g) == pytest.approx(second, abs=1e-12)
 
     def test_bipartite_rejected(self):
         with pytest.raises(ValueError):
@@ -324,3 +329,60 @@ class TestCertify:
             "rho", "eps_target", "discrepancy", "method", "pairs_checked",
             "c4_labelled", "trace_p4", "lambda_bound", "lambda_estimate",
             "connected", "bipartite"}
+
+    def test_lambda_estimate_exact_on_slow_mixing_cycle(self):
+        # the spectral gap of C_51 is about 2e-3; the report is exact anyway
+        report = certify(cycle_graph(51), 0.1, trials=50, seed=0)
+        assert report.lambda_estimate == pytest.approx(math.cos(math.pi / 51),
+                                                       abs=1e-12)
+
+    @pytest.mark.parametrize("g", [
+        gen_gnp(40, 0.3, 5),
+        build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+        build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+    ], ids=["gnp", "k33", "disconnected", "isolated"])
+    def test_fields_match_standalone_functions(self, g):
+        report = certify(g, 0.4, trials=50, seed=1)
+        assert report.c4_labelled == count_c4_labelled(g)
+        assert report.lambda_bound == lambda_bound_from_trace(g)
+        if g.degrees.min() > 0:
+            assert report.trace_p4 == trace_p4(g)
+        else:
+            assert report.trace_p4 is None
+        if report.connected and not report.bipartite:
+            assert report.lambda_estimate == lambda_estimate(g)
+        else:
+            assert report.lambda_estimate is None
+
+    @pytest.mark.parametrize("g, kwargs", [
+        (gen_gnp(50, 0.5, 2), {"trials": 100}),
+        (gen_complete(6), {"exhaustive": True}),
+        (build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)]), {}),
+    ], ids=["gnp", "k6-exhaustive", "k33"])
+    def test_one_pass(self, monkeypatch, g, kwargs):
+        calls = dict.fromkeys(["dense", "bfs", "square", "eig"], 0)
+
+        def counted(key, fn):
+            def wrapper(*args, **kw):
+                calls[key] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        class CountedSquare(np.ndarray):
+            def __matmul__(self, other):
+                calls["square"] += 1
+                return np.asarray(self) @ np.asarray(other)
+
+        walk_matrix = certify_module._walk_matrix
+        monkeypatch.setattr(Graph, "adjacency_dense",
+                            counted("dense", Graph.adjacency_dense))
+        monkeypatch.setattr(certify_module, "connectivity_profile",
+                            counted("bfs", certify_module.connectivity_profile))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            counted("eig", np.linalg.eigvalsh))
+        monkeypatch.setattr(certify_module, "_walk_matrix",
+                            lambda *a: walk_matrix(*a).view(CountedSquare))
+        certify(g, 0.5, seed=1, **kwargs)
+        assert calls["dense"] <= 2 and calls["bfs"] == 1
+        assert calls["square"] == 1 and calls["eig"] <= 1

@@ -207,6 +207,19 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=":1:"):
             load_graph(str(path))
 
+    def test_negative_header_names_line_one(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("-1 0\n")
+        with pytest.raises(ValueError, match=":1:"):
+            load_graph(str(path))
+
+    def test_non_ascii_digit_names_the_line(self, tmp_path):
+        # '²'.isdigit() holds but int('²') fails
+        path = tmp_path / "bad.txt"
+        path.write_text("3 1\n0 \u00b2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":2:"):
+            load_graph(str(path))
+
     def test_bad_edge_line_numbered(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 2\n0 1\n2 1\n")

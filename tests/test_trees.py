@@ -248,6 +248,7 @@ class TestTreeIO:
         ("3\n1 0\n1 0\n", 3, "vertex 1 listed twice"),
         ("3\n1 0\n2 2\n", 3, "parent of vertex 2 is 2"),
         ("3\n1 0\n2 x\n", 3, "expected 'j parent'"),
+        ("3\n1 0\n2 --1\n", 3, "expected 'j parent'"),
         ("three\n1 0\n", 1, "vertex count"),
         ("0\n", 1, "vertex count"),
         ("3\n1 0\n", 1, "vertex 2 of 3 has no line"),
