@@ -11,15 +11,15 @@ predictions of that coupling at desk scale.
 
 __version__ = "0.1.0"
 
-from .graph import (DegreeProfile, Graph, VertexSet, balanced_vertices,
-                    build_graph, connectivity_profile, density, edges_between,
-                    gen_complete, gen_gnp, gen_two_clique_bridge, load_graph,
-                    save_graph)
+from .graph import (DegreeProfile, EdgeSubgraph, Graph, VertexSet,
+                    balanced_vertices, build_graph, connectivity_profile,
+                    density, edges_between, gen_complete, gen_gnp,
+                    gen_two_clique_bridge, load_graph, save_graph)
 from .certify import (QuasirandomnessReport, certify, count_c4_labelled,
                       discrepancy_exhaustive, discrepancy_refined,
                       discrepancy_sampled, lambda_bound_from_trace,
                       lambda_estimate, trace_p4)
-from .walks import (Distribution, EdgeSubgraph, ListModel, WalkTrace,
+from .walks import (Distribution, ListModel, WalkTrace,
                     balanced_start, default_block_length,
                     empirical_step_distribution, hit_probability_check,
                     list_subgraph, load_trace, run_walk, sandwich_bounds,

@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .certify import certify
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
-from .graph import gen_complete, gen_gnp, gen_two_clique_bridge, load_graph, save_graph
+from .graph import (gen_complete, gen_gnp, gen_two_clique_bridge, load_graph,
+                    read_text, save_graph)
 from .trees import (gen_nary_tree, gen_path_tree, gen_random_tree,
                     image_subgraph, random_homomorphism, save_homomorphism)
 from .walks import ListModel, balanced_start, run_walk, save_trace, walk_subgraph
@@ -181,11 +183,23 @@ def _cmd_tree(args) -> int:
     return 0
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object in ``path``; errors name the file and line."""
+    try:
+        base = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    if not isinstance(base, dict):
+        raise ValueError(f"{path}:1: config must be a JSON object, "
+                         f"got {type(base).__name__}")
+    unknown = sorted(set(base) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"{path}:1: unknown config keys: {', '.join(unknown)}")
+    return base
+
+
 def _cmd_experiment(args) -> int:
-    base = {}
-    if args.config:
-        with open(args.config) as fh:
-            base = json.load(fh)
+    base = _read_config(args.config) if args.config else {}
     base.update({"experiment": args.name, "n": args.n, "seed": args.seed,
                  "generator": args.generator, "alpha": args.alpha,
                  "eps": args.eps, "trials": args.trials})

@@ -4,11 +4,18 @@ A ``Graph`` stores sorted per-vertex neighbor lists in CSR layout
 (``indptr``/``indices``) with 64-bit counts throughout.  Instances are
 frozen after construction, so any number of readers may share one.
 Generators are pure functions of their arguments.
+
+An edge uv, u < v, is the int64 key u * n + v.  This module alone
+packs, deduplicates and looks up keys: a ``Graph`` is built from its
+sorted distinct keys, and an ``EdgeSubgraph`` (the edges a walk or a
+tree embedding traverses) is a sorted distinct key array.
 """
 
 from __future__ import annotations
 
+import gzip
 import math
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,23 +23,61 @@ import numpy as np
 from .rng import DOMAIN_GNP, uniform_words
 
 
+def _pack(n: int, us, vs) -> np.ndarray:
+    """Edge keys min(u, v) * n + max(u, v) as a new int64 array."""
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    return np.minimum(us, vs) * n + np.maximum(us, vs)
+
+
+def _unpack(n: int, keys: np.ndarray) -> np.ndarray:
+    """Keys back to an (m, 2) array of (u, v) rows with u < v."""
+    return np.column_stack((keys // n, keys % n))
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of ``a``, which is sorted in place.
+
+    A sort and a mask of neighbours that differ give the same array as
+    ``np.unique``, which is over 20x slower on millions of values.
+    """
+    a.sort()
+    first = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
+def edge_keys(n: int, us, vs) -> np.ndarray:
+    """Sorted distinct keys of the unordered pairs (us[i], vs[i]).
+
+    Sorted rather than marked in a boolean table of all n^2 keys, which
+    would need n^2 bytes on sparse hosts with large n.
+    """
+    return _distinct(_pack(n, us, vs))
+
+
 class Graph:
     """Undirected simple graph on vertices 0 .. n-1.
 
     Invariants: symmetric adjacency, no self-loops, no duplicate
     neighbors, and sum of degrees equal to twice ``edge_count``.
+    Built by ``build_graph`` from the sorted distinct edge keys, which
+    it keeps as ``edge_codes()``.
     """
 
     __slots__ = ("n", "indptr", "indices", "edge_count", "_edge_codes")
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
-        self.n = int(n)
-        self.indptr = indptr
-        self.indices = indices
-        self.edge_count = int(len(indices) // 2)
-        self._edge_codes = None
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
+    def __init__(self, n: int, keys: np.ndarray):
+        self.n = n = int(n)
+        # arcs u -> v packed as u * n + v, both directions, in CSR order
+        arcs = np.concatenate([keys, keys % n * n + keys // n])
+        arcs.sort()
+        self.indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
+        self.indices = arcs % n
+        self.edge_count = len(keys)
+        self._edge_codes = keys
+        for a in (self.indptr, self.indices, keys):
+            a.setflags(write=False)
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -50,20 +95,16 @@ class Graph:
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
 
+    def has_edges(self, us, vs) -> np.ndarray:
+        """Elementwise ``has_edge`` for endpoints in 0 .. n-1."""
+        return np.isin(_pack(self.n, us, vs), self._edge_codes)
+
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
-        codes = self.edge_codes()
-        return np.column_stack((codes // self.n, codes % self.n))
+        return _unpack(self.n, self._edge_codes)
 
     def edge_codes(self) -> np.ndarray:
-        """Edges packed as u * n + v with u < v, sorted (cached)."""
-        if self._edge_codes is None:
-            src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-            mask = src < self.indices
-            codes = src[mask] * self.n + self.indices[mask]
-            codes.sort()
-            codes.setflags(write=False)
-            self._edge_codes = codes
+        """Edges packed as u * n + v with u < v, sorted (read-only)."""
         return self._edge_codes
 
     def adjacency_dense(self, dtype=np.float64) -> np.ndarray:
@@ -75,6 +116,35 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+class EdgeSubgraph:
+    """A deduplicated set of edges of a parent graph."""
+
+    __slots__ = ("parent", "codes")
+
+    def __init__(self, parent: Graph, codes: np.ndarray):
+        self.parent = parent
+        self.codes = codes  # sorted unique u * n + v with u < v
+
+    @classmethod
+    def from_pairs(cls, parent: Graph, us, vs) -> "EdgeSubgraph":
+        return cls(parent, edge_keys(parent.n, us, vs))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __contains__(self, edge) -> bool:
+        return bool(_pack(self.parent.n, *edge) in self.codes)
+
+    def edge_array(self) -> np.ndarray:
+        return _unpack(self.parent.n, self.codes)
+
+    def issubset(self, other: "EdgeSubgraph") -> bool:
+        return bool(np.isin(self.codes, other.codes).all())
+
+    def to_graph(self) -> Graph:
+        return build_graph(self.parent.n, self.edge_array())
 
 
 @dataclass(frozen=True)
@@ -148,17 +218,7 @@ def build_graph(n: int, edges) -> Graph:
     if pairs.size and (pairs[:, 0] == pairs[:, 1]).any():
         v = int(pairs[pairs[:, 0] == pairs[:, 1]][0, 0])
         raise ValueError(f"self-loop rejected at vertex {v}")
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    codes = np.unique(lo * n + hi)
-    lo, hi = codes // n, codes % n
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    return Graph(n, np.cumsum(indptr), dst)
+    return Graph(n, edge_keys(n, pairs[:, 0], pairs[:, 1]))
 
 
 def edges_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
@@ -246,8 +306,6 @@ def connectivity_profile(g: Graph) -> tuple[bool, bool]:
     Bipartiteness is reported for the whole graph (all components).
     """
     n = g.n
-    if n == 0:
-        return True, True
     color = np.full(n, -1, dtype=np.int8)
     components = 0
     for root in range(n):
@@ -261,12 +319,11 @@ def connectivity_profile(g: Graph) -> tuple[bool, bool]:
             c ^= 1
             starts, stops = g.indptr[frontier], g.indptr[frontier + 1]
             slots = np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
-            nbrs = np.unique(g.indices[slots])
+            nbrs = _distinct(g.indices[slots])
             frontier = nbrs[color[nbrs] < 0]
             color[frontier] = c
-    src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    bipartite = bool((color[src] != color[g.indices]).all()) if g.edge_count else True
-    return components <= 1, bipartite
+    u, v = g.edge_array().T
+    return components <= 1, bool((color[u] != color[v]).all())
 
 
 def save_graph(g: Graph, path: str) -> None:
@@ -277,10 +334,27 @@ def save_graph(g: Graph, path: str) -> None:
             fh.write(f"{u} {v}\n")
 
 
+def read_text(path: str, opener=open) -> str:
+    """The UTF-8 text of a file; bytes that are not UTF-8 name their line.
+
+    ``opener`` is ``open`` or ``gzip.open``; a file that is not gzip, or
+    a truncated or corrupt gzip stream, names line 1.
+    """
+    try:
+        with opener(path, "rb") as fh:
+            data = fh.read()
+    except (gzip.BadGzipFile, EOFError, zlib.error):
+        raise ValueError(f"{path}:1: not a readable gzip file") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def load_graph(path: str) -> Graph:
     """Load the text format written by save_graph; violations name the line."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}:1: missing header line 'n m'")
     head = lines[0].split()

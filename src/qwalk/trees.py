@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import EdgeSubgraph, Graph, read_text
 from .rng import DOMAIN_TREE_GEN, uniform_words
-from .walks import EdgeSubgraph, ListModel
+from .walks import ListModel
 
 
 class RootedTree:
@@ -152,17 +152,8 @@ class TreeHomomorphism:
     image: np.ndarray
 
     def is_edge_preserving(self) -> bool:
-        t, g = self.tree, self.host
-        if t.size <= 1:
-            return True
-        if g.edge_count == 0:
-            return False
-        heads = self.image[t.parents[1:]]
-        tails = self.image[1:]
-        codes = np.minimum(heads, tails) * g.n + np.maximum(heads, tails)
-        edge_codes = g.edge_codes()
-        pos = np.minimum(np.searchsorted(edge_codes, codes), len(edge_codes) - 1)
-        return bool((edge_codes[pos] == codes).all())
+        heads = self.image[self.tree.parents[1:]]
+        return bool(self.host.has_edges(heads, self.image[1:]).all())
 
 
 def random_homomorphism(g: Graph, t: RootedTree, model: ListModel,
@@ -185,11 +176,7 @@ def tree_visit_counts(h: TreeHomomorphism) -> np.ndarray:
 
 def image_subgraph(h: TreeHomomorphism) -> EdgeSubgraph:
     """Host edges in the image of the tree, deduplicated."""
-    if h.tree.size <= 1:
-        return EdgeSubgraph(h.host, np.empty(0, dtype=np.int64))
-    heads = h.image[h.tree.parents[1:]]
-    tails = h.image[np.arange(1, h.tree.size)]
-    return EdgeSubgraph.from_pairs(h.host, heads, tails)
+    return EdgeSubgraph.from_pairs(h.host, h.image[h.tree.parents[1:]], h.image[1:])
 
 
 @dataclass
@@ -281,8 +268,7 @@ def save_tree(t: RootedTree, path: str) -> None:
 
 def load_tree(path: str) -> RootedTree:
     """Read the format of save_tree; violations name the line."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}:1: missing vertex count")
     if not lines[0].strip().isdecimal() or int(lines[0]) < 1:

@@ -26,7 +26,8 @@ from operator import length_hint
 
 import numpy as np
 
-from .graph import Graph, VertexSet, balanced_vertices, density
+from .graph import (EdgeSubgraph, Graph, VertexSet, balanced_vertices, density,
+                    read_text)
 from .rng import DOMAIN_LIST, DOMAIN_STEP_LAW, stream, uniform_words
 
 _CHUNK = 2048
@@ -125,48 +126,6 @@ class WalkTrace:
         return self._visits
 
 
-class EdgeSubgraph:
-    """A deduplicated set of edges of a parent graph."""
-
-    __slots__ = ("parent", "codes")
-
-    def __init__(self, parent: Graph, codes: np.ndarray):
-        self.parent = parent
-        self.codes = codes  # sorted unique u * n + v with u < v
-
-    @classmethod
-    def from_pairs(cls, parent: Graph, us: np.ndarray, vs: np.ndarray) -> "EdgeSubgraph":
-        lo = np.minimum(us, vs).astype(np.int64)
-        hi = np.maximum(us, vs).astype(np.int64)
-        return cls(parent, np.unique(lo * parent.n + hi))
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __contains__(self, edge) -> bool:
-        u, v = min(edge), max(edge)
-        code = u * self.parent.n + v
-        i = np.searchsorted(self.codes, code)
-        return bool(i < len(self.codes) and self.codes[i] == code)
-
-    def edge_array(self) -> np.ndarray:
-        return np.column_stack((self.codes // self.parent.n,
-                                self.codes % self.parent.n))
-
-    def issubset(self, other: "EdgeSubgraph") -> bool:
-        if len(self.codes) == 0:
-            return True
-        if len(other.codes) == 0:
-            return False
-        pos = np.minimum(np.searchsorted(other.codes, self.codes),
-                         len(other.codes) - 1)
-        return bool((other.codes[pos] == self.codes).all())
-
-    def to_graph(self) -> Graph:
-        from .graph import build_graph
-        return build_graph(self.parent.n, self.edge_array())
-
-
 @dataclass(frozen=True)
 class Distribution:
     """Probabilities over the vertices of a graph, summing to 1."""
@@ -234,7 +193,7 @@ def list_subgraph(g: Graph, model: ListModel, alpha: float) -> EdgeSubgraph:
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    us, vs = [], []
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for v in range(g.n):
         k = int(alpha * g.degree(v))
         if k <= 0:
@@ -242,8 +201,6 @@ def list_subgraph(g: Graph, model: ListModel, alpha: float) -> EdgeSubgraph:
         named = model.entries(v, k)
         us.append(np.full(len(named), v, dtype=np.int64))
         vs.append(named)
-    if not us:
-        return EdgeSubgraph(g, np.empty(0, dtype=np.int64))
     return EdgeSubgraph.from_pairs(g, np.concatenate(us), np.concatenate(vs))
 
 
@@ -352,10 +309,9 @@ def save_trace(trace: WalkTrace, path: str) -> None:
 
 def load_trace(g: Graph, path: str) -> WalkTrace:
     """Read the format of save_trace; reject anything that is not a walk on g."""
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rt") as fh:
-        head = fh.readline().split()
-        toks = fh.readline().split()
+    lines = read_text(path, gzip.open if path.endswith(".gz") else open).splitlines()
+    head = lines[0].split() if lines else []
+    toks = lines[1].split() if len(lines) > 1 else []
     if len(head) != 2 or not all(t.isdecimal() for t in head):
         raise ValueError(f"{path}:1: header must be 'start steps', "
                          f"got {' '.join(head)!r}")
@@ -372,8 +328,7 @@ def load_trace(g: Graph, path: str) -> WalkTrace:
     if len(bad):
         raise ValueError(f"{path}:2: position {bad[0]} is vertex {seq[bad[0]]}, "
                          f"outside the host's 0..{g.n - 1}")
-    lo, hi = np.minimum(seq[:-1], seq[1:]), np.maximum(seq[:-1], seq[1:])
-    bad = np.flatnonzero(~np.isin(lo * g.n + hi, g.edge_codes()))
+    bad = np.flatnonzero(~g.has_edges(seq[:-1], seq[1:]))
     if len(bad):
         i = bad[0]
         raise ValueError(f"{path}:2: step {i + 1} from {seq[i]} to {seq[i + 1]} "

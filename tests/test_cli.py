@@ -82,3 +82,28 @@ def test_directory_path_returns_2(tmp_path, capsys):
     assert main(["certify", "--graph", str(tmp_path), "--eps", "0.1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ('{"bogus": 1, "n": 20}', 1, "unknown config keys: bogus"),
+    ("[1]", 1, "config must be a JSON object, got list"),
+    ("{oops", 1, "Expecting property name enclosed in double quotes"),
+    ('{"trials": 2,\n "eps" 0.1}', 2, "Expecting ':' delimiter"),
+])
+def test_bad_config_names_file_and_line(tmp_path, capsys, text, line, message):
+    cpath = tmp_path / "c.json"
+    cpath.write_text(text)
+    code = main(["experiment", "density", "--n", "20", "--seed", "1",
+                 "--config", str(cpath)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {cpath}:{line}: {message}\n"
+
+
+def test_config_with_known_keys_is_used(tmp_path, capsys):
+    cpath = tmp_path / "c.json"
+    cpath.write_text('{"disc_trials": 7, "generator_params": {"p": 0.4}}')
+    main(["experiment", "density", "--n", "30", "--trials", "1", "--seed", "1",
+          "--config", str(cpath)])
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["disc_trials"] == 7
+    assert config["generator_params"] == {"p": 0.4}

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.graph import (VertexSet, balanced_vertices, build_graph,
-                         connectivity_profile, density, edges_between,
-                         gen_complete, gen_gnp, gen_two_clique_bridge,
-                         load_graph, save_graph)
+from qwalk.graph import (EdgeSubgraph, VertexSet, balanced_vertices,
+                         build_graph, connectivity_profile, density,
+                         edges_between, gen_complete, gen_gnp,
+                         gen_two_clique_bridge, load_graph, save_graph)
 
 
 def brute_edges_between(g, a, b):
@@ -52,6 +52,86 @@ class TestBuildGraph:
             for u in row:
                 assert g.has_edge(int(u), v)
         assert int(g.degrees.sum()) == 2 * g.edge_count
+
+
+KEYS = settings(max_examples=200, derandomize=True, deadline=None)
+
+
+@st.composite
+def pair_lists(draw, lists=1):
+    """(n, pair lists) on n = 0..12 vertices, each list with repeated
+    pairs in both orientations."""
+    n = draw(st.integers(0, 12))
+    if n < 2:
+        return n, [[] for _ in range(lists)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    out = []
+    for _ in range(lists):
+        pairs = draw(st.lists(pair, max_size=3 * n))
+        again = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) \
+            if pairs else []
+        out.append(pairs + [p[::-1] if i % 2 else p for i, p in enumerate(again)])
+    return n, out
+
+
+def reference_keys(n, pairs):
+    return sorted({min(u, v) * n + max(u, v) for u, v in pairs})
+
+
+def split(pairs):
+    us = np.array([u for u, _ in pairs], dtype=np.int64)
+    vs = np.array([v for _, v in pairs], dtype=np.int64)
+    return us, vs
+
+
+class TestEdgeKeysAgainstReference:
+    """CSR arrays, keys, membership and inclusion against Python sets."""
+
+    @KEYS
+    @given(pair_lists())
+    def test_csr_equals_sorted_neighbour_sets(self, case):
+        n, (pairs,) = case
+        g = build_graph(n, pairs)
+        nbrs = [set() for _ in range(n)]
+        for u, v in pairs:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+        assert g.indptr.tolist() == [0] + np.cumsum(
+            [len(s) for s in nbrs], dtype=np.int64).tolist()
+        for v in range(n):
+            assert g.neighbors(v).tolist() == sorted(nbrs[v])
+
+    @KEYS
+    @given(pair_lists())
+    def test_keys_equal_sorted_key_set(self, case):
+        n, (pairs,) = case
+        g = build_graph(n, pairs)
+        want = reference_keys(n, pairs)
+        assert g.edge_codes().tolist() == want
+        assert g.edge_count == len(want)
+        assert EdgeSubgraph.from_pairs(g, *split(pairs)).codes.tolist() == want
+
+    @KEYS
+    @given(pair_lists())
+    def test_has_edges_agrees_with_has_edge(self, case):
+        n, (pairs,) = case
+        g = build_graph(n, pairs)
+        us, vs = np.divmod(np.arange(n * n, dtype=np.int64), max(n, 1))
+        assert g.has_edges(us, vs).tolist() == \
+            [g.has_edge(int(u), int(v)) for u, v in zip(us, vs)]
+
+    @KEYS
+    @given(pair_lists(lists=2))
+    def test_issubset_is_set_inclusion(self, case):
+        n, (a, b) = case
+        host = gen_complete(n)
+        sa = EdgeSubgraph.from_pairs(host, *split(a))
+        sb = EdgeSubgraph.from_pairs(host, *split(b))
+        keys_a, keys_b = set(reference_keys(n, a)), set(reference_keys(n, b))
+        assert sa.issubset(sb) == (keys_a <= keys_b)
+        assert sb.issubset(sa) == (keys_b <= keys_a)
 
 
 class TestEdgesBetween:

@@ -1,16 +1,19 @@
-"""Fuzzed malformed graph, tree and trace files: every loader error names
-the file, and the CLI exits 2 with an ``error: <path>:`` line."""
+"""Fuzzed malformed graph, tree and trace files, and files that are not
+UTF-8 or not gzip: every loader error names the file, and the CLI exits
+2 with an ``error: <path>:`` line."""
 
 import contextlib
+import gzip
 import io
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk.cli import main
-from qwalk.graph import gen_complete
+from qwalk.graph import gen_complete, load_graph
 from qwalk.trees import load_tree
 from qwalk.walks import load_trace
 
@@ -80,3 +83,39 @@ def test_load_trace_rejects_malformed_file(text):
     host = gen_complete(4)
     with written(text) as path:
         assert_rejected_naming(path, lambda p: load_trace(host, p))
+
+
+def gz(data):
+    return gzip.compress(data, mtime=0)
+
+
+# (file name, file bytes, the line the error must name)
+UNDECODABLE = [
+    pytest.param("g.txt", b"3 1\n0 \xff\n", 2, id="graph"),
+    pytest.param("t.txt", b"3\n1 0\n2 \xfe0\n", 3, id="tree"),
+    pytest.param("w.txt", b"0 2\n0 1 \xff\n", 2, id="trace"),
+    pytest.param("w.txt", b"\xc3\n0 1 0\n", 1, id="trace-header"),
+    pytest.param("w.txt.gz", gz(b"0 2\n0 1 \xff\n"), 2, id="trace-gz"),
+    pytest.param("w.txt.gz", b"0 2\n0 1 0\n", 1, id="trace-not-gzip"),
+    pytest.param("w.txt.gz", gz(b"0 2\n0 1 0\n")[:-4], 1, id="trace-truncated-gzip"),
+]
+LOADERS = {"g": load_graph, "t": load_tree,
+           "w": lambda p: load_trace(gen_complete(4), p)}
+
+
+@pytest.mark.parametrize("name,data,line", UNDECODABLE)
+def test_undecodable_file_names_its_line(tmp_path, name, data, line):
+    path = str(tmp_path / name)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    want = f"{path}:{line}: not "
+    with pytest.raises(ValueError) as info:
+        LOADERS[name[0]](path)
+    assert str(info.value).startswith(want)
+    if name == "g.txt":
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["certify", "--graph", path, "--eps", "0.5"])
+        assert code == 2
+        assert err.getvalue() == f"error: {path}:2: not UTF-8 text\n"
