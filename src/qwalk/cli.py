@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+import typing
 
 from .certify import certify
-from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
+from .experiments import EXPERIMENTS, HOSTS, ExperimentConfig, run_experiment
 from .graph import (gen_complete, gen_gnp, gen_two_clique_bridge, load_graph,
                     read_text, save_graph)
 from .trees import (gen_nary_tree, gen_path_tree, gen_random_tree,
@@ -72,23 +72,22 @@ def _add_tree(sub):
 
 
 def _add_experiment(sub):
-    p = sub.add_parser("experiment", help="run a named seeded experiment")
+    # a flag left out falls back to the config file, then to ExperimentConfig
+    p = sub.add_parser("experiment", help="run a named seeded experiment",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("name", choices=sorted(EXPERIMENTS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float)
-    p.add_argument("--generator",
-                   choices=["gnp", "complete", "two_clique_bridge"],
-                   default="gnp")
+    p.add_argument("--generator", choices=sorted(HOSTS))
     p.add_argument("--generator-eps", type=float,
                    help="clique-size parameter for two_clique_bridge")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--start", type=int)
-    p.add_argument("--config", help="JSON config file; flags override it")
+    p.add_argument("--config", help="JSON config; flags given override it")
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json"], default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,8 +182,16 @@ def _cmd_tree(args) -> int:
     return 0
 
 
+_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _type_name(t: type) -> str:
+    return "None" if t is type(None) else t.__name__
+
+
 def _read_config(path: str) -> dict:
-    """The JSON object in ``path``; errors name the file and line."""
+    """The JSON object in ``path``, each value of its field's type (an int
+    is a float, a bool is no number); errors name the file and line."""
     try:
         base = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -192,29 +199,33 @@ def _read_config(path: str) -> dict:
     if not isinstance(base, dict):
         raise ValueError(f"{path}:1: config must be a JSON object, "
                          f"got {type(base).__name__}")
-    unknown = sorted(set(base) - {f.name for f in fields(ExperimentConfig)})
+    unknown = sorted(set(base) - set(_CONFIG_TYPES))
     if unknown:
         raise ValueError(f"{path}:1: unknown config keys: {', '.join(unknown)}")
+    for key, value in base.items():
+        types = typing.get_args(_CONFIG_TYPES[key]) or (_CONFIG_TYPES[key],)
+        numeric = types + (int,) if float in types else types
+        if (isinstance(value, bool) and bool not in types
+                or not isinstance(value, numeric)):
+            raise ValueError(
+                f"{path}:1: config key '{key}' must be "
+                f"{' or '.join(map(_type_name, types))}, "
+                f"got {_type_name(type(value))}")
     return base
 
 
 def _cmd_experiment(args) -> int:
-    base = _read_config(args.config) if args.config else {}
-    base.update({"experiment": args.name, "n": args.n, "seed": args.seed,
-                 "generator": args.generator, "alpha": args.alpha,
-                 "eps": args.eps, "trials": args.trials})
-    if args.start is not None:
-        base["start"] = args.start
+    given = vars(args)
+    base = _read_config(args.config) if given.get("config") else {}
+    base.update({k: v for k, v in given.items() if k in _CONFIG_TYPES})
+    base["experiment"] = args.name
     params = dict(base.get("generator_params", {}))
-    if args.p is not None:
-        params["p"] = args.p
-    if args.generator_eps is not None:
-        params["eps"] = args.generator_eps
+    params.update({key: given[flag] for flag, key in
+                   (("p", "p"), ("generator_eps", "eps")) if flag in given})
     base["generator_params"] = params
-    cfg = ExperimentConfig(**base)
-    report = run_experiment(cfg)
+    report = run_experiment(ExperimentConfig(**base))
     text = report.to_json()
-    if args.out:
+    if given.get("out"):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)

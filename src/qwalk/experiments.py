@@ -42,7 +42,7 @@ class ExperimentConfig:
     experiment: str
     n: int
     seed: int
-    generator: str = "gnp"              # gnp | complete | two_clique_bridge
+    generator: str = "gnp"              # a key of HOSTS
     generator_params: dict = field(default_factory=dict)
     alpha: float = 0.5
     eps: float = 0.05
@@ -122,16 +122,35 @@ def _check(name: str, observed: float, bound: float, ok: bool) -> dict:
             "passed": bool(ok)}
 
 
+def _aggregates(per_trial: list, *keys: str) -> dict:
+    return {k: _aggregate([r[k] for r in per_trial]) for k in keys}
+
+
+def _report(cfg: ExperimentConfig, per_trial: list, aggregates: dict,
+            predicted: dict, checks: list, notes: dict) -> ExperimentReport:
+    return ExperimentReport(
+        experiment=cfg.experiment, config=asdict(cfg), version=__version__,
+        per_trial=per_trial, aggregates=aggregates, predicted=predicted,
+        checks=checks, passed=all(c["passed"] for c in checks), notes=notes)
+
+
+def _clique_eps(cfg: ExperimentConfig) -> float:
+    return float(cfg.generator_params.get("eps", 0.3))
+
+
+HOSTS = {
+    "gnp": lambda cfg: gen_gnp(cfg.n, float(cfg.generator_params.get("p", 0.5)),
+                               derive_seed(cfg.seed, DOMAIN_HOST, 0)),
+    "complete": lambda cfg: gen_complete(cfg.n),
+    "two_clique_bridge":
+        lambda cfg: gen_two_clique_bridge(cfg.n, _clique_eps(cfg)),
+}
+
+
 def make_host(cfg: ExperimentConfig) -> Graph:
-    if cfg.generator == "gnp":
-        p = float(cfg.generator_params.get("p", 0.5))
-        return gen_gnp(cfg.n, p, derive_seed(cfg.seed, DOMAIN_HOST, 0))
-    if cfg.generator == "complete":
-        return gen_complete(cfg.n)
-    if cfg.generator == "two_clique_bridge":
-        eps = float(cfg.generator_params.get("eps", 0.3))
-        return gen_two_clique_bridge(cfg.n, eps)
-    raise ValueError(f"unknown generator {cfg.generator!r}")
+    if cfg.generator not in HOSTS:
+        raise ValueError(f"unknown generator {cfg.generator!r}")
+    return HOSTS[cfg.generator](cfg)
 
 
 def _trial_seed(cfg: ExperimentConfig, t: int) -> int:
@@ -148,69 +167,67 @@ def _pick_start(cfg: ExperimentConfig, g: Graph) -> int:
     return balanced_start(g, cfg.eps)
 
 
+def _setup(cfg: ExperimentConfig) -> tuple[Graph, float, int, int]:
+    """The host, its density, the start vertex and the alpha*n^2 steps."""
+    g = make_host(cfg)
+    return g, density(g), _pick_start(cfg, g), int(cfg.alpha * cfg.n * cfg.n)
+
+
+def _walk_trials(cfg: ExperimentConfig, g: Graph, start: int, steps: int):
+    """Yield ``(t, trace)`` per trial, each walk on a fresh list model that
+    is dropped as soon as the walk returns."""
+    for t in range(cfg.trials):
+        yield t, run_walk(g, ListModel(g, _trial_seed(cfg, t)), start, steps)
+
+
 def _retention_prediction(alpha: float, rho: float, n: int) -> dict:
     value = (1.0 - math.exp(-2.0 * alpha / rho)) * rho * n * (n - 1) / 2.0
     return {"value": value,
             "formula": "(1 - exp(-2*alpha/rho)) * rho * C(n, 2)"}
 
 
-def exp_density(cfg: ExperimentConfig) -> ExperimentReport:
-    """Edge count of the traversed subgraph against its closed form."""
-    g = make_host(cfg)
-    rho = density(g)
-    start = _pick_start(cfg, g)
-    steps = int(cfg.alpha * cfg.n * cfg.n)
-    per_trial = []
-    for t in range(cfg.trials):
-        model = ListModel(g, _trial_seed(cfg, t))
-        trace = run_walk(g, model, start, steps)
-        per_trial.append({"trial": t, "walk_edges": len(walk_subgraph(trace))})
-    counts = [r["walk_edges"] for r in per_trial]
-    predicted = _retention_prediction(cfg.alpha, rho, cfg.n)
+def _retention_checks(cfg: ExperimentConfig, counts: list,
+                      predicted: dict) -> list:
     tol = cfg.tolerance("rel_edges", 0.015)
     mean = float(np.mean(counts))
     rel = abs(mean / predicted["value"] - 1.0) if predicted["value"] else mean
-    checks = [_check("mean_edges_rel_error", rel, tol, rel <= tol)]
-    return ExperimentReport(
-        experiment="density", config=asdict(cfg), version=__version__,
-        per_trial=per_trial, aggregates={"walk_edges": _aggregate(counts)},
-        predicted=predicted, checks=checks,
-        passed=all(c["passed"] for c in checks),
-        notes={"rho": rho, "steps": steps, "start": start})
+    return [_check("mean_edges_rel_error", rel, tol, rel <= tol)]
+
+
+def exp_density(cfg: ExperimentConfig) -> ExperimentReport:
+    """Edge count of the traversed subgraph against its closed form."""
+    g, rho, start, steps = _setup(cfg)
+    per_trial = [{"trial": t, "walk_edges": len(walk_subgraph(trace))}
+                 for t, trace in _walk_trials(cfg, g, start, steps)]
+    predicted = _retention_prediction(cfg.alpha, rho, cfg.n)
+    checks = _retention_checks(
+        cfg, [r["walk_edges"] for r in per_trial], predicted)
+    return _report(cfg, per_trial, _aggregates(per_trial, "walk_edges"),
+                   predicted, checks,
+                   {"rho": rho, "steps": steps, "start": start})
 
 
 def exp_visits(cfg: ExperimentConfig) -> ExperimentReport:
     """Distribution of relative visit-count deviations from (alpha/rho)d(v)."""
-    g = make_host(cfg)
-    rho = density(g)
-    start = _pick_start(cfg, g)
-    steps = int(cfg.alpha * cfg.n * cfg.n)
+    g, rho, start, steps = _setup(cfg)
     band = cfg.tolerance("rel_visits", 0.10)
     need = cfg.tolerance("frac_within", 0.99)
     per_trial = []
-    for t in range(cfg.trials):
-        model = ListModel(g, _trial_seed(cfg, t))
-        trace = run_walk(g, model, start, steps)
+    for t, trace in _walk_trials(cfg, g, start, steps):
         pred = (cfg.alpha / rho) * g.degrees
         live = pred > 0
         rel = np.abs(trace.visit_counts[live] / pred[live] - 1.0)
-        per_trial.append({
-            "trial": t,
-            "frac_within_band": float(np.mean(rel <= band)),
-            "max_rel_deviation": float(rel.max()),
-            "mean_rel_deviation": float(rel.mean()),
-        })
+        per_trial.append({"trial": t,
+                          "frac_within_band": float(np.mean(rel <= band)),
+                          "max_rel_deviation": float(rel.max()),
+                          "mean_rel_deviation": float(rel.mean())})
     fracs = [r["frac_within_band"] for r in per_trial]
     checks = [_check("min_frac_within_band", min(fracs), need,
                      min(fracs) >= need)]
-    return ExperimentReport(
-        experiment="visits", config=asdict(cfg), version=__version__,
-        per_trial=per_trial,
-        aggregates={"frac_within_band": _aggregate(fracs)},
-        predicted={"value": float(cfg.alpha / rho),
-                   "formula": "X_v ~ (alpha/rho) * d(v)"},
-        checks=checks, passed=all(c["passed"] for c in checks),
-        notes={"rho": rho, "band": band, "start": start})
+    return _report(cfg, per_trial, _aggregates(per_trial, "frac_within_band"),
+                   {"value": float(cfg.alpha / rho),
+                    "formula": "X_v ~ (alpha/rho) * d(v)"},
+                   checks, {"rho": rho, "band": band, "start": start})
 
 
 def exp_preservation(cfg: ExperimentConfig) -> ExperimentReport:
@@ -219,10 +236,7 @@ def exp_preservation(cfg: ExperimentConfig) -> ExperimentReport:
     Host and walk subgraphs are certified with the same sampler seed, so
     the comparison is paired: both maxima run over the same set pairs.
     """
-    g = make_host(cfg)
-    rho = density(g)
-    start = _pick_start(cfg, g)
-    steps = int(cfg.alpha * cfg.n * cfg.n)
+    g, rho, start, steps = _setup(cfg)
     gamma = cfg.gamma_coefficient * cfg.eps ** 0.25
     min_deg_ok = bool(g.degrees.min() >= gamma * cfg.n)
     if not min_deg_ok:
@@ -230,9 +244,7 @@ def exp_preservation(cfg: ExperimentConfig) -> ExperimentReport:
                       "eps-preservation is not guaranteed at this scale")
     host_disc, _ = discrepancy_sampled(g, cfg.eps, cfg.disc_trials, cfg.seed)
     per_trial = []
-    for t in range(cfg.trials):
-        model = ListModel(g, _trial_seed(cfg, t))
-        trace = run_walk(g, model, start, steps)
+    for t, trace in _walk_trials(cfg, g, start, steps):
         gw = walk_subgraph(trace).to_graph()
         disc, _ = discrepancy_sampled(gw, cfg.eps, cfg.disc_trials, cfg.seed)
         per_trial.append({"trial": t, "walk_discrepancy": disc,
@@ -241,17 +253,13 @@ def exp_preservation(cfg: ExperimentConfig) -> ExperimentReport:
     worst = max(r["walk_discrepancy"] for r in per_trial)
     checks = [_check("walk_disc_minus_host_disc", worst - host_disc, slack,
                      worst <= host_disc + slack)]
-    return ExperimentReport(
-        experiment="preservation", config=asdict(cfg), version=__version__,
-        per_trial=per_trial,
-        aggregates={"walk_discrepancy":
-                    _aggregate([r["walk_discrepancy"] for r in per_trial])},
-        predicted={"value": host_disc,
-                   "formula": "sampled discrepancy of host at same eps"},
-        checks=checks, passed=all(c["passed"] for c in checks),
-        notes={"rho": rho, "host_discrepancy": host_disc,
-               "mode": "min-degree" if min_deg_ok else "general",
-               "gamma": gamma, "start": start})
+    return _report(cfg, per_trial, _aggregates(per_trial, "walk_discrepancy"),
+                   {"value": host_disc,
+                    "formula": "sampled discrepancy of host at same eps"},
+                   checks,
+                   {"rho": rho, "host_discrepancy": host_disc,
+                    "mode": "min-degree" if min_deg_ok else "general",
+                    "gamma": gamma, "start": start})
 
 
 def exp_pathology(cfg: ExperimentConfig) -> ExperimentReport:
@@ -266,43 +274,34 @@ def exp_pathology(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.generator != "two_clique_bridge":
         raise ValueError("the pathology experiment needs the two-clique host")
     g = make_host(cfg)
-    clique_eps = float(cfg.generator_params.get("eps", 0.3))
-    s = small_clique_size(cfg.n, clique_eps)
+    s = small_clique_size(cfg.n, _clique_eps(cfg))
     start = cfg.start if cfg.start is not None else s  # large-clique corner
     steps = int(cfg.alpha * cfg.n * cfg.n)
-    per_trial = []
-    for t in range(cfg.trials):
-        model = ListModel(g, _trial_seed(cfg, t))
-        trace = run_walk(g, model, start, steps)
-        crossed = bool((trace.sequence < s).any())
-        per_trial.append({"trial": t, "crossed": crossed,
-                          "walk_edges": len(walk_subgraph(trace))})
+    per_trial = [{"trial": t, "crossed": bool((trace.sequence < s).any()),
+                  "walk_edges": len(walk_subgraph(trace))}
+                 for t, trace in _walk_trials(cfg, g, start, steps)]
     crossed = np.array([r["crossed"] for r in per_trial])
     edges = np.array([r["walk_edges"] for r in per_trial], dtype=np.float64)
     p_cross = float(crossed.mean())
     p_lo, p_hi = cfg.crossing_interval
     checks = [_check("crossing_probability_interior", p_cross,
                      p_hi, p_lo < p_cross < p_hi)]
+    separation = math.nan  # fails: too few trials on one side
     if crossed.sum() >= 2 and (~crossed).sum() >= 2:
         a, b = edges[crossed], edges[~crossed]
         pooled = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
         separation = abs(a.mean() - b.mean()) / pooled if pooled else math.inf
-        checks.append(_check("conditional_mean_separation_sigmas",
-                             separation, 2.0, separation > 2.0))
-    else:
-        checks.append(_check("conditional_mean_separation_sigmas",
-                             math.nan, 2.0, False))
-    return ExperimentReport(
-        experiment="pathology", config=asdict(cfg), version=__version__,
-        per_trial=per_trial,
-        aggregates={"walk_edges": _aggregate(edges),
-                    "crossing_probability": _aggregate(crossed.astype(float))},
-        predicted={"value": None,
-                   "formula": "no concentration: both crossing outcomes keep "
-                              "probability bounded away from 0 and 1"},
-        checks=checks, passed=all(c["passed"] for c in checks),
-        notes={"small_clique": s, "start": start,
-               "crossing_interval": [p_lo, p_hi]})
+    checks.append(_check("conditional_mean_separation_sigmas",
+                         separation, 2.0, separation > 2.0))
+    return _report(cfg, per_trial,
+                   {"walk_edges": _aggregate(edges),
+                    "crossing_probability": _aggregate(crossed)},
+                   {"value": None,
+                    "formula": "no concentration: both crossing outcomes "
+                               "keep probability bounded away from 0 and 1"},
+                   checks,
+                   {"small_clique": s, "start": start,
+                    "crossing_interval": [p_lo, p_hi]})
 
 
 def exp_mixing(cfg: ExperimentConfig) -> ExperimentReport:
@@ -314,15 +313,12 @@ def exp_mixing(cfg: ExperimentConfig) -> ExperimentReport:
     g = make_host(cfg)
     connected, bipartite = connectivity_profile(g)
     if bipartite or not connected:
-        return ExperimentReport(
-            experiment="mixing", config=asdict(cfg), version=__version__,
-            per_trial=[], aggregates={},
-            predicted={"value": None,
-                       "formula": "no convergence on bipartite or "
-                                  "disconnected hosts"},
-            checks=[], passed=True,
-            notes={"connected": connected, "bipartite": bipartite,
-                   "flagged": True})
+        return _report(cfg, [], {},
+                       {"value": None,
+                        "formula": "no convergence on bipartite or "
+                                   "disconnected hosts"},
+                       [], {"connected": connected, "bipartite": bipartite,
+                            "flagged": True})
     start = _pick_start(cfg, g)
     pi = stationary(g)
     batches = min(20, cfg.mixing_trials)  # for standard errors of the tv trend
@@ -331,7 +327,7 @@ def exp_mixing(cfg: ExperimentConfig) -> ExperimentReport:
     per_trial = []
     batch_tv = {}
     for k, i in enumerate(cfg.schedule):
-        gen = stream(derive_seed(cfg.seed, DOMAIN_TRIALS, k), DOMAIN_STEP_LAW, 0)
+        gen = stream(_trial_seed(cfg, k), DOMAIN_STEP_LAW, 0)
         counts = np.array([np.bincount(step_positions(g, start, int(i), per, gen),
                                        minlength=g.n) for _ in range(batches)])
         law = Distribution.from_counts(counts.sum(axis=0))
@@ -363,16 +359,13 @@ def exp_mixing(cfg: ExperimentConfig) -> ExperimentReport:
     noise_floor = float(
         0.5 * math.sqrt(2 / math.pi)
         * np.sqrt(pi.probs * (1 - pi.probs) / used).sum())
-    return ExperimentReport(
-        experiment="mixing", config=asdict(cfg), version=__version__,
-        per_trial=per_trial,
-        aggregates={"tv": _aggregate([r["tv"] for r in per_trial])},
-        predicted={"value": rate,
-                   "formula": "tv(i) <= c * lambda^i; fitted geometric rate"},
-        checks=checks, passed=all(c["passed"] for c in checks),
-        notes={"start": start, "batches": batches, "trials_used": used,
-               "noise_floor": noise_floor,
-               "connected": connected, "bipartite": bipartite})
+    return _report(cfg, per_trial, _aggregates(per_trial, "tv"),
+                   {"value": rate,
+                    "formula": "tv(i) <= c * lambda^i; fitted geometric rate"},
+                   checks,
+                   {"start": start, "batches": batches, "trials_used": used,
+                    "noise_floor": noise_floor,
+                    "connected": connected, "bipartite": bipartite})
 
 
 def exp_tree_counterexample(cfg: ExperimentConfig) -> ExperimentReport:
@@ -411,14 +404,11 @@ def exp_tree_counterexample(cfg: ExperimentConfig) -> ExperimentReport:
             e_out = edges_between(gt, outside, outside)
             witness_dev = abs(e_out - density(gt) * outside.size ** 2) \
                 / outside.size ** 2
-        per_trial.append({
-            "trial": tr,
-            "distinct_depth1_images": distinct,
-            "image_edges": gt.edge_count,
-            "sampled_discrepancy": disc,
-            "refined_discrepancy": refined,
-            "structured_witness_deviation": witness_dev,
-        })
+        per_trial.append({"trial": tr, "distinct_depth1_images": distinct,
+                          "image_edges": gt.edge_count,
+                          "sampled_discrepancy": disc,
+                          "refined_discrepancy": refined,
+                          "structured_witness_deviation": witness_dev})
     rel_tol = cfg.tolerance("rel_distinct", 0.03)
     worst_rel = max(abs(r["distinct_depth1_images"] / pred_distinct - 1.0)
                     for r in per_trial)
@@ -429,21 +419,12 @@ def exp_tree_counterexample(cfg: ExperimentConfig) -> ExperimentReport:
         _check("refined_discrepancy_exceeds_eps", min_disc, cfg.eps,
                min_disc > cfg.eps),
     ]
-    return ExperimentReport(
-        experiment="tree_counterexample", config=asdict(cfg),
-        version=__version__, per_trial=per_trial,
-        aggregates={
-            "distinct_depth1_images": _aggregate(
-                [r["distinct_depth1_images"] for r in per_trial]),
-            "sampled_discrepancy": _aggregate(
-                [r["sampled_discrepancy"] for r in per_trial]),
-            "refined_discrepancy": _aggregate(
-                [r["refined_discrepancy"] for r in per_trial]),
-        },
-        predicted={"value": pred_distinct,
-                   "formula": "(n-1) * (1 - (1 - 1/(n-1))^branching)"},
-        checks=checks, passed=all(c["passed"] for c in checks),
-        notes={"branching": branching, "root_image": root_image})
+    return _report(cfg, per_trial,
+                   _aggregates(per_trial, "distinct_depth1_images",
+                               "sampled_discrepancy", "refined_discrepancy"),
+                   {"value": pred_distinct,
+                    "formula": "(n-1) * (1 - (1 - 1/(n-1))^branching)"},
+                   checks, {"branching": branching, "root_image": root_image})
 
 
 def _make_tree(cfg: ExperimentConfig, edges: int, seed: int):
@@ -456,6 +437,12 @@ def _make_tree(cfg: ExperimentConfig, edges: int, seed: int):
     raise ValueError(f"unknown tree kind {cfg.tree_kind!r}")
 
 
+def _image_edges(g: Graph, tree, seed: int, start: int) -> int:
+    """Edge count of the image of ``tree`` under a fresh seeded model."""
+    return len(image_subgraph(
+        random_homomorphism(g, tree, ListModel(g, seed), start)))
+
+
 def exp_tree_embedding(cfg: ExperimentConfig) -> ExperimentReport:
     """Edge count of a random tree image against the retention closed form.
 
@@ -464,42 +451,26 @@ def exp_tree_embedding(cfg: ExperimentConfig) -> ExperimentReport:
     measurement per degree cap without asserting anything; how large the
     cap may grow is an open question, so the sweep is observational.
     """
-    g = make_host(cfg)
-    rho = density(g)
-    start = _pick_start(cfg, g)
-    edges = int(cfg.alpha * cfg.n * cfg.n)
-    predicted = _retention_prediction(cfg.alpha, rho, cfg.n)
+    g, rho, start, edges = _setup(cfg)
     per_trial = []
     for t in range(cfg.trials):
         seed = _trial_seed(cfg, t)
         tree = _make_tree(cfg, edges, seed)
-        model = ListModel(g, seed)
-        hom = random_homomorphism(g, tree, model, start)
-        per_trial.append({"trial": t, "image_edges": len(image_subgraph(hom)),
+        per_trial.append({"trial": t,
+                          "image_edges": _image_edges(g, tree, seed, start),
                           "tree_max_degree": int(tree.max_degree)})
-    counts = [r["image_edges"] for r in per_trial]
-    tol = cfg.tolerance("rel_edges", 0.015)
-    mean = float(np.mean(counts))
-    rel = abs(mean / predicted["value"] - 1.0) if predicted["value"] else mean
-    checks = [_check("mean_edges_rel_error", rel, tol, rel <= tol)]
+    predicted = _retention_prediction(cfg.alpha, rho, cfg.n)
+    checks = _retention_checks(
+        cfg, [r["image_edges"] for r in per_trial], predicted)
     sweep = []
-    for cap in cfg.degree_sweep:
-        tree = gen_random_tree(edges + 1, int(cap),
-                               derive_seed(cfg.seed, DOMAIN_TRIALS,
-                                           10_000 + int(cap)))
-        model = ListModel(g, derive_seed(cfg.seed, DOMAIN_TRIALS,
-                                         20_000 + int(cap)))
-        hom = random_homomorphism(g, tree, model, start)
-        sweep.append({"max_degree": int(cap),
-                      "image_edges": len(image_subgraph(hom))})
-    return ExperimentReport(
-        experiment="tree_embedding", config=asdict(cfg), version=__version__,
-        per_trial=per_trial,
-        aggregates={"image_edges": _aggregate(counts)},
-        predicted=predicted, checks=checks,
-        passed=all(c["passed"] for c in checks),
-        notes={"rho": rho, "start": start, "tree_edges": edges,
-               "degree_sweep": sweep})
+    for cap in map(int, cfg.degree_sweep):
+        tree = gen_random_tree(edges + 1, cap, _trial_seed(cfg, 10_000 + cap))
+        sweep.append({"max_degree": cap, "image_edges": _image_edges(
+            g, tree, _trial_seed(cfg, 20_000 + cap), start)})
+    return _report(cfg, per_trial, _aggregates(per_trial, "image_edges"),
+                   predicted, checks,
+                   {"rho": rho, "start": start, "tree_edges": edges,
+                    "degree_sweep": sweep})
 
 
 EXPERIMENTS = {
@@ -514,9 +485,7 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    try:
-        fn = EXPERIMENTS[cfg.experiment]
-    except KeyError:
+    if cfg.experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {cfg.experiment!r}; "
-                         f"choose from {sorted(EXPERIMENTS)}") from None
-    return fn(cfg)
+                         f"choose from {sorted(EXPERIMENTS)}")
+    return EXPERIMENTS[cfg.experiment](cfg)

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior and exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from qwalk.cli import main
+from qwalk.cli import build_parser, main
 from qwalk.graph import load_graph
 
 
@@ -89,6 +91,15 @@ def test_directory_path_returns_2(tmp_path, capsys):
     ("[1]", 1, "config must be a JSON object, got list"),
     ("{oops", 1, "Expecting property name enclosed in double quotes"),
     ('{"trials": 2,\n "eps" 0.1}', 2, "Expecting ':' delimiter"),
+    ('{"generator_params": 3}', 1,
+     "config key 'generator_params' must be dict, got int"),
+    ('{"disc_trials": "x"}', 1, "config key 'disc_trials' must be int, got str"),
+    ('{"trials": "x"}', 1, "config key 'trials' must be int, got str"),
+    ('{"trials": true}', 1, "config key 'trials' must be int, got bool"),
+    ('{"alpha": false}', 1, "config key 'alpha' must be float, got bool"),
+    ('{"alpha": "0.2"}', 1, "config key 'alpha' must be float, got str"),
+    ('{"start": 1.5}', 1, "config key 'start' must be int or None, got float"),
+    ('{"schedule": {}}', 1, "config key 'schedule' must be list, got dict"),
 ])
 def test_bad_config_names_file_and_line(tmp_path, capsys, text, line, message):
     cpath = tmp_path / "c.json"
@@ -107,3 +118,44 @@ def test_config_with_known_keys_is_used(tmp_path, capsys):
     config = json.loads(capsys.readouterr().out)["config"]
     assert config["disc_trials"] == 7
     assert config["generator_params"] == {"p": 0.4}
+
+
+def test_config_values_survive_absent_flags(tmp_path, capsys):
+    cpath = tmp_path / "c.json"
+    cpath.write_text('{"trials": 2, "alpha": 0.2, "eps": 0.1, '
+                     '"gamma_coefficient": 1}')  # an int is a valid float
+    main(["experiment", "density", "--n", "20", "--seed", "1",
+          "--config", str(cpath)])
+    report = json.loads(capsys.readouterr().out)
+    config = report["config"]
+    assert (config["trials"], config["alpha"], config["eps"]) == (2, 0.2, 0.1)
+    assert config["gamma_coefficient"] == 1
+    assert len(report["per_trial"]) == 2
+
+
+def test_given_flags_override_config(tmp_path, capsys):
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({
+        "trials": 3, "alpha": 1, "eps": 0.2, "generator": "complete",
+        "start": 2, "disc_trials": 9,
+        "generator_params": {"p": 0.4, "eps": 0.3}}))
+    main(["experiment", "density", "--n", "20", "--seed", "1",
+          "--config", str(cpath), "--trials", "1", "--alpha", "0.3",
+          "--eps", "0.1", "--generator", "gnp", "--start", "5",
+          "--p", "0.6", "--generator-eps", "0.25"])
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["trials"], config["alpha"], config["eps"],
+            config["generator"], config["start"]) == (1, 0.3, 0.1, "gnp", 5)
+    assert config["generator_params"] == {"p": 0.6, "eps": 0.25}
+    assert config["disc_trials"] == 9
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line)[1:] for line in lines
+             if line.startswith("qwalk ")]
+    assert len(argvs) == 8
+    for argv in argvs:
+        build_parser().parse_args(argv)

@@ -1,5 +1,6 @@
 """Experiment harness: purity, reproducibility, and small-scale behavior."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -64,6 +65,61 @@ class TestReportInvariants:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             run_experiment(cfg_density(experiment="nope"))
+
+
+# sha256 of the report JSON, recorded before the experiments shared one
+# trial loop and report builder; any change to a seeded report shows here
+PINNED_REPORTS = {
+    "density": (
+        dict(experiment="density", n=300, seed=5, trials=3),
+        "55bd7fa0fb369bd9737740ac98e10a4e35271f0a2b32d2fbccf4ea264f2d66ce"),
+    "visits": (
+        dict(experiment="visits", n=300, seed=5, trials=3),
+        "20f6026a424fa563d2ac4196c46d4bdddad1e6c1b83deedc9140ce7292d2cab2"),
+    "preservation": (
+        dict(experiment="preservation", n=120, seed=5, eps=0.1, trials=2,
+             disc_trials=200),
+        "7bc90aad6af0d9a189e6139d3e05358f5ba2ccdfd73b2f303670a4681877c0ea"),
+    "pathology": (
+        dict(experiment="pathology", n=300, seed=5,
+             generator="two_clique_bridge", generator_params={"eps": 0.3},
+             alpha=0.25, trials=20),
+        "3729a3e9f1ca1d8618856fcbce2349a31db07963396a976616338138fd1a8df6"),
+    "mixing": (
+        dict(experiment="mixing", n=80, seed=5, mixing_trials=2000,
+             schedule=[0, 2, 4, 10]),
+        "39291a3e185fc4d2e0872dc82aa6ff1901c6f9efa85c39e343804272df007294"),
+    "mixing_disconnected": (
+        dict(experiment="mixing", n=6, seed=1, generator_params={"p": 0.0}),
+        "2044032ef0f5656f99385486fcbb596850e50461f03599e6f19422c6386c0845"),
+    "tree_counterexample": (
+        dict(experiment="tree_counterexample", n=200, seed=4,
+             generator="complete", eps=0.1, trials=2, disc_trials=300),
+        "37a47b11cdfe55ed3f282f85e5b0ebf3871e4e8a8a800239d37f2da0e5a09920"),
+    "density_complete_start": (
+        dict(experiment="density", n=100, seed=2, generator="complete",
+             start=7, trials=2),
+        "38a8883926d9bd382dbe8a2d3bfa2de910803d9644d51e54c7df8018c29953b0"),
+    "tree_embedding_path": (
+        dict(experiment="tree_embedding", n=100, seed=21, alpha=0.25,
+             eps=0.1, trials=2, tree_kind="path"),
+        "7eb04f1fdef8526bbbd5ab059327d2b8787cf61f88e36291d0a7227f6e343e32"),
+    "tree_embedding_nary": (
+        dict(experiment="tree_embedding", n=100, seed=3, eps=0.1, trials=2,
+             tree_kind="nary", tree_branching=3, tree_depth=4),
+        "8c3d07907829ec6e87616a3d6b0d797dd6c0c8784c632d3d6eb394df4fac53b9"),
+    "tree_embedding_random_sweep": (
+        dict(experiment="tree_embedding", n=100, seed=3, alpha=0.2, eps=0.1,
+             trials=2, degree_sweep=[2, 4, 8]),
+        "3da8d4ee0f99c7203beed3dcf619ffe9c15c0aaff00a645388cb86ee7cce4578"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_seeded_report_is_pinned(case):
+    config, digest = PINNED_REPORTS[case]
+    text = run_experiment(ExperimentConfig(**config)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDensityExperiment:
