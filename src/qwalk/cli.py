@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import types
 import typing
 
 from .certify import certify
@@ -189,9 +190,29 @@ def _type_name(t: type) -> str:
     return "None" if t is type(None) else t.__name__
 
 
+def _mismatch(value, hint) -> str | None:
+    """Why the JSON ``value`` is not of type ``hint``, or None if it is: an
+    int is a float, a bool is no number, list and dict items are checked."""
+    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    kinds = [typing.get_origin(t) or t for t in options]
+    for option, kind in zip(options, kinds):
+        if (isinstance(value, bool) and kind is not bool
+                or not isinstance(value, (int, float) if kind is float else kind)):
+            continue
+        args = typing.get_args(option)
+        items = (value.items() if kind is dict else enumerate(value)) if args else ()
+        for k, item in items:
+            why = _mismatch(item, args[-1])
+            if why:
+                return f"item {k!r} {why}"
+        return None
+    return (f"must be {' or '.join(map(_type_name, kinds))}, "
+            f"got {_type_name(type(value))}")
+
+
 def _read_config(path: str) -> dict:
-    """The JSON object in ``path``, each value of its field's type (an int
-    is a float, a bool is no number); errors name the file and line."""
+    """The JSON object in ``path``, each value of its field's type;
+    errors name the file and line."""
     try:
         base = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -203,14 +224,11 @@ def _read_config(path: str) -> dict:
     if unknown:
         raise ValueError(f"{path}:1: unknown config keys: {', '.join(unknown)}")
     for key, value in base.items():
-        types = typing.get_args(_CONFIG_TYPES[key]) or (_CONFIG_TYPES[key],)
-        numeric = types + (int,) if float in types else types
-        if (isinstance(value, bool) and bool not in types
-                or not isinstance(value, numeric)):
-            raise ValueError(
-                f"{path}:1: config key '{key}' must be "
-                f"{' or '.join(map(_type_name, types))}, "
-                f"got {_type_name(type(value))}")
+        why = _mismatch(value, _CONFIG_TYPES[key])
+        if why is None and key == "crossing_interval" and len(value) != 2:
+            why = f"must hold 2 items, got {len(value)}"
+        if why:
+            raise ValueError(f"{path}:1: config key '{key}' {why}")
     return base
 
 

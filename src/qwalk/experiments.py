@@ -43,24 +43,24 @@ class ExperimentConfig:
     n: int
     seed: int
     generator: str = "gnp"              # a key of HOSTS
-    generator_params: dict = field(default_factory=dict)
+    generator_params: dict[str, float] = field(default_factory=dict)
     alpha: float = 0.5
     eps: float = 0.05
     trials: int = 5
     disc_trials: int = 1000             # subset-sampler budget per certification
     start: int | None = None            # default: lowest-id balanced vertex
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict[str, float] = field(default_factory=dict)
     # knobs for specific experiments
-    schedule: list = field(default_factory=lambda: [0, 1, 2, 4, 8, 10, 16])
-    monotone_steps: list | None = None  # default: all scheduled steps >= burn-in
+    schedule: list[int] = field(default_factory=lambda: [0, 1, 2, 4, 8, 10, 16])
+    monotone_steps: list[int] | None = None  # default: all scheduled steps >= burn-in
     mixing_trials: int = 100_000
     gamma_coefficient: float = 0.5      # gamma = C * eps^(1/4) min-degree floor
-    crossing_interval: list = field(default_factory=lambda: [0.05, 0.95])
+    crossing_interval: list[float] = field(default_factory=lambda: [0.05, 0.95])  # [lo, hi]
     tree_kind: str = "random"           # random | path | nary
     tree_max_degree: int = 4
     tree_branching: int | None = None
     tree_depth: int = 2
-    degree_sweep: list = field(default_factory=list)
+    degree_sweep: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         if self.seed is None or self.seed < 0:

@@ -15,6 +15,8 @@ arithmetic is what makes chunked replay exact; it is pinned by tests.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Stream domains.  Values are arbitrary but frozen: changing them changes
@@ -28,21 +30,39 @@ DOMAIN_TREE_GEN = 5     # index = 0; random tree attachment choices
 DOMAIN_HOST = 6         # index = 0; host generation inside experiments
 
 
-def stream_key(seed: int, domain: int, index: int) -> np.ndarray:
-    """128-bit Philox key for the stream at (seed, domain, index)."""
+def _checked_seed(seed) -> int:
+    """``seed`` as an int; a negative or non-integral seed raises ValueError."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    ss = np.random.SeedSequence(seed, spawn_key=(domain, index))
-    return ss.generate_state(2, np.uint64)
+    return seed
+
+
+def _address(seed: int, domain: int, index: int) -> np.random.SeedSequence:
+    """The one SeedSequence behind the stream at (seed, domain, index)."""
+    return np.random.SeedSequence(_checked_seed(seed), spawn_key=(domain, index))
+
+
+def stream_key(seed: int, domain: int, index: int) -> np.ndarray:
+    """128-bit Philox key for the stream at (seed, domain, index)."""
+    return _address(seed, domain, index).generate_state(2, np.uint64)
 
 
 def stream(seed: int, domain: int, index: int, offset: int = 0) -> np.random.Generator:
     """Generator positioned at word ``offset`` of the addressed stream.
 
     Successive ``random(k)`` calls walk the stream one word per double,
-    independent of how the reads are chunked.
+    independent of how the reads are chunked.  Philox keys itself with
+    ``generate_state(2, uint64)`` of the SeedSequence it is given, which
+    is ``stream_key``; handing it the address directly saves a second,
+    entropy-seeded SeedSequence per stream.
     """
-    bg = np.random.Philox(key=stream_key(seed, domain, index))
+    if offset < 0:
+        raise ValueError(f"offset must be non-negative, got {offset}")
+    bg = np.random.Philox(_address(seed, domain, index))
     if offset:
         bg.advance(offset // 4)
     gen = np.random.Generator(bg)
@@ -58,5 +78,4 @@ def uniform_words(seed: int, domain: int, index: int, start: int, count: int) ->
 
 def derive_seed(seed: int, domain: int, index: int) -> int:
     """A fresh 64-bit seed for a child consumer (e.g. one trial of many)."""
-    ss = np.random.SeedSequence(seed, spawn_key=(domain, index))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_address(seed, domain, index).generate_state(1, np.uint64)[0])

@@ -28,7 +28,7 @@ import numpy as np
 
 from .graph import (EdgeSubgraph, Graph, VertexSet, balanced_vertices, density,
                     read_text)
-from .rng import DOMAIN_LIST, DOMAIN_STEP_LAW, stream, uniform_words
+from .rng import DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, stream, uniform_words
 
 _CHUNK = 2048
 
@@ -41,11 +41,16 @@ class ListModel:
     in order, from per-vertex buffers of ``_CHUNK`` words that
     ``_refill`` draws; walks, tree embeddings and ``next_entry`` all go
     through it, so any mix of them continues the same lists.
+
+    Buffered entries are the model's own n vertex-id objects, shared by
+    every buffer, so a refill allocates one list of references and no
+    new int per word.
     """
 
     def __init__(self, graph: Graph, seed: int):
         self.graph = graph
-        self.seed = int(seed)
+        self.seed = _checked_seed(seed)
+        self._ids = np.arange(graph.n).astype(object)  # one int per vertex
         self._drawn = np.zeros(graph.n, dtype=np.int64)  # list words drawn per vertex
         self._gens = [None] * graph.n   # sequential stream per vertex
         self._iters = [None] * graph.n  # buffered unconsumed entries
@@ -81,7 +86,7 @@ class ListModel:
             gen = self._gens[v] = stream(self.seed, DOMAIN_LIST, v)
         buf = self.graph.neighbors(v)[(gen.random(_CHUNK) * d).astype(np.int64)]
         self._drawn[v] += _CHUNK
-        it = self._iters[v] = iter(buf.tolist())
+        it = self._iters[v] = iter(self._ids[buf].tolist())
         return it
 
     def consume(self, parents, root: int) -> np.ndarray:

@@ -100,6 +100,15 @@ def test_directory_path_returns_2(tmp_path, capsys):
     ('{"alpha": "0.2"}', 1, "config key 'alpha' must be float, got str"),
     ('{"start": 1.5}', 1, "config key 'start' must be int or None, got float"),
     ('{"schedule": {}}', 1, "config key 'schedule' must be list, got dict"),
+    ('{"generator_params": {"p": "x"}}', 1,
+     "config key 'generator_params' item 'p' must be float, got str"),
+    ('{"schedule": ["a"]}', 1, "config key 'schedule' item 0 must be int, got str"),
+    ('{"tolerances": {"rel_edges": "x"}}', 1,
+     "config key 'tolerances' item 'rel_edges' must be float, got str"),
+    ('{"crossing_interval": [1]}', 1,
+     "config key 'crossing_interval' must hold 2 items, got 1"),
+    ('{"monotone_steps": [2, true]}', 1,
+     "config key 'monotone_steps' item 1 must be int, got bool"),
 ])
 def test_bad_config_names_file_and_line(tmp_path, capsys, text, line, message):
     cpath = tmp_path / "c.json"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwalk.rng import (DOMAIN_GNP, DOMAIN_LIST, derive_seed, stream,
                        stream_key, uniform_words)
@@ -46,3 +48,34 @@ def test_keys_are_deterministic():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         stream_key(-1, 0, 0)
+
+
+@pytest.mark.parametrize("call", [stream_key, derive_seed, stream])
+def test_every_address_checks_its_seed(call):
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        call(-1, 0, 0)
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        call(1.5, 0, 0)
+
+
+def test_negative_offset_rejected():
+    with pytest.raises(ValueError, match="offset must be non-negative, got -4"):
+        uniform_words(1, 0, 0, -4, 3)
+    with pytest.raises(ValueError, match="offset must be non-negative"):
+        stream(1, 0, 0, offset=-1)
+
+
+# seeds at and beyond the 32- and 64-bit boundaries, where SeedSequence
+# splits a seed into more uint32 words
+SEEDS = st.one_of(st.integers(0, 2**130),
+                  st.sampled_from([2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64,
+                                   2**64 + 1, 2**100]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=SEEDS, domain=st.integers(0, 6), index=st.integers(0, 10_000),
+       offset=st.integers(0, 9), k=st.integers(0, 12))
+def test_stream_is_philox_keyed_by_stream_key(seed, domain, index, offset, k):
+    keyed = np.random.Generator(np.random.Philox(key=stream_key(seed, domain, index)))
+    want = keyed.random(offset + k)[offset:]
+    assert np.array_equal(stream(seed, domain, index, offset).random(k), want)

@@ -1,6 +1,8 @@
 """Walks, the list model, the coupling sandwich, and step distributions."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +127,49 @@ class TestListModel:
                       + np.bincount([v for v, _ in singles], minlength=g.n))
         assert np.array_equal(model.consumed, departures)
         assert (model.consumed == [len(taken[v]) for v in range(g.n)]).all()
+
+    def test_seed_checked_at_construction(self):
+        g = gen_complete(4)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            ListModel(g, -1)
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.7"):
+            ListModel(g, 1.7)
+        assert ListModel(g, np.uint64(3)).seed == 3
+
+    def test_seeded_outputs_are_pinned(self):
+        # sha256 recorded before list buffers held shared vertex ids.  The
+        # K_8 on ids 392..399 (above CPython's cached small ints) takes
+        # over 2048 entries per list, so walks, a tree and single entries
+        # all read across refills of one model.
+        clique = range(392, 400)
+        g = build_graph(400, [(u, v) for u in clique for v in clique if u < v]
+                        + [(399, 3), (3, 4), (4, 5), (3, 5)])
+        model = ListModel(g, 2024)
+        parts = [run_walk(g, model, 399, 30_000).sequence,
+                 [model.next_entry(v) for v in (3, 399, 392, 5, 399)],
+                 random_homomorphism(g, gen_random_tree(5000, 4, 3), model, 3).image,
+                 run_walk(g, model, 4, 10_000).sequence,
+                 model.consumed]
+        assert model.consumed.max() > 2 * 2048
+        data = b"".join(np.asarray(p, dtype=np.int64).tobytes() for p in parts)
+        assert hashlib.sha256(data).hexdigest() == (
+            "1285810546d05322c78608d45252fd36449ef50bc87d16875324cc1f3aff167b")
+
+    def test_buffers_hold_references_not_ints(self):
+        # on n=600 most ids lie above the small-int cache; a buffer of
+        # fresh ints would hold about 8 + 32 * 343/600 = 26 bytes per word
+        g = gen_gnp(600, 0.5, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = ListModel(g, 7)
+            run_walk(g, model, 0, 20_000)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        words = int(model._drawn.sum())
+        assert words >= 500 * 2048
+        assert held / words < 10
 
     def test_walk_consumes_prefix_of_lists(self):
         g = gen_gnp(15, 0.5, 2)
