@@ -19,7 +19,10 @@ and lambda = max(|lambda_2|, |lambda_n|) comes exactly from one dense
 symmetric eigensolve of M, an O(n^3) step like the C4 count and the
 trace.  The trace bound lambda <= (trace(P^4) - 1)^(1/4) stays as a
 certified cross-check.  Products of adjacency counts stay far below
-2**53, so float64 matrix products are exact integer arithmetic.
+2**53, so float64 matrix products are exact integer arithmetic.  M, the
+trace, the spectrum and the C4 count use float64; the subset sampler's
+dense path (n <= 4096) counts |N(j) & A| <= n - 1 < 2**24 in float32,
+which is exact integer arithmetic too.
 """
 
 from __future__ import annotations
@@ -94,7 +97,12 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
     """Maximum deviation over sampled set pairs; a lower bound estimator.
 
     Sizes are uniform on [ceil(eps*n), n] and each set is a uniform
-    subset of its size.  Deterministic given the seed.
+    subset of its size.  Deterministic given the seed.  Up to n = 4096
+    the edge counts come from a dense float32 product, which is exact:
+    each entry |N(j) & A| <= n - 1 < 2**24, and every partial sum on the
+    way to it, is an integer that float32 represents exactly, whatever
+    order BLAS adds in; the row sums run in float64.  Larger hosts count
+    off the CSR arrays.
     """
     if eps * g.n < 1:
         raise ValueError("eps*n must be at least 1")
@@ -107,7 +115,12 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
     sizes = gen.integers(lo, n + 1, size=(trials, 2))
     # dense matmul batches trials when the adjacency fits; above that,
     # gather counts row by row off the CSR arrays
-    adj = g.adjacency_dense() if n <= 4096 else None
+    adj = g.adjacency_dense(np.float32) if n <= 4096 else None
+    if adj is not None:
+        # every block reuses these; fresh temporaries per block fragment
+        # the heap and can raise the process's peak RSS by 40 MB
+        a32 = np.empty((256, n), dtype=np.float32)
+        prod = np.empty_like(a32)
     degrees = g.degrees
     best = -1.0
     best_masks = None
@@ -115,12 +128,17 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
         t1 = min(t0 + 256, trials)
         block = t1 - t0
         u = gen.random((2 * block, n))
-        cut = np.sort(u, axis=1)[np.arange(2 * block),
-                                 sizes[t0:t1].T.reshape(-1) - 1]
+        # the k-th smallest draw of each row, the value a full sort would
+        # put at k; k differs per row, so one partition per row
+        cut = np.array([np.partition(row, k)[k] for row, k in
+                        zip(u, sizes[t0:t1].T.reshape(-1) - 1)])
         picks = u <= cut[:, None]  # uniform subsets of the drawn sizes
         amask, bmask = picks[:block], picks[block:]
         if adj is not None:
-            e = ((amask.astype(np.float64) @ adj) * bmask).sum(axis=1)
+            np.copyto(a32[:block], amask)
+            np.matmul(a32[:block], adj, out=prod[:block])
+            prod[:block] *= bmask
+            e = prod[:block].sum(axis=1, dtype=np.float64)
         else:
             e = np.empty(block, dtype=np.float64)
             for i in range(block):

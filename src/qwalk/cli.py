@@ -211,8 +211,8 @@ def _mismatch(value, hint) -> str | None:
 
 
 def _read_config(path: str) -> dict:
-    """The JSON object in ``path``, each value of its field's type;
-    errors name the file and line."""
+    """The JSON object in ``path``, each value of its field's type and
+    range; errors name the file and line."""
     try:
         base = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -229,6 +229,10 @@ def _read_config(path: str) -> dict:
             why = f"must hold 2 items, got {len(value)}"
         if why:
             raise ValueError(f"{path}:1: config key '{key}' {why}")
+    try:  # range checks; the command line always supplies these three keys
+        ExperimentConfig(**{"experiment": "", "n": 1, "seed": 0, **base})
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
     return base
 
 

@@ -71,9 +71,19 @@ class ExperimentConfig:
             raise ValueError("eps must lie strictly between 0 and 1")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if min(self.disc_trials, self.mixing_trials) < 1:
+            raise ValueError("disc_trials and mixing_trials must be at least 1")
         p = self.generator_params.get("p")
         if p is not None and not 0 <= p <= 1:
             raise ValueError("generator p must lie in [0, 1]")
+        for key in ("schedule", "monotone_steps"):
+            if any(i < 0 for i in getattr(self, key) or ()):
+                raise ValueError(f"{key} steps must be non-negative")
+        if not set(self.monotone_steps or ()) <= set(self.schedule):
+            raise ValueError("monotone_steps must be steps of the schedule")
+        if min([self.tree_max_degree, *self.degree_sweep]) < 2:
+            raise ValueError("tree_max_degree and degree_sweep caps must be "
+                             "at least 2")
 
     def tolerance(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))

@@ -256,6 +256,8 @@ def step_positions(g: Graph, start, i: int, trials: int, rng) -> np.ndarray:
     ``trials`` words in order; draws are independent across trials and
     steps, which realizes the law of W_i for fresh walks.
     """
+    if i < 0:
+        raise ValueError(f"step index must be non-negative, got {i}")
     gen = stream(rng, DOMAIN_STEP_LAW, 0) if isinstance(rng, (int, np.integer)) else rng
     cur = np.full(trials, start, dtype=np.int64)
     deg = g.degrees

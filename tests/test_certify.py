@@ -7,12 +7,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwalk.certify import (certify, count_c4_labelled, discrepancy_exhaustive,
                            discrepancy_refined, discrepancy_sampled,
                            lambda_bound_from_trace, lambda_estimate, trace_p4)
 from qwalk.graph import (Graph, VertexSet, build_graph, density, edges_between,
                          gen_complete, gen_gnp, gen_two_clique_bridge)
+from qwalk.rng import DOMAIN_SUBSETS, DOMAIN_TRIALS, derive_seed, stream
+from qwalk.trees import gen_nary_tree, image_subgraph, random_homomorphism
+from qwalk.walks import ListModel
 
 # the package re-exports the function ``certify`` under the module's name
 certify_module = importlib.import_module("qwalk.certify")
@@ -89,6 +94,83 @@ class TestDiscrepancyExhaustive:
     def test_eps_floor(self):
         with pytest.raises(ValueError):
             discrepancy_exhaustive(gen_complete(4), 0.1)
+
+
+def reference_sampled(g, eps, trials, seed):
+    """Oracle for the dense sampler: float64 counts, and each cut read off
+    a full sort of its row.  Returns the value and the witness masks."""
+    n = g.n
+    rho = density(g)
+    gen = stream(seed, DOMAIN_SUBSETS, 0)
+    sizes = gen.integers(math.ceil(eps * n), n + 1, size=(trials, 2))
+    adj = g.adjacency_dense()
+    best, best_masks = -1.0, None
+    for t0 in range(0, trials, 256):
+        t1 = min(t0 + 256, trials)
+        block = t1 - t0
+        u = gen.random((2 * block, n))
+        cut = np.sort(u, axis=1)[np.arange(2 * block),
+                                 sizes[t0:t1].T.reshape(-1) - 1]
+        picks = u <= cut[:, None]
+        amask, bmask = picks[:block], picks[block:]
+        e = ((amask.astype(np.float64) @ adj) * bmask).sum(axis=1)
+        dev = certify_module._deviation(e, rho, sizes[t0:t1, 0], sizes[t0:t1, 1])
+        if float(dev.max()) > best:
+            i = int(dev.argmax())
+            best, best_masks = float(dev[i]), (amask[i].copy(), bmask[i].copy())
+    return best, best_masks
+
+
+def assert_matches_reference(g, eps, trials, seed):
+    dev, (wa, wb) = discrepancy_sampled(g, eps, trials, seed)
+    ref, (ra, rb) = reference_sampled(g, eps, trials, seed)
+    assert dev == ref
+    assert np.array_equal(wa.bool_mask(), ra)
+    assert np.array_equal(wb.bool_mask(), rb)
+
+
+@st.composite
+def sampler_hosts(draw):
+    """Hosts on 5..80 vertices: G(n, p) with some vertices isolated, K_n,
+    and K_n less a few edges, whose counts run largest."""
+    n = draw(st.integers(5, 80))
+    kind = draw(st.sampled_from(["isolated", "complete", "near_complete"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    us, vs = np.triu_indices(n, 1)
+    if kind == "complete":
+        keep = np.ones(len(us), dtype=bool)
+    elif kind == "near_complete":
+        keep = rng.random(len(us)) >= 0.03
+    else:
+        alone = rng.random(n) < 0.2
+        keep = (rng.random(len(us)) < draw(st.floats(0.05, 0.95))) \
+            & ~alone[us] & ~alone[vs]
+    return build_graph(n, np.stack([us[keep], vs[keep]], axis=1))
+
+
+class TestSampledMatchesReference:
+    # 1, 256, 257 and 600 trials cross the 256-trial block edge
+    @given(sampler_hosts(), st.sampled_from([0.2, 0.3, 0.5]),
+           st.sampled_from([1, 256, 257, 600]), st.integers(0, 10_000))
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_small_hosts(self, g, eps, trials, seed):
+        assert_matches_reference(g, eps, trials, seed)
+
+    def test_tree_image(self):
+        # criterion 11's trial-0 image of the 1000-ary depth-2 tree in K_2000
+        g = gen_complete(2000)
+        model = ListModel(g, derive_seed(20240601, DOMAIN_TRIALS, 0))
+        hom = random_homomorphism(g, gen_nary_tree(1000, 2), model, 0)
+        assert_matches_reference(image_subgraph(hom).to_graph(), 0.1, 300, 7)
+
+    def test_counts_above_2048(self):
+        # 100 hubs joined to all 2200 vertices: at eps = 0.95 a hub's count
+        # is |A| or |A| - 1, over 2048, where float16 keeps only even
+        # integers, so a float16 count is off on nearly every trial
+        n, hubs = 2200, 100
+        h, v = np.repeat(np.arange(hubs), n), np.tile(np.arange(n), hubs)
+        pairs = np.stack([h, v], axis=1)[h < v]
+        assert_matches_reference(build_graph(n, pairs), 0.95, 20, 3)
 
 
 class TestDiscrepancySampled:

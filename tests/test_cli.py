@@ -109,6 +109,15 @@ def test_directory_path_returns_2(tmp_path, capsys):
      "config key 'crossing_interval' must hold 2 items, got 1"),
     ('{"monotone_steps": [2, true]}', 1,
      "config key 'monotone_steps' item 1 must be int, got bool"),
+    ('{"generator_params": {"p": 2}}', 1, "generator p must lie in [0, 1]"),
+    ('{"degree_sweep": [0]}', 1,
+     "tree_max_degree and degree_sweep caps must be at least 2"),
+    ('{"schedule": [-1, 2]}', 1, "schedule steps must be non-negative"),
+    ('{"alpha": -1}', 1, "alpha must be non-negative"),
+    ('{"mixing_trials": 0}', 1,
+     "disc_trials and mixing_trials must be at least 1"),
+    ('{"monotone_steps": [3, 5]}', 1,
+     "monotone_steps must be steps of the schedule"),
 ])
 def test_bad_config_names_file_and_line(tmp_path, capsys, text, line, message):
     cpath = tmp_path / "c.json"
@@ -117,6 +126,19 @@ def test_bad_config_names_file_and_line(tmp_path, capsys, text, line, message):
                  "--config", str(cpath)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {cpath}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--p", "2"], "generator p must lie in [0, 1]"),
+    (["--alpha", "-1"], "alpha must be non-negative"),
+])
+def test_bad_flag_value_names_no_file(tmp_path, capsys, flags, message):
+    cpath = tmp_path / "c.json"
+    cpath.write_text('{"trials": 1}')
+    code = main(["experiment", "density", "--n", "20", "--seed", "1",
+                 "--config", str(cpath), *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_config_with_known_keys_is_used(tmp_path, capsys):

@@ -33,6 +33,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg_density(generator_params={"p": 2.0})
 
+    @pytest.mark.parametrize("over", [
+        {"schedule": [-1, 2]}, {"monotone_steps": [2, -4]},
+        {"monotone_steps": [2, 3]}, {"degree_sweep": [4, 1]},
+        {"tree_max_degree": 1}, {"disc_trials": 0}, {"mixing_trials": 0}])
+    def test_step_lists_counts_and_degree_caps(self, over):
+        with pytest.raises(ValueError):
+            cfg_density(**over)
+
     def test_json_round_trip(self):
         cfg = cfg_density()
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg

@@ -214,6 +214,10 @@ class TestRunWalk:
         with pytest.raises(ValueError):
             run_walk(g, ListModel(g, 1), 2, 5)
 
+    def test_negative_step_rejected(self):
+        with pytest.raises(ValueError, match="step index must be non-negative"):
+            step_positions(gen_complete(4), 0, -3, 4, 1)
+
     def test_uniform_law_on_k4_chi_square(self):
         # on K_4 every non-stuttering length-3 continuation has mass 27^-1
         g = gen_complete(4)
