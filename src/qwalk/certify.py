@@ -33,7 +33,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import Graph, VertexSet, connectivity_profile, density
+from .graph import (Graph, VertexSet, _arc_count, connectivity_profile,
+                    density)
 from .rng import DOMAIN_SUBSETS, stream
 
 EXHAUSTIVE_MAX_N = 16
@@ -121,7 +122,6 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
         # the heap and can raise the process's peak RSS by 40 MB
         a32 = np.empty((256, n), dtype=np.float32)
         prod = np.empty_like(a32)
-    degrees = g.degrees
     best = -1.0
     best_masks = None
     for t0 in range(0, trials, 256):
@@ -140,10 +140,8 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
             prod[:block] *= bmask
             e = prod[:block].sum(axis=1, dtype=np.float64)
         else:
-            e = np.empty(block, dtype=np.float64)
-            for i in range(block):
-                sel = np.repeat(amask[i], degrees)
-                e[i] = np.count_nonzero(bmask[i][g.indices] & sel)
+            e = np.array([_arc_count(g, a, b) for a, b in zip(amask, bmask)],
+                         dtype=np.float64)
         dev = _deviation(e, rho, sizes[t0:t1, 0], sizes[t0:t1, 1])
         local = float(dev.max())
         if local > best:
@@ -324,8 +322,9 @@ def certify(g: Graph, eps: float, trials: int = 2000, seed: int = 0,
     connected, bipartite = connectivity_profile(g)
     if exhaustive:
         disc, _ = discrepancy_exhaustive(g, eps)
-        masks, _ = _qualifying_masks(g.n, eps)
-        method, pairs = "exhaustive", len(masks) ** 2
+        sets = sum(math.comb(g.n, k)
+                   for k in range(math.ceil(eps * g.n), g.n + 1))
+        method, pairs = "exhaustive", sets ** 2
     else:
         disc, _ = discrepancy_sampled(g, eps, trials, seed)
         method, pairs = "sampled", trials

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import types
+import typing
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -35,9 +37,26 @@ from .walks import (Distribution, ListModel, balanced_start, run_walk,
                     stationary, step_positions, tv_distance, walk_subgraph)
 
 
+# what each check in an experiment passes at, unless config.tolerances says
+TOLERANCES = {
+    "rel_edges": 0.015,     # density, tree_embedding: mean edges vs prediction
+    "rel_visits": 0.10,     # visits: the relative band around (alpha/rho)d(v)
+    "frac_within": 0.99,    # visits: least fraction of vertices in the band
+    "disc_slack": 0.02,     # preservation: walk discrepancy over the host's
+    "burn_in": 2,           # mixing: first step of the nonincreasing tail
+    "tv_at_10": 0.05,       # mixing: tv bound at step 10
+    "rel_distinct": 0.03,   # tree_counterexample: distinct depth-1 images
+}
+
+
 @dataclass
 class ExperimentConfig:
-    """Parameters for one experiment run; the seed is mandatory."""
+    """Parameters for one experiment run; the seed is mandatory.
+
+    Construction checks each field against its annotation, each name
+    against its table and each value against its range, and raises
+    ValueError on the first that fails.
+    """
 
     experiment: str
     n: int
@@ -49,21 +68,38 @@ class ExperimentConfig:
     trials: int = 5
     disc_trials: int = 1000             # subset-sampler budget per certification
     start: int | None = None            # default: lowest-id balanced vertex
-    tolerances: dict[str, float] = field(default_factory=dict)
+    tolerances: dict[str, float] = field(default_factory=dict)  # keys of TOLERANCES
     # knobs for specific experiments
     schedule: list[int] = field(default_factory=lambda: [0, 1, 2, 4, 8, 10, 16])
     monotone_steps: list[int] | None = None  # default: all scheduled steps >= burn-in
     mixing_trials: int = 100_000
     gamma_coefficient: float = 0.5      # gamma = C * eps^(1/4) min-degree floor
     crossing_interval: list[float] = field(default_factory=lambda: [0.05, 0.95])  # [lo, hi]
-    tree_kind: str = "random"           # random | path | nary
+    tree_kind: str = "random"           # a key of TREES
     tree_max_degree: int = 4
     tree_branching: int | None = None
     tree_depth: int = 2
     degree_sweep: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.seed is None or self.seed < 0:
+        for key, hint in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            why = _mismatch(value, hint)
+            if why is None and key == "crossing_interval" and len(value) != 2:
+                why = f"must hold 2 items, got {len(value)}"
+            if why:
+                raise ValueError(f"config key '{key}' {why}")
+        for key, table in (("experiment", EXPERIMENTS), ("generator", HOSTS),
+                           ("tree_kind", TREES)):
+            value = getattr(self, key)
+            if value not in table:
+                raise ValueError(f"unknown {key} {value!r}; "
+                                 f"choose from {sorted(table)}")
+        unknown = sorted(set(self.tolerances) - set(TOLERANCES))
+        if unknown:
+            raise ValueError(f"unknown tolerances {unknown}; "
+                             f"choose from {sorted(TOLERANCES)}")
+        if self.seed < 0:
             raise ValueError("a non-negative seed is mandatory")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
@@ -76,6 +112,9 @@ class ExperimentConfig:
         p = self.generator_params.get("p")
         if p is not None and not 0 <= p <= 1:
             raise ValueError("generator p must lie in [0, 1]")
+        lo, hi = self.crossing_interval
+        if not 0 <= lo < hi <= 1:
+            raise ValueError("crossing_interval [lo, hi] needs 0 <= lo < hi <= 1")
         for key in ("schedule", "monotone_steps"):
             if any(i < 0 for i in getattr(self, key) or ()):
                 raise ValueError(f"{key} steps must be non-negative")
@@ -85,8 +124,9 @@ class ExperimentConfig:
             raise ValueError("tree_max_degree and degree_sweep caps must be "
                              "at least 2")
 
-    def tolerance(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tolerance(self, name: str) -> float:
+        """The configured tolerance ``name``, or its default in TOLERANCES."""
+        return float(self.tolerances.get(name, TOLERANCES[name]))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -94,6 +134,33 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         return cls(**json.loads(text))
+
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _type_name(t: type) -> str:
+    return "None" if t is type(None) else t.__name__
+
+
+def _mismatch(value, hint) -> str | None:
+    """Why ``value`` is not of type ``hint``, or None if it is: an int is a
+    float, a bool is no number, list and dict items are checked."""
+    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    kinds = [typing.get_origin(t) or t for t in options]
+    for option, kind in zip(options, kinds):
+        if (isinstance(value, bool) and kind is not bool
+                or not isinstance(value, (int, float) if kind is float else kind)):
+            continue
+        args = typing.get_args(option)
+        items = (value.items() if kind is dict else enumerate(value)) if args else ()
+        for k, item in items:
+            why = _mismatch(item, args[-1])
+            if why:
+                return f"item {k!r} {why}"
+        return None
+    return (f"must be {' or '.join(map(_type_name, kinds))}, "
+            f"got {_type_name(type(value))}")
 
 
 @dataclass
@@ -158,8 +225,6 @@ HOSTS = {
 
 
 def make_host(cfg: ExperimentConfig) -> Graph:
-    if cfg.generator not in HOSTS:
-        raise ValueError(f"unknown generator {cfg.generator!r}")
     return HOSTS[cfg.generator](cfg)
 
 
@@ -198,7 +263,7 @@ def _retention_prediction(alpha: float, rho: float, n: int) -> dict:
 
 def _retention_checks(cfg: ExperimentConfig, counts: list,
                       predicted: dict) -> list:
-    tol = cfg.tolerance("rel_edges", 0.015)
+    tol = cfg.tolerance("rel_edges")
     mean = float(np.mean(counts))
     rel = abs(mean / predicted["value"] - 1.0) if predicted["value"] else mean
     return [_check("mean_edges_rel_error", rel, tol, rel <= tol)]
@@ -220,8 +285,8 @@ def exp_density(cfg: ExperimentConfig) -> ExperimentReport:
 def exp_visits(cfg: ExperimentConfig) -> ExperimentReport:
     """Distribution of relative visit-count deviations from (alpha/rho)d(v)."""
     g, rho, start, steps = _setup(cfg)
-    band = cfg.tolerance("rel_visits", 0.10)
-    need = cfg.tolerance("frac_within", 0.99)
+    band = cfg.tolerance("rel_visits")
+    need = cfg.tolerance("frac_within")
     per_trial = []
     for t, trace in _walk_trials(cfg, g, start, steps):
         pred = (cfg.alpha / rho) * g.degrees
@@ -259,7 +324,7 @@ def exp_preservation(cfg: ExperimentConfig) -> ExperimentReport:
         disc, _ = discrepancy_sampled(gw, cfg.eps, cfg.disc_trials, cfg.seed)
         per_trial.append({"trial": t, "walk_discrepancy": disc,
                           "walk_edges": gw.edge_count})
-    slack = cfg.tolerance("disc_slack", 0.02)
+    slack = cfg.tolerance("disc_slack")
     worst = max(r["walk_discrepancy"] for r in per_trial)
     checks = [_check("walk_disc_minus_host_disc", worst - host_disc, slack,
                      worst <= host_disc + slack)]
@@ -346,10 +411,10 @@ def exp_mixing(cfg: ExperimentConfig) -> ExperimentReport:
             [tv_distance(Distribution.from_counts(c), pi) for c in counts])
         per_trial.append({"step": int(i), "tv": tv})
     tvs = {r["step"]: r["tv"] for r in per_trial}
-    burn_in = int(cfg.tolerance("burn_in", 2))
+    burn_in = int(cfg.tolerance("burn_in"))
     checks = []
     if 10 in tvs:
-        lim = cfg.tolerance("tv_at_10", 0.05)
+        lim = cfg.tolerance("tv_at_10")
         checks.append(_check("tv_at_step_10", tvs[10], lim, tvs[10] < lim))
     tail = cfg.monotone_steps or [i for i in sorted(tvs) if i >= burn_in]
     for a, b in zip(tail, tail[1:]):
@@ -419,7 +484,7 @@ def exp_tree_counterexample(cfg: ExperimentConfig) -> ExperimentReport:
                           "sampled_discrepancy": disc,
                           "refined_discrepancy": refined,
                           "structured_witness_deviation": witness_dev})
-    rel_tol = cfg.tolerance("rel_distinct", 0.03)
+    rel_tol = cfg.tolerance("rel_distinct")
     worst_rel = max(abs(r["distinct_depth1_images"] / pred_distinct - 1.0)
                     for r in per_trial)
     min_disc = min(r["refined_discrepancy"] for r in per_trial)
@@ -437,14 +502,14 @@ def exp_tree_counterexample(cfg: ExperimentConfig) -> ExperimentReport:
                    checks, {"branching": branching, "root_image": root_image})
 
 
-def _make_tree(cfg: ExperimentConfig, edges: int, seed: int):
-    if cfg.tree_kind == "path":
-        return gen_path_tree(edges)
-    if cfg.tree_kind == "nary":
-        return gen_nary_tree(cfg.tree_branching or 2, cfg.tree_depth)
-    if cfg.tree_kind == "random":
-        return gen_random_tree(edges + 1, cfg.tree_max_degree, seed)
-    raise ValueError(f"unknown tree kind {cfg.tree_kind!r}")
+# tree_kind -> (cfg, edges, seed) -> the rooted tree each trial embeds
+TREES = {
+    "path": lambda cfg, edges, seed: gen_path_tree(edges),
+    "nary": lambda cfg, edges, seed:
+        gen_nary_tree(cfg.tree_branching or 2, cfg.tree_depth),
+    "random": lambda cfg, edges, seed:
+        gen_random_tree(edges + 1, cfg.tree_max_degree, seed),
+}
 
 
 def _image_edges(g: Graph, tree, seed: int, start: int) -> int:
@@ -465,7 +530,7 @@ def exp_tree_embedding(cfg: ExperimentConfig) -> ExperimentReport:
     per_trial = []
     for t in range(cfg.trials):
         seed = _trial_seed(cfg, t)
-        tree = _make_tree(cfg, edges, seed)
+        tree = TREES[cfg.tree_kind](cfg, edges, seed)
         per_trial.append({"trial": t,
                           "image_edges": _image_edges(g, tree, seed, start),
                           "tree_max_degree": int(tree.max_degree)})
@@ -495,7 +560,4 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {cfg.experiment!r}; "
-                         f"choose from {sorted(EXPERIMENTS)}")
     return EXPERIMENTS[cfg.experiment](cfg)

@@ -229,9 +229,12 @@ def edges_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
     """
     if a.n != g.n or b.n != g.n:
         raise ValueError("vertex sets must live on the graph's vertex range")
-    amask, bmask = a.bool_mask(), b.bool_mask()
-    sel = np.repeat(amask, g.degrees)
-    return int(np.count_nonzero(bmask[g.indices] & sel))
+    return _arc_count(g, a.bool_mask(), b.bool_mask())
+
+
+def _arc_count(g: Graph, amask: np.ndarray, bmask: np.ndarray) -> int:
+    """Arcs (u, v) of the CSR arrays with amask[u] and bmask[v]."""
+    return int(np.count_nonzero(np.repeat(amask, g.degrees) & bmask[g.indices]))
 
 
 def density(g: Graph) -> float:

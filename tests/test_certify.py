@@ -172,6 +172,14 @@ class TestSampledMatchesReference:
         pairs = np.stack([h, v], axis=1)[h < v]
         assert_matches_reference(build_graph(n, pairs), 0.95, 20, 3)
 
+    def test_csr_path(self):
+        # above n = 4096 the sampler counts off the CSR arrays
+        n = 4200
+        rng = np.random.default_rng(11)
+        pairs = rng.integers(0, n, size=(30_000, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        assert_matches_reference(build_graph(n, pairs), 0.1, 40, 5)
+
 
 class TestDiscrepancySampled:
     def test_exhausted_budget_equals_exhaustive(self):
@@ -395,6 +403,7 @@ class TestCertify:
     def test_exhaustive_mode(self):
         report = certify(gen_complete(6), 0.5, exhaustive=True)
         assert report.method == "exhaustive"
+        assert report.pairs_checked == (20 + 15 + 6 + 1) ** 2  # |A|, |B| >= 3
         assert report.discrepancy > 0
 
     def test_bipartite_flagged(self):

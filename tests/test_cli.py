@@ -1,12 +1,14 @@
 """End-to-end CLI behavior and exit codes."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
 from qwalk.cli import build_parser, main
+from qwalk.experiments import TOLERANCES
 from qwalk.graph import load_graph
 
 
@@ -118,6 +120,15 @@ def test_directory_path_returns_2(tmp_path, capsys):
      "disc_trials and mixing_trials must be at least 1"),
     ('{"monotone_steps": [3, 5]}', 1,
      "monotone_steps must be steps of the schedule"),
+    ('{"generator": "star"}', 1, "unknown generator 'star'; choose from "
+     "['complete', 'gnp', 'two_clique_bridge']"),
+    ('{"tree_kind": "star"}', 1,
+     "unknown tree_kind 'star'; choose from ['nary', 'path', 'random']"),
+    ('{"tolerances": {"rel_edge": 0.1}}', 1,
+     "unknown tolerances ['rel_edge']; choose from ['burn_in', 'disc_slack', "
+     "'frac_within', 'rel_distinct', 'rel_edges', 'rel_visits', 'tv_at_10']"),
+    ('{"crossing_interval": [0.9, 0.1]}', 1,
+     "crossing_interval [lo, hi] needs 0 <= lo < hi <= 1"),
 ])
 def test_bad_config_names_file_and_line(tmp_path, capsys, text, line, message):
     cpath = tmp_path / "c.json"
@@ -131,6 +142,7 @@ def test_bad_config_names_file_and_line(tmp_path, capsys, text, line, message):
 @pytest.mark.parametrize("flags,message", [
     (["--p", "2"], "generator p must lie in [0, 1]"),
     (["--alpha", "-1"], "alpha must be non-negative"),
+    (["--seed", "-1"], "a non-negative seed is mandatory"),
 ])
 def test_bad_flag_value_names_no_file(tmp_path, capsys, flags, message):
     cpath = tmp_path / "c.json"
@@ -190,3 +202,10 @@ def test_readme_command_lines_parse():
     assert len(argvs) == 8
     for argv in argvs:
         build_parser().parse_args(argv)
+
+
+def test_readme_tolerances_match_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("* Experiment config")[1].split("## Reports")[0]
+    listed = re.findall(r"^  - `(\w+)`: ([\d.]+) ", section, re.MULTILINE)
+    assert {name: float(value) for name, value in listed} == TOLERANCES

@@ -1,6 +1,7 @@
 """Experiment harness: purity, reproducibility, and small-scale behavior."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -44,6 +45,17 @@ class TestConfig:
     def test_json_round_trip(self):
         cfg = cfg_density()
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("over", [
+        {"trials": "2"}, {"tree_kind": 3}, {"schedule": [0.5]},
+        {"crossing_interval": [0.1, 0.5, 0.9]},
+        {"crossing_interval": [0.9, 0.1]}])
+    def test_wrong_type_length_or_order(self, over):
+        with pytest.raises(ValueError):
+            cfg_density(**over)
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json(json.dumps(
+                {"experiment": "density", "n": 10, "seed": 1, **over}))
 
 
 class TestReportInvariants:
