@@ -129,9 +129,17 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
         block = t1 - t0
         u = gen.random((2 * block, n))
         # the k-th smallest draw of each row, the value a full sort would
-        # put at k; k differs per row, so one partition per row
-        cut = np.array([np.partition(row, k)[k] for row, k in
-                        zip(u, sizes[t0:t1].T.reshape(-1) - 1)])
+        # put at k: one partition per distinct k when a block repeats its
+        # k often (small n), else one per row
+        ks = sizes[t0:t1].T.reshape(-1) - 1
+        distinct = np.unique(ks)
+        if 4 * len(distinct) <= len(ks):
+            cut = np.empty(len(ks))
+            for k in distinct:
+                rows = ks == k
+                cut[rows] = np.partition(u[rows], k, axis=1)[:, k]
+        else:
+            cut = np.array([np.partition(row, k)[k] for row, k in zip(u, ks)])
         picks = u <= cut[:, None]  # uniform subsets of the drawn sizes
         amask, bmask = picks[:block], picks[block:]
         if adj is not None:

@@ -107,6 +107,8 @@ class ExperimentConfig:
             raise ValueError("eps must lie strictly between 0 and 1")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.start is not None and not 0 <= self.start < self.n:
+            raise ValueError(f"start must be a vertex of the host, 0..{self.n - 1}")
         if min(self.disc_trials, self.mixing_trials) < 1:
             raise ValueError("disc_trials and mixing_trials must be at least 1")
         p = self.generator_params.get("p")

@@ -11,11 +11,22 @@ Philox advances in blocks of four 64-bit words and numpy's ``random()``
 consumes exactly one word per double, so positioning a stream at word j
 means advancing j // 4 blocks and discarding j % 4 doubles.  This block
 arithmetic is what makes chunked replay exact; it is pinned by tests.
+
+The same words come from a small C kernel, ``_philox.c``, which derives
+numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
+seeds below 2^64 and indices below 2^32.  ``uniform_words`` and the
+list model use it when it loads; it is built on first use, never at
+import, with ``gcc`` into a user cache directory keyed by the source's
+sha256.  Without gcc, when the build or the cache directory fails, or
+for larger seeds, the numpy code here serves instead and stays the
+reference; ``backend()`` says which one is in use.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -73,9 +84,67 @@ def stream(seed: int, domain: int, index: int, offset: int = 0) -> np.random.Gen
 
 def uniform_words(seed: int, domain: int, index: int, start: int, count: int) -> np.ndarray:
     """Doubles for words start .. start+count-1 of the addressed stream."""
-    return stream(seed, domain, index, offset=start).random(count)
+    seed = _checked_seed(seed)
+    lib = _kernel()
+    if lib is None or not (seed < 2**64 and 0 <= domain < 2**32 and 0 <= index < 2**32
+                           and start >= 0 and count >= 0):
+        return stream(seed, domain, index, offset=start).random(count)
+    out = np.empty(count)
+    lib.qw_words(seed, domain, index, start, count, out.ctypes.data)
+    return out
 
 
 def derive_seed(seed: int, domain: int, index: int) -> int:
     """A fresh 64-bit seed for a child consumer (e.g. one trial of many)."""
     return int(_address(seed, domain, index).generate_state(1, np.uint64)[0])
+
+
+_SOURCE = Path(__file__).with_name("_philox.c")
+_lib = None  # the loaded kernel; False once loading it failed
+
+
+def _load():
+    """Build the kernel once per source hash, load it; None on any failure.
+
+    The shared object is compiled from the bytes that were hashed into a
+    file of this process in the cache directory and renamed into place,
+    so a concurrent build or a reader never sees a partial file.
+    """
+    import ctypes
+    import hashlib
+    import subprocess
+
+    try:
+        source = _SOURCE.read_bytes()
+        path = Path.home() / ".cache" / "qwalk" / f"philox-{hashlib.sha256(source).hexdigest()}.so"
+        if not path.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f"{path.name}.{os.getpid()}")
+            try:
+                subprocess.run(["gcc", "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", str(tmp)],
+                               input=source, capture_output=True, check=True, timeout=300)
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        return None
+    u64, u32, i64, ptr = ctypes.c_uint64, ctypes.c_uint32, ctypes.c_int64, ctypes.c_void_p
+    lib.qw_words.argtypes = [u64, u32, u32, i64, i64, ptr]
+    lib.qw_words.restype = None
+    lib.qw_consume.argtypes = [u64, u32, ptr, ptr, ptr, ptr, ptr, i64, ptr]
+    lib.qw_consume.restype = i64
+    return lib
+
+
+def _kernel():
+    """The C kernel, loaded on first call, or None when it is unavailable."""
+    global _lib
+    if _lib is None:
+        _lib = _load() or False
+    return _lib or None
+
+
+def backend() -> str:
+    """Which code draws list words and ``uniform_words``: "c" or "numpy"."""
+    return "numpy" if _kernel() is None else "c"

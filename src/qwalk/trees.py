@@ -163,7 +163,7 @@ def random_homomorphism(g: Graph, t: RootedTree, model: ListModel,
     Vertices are processed in enumeration order, so a path tree consumes
     entries exactly as run_walk does and yields the identical sequence.
     """
-    image = model.consume(t.parents[1:].tolist(), root_image)
+    image = model.consume(t.parents[1:], root_image)
     return TreeHomomorphism(tree=t, host=g, image=image)
 
 

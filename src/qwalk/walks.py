@@ -8,7 +8,9 @@ subgraph is sandwiched between two prefix subgraphs exactly.
 
 Walks and tree embeddings are one operation, ``ListModel.consume``:
 each new vertex maps to the next unused entry of the list of its
-parent's image, and a walk is the path tree.
+parent's image, and a walk is the path tree.  It runs in the C kernel
+of ``rng`` when that loads, and in a Python loop over numpy-drawn
+buffers otherwise; both take the same entries, bit for bit.
 
 A "visit" is a departure: visit counts run over walk positions
 0 .. steps-1, one list entry consumed per visit, so counts sum to the
@@ -21,14 +23,15 @@ derived seeds and all aggregation here is order-independent.
 from __future__ import annotations
 
 import gzip
+import operator
 from dataclasses import dataclass, field
-from operator import length_hint
 
 import numpy as np
 
 from .graph import (EdgeSubgraph, Graph, VertexSet, balanced_vertices, density,
                     read_text)
-from .rng import DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, stream, uniform_words
+from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _kernel, stream,
+                  uniform_words)
 
 _CHUNK = 2048
 
@@ -37,19 +40,32 @@ class ListModel:
     """Seeded per-vertex streams of uniform neighbor choices.
 
     ``entry``/``entries`` replay list values without touching the
-    consumption state.  ``consume`` is the one loop that takes entries
-    in order, from per-vertex buffers of ``_CHUNK`` words that
-    ``_refill`` draws; walks, tree embeddings and ``next_entry`` all go
+    consumption state.  ``consume`` is the one operation that takes
+    entries in order; walks, tree embeddings and ``next_entry`` all go
     through it, so any mix of them continues the same lists.
 
-    Buffered entries are the model's own n vertex-id objects, shared by
-    every buffer, so a refill allocates one list of references and no
-    new int per word.
+    The backend is chosen at construction.  With the C kernel of
+    ``rng`` (seeds below 2^64), a vertex keeps its Philox key, the
+    4-word block and the value of its next entry, and its count of
+    entries taken, 64 bytes in all, and the kernel computes each entry
+    in place.  Otherwise, the
+    numpy reference draws ``_CHUNK`` words per refill from a sequential
+    stream per vertex; buffered entries are the model's own n vertex-id
+    objects, shared by every buffer, so a refill allocates one list of
+    references and no new int per word.  Both give the same entries.
     """
 
     def __init__(self, graph: Graph, seed: int):
         self.graph = graph
         self.seed = _checked_seed(seed)
+        self._lib = _kernel() if self.seed < 2**64 and graph.n <= 2**32 else None
+        if self._lib is not None:
+            self._taken = np.zeros(graph.n, dtype=np.int64)     # entries taken per vertex
+            self._state = np.zeros((graph.n, 7), dtype=np.uint64)  # key, block, next
+            self._args = (self.seed, DOMAIN_LIST, graph.indptr.ctypes.data,
+                          graph.indices.ctypes.data, self._state.ctypes.data,
+                          self._taken.ctypes.data)
+            return
         self._ids = np.arange(graph.n).astype(object)  # one int per vertex
         self._drawn = np.zeros(graph.n, dtype=np.int64)  # list words drawn per vertex
         self._gens = [None] * graph.n   # sequential stream per vertex
@@ -57,8 +73,10 @@ class ListModel:
 
     @property
     def consumed(self) -> np.ndarray:
-        """Entries taken from each list so far (read-only)."""
-        return self._drawn - np.fromiter(map(length_hint, self._iters),
+        """Entries taken from each list so far (a copy)."""
+        if self._lib is not None:
+            return self._taken.copy()
+        return self._drawn - np.fromiter(map(operator.length_hint, self._iters),
                                          dtype=np.int64, count=self.graph.n)
 
     def entry(self, v: int, j: int) -> int:
@@ -94,13 +112,39 @@ class ListModel:
         image[j+1] is the next unused entry of the list of
         image[parents[j]], for j in order.
 
-        ``parents`` may be any iterable of earlier indices; a walk passes
-        ``range(steps)``, which keeps the parent sequence lazy.
+        ``parents`` is a sequence of integers with parents[j] in 0..j; a
+        walk passes ``range(steps)``, which no array stands for.  A root
+        outside the host or a parent outside its range raises ValueError
+        before any entry is taken.
         """
+        n = self.graph.n
+        root = operator.index(root)
+        if not 0 <= root < n:
+            raise ValueError(f"vertex {root} is not in the host's 0..{n - 1}")
+        if isinstance(parents, range) and parents.start == 0 and parents.step == 1:
+            m, parents = len(parents), None  # a walk: parents[j] = j
+        else:
+            parents = np.ascontiguousarray(parents, dtype=np.int64)
+            m = len(parents)
+        if self._lib is None:
+            return self._consume_numpy(parents, m, root)
+        image = np.empty(m + 1, dtype=np.int64)
+        image[0] = root
+        done = self._lib.qw_consume(*self._args, None if parents is None else parents.ctypes.data,
+                                    m, image.ctypes.data)
+        if done < m:
+            raise _consume_error(parents, image, done)
+        return image
+
+    def _consume_numpy(self, parents, m: int, root: int) -> np.ndarray:
+        if parents is not None:
+            bad = np.flatnonzero((parents < 0) | (parents > np.arange(m)))
+            if len(bad):
+                raise _consume_error(parents, None, bad[0])
         iters = self._iters
-        img = [int(root)]  # python ints keep the hot loop cheap
+        img = [root]  # python ints keep the hot loop cheap
         push = img.append
-        for p in parents:
+        for p in range(m) if parents is None else parents.tolist():
             x = img[p]
             try:
                 push(next(iters[x]))
@@ -110,7 +154,16 @@ class ListModel:
 
     def next_entry(self, v: int) -> int:
         """Consume and return the next unused entry of the list of v."""
-        return int(self.consume((0,), v)[1])
+        return int(self.consume(range(1), v)[1])
+
+
+def _consume_error(parents, image, j: int) -> ValueError:
+    """Why ``consume`` stopped at position j: a parent out of range, or a
+    list's vertex with no neighbors."""
+    p = j if parents is None else int(parents[j])
+    if not 0 <= p <= j:
+        return ValueError(f"parents[{j}] is {p}; it must lie in 0..{j}")
+    return ValueError(f"vertex {image[p]} has no neighbors")
 
 
 @dataclass
@@ -179,9 +232,9 @@ def run_walk(g: Graph, model: ListModel, start: int, steps: int) -> WalkTrace:
     so repeated runs against one model continue its streams while a
     fresh model with the same seed reproduces the trace exactly.
     """
+    sequence = model.consume(range(steps), start)  # checks start first
     if g.degree(start) == 0:
         raise ValueError(f"start vertex {start} has no neighbors")
-    sequence = model.consume(range(steps), start)
     return WalkTrace(graph=g, start=int(start), steps=int(steps), sequence=sequence)
 
 

@@ -129,6 +129,7 @@ def test_directory_path_returns_2(tmp_path, capsys):
      "'frac_within', 'rel_distinct', 'rel_edges', 'rel_visits', 'tv_at_10']"),
     ('{"crossing_interval": [0.9, 0.1]}', 1,
      "crossing_interval [lo, hi] needs 0 <= lo < hi <= 1"),
+    ('{"start": 20}', 1, "start must be a vertex of the host, 0..19"),
 ])
 def test_bad_config_names_file_and_line(tmp_path, capsys, text, line, message):
     cpath = tmp_path / "c.json"
@@ -143,6 +144,7 @@ def test_bad_config_names_file_and_line(tmp_path, capsys, text, line, message):
     (["--p", "2"], "generator p must lie in [0, 1]"),
     (["--alpha", "-1"], "alpha must be non-negative"),
     (["--seed", "-1"], "a non-negative seed is mandatory"),
+    (["--start", "99"], "start must be a vertex of the host, 0..19"),
 ])
 def test_bad_flag_value_names_no_file(tmp_path, capsys, flags, message):
     cpath = tmp_path / "c.json"
@@ -150,6 +152,19 @@ def test_bad_flag_value_names_no_file(tmp_path, capsys, flags, message):
     code = main(["experiment", "density", "--n", "20", "--seed", "1",
                  "--config", str(cpath), *flags])
     assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["walk", "--start", "7", "--steps", "5"], "vertex 7 is not in the host's 0..2"),
+    (["tree", "--root-image", "9", "--kind", "path", "--edges", "4"],
+     "vertex 9 is not in the host's 0..2"),
+])
+def test_vertex_outside_host_returns_2(tmp_path, capsys, argv, message):
+    gpath = str(tmp_path / "g.txt")
+    main(["generate", "--kind", "complete", "--n", "3", "--out", gpath])
+    flag = "--graph" if argv[0] == "walk" else "--host"
+    assert main([argv[0], flag, gpath, "--seed", "1", *argv[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -155,9 +155,10 @@ class TestListModel:
         assert hashlib.sha256(data).hexdigest() == (
             "1285810546d05322c78608d45252fd36449ef50bc87d16875324cc1f3aff167b")
 
-    def test_buffers_hold_references_not_ints(self):
+    def test_buffers_hold_references_not_ints(self, numpy_backend):
         # on n=600 most ids lie above the small-int cache; a buffer of
         # fresh ints would hold about 8 + 32 * 343/600 = 26 bytes per word
+        # (the buffers are the numpy backend's, so the test runs there)
         g = gen_gnp(600, 0.5, 3)
         tracemalloc.start()
         try:
@@ -170,6 +171,41 @@ class TestListModel:
         words = int(model._drawn.sum())
         assert words >= 500 * 2048
         assert held / words < 10
+
+    def test_kernel_holds_no_buffers(self, c_backend):
+        # the C backend keeps a key, a block, the next entry and a count
+        # per vertex, 64 bytes, however many entries a walk takes
+        g = gen_gnp(600, 0.5, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = ListModel(g, 7)
+            run_walk(g, model, 0, 20_000)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert model.consumed.sum() == 20_000
+        assert held / g.n < 100
+
+    def test_root_outside_host_rejected(self, backend):
+        g = gen_complete(4)
+        model = ListModel(g, 3)
+        for root in (4, -1):
+            with pytest.raises(ValueError, match=f"vertex {root} is not in the host's 0..3"):
+                model.consume(range(2), root)
+        with pytest.raises(ValueError, match="vertex -1 is not in the host's 0..3"):
+            model.next_entry(-1)
+        assert model.consumed.sum() == 0
+
+    @pytest.mark.parametrize("parents,j,p", [([1], 0, 1), ([0, 2], 1, 2),
+                                             ([0, 0, -1], 2, -1)])
+    def test_parent_outside_its_range_rejected(self, backend, parents, j, p):
+        # parents[j] must name a vertex already placed, 0..j; nothing is
+        # taken from any list when one does not
+        model = ListModel(gen_complete(4), 3)
+        with pytest.raises(ValueError, match=rf"parents\[{j}\] is {p}; it must lie in 0..{j}"):
+            model.consume(parents, 0)
+        assert model.consumed.sum() == 0
 
     def test_walk_consumes_prefix_of_lists(self):
         g = gen_gnp(15, 0.5, 2)
