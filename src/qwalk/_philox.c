@@ -113,9 +113,9 @@ void qw_words(uint64_t seed, uint32_t domain, uint32_t index,
  * entry when it is taken put one cache miss per step on the critical
  * path, 2.5x slower on G(2000, 1/2).
  *
- * Returns m on success.  Otherwise returns the first position j at which
- * parents[j] lies outside 0..j, before taking any entry, or at which the
- * list's vertex has no neighbours, after taking the entries before j.
+ * The caller checks that parents[j] lies in 0..j.  Returns m on success,
+ * or else the first position j at which the list's vertex has no
+ * neighbours, after taking the entries before j.
  */
 int64_t qw_consume(uint64_t seed, uint32_t domain,
                    const int64_t *indptr, const int64_t *indices,
@@ -124,10 +124,6 @@ int64_t qw_consume(uint64_t seed, uint32_t domain,
 {
     int64_t j;
 
-    if (parents)
-        for (j = 0; j < m; j++)
-            if (parents[j] < 0 || parents[j] > j)
-                return j;
     for (j = 0; j < m; j++) {
         int64_t x = image[parents ? parents[j] : j];
         int64_t lo = indptr[x], d = indptr[x + 1] - lo, t = taken[x];

@@ -129,17 +129,18 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
         block = t1 - t0
         u = gen.random((2 * block, n))
         # the k-th smallest draw of each row, the value a full sort would
-        # put at k: one partition per distinct k when a block repeats its
-        # k often (small n), else one per row
+        # put at k: rows grouped by k, one partition per group, so small
+        # hosts, whose blocks repeat each k often, partition rarely
         ks = sizes[t0:t1].T.reshape(-1) - 1
-        distinct = np.unique(ks)
-        if 4 * len(distinct) <= len(ks):
-            cut = np.empty(len(ks))
-            for k in distinct:
-                rows = ks == k
-                cut[rows] = np.partition(u[rows], k, axis=1)[:, k]
-        else:
-            cut = np.array([np.partition(row, k)[k] for row, k in zip(u, ks)])
+        order = np.argsort(ks, kind="stable")
+        grouped, ks = u[order], ks[order]
+        distinct, first = np.unique(ks, return_index=True)
+        bounds = [*first.tolist(), len(ks)]
+        for k, a, b in zip(distinct.tolist(), bounds, bounds[1:]):
+            grouped[a:b].partition(k, axis=1)
+        cut = np.empty(len(ks))
+        cut[order] = grouped[np.arange(len(ks)), ks]
+        del grouped  # before the next block's draw
         picks = u <= cut[:, None]  # uniform subsets of the drawn sizes
         amask, bmask = picks[:block], picks[block:]
         if adj is not None:

@@ -87,7 +87,7 @@ def uniform_words(seed: int, domain: int, index: int, start: int, count: int) ->
     seed = _checked_seed(seed)
     lib = _kernel()
     if lib is None or not (seed < 2**64 and 0 <= domain < 2**32 and 0 <= index < 2**32
-                           and start >= 0 and count >= 0):
+                           and 0 <= start and 0 <= count and start + count < 2**63):
         return stream(seed, domain, index, offset=start).random(count)
     out = np.empty(count)
     lib.qw_words(seed, domain, index, start, count, out.ctypes.data)

@@ -62,9 +62,6 @@ class ListModel:
         if self._lib is not None:
             self._taken = np.zeros(graph.n, dtype=np.int64)     # entries taken per vertex
             self._state = np.zeros((graph.n, 7), dtype=np.uint64)  # key, block, next
-            self._args = (self.seed, DOMAIN_LIST, graph.indptr.ctypes.data,
-                          graph.indices.ctypes.data, self._state.ctypes.data,
-                          self._taken.ctypes.data)
             return
         self._ids = np.arange(graph.n).astype(object)  # one int per vertex
         self._drawn = np.zeros(graph.n, dtype=np.int64)  # list words drawn per vertex
@@ -126,21 +123,25 @@ class ListModel:
         else:
             parents = np.ascontiguousarray(parents, dtype=np.int64)
             m = len(parents)
+            bad = np.flatnonzero((parents < 0) | (parents > np.arange(m)))
+            if len(bad):
+                j = int(bad[0])
+                raise ValueError(f"parents[{j}] is {parents[j]}; it must lie in 0..{j}")
         if self._lib is None:
             return self._consume_numpy(parents, m, root)
+        g = self.graph
         image = np.empty(m + 1, dtype=np.int64)
         image[0] = root
-        done = self._lib.qw_consume(*self._args, None if parents is None else parents.ctypes.data,
-                                    m, image.ctypes.data)
-        if done < m:
-            raise _consume_error(parents, image, done)
+        done = self._lib.qw_consume(
+            self.seed, DOMAIN_LIST, g.indptr.ctypes.data, g.indices.ctypes.data,
+            self._state.ctypes.data, self._taken.ctypes.data,
+            None if parents is None else parents.ctypes.data, m, image.ctypes.data)
+        if done < m:  # the list's vertex at position done has no neighbors
+            p = done if parents is None else parents[done]
+            raise ValueError(f"vertex {image[p]} has no neighbors")
         return image
 
     def _consume_numpy(self, parents, m: int, root: int) -> np.ndarray:
-        if parents is not None:
-            bad = np.flatnonzero((parents < 0) | (parents > np.arange(m)))
-            if len(bad):
-                raise _consume_error(parents, None, bad[0])
         iters = self._iters
         img = [root]  # python ints keep the hot loop cheap
         push = img.append
@@ -155,15 +156,6 @@ class ListModel:
     def next_entry(self, v: int) -> int:
         """Consume and return the next unused entry of the list of v."""
         return int(self.consume(range(1), v)[1])
-
-
-def _consume_error(parents, image, j: int) -> ValueError:
-    """Why ``consume`` stopped at position j: a parent out of range, or a
-    list's vertex with no neighbors."""
-    p = j if parents is None else int(parents[j])
-    if not 0 <= p <= j:
-        return ValueError(f"parents[{j}] is {p}; it must lie in 0..{j}")
-    return ValueError(f"vertex {image[p]} has no neighbors")
 
 
 @dataclass

@@ -139,9 +139,13 @@ def test_seed_at_2_64_takes_the_numpy_path(c_backend):
 @given(seed=st.one_of(SEEDS, st.just(2**64), st.integers(2**64, 2**70)),
        domain=st.integers(0, 6),
        index=st.one_of(st.integers(0, 10_000), st.sampled_from([2**32 - 1, 2**32])),
-       start=st.integers(0, 10**9), count=st.integers(0, 40))
+       start=st.one_of(st.integers(0, 10**9), st.integers(2**63 - 60, 2**63 + 60),
+                       st.integers(2**64 - 10, 2**64 + 10), st.integers(2**64, 2**70)),
+       count=st.integers(0, 40))
 def test_uniform_words_match_reference(c_backend, monkeypatch, seed, domain, index,
                                        start, count):
+    # a range that ends at or past word 2^63 does not fit the kernel's
+    # int64 counter and takes the numpy path
     monkeypatch.setattr(rng, "_lib", c_backend)
     got = rng.uniform_words(seed, domain, index, start, count)
     monkeypatch.setattr(rng, "_lib", False)
