@@ -1,4 +1,5 @@
-/* Philox list words computed in place, bit for bit as numpy draws them.
+/* Philox list words computed in place, bit for bit as numpy draws them,
+ * and the CSR arrays of a graph built in one pass over its edge keys.
  *
  * A stream (seed, domain, index) of qwalk.rng is numpy's
  * Philox(SeedSequence(seed, spawn_key=(domain, index))) read one double
@@ -9,7 +10,11 @@
  * Philox increments its counter before each block, so word j is lane
  * j % 4 of Philox4x64-10 at counter (j / 4 + 1, 0, 0, 0) (Salmon et al.,
  * "Parallel random numbers: as easy as 1, 2, 3", SC 2011), and its double
- * is (w >> 11) * 2^-53.
+ * is (w >> 11) * 2^-53.  qw_words and qw_consume compute these words.
+ *
+ * qw_csr fills a qwalk.graph.Graph's indptr and indices from its sorted
+ * edge keys u * n + v, u < v, with the same bytes as the numpy sort that
+ * stays the reference.
  *
  * Built on first use by qwalk.rng and called through ctypes.
  */
@@ -142,5 +147,62 @@ int64_t qw_consume(uint64_t seed, uint32_t domain,
             philox_block(key, (uint64_t)(t / 4 + 1), block);
         *next = (uint64_t)indices[lo + (int64_t)(to_double(block[t % 4]) * (double)d)];
     }
+    return m;
+}
+
+/* Moves (u, base = u * n) forward to the row of key k: keys arrive ascending. */
+static void seek_row(int64_t k, int64_t n, int64_t *u, int64_t *base)
+{
+    while (k - *base >= n) {
+        ++*u;
+        *base += n;
+    }
+}
+
+/* CSR arrays of the graph on 0..n-1 whose edges are the keys u * n + v,
+ * u < v: indptr[0..n], and indices[0..2m-1] with each row ascending.
+ * Every key (w, u), w < u, comes before every key (u, v), so one pass in
+ * key order appends to row u its smaller neighbours and then its larger
+ * ones, both in order.  This is the counting construction of a sparse
+ * matrix and its transpose (Gustavson, ACM TOMS 4(3), 1978) with no sort.
+ *
+ * A first pass writes nothing: it returns the first position j whose key
+ * is not above keys[j-1] or not of the form 0 <= u < v < n.  n * n must
+ * fit in int64.  Returns m once the arrays are filled.
+ */
+int64_t qw_csr(int64_t n, const int64_t *keys, int64_t m,
+               int64_t *indptr, int64_t *indices)
+{
+    int64_t j, x, u = 0, base = 0;
+
+    for (j = 0; j < m; j++) {
+        int64_t k = keys[j];
+        if ((j > 0 && k <= keys[j - 1]) || k < 0 || k >= n * n)
+            return j;
+        seek_row(k, n, &u, &base);
+        if (k - base <= u)
+            return j;
+    }
+    /* degrees into indptr[x + 1], then row starts into indptr[x] */
+    for (x = 0; x <= n; x++)
+        indptr[x] = 0;
+    for (j = 0, u = 0, base = 0; j < m; j++) {
+        seek_row(keys[j], n, &u, &base);
+        indptr[u + 1]++;
+        indptr[keys[j] - base + 1]++;
+    }
+    for (x = 0; x < n; x++)
+        indptr[x + 1] += indptr[x];
+    /* indptr[x] is row x's cursor, which ends at row x + 1's start */
+    for (j = 0, u = 0, base = 0; j < m; j++) {
+        int64_t v;
+        seek_row(keys[j], n, &u, &base);
+        v = keys[j] - base;
+        indices[indptr[u]++] = v;
+        indices[indptr[v]++] = u;
+    }
+    for (x = n; x > 0; x--)
+        indptr[x] = indptr[x - 1];
+    indptr[0] = 0;
     return m;
 }

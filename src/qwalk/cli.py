@@ -197,10 +197,15 @@ def _read_config(path: str) -> dict:
 
 def _cmd_experiment(args) -> int:
     # ExperimentConfig checks every value; this only says where a bad one
-    # came from: the file's values are checked before any flag overrides them
+    # came from.  The file's values are checked before any flag overrides
+    # them, with the flags' values for the keys the file leaves out, so a
+    # check across keys (eps*n) sees the n and eps that will run; the
+    # failure names the file unless the flags alone fail as well.
     given = vars(args)
-    cfg = ExperimentConfig(experiment=args.name, n=args.n, seed=args.seed)
-    keys = {f.name for f in dataclasses.fields(cfg)}
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    flags = {k: v for k, v in given.items() if k in keys}
+    flags["experiment"] = args.name
+    base = {}
     if given.get("config"):
         base = _read_config(args.config)
         unknown = sorted(set(base) - keys)
@@ -208,15 +213,17 @@ def _cmd_experiment(args) -> int:
             raise ValueError(f"{args.config}:1: unknown config keys: "
                              f"{', '.join(unknown)}")
         try:
-            cfg = dataclasses.replace(cfg, **base)
+            ExperimentConfig(**{**flags, **base})
         except ValueError as exc:
+            try:
+                ExperimentConfig(**flags)
+            except ValueError:
+                raise exc from None
             raise ValueError(f"{args.config}:1: {exc}") from None
-    params = dict(cfg.generator_params)
+    params = dict(base.get("generator_params", {}))
     params.update({key: given[flag] for flag, key in
                    (("p", "p"), ("generator_eps", "eps")) if flag in given})
-    cfg = dataclasses.replace(
-        cfg, experiment=args.name, generator_params=params,
-        **{k: v for k, v in given.items() if k in keys})
+    cfg = ExperimentConfig(**{**base, **flags, "generator_params": params})
     report = run_experiment(cfg)
     text = report.to_json()
     if given.get("out"):

@@ -48,6 +48,9 @@ TOLERANCES = {
     "rel_distinct": 0.03,   # tree_counterexample: distinct depth-1 images
 }
 
+# experiments whose checks run the discrepancy estimators, which need eps*n >= 1
+_CERTIFYING = ("preservation", "tree_counterexample")
+
 
 @dataclass
 class ExperimentConfig:
@@ -105,6 +108,9 @@ class ExperimentConfig:
             raise ValueError("alpha must be non-negative")
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie strictly between 0 and 1")
+        if self.experiment in _CERTIFYING and self.eps * self.n < 1:
+            raise ValueError(f"eps*n must be at least 1 for {self.experiment}'s "
+                             f"discrepancy checks, got eps={self.eps} and n={self.n}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.start is not None and not 0 <= self.start < self.n:
@@ -125,6 +131,10 @@ class ExperimentConfig:
         if min([self.tree_max_degree, *self.degree_sweep]) < 2:
             raise ValueError("tree_max_degree and degree_sweep caps must be "
                              "at least 2")
+        if self.tree_branching is not None and self.tree_branching < 1:
+            raise ValueError("tree_branching must be at least 1")
+        if self.tree_depth < 0:
+            raise ValueError("tree_depth must be non-negative")
 
     def tolerance(self, name: str) -> float:
         """The configured tolerance ``name``, or its default in TOLERANCES."""
@@ -458,7 +468,7 @@ def exp_tree_counterexample(cfg: ExperimentConfig) -> ExperimentReport:
     alongside the structured witness.
     """
     g = gen_complete(cfg.n)
-    branching = cfg.tree_branching or cfg.n // 2
+    branching = cfg.n // 2 if cfg.tree_branching is None else cfg.tree_branching
     t = gen_nary_tree(branching, 2)
     root_image = cfg.start if cfg.start is not None else 0
     pred_distinct = (cfg.n - 1) * (1 - (1 - 1 / (cfg.n - 1)) ** branching)
@@ -508,7 +518,8 @@ def exp_tree_counterexample(cfg: ExperimentConfig) -> ExperimentReport:
 TREES = {
     "path": lambda cfg, edges, seed: gen_path_tree(edges),
     "nary": lambda cfg, edges, seed:
-        gen_nary_tree(cfg.tree_branching or 2, cfg.tree_depth),
+        gen_nary_tree(2 if cfg.tree_branching is None else cfg.tree_branching,
+                      cfg.tree_depth),
     "random": lambda cfg, edges, seed:
         gen_random_tree(edges + 1, cfg.tree_max_degree, seed),
 }

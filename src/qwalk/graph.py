@@ -9,6 +9,15 @@ An edge uv, u < v, is the int64 key u * n + v.  This module alone
 packs, deduplicates and looks up keys: a ``Graph`` is built from its
 sorted distinct keys, and an ``EdgeSubgraph`` (the edges a walk or a
 tree embedding traverses) is a sorted distinct key array.
+
+``Graph(n, keys)`` checks that its keys are strictly ascending and of
+the form 0 <= u < v < n, and raises ValueError otherwise.  Ascending
+keys put every row's smaller neighbours before its larger ones, so the
+C kernel of ``rng`` fills the CSR arrays in one pass over the keys; the
+numpy code sorts both arcs of every edge instead and stays the
+reference.  Generators and ``EdgeSubgraph.to_graph``, which hold their
+keys sorted already, call ``Graph`` directly; ``build_graph`` packs and
+deduplicates arbitrary pairs first.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import DOMAIN_GNP, uniform_words
+from .rng import DOMAIN_GNP, _kernel, uniform_words
 
 
 def _pack(n: int, us, vs) -> np.ndarray:
@@ -61,20 +70,31 @@ class Graph:
 
     Invariants: symmetric adjacency, no self-loops, no duplicate
     neighbors, and sum of degrees equal to twice ``edge_count``.
-    Built by ``build_graph`` from the sorted distinct edge keys, which
-    it keeps as ``edge_codes()``.
+    Built from its edge keys u * n + v, u < v, strictly ascending, which
+    it keeps (read-only) as ``edge_codes()``; other keys raise ValueError.
     """
 
     __slots__ = ("n", "indptr", "indices", "edge_count", "_edge_codes")
 
-    def __init__(self, n: int, keys: np.ndarray):
+    def __init__(self, n: int, keys):
         self.n = n = int(n)
-        # arcs u -> v packed as u * n + v, both directions, in CSR order
-        arcs = np.concatenate([keys, keys % n * n + keys // n])
-        arcs.sort()
-        self.indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
-        self.indices = arcs % n
-        self.edge_count = len(keys)
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        keys = np.require(keys, np.int64, "C")
+        if keys.ndim != 1:
+            raise ValueError("edge keys must be a 1-d array")
+        m = len(keys)
+        lib = _kernel() if n < 2**31 else None  # the kernel needs n * n in int64
+        if lib is None:
+            done, self.indptr, self.indices = _csr_numpy(n, keys)
+        else:
+            self.indptr = np.empty(n + 1, dtype=np.int64)
+            self.indices = np.empty(2 * m, dtype=np.int64)
+            done = lib.qw_csr(n, keys.ctypes.data, m, self.indptr.ctypes.data,
+                              self.indices.ctypes.data)
+        if done < m:
+            raise _bad_key(n, keys, done)
+        self.edge_count = m
         self._edge_codes = keys
         for a in (self.indptr, self.indices, keys):
             a.setflags(write=False)
@@ -118,6 +138,30 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+def _csr_numpy(n: int, keys: np.ndarray):
+    """(m, indptr, indices) of the keys by sorting both arcs of every
+    edge, or (j, None, None) for the first invalid key j, as ``qw_csr``."""
+    u, v = np.divmod(keys, max(n, 1))
+    bad = (keys < 0) | (u >= v)
+    bad[1:] |= keys[1:] <= keys[:-1]
+    if bad.any():
+        return int(bad.argmax()), None, None
+    # arcs u -> v packed as u * n + v, both directions, in CSR order
+    arcs = np.concatenate([keys, v * n + u])
+    arcs.sort()
+    indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
+    return len(keys), indptr, arcs % max(n, 1)
+
+
+def _bad_key(n: int, keys: np.ndarray, j: int) -> ValueError:
+    k = int(keys[j])
+    if j and k <= keys[j - 1]:
+        return ValueError(f"edge keys must be strictly ascending: key {k} at "
+                          f"position {j} follows {int(keys[j - 1])}")
+    return ValueError(f"edge key {k} at position {j} is not u*{n}+v "
+                      f"with 0 <= u < v < {n}")
+
+
 class EdgeSubgraph:
     """A deduplicated set of edges of a parent graph."""
 
@@ -144,7 +188,7 @@ class EdgeSubgraph:
         return bool(np.isin(self.codes, other.codes).all())
 
     def to_graph(self) -> Graph:
-        return build_graph(self.parent.n, self.edge_array())
+        return Graph(self.parent.n, self.codes)
 
 
 @dataclass(frozen=True)
@@ -261,19 +305,18 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    rows = []
+    rows = [np.empty(0, dtype=np.int64)]  # keys of row u are u*n + u+1 .. u*n + n-1
     for u in range(n - 1):
         draws = uniform_words(seed, DOMAIN_GNP, u, 0, n - u - 1) < p
-        vs = np.nonzero(draws)[0].astype(np.int64) + u + 1
-        if len(vs):
-            rows.append(np.column_stack((np.full(len(vs), u, dtype=np.int64), vs)))
-    edges = np.concatenate(rows) if rows else np.empty((0, 2), dtype=np.int64)
-    return build_graph(n, edges)
+        rows.append(np.flatnonzero(draws) + (u * n + u + 1))
+    return Graph(n, np.concatenate(rows))
 
 
 def gen_complete(n: int) -> Graph:
-    u, v = np.triu_indices(n, k=1)
-    return build_graph(n, np.column_stack((u, v)).astype(np.int64))
+    # the flat indices of the strict upper triangle are the keys, ascending;
+    # a negative n makes no triangle, and Graph rejects it
+    side = max(n, 0)
+    return Graph(n, np.flatnonzero(np.triu(np.ones((side, side), dtype=bool), 1)))
 
 
 def small_clique_size(n: int, eps: float) -> int:

@@ -15,11 +15,12 @@ arithmetic is what makes chunked replay exact; it is pinned by tests.
 The same words come from a small C kernel, ``_philox.c``, which derives
 numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
 seeds below 2^64 and indices below 2^32.  ``uniform_words`` and the
-list model use it when it loads; it is built on first use, never at
-import, with ``gcc`` into a user cache directory keyed by the source's
-sha256.  Without gcc, when the build or the cache directory fails, or
-for larger seeds, the numpy code here serves instead and stays the
-reference; ``backend()`` says which one is in use.
+list model use it when it loads, and ``graph.Graph`` uses its third
+entry point to build CSR arrays from sorted edge keys.  It is built on
+first use, never at import, with ``gcc`` into a user cache directory
+keyed by the source's sha256.  Without gcc, when the build or the cache
+directory fails, or for larger seeds, the numpy code serves instead and
+stays the reference; ``backend()`` says which one is in use.
 """
 
 from __future__ import annotations
@@ -134,6 +135,8 @@ def _load():
     lib.qw_words.restype = None
     lib.qw_consume.argtypes = [u64, u32, ptr, ptr, ptr, ptr, ptr, i64, ptr]
     lib.qw_consume.restype = i64
+    lib.qw_csr.argtypes = [i64, ptr, i64, ptr, ptr]
+    lib.qw_csr.restype = i64
     return lib
 
 
@@ -146,5 +149,6 @@ def _kernel():
 
 
 def backend() -> str:
-    """Which code draws list words and ``uniform_words``: "c" or "numpy"."""
+    """Which code draws list words and ``uniform_words`` and builds each
+    ``Graph``'s CSR arrays: "c" for the kernel, or "numpy"."""
     return "numpy" if _kernel() is None else "c"

@@ -36,6 +36,14 @@ from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _kernel, stream,
 _CHUNK = 2048
 
 
+def _vertex(g: Graph, v) -> int:
+    """``v`` as an int; a vertex outside the host raises ValueError."""
+    v = operator.index(v)
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} is not in the host's 0..{g.n - 1}")
+    return v
+
+
 class ListModel:
     """Seeded per-vertex streams of uniform neighbor choices.
 
@@ -84,6 +92,7 @@ class ListModel:
 
     def entries(self, v: int, count: int) -> np.ndarray:
         """Entries 1 .. count of the list of v, replayed statelessly."""
+        v = _vertex(self.graph, v)
         d = self.graph.degree(v)
         if d == 0:
             if count == 0:
@@ -114,10 +123,7 @@ class ListModel:
         outside the host or a parent outside its range raises ValueError
         before any entry is taken.
         """
-        n = self.graph.n
-        root = operator.index(root)
-        if not 0 <= root < n:
-            raise ValueError(f"vertex {root} is not in the host's 0..{n - 1}")
+        root = _vertex(self.graph, root)
         if isinstance(parents, range) and parents.start == 0 and parents.step == 1:
             m, parents = len(parents), None  # a walk: parents[j] = j
         else:
@@ -315,6 +321,7 @@ def step_positions(g: Graph, start, i: int, trials: int, rng) -> np.ndarray:
 def empirical_step_distribution(g: Graph, start: int, i: int, trials: int,
                                 seed: int) -> Distribution:
     """Monte-Carlo law of W_i over independent walks from ``start``."""
+    start = _vertex(g, start)
     if trials < 1:
         raise ValueError("need at least one trial")
     if g.degree(start) == 0 and i > 0:
@@ -337,6 +344,7 @@ def hit_probability_check(g: Graph, start: int, s: VertexSet, i: int,
     The floor is |S|/n - 9*sqrt(eps)/rho, valid for i >= 2 and |S| >= eps*n
     when the host is eps-quasirandom.  Rejects unbalanced starts.
     """
+    start = _vertex(g, start)
     rho = density(g)
     if abs(g.degree(start) - rho * g.n) > eps * g.n:
         raise ValueError(f"start vertex {start} is not balanced at eps={eps}")

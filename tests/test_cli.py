@@ -130,6 +130,8 @@ def test_directory_path_returns_2(tmp_path, capsys):
     ('{"crossing_interval": [0.9, 0.1]}', 1,
      "crossing_interval [lo, hi] needs 0 <= lo < hi <= 1"),
     ('{"start": 20}', 1, "start must be a vertex of the host, 0..19"),
+    ('{"tree_depth": -1}', 1, "tree_depth must be non-negative"),
+    ('{"tree_branching": 0}', 1, "tree_branching must be at least 1"),
 ])
 def test_bad_config_names_file_and_line(tmp_path, capsys, text, line, message):
     cpath = tmp_path / "c.json"
@@ -166,6 +168,31 @@ def test_vertex_outside_host_returns_2(tmp_path, capsys, argv, message):
     flag = "--graph" if argv[0] == "walk" else "--host"
     assert main([argv[0], flag, gpath, "--seed", "1", *argv[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_eps_too_small_for_n_names_file_and_line(tmp_path, capsys):
+    cpath = tmp_path / "c.json"
+    cpath.write_text('{"eps": 0.01, "start": 0}')
+    code = main(["experiment", "preservation", "--n", "40", "--seed", "1",
+                 "--trials", "1", "--config", str(cpath)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {cpath}:1: eps*n must be at least 1 for preservation's "
+        "discrepancy checks, got eps=0.01 and n=40\n")
+
+
+@pytest.mark.filterwarnings("ignore:host minimum degree")
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_eps_n_checked_on_the_eps_that_runs(tmp_path, capsys, source):
+    # the default eps = 0.05 is too small for n = 10, but the eps given
+    # by a flag or by the file is what runs, so neither fails on the default
+    cpath = tmp_path / "c.json"
+    cpath.write_text('{"eps": 0.2}' if source == "file" else '{"trials": 1}')
+    argv = ["experiment", "preservation", "--n", "10", "--seed", "1",
+            "--trials", "1", "--config", str(cpath)]
+    code = main(argv + (["--eps", "0.2"] if source == "flag" else []))
+    assert code in (0, 1), capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["config"]["eps"] == 0.2
 
 
 def test_config_with_known_keys_is_used(tmp_path, capsys):

@@ -42,6 +42,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg_density(**over)
 
+    @pytest.mark.parametrize("over,message", [
+        ({"tree_depth": -1}, "tree_depth must be non-negative"),
+        ({"tree_branching": 0}, "tree_branching must be at least 1"),
+        ({"tree_branching": -2}, "tree_branching must be at least 1")])
+    def test_tree_parameters(self, over, message):
+        for experiment in ("tree_embedding", "tree_counterexample"):
+            with pytest.raises(ValueError, match=message):
+                cfg_density(experiment=experiment, **over)
+
+    @pytest.mark.parametrize("experiment", ["preservation", "tree_counterexample"])
+    def test_eps_n_at_least_one_where_discrepancy_is_checked(self, experiment):
+        with pytest.raises(ValueError, match=r"eps\*n must be at least 1"):
+            ExperimentConfig(experiment=experiment, n=40, seed=1, eps=0.01)
+        ExperimentConfig(experiment=experiment, n=40, seed=1, eps=0.025)
+        # experiments that run no discrepancy estimator take any eps
+        ExperimentConfig(experiment="mixing", n=6, seed=1, eps=0.01)
+
     def test_json_round_trip(self):
         cfg = cfg_density()
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg

@@ -229,6 +229,11 @@ class TestGenerators:
         assert gen_gnp(10, 0.0, 5).edge_count == 0
         assert gen_gnp(10, 1.0, 5).edge_count == 45
 
+    def test_negative_vertex_count_rejected(self):
+        for make in (gen_complete, lambda n: gen_gnp(n, 0.5, 1)):
+            with pytest.raises(ValueError, match="vertex count must be non-negative"):
+                make(-1)
+
     def test_gnp_reproducible(self):
         g1, g2 = gen_gnp(60, 0.3, 11), gen_gnp(60, 0.3, 11)
         assert np.array_equal(g1.indices, g2.indices)

@@ -1,8 +1,10 @@
-"""The C list kernel against the numpy reference: same words, same lists.
+"""The C kernel against the numpy reference: same words, same lists, same
+graphs.
 
-Every test here builds its models and draws its words on both backends,
-chosen with the fixtures in conftest.py, and requires equal sequences,
-equal ``consumed`` counts and equal errors.
+Every test here builds its models, draws its words and builds its graphs
+on both backends, chosen with the fixtures in conftest.py, and requires
+equal sequences, equal ``consumed`` counts, equal CSR arrays and equal
+errors.
 """
 
 import hashlib
@@ -21,9 +23,9 @@ import test_experiments
 import test_walks
 from qwalk import rng
 from qwalk.experiments import ExperimentConfig, run_experiment
-from qwalk.graph import build_graph, gen_gnp
-from qwalk.trees import gen_random_tree, random_homomorphism
-from qwalk.walks import ListModel, run_walk
+from qwalk.graph import Graph, build_graph, gen_complete, gen_gnp, gen_two_clique_bridge
+from qwalk.trees import gen_nary_tree, gen_random_tree, image_subgraph, random_homomorphism
+from qwalk.walks import ListModel, run_walk, walk_subgraph
 
 SRC = Path(__file__).parents[1] / "src"
 # each example sets the backend it needs; the fixtures restore it after the test
@@ -162,3 +164,116 @@ def test_seeded_report_is_pinned(backend, case):
     config, digest = test_experiments.PINNED_REPORTS[case]
     text = run_experiment(ExperimentConfig(**config)).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@st.composite
+def key_sets(draw):
+    """(n, sorted distinct keys u*n+v, u < v): n = 0, 1 and 2, the empty
+    and the complete graph, isolated vertices, and the largest key
+    (n-2)*n + n-1 all come up."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(4, 40)))
+    pairs = [u * n + v for u in range(n) for v in range(u + 1, n)]
+    kind = draw(st.sampled_from(["some", "none", "all"]))
+    keys = set(pairs) if kind == "all" else set()
+    if kind == "some" and pairs:
+        keys = draw(st.sets(st.sampled_from(pairs)))
+    if pairs and draw(st.booleans()):
+        keys.add(pairs[-1])
+    return n, np.array(sorted(keys), dtype=np.int64)
+
+
+def _csr_reference(n, keys):
+    """indptr and indices from sorted neighbour lists, by plain Python."""
+    rows = [[] for _ in range(n)]
+    for k in keys.tolist():
+        u, v = divmod(k, n)
+        rows[u].append(v)
+        rows[v].append(u)
+    indptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+    return indptr, np.array([v for r in rows for v in sorted(r)], dtype=np.int64)
+
+
+@settings(max_examples=300, **PER_EXAMPLE)
+@given(case=key_sets())
+def test_csr_matches_reference(c_backend, monkeypatch, case):
+    # the kernel's one pass, the numpy sort it replaces and plain Python
+    n, keys = case
+    indptr, indices = _csr_reference(n, keys)
+    for lib in (c_backend, False):
+        monkeypatch.setattr(rng, "_lib", lib)
+        g = Graph(n, keys.copy())
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+        assert np.array_equal(g.edge_codes(), keys) and g.edge_count == len(keys)
+
+
+@pytest.mark.parametrize("n,keys,message", [
+    (4, [1, 6, 2], "edge keys must be strictly ascending: key 2 at position 2 follows 6"),
+    (4, [1, 6, 6], "edge keys must be strictly ascending: key 6 at position 2 follows 6"),
+    (4, [5, 1], r"edge key 5 at position 0 is not u\*4\+v with 0 <= u < v < 4"),  # u = v
+    (4, [1, 4], r"edge key 4 at position 1 is not u\*4\+v"),   # (1, 0): u > v
+    (4, [1, 15], r"edge key 15 at position 1 is not u\*4\+v"),  # n^2 - 1: u = v = 3
+    (4, [1, 16], r"edge key 16 at position 1 is not u\*4\+v"),  # n^2
+    (4, [20], r"edge key 20 at position 0 is not u\*4\+v"),
+    (4, [2**63 - 1], r"edge key 9223372036854775807 at position 0"),
+    (4, [-1], r"edge key -1 at position 0 is not u\*4\+v"),
+    (4, [-3, 1], r"edge key -3 at position 0"),
+    (0, [0], r"edge key 0 at position 0 is not u\*0\+v with 0 <= u < v < 0"),
+    (1, [0], r"edge key 0 at position 0 is not u\*1\+v"),
+])
+def test_bad_keys_rejected(backend, n, keys, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n, keys)
+
+
+@settings(max_examples=300, **PER_EXAMPLE)
+@given(n=st.integers(0, 12), data=st.data())
+def test_any_keys_give_the_same_graph_or_error(c_backend, monkeypatch, n, data):
+    # unsorted, repeated and out-of-range keys mixed with valid ones
+    keys = data.draw(st.lists(st.integers(-3, n * n + 3), max_size=30))
+    if data.draw(st.booleans()):
+        keys = sorted(set(keys))
+    outcomes = []
+    for lib in (c_backend, False):
+        monkeypatch.setattr(rng, "_lib", lib)
+        try:
+            g = Graph(n, keys)
+            outcomes.append((g.indptr.tolist(), g.indices.tolist()))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_kernel_writes_nothing_for_bad_keys(c_backend):
+    # the validating pass returns before the arrays are touched
+    for n, keys in [(4, [1, 6, 2]), (4, [1, 15]), (4, [2**62]), (3, [-1])]:
+        keys = np.array(keys, dtype=np.int64)
+        out = np.full(2 * len(keys) + n + 1, -7, dtype=np.int64)
+        j = c_backend.qw_csr(n, keys.ctypes.data, len(keys), out.ctypes.data,
+                             out[n + 1:].ctypes.data)
+        assert j < len(keys) and (out == -7).all()
+
+
+def _graphs():
+    for n in (0, 1, 2, 3, 7, 64):
+        yield gen_complete(n)
+    for n, p, seed in [(0, .5, 1), (1, .5, 1), (2, 1.0, 0), (30, 0.0, 3), (30, 0.1, 4),
+                       (50, 0.5, 5), (300, 0.3, 6), (200, 1.0, 7)]:
+        yield gen_gnp(n, p, seed)
+    yield gen_two_clique_bridge(40, 0.3)
+    g = gen_gnp(300, 0.3, 8)
+    yield walk_subgraph(run_walk(g, ListModel(g, 9), 0, 20_000)).to_graph()
+    g = gen_complete(200)
+    hom = random_homomorphism(g, gen_nary_tree(100, 2), ListModel(g, 10), 0)
+    yield image_subgraph(hom).to_graph()
+
+
+def test_generated_graphs_are_pinned(backend):
+    # sha256 recorded before generators and to_graph passed their sorted
+    # keys straight to Graph, when every graph came through build_graph
+    h = hashlib.sha256()
+    for g in _graphs():
+        h.update(str(g.n).encode())
+        for a in (g.indptr, g.indices, g.edge_codes()):
+            h.update(str(a.dtype).encode() + a.tobytes())
+    assert h.hexdigest() == "05f778d7e3abc4bdd000b87dc48d51ab8e6d0be4729231ed132d15df493684e4"

@@ -197,6 +197,14 @@ class TestListModel:
             model.next_entry(-1)
         assert model.consumed.sum() == 0
 
+    @pytest.mark.parametrize("v", [9, 4, -1])
+    def test_entries_of_vertex_outside_host_rejected(self, backend, v):
+        model = ListModel(gen_complete(4), 3)
+        with pytest.raises(ValueError, match=f"vertex {v} is not in the host's 0..3"):
+            model.entries(v, 2)
+        with pytest.raises(ValueError, match=f"vertex {v} is not in the host's 0..3"):
+            model.entry(v, 2)
+
     @pytest.mark.parametrize("parents,j,p", [([1], 0, 1), ([0, 2], 1, 2),
                                              ([0, 0, -1], 2, -1)])
     def test_parent_outside_its_range_rejected(self, backend, parents, j, p):
@@ -416,6 +424,14 @@ class TestStepDistribution:
         g = gen_complete(2)
         law = empirical_step_distribution(g, 0, 1, 50, 9)
         assert law.probs.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("start", [9, -1])
+    def test_start_outside_host_rejected(self, start):
+        with pytest.raises(ValueError, match=f"vertex {start} is not in the host's 0..3"):
+            empirical_step_distribution(gen_complete(4), start, 2, 10, 1)
+        with pytest.raises(ValueError, match=f"vertex {start} is not in the host's 0..3"):
+            hit_probability_check(gen_complete(4), start, VertexSet.full(4), 2, 10, 1,
+                                  eps=0.5)
 
     def test_converges_to_stationary(self):
         g = gen_gnp(100, 0.5, 15)
