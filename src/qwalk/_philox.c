@@ -13,8 +13,9 @@
  * is (w >> 11) * 2^-53.  qw_words and qw_consume compute these words.
  *
  * qw_csr fills a qwalk.graph.Graph's indptr and indices from its sorted
- * edge keys u * n + v, u < v, with the same bytes as the numpy sort that
- * stays the reference.
+ * edge keys u * n + v, u < v, and qw_edge_keys makes those keys from
+ * vertex pairs through a bit table, both with the same bytes as the numpy
+ * sorts that stay the reference.
  *
  * Built on first use by qwalk.rng and called through ctypes.
  */
@@ -108,15 +109,20 @@ void qw_words(uint64_t seed, uint32_t domain, uint32_t index,
 /* Image of a tree on the lists of stream domain ``domain``: image[0] is
  * the root, set by the caller, and image[j+1] is the next unused entry of
  * the list of image[parents[j]]; parents == NULL reads parents[j] = j, a
- * walk.  Vertex v keeps in state[7v..7v+6] its Philox key, derived when
- * its first entry is taken, the block of the word of its next entry, and
- * that next entry itself, and in taken[v] the number of entries taken.
+ * walk.  Vertex v keeps in state[8v..8v+7] its Philox key, derived when
+ * its first entry is taken, the block of the word of the entry after its
+ * next one, its next entry itself and the ``indices`` position of the
+ * entry after that, and in taken[v] the number of entries taken.
  *
- * The next entry is read from ``indices`` one visit ahead.  A walk's
- * step then waits only on state that is cached, while the read that
- * misses the cache overlaps with the steps that follow; reading each
- * entry when it is taken put one cache miss per step on the critical
- * path, 2.5x slower on G(2000, 1/2).
+ * A step takes the stored next entry, loads the one after it from the
+ * position found at the vertex's previous visit, and prefetches the
+ * position of the entry after that.  The step then waits only on state
+ * that is cached: the load hits the line that the prefetch brought in,
+ * and the prefetch itself retires at once, while the line it asks for
+ * arrives during the steps that follow.  A plain load one visit ahead
+ * held the reorder buffer until its miss returned, so few steps
+ * overlapped; reading each entry when it is taken put one cache miss per
+ * step on the critical path.
  *
  * The caller checks that parents[j] lies in 0..j.  Returns m on success,
  * or else the first position j at which the list's vertex has no
@@ -132,7 +138,7 @@ int64_t qw_consume(uint64_t seed, uint32_t domain,
     for (j = 0; j < m; j++) {
         int64_t x = image[parents ? parents[j] : j];
         int64_t lo = indptr[x], d = indptr[x + 1] - lo, t = taken[x];
-        uint64_t *key = state + 7 * x, *block = key + 2, *next = key + 6;
+        uint64_t *key = state + 8 * x, *block = key + 2, *next = key + 6, *pos = key + 7;
 
         if (t == 0) {
             if (d == 0)
@@ -140,12 +146,16 @@ int64_t qw_consume(uint64_t seed, uint32_t domain,
             seed_key(seed, domain, (uint32_t)x, key);
             philox_block(key, 1, block);
             *next = (uint64_t)indices[lo + (int64_t)(to_double(block[0]) * (double)d)];
+            *pos = (uint64_t)(lo + (int64_t)(to_double(block[1]) * (double)d));
         }
         image[j + 1] = (int64_t)*next;
         taken[x] = ++t;
-        if (t % 4 == 0)
-            philox_block(key, (uint64_t)(t / 4 + 1), block);
-        *next = (uint64_t)indices[lo + (int64_t)(to_double(block[t % 4]) * (double)d)];
+        *next = (uint64_t)indices[*pos];
+        /* word t + 1 is the entry after the new next one */
+        if ((t + 1) % 4 == 0)
+            philox_block(key, (uint64_t)((t + 1) / 4 + 1), block);
+        *pos = (uint64_t)(lo + (int64_t)(to_double(block[(t + 1) % 4]) * (double)d));
+        __builtin_prefetch(indices + *pos);
     }
     return m;
 }
@@ -205,4 +215,32 @@ int64_t qw_csr(int64_t n, const int64_t *keys, int64_t m,
         indptr[x] = indptr[x - 1];
     indptr[0] = 0;
     return m;
+}
+
+/* Sorted distinct keys min * n + max of the pairs (us[i], vs[i]): each
+ * key sets its bit of ``table``, n * n zeroed bits, and the set bits are
+ * read out in ascending order, so no key array is sorted.  A first pass
+ * writes nothing: it returns -1 when an endpoint lies outside 0..n-1 or a
+ * pair is a self-loop.  n * n must fit in int64 and ``keys`` must hold
+ * every distinct key.  Returns the number of keys written.
+ */
+int64_t qw_edge_keys(int64_t n, const int64_t *us, const int64_t *vs, int64_t m,
+                     uint64_t *table, int64_t *keys)
+{
+    int64_t i, w, count = 0;
+    uint64_t bits;
+
+    for (i = 0; i < m; i++)
+        if (us[i] < 0 || us[i] >= n || vs[i] < 0 || vs[i] >= n || us[i] == vs[i])
+            return -1;
+    for (i = 0; i < m; i++) {
+        /* min * n + max with a select, not a branch that a walk mispredicts */
+        int64_t u = us[i], v = vs[i], a = u < v ? u : v;
+        uint64_t k = (uint64_t)(a * n + (u + v - a));
+        table[k / 64] |= (uint64_t)1 << (k % 64);
+    }
+    for (w = 0; w < (n * n + 63) / 64; w++)
+        for (bits = table[w]; bits; bits &= bits - 1)
+            keys[count++] = 64 * w + __builtin_ctzll(bits);
+    return count;
 }

@@ -83,10 +83,11 @@ def discrepancy_exhaustive(g: Graph, eps: float) -> tuple[float, tuple[VertexSet
             e = neigh_in_set[a0:a1] @ member[b0:b1].T  # exact integer counts
             dev = _deviation(e, rho, sizes[a0:a1, None], sizes[None, b0:b1])
             local = float(dev.max())
-            if local > best:
-                ia, ib = np.unravel_index(int(dev.argmax()), dev.shape)
-                best = local
-                best_pair = (int(masks[a0 + ia]), int(masks[b0 + ib]))
+            ia, ib = np.unravel_index(int(dev.argmax()), dev.shape)
+            pair = (int(masks[a0 + ia]), int(masks[b0 + ib]))
+            # a later block may tie with a smaller pair: keep the first in mask order
+            if local > best or (local == best and pair < best_pair):
+                best, best_pair = local, pair
     witness = tuple(
         VertexSet.from_iterable(n, (j for j in range(n) if mask >> j & 1))
         for mask in best_pair)

@@ -18,6 +18,13 @@ numpy code sorts both arcs of every edge instead and stays the
 reference.  Generators and ``EdgeSubgraph.to_graph``, which hold their
 keys sorted already, call ``Graph`` directly; ``build_graph`` packs and
 deduplicates arbitrary pairs first.
+
+``edge_keys`` alone turns pairs into keys, for ``build_graph`` and for
+``EdgeSubgraph.from_pairs``, and it alone rejects an endpoint outside
+0..n-1 and a self-loop.  When n^2 <= 64 m for m pairs the kernel marks
+each key in an n^2-bit table, no larger than the m int64 keys a sort
+needs, and reads the marks out in order; otherwise numpy sorts the
+packed keys, the reference.
 """
 
 from __future__ import annotations
@@ -56,12 +63,43 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[first]
 
 
+def _check_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> None:
+    """Raise ValueError for the first pair with an endpoint outside
+    0..n-1, or else for the first self-loop."""
+    out = (us < 0) | (us >= n) | (vs < 0) | (vs >= n)
+    if out.any():
+        i = int(out.argmax())
+        raise ValueError(f"edge endpoint out of range: ({us[i]}, {vs[i]}) with n={n}")
+    loop = us == vs
+    if loop.any():
+        raise ValueError(f"self-loop rejected at vertex {us[loop.argmax()]}")
+
+
 def edge_keys(n: int, us, vs) -> np.ndarray:
     """Sorted distinct keys of the unordered pairs (us[i], vs[i]).
 
-    Sorted rather than marked in a boolean table of all n^2 keys, which
-    would need n^2 bytes on sparse hosts with large n.
+    Each pair must join two distinct vertices of 0..n-1; otherwise
+    ValueError names the first endpoint out of range, or else the first
+    self-loop.  With the C kernel, and when n^2 <= 64 m for m pairs, so
+    that a table of n^2 bits takes no more bytes than the m int64 keys a
+    sort needs, each pair sets its key's bit and the set bits are read out
+    in order.  Otherwise the keys are packed and sorted, the reference.
     """
+    us = np.ascontiguousarray(us, dtype=np.int64)
+    vs = np.ascontiguousarray(vs, dtype=np.int64)
+    if us.ndim != 1 or us.shape != vs.shape:
+        raise ValueError("pairs must be two 1-d arrays of equal length")
+    m = len(us)
+    lib = _kernel() if n * n <= 64 * m else None
+    if lib is not None:
+        table = np.zeros(-(-n * n // 64), dtype=np.uint64)
+        keys = np.empty(min(m, n * (n - 1) // 2), dtype=np.int64)
+        count = lib.qw_edge_keys(n, us.ctypes.data, vs.ctypes.data, m, table.ctypes.data,
+                                 keys.ctypes.data)
+        if count >= 0:
+            keys.resize(count, refcheck=False)  # no view of keys exists yet
+            return keys
+    _check_pairs(n, us, vs)  # raises where the kernel returned -1
     return _distinct(_pack(n, us, vs))
 
 
@@ -246,7 +284,7 @@ class DegreeProfile:
 def build_graph(n: int, edges) -> Graph:
     """Build a Graph from unordered vertex pairs; duplicates collapse.
 
-    Rejects self-loops and out-of-range endpoints.
+    Rejects self-loops and out-of-range endpoints (``edge_keys``).
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
@@ -256,12 +294,6 @@ def build_graph(n: int, edges) -> Graph:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be pairs of vertex ids")
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-        bad = pairs[(pairs < 0).any(1) | (pairs >= n).any(1)][0]
-        raise ValueError(f"edge endpoint out of range: {tuple(bad)} with n={n}")
-    if pairs.size and (pairs[:, 0] == pairs[:, 1]).any():
-        v = int(pairs[pairs[:, 0] == pairs[:, 1]][0, 0])
-        raise ValueError(f"self-loop rejected at vertex {v}")
     return Graph(n, edge_keys(n, pairs[:, 0], pairs[:, 1]))
 
 

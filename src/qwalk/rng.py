@@ -15,8 +15,9 @@ arithmetic is what makes chunked replay exact; it is pinned by tests.
 The same words come from a small C kernel, ``_philox.c``, which derives
 numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
 seeds below 2^64 and indices below 2^32.  ``uniform_words`` and the
-list model use it when it loads, and ``graph.Graph`` uses its third
-entry point to build CSR arrays from sorted edge keys.  It is built on
+list model use it when it loads; ``graph.Graph`` uses a third entry
+point to build CSR arrays from sorted edge keys, and ``graph.edge_keys``
+a fourth to make those keys from vertex pairs.  It is built on
 first use, never at import, with ``gcc`` into a user cache directory
 keyed by the source's sha256.  Without gcc, when the build or the cache
 directory fails, or for larger seeds, the numpy code serves instead and
@@ -137,6 +138,8 @@ def _load():
     lib.qw_consume.restype = i64
     lib.qw_csr.argtypes = [i64, ptr, i64, ptr, ptr]
     lib.qw_csr.restype = i64
+    lib.qw_edge_keys.argtypes = [i64, ptr, ptr, i64, ptr, ptr]
+    lib.qw_edge_keys.restype = i64
     return lib
 
 
@@ -149,6 +152,7 @@ def _kernel():
 
 
 def backend() -> str:
-    """Which code draws list words and ``uniform_words`` and builds each
-    ``Graph``'s CSR arrays: "c" for the kernel, or "numpy"."""
+    """Which code draws list words and ``uniform_words``, builds each
+    ``Graph``'s CSR arrays and makes edge keys from pairs: "c" for the
+    kernel, or "numpy"."""
     return "numpy" if _kernel() is None else "c"

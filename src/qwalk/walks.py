@@ -53,14 +53,15 @@ class ListModel:
     through it, so any mix of them continues the same lists.
 
     The backend is chosen at construction.  With the C kernel of
-    ``rng`` (seeds below 2^64), a vertex keeps its Philox key, the
-    4-word block and the value of its next entry, and its count of
-    entries taken, 64 bytes in all, and the kernel computes each entry
-    in place.  Otherwise, the
-    numpy reference draws ``_CHUNK`` words per refill from a sequential
-    stream per vertex; buffered entries are the model's own n vertex-id
-    objects, shared by every buffer, so a refill allocates one list of
-    references and no new int per word.  Both give the same entries.
+    ``rng`` (seeds below 2^64), a vertex keeps its Philox key, a 4-word
+    block, the value of its next entry, the ``indices`` position of the
+    entry after it, which the kernel prefetches, and its count of entries
+    taken, 72 bytes in all, and the kernel computes each entry in place.
+    Otherwise, the numpy reference draws ``_CHUNK`` words per refill from
+    a sequential stream per vertex; buffered entries are the model's own
+    n vertex-id objects, shared by every buffer, so a refill allocates
+    one list of references and no new int per word.  Both give the same
+    entries.
     """
 
     def __init__(self, graph: Graph, seed: int):
@@ -69,7 +70,7 @@ class ListModel:
         self._lib = _kernel() if self.seed < 2**64 and graph.n <= 2**32 else None
         if self._lib is not None:
             self._taken = np.zeros(graph.n, dtype=np.int64)     # entries taken per vertex
-            self._state = np.zeros((graph.n, 7), dtype=np.uint64)  # key, block, next
+            self._state = np.zeros((graph.n, 8), dtype=np.uint64)  # key, block, next, pos
             return
         self._ids = np.arange(graph.n).astype(object)  # one int per vertex
         self._drawn = np.zeros(graph.n, dtype=np.int64)  # list words drawn per vertex

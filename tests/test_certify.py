@@ -87,6 +87,13 @@ class TestDiscrepancyExhaustive:
             again = abs(e - rho * wa.size * wb.size) / (wa.size * wb.size)
             assert again == dev
 
+    def test_witness_is_first_pair_across_blocks(self):
+        # n = 13 has more qualifying masks than one block of rows; a later
+        # block's tie with a smaller pair used to lose to the earlier block
+        dev, (wa, wb) = discrepancy_exhaustive(gen_gnp(13, 0.4, 102), 0.3)
+        assert dev == pytest.approx(5 / 12, abs=1e-12)
+        assert (sum(1 << v for v in wa.members), sum(1 << v for v in wb.members)) == (57, 4866)
+
     def test_large_n_refused(self):
         with pytest.raises(ValueError, match="sampled"):
             discrepancy_exhaustive(gen_gnp(17, 0.5, 0), 0.2)

@@ -16,14 +16,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import test_experiments
 import test_walks
 from qwalk import rng
 from qwalk.experiments import ExperimentConfig, run_experiment
-from qwalk.graph import Graph, build_graph, gen_complete, gen_gnp, gen_two_clique_bridge
+from qwalk.graph import (EdgeSubgraph, Graph, build_graph, edge_keys, gen_complete,
+                         gen_gnp, gen_two_clique_bridge)
 from qwalk.trees import gen_nary_tree, gen_random_tree, image_subgraph, random_homomorphism
 from qwalk.walks import ListModel, run_walk, walk_subgraph
 
@@ -111,19 +112,31 @@ def test_mixed_consumers_match_reference(c_backend, monkeypatch, seed, n, p, gse
 
 
 def test_long_lists_cross_many_blocks(c_backend, monkeypatch):
-    # a K_4 with a pendant path: each list yields thousands of entries,
-    # far past the reference's 2048-word buffers
-    g = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
-    for seed in (0, 5, 2**32 + 5, 2**63 + 7, 2**64 - 1):
-        kernel, reference = _pair(g, seed, c_backend, monkeypatch)
-        for m in (kernel, reference):
-            m.parts = [run_walk(g, m, 5, 12_000).sequence,
-                       random_homomorphism(g, gen_random_tree(3000, 4, 1), m, 4).image,
-                       run_walk(g, m, 0, 7_001).sequence]
-        for a, b in zip(kernel.parts, reference.parts):
-            assert np.array_equal(a, b)
-        assert np.array_equal(kernel.consumed, reference.consumed)
-        assert kernel.consumed.max() > 2 * 2048
+    # a K_4 with a pendant path, a K_2 (degrees 1) and a path (degrees 1,
+    # 2, 1): each list yields thousands of entries, far past the
+    # reference's 2048-word buffers; walks split at every step count mod
+    # 4 leave each list's look-ahead at every offset of its 4-word Philox
+    # block between calls, and ``consumed`` is compared at each split
+    for edges in ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)],
+                  [(0, 1)], [(0, 1), (1, 2)]):
+        g = build_graph(max(map(max, edges)) + 1, edges)
+        offsets = set()
+        for seed in (0, 5, 2**32 + 5, 2**63 + 7, 2**64 - 1):
+            kernel, reference = _pair(g, seed, c_backend, monkeypatch)
+            for m in (kernel, reference):
+                m.parts = [run_walk(g, m, g.n - 1, 12_000).sequence,
+                           random_homomorphism(g, gen_random_tree(3000, 4, 1), m, g.n - 2).image,
+                           run_walk(g, m, 0, 7_001).sequence]
+                end = int(m.parts[-1][-1])
+                for r in range(4):  # each call continues the walk before it
+                    walk = run_walk(g, m, end, 1000 + r).sequence
+                    m.parts += [walk, m.consumed]
+                    end = int(walk[-1])
+            for a, b in zip(kernel.parts, reference.parts):
+                assert np.array_equal(a, b)
+            assert kernel.consumed.max() > 2 * 2048
+            offsets.update(x for c in kernel.parts[4::2] for x in (c % 4).tolist())
+        assert offsets == {0, 1, 2, 3}
 
 
 def test_seed_at_2_64_takes_the_numpy_path(c_backend):
@@ -277,3 +290,77 @@ def test_generated_graphs_are_pinned(backend):
         for a in (g.indptr, g.indices, g.edge_codes()):
             h.update(str(a.dtype).encode() + a.tobytes())
     assert h.hexdigest() == "05f778d7e3abc4bdd000b87dc48d51ab8e6d0be4729231ed132d15df493684e4"
+
+
+def test_kernel_compiles_without_warnings():
+    # rng._load discards gcc's output, so a warning would show nowhere else
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    out = subprocess.run(["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                          str(SRC / "qwalk" / "_philox.c")], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+@st.composite
+def pair_lists(draw):
+    """(n, us, vs): edges of K_n, some repeated in the same and in the
+    other orientation, with n on both sides of n^2 <= 64 m; n = 0 and 1
+    come with no pairs, and the keys 63 and 64 on either side of a 64-bit
+    word edge and the largest key (n-2)*n + n-1 come up where they are
+    edges."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2, 9, 65]), st.integers(2, 90)))
+    if n < 2:
+        return n, [], []
+    # (u, u + d mod n) with 0 < d < n is an edge
+    pairs = [(u, (u + d) % n) for u, d in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=80))]
+    pairs += [divmod(k, n) for k in (63, 64, n * n - n - 1)
+              if k // n < k % n < n and draw(st.booleans())]
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    pairs += [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(repeats)]
+    return n, [u for u, _ in pairs], [v for _, v in pairs]
+
+
+@settings(max_examples=200, **PER_EXAMPLE)
+@given(case=pair_lists())
+def test_edge_keys_table_matches_sort(c_backend, monkeypatch, case):
+    # the kernel's bit table where n^2 <= 64 m, the numpy sort elsewhere
+    # and without the kernel, and the plain-Python key set
+    n, us, vs = case
+    event("bit table" if n * n <= 64 * len(us) else "sort")
+    want = sorted({min(u, v) * n + max(u, v) for u, v in zip(us, vs)})
+    for lib in (c_backend, False):
+        monkeypatch.setattr(rng, "_lib", lib)
+        keys = edge_keys(n, us, vs)
+        assert keys.dtype == np.int64 and keys.tolist() == want
+
+
+@pytest.mark.parametrize("n,us,vs,message", [
+    (4, [0], [5], r"edge endpoint out of range: \(0, 5\) with n=4"),  # key 5 is (1, 1)
+    (4, [0], [0], "self-loop rejected at vertex 0"),
+    (4, [-1], [2], r"edge endpoint out of range: \(-1, 2\) with n=4"),
+    (4, [1, 2, 0], [1, 3, 9], r"out of range: \(0, 9\)"),  # before any self-loop
+    (4, [0, 1, 3], [1, 2, 3], "self-loop rejected at vertex 3"),
+    (1, [0], [0], "self-loop rejected at vertex 0"),
+    (0, [0], [1], r"out of range: \(0, 1\) with n=0"),
+    (100, [3], [100], r"out of range: \(3, 100\) with n=100"),  # sorted, even with the kernel
+    (100, [3], [3], "self-loop rejected at vertex 3"),
+    (4, [0, 1], [1], "pairs must be two 1-d arrays of equal length"),
+])
+def test_bad_pairs_rejected(backend, n, us, vs, message):
+    with pytest.raises(ValueError, match=message):
+        edge_keys(n, us, vs)
+    if n == 4 and len(us) == len(vs):
+        with pytest.raises(ValueError, match=message):
+            EdgeSubgraph.from_pairs(gen_complete(4), us, vs)
+
+
+def test_kernel_sets_no_bit_for_bad_pairs(c_backend):
+    # the checking pass returns before the table or the keys are touched
+    for us, vs in [([0, 1], [1, 5]), ([0, 3], [1, 3]), ([0, -1], [1, 2])]:
+        us, vs = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+        table = np.zeros(1, dtype=np.uint64)
+        keys = np.full(2, -7, dtype=np.int64)
+        assert c_backend.qw_edge_keys(4, us.ctypes.data, vs.ctypes.data, 2,
+                                      table.ctypes.data, keys.ctypes.data) == -1
+        assert not table.any() and (keys == -7).all()
