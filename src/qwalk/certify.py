@@ -3,9 +3,9 @@ spectral bounds on the walk's transition matrix.
 
 A graph with density rho is eps-quasirandom when every pair of vertex
 sets of size at least eps*n spans within eps*|A||B| of rho*|A||B|
-ordered-pair edges.  Exhaustive checking enumerates all set pairs and is
-limited to tiny graphs.  The sampled estimator scales but only ever
-produces a lower bound on the true discrepancy, so it can refute
+ordered-pair edges.  Exhaustive checking, on tiny graphs, pairs each set
+A with the best B of every size.  The sampled estimator scales but only
+ever produces a lower bound on the true discrepancy, so it can refute
 quasirandomness and support it statistically, never certify it; the
 refined estimator raises a sampled witness by best-response search and
 is still a lower bound, but one that finds lopsided structure (a dense
@@ -38,7 +38,6 @@ from .graph import (Graph, VertexSet, _arc_count, connectivity_profile,
 from .rng import DOMAIN_SUBSETS, stream
 
 EXHAUSTIVE_MAX_N = 16
-_BLOCK = 4096
 
 
 def _deviation(e, rho, size_a, size_b):
@@ -46,52 +45,57 @@ def _deviation(e, rho, size_a, size_b):
     return np.abs(e - rho * size_a * size_b) / (size_a * size_b)
 
 
-def _qualifying_masks(n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """All subset bitmasks of size >= eps*n, ascending, with their sizes."""
+def _min_size(n: int, eps: float) -> int:
+    """k = ceil(eps*n), the least set size counted; needs 1 <= eps*n <= n."""
+    if not 1 <= eps * n <= n:  # NaN fails too
+        raise ValueError(f"eps*n must lie in [1, n], got eps={eps} and n={n}")
+    return math.ceil(eps * n)
+
+
+def _qualifying_masks(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All subset bitmasks of size >= k, ascending, with their sizes."""
     masks = np.arange(1 << n, dtype=np.int64)
     sizes = np.zeros(1 << n, dtype=np.int64)
     for j in range(n):
         sizes += (masks >> j) & 1
-    keep = sizes >= math.ceil(eps * n)
+    keep = sizes >= k
     return masks[keep], sizes[keep]
 
 
 def discrepancy_exhaustive(g: Graph, eps: float) -> tuple[float, tuple[VertexSet, VertexSet]]:
     """Exact maximum deviation over all qualifying set pairs, with a witness.
 
-    Enumerates 4^n pairs, so n is capped at EXHAUSTIVE_MAX_N.  The graph
-    is eps-quasirandom iff the returned maximum is below eps.  The witness
-    is the first attaining pair in ascending bitmask order.
+    One pass over the 2^n sets A, so n is capped at EXHAUSTIVE_MAX_N.
+    For fixed A, e(A, B) over sets B of size b runs from the sum of the
+    b smallest counts |N(j) & A| to the sum of the b largest, and the
+    deviation, convex in e and monotone in floating point on each side
+    of rho|A|b, peaks at one of the two: so every qualifying pair, all
+    that certify's pairs_checked counts, is covered without enumeration.
+    The graph is eps-quasirandom iff the maximum is below eps.  The
+    witness is the first attaining pair in ascending bitmask order: the
+    first A whose row attains it, then the first B in one pass for it.
     """
     if g.n > EXHAUSTIVE_MAX_N:
         raise ValueError(
             f"exhaustive discrepancy caps at n={EXHAUSTIVE_MAX_N}; "
             "use discrepancy_sampled")
-    if eps * g.n < 1:
-        raise ValueError("eps*n must be at least 1")
     n = g.n
+    k = _min_size(n, eps)
     rho = density(g)
-    masks, sizes = _qualifying_masks(n, eps)
+    masks, sizes = _qualifying_masks(n, k)
     member = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
-    neigh_in_set = member @ g.adjacency_dense()  # rows: |N(j) & A| per j
-    best = -1.0
-    best_pair = (0, 0)
-    for a0 in range(0, len(masks), _BLOCK):
-        a1 = min(a0 + _BLOCK, len(masks))
-        for b0 in range(0, len(masks), _BLOCK):
-            b1 = min(b0 + _BLOCK, len(masks))
-            e = neigh_in_set[a0:a1] @ member[b0:b1].T  # exact integer counts
-            dev = _deviation(e, rho, sizes[a0:a1, None], sizes[None, b0:b1])
-            local = float(dev.max())
-            ia, ib = np.unravel_index(int(dev.argmax()), dev.shape)
-            pair = (int(masks[a0 + ia]), int(masks[b0 + ib]))
-            # a later block may tie with a smaller pair: keep the first in mask order
-            if local > best or (local == best and pair < best_pair):
-                best, best_pair = local, pair
-    witness = tuple(
-        VertexSet.from_iterable(n, (j for j in range(n) if mask >> j & 1))
-        for mask in best_pair)
-    return best, witness
+    counts = member @ g.adjacency_dense()  # rows: |N(j) & A| per j, exact
+    ends = np.sort(counts, axis=1)
+    low = np.cumsum(ends, axis=1)[:, k - 1:]  # sums of the b smallest, b >= k
+    high = np.cumsum(ends[:, ::-1], axis=1)[:, k - 1:]  # and of the b largest
+    size_a, size_b = sizes[:, None], np.arange(k, n + 1)
+    row_best = np.maximum(_deviation(low, rho, size_a, size_b),
+                          _deviation(high, rho, size_a, size_b)).max(axis=1)
+    ia = int(row_best.argmax())
+    dev = _deviation(member @ counts[ia], rho, sizes[ia], sizes)
+    ib = int(dev.argmax())
+    return float(row_best[ia]), (VertexSet.from_mask(n, member[ia]),
+                                 VertexSet.from_mask(n, member[ib]))
 
 
 def discrepancy_sampled(g: Graph, eps: float, trials: int,
@@ -106,13 +110,11 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
     order BLAS adds in; the row sums run in float64.  Larger hosts count
     off the CSR arrays.
     """
-    if eps * g.n < 1:
-        raise ValueError("eps*n must be at least 1")
+    lo = _min_size(g.n, eps)
     if trials < 1:
         raise ValueError("need at least one trial")
     n = g.n
     rho = density(g)
-    lo = math.ceil(eps * n)
     gen = stream(seed, DOMAIN_SUBSETS, 0)
     sizes = gen.integers(lo, n + 1, size=(trials, 2))
     # dense matmul batches trials when the adjacency fits; above that,
@@ -178,9 +180,7 @@ def discrepancy_refined(g: Graph, eps: float, start: tuple[VertexSet, VertexSet]
     and is recomputed from exact integer e(A, B).  Deterministic.
     """
     n = g.n
-    if eps * n < 1:
-        raise ValueError("eps*n must be at least 1")
-    k = math.ceil(eps * n)
+    k = _min_size(n, eps)
     if any(s.n != n or s.size < k for s in start):
         raise ValueError(f"start sets must live on n={n} with at least {k} members")
     rho = density(g)
@@ -333,7 +333,7 @@ def certify(g: Graph, eps: float, trials: int = 2000, seed: int = 0,
     if exhaustive:
         disc, _ = discrepancy_exhaustive(g, eps)
         sets = sum(math.comb(g.n, k)
-                   for k in range(math.ceil(eps * g.n), g.n + 1))
+                   for k in range(_min_size(g.n, eps), g.n + 1))
         method, pairs = "exhaustive", sets ** 2
     else:
         disc, _ = discrepancy_sampled(g, eps, trials, seed)

@@ -15,17 +15,16 @@ import sys
 from .certify import certify
 from .experiments import (EXPERIMENTS, HOSTS, TREES, ExperimentConfig,
                           run_experiment)
-from .graph import (gen_complete, gen_gnp, gen_two_clique_bridge, load_graph,
-                    read_text, save_graph)
-from .trees import (gen_nary_tree, gen_path_tree, gen_random_tree,
-                    image_subgraph, random_homomorphism, save_homomorphism)
+from .graph import load_graph, read_text, save_graph
+from .trees import image_subgraph, random_homomorphism, save_homomorphism
 from .walks import ListModel, balanced_start, run_walk, save_trace, walk_subgraph
 
 
 def _add_generate(sub):
     p = sub.add_parser("generate", help="write a graph in edge-list format")
-    p.add_argument("--kind", choices=["gnp", "complete", "two-clique"],
-                   default="gnp")
+    p.add_argument("--kind", choices=sorted(HOSTS), default="gnp",
+                   type=lambda k: "two_clique_bridge" if k == "two-clique" else k,
+                   help="host kind; two-clique names two_clique_bridge")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--eps", type=float, default=0.3,
@@ -106,12 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    if args.kind == "gnp":
-        g = gen_gnp(args.n, args.p, args.seed)
-    elif args.kind == "complete":
-        g = gen_complete(args.n)
-    else:
-        g = gen_two_clique_bridge(args.n, args.eps)
+    g = HOSTS[args.kind](args.n, args.p, args.eps, args.seed)
     save_graph(g, args.out)
     print(f"wrote {g} to {args.out}")
     return 0
@@ -155,21 +149,8 @@ def _cmd_walk(args) -> int:
 
 def _cmd_tree(args) -> int:
     g = load_graph(args.host)
-    if args.kind == "path":
-        if args.edges is None:
-            print("error: path trees need --edges", file=sys.stderr)
-            return 2
-        tree = gen_path_tree(args.edges)
-    elif args.kind == "nary":
-        if args.branching is None:
-            print("error: nary trees need --branching", file=sys.stderr)
-            return 2
-        tree = gen_nary_tree(args.branching, args.depth)
-    else:
-        if args.edges is None:
-            print("error: random trees need --edges", file=sys.stderr)
-            return 2
-        tree = gen_random_tree(args.edges + 1, args.max_degree, args.seed)
+    tree = TREES[args.kind](args.edges, args.branching, args.depth,
+                            args.max_degree, args.seed)
     model = ListModel(g, args.seed)
     hom = random_homomorphism(g, tree, model, args.root_image)
     sub = image_subgraph(hom)

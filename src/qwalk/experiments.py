@@ -227,17 +227,18 @@ def _clique_eps(cfg: ExperimentConfig) -> float:
     return float(cfg.generator_params.get("eps", 0.3))
 
 
+# generator -> (n, p, eps, seed) -> the host; each reads what it needs
 HOSTS = {
-    "gnp": lambda cfg: gen_gnp(cfg.n, float(cfg.generator_params.get("p", 0.5)),
-                               derive_seed(cfg.seed, DOMAIN_HOST, 0)),
-    "complete": lambda cfg: gen_complete(cfg.n),
-    "two_clique_bridge":
-        lambda cfg: gen_two_clique_bridge(cfg.n, _clique_eps(cfg)),
+    "gnp": lambda n, p, eps, seed: gen_gnp(n, p, seed),
+    "complete": lambda n, p, eps, seed: gen_complete(n),
+    "two_clique_bridge": lambda n, p, eps, seed: gen_two_clique_bridge(n, eps),
 }
 
 
 def make_host(cfg: ExperimentConfig) -> Graph:
-    return HOSTS[cfg.generator](cfg)
+    return HOSTS[cfg.generator](cfg.n, float(cfg.generator_params.get("p", 0.5)),
+                                _clique_eps(cfg),
+                                derive_seed(cfg.seed, DOMAIN_HOST, 0))
 
 
 def _trial_seed(cfg: ExperimentConfig, t: int) -> int:
@@ -514,14 +515,22 @@ def exp_tree_counterexample(cfg: ExperimentConfig) -> ExperimentReport:
                    checks, {"branching": branching, "root_image": root_image})
 
 
-# tree_kind -> (cfg, edges, seed) -> the rooted tree each trial embeds
+def _given(value, kind: str, name: str):
+    """``value``, or ValueError when a tree of ``kind`` lacks it."""
+    if value is None:
+        raise ValueError(f"{kind} trees need {name}")
+    return value
+
+
+# tree_kind -> (edges, branching, depth, max_degree, seed) -> the rooted
+# tree; each reads what it needs, and None stands for a parameter not given
 TREES = {
-    "path": lambda cfg, edges, seed: gen_path_tree(edges),
-    "nary": lambda cfg, edges, seed:
-        gen_nary_tree(2 if cfg.tree_branching is None else cfg.tree_branching,
-                      cfg.tree_depth),
-    "random": lambda cfg, edges, seed:
-        gen_random_tree(edges + 1, cfg.tree_max_degree, seed),
+    "path": lambda edges, branching, depth, max_degree, seed:
+        gen_path_tree(_given(edges, "path", "edges")),
+    "nary": lambda edges, branching, depth, max_degree, seed:
+        gen_nary_tree(_given(branching, "nary", "branching"), depth),
+    "random": lambda edges, branching, depth, max_degree, seed:
+        gen_random_tree(_given(edges, "random", "edges") + 1, max_degree, seed),
 }
 
 
@@ -540,10 +549,12 @@ def exp_tree_embedding(cfg: ExperimentConfig) -> ExperimentReport:
     cap may grow is an open question, so the sweep is observational.
     """
     g, rho, start, edges = _setup(cfg)
+    branching = 2 if cfg.tree_branching is None else cfg.tree_branching
     per_trial = []
     for t in range(cfg.trials):
         seed = _trial_seed(cfg, t)
-        tree = TREES[cfg.tree_kind](cfg, edges, seed)
+        tree = TREES[cfg.tree_kind](edges, branching, cfg.tree_depth,
+                                    cfg.tree_max_degree, seed)
         per_trial.append({"trial": t,
                           "image_edges": _image_edges(g, tree, seed, start),
                           "tree_max_degree": int(tree.max_degree)})

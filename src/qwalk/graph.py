@@ -46,6 +46,12 @@ def _pack(n: int, us, vs) -> np.ndarray:
     return np.minimum(us, vs) * n + np.maximum(us, vs)
 
 
+def _inside(n: int, us, vs):
+    """Whether both endpoints lie in 0..n-1; a pair outside is no edge."""
+    us, vs = np.asarray(us), np.asarray(vs)
+    return (0 <= us) & (us < n) & (0 <= vs) & (vs < n)
+
+
 def _unpack(n: int, keys: np.ndarray) -> np.ndarray:
     """Keys back to an (m, 2) array of (u, v) rows with u < v."""
     return np.column_stack((keys // n, keys % n))
@@ -149,13 +155,16 @@ class Graph:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not _inside(self.n, u, v):
+            return False
         row = self.neighbors(u)
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
 
     def has_edges(self, us, vs) -> np.ndarray:
-        """Elementwise ``has_edge`` for endpoints in 0 .. n-1."""
-        return np.isin(_pack(self.n, us, vs), self._edge_codes)
+        """Elementwise ``has_edge``."""
+        return _inside(self.n, us, vs) & np.isin(_pack(self.n, us, vs),
+                                                 self._edge_codes)
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
@@ -217,7 +226,8 @@ class EdgeSubgraph:
         return len(self.codes)
 
     def __contains__(self, edge) -> bool:
-        return bool(_pack(self.parent.n, *edge) in self.codes)
+        n = self.parent.n
+        return bool(_inside(n, *edge) and _pack(n, *edge) in self.codes)
 
     def edge_array(self) -> np.ndarray:
         return _unpack(self.parent.n, self.codes)

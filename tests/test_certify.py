@@ -44,6 +44,42 @@ def brute_discrepancy(g, eps):
     return best
 
 
+def dense_exhaustive(g, eps):
+    """Oracle: every qualifying pair at once, e = member @ adj @ member.T,
+    and the first argmax, which is the first attaining pair in ascending
+    bitmask order.  Returns the value and the witness as sorted lists."""
+    n = g.n
+    masks = np.arange(1 << n)
+    member = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
+    member = member[member.sum(axis=1) >= math.ceil(eps * n)]
+    sizes = member.sum(axis=1)
+    e = member @ g.adjacency_dense() @ member.T
+    dev = (np.abs(e - density(g) * sizes[:, None] * sizes[None, :])
+           / (sizes[:, None] * sizes[None, :]))
+    ia, ib = np.unravel_index(int(dev.argmax()), dev.shape)
+    return (float(dev[ia, ib]), np.flatnonzero(member[ia]).tolist(),
+            np.flatnonzero(member[ib]).tolist())
+
+
+@st.composite
+def exhaustive_cases(draw):
+    """(host, eps) with n <= 10: G(n, p), K_n, or G(n, p) with some vertices
+    isolated; eps at eps*n = 1, at 1, at k/n and between sizes."""
+    n = draw(st.integers(2, 10))
+    kind = draw(st.sampled_from(["gnp", "complete", "isolated"]))
+    if kind == "complete":
+        g = gen_complete(n)
+    else:
+        g = gen_gnp(n, draw(st.floats(0, 1)), draw(st.integers(0, 2**32 - 1)))
+        if kind == "isolated":
+            alone = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            pairs = g.edge_array()
+            g = build_graph(n, pairs[~alone[pairs].any(axis=1)])
+    k = draw(st.integers(1, n))
+    eps = draw(st.sampled_from([1 / n, 1.0, k / n, (max(k, 2) - 0.5) / n]))
+    return g, eps
+
+
 def brute_c4(g):
     """Oracle: enumerate ordered 4-tuples of distinct vertices."""
     count = 0
@@ -94,6 +130,20 @@ class TestDiscrepancyExhaustive:
         assert dev == pytest.approx(5 / 12, abs=1e-12)
         assert (sum(1 << v for v in wa.members), sum(1 << v for v in wb.members)) == (57, 4866)
 
+    @given(exhaustive_cases())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_matches_dense_4n_oracle(self, case):
+        g, eps = case
+        dev, (wa, wb) = discrepancy_exhaustive(g, eps)
+        assert (dev, sorted(wa.members), sorted(wb.members)) == \
+            dense_exhaustive(g, eps)
+
+    def test_pinned_case_at_the_cap(self):
+        # recorded with the former 4^n pair enumeration (81-86 s on 2 cores)
+        dev, (wa, wb) = discrepancy_exhaustive(gen_gnp(16, 0.5, 7), 0.25)
+        assert dev == pytest.approx(0.4875, abs=1e-12)
+        assert wa.members == {0, 5, 8, 10} and wb.members == {1, 6, 13, 14}
+
     def test_large_n_refused(self):
         with pytest.raises(ValueError, match="sampled"):
             discrepancy_exhaustive(gen_gnp(17, 0.5, 0), 0.2)
@@ -101,6 +151,32 @@ class TestDiscrepancyExhaustive:
     def test_eps_floor(self):
         with pytest.raises(ValueError):
             discrepancy_exhaustive(gen_complete(4), 0.1)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.0001, 1.5, float("nan")])
+@pytest.mark.parametrize("estimator", ["exhaustive", "sampled", "refined"])
+def test_eps_outside_one_to_n_refused(estimator, eps):
+    # eps*n must lie in [1, n]: 0.1 * 4 < 1, 1.5 * 4 > 4, and NaN compares false
+    g = gen_complete(4)
+    call = {"exhaustive": lambda: discrepancy_exhaustive(g, eps),
+            "sampled": lambda: discrepancy_sampled(g, eps, 10, 0),
+            "refined": lambda: discrepancy_refined(
+                g, eps, (VertexSet.full(4), VertexSet.full(4)))}[estimator]
+    with pytest.raises(ValueError, match=r"^eps\*n must lie in \[1, n\], "
+                       rf"got eps={eps} and n=4$"):
+        call()
+
+
+def test_eps_one_leaves_the_whole_vertex_set():
+    g = gen_gnp(8, 0.5, 3)
+    full = VertexSet.full(8)
+    # e(V, V) = 2m counts no loops, while rho * 8^2 = 2m + 8 rho
+    for dev, pair in (discrepancy_exhaustive(g, 1.0),
+                      discrepancy_sampled(g, 1.0, 5, 0),
+                      discrepancy_refined(g, 1.0, (full, full))):
+        assert pair == (full, full)
+        assert dev == pytest.approx(density(g) / 8, abs=1e-12)
+    assert certify(g, 1.0, exhaustive=True).pairs_checked == 1
 
 
 def reference_sampled(g, eps, trials, seed):

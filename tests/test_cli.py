@@ -60,6 +60,26 @@ def test_tree_embedding_command(tmp_path, capsys):
     assert len(open(mpath).read().splitlines()) == 31
 
 
+@pytest.mark.parametrize("kind,message", [
+    ("path", "path trees need edges"),
+    ("nary", "nary trees need branching"),
+    ("random", "random trees need edges")])
+def test_tree_without_its_parameter_returns_2(tmp_path, capsys, kind, message):
+    gpath = str(tmp_path / "g.txt")
+    main(["generate", "--kind", "complete", "--n", "5", "--out", gpath])
+    capsys.readouterr()
+    assert main(["tree", "--host", gpath, "--kind", kind, "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_generate_names_two_clique_host_both_ways(tmp_path):
+    paths = [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+    for kind, path in zip(("two-clique", "two_clique_bridge"), paths):
+        assert main(["generate", "--kind", kind, "--n", "30", "--eps", "0.5",
+                     "--out", path]) == 0
+    assert open(paths[0]).read() == open(paths[1]).read()
+
+
 def test_experiment_exit_codes(tmp_path, capsys):
     rpath = str(tmp_path / "rep.json")
     code = main(["experiment", "density", "--n", "100", "--p", "0.5",
@@ -168,6 +188,19 @@ def test_vertex_outside_host_returns_2(tmp_path, capsys, argv, message):
     flag = "--graph" if argv[0] == "walk" else "--host"
     assert main([argv[0], flag, gpath, "--seed", "1", *argv[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("exhaustive", [[], ["--exhaustive"]],
+                         ids=["sampled", "exhaustive"])
+@pytest.mark.parametrize("eps", ["0.1", "1.5", "nan"])
+def test_certify_eps_outside_one_to_n_returns_2(tmp_path, capsys, eps, exhaustive):
+    # no set has 1.5 * 4 = 6 of 4 vertices; 0.1 * 4 < 1; NaN is no size
+    gpath = str(tmp_path / "g.txt")
+    main(["generate", "--kind", "complete", "--n", "4", "--out", gpath])
+    capsys.readouterr()
+    assert main(["certify", "--graph", gpath, "--eps", eps, *exhaustive]) == 2
+    assert capsys.readouterr() == ("", f"error: eps*n must lie in [1, n], "
+                                       f"got eps={float(eps)} and n=4\n")
 
 
 def test_eps_too_small_for_n_names_file_and_line(tmp_path, capsys):

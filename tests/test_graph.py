@@ -122,6 +122,19 @@ class TestEdgeKeysAgainstReference:
         assert g.has_edges(us, vs).tolist() == \
             [g.has_edge(int(u), int(v)) for u, v in zip(us, vs)]
 
+    def test_endpoint_outside_host_is_no_edge(self):
+        # key 0*4 + 6 packs to 6 = 1*4 + 2, the edge (1, 2); it must not alias
+        g = gen_complete(4)
+        s = EdgeSubgraph.from_pairs(g, [1], [2])
+        assert (1, 2) in s and (2, 1) in s
+        outside = [(0, 6), (6, 0), (4, 0), (0, 4), (-1, 2), (2, -1), (-4, 5)]
+        for u, v in outside:
+            assert (u, v) not in s
+            assert not g.has_edge(u, v)
+        us, vs = zip(*outside)
+        assert g.has_edges(list(us), list(vs)).tolist() == [False] * len(outside)
+        assert g.has_edges([0, 0, 1], [6, 1, 2]).tolist() == [False, True, True]
+
     @KEYS
     @given(pair_lists(lists=2))
     def test_issubset_is_set_inclusion(self, case):
