@@ -14,7 +14,7 @@ import sys
 
 from .certify import certify
 from .experiments import (EXPERIMENTS, HOSTS, TREES, ExperimentConfig,
-                          run_experiment)
+                          config_keys, run_experiment)
 from .graph import load_graph, read_text, save_graph
 from .trees import image_subgraph, random_homomorphism, save_homomorphism
 from .walks import ListModel, balanced_start, run_walk, save_trace, walk_subgraph
@@ -165,15 +165,15 @@ def _cmd_tree(args) -> int:
 
 
 def _read_config(path: str) -> dict:
-    """The JSON object in ``path``; a syntax error names the file and line."""
+    """The config object in ``path``; an error names the file and line."""
     try:
         base = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    if not isinstance(base, dict):
-        raise ValueError(f"{path}:1: config must be a JSON object, "
-                         f"got {type(base).__name__}")
-    return base
+    try:
+        return config_keys(base)
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
 
 
 def _cmd_experiment(args) -> int:
@@ -189,10 +189,6 @@ def _cmd_experiment(args) -> int:
     base = {}
     if given.get("config"):
         base = _read_config(args.config)
-        unknown = sorted(set(base) - keys)
-        if unknown:
-            raise ValueError(f"{args.config}:1: unknown config keys: "
-                             f"{', '.join(unknown)}")
         try:
             ExperimentConfig(**{**flags, **base})
         except ValueError as exc:

@@ -98,10 +98,11 @@ class ExperimentConfig:
             if value not in table:
                 raise ValueError(f"unknown {key} {value!r}; "
                                  f"choose from {sorted(table)}")
-        unknown = sorted(set(self.tolerances) - set(TOLERANCES))
-        if unknown:
-            raise ValueError(f"unknown tolerances {unknown}; "
-                             f"choose from {sorted(TOLERANCES)}")
+        for key, names in (("generator_params", ["eps", "p"]),
+                           ("tolerances", sorted(TOLERANCES))):
+            unknown = sorted(set(getattr(self, key)) - set(names))
+            if unknown:
+                raise ValueError(f"unknown {key} {unknown}; choose from {names}")
         if self.seed < 0:
             raise ValueError("a non-negative seed is mandatory")
         if self.alpha < 0:
@@ -145,10 +146,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+        return cls(**config_keys(json.loads(text)))
 
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def config_keys(data) -> dict:
+    """``data`` if it is a dict whose keys all name ExperimentConfig fields;
+    else ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(_FIELD_TYPES))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    return data
 
 
 def _type_name(t: type) -> str:

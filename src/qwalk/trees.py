@@ -93,7 +93,9 @@ def build_tree(parents) -> RootedTree:
 
 
 def gen_path_tree(length: int) -> RootedTree:
-    """Path with ``length`` edges rooted at one end."""
+    """Path with ``length`` edges rooted at one end, the tree of a walk."""
+    if length < 0:
+        raise ValueError(f"a path takes a non-negative number of edges, got {length}")
     parents = np.arange(-1, length, dtype=np.int64)
     return RootedTree(parents)
 
@@ -192,69 +194,56 @@ def decompose_tree(t: RootedTree, L: int) -> TreeDecomposition:
     """Split a rooted tree into edge-disjoint rooted subtrees of size
     between L and 3L.
 
-    Each round selects the deepest surviving vertex v with at least L
-    strict descendants (ties broken by smallest vertex index), then
-    detaches whole branches below v in ascending child order until the
-    accumulated piece has at least L edges; since every branch below v
-    has at most L edges the piece stops below 2L.  When fewer than L
-    edges remain they are merged into the last piece, which is re-rooted
-    at the tree root (the remainder always contains it), keeping every
-    size within [L, 3L].
+    One pass visits the vertices deepest first, ties by smallest index.
+    While at least L edges remain below the visited vertex v, a piece
+    rooted at v takes whole branches below v in ascending child order
+    until it holds at least L edges; every branch was left with at most
+    L edges when its top was visited, so the piece stops below 2L.  A
+    vertex's remaining edges fall only through pieces at or below it, so
+    this is the order in which repeatedly cutting at the deepest vertex
+    with at least L edges below it takes its pieces.  When fewer than L
+    edges remain at the root they are merged into the last piece, which
+    is re-rooted at the tree root (the remainder always contains it),
+    keeping every size within [L, 3L].
     """
     if L < 1:
         raise ValueError("L must be positive")
     if L > t.n_edges:
         raise ValueError(f"L={L} exceeds the tree's {t.n_edges} edges")
-    n = t.size
-    parents = t.parents
-    children = [list(c) for c in t.children()]
-    alive = np.ones(n, dtype=bool)
+    children = t.children()
+    below = [0] * t.size    # edges left below a visited vertex
+    first = [0] * t.size    # children[v][first[v]:] are not yet cut off
     pieces = []
 
     def subtree_edges(top: int) -> list:
-        """(parent, child) edges below ``top`` in preorder, ascending children."""
+        """(parent, child) edges left below ``top``, depth first: a
+        vertex's child edges in descending child order, then the
+        subtree of its smallest child first."""
         out = []
         stack = [top]
         while stack:
             v = stack.pop()
-            for c in reversed(children[v]):
-                if alive[c]:
-                    out.append((v, c))
-                    stack.append(c)
+            for c in reversed(children[v][first[v]:]):
+                out.append((v, c))
+                stack.append(c)
         return out
 
-    while True:
-        desc = np.zeros(n, dtype=np.int64)
-        for j in range(n - 1, 0, -1):
-            if alive[j]:
-                desc[parents[j]] += desc[j] + 1
-        remaining = int(desc[0])
-        if remaining < L:
-            if remaining:
-                root_piece = subtree_edges(0)
-                _, last_edges = pieces[-1]
-                pieces[-1] = (0, last_edges + root_piece)
-                for _, c in root_piece:
-                    alive[c] = False
-            break
-        depth = np.full(n, -1, dtype=np.int64)
-        depth[0] = 0
-        for j in range(1, n):
-            if alive[j]:
-                depth[j] = depth[parents[j]] + 1
-        candidates = np.nonzero(alive & (desc >= L))[0]
-        v = int(candidates[np.argmax(depth[candidates])])
-        got = []
-        for c in children[v]:
-            if not alive[c]:
-                continue
-            branch = [(v, c)] + subtree_edges(c)
-            got.extend(branch)
-            for _, w in branch:
-                alive[w] = False
-            if len(got) >= L:
-                break
-        pieces.append((v, got))
+    for v in np.argsort(-t.depths(), kind="stable").tolist():
+        kids = children[v]
+        left = sum(below[c] + 1 for c in kids)
+        while left >= L:
+            got = []
+            while len(got) < L:
+                c = kids[first[v]]
+                first[v] += 1
+                got.append((v, c))
+                got.extend(subtree_edges(c))
+            left -= len(got)
+            pieces.append((v, got))
+        below[v] = left
+    if below[0]:
+        _, last_edges = pieces[-1]
+        pieces[-1] = (0, last_edges + subtree_edges(0))
     return TreeDecomposition(tree=t, L=L, pieces=pieces)
 
 

@@ -231,6 +231,8 @@ def run_walk(g: Graph, model: ListModel, start: int, steps: int) -> WalkTrace:
     so repeated runs against one model continue its streams while a
     fresh model with the same seed reproduces the trace exactly.
     """
+    if steps < 0:
+        raise ValueError(f"a walk takes a non-negative number of steps, got {steps}")
     sequence = model.consume(range(steps), start)  # checks start first
     if g.degree(start) == 0:
         raise ValueError(f"start vertex {start} has no neighbors")
@@ -346,6 +348,8 @@ def hit_probability_check(g: Graph, start: int, s: VertexSet, i: int,
     when the host is eps-quasirandom.  Rejects unbalanced starts.
     """
     start = _vertex(g, start)
+    if s.n != g.n:
+        raise ValueError("vertex sets must live on the graph's vertex range")
     rho = density(g)
     if abs(g.degree(start) - rho * g.n) > eps * g.n:
         raise ValueError(f"start vertex {start} is not balanced at eps={eps}")

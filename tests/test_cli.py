@@ -152,6 +152,8 @@ def test_directory_path_returns_2(tmp_path, capsys):
     ('{"start": 20}', 1, "start must be a vertex of the host, 0..19"),
     ('{"tree_depth": -1}', 1, "tree_depth must be non-negative"),
     ('{"tree_branching": 0}', 1, "tree_branching must be at least 1"),
+    ('{"generator_params": {"pp": 0.1}}', 1,
+     "unknown generator_params ['pp']; choose from ['eps', 'p']"),
 ])
 def test_bad_config_names_file_and_line(tmp_path, capsys, text, line, message):
     cpath = tmp_path / "c.json"
@@ -183,6 +185,22 @@ def test_bad_flag_value_names_no_file(tmp_path, capsys, flags, message):
      "vertex 9 is not in the host's 0..2"),
 ])
 def test_vertex_outside_host_returns_2(tmp_path, capsys, argv, message):
+    gpath = str(tmp_path / "g.txt")
+    main(["generate", "--kind", "complete", "--n", "3", "--out", gpath])
+    flag = "--graph" if argv[0] == "walk" else "--host"
+    assert main([argv[0], flag, gpath, "--seed", "1", *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["walk", "--start", "0", "--steps", "-5"],
+     "a walk takes a non-negative number of steps, got -5"),
+    (["walk", "--start", "0", "--alpha", "-1"],
+     "a walk takes a non-negative number of steps, got -9"),
+    (["tree", "--kind", "path", "--edges", "-1"],
+     "a path takes a non-negative number of edges, got -1"),
+])
+def test_negative_length_returns_2(tmp_path, capsys, argv, message):
     gpath = str(tmp_path / "g.txt")
     main(["generate", "--kind", "complete", "--n", "3", "--out", gpath])
     flag = "--graph" if argv[0] == "walk" else "--host"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,21 @@ class TestConfig:
     def test_json_round_trip(self):
         cfg = cfg_density()
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"experiment": "density", "n": 10, "seed": 1, "bogus": 1}',
+         "unknown config keys: bogus"),
+        ("[1]", "config must be a JSON object, got list"),
+    ])
+    def test_from_json_rejects_non_config(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_json(text)
+
+    def test_unknown_generator_params_rejected(self):
+        # "pp" once ran silently at the default p = 0.5
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown generator_params ['pp']; choose from ['eps', 'p']")):
+            cfg_density(generator_params={"pp": 0.1})
 
     @pytest.mark.parametrize("over", [
         {"trials": "2"}, {"tree_kind": 3}, {"schedule": [0.5]},

@@ -1,5 +1,6 @@
 """Trees, homomorphisms, visit counting, and the [L, 3L] decomposition."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -43,6 +44,100 @@ def check_decomposition(t, L, dec):
     assert seen == expected, "pieces do not partition the edge set"
 
 
+def reference_pieces(t, L):
+    """The decomposition cut round by round: each round recounts every
+    surviving vertex's descendants and depth, picks the deepest vertex with
+    at least L edges below it (ties by smallest index) and detaches whole
+    branches below it in ascending child order until the piece holds at
+    least L edges; a remainder under L joins the last piece, re-rooted at 0.
+    decompose_tree must return exactly these pieces, in this order."""
+    n = t.size
+    parents = t.parents
+    children = t.children()
+    alive = np.ones(n, dtype=bool)
+    pieces = []
+
+    def subtree_edges(top):
+        out = []
+        stack = [top]
+        while stack:
+            v = stack.pop()
+            for c in reversed(children[v]):
+                if alive[c]:
+                    out.append((v, c))
+                    stack.append(c)
+        return out
+
+    while True:
+        desc = np.zeros(n, dtype=np.int64)
+        for j in range(n - 1, 0, -1):
+            if alive[j]:
+                desc[parents[j]] += desc[j] + 1
+        remaining = int(desc[0])
+        if remaining < L:
+            if remaining:
+                _, last_edges = pieces[-1]
+                pieces[-1] = (0, last_edges + subtree_edges(0))
+            return pieces
+        depth = np.full(n, -1, dtype=np.int64)
+        depth[0] = 0
+        for j in range(1, n):
+            if alive[j]:
+                depth[j] = depth[parents[j]] + 1
+        candidates = np.nonzero(alive & (desc >= L))[0]
+        v = int(candidates[np.argmax(depth[candidates])])
+        got = []
+        for c in children[v]:
+            if not alive[c]:
+                continue
+            branch = [(v, c)] + subtree_edges(c)
+            got.extend(branch)
+            for _, w in branch:
+                alive[w] = False
+            if len(got) >= L:
+                break
+        pieces.append((v, got))
+
+
+@st.composite
+def small_trees(draw):
+    """Random trees, stars, brooms and caterpillars of at most 120 vertices."""
+    kind = draw(st.sampled_from(["random", "star", "broom", "caterpillar"]))
+    if kind == "random":
+        return gen_random_tree(draw(st.integers(2, 120)), draw(st.integers(2, 8)),
+                               draw(st.integers(0, 10_000)))
+    if kind == "star":
+        return build_tree([None] + [0] * draw(st.integers(1, 119)))
+    if kind == "broom":
+        handle, bristles = draw(st.integers(1, 60)), draw(st.integers(1, 59))
+        return build_tree([None] + list(range(handle)) + [handle] * bristles)
+    # every spine vertex carries legs - 1 leaves and the next spine vertex
+    legs = draw(st.integers(1, 3))
+    parents, top = [None], 0
+    for _ in range(draw(st.integers(1, 119 // legs))):
+        parents += [top] * legs
+        top = len(parents) - 1
+    return build_tree(parents)
+
+
+def criterion_9_pieces():
+    """decompose_tree's pieces on the 1000 (tree, L) cases of criterion 9."""
+    master = 20240601
+    rng = np.random.default_rng(master)
+    out = []
+    for k in range(1000):
+        size = int(rng.integers(2, 201))
+        max_deg = int(rng.integers(2, 8))
+        t = gen_random_tree(size, max_deg, derive_seed(master, DOMAIN_TRIALS, 800_000 + k))
+        L = int(rng.integers(1, t.n_edges + 1))
+        out.append(decompose_tree(t, L).pieces)
+    return out
+
+
+def pieces_digest(pieces):
+    return hashlib.sha256(repr(pieces).encode()).hexdigest()
+
+
 class TestBuildTree:
     def test_path(self):
         t = build_tree([None, 0, 1, 2])
@@ -76,6 +171,10 @@ class TestGenerators:
     def test_path_tree(self):
         t = gen_path_tree(5)
         assert t.size == 6 and t.parents.tolist() == [-1, 0, 1, 2, 3, 4]
+
+    def test_negative_path_length_rejected(self):
+        with pytest.raises(ValueError, match="non-negative number of edges, got -1"):
+            gen_path_tree(-1)
 
     def test_random_tree_degree_cap(self):
         t = gen_random_tree(100, 3, 17)
@@ -233,6 +332,26 @@ class TestDecomposeTree:
         t = gen_random_tree(size, max_deg, seed)
         L = int(rng.integers(1, t.n_edges + 1))
         check_decomposition(t, L, decompose_tree(t, L))
+
+
+    @given(small_trees())
+    @settings(max_examples=40, deadline=None)
+    def test_same_pieces_as_reference_at_every_l(self, t):
+        for L in range(1, t.n_edges + 1):
+            assert decompose_tree(t, L).pieces == reference_pieces(t, L), L
+
+    def test_criterion_9_pieces_pinned(self):
+        # sha256 of the pieces the round-by-round cut gave on these cases
+        assert pieces_digest(criterion_9_pieces()) == \
+            "523e9a6fd0b57101cc671680e3c55b4a4e4be3c015fb580b95f06543bd6ccc87"
+
+    def test_large_tree_pieces_pinned(self):
+        # recorded once from the round-by-round cut, which took about 20 s on
+        # a 2-core machine
+        dec = decompose_tree(gen_random_tree(5000, 4, 3), 1)
+        assert len(dec.pieces) == 4999
+        assert pieces_digest(dec.pieces) == \
+            "a286f2aa7cf2e5584eebd578fb379e33e8690791b0f71e7d376d98a9ac2b7d3d"
 
 
 class TestTreeIO:

@@ -263,6 +263,11 @@ class TestRunWalk:
         with pytest.raises(ValueError, match="step index must be non-negative"):
             step_positions(gen_complete(4), 0, -3, 4, 1)
 
+    def test_negative_steps_rejected(self):
+        g = gen_complete(4)
+        with pytest.raises(ValueError, match="non-negative number of steps, got -5"):
+            run_walk(g, ListModel(g, 1), 0, -5)
+
     def test_uniform_law_on_k4_chi_square(self):
         # on K_4 every non-stuttering length-3 continuation has mass 27^-1
         g = gen_complete(4)
@@ -486,6 +491,13 @@ class TestHitProbability:
         s = VertexSet.from_iterable(40, range(20))
         _, floor = hit_probability_check(g, 0, s, 2, 10, 8, eps=0.04)
         assert floor == pytest.approx(0.5 - 9 * 0.2 / 1.0)
+
+    @pytest.mark.parametrize("universe", [80, 20])
+    def test_set_on_another_vertex_range_rejected(self, universe):
+        # a larger range once read as a sure hit, a smaller one as an IndexError
+        with pytest.raises(ValueError, match="graph's vertex range"):
+            hit_probability_check(gen_complete(40), 0, VertexSet.full(universe),
+                                  2, 100, 8, eps=0.05)
 
     def test_unbalanced_start_rejected(self):
         star_plus = build_graph(12, [(0, i) for i in range(1, 12)] + [(1, 2)])
