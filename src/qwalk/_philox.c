@@ -17,6 +17,12 @@
  * vertex pairs through a bit table, both with the same bytes as the numpy
  * sorts that stay the reference.
  *
+ * qw_bit_rows packs a graph's adjacency into bit rows, and
+ * qw_neighbour_counts counts |N(v) & S| as the popcount of row v and S,
+ * the counts behind every e(A, B) of qwalk.certify.  The count has a
+ * popcnt clone on x86-64 glibc: at plain -O2, __builtin_popcountll calls
+ * libgcc's table-driven __popcountdi2 instead.
+ *
  * Built on first use by qwalk.rng and called through ctypes.
  */
 #include <stdint.h>
@@ -243,4 +249,44 @@ int64_t qw_edge_keys(int64_t n, const int64_t *us, const int64_t *vs, int64_t m,
         for (bits = table[w]; bits; bits &= bits - 1)
             keys[count++] = 64 * w + __builtin_ctzll(bits);
     return count;
+}
+
+/* Bit rows of the graph with CSR arrays indptr and indices: row v is
+ * rows[v * w .. v * w + w - 1], zeroed by the caller, and neighbour u of v
+ * sets bit u % 64 of its word u / 64.
+ */
+void qw_bit_rows(int64_t n, int64_t w, const int64_t *indptr,
+                 const int64_t *indices, uint64_t *rows)
+{
+    int64_t v, p;
+
+    for (v = 0; v < n; v++)
+        for (p = indptr[v]; p < indptr[v + 1]; p++)
+            rows[v * w + indices[p] / 64] |= (uint64_t)1 << (indices[p] % 64);
+}
+
+/* out[t * n + v] = popcount(row v & sets[t]) = |N(v) & S_t| for each of
+ * the k sets, w words each, and each v with among[t * n + v] set, or every
+ * v when among is NULL; 0 for the other v.
+ */
+#if defined(__x86_64__) && defined(__GLIBC__)
+__attribute__((target_clones("popcnt", "default")))
+#endif
+void qw_neighbour_counts(int64_t n, int64_t w, const uint64_t *rows,
+                         const uint64_t *sets, const uint8_t *among, int64_t k,
+                         int64_t *out)
+{
+    int64_t t, v, i;
+
+    for (t = 0; t < k; t++) {
+        const uint64_t *s = sets + t * w;
+        for (v = 0; v < n; v++) {
+            const uint64_t *r = rows + v * w;
+            int64_t c = 0;
+            if (!among || among[t * n + v])
+                for (i = 0; i < w; i++)
+                    c += __builtin_popcountll(r[i] & s[i]);
+            out[t * n + v] = c;
+        }
+    }
 }

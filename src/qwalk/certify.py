@@ -20,9 +20,9 @@ symmetric eigensolve of M, an O(n^3) step like the C4 count and the
 trace.  The trace bound lambda <= (trace(P^4) - 1)^(1/4) stays as a
 certified cross-check.  Products of adjacency counts stay far below
 2**53, so float64 matrix products are exact integer arithmetic.  M, the
-trace, the spectrum and the C4 count use float64; the subset sampler's
-dense path (n <= 4096) counts |N(j) & A| <= n - 1 < 2**24 in float32,
-which is exact integer arithmetic too.
+trace, the spectrum, the C4 count and the exhaustive search use float64;
+the sampled and refined estimators count e(A, B) through
+``graph.neighbour_counts``, an integer popcount of adjacency bit rows.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import (Graph, VertexSet, _arc_count, connectivity_profile,
-                    density)
+from .graph import (Graph, VertexSet, connectivity_profile, density,
+                    neighbour_counts)
 from .rng import DOMAIN_SUBSETS, stream
 
 EXHAUSTIVE_MAX_N = 16
@@ -103,12 +103,9 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
     """Maximum deviation over sampled set pairs; a lower bound estimator.
 
     Sizes are uniform on [ceil(eps*n), n] and each set is a uniform
-    subset of its size.  Deterministic given the seed.  Up to n = 4096
-    the edge counts come from a dense float32 product, which is exact:
-    each entry |N(j) & A| <= n - 1 < 2**24, and every partial sum on the
-    way to it, is an integer that float32 represents exactly, whatever
-    order BLAS adds in; the row sums run in float64.  Larger hosts count
-    off the CSR arrays.
+    subset of its size.  Deterministic given the seed.  Each e(A, B) is
+    the exact integer sum over v in A of |N(v) & B| from
+    ``neighbour_counts``, 256 trials at a time.
     """
     lo = _min_size(g.n, eps)
     if trials < 1:
@@ -117,14 +114,6 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
     rho = density(g)
     gen = stream(seed, DOMAIN_SUBSETS, 0)
     sizes = gen.integers(lo, n + 1, size=(trials, 2))
-    # dense matmul batches trials when the adjacency fits; above that,
-    # gather counts row by row off the CSR arrays
-    adj = g.adjacency_dense(np.float32) if n <= 4096 else None
-    if adj is not None:
-        # every block reuses these; fresh temporaries per block fragment
-        # the heap and can raise the process's peak RSS by 40 MB
-        a32 = np.empty((256, n), dtype=np.float32)
-        prod = np.empty_like(a32)
     best = -1.0
     best_masks = None
     for t0 in range(0, trials, 256):
@@ -146,14 +135,7 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
         del grouped  # before the next block's draw
         picks = u <= cut[:, None]  # uniform subsets of the drawn sizes
         amask, bmask = picks[:block], picks[block:]
-        if adj is not None:
-            np.copyto(a32[:block], amask)
-            np.matmul(a32[:block], adj, out=prod[:block])
-            prod[:block] *= bmask
-            e = prod[:block].sum(axis=1, dtype=np.float64)
-        else:
-            e = np.array([_arc_count(g, a, b) for a, b in zip(amask, bmask)],
-                         dtype=np.float64)
+        e = neighbour_counts(g, bmask, amask).sum(axis=1)
         dev = _deviation(e, rho, sizes[t0:t1, 0], sizes[t0:t1, 1])
         local = float(dev.max())
         if local > best:
@@ -184,15 +166,9 @@ def discrepancy_refined(g: Graph, eps: float, start: tuple[VertexSet, VertexSet]
     if any(s.n != n or s.size < k for s in start):
         raise ValueError(f"start sets must live on n={n} with at least {k} members")
     rho = density(g)
-    # np.add.reduceat reads an empty CSR row as the next entry, so it
-    # runs over the rows of non-isolated vertices only
-    rows = g.degrees > 0
-    starts = g.indptr[:-1][rows]
 
     def counts(mask):  # |N(v) & set| for every v, exact integers
-        c = np.zeros(n, dtype=np.int64)
-        c[rows] = np.add.reduceat(mask[g.indices], starts, dtype=np.int64)
-        return c
+        return neighbour_counts(g, mask[None])[0]
 
     def best_response(other):
         c = counts(other)

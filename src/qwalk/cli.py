@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .certify import certify
@@ -17,7 +18,16 @@ from .experiments import (EXPERIMENTS, HOSTS, TREES, ExperimentConfig,
                           config_keys, run_experiment)
 from .graph import load_graph, read_text, save_graph
 from .trees import image_subgraph, random_homomorphism, save_homomorphism
-from .walks import ListModel, balanced_start, run_walk, save_trace, walk_subgraph
+from .walks import (ListModel, balanced_start, run_walk, save_trace, walk_steps,
+                    walk_subgraph)
+
+
+def _finite(text: str) -> float:
+    """A float flag's value; argparse names the flag when it is not finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _add_generate(sub):
@@ -27,7 +37,7 @@ def _add_generate(sub):
                    help="host kind; two-clique names two_clique_bridge")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--eps", type=float, default=0.3,
+    p.add_argument("--eps", type=_finite, default=0.3,
                    help="clique-size parameter for two-clique hosts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -129,7 +139,7 @@ def _cmd_walk(args) -> int:
         if args.alpha is None:
             print("error: need --steps or --alpha", file=sys.stderr)
             return 2
-        steps = int(args.alpha * g.n * g.n)
+        steps = walk_steps(args.alpha, g.n)
     else:
         steps = args.steps
     start = args.start if args.start is not None else balanced_start(g, args.eps)

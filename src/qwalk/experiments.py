@@ -34,7 +34,8 @@ from .rng import DOMAIN_HOST, DOMAIN_STEP_LAW, DOMAIN_TRIALS, derive_seed, strea
 from .trees import (gen_nary_tree, gen_path_tree, gen_random_tree,
                     image_subgraph, random_homomorphism)
 from .walks import (Distribution, ListModel, balanced_start, run_walk,
-                    stationary, step_positions, tv_distance, walk_subgraph)
+                    stationary, step_positions, tv_distance, walk_steps,
+                    walk_subgraph)
 
 
 # what each check in an experiment passes at, unless config.tolerances says
@@ -105,6 +106,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {key} {unknown}; choose from {names}")
         if self.seed < 0:
             raise ValueError("a non-negative seed is mandatory")
+        for key, value in (("alpha", self.alpha),
+                           ("generator eps", self.generator_params.get("eps", 0.0))):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
         if not 0 < self.eps < 1:
@@ -270,7 +275,7 @@ def _pick_start(cfg: ExperimentConfig, g: Graph) -> int:
 def _setup(cfg: ExperimentConfig) -> tuple[Graph, float, int, int]:
     """The host, its density, the start vertex and the alpha*n^2 steps."""
     g = make_host(cfg)
-    return g, density(g), _pick_start(cfg, g), int(cfg.alpha * cfg.n * cfg.n)
+    return g, density(g), _pick_start(cfg, g), walk_steps(cfg.alpha, cfg.n)
 
 
 def _walk_trials(cfg: ExperimentConfig, g: Graph, start: int, steps: int):
@@ -376,7 +381,7 @@ def exp_pathology(cfg: ExperimentConfig) -> ExperimentReport:
     g = make_host(cfg)
     s = small_clique_size(cfg.n, _clique_eps(cfg))
     start = cfg.start if cfg.start is not None else s  # large-clique corner
-    steps = int(cfg.alpha * cfg.n * cfg.n)
+    steps = walk_steps(cfg.alpha, cfg.n)
     per_trial = [{"trial": t, "crossed": bool((trace.sequence < s).any()),
                   "walk_edges": len(walk_subgraph(trace))}
                  for t, trace in _walk_trials(cfg, g, start, steps)]

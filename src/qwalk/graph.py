@@ -25,6 +25,13 @@ deduplicates arbitrary pairs first.
 each key in an n^2-bit table, no larger than the m int64 keys a sort
 needs, and reads the marks out in order; otherwise numpy sorts the
 packed keys, the reference.
+
+``neighbour_counts`` alone counts neighbours in vertex sets, the
+e(A, B) behind every discrepancy estimator.  A ``Graph`` packs its
+adjacency once, on first use, into n bit rows of ceil(n/64) uint64
+words, n^2/8 bytes, so |N(v) & S| is the popcount of row v and S's
+words: exact integers at any n, in the kernel or with
+``np.bitwise_count``.
 """
 
 from __future__ import annotations
@@ -118,7 +125,7 @@ class Graph:
     it keeps (read-only) as ``edge_codes()``; other keys raise ValueError.
     """
 
-    __slots__ = ("n", "indptr", "indices", "edge_count", "_edge_codes")
+    __slots__ = ("n", "indptr", "indices", "edge_count", "_edge_codes", "_rows")
 
     def __init__(self, n: int, keys):
         self.n = n = int(n)
@@ -140,6 +147,7 @@ class Graph:
             raise _bad_key(n, keys, done)
         self.edge_count = m
         self._edge_codes = keys
+        self._rows = None  # bit rows, packed by the first neighbour_counts
         for a in (self.indptr, self.indices, keys):
             a.setflags(write=False)
 
@@ -174,9 +182,9 @@ class Graph:
         """Edges packed as u * n + v with u < v, sorted (read-only)."""
         return self._edge_codes
 
-    def adjacency_dense(self, dtype=np.float64) -> np.ndarray:
-        """Dense adjacency matrix; intended for n at desk scale only."""
-        a = np.zeros((self.n, self.n), dtype=dtype)
+    def adjacency_dense(self) -> np.ndarray:
+        """Dense float64 adjacency matrix; intended for n at desk scale only."""
+        a = np.zeros((self.n, self.n))
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         a[src, self.indices] = 1
         return a
@@ -315,12 +323,61 @@ def edges_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
     """
     if a.n != g.n or b.n != g.n:
         raise ValueError("vertex sets must live on the graph's vertex range")
-    return _arc_count(g, a.bool_mask(), b.bool_mask())
+    return int(neighbour_counts(g, b.bool_mask()[None], a.bool_mask()[None]).sum())
 
 
-def _arc_count(g: Graph, amask: np.ndarray, bmask: np.ndarray) -> int:
-    """Arcs (u, v) of the CSR arrays with amask[u] and bmask[v]."""
-    return int(np.count_nonzero(np.repeat(amask, g.degrees) & bmask[g.indices]))
+def _bit_rows(g: Graph) -> np.ndarray:
+    """(n, ceil(n/64)) uint64 rows: neighbour u of v sets bit u % 64 of
+    word u // 64 of row v."""
+    n = g.n
+    rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    lib = _kernel()
+    if lib is not None:
+        lib.qw_bit_rows(n, rows.shape[1], g.indptr.ctypes.data, g.indices.ctypes.data,
+                        rows.ctypes.data)
+    else:
+        src = np.repeat(np.arange(n), g.degrees)
+        np.bitwise_or.at(rows, (src, g.indices // 64),
+                         np.uint64(1) << (g.indices % 64).astype(np.uint64))
+    rows.setflags(write=False)
+    return rows
+
+
+def neighbour_counts(g: Graph, sets, among=None) -> np.ndarray:
+    """(k, n) int64 counts: entry [t, v] is |N(v) & sets[t]| for v in
+    ``among[t]``, and 0 for the other v.
+
+    ``sets`` and ``among`` are (k, n) bool arrays; ``among=None`` counts at
+    every v.  Each count is the popcount of v's bit row and the set's
+    words, so e(A, B) is ``neighbour_counts(g, B, A).sum(axis=1)``, exact.
+    """
+    sets = np.ascontiguousarray(sets, dtype=bool)
+    if sets.ndim != 2 or sets.shape[1] != g.n:
+        raise ValueError(f"sets must be a (k, {g.n}) bool array, got shape {sets.shape}")
+    if among is not None:
+        among = np.ascontiguousarray(among, dtype=bool)
+        if among.shape != sets.shape:
+            raise ValueError(f"among must have the shape {sets.shape} of sets, "
+                             f"got {among.shape}")
+    if g._rows is None:
+        g._rows = _bit_rows(g)
+    rows = g._rows
+    k, (n, w) = len(sets), rows.shape
+    packed = np.zeros((k, 8 * w), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(sets, axis=1, bitorder="little")
+    words = packed.view("<u8").astype(np.uint64, copy=False)  # member u: bit u % 64
+    lib = _kernel()
+    if lib is not None:
+        out = np.empty((k, n), dtype=np.int64)
+        lib.qw_neighbour_counts(n, w, rows.ctypes.data, words.ctypes.data,
+                                None if among is None else among.ctypes.data, k,
+                                out.ctypes.data)
+        return out
+    out = np.zeros((k, n), dtype=np.int64)
+    for t in range(k):
+        at = slice(None) if among is None else np.flatnonzero(among[t])
+        out[t, at] = np.bitwise_count(rows[at] & words[t]).sum(axis=1)
+    return out
 
 
 def density(g: Graph) -> float:
@@ -362,9 +419,13 @@ def gen_complete(n: int) -> Graph:
 
 
 def small_clique_size(n: int, eps: float) -> int:
-    """Order ceil(eps^2 * n / 2) of the two-clique host's small side."""
+    """Order ceil(eps^2 * n / 2) of the two-clique host's small side;
+    ValueError when that is not finite."""
     # round before the ceiling so 0.2**2 * 100 / 2 counts as exactly 2
-    return math.ceil(round(eps * eps * n / 2, 9))
+    size = round(eps * eps * n / 2, 9)
+    if not math.isfinite(size):
+        raise ValueError(f"two-clique eps={eps} gives no finite clique size on n={n}")
+    return math.ceil(size)
 
 
 def gen_two_clique_bridge(n: int, eps: float) -> Graph:

@@ -16,8 +16,10 @@ The same words come from a small C kernel, ``_philox.c``, which derives
 numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
 seeds below 2^64 and indices below 2^32.  ``uniform_words`` and the
 list model use it when it loads; ``graph.Graph`` uses a third entry
-point to build CSR arrays from sorted edge keys, and ``graph.edge_keys``
-a fourth to make those keys from vertex pairs.  It is built on
+point to build CSR arrays from sorted edge keys, ``graph.edge_keys``
+a fourth to make those keys from vertex pairs, and
+``graph.neighbour_counts`` two more to pack adjacency bit rows and count
+|N(v) & S| by popcount, in a popcnt clone on x86-64 glibc.  It is built on
 first use, never at import, with ``gcc`` into a user cache directory
 keyed by the source's sha256.  Without gcc, when the build or the cache
 directory fails, or for larger seeds, the numpy code serves instead and
@@ -140,6 +142,10 @@ def _load():
     lib.qw_csr.restype = i64
     lib.qw_edge_keys.argtypes = [i64, ptr, ptr, i64, ptr, ptr]
     lib.qw_edge_keys.restype = i64
+    lib.qw_bit_rows.argtypes = [i64, i64, ptr, ptr, ptr]
+    lib.qw_bit_rows.restype = None
+    lib.qw_neighbour_counts.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr]
+    lib.qw_neighbour_counts.restype = None
     return lib
 
 
@@ -153,6 +159,7 @@ def _kernel():
 
 def backend() -> str:
     """Which code draws list words and ``uniform_words``, builds each
-    ``Graph``'s CSR arrays and makes edge keys from pairs: "c" for the
-    kernel, or "numpy"."""
+    ``Graph``'s CSR arrays and bit rows, makes edge keys from pairs and
+    counts neighbours in sets by popcount: "c" for the kernel, or
+    "numpy"."""
     return "numpy" if _kernel() is None else "c"

@@ -23,6 +23,7 @@ derived seeds and all aggregation here is order-independent.
 from __future__ import annotations
 
 import gzip
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -237,6 +238,22 @@ def run_walk(g: Graph, model: ListModel, start: int, steps: int) -> WalkTrace:
     if g.degree(start) == 0:
         raise ValueError(f"start vertex {start} has no neighbors")
     return WalkTrace(graph=g, start=int(start), steps=int(steps), sequence=sequence)
+
+
+def walk_steps(alpha: float, n: int) -> int:
+    """int(alpha * n^2), the steps of a walk of length parameter alpha on
+    n vertices.
+
+    ValueError names alpha when it is not finite, or when the length is
+    more than ``run_walk`` can hold: its steps + 1 vertices need an int64
+    length.  ``run_walk`` refuses a negative length.
+    """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if alpha * n * n >= 2**63:
+        raise ValueError(f"alpha={alpha} asks for alpha*n^2 = {alpha * n * n:g} steps "
+                         f"on n={n} vertices; a walk takes fewer than 2**63")
+    return int(alpha * n * n)
 
 
 def walk_subgraph(trace: WalkTrace) -> EdgeSubgraph:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwalk import rng
 from qwalk.certify import (certify, count_c4_labelled, discrepancy_exhaustive,
                            discrepancy_refined, discrepancy_sampled,
                            lambda_bound_from_trace, lambda_estimate, trace_p4)
@@ -205,11 +206,17 @@ def reference_sampled(g, eps, trials, seed):
 
 
 def assert_matches_reference(g, eps, trials, seed):
-    dev, (wa, wb) = discrepancy_sampled(g, eps, trials, seed)
+    """The sampler against the oracle on the kernel and on numpy, each on
+    its own copy of ``g``, so that each packs its own bit rows."""
     ref, (ra, rb) = reference_sampled(g, eps, trials, seed)
-    assert dev == ref
-    assert np.array_equal(wa.bool_mask(), ra)
-    assert np.array_equal(wb.bool_mask(), rb)
+    for lib in (rng._load(), False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_lib", lib)
+            dev, (wa, wb) = discrepancy_sampled(Graph(g.n, g.edge_codes()), eps,
+                                                trials, seed)
+        assert dev == ref
+        assert np.array_equal(wa.bool_mask(), ra)
+        assert np.array_equal(wb.bool_mask(), rb)
 
 
 @st.composite
@@ -256,7 +263,7 @@ class TestSampledMatchesReference:
         assert_matches_reference(build_graph(n, pairs), 0.95, 20, 3)
 
     def test_csr_path(self):
-        # above n = 4096 the sampler counts off the CSR arrays
+        # n = 4200: bit rows of 66 words, the last one partly filled
         n = 4200
         rng = np.random.default_rng(11)
         pairs = rng.integers(0, n, size=(30_000, 2))
@@ -558,5 +565,8 @@ class TestCertify:
         monkeypatch.setattr(certify_module, "_walk_matrix",
                             lambda *a: walk_matrix(*a).view(CountedSquare))
         certify(g, 0.5, seed=1, **kwargs)
-        assert calls["dense"] <= 2 and calls["bfs"] == 1
+        # the exhaustive search and the battery build one each; the
+        # sampler builds none
+        assert calls["dense"] == (2 if kwargs.get("exhaustive") else 1)
+        assert calls["bfs"] == 1
         assert calls["square"] == 1 and calls["eig"] <= 1

@@ -208,6 +208,38 @@ def test_negative_length_returns_2(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "1e300"])
+@pytest.mark.parametrize("argv", [
+    ["walk", "--graph", "{host}", "--seed", "1", "--start", "0", "--alpha"],
+    ["experiment", "density", "--n", "20", "--seed", "1", "--trials", "1", "--alpha"],
+    ["experiment", "pathology", "--generator", "two_clique_bridge", "--n", "40",
+     "--seed", "1", "--trials", "1", "--generator-eps"],
+    ["generate", "--kind", "two-clique", "--n", "20", "--out", "{out}", "--eps"],
+], ids=["walk-alpha", "experiment-alpha", "experiment-generator-eps", "generate-eps"])
+def test_extreme_float_flags_end_in_an_exit_code(tmp_path, capsys, argv, value):
+    # alpha*n^2 steps and the two-clique size from any float: an exit code
+    # and a message, never an uncaught OverflowError
+    host = str(tmp_path / "g.txt")
+    main(["generate", "--kind", "complete", "--n", "20", "--out", host])
+    capsys.readouterr()
+    *head, flag = [a.format(host=host, out=str(tmp_path / "out.txt")) for a in argv]
+    try:
+        code = main([*head, f"{flag}={value}"])  # "=" keeps "-inf" a value
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_generate_non_finite_eps_names_the_flag(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--kind", "two-clique", "--n", "20", "--eps", value,
+              "--out", str(tmp_path / "g.txt")])
+    assert info.value.code == 2
+    assert f"argument --eps: must be finite, got '{value}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exhaustive", [[], ["--exhaustive"]],
                          ids=["sampled", "exhaustive"])
 @pytest.mark.parametrize("eps", ["0.1", "1.5", "nan"])

@@ -79,6 +79,16 @@ class TestConfig:
                 "unknown generator_params ['pp']; choose from ['eps', 'p']")):
             cfg_density(generator_params={"pp": 0.1})
 
+    @pytest.mark.parametrize("over,message", [
+        ({"alpha": math.inf}, "alpha must be finite, got inf"),
+        ({"alpha": math.nan}, "alpha must be finite, got nan"),
+        ({"generator_params": {"eps": -math.inf}}, "generator eps must be finite, got -inf"),
+    ])
+    def test_non_finite_alpha_and_generator_eps_rejected(self, over, message):
+        # an infinite alpha once passed here and overflowed in int(alpha * n * n)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cfg_density(**over)
+
     @pytest.mark.parametrize("over", [
         {"trials": "2"}, {"tree_kind": 3}, {"schedule": [0.5]},
         {"crossing_interval": [0.1, 0.5, 0.9]},

@@ -23,8 +23,8 @@ import test_experiments
 import test_walks
 from qwalk import rng
 from qwalk.experiments import ExperimentConfig, run_experiment
-from qwalk.graph import (EdgeSubgraph, Graph, build_graph, edge_keys, gen_complete,
-                         gen_gnp, gen_two_clique_bridge)
+from qwalk.graph import (EdgeSubgraph, Graph, _bit_rows, build_graph, edge_keys,
+                         gen_complete, gen_gnp, gen_two_clique_bridge, neighbour_counts)
 from qwalk.trees import gen_nary_tree, gen_random_tree, image_subgraph, random_homomorphism
 from qwalk.walks import ListModel, run_walk, walk_subgraph
 
@@ -364,3 +364,74 @@ def test_kernel_sets_no_bit_for_bad_pairs(c_backend):
         assert c_backend.qw_edge_keys(4, us.ctypes.data, vs.ctypes.data, 2,
                                       table.ctypes.data, keys.ctypes.data) == -1
         assert not table.any() and (keys == -7).all()
+
+
+@st.composite
+def count_cases(draw):
+    """(n, keys, sets, among): n at and around the 64-bit word edges or up
+    to 200, hosts from empty to complete with some vertices isolated, and
+    up to 5 sets; the first set is empty and the last full when there are
+    two or more, and ``among`` is None or masks of the same kind."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]),
+                       st.integers(0, 200)))
+    rand = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    us, vs = np.triu_indices(n, 1)
+    alone = rand.random(n) < draw(st.sampled_from([0.0, 0.2]))
+    keep = (rand.random(len(us)) < draw(st.floats(0, 1))) & ~alone[us] & ~alone[vs]
+    k = draw(st.integers(0, 5))
+
+    def masks():
+        m = rand.random((k, n)) < draw(st.floats(0, 1))
+        if k >= 2:
+            m[0], m[-1] = False, True
+        return m
+
+    return n, us[keep] * n + vs[keep], masks(), masks() if draw(st.booleans()) else None
+
+
+def brute_counts(n, keys, sets, among):
+    """|N(v) & S_t| from the edge list through a dense 0/1 matrix."""
+    adj = np.zeros((n, n), dtype=np.int64)
+    u, v = Graph(n, keys).edge_array().T
+    adj[u, v] = adj[v, u] = 1
+    out = sets.astype(np.int64) @ adj
+    if among is not None:
+        out[~among] = 0
+    return out
+
+
+@settings(max_examples=150, **PER_EXAMPLE)
+@given(case=count_cases())
+def test_neighbour_counts_match_brute_count(backend, case):
+    n, keys, sets, among = case
+    g = Graph(n, keys)
+    want = brute_counts(n, keys, sets, among)
+    for _ in range(2):  # packs the bit rows, then reuses them
+        got = neighbour_counts(g, sets, among)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@settings(max_examples=150, **PER_EXAMPLE)
+@given(case=count_cases())
+def test_bit_rows_match_reference(c_backend, monkeypatch, case):
+    # the kernel's rows, numpy's rows and the edge list set the same bits
+    n, keys, _, _ = case
+    g = Graph(n, keys)
+    want = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    for u, v in g.edge_array().tolist():
+        want[u, v // 64] |= np.uint64(1 << (v % 64))
+        want[v, u // 64] |= np.uint64(1 << (u % 64))
+    for lib in (c_backend, False):
+        monkeypatch.setattr(rng, "_lib", lib)
+        assert np.array_equal(_bit_rows(g), want)
+
+
+@pytest.mark.parametrize("sets,among,message", [
+    (np.zeros(4, bool), None, r"sets must be a \(k, 4\) bool array, got shape \(4,\)"),
+    (np.zeros((1, 5), bool), None, r"got shape \(1, 5\)"),
+    (np.zeros((2, 4), bool), np.zeros((1, 4), bool),
+     r"among must have the shape \(2, 4\) of sets, got \(1, 4\)"),
+])
+def test_neighbour_counts_reject_bad_shapes(backend, sets, among, message):
+    with pytest.raises(ValueError, match=message):
+        neighbour_counts(gen_complete(4), sets, among)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,8 @@ from qwalk.walks import (Distribution, ListModel, WalkTrace, balanced_start,
                          empirical_step_distribution, hit_probability_check,
                          list_subgraph, load_trace, run_walk, sandwich_bounds,
                          save_trace, stationary, step_positions,
-                         subsequence_visit_counts, tv_distance, walk_subgraph)
+                         subsequence_visit_counts, tv_distance, walk_steps,
+                         walk_subgraph)
 
 
 def path_graph(k):
@@ -262,6 +264,21 @@ class TestRunWalk:
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError, match="step index must be non-negative"):
             step_positions(gen_complete(4), 0, -3, 4, 1)
+
+    @pytest.mark.parametrize("alpha,message", [
+        (math.inf, "alpha must be finite, got inf"),
+        (math.nan, "alpha must be finite, got nan"),
+        (1e300, "alpha=1e+300 asks for alpha*n^2 = 1.6e+301 steps on n=4 vertices; "
+                "a walk takes fewer than 2**63"),
+        (2.0**59, "alpha*n^2 = 9.22337e+18 steps"),  # exactly 2^63
+    ])
+    def test_walk_steps_refuses_what_no_walk_holds(self, alpha, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            walk_steps(alpha, 4)
+
+    def test_walk_steps_is_alpha_n_squared(self):
+        assert [walk_steps(a, 20) for a in (0.5, 0.3, -1.0, 2.0**50)] == \
+            [200, 120, -400, 400 * 2**50]
 
     def test_negative_steps_rejected(self):
         g = gen_complete(4)
