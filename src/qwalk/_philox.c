@@ -10,12 +10,15 @@
  * Philox increments its counter before each block, so word j is lane
  * j % 4 of Philox4x64-10 at counter (j / 4 + 1, 0, 0, 0) (Salmon et al.,
  * "Parallel random numbers: as easy as 1, 2, 3", SC 2011), and its double
- * is (w >> 11) * 2^-53.  qw_words and qw_consume compute these words.
+ * is (w >> 11) * 2^-53.  qw_words, qw_consume and qw_gnp compute these
+ * words, and qw_seed_key gives qwalk.rng.derive_seed the first key word.
  *
  * qw_csr fills a qwalk.graph.Graph's indptr and indices from its sorted
  * edge keys u * n + v, u < v, and qw_edge_keys makes those keys from
  * vertex pairs through a bit table, both with the same bytes as the numpy
- * sorts that stay the reference.
+ * sorts that stay the reference.  qw_gnp sets the bits of G(n, p)'s keys
+ * in such a table, and qw_table_keys, which qw_edge_keys calls too, reads
+ * any such table out in ascending order.
  *
  * qw_bit_rows packs a graph's adjacency into bit rows, and
  * qw_neighbour_counts counts |N(v) & S| as the popcount of row v and S,
@@ -66,6 +69,16 @@ static void seed_key(uint64_t seed, uint32_t domain, uint32_t index, uint64_t ke
     }
     key[0] = words[0] | (uint64_t)words[1] << 32;
     key[1] = words[2] | (uint64_t)words[3] << 32;
+}
+
+/* Word 0 of seed_key, which is numpy's generate_state(1, uint64)[0] of the
+ * same SeedSequence: qwalk.rng.derive_seed. */
+uint64_t qw_seed_key(uint64_t seed, uint32_t domain, uint32_t index)
+{
+    uint64_t key[2];
+
+    seed_key(seed, domain, index, key);
+    return key[0];
 }
 
 /* Philox4x64-10 of counter (ctr, 0, 0, 0) under key */
@@ -223,6 +236,20 @@ int64_t qw_csr(int64_t n, const int64_t *keys, int64_t m,
     return m;
 }
 
+/* The set bits of ``table``, n * n bits, in ascending order into ``keys``,
+ * which must hold them all.  Returns the number of keys written.
+ */
+int64_t qw_table_keys(int64_t n, const uint64_t *table, int64_t *keys)
+{
+    int64_t w, count = 0;
+    uint64_t bits;
+
+    for (w = 0; w < (n * n + 63) / 64; w++)
+        for (bits = table[w]; bits; bits &= bits - 1)
+            keys[count++] = 64 * w + __builtin_ctzll(bits);
+    return count;
+}
+
 /* Sorted distinct keys min * n + max of the pairs (us[i], vs[i]): each
  * key sets its bit of ``table``, n * n zeroed bits, and the set bits are
  * read out in ascending order, so no key array is sorted.  A first pass
@@ -233,8 +260,7 @@ int64_t qw_csr(int64_t n, const int64_t *keys, int64_t m,
 int64_t qw_edge_keys(int64_t n, const int64_t *us, const int64_t *vs, int64_t m,
                      uint64_t *table, int64_t *keys)
 {
-    int64_t i, w, count = 0;
-    uint64_t bits;
+    int64_t i;
 
     for (i = 0; i < m; i++)
         if (us[i] < 0 || us[i] >= n || vs[i] < 0 || vs[i] >= n || us[i] == vs[i])
@@ -245,9 +271,33 @@ int64_t qw_edge_keys(int64_t n, const int64_t *us, const int64_t *vs, int64_t m,
         uint64_t k = (uint64_t)(a * n + (u + v - a));
         table[k / 64] |= (uint64_t)1 << (k % 64);
     }
-    for (w = 0; w < (n * n + 63) / 64; w++)
-        for (bits = table[w]; bits; bits &= bits - 1)
-            keys[count++] = 64 * w + __builtin_ctzll(bits);
+    return qw_table_keys(n, table, keys);
+}
+
+/* The keys u * n + v of G(n, p) on stream domain ``domain``: pair (u, v),
+ * u < v, is an edge when the double of word v - u - 1 of stream (seed,
+ * domain, u) is below p, the rule of qwalk.graph.gen_gnp's reference, and
+ * each edge sets its bit of ``table``, n * n zeroed bits.  n * n must fit
+ * in int64.  Returns the number of edges; qw_table_keys reads them out.
+ */
+int64_t qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *table)
+{
+    uint64_t key[2], block[4];
+    int64_t u, j, count = 0;
+
+    for (u = 0; u + 1 < n; u++) {
+        uint64_t base = (uint64_t)(u * n + u + 1);
+        seed_key(seed, domain, (uint32_t)u, key);
+        for (j = 0; j < n - u - 1; j++) {
+            /* a 0/1 select, not a branch that p = 1/2 mispredicts half the time */
+            uint64_t k = base + (uint64_t)j, edge;
+            if (j % 4 == 0)
+                philox_block(key, (uint64_t)(j / 4 + 1), block);
+            edge = to_double(block[j % 4]) < p;
+            table[k / 64] |= edge << (k % 64);
+            count += (int64_t)edge;
+        }
+    }
     return count;
 }
 

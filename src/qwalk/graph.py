@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import DOMAIN_GNP, _kernel, uniform_words
+from .rng import DOMAIN_GNP, _checked_seed, _kernel, uniform_words
 
 
 def _pack(n: int, us, vs) -> np.ndarray:
@@ -400,10 +400,25 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each pair present independently with probability p.
 
     The draw for pair (u, v), u < v, is word v-u-1 of the stream keyed
-    (seed, GNP domain, u), so the pair stream is replayable per row.
+    (seed, GNP domain, u), so the pair stream is replayable per row; the
+    pair is an edge when the word's double is below p.
+
+    With the C kernel, for seeds below 2^64 and n below 2^32, and when
+    n^2 <= 64 p n(n-1)/2, so that a table of n^2 bits takes no more bytes
+    than the int64 keys it is expected to hold, one call draws every pair
+    and sets its key's bit, and the set bits are read out in order.
+    Otherwise each row is drawn with ``uniform_words``, the reference.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
+    seed = _checked_seed(seed)
+    fits = seed < 2**64 and 0 <= n < 2**32 and n * n <= 32 * p * n * (n - 1)
+    lib = _kernel() if fits else None
+    if lib is not None:
+        table = np.zeros(-(-n * n // 64), dtype=np.uint64)
+        keys = np.empty(lib.qw_gnp(seed, DOMAIN_GNP, n, p, table.ctypes.data), dtype=np.int64)
+        lib.qw_table_keys(n, table.ctypes.data, keys.ctypes.data)
+        return Graph(n, keys)
     rows = [np.empty(0, dtype=np.int64)]  # keys of row u are u*n + u+1 .. u*n + n-1
     for u in range(n - 1):
         draws = uniform_words(seed, DOMAIN_GNP, u, 0, n - u - 1) < p

@@ -14,14 +14,15 @@ arithmetic is what makes chunked replay exact; it is pinned by tests.
 
 The same words come from a small C kernel, ``_philox.c``, which derives
 numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
-seeds below 2^64 and indices below 2^32.  ``uniform_words`` and the
-list model use it when it loads; ``graph.Graph`` uses a third entry
-point to build CSR arrays from sorted edge keys, ``graph.edge_keys``
-a fourth to make those keys from vertex pairs, and
-``graph.neighbour_counts`` two more to pack adjacency bit rows and count
-|N(v) & S| by popcount, in a popcnt clone on x86-64 glibc.  It is built on
-first use, never at import, with ``gcc`` into a user cache directory
-keyed by the source's sha256.  Without gcc, when the build or the cache
+seeds below 2^64 and indices below 2^32.  ``uniform_words``,
+``derive_seed`` and the list model use it when it loads.  So does
+``graph``: ``Graph`` builds its CSR arrays from sorted edge keys;
+``gen_gnp`` draws every pair of G(n, p) into a bit table in one call and
+``edge_keys`` marks the keys of vertex pairs in such a table, both read
+out by one entry point; and ``neighbour_counts`` packs adjacency bit
+rows and counts |N(v) & S| by popcount, in a popcnt clone on x86-64
+glibc.  It is built on first use, never at import, with ``gcc`` into a
+user cache directory keyed by the source's sha256.  Without gcc, when the build or the cache
 directory fails, or for larger seeds, the numpy code serves instead and
 stays the reference; ``backend()`` says which one is in use.
 """
@@ -99,8 +100,16 @@ def uniform_words(seed: int, domain: int, index: int, start: int, count: int) ->
 
 
 def derive_seed(seed: int, domain: int, index: int) -> int:
-    """A fresh 64-bit seed for a child consumer (e.g. one trial of many)."""
-    return int(_address(seed, domain, index).generate_state(1, np.uint64)[0])
+    """A fresh 64-bit seed for a child consumer (e.g. one trial of many).
+
+    It is word 0 of ``stream_key``, since ``generate_state(1, uint64)``
+    is the first word of ``generate_state(2, uint64)``.
+    """
+    seed = _checked_seed(seed)
+    lib = _kernel()
+    if lib is None or not (seed < 2**64 and 0 <= domain < 2**32 and 0 <= index < 2**32):
+        return int(_address(seed, domain, index).generate_state(1, np.uint64)[0])
+    return lib.qw_seed_key(seed, domain, index)
 
 
 _SOURCE = Path(__file__).with_name("_philox.c")
@@ -134,6 +143,8 @@ def _load():
     except (OSError, RuntimeError, subprocess.SubprocessError):
         return None
     u64, u32, i64, ptr = ctypes.c_uint64, ctypes.c_uint32, ctypes.c_int64, ctypes.c_void_p
+    lib.qw_seed_key.argtypes = [u64, u32, u32]
+    lib.qw_seed_key.restype = u64
     lib.qw_words.argtypes = [u64, u32, u32, i64, i64, ptr]
     lib.qw_words.restype = None
     lib.qw_consume.argtypes = [u64, u32, ptr, ptr, ptr, ptr, ptr, i64, ptr]
@@ -142,6 +153,10 @@ def _load():
     lib.qw_csr.restype = i64
     lib.qw_edge_keys.argtypes = [i64, ptr, ptr, i64, ptr, ptr]
     lib.qw_edge_keys.restype = i64
+    lib.qw_gnp.argtypes = [u64, u32, i64, ctypes.c_double, ptr]
+    lib.qw_gnp.restype = i64
+    lib.qw_table_keys.argtypes = [i64, ptr, ptr]
+    lib.qw_table_keys.restype = i64
     lib.qw_bit_rows.argtypes = [i64, i64, ptr, ptr, ptr]
     lib.qw_bit_rows.restype = None
     lib.qw_neighbour_counts.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr]
@@ -158,8 +173,8 @@ def _kernel():
 
 
 def backend() -> str:
-    """Which code draws list words and ``uniform_words``, builds each
-    ``Graph``'s CSR arrays and bit rows, makes edge keys from pairs and
-    counts neighbours in sets by popcount: "c" for the kernel, or
-    "numpy"."""
+    """Which code draws list words, ``uniform_words``, ``derive_seed``
+    and G(n, p) hosts, builds each ``Graph``'s CSR arrays and bit rows,
+    makes edge keys from pairs and counts neighbours in sets by popcount:
+    "c" for the kernel, or "numpy"."""
     return "numpy" if _kernel() is None else "c"

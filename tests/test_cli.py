@@ -231,6 +231,18 @@ def test_extreme_float_flags_end_in_an_exit_code(tmp_path, capsys, argv, value):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_walk_too_long_for_memory_returns_2(tmp_path, capsys):
+    # 4e17 steps fit in int64, but their 2.8 EiB step array fits in no
+    # address space: numpy refuses it at once, even where memory is
+    # overcommitted, and the refusal ends in exit 2 and a message
+    host = str(tmp_path / "g.txt")
+    main(["generate", "--kind", "complete", "--n", "20", "--out", host])
+    capsys.readouterr()
+    assert main(["walk", "--graph", host, "--seed", "1", "--start", "0", "--alpha", "1e15"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_generate_non_finite_eps_names_the_flag(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as info:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import test_experiments
 import test_walks
-from qwalk import rng
+from qwalk import graph, rng
 from qwalk.experiments import ExperimentConfig, run_experiment
 from qwalk.graph import (EdgeSubgraph, Graph, _bit_rows, build_graph, edge_keys,
                          gen_complete, gen_gnp, gen_two_clique_bridge, neighbour_counts)
@@ -435,3 +435,87 @@ def test_bit_rows_match_reference(c_backend, monkeypatch, case):
 def test_neighbour_counts_reject_bad_shapes(backend, sets, among, message):
     with pytest.raises(ValueError, match=message):
         neighbour_counts(gen_complete(4), sets, among)
+
+
+def _gnp_reference(n, p, seed):
+    """G(n, p)'s keys row by row from numpy's Philox streams."""
+    keys = [u * n + v for u in range(n - 1)
+            for v in (u + 1 + np.flatnonzero(
+                rng.stream(seed, rng.DOMAIN_GNP, u).random(n - u - 1) < p)).tolist()]
+    return np.array(keys, dtype=np.int64)
+
+
+@st.composite
+def gnp_cases(draw):
+    """(n, p, seed, pair): n at the 64-bit word edges, with the largest key
+    n^2 - n - 1 in the table's last, partial word for n <= 8, or up to
+    300; p = 0, 1, an exact double k * 2^-53, or the double of one pair's
+    own word, which that pair must then miss (``pair``, else None)."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2, 3, 7, 8, 63, 64, 65]), st.integers(0, 300)))
+    seed = draw(SEEDS)
+    kind = draw(st.sampled_from(["0", "1", "k/2^53", "word"] if n >= 2 else ["0", "1", "k/2^53"]))
+    pair = None
+    if kind == "word":
+        u = draw(st.integers(0, n - 2))
+        v = draw(st.integers(u + 1, n - 1))
+        p, pair = float(rng.stream(seed, rng.DOMAIN_GNP, u).random(v - u)[-1]), (u, v)
+    else:
+        p = {"0": 0.0, "1": 1.0}.get(kind) or draw(st.integers(0, 2**53)) * 2.0**-53
+    return n, p, seed, pair
+
+
+@settings(max_examples=120, **PER_EXAMPLE)
+@given(case=gnp_cases())
+def test_gnp_matches_row_reference(backend, case):
+    # the kernel's one call where its table rule holds, the per-row
+    # uniform_words path elsewhere and without the kernel
+    n, p, seed, pair = case
+    event("table rule holds" if 0 < n * n <= 32 * p * n * (n - 1) else "table rule fails")
+    g = gen_gnp(n, p, seed)
+    assert g.n == n and np.array_equal(g.edge_codes(), _gnp_reference(n, p, seed))
+    if pair is not None:  # the rule is word < p, strictly
+        assert not g.has_edge(*pair)
+
+
+@pytest.mark.parametrize("n,p,seed,message", [
+    (10, -0.1, 1, r"p must lie in \[0, 1\]"),
+    (10, 1.5, 1, r"p must lie in \[0, 1\]"),
+    (10, float("nan"), 1, r"p must lie in \[0, 1\]"),
+    (10, 0.5, -1, "seed must be non-negative, got -1"),
+    (0, 0.5, -1, "seed must be non-negative, got -1"),  # no row is drawn
+    (-1, 0.5, 1, "vertex count must be non-negative"),
+])
+def test_gnp_rejects_bad_arguments(backend, n, p, seed, message):
+    with pytest.raises(ValueError, match=message):
+        gen_gnp(n, p, seed)
+
+
+def test_gnp_draws_in_one_kernel_call(c_backend, monkeypatch):
+    # above the table rule no row goes through uniform_words; below it,
+    # G(100, 0.01) (a 1250-byte table for about 400 bytes of keys) does
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rng.uniform_words(*args)
+
+    def refused(*args):
+        raise AssertionError("uniform_words called")
+
+    monkeypatch.setattr(graph, "uniform_words", refused)
+    assert gen_gnp(2000, 0.5, 17).edge_count > 0
+    monkeypatch.setattr(graph, "uniform_words", counted)
+    gen_gnp(100, 0.01, 17)
+    assert len(calls) == 99
+
+
+@settings(max_examples=200, **PER_EXAMPLE)
+@given(seed=st.one_of(SEEDS, st.integers(2**64, 2**70)),
+       domain=st.one_of(st.integers(0, 6), st.integers(2**32 - 2, 2**32 + 2)),
+       index=st.one_of(st.integers(0, 10_000), st.integers(2**32 - 2, 2**32 + 2)))
+def test_derive_seed_matches_reference(c_backend, monkeypatch, seed, domain, index):
+    # seeds from 2^64 and domains or indices from 2^32 take the numpy path
+    got = rng.derive_seed(seed, domain, index)
+    monkeypatch.setattr(rng, "_lib", False)
+    want = rng.derive_seed(seed, domain, index)
+    assert type(got) is type(want) is int and got == want
