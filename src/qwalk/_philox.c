@@ -10,19 +10,24 @@
  * Philox increments its counter before each block, so word j is lane
  * j % 4 of Philox4x64-10 at counter (j / 4 + 1, 0, 0, 0) (Salmon et al.,
  * "Parallel random numbers: as easy as 1, 2, 3", SC 2011), and its double
- * is (w >> 11) * 2^-53.  qw_words, qw_consume and qw_gnp compute these
- * words, and qw_seed_key gives qwalk.rng.derive_seed the first key word.
+ * is (w >> 11) * 2^-53.  qw_words, qw_consume, qw_gnp and
+ * qw_sampled_counts compute these words, and qw_seed_key gives
+ * qwalk.rng.derive_seed the first key word.
  *
  * qw_csr fills a qwalk.graph.Graph's indptr and indices from its sorted
- * edge keys u * n + v, u < v, and qw_edge_keys makes those keys from
- * vertex pairs through a bit table, both with the same bytes as the numpy
- * sorts that stay the reference.  qw_gnp sets the bits of G(n, p)'s keys
- * in such a table, and qw_table_keys, which qw_edge_keys calls too, reads
- * any such table out in ascending order.
+ * edge keys u * n + v, u < v, in a counting pass, and qw_csr_rows, for
+ * dense keys, through the graph's adjacency bit rows, which it fills and
+ * the Graph keeps; qw_edge_keys makes those keys from vertex pairs
+ * through a bit table, all with the same bytes as the numpy sorts that
+ * stay the reference.  qw_gnp sets the bits of G(n, p)'s keys in such a
+ * table, and qw_table_keys, which qw_edge_keys calls too, reads any such
+ * table out in ascending order.
  *
- * qw_bit_rows packs a graph's adjacency into bit rows, and
+ * qw_bit_rows packs the bit rows of any other graph, and
  * qw_neighbour_counts counts |N(v) & S| as the popcount of row v and S,
- * the counts behind every e(A, B) of qwalk.certify.  The count has a
+ * the counts behind the e(A, B) of qwalk.certify.  qw_sampled_counts
+ * draws every subset of qwalk.certify.discrepancy_sampled and counts
+ * each of its e(A, B) from the rows in one call.  The counts have a
  * popcnt clone on x86-64 glibc: at plain -O2, __builtin_popcountll calls
  * libgcc's table-driven __popcountdi2 instead.
  *
@@ -188,21 +193,12 @@ static void seek_row(int64_t k, int64_t n, int64_t *u, int64_t *base)
     }
 }
 
-/* CSR arrays of the graph on 0..n-1 whose edges are the keys u * n + v,
- * u < v: indptr[0..n], and indices[0..2m-1] with each row ascending.
- * Every key (w, u), w < u, comes before every key (u, v), so one pass in
- * key order appends to row u its smaller neighbours and then its larger
- * ones, both in order.  This is the counting construction of a sparse
- * matrix and its transpose (Gustavson, ACM TOMS 4(3), 1978) with no sort.
- *
- * A first pass writes nothing: it returns the first position j whose key
- * is not above keys[j-1] or not of the form 0 <= u < v < n.  n * n must
- * fit in int64.  Returns m once the arrays are filled.
+/* The first position j whose key is not above keys[j-1] or not of the
+ * form u * n + v, 0 <= u < v < n, or m when every key is.  Writes nothing.
  */
-int64_t qw_csr(int64_t n, const int64_t *keys, int64_t m,
-               int64_t *indptr, int64_t *indices)
+static int64_t first_bad_key(int64_t n, const int64_t *keys, int64_t m)
 {
-    int64_t j, x, u = 0, base = 0;
+    int64_t j, u = 0, base = 0;
 
     for (j = 0; j < m; j++) {
         int64_t k = keys[j];
@@ -212,6 +208,27 @@ int64_t qw_csr(int64_t n, const int64_t *keys, int64_t m,
         if (k - base <= u)
             return j;
     }
+    return m;
+}
+
+/* CSR arrays of the graph on 0..n-1 whose edges are the keys u * n + v,
+ * u < v: indptr[0..n], and indices[0..2m-1] with each row ascending.
+ * Every key (w, u), w < u, comes before every key (u, v), so one pass in
+ * key order appends to row u its smaller neighbours and then its larger
+ * ones, both in order.  This is the counting construction of a sparse
+ * matrix and its transpose (Gustavson, ACM TOMS 4(3), 1978) with no sort.
+ *
+ * A first pass writes nothing: it returns first_bad_key's position when
+ * that is below m.  n * n must fit in int64.  Returns m once the arrays
+ * are filled.
+ */
+int64_t qw_csr(int64_t n, const int64_t *keys, int64_t m,
+               int64_t *indptr, int64_t *indices)
+{
+    int64_t j, x, u = 0, base = 0;
+
+    if ((j = first_bad_key(n, keys, m)) < m)
+        return j;
     /* degrees into indptr[x + 1], then row starts into indptr[x] */
     for (x = 0; x <= n; x++)
         indptr[x] = 0;
@@ -233,6 +250,40 @@ int64_t qw_csr(int64_t n, const int64_t *keys, int64_t m,
     for (x = n; x > 0; x--)
         indptr[x] = indptr[x - 1];
     indptr[0] = 0;
+    return m;
+}
+
+/* qw_csr for dense keys, through the graph's bit rows: after the same
+ * checking pass, key (u, v) sets bit v of row u and bit u of row v in
+ * ``rows``, n rows of w = ceil(n / 64) zeroed words in qw_bit_rows'
+ * layout, and the set bits of each row, read out in order, are its
+ * sorted neighbours.  The rows take n^2 / 8 bytes, no more than the keys
+ * when n^2 <= 64 m.  Where qw_csr writes each edge's transpose to a
+ * scattered position of ``indices``, this sets a bit in rows small
+ * enough to stay in cache and writes ``indices`` in order.  Returns what
+ * qw_csr returns.
+ */
+int64_t qw_csr_rows(int64_t n, const int64_t *keys, int64_t m, uint64_t *rows,
+                    int64_t *indptr, int64_t *indices)
+{
+    int64_t w = (n + 63) / 64, j, i, v, u = 0, base = 0, count = 0;
+    uint64_t bits;
+
+    if ((j = first_bad_key(n, keys, m)) < m)
+        return j;
+    for (j = 0; j < m; j++) {
+        seek_row(keys[j], n, &u, &base);
+        v = keys[j] - base;
+        rows[u * w + v / 64] |= (uint64_t)1 << (v % 64);
+        rows[v * w + u / 64] |= (uint64_t)1 << (u % 64);
+    }
+    indptr[0] = 0;
+    for (v = 0; v < n; v++) {
+        for (i = 0; i < w; i++)
+            for (bits = rows[v * w + i]; bits; bits &= bits - 1)
+                indices[count++] = 64 * i + __builtin_ctzll(bits);
+        indptr[v + 1] = count;
+    }
     return m;
 }
 
@@ -337,6 +388,176 @@ void qw_neighbour_counts(int64_t n, int64_t w, const uint64_t *rows,
                 for (i = 0; i < w; i++)
                     c += __builtin_popcountll(r[i] & s[i]);
             out[t * n + v] = c;
+        }
+    }
+}
+
+/* The element of rank r (0-based) of a[0..c-1], which it reorders:
+ * Hoare's FIND (CACM 4(7), 1961).
+ */
+static uint64_t select_rank(uint64_t *a, int64_t c, int64_t r)
+{
+    int64_t lo = 0, hi = c - 1;
+
+    while (lo < hi) {
+        uint64_t pivot = a[lo + (hi - lo) / 2], x;
+        int64_t i = lo, j = hi;
+        while (i <= j) {
+            while (a[i] < pivot)
+                i++;
+            while (a[j] > pivot)
+                j--;
+            if (i <= j) {
+                x = a[i];
+                a[i++] = a[j];
+                a[j--] = x;
+            }
+        }
+        if (r <= j)
+            hi = j;
+        else if (r >= i)
+            lo = i;
+        else
+            break;
+    }
+    return a[r];
+}
+
+/* One set of the subset sampler into ``mask``, its ceil(n / 64) words:
+ * the vertices v whose word start + v of the stream keyed ``key`` is at
+ * most the size-th smallest of the n words, ties included.  That is
+ * qwalk.certify's rule u <= cut on their doubles, since the double
+ * (x >> 11) * 2^-53 of word x is exact and increasing in x >> 11, which
+ * is what the kernel compares.  A histogram over the top ``bits`` bits
+ * of x >> 11 finds the bucket that holds the cut's rank, and a selection
+ * among that bucket's words finds the cut.  ``vals`` and ``cand`` hold
+ * n words each, ``hist`` 2^bits counts.
+ */
+static void subset_mask(const uint64_t key[2], int64_t start, int64_t n, int64_t size,
+                        int bits, uint64_t *vals, uint64_t *cand, int64_t *hist,
+                        uint64_t *mask)
+{
+    uint64_t block[4], cut;
+    int64_t v, b, below = 0, c = 0, k = size - 1;
+    int shift = 53 - bits;
+
+    for (b = 0; b < (int64_t)1 << bits; b++)
+        hist[b] = 0;
+    for (v = 0; v < n; v++) {
+        int64_t j = start + v;
+        if (v == 0 || j % 4 == 0)
+            philox_block(key, (uint64_t)(j / 4 + 1), block);
+        vals[v] = block[j % 4] >> 11;
+        hist[vals[v] >> shift]++;
+    }
+    for (b = 0; below + hist[b] <= k; b++)
+        below += hist[b];
+    for (v = 0; v < n; v++) {
+        /* a store at every v, kept by the count only in bucket b */
+        cand[c] = vals[v];
+        c += (int64_t)(vals[v] >> shift) == b;
+    }
+    cut = select_rank(cand, c, k - below);
+    for (v = 0; v < n; v += 64) {
+        uint64_t word = 0;
+        for (b = 0; b < 64 && v + b < n; b++)
+            word |= (uint64_t)(vals[v + b] <= cut) << b;
+        mask[v / 64] = word;
+    }
+}
+
+/* Word i of the set ``s`` of 0..n-1, w words, or of its complement when
+ * ``flip`` is set, which leaves the bits from n on clear.
+ */
+static uint64_t member_word(int64_t n, int64_t w, const uint64_t *s, int flip, int64_t i)
+{
+    uint64_t bits = flip ? ~s[i] : s[i];
+
+    return i == w - 1 && n % 64 ? bits & (((uint64_t)1 << (n % 64)) - 1) : bits;
+}
+
+/* The sum over the members v of S' of |N(v) & T|, where S' is the set
+ * ``s`` or, when ``flip`` is set, its complement: the popcounts of each
+ * member's bit row and T's w words.
+ */
+#if defined(__x86_64__) && defined(__GLIBC__)
+__attribute__((target_clones("popcnt", "default")))
+#endif
+static int64_t row_counts(int64_t n, int64_t w, const uint64_t *rows, const uint64_t *s,
+                          int flip, const uint64_t *t)
+{
+    int64_t i, j, c = 0;
+    uint64_t bits;
+
+    for (i = 0; i < w; i++)
+        for (bits = member_word(n, w, s, flip, i); bits; bits &= bits - 1) {
+            const uint64_t *r = rows + (64 * i + __builtin_ctzll(bits)) * w;
+            for (j = 0; j < w; j++)
+                c += __builtin_popcountll(r[j] & t[j]);
+        }
+    return c;
+}
+
+/* vol(S), the degrees indptr[v + 1] - indptr[v] summed over the v in the
+ * set ``s`` of 0..n-1, read over S or its complement, whichever is smaller:
+ * vol(S) = 2m - vol(V \ S).
+ */
+static int64_t volume(int64_t n, int64_t w, const int64_t *indptr, const uint64_t *s)
+{
+    int64_t i, size = 0, vol = 0;
+    int flip;
+    uint64_t bits;
+
+    for (i = 0; i < w; i++)
+        size += __builtin_popcountll(s[i]);
+    flip = 2 * size > n;
+    for (i = 0; i < w; i++)
+        for (bits = member_word(n, w, s, flip, i); bits; bits &= bits - 1) {
+            int64_t v = 64 * i + __builtin_ctzll(bits);
+            vol += indptr[v + 1] - indptr[v];
+        }
+    return flip ? indptr[n] - vol : vol;
+}
+
+#define HIST_BITS 12
+
+/* e[t] = e(A_t, B_t) for the trials of qwalk.certify.discrepancy_sampled
+ * on the graph with bit rows ``rows`` and CSR row starts ``indptr``.
+ * Trial t of the block of ``block`` trials (fewer in the last) that
+ * starts at t0 draws A_t of size sizes[2t] from words offset + 2 t0 n +
+ * (t - t0) n onwards of stream (seed, domain, index), and B_t of size
+ * sizes[2t + 1] from the block's own row count b further on: numpy's
+ * layout of one (2b, n) draw per block.  Each e(A, B) is counted over the
+ * fewest rows: over A, over B, since e(A, B) = e(B, A), or over V \ A or
+ * V \ B, since the sum over every v of |N(v) & B| is vol(B), the degrees
+ * summed over B.  ``work`` holds 2 n + 2 ceil(n / 64) words.
+ */
+void qw_sampled_counts(uint64_t seed, uint32_t domain, uint32_t index, int64_t offset,
+                       int64_t n, const uint64_t *rows, const int64_t *indptr,
+                       const int64_t *sizes, int64_t trials, int64_t block,
+                       uint64_t *work, int64_t *e)
+{
+    uint64_t key[2], *vals = work, *cand = work + n, *a = cand + n, *b = a + (n + 63) / 64;
+    int64_t hist[(int64_t)1 << HIST_BITS], w = (n + 63) / 64, t;
+    int bits = 0;
+
+    /* about two words a bucket */
+    while (bits < HIST_BITS && (int64_t)2 << bits <= n)
+        bits++;
+    seed_key(seed, domain, index, key);
+    for (t = 0; t < trials; t++) {
+        int64_t t0 = t - t % block, rows_in_block = trials - t0 < block ? trials - t0 : block;
+        int64_t start = offset + 2 * t0 * n + (t - t0) * n;
+        int64_t sa = sizes[2 * t], sb = sizes[2 * t + 1], least;
+        subset_mask(key, start, n, sa, bits, vals, cand, hist, a);
+        subset_mask(key, start + rows_in_block * n, n, sb, bits, vals, cand, hist, b);
+        least = sa < sb ? sa : sb;
+        if (n - sa < least || n - sb < least) {
+            /* over the complement of the larger set, against the smaller */
+            const uint64_t *big = sa > sb ? a : b, *small = sa > sb ? b : a;
+            e[t] = volume(n, w, indptr, small) - row_counts(n, w, rows, big, 1, small);
+        } else {
+            e[t] = row_counts(n, w, rows, sa < sb ? a : b, 0, sa < sb ? b : a);
         }
     }
 }

@@ -21,8 +21,11 @@ trace.  The trace bound lambda <= (trace(P^4) - 1)^(1/4) stays as a
 certified cross-check.  Products of adjacency counts stay far below
 2**53, so float64 matrix products are exact integer arithmetic.  M, the
 trace, the spectrum, the C4 count and the exhaustive search use float64;
-the sampled and refined estimators count e(A, B) through
-``graph.neighbour_counts``, an integer popcount of adjacency bit rows.
+the sampled and refined estimators count e(A, B) as integer popcounts of
+the graph's adjacency bit rows.  The refined search and the sampler's
+reference count through ``graph.neighbour_counts``; with the C kernel
+the sampler draws every set and counts every e(A, B) in one kernel
+call, over the fewest rows of A, B and their complements.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ import numpy as np
 
 from .graph import (Graph, VertexSet, connectivity_profile, density,
                     neighbour_counts)
-from .rng import DOMAIN_SUBSETS, stream
+from .rng import (DOMAIN_SUBSETS, _checked_seed, _kernel, _next_word, stream,
+                  uniform_words)
 
 EXHAUSTIVE_MAX_N = 16
+_BLOCK = 256  # trials per draw of the subset sampler's sets
 
 
 def _deviation(e, rho, size_a, size_b):
@@ -103,21 +108,61 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
     """Maximum deviation over sampled set pairs; a lower bound estimator.
 
     Sizes are uniform on [ceil(eps*n), n] and each set is a uniform
-    subset of its size.  Deterministic given the seed.  Each e(A, B) is
-    the exact integer sum over v in A of |N(v) & B| from
-    ``neighbour_counts``, 256 trials at a time.
+    subset of its size: the vertices whose draws are at most the
+    size-th smallest of n draws.  Deterministic given the seed.  Each
+    e(A, B) is an exact integer count.
+
+    The draws follow the sizes on one stream, 2b rows of n for each
+    block of b <= 256 trials, A's rows first.  With the C kernel and a
+    seed below 2^64, one call draws every set and counts every e(A, B)
+    from the graph's bit rows over the fewest rows: A, B, V - A or V - B,
+    since e(A, B) = e(B, A) and vol(B) - e(V - A, B) = e(A, B).  Only
+    the witness's two sets are drawn again, to be returned.  Otherwise
+    the blocks are drawn as floats and counted by ``neighbour_counts``,
+    the reference.  The witness is the first trial of largest deviation.
     """
     lo = _min_size(g.n, eps)
     if trials < 1:
         raise ValueError("need at least one trial")
     n = g.n
     rho = density(g)
+    seed = _checked_seed(seed)
     gen = stream(seed, DOMAIN_SUBSETS, 0)
     sizes = gen.integers(lo, n + 1, size=(trials, 2))
+    offset = _next_word(gen)
+    lib = _kernel() if seed < 2**64 and offset + 2 * trials * n < 2**63 else None
+    if lib is None:
+        return _sampled_blocks(g, rho, gen, sizes)
+    e = np.empty(trials, dtype=np.int64)
+    work = np.empty(2 * n + 2 * -(-n // 64), dtype=np.uint64)
+    lib.qw_sampled_counts(seed, DOMAIN_SUBSETS, 0, offset, n, g.bit_rows().ctypes.data,
+                          g.indptr.ctypes.data, sizes.ctypes.data, trials, _BLOCK,
+                          work.ctypes.data, e.ctypes.data)
+    dev = _deviation(e, rho, sizes[:, 0], sizes[:, 1])
+    i = int(dev.argmax())
+    t0 = i - i % _BLOCK
+    start = offset + 2 * t0 * n + (i - t0) * n
+    witness = (_subset(seed, start, sizes[i, 0], n),
+               _subset(seed, start + min(_BLOCK, trials - t0) * n, sizes[i, 1], n))
+    return float(dev[i]), witness
+
+
+def _subset(seed: int, start: int, size: int, n: int) -> VertexSet:
+    """The sampler's set from words start .. start+n-1 of its stream."""
+    u = uniform_words(seed, DOMAIN_SUBSETS, 0, start, n)
+    return VertexSet.from_mask(n, u <= np.partition(u, size - 1)[size - 1])
+
+
+def _sampled_blocks(g: Graph, rho: float, gen, sizes: np.ndarray
+                    ) -> tuple[float, tuple[VertexSet, VertexSet]]:
+    """``discrepancy_sampled`` from ``gen``, placed after the sizes: each
+    block's sets drawn as one float array and counted by
+    ``neighbour_counts``, the reference."""
+    n, trials = g.n, len(sizes)
     best = -1.0
     best_masks = None
-    for t0 in range(0, trials, 256):
-        t1 = min(t0 + 256, trials)
+    for t0 in range(0, trials, _BLOCK):
+        t1 = min(t0 + _BLOCK, trials)
         block = t1 - t0
         u = gen.random((2 * block, n))
         # the k-th smallest draw of each row, the value a full sort would

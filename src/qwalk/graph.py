@@ -11,13 +11,16 @@ sorted distinct keys, and an ``EdgeSubgraph`` (the edges a walk or a
 tree embedding traverses) is a sorted distinct key array.
 
 ``Graph(n, keys)`` checks that its keys are strictly ascending and of
-the form 0 <= u < v < n, and raises ValueError otherwise.  Ascending
-keys put every row's smaller neighbours before its larger ones, so the
-C kernel of ``rng`` fills the CSR arrays in one pass over the keys; the
-numpy code sorts both arcs of every edge instead and stays the
-reference.  Generators and ``EdgeSubgraph.to_graph``, which hold their
-keys sorted already, call ``Graph`` directly; ``build_graph`` packs and
-deduplicates arbitrary pairs first.
+the form 0 <= u < v < n, and raises ValueError otherwise.  The C kernel
+of ``rng`` fills the CSR arrays in one of two ways.  Dense keys, m keys
+with n^2 <= 64 m (``edge_keys``' table rule), set both bits of each edge
+in the graph's bit rows, which the graph keeps, and each row's bits are
+read out in order.  Other keys fill the arrays in one counting pass:
+ascending keys put every row's smaller neighbours before its larger
+ones.  The numpy code sorts both arcs of every edge instead and stays
+the reference.  Generators and ``EdgeSubgraph.to_graph``, which hold
+their keys sorted already, call ``Graph`` directly; ``build_graph``
+packs and deduplicates arbitrary pairs first.
 
 ``edge_keys`` alone turns pairs into keys, for ``build_graph`` and for
 ``EdgeSubgraph.from_pairs``, and it alone rejects an endpoint outside
@@ -26,12 +29,14 @@ each key in an n^2-bit table, no larger than the m int64 keys a sort
 needs, and reads the marks out in order; otherwise numpy sorts the
 packed keys, the reference.
 
-``neighbour_counts`` alone counts neighbours in vertex sets, the
-e(A, B) behind every discrepancy estimator.  A ``Graph`` packs its
-adjacency once, on first use, into n bit rows of ceil(n/64) uint64
-words, n^2/8 bytes, so |N(v) & S| is the popcount of row v and S's
-words: exact integers at any n, in the kernel or with
-``np.bitwise_count``.
+``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
+uint64 words, n^2/8 bytes, packed once: at construction for dense keys
+on the kernel, else on first use.  ``neighbour_counts`` counts
+neighbours in vertex sets, the e(A, B) behind the discrepancy
+estimators: |N(v) & S| is the popcount of row v and S's words, exact
+integers at any n, in the kernel or with ``np.bitwise_count``.  The
+subset sampler of ``certify`` counts from the same rows in its own
+kernel call.
 """
 
 from __future__ import annotations
@@ -136,20 +141,26 @@ class Graph:
             raise ValueError("edge keys must be a 1-d array")
         m = len(keys)
         lib = _kernel() if n < 2**31 else None  # the kernel needs n * n in int64
+        rows = None  # bit rows, packed here for dense keys or by bit_rows()
         if lib is None:
             done, self.indptr, self.indices = _csr_numpy(n, keys)
         else:
             self.indptr = np.empty(n + 1, dtype=np.int64)
             self.indices = np.empty(2 * m, dtype=np.int64)
-            done = lib.qw_csr(n, keys.ctypes.data, m, self.indptr.ctypes.data,
-                              self.indices.ctypes.data)
+            args = (self.indptr.ctypes.data, self.indices.ctypes.data)
+            if n * n <= 64 * m:
+                rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+                done = lib.qw_csr_rows(n, keys.ctypes.data, m, rows.ctypes.data, *args)
+            else:
+                done = lib.qw_csr(n, keys.ctypes.data, m, *args)
         if done < m:
             raise _bad_key(n, keys, done)
         self.edge_count = m
         self._edge_codes = keys
-        self._rows = None  # bit rows, packed by the first neighbour_counts
-        for a in (self.indptr, self.indices, keys):
-            a.setflags(write=False)
+        self._rows = rows
+        for a in (self.indptr, self.indices, keys, rows):
+            if a is not None:
+                a.setflags(write=False)
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -181,6 +192,14 @@ class Graph:
     def edge_codes(self) -> np.ndarray:
         """Edges packed as u * n + v with u < v, sorted (read-only)."""
         return self._edge_codes
+
+    def bit_rows(self) -> np.ndarray:
+        """(n, ceil(n/64)) uint64 adjacency rows (read-only): neighbour u
+        of v sets bit u % 64 of word u // 64 of row v.  Packed once, at
+        construction for dense keys on the kernel, else on first call."""
+        if self._rows is None:
+            self._rows = _bit_rows(self)
+        return self._rows
 
     def adjacency_dense(self) -> np.ndarray:
         """Dense float64 adjacency matrix; intended for n at desk scale only."""
@@ -359,9 +378,7 @@ def neighbour_counts(g: Graph, sets, among=None) -> np.ndarray:
         if among.shape != sets.shape:
             raise ValueError(f"among must have the shape {sets.shape} of sets, "
                              f"got {among.shape}")
-    if g._rows is None:
-        g._rows = _bit_rows(g)
-    rows = g._rows
+    rows = g.bit_rows()
     k, (n, w) = len(sets), rows.shape
     packed = np.zeros((k, 8 * w), dtype=np.uint8)
     packed[:, :-(-n // 8)] = np.packbits(sets, axis=1, bitorder="little")

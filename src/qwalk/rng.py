@@ -16,13 +16,17 @@ The same words come from a small C kernel, ``_philox.c``, which derives
 numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
 seeds below 2^64 and indices below 2^32.  ``uniform_words``,
 ``derive_seed`` and the list model use it when it loads.  So does
-``graph``: ``Graph`` builds its CSR arrays from sorted edge keys;
-``gen_gnp`` draws every pair of G(n, p) into a bit table in one call and
-``edge_keys`` marks the keys of vertex pairs in such a table, both read
-out by one entry point; and ``neighbour_counts`` packs adjacency bit
-rows and counts |N(v) & S| by popcount, in a popcnt clone on x86-64
-glibc.  It is built on first use, never at import, with ``gcc`` into a
-user cache directory keyed by the source's sha256.  Without gcc, when the build or the cache
+``graph``: ``Graph`` builds its CSR arrays from sorted edge keys, for
+dense keys through adjacency bit rows that it keeps; ``gen_gnp`` draws
+every pair of G(n, p) into a bit table in one call and ``edge_keys``
+marks the keys of vertex pairs in such a table, both read out by one
+entry point; and ``neighbour_counts`` packs bit rows and counts
+|N(v) & S| by popcount, in a popcnt clone on x86-64 glibc.  So does
+``certify.discrepancy_sampled``, which draws every subset and counts
+every e(A, B) from the bit rows in one call, from the stream position
+``_next_word`` reads off its generator.  The kernel is built on first
+use, never at import, with ``gcc`` into a user cache directory keyed by
+the source's sha256.  Without gcc, when the build or the cache
 directory fails, or for larger seeds, the numpy code serves instead and
 stays the reference; ``backend()`` says which one is in use.
 """
@@ -99,6 +103,21 @@ def uniform_words(seed: int, domain: int, index: int, start: int, count: int) ->
     return out
 
 
+def _next_word(gen: np.random.Generator) -> int:
+    """Stream position of the word that ``gen``'s next double reads.
+
+    ``gen`` comes from ``stream``: Philox increments its 256-bit counter
+    before each block of four words and hands them out from ``buffer_pos``
+    on; a 32-bit draw takes a whole word and keeps its other half for the
+    next one, a half no double reads.  So after any draws the next double
+    is word 4 (counter - 1) + buffer_pos, and word 0 before the first
+    block.
+    """
+    state = gen.bit_generator.state
+    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
+    return 4 * (counter - 1) + state["buffer_pos"] if counter else 0
+
+
 def derive_seed(seed: int, domain: int, index: int) -> int:
     """A fresh 64-bit seed for a child consumer (e.g. one trial of many).
 
@@ -151,6 +170,8 @@ def _load():
     lib.qw_consume.restype = i64
     lib.qw_csr.argtypes = [i64, ptr, i64, ptr, ptr]
     lib.qw_csr.restype = i64
+    lib.qw_csr_rows.argtypes = [i64, ptr, i64, ptr, ptr, ptr]
+    lib.qw_csr_rows.restype = i64
     lib.qw_edge_keys.argtypes = [i64, ptr, ptr, i64, ptr, ptr]
     lib.qw_edge_keys.restype = i64
     lib.qw_gnp.argtypes = [u64, u32, i64, ctypes.c_double, ptr]
@@ -161,6 +182,8 @@ def _load():
     lib.qw_bit_rows.restype = None
     lib.qw_neighbour_counts.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr]
     lib.qw_neighbour_counts.restype = None
+    lib.qw_sampled_counts.argtypes = [u64, u32, u32, i64, i64, ptr, ptr, ptr, i64, i64, ptr, ptr]
+    lib.qw_sampled_counts.restype = None
     return lib
 
 
@@ -174,7 +197,8 @@ def _kernel():
 
 def backend() -> str:
     """Which code draws list words, ``uniform_words``, ``derive_seed``
-    and G(n, p) hosts, builds each ``Graph``'s CSR arrays and bit rows,
-    makes edge keys from pairs and counts neighbours in sets by popcount:
-    "c" for the kernel, or "numpy"."""
+    and G(n, p) hosts, builds each ``Graph``'s CSR arrays and bit rows
+    (from the rows for dense keys), makes edge keys from pairs, counts
+    neighbours in sets by popcount and runs the subset sampler's draws
+    and counts: "c" for the kernel, or "numpy"."""
     return "numpy" if _kernel() is None else "c"

@@ -3,7 +3,10 @@
 A test runs on whatever ``qwalk.rng`` loads unless it asks for one of
 these; each sets the module's loaded kernel for the test's duration, so
 models and ``uniform_words`` calls made inside the test use it.
+``kernel_calls`` also counts the calls of each kernel entry point.
 """
+
+import collections
 
 import pytest
 
@@ -28,3 +31,22 @@ def c_backend(monkeypatch):
 def backend(request):
     """Each backend in turn."""
     request.getfixturevalue(f"{request.param}_backend")
+
+
+@pytest.fixture
+def kernel_calls(c_backend, monkeypatch):
+    """The C backend, with the calls of each kernel entry point counted by
+    name in the Counter this returns."""
+    calls = collections.Counter()
+
+    class Counted:
+        def __getattr__(self, name):
+            entry = getattr(c_backend, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return entry(*args)
+            return counted
+
+    monkeypatch.setattr(rng, "_lib", Counted())
+    return calls

@@ -271,6 +271,42 @@ class TestSampledMatchesReference:
         assert_matches_reference(build_graph(n, pairs), 0.1, 40, 5)
 
 
+class TestSampledKernelEdges:
+    """Where the kernel's one call and the reference's block loop could
+    part: seeds it must leave to numpy, block edges, 64-bit word edges
+    with complemented row sets, and sets that are all of V."""
+
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**64, 2**64 + 3, 2**70])
+    def test_seed_from_2_64_steps_aside(self, kernel_calls, seed):
+        g = gen_gnp(40, 0.5, 1)
+        ref, (ra, rb) = reference_sampled(g, 0.3, 30, seed)
+        dev, (wa, wb) = discrepancy_sampled(g, 0.3, 30, seed)
+        assert dev == ref
+        assert np.array_equal(wa.bool_mask(), ra) and np.array_equal(wb.bool_mask(), rb)
+        assert kernel_calls["qw_sampled_counts"] == (seed < 2**64)
+        assert_matches_reference(g, 0.3, 30, seed)
+
+    def test_two_block_edges(self):
+        # 513 trials: blocks of 256, 256 and 1
+        assert_matches_reference(gen_gnp(50, 0.5, 2), 0.2, 513, 11)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    @pytest.mark.parametrize("eps", [0.2, 0.9])
+    def test_word_edges(self, n, eps):
+        # at eps = 0.9 every set is larger than its complement, so each
+        # e(A, B) is counted over V - A or V - B and needs vol(B) or vol(A)
+        for g in (gen_gnp(n, 0.5, n), gen_gnp(n, 0.05, n + 1)):
+            assert_matches_reference(g, eps, 300, n)
+
+    @pytest.mark.parametrize("n", [5, 64, 65])
+    def test_every_set_is_v(self, n):
+        # ceil(eps*n) = n: every trial counts e(V, V) = 2m, over no rows
+        g = gen_gnp(n, 0.3, 9)
+        assert_matches_reference(g, 1.0, 20, 4)
+        full = VertexSet.full(n)
+        assert discrepancy_sampled(g, 1.0, 20, 4)[1] == (full, full)
+
+
 class TestDiscrepancySampled:
     def test_exhausted_budget_equals_exhaustive(self):
         # enough trials to visit every qualifying pair with certainty ~1

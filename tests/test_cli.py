@@ -346,3 +346,64 @@ def test_readme_tolerances_match_table():
     section = readme.split("* Experiment config")[1].split("## Reports")[0]
     listed = re.findall(r"^  - `(\w+)`: ([\d.]+) ", section, re.MULTILINE)
     assert {name: float(value) for name, value in listed} == TOLERANCES
+
+
+# every numeric flag of every command, each with the arguments that make
+# the command run on a tiny host when the flag is left at its base value
+_EXPERIMENT = ["experiment", "{name}", "--n", "40", "--seed", "1", "--trials", "1"]
+_SWEEP_BASES = {
+    "generate": (["generate", "--kind", "{kind}", "--n", "20", "--seed", "1",
+                  "--out", "{out}"], ["--n", "--p", "--eps", "--seed"]),
+    "certify": (["certify", "--graph", "{host}", "--eps", "0.5", "--trials", "1",
+                 "--seed", "1"], ["--eps", "--trials", "--seed"]),
+    "walk": (["walk", "--graph", "{host}", "--seed", "1"],
+             ["--seed", "--steps", "--alpha", "--start", "--eps"]),
+    "tree": (["tree", "--host", "{host}", "--kind", "{kind}", "--seed", "1", "--edges", "5",
+              "--branching", "3"],
+             ["--edges", "--branching", "--depth", "--max-degree", "--seed", "--root-image"]),
+    **{f"experiment-{name}": (_EXPERIMENT + (["--generator", "two_clique_bridge"]
+                                             if name == "pathology" else []),
+                              ["--n", "--p", "--generator-eps", "--alpha", "--eps",
+                               "--trials", "--seed", "--start"])
+       for name in ["density", "visits", "preservation", "pathology", "mixing",
+                    "tree_counterexample", "tree_embedding"]},
+}
+_SWEEP = [(command, flag) for command, (_, flags) in _SWEEP_BASES.items() for flag in flags]
+
+
+@pytest.fixture(scope="module")
+def sweep_host(tmp_path_factory):
+    host = str(tmp_path_factory.mktemp("sweep") / "g.txt")
+    main(["generate", "--kind", "complete", "--n", "20", "--out", host])
+    return host
+
+
+def _sweep_argv(command, flag, value, host, out):
+    """The command's base arguments with ``flag`` given once, as --flag=value."""
+    base, _ = _SWEEP_BASES[command]
+    kind = {"--eps": "two-clique", "--depth": "nary", "--branching": "nary"}.get(
+        flag, "random" if command == "tree" else "gnp")
+    name = command.removeprefix("experiment-")
+    argv = [a.format(host=host, out=out, kind=kind, name=name) for a in base]
+    if command == "walk":  # a length, and a start unless the flag is one of them
+        argv += [] if flag in ("--steps", "--alpha") else ["--steps", "10"]
+        argv += [] if flag in ("--start", "--eps") else ["--start", "0"]
+    if flag in argv:  # the value under test replaces the base's
+        i = argv.index(flag)
+        del argv[i:i + 2]
+    return [*argv, f"{flag}={value}"]  # "=" keeps "-inf" a value
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e300"])
+@pytest.mark.parametrize("command,flag", _SWEEP, ids=[f"{c}{f}" for c, f in _SWEEP])
+def test_numeric_flag_sweep_ends_in_an_exit_code(tmp_path, capsys, sweep_host, command,
+                                                 flag, value):
+    # every command x every numeric flag x the boundary values: an exit
+    # code and at most a one-line message, never an uncaught exception
+    argv = _sweep_argv(command, flag, value, sweep_host, str(tmp_path / "out.txt"))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

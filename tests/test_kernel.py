@@ -246,25 +246,33 @@ def test_any_keys_give_the_same_graph_or_error(c_backend, monkeypatch, n, data):
     keys = data.draw(st.lists(st.integers(-3, n * n + 3), max_size=30))
     if data.draw(st.booleans()):
         keys = sorted(set(keys))
+    event("bit rows" if n * n <= 64 * len(keys) else "counting fill")
     outcomes = []
     for lib in (c_backend, False):
         monkeypatch.setattr(rng, "_lib", lib)
         try:
             g = Graph(n, keys)
-            outcomes.append((g.indptr.tolist(), g.indices.tolist()))
+            outcomes.append((g.indptr.tolist(), g.indices.tolist(), g.bit_rows().tolist()))
         except ValueError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
 
 
 def test_kernel_writes_nothing_for_bad_keys(c_backend):
-    # the validating pass returns before the arrays are touched
-    for n, keys in [(4, [1, 6, 2]), (4, [1, 15]), (4, [2**62]), (3, [-1])]:
+    # the validating pass returns the first bad position before the CSR
+    # arrays, or the bit rows of the dense fill, are touched; the last
+    # case fails after four valid keys, three of them on row 0
+    for n, keys, first_bad in [(4, [1, 6, 2], 2), (4, [1, 15], 1), (4, [2**62], 0),
+                               (3, [-1], 0), (4, [1, 2, 3, 7, 5], 4)]:
         keys = np.array(keys, dtype=np.int64)
         out = np.full(2 * len(keys) + n + 1, -7, dtype=np.int64)
-        j = c_backend.qw_csr(n, keys.ctypes.data, len(keys), out.ctypes.data,
-                             out[n + 1:].ctypes.data)
-        assert j < len(keys) and (out == -7).all()
+        assert c_backend.qw_csr(n, keys.ctypes.data, len(keys), out.ctypes.data,
+                                out[n + 1:].ctypes.data) == first_bad
+        assert (out == -7).all()
+        rows = np.full(n * -(-n // 64), 7, dtype=np.uint64)
+        assert c_backend.qw_csr_rows(n, keys.ctypes.data, len(keys), rows.ctypes.data,
+                                     out.ctypes.data, out[n + 1:].ctypes.data) == first_bad
+        assert (out == -7).all() and (rows == 7).all()
 
 
 def _graphs():
@@ -411,19 +419,62 @@ def test_neighbour_counts_match_brute_count(backend, case):
         assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
+def _rows_from_edges(g):
+    """Bit rows set one edge at a time from the edge list."""
+    rows = np.zeros((g.n, -(-g.n // 64)), dtype=np.uint64)
+    for u, v in g.edge_array().tolist():
+        rows[u, v // 64] |= np.uint64(1 << (v % 64))
+        rows[v, u // 64] |= np.uint64(1 << (u % 64))
+    return rows
+
+
 @settings(max_examples=150, **PER_EXAMPLE)
 @given(case=count_cases())
 def test_bit_rows_match_reference(c_backend, monkeypatch, case):
     # the kernel's rows, numpy's rows and the edge list set the same bits
     n, keys, _, _ = case
     g = Graph(n, keys)
-    want = np.zeros((n, -(-n // 64)), dtype=np.uint64)
-    for u, v in g.edge_array().tolist():
-        want[u, v // 64] |= np.uint64(1 << (v % 64))
-        want[v, u // 64] |= np.uint64(1 << (u % 64))
+    want = _rows_from_edges(g)
     for lib in (c_backend, False):
         monkeypatch.setattr(rng, "_lib", lib)
         assert np.array_equal(_bit_rows(g), want)
+
+
+@settings(max_examples=150, **PER_EXAMPLE)
+@given(case=count_cases())
+def test_dense_graph_keeps_its_rows(c_backend, monkeypatch, case):
+    # with the kernel, a graph with n^2 <= 64 m fills its CSR arrays from
+    # bit rows and keeps them, read-only; any other graph, and every graph
+    # without the kernel, packs its rows on first use; all equal numpy's
+    n, keys, _, _ = case
+    dense = n * n <= 64 * len(keys)
+    event("bit rows" if dense else "counting fill")
+    monkeypatch.setattr(rng, "_lib", False)
+    reference = Graph(n, keys)
+    want = _bit_rows(reference)
+    for lib in (c_backend, False):
+        monkeypatch.setattr(rng, "_lib", lib)
+        g = Graph(n, keys)
+        assert (g._rows is not None) == (dense and bool(lib))
+        rows = g.bit_rows()
+        assert rows is g._rows and not rows.flags.writeable
+        assert rows.dtype == np.uint64 and np.array_equal(rows, want)
+        assert np.array_equal(g.indptr, reference.indptr)
+        assert np.array_equal(g.indices, reference.indices)
+
+
+def test_dense_counts_never_pack_rows(kernel_calls):
+    # K_100 and a G(300, 0.3) keep the rows of their construction; a
+    # G(300, 0.01) below the rule packs its rows once, on first use
+    sets = np.ones((2, 100), dtype=bool)
+    neighbour_counts(gen_complete(100), sets)
+    neighbour_counts(gen_gnp(300, 0.3, 1), np.ones((1, 300), dtype=bool))
+    assert kernel_calls["qw_csr_rows"] == 2 and kernel_calls["qw_bit_rows"] == 0
+    g = gen_gnp(300, 0.01, 1)
+    for _ in range(2):
+        neighbour_counts(g, np.ones((1, 300), dtype=bool))
+    assert kernel_calls["qw_csr"] == 1 and kernel_calls["qw_bit_rows"] == 1
+    assert kernel_calls["qw_neighbour_counts"] == 4
 
 
 @pytest.mark.parametrize("sets,among,message", [

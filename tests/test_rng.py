@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.rng import (DOMAIN_GNP, DOMAIN_LIST, derive_seed, stream,
-                       stream_key, uniform_words)
+from qwalk.rng import (DOMAIN_GNP, DOMAIN_LIST, DOMAIN_SUBSETS, _next_word, derive_seed,
+                       stream, stream_key, uniform_words)
 
 
 def test_chunked_replay_matches_whole_stream():
@@ -79,3 +79,22 @@ def test_stream_is_philox_keyed_by_stream_key(seed, domain, index, offset, k):
     keyed = np.random.Generator(np.random.Philox(key=stream_key(seed, domain, index)))
     want = keyed.random(offset + k)[offset:]
     assert np.array_equal(stream(seed, domain, index, offset).random(k), want)
+
+
+@pytest.mark.parametrize("draw", [
+    None,                                          # a fresh generator
+    lambda gen: gen.integers(1, 5, size=7),        # 32-bit draws, odd: a half word kept
+    lambda gen: gen.integers(1, 5, size=(4, 2)),   # 32-bit draws, even
+    lambda gen: gen.integers(0, 2**40, size=5),    # 64-bit draws
+    lambda gen: (gen.integers(0, 2**40, size=3), gen.integers(0, 9, size=1)),
+    lambda gen: gen.random(6),
+], ids=["fresh", "odd-32", "even-32", "64-bit", "64-then-32", "doubles"])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**70])
+def test_next_word_is_the_stream_position(seed, draw):
+    # the discrepancy sampler hands this position to the kernel
+    gen = stream(seed, DOMAIN_SUBSETS, 0)
+    if draw is not None:
+        draw(gen)
+    at = _next_word(gen)
+    assert np.array_equal(stream(seed, DOMAIN_SUBSETS, 0, offset=at).random(9), gen.random(9))
+    assert _next_word(gen) == at + 9
