@@ -1,5 +1,6 @@
 /* Philox list words computed in place, bit for bit as numpy draws them,
- * and the CSR arrays of a graph built in one pass over its edge keys.
+ * and the CSR arrays and bit rows of a dense graph built from its edge
+ * keys.
  *
  * A stream (seed, domain, index) of qwalk.rng is numpy's
  * Philox(SeedSequence(seed, spawn_key=(domain, index))) read one double
@@ -14,16 +15,15 @@
  * qw_sampled_counts compute these words, and qw_seed_key gives
  * qwalk.rng.derive_seed the first key word.
  *
- * qw_csr fills a qwalk.graph.Graph's indptr and indices from its sorted
- * edge keys u * n + v, u < v, in a counting pass, and qw_csr_rows, for
- * dense keys, through the graph's adjacency bit rows, which it fills and
- * the Graph keeps; qw_edge_keys makes those keys from vertex pairs
- * through a bit table, all with the same bytes as the numpy sorts that
- * stay the reference.  qw_gnp sets the bits of G(n, p)'s keys in such a
- * table, and qw_table_keys, which qw_edge_keys calls too, reads any such
- * table out in ascending order.
+ * qw_csr_rows fills a dense qwalk.graph.Graph's indptr and indices from
+ * its sorted edge keys u * n + v, u < v, through the graph's adjacency
+ * bit rows, which it fills and the Graph keeps; qw_edge_keys makes those
+ * keys from vertex pairs through a bit table, both with the same bytes
+ * as the numpy sorts that stay the reference and serve sparse keys.
+ * qw_gnp sets the bits of G(n, p)'s keys in such a table, and
+ * qw_table_keys, which qw_edge_keys calls too, reads any such table out
+ * in ascending order.
  *
- * qw_bit_rows packs the bit rows of any other graph, and
  * qw_neighbour_counts counts |N(v) & S| as the popcount of row v and S,
  * the counts behind the e(A, B) of qwalk.certify.  qw_sampled_counts
  * draws every subset of qwalk.certify.discrepancy_sampled and counts
@@ -212,56 +212,15 @@ static int64_t first_bad_key(int64_t n, const int64_t *keys, int64_t m)
 }
 
 /* CSR arrays of the graph on 0..n-1 whose edges are the keys u * n + v,
- * u < v: indptr[0..n], and indices[0..2m-1] with each row ascending.
- * Every key (w, u), w < u, comes before every key (u, v), so one pass in
- * key order appends to row u its smaller neighbours and then its larger
- * ones, both in order.  This is the counting construction of a sparse
- * matrix and its transpose (Gustavson, ACM TOMS 4(3), 1978) with no sort.
- *
- * A first pass writes nothing: it returns first_bad_key's position when
- * that is below m.  n * n must fit in int64.  Returns m once the arrays
- * are filled.
- */
-int64_t qw_csr(int64_t n, const int64_t *keys, int64_t m,
-               int64_t *indptr, int64_t *indices)
-{
-    int64_t j, x, u = 0, base = 0;
-
-    if ((j = first_bad_key(n, keys, m)) < m)
-        return j;
-    /* degrees into indptr[x + 1], then row starts into indptr[x] */
-    for (x = 0; x <= n; x++)
-        indptr[x] = 0;
-    for (j = 0, u = 0, base = 0; j < m; j++) {
-        seek_row(keys[j], n, &u, &base);
-        indptr[u + 1]++;
-        indptr[keys[j] - base + 1]++;
-    }
-    for (x = 0; x < n; x++)
-        indptr[x + 1] += indptr[x];
-    /* indptr[x] is row x's cursor, which ends at row x + 1's start */
-    for (j = 0, u = 0, base = 0; j < m; j++) {
-        int64_t v;
-        seek_row(keys[j], n, &u, &base);
-        v = keys[j] - base;
-        indices[indptr[u]++] = v;
-        indices[indptr[v]++] = u;
-    }
-    for (x = n; x > 0; x--)
-        indptr[x] = indptr[x - 1];
-    indptr[0] = 0;
-    return m;
-}
-
-/* qw_csr for dense keys, through the graph's bit rows: after the same
- * checking pass, key (u, v) sets bit v of row u and bit u of row v in
- * ``rows``, n rows of w = ceil(n / 64) zeroed words in qw_bit_rows'
- * layout, and the set bits of each row, read out in order, are its
- * sorted neighbours.  The rows take n^2 / 8 bytes, no more than the keys
- * when n^2 <= 64 m.  Where qw_csr writes each edge's transpose to a
- * scattered position of ``indices``, this sets a bit in rows small
- * enough to stay in cache and writes ``indices`` in order.  Returns what
- * qw_csr returns.
+ * u < v, for dense keys, through the graph's bit rows: indptr[0..n], and
+ * indices[0..2m-1] with each row ascending.  A first pass writes nothing:
+ * it returns first_bad_key's position when that is below m.  Then key
+ * (u, v) sets bit v of row u and bit u of row v in ``rows``, n rows of
+ * w = ceil(n / 64) zeroed words, where neighbour u of v is bit u % 64 of
+ * word u / 64, and the set bits of each row, read out in order, are its
+ * sorted neighbours, so ``indices`` is written in order.  The rows take
+ * n^2 / 8 bytes, no more than the keys when n^2 <= 64 m.  n * n must fit
+ * in int64.  Returns m once the arrays are filled.
  */
 int64_t qw_csr_rows(int64_t n, const int64_t *keys, int64_t m, uint64_t *rows,
                     int64_t *indptr, int64_t *indices)
@@ -350,20 +309,6 @@ int64_t qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *ta
         }
     }
     return count;
-}
-
-/* Bit rows of the graph with CSR arrays indptr and indices: row v is
- * rows[v * w .. v * w + w - 1], zeroed by the caller, and neighbour u of v
- * sets bit u % 64 of its word u / 64.
- */
-void qw_bit_rows(int64_t n, int64_t w, const int64_t *indptr,
-                 const int64_t *indices, uint64_t *rows)
-{
-    int64_t v, p;
-
-    for (v = 0; v < n; v++)
-        for (p = indptr[v]; p < indptr[v + 1]; p++)
-            rows[v * w + indices[p] / 64] |= (uint64_t)1 << (indices[p] % 64);
 }
 
 /* out[t * n + v] = popcount(row v & sets[t]) = |N(v) & S_t| for each of

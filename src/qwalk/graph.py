@@ -10,28 +10,29 @@ packs, deduplicates and looks up keys: a ``Graph`` is built from its
 sorted distinct keys, and an ``EdgeSubgraph`` (the edges a walk or a
 tree embedding traverses) is a sorted distinct key array.
 
-``Graph(n, keys)`` checks that its keys are strictly ascending and of
-the form 0 <= u < v < n, and raises ValueError otherwise.  The C kernel
-of ``rng`` fills the CSR arrays in one of two ways.  Dense keys, m keys
-with n^2 <= 64 m (``edge_keys``' table rule), set both bits of each edge
-in the graph's bit rows, which the graph keeps, and each row's bits are
-read out in order.  Other keys fill the arrays in one counting pass:
-ascending keys put every row's smaller neighbours before its larger
-ones.  The numpy code sorts both arcs of every edge instead and stays
-the reference.  Generators and ``EdgeSubgraph.to_graph``, which hold
-their keys sorted already, call ``Graph`` directly; ``build_graph``
-packs and deduplicates arbitrary pairs first.
+A vertex count n is an integer with n * n < 2^63, so that every key
+fits in int64, and keys and endpoints are integers; anything else
+raises ValueError.  ``Graph(n, keys)`` checks that its keys are strictly
+ascending and of the form 0 <= u < v < n, and raises ValueError
+otherwise.  Dense keys, m keys with n^2 <= 64 m (``_table_fits``, the
+one table rule), go through the C kernel of ``rng``: each edge sets both
+its bits in the graph's bit rows, n^2/8 bytes, no more than the keys,
+which the graph keeps, and each row's bits are read out in order.  Other
+keys, and every key without the kernel, sort both arcs of every edge in
+numpy, the reference.  Generators and ``EdgeSubgraph.to_graph``, which
+hold their keys sorted already, call ``Graph`` directly;
+``build_graph`` packs and deduplicates arbitrary pairs first.
 
 ``edge_keys`` alone turns pairs into keys, for ``build_graph`` and for
 ``EdgeSubgraph.from_pairs``, and it alone rejects an endpoint outside
-0..n-1 and a self-loop.  When n^2 <= 64 m for m pairs the kernel marks
-each key in an n^2-bit table, no larger than the m int64 keys a sort
-needs, and reads the marks out in order; otherwise numpy sorts the
-packed keys, the reference.
+0..n-1 and a self-loop.  Under the table rule the kernel marks each key
+in an n^2-bit table, no larger than the m int64 keys a sort needs, and
+reads the marks out in order; otherwise numpy sorts the packed keys,
+the reference.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
 uint64 words, n^2/8 bytes, packed once: at construction for dense keys
-on the kernel, else on first use.  ``neighbour_counts`` counts
+on the kernel, else by numpy on first use.  ``neighbour_counts`` counts
 neighbours in vertex sets, the e(A, B) behind the discrepancy
 estimators: |N(v) & S| is the popcount of row v and S's words, exact
 integers at any n, in the kernel or with ``np.bitwise_count``.  The
@@ -43,12 +44,48 @@ from __future__ import annotations
 
 import gzip
 import math
+import operator
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import DOMAIN_GNP, _checked_seed, _kernel, uniform_words
+
+
+def _vertex_count(n) -> int:
+    """``n`` as an int, 0 <= n with n * n < 2^63 so that every key
+    u * n + v fits in int64; ValueError naming any other value."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"vertex count must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    if n * n >= 2**63:
+        raise ValueError(f"vertex count {n} is too large: edge keys need n * n < 2^63")
+    return n
+
+
+def _int64s(values, what: str) -> np.ndarray:
+    """``values`` as a C-contiguous int64 array; ValueError names the first
+    value that is not an integer in int64.  Floats are refused even when
+    integral, as ``operator.index`` refuses them, and so are bools; an
+    empty input, which numpy reads as float64, is an empty array."""
+    a = np.asarray(values)
+    if a.size and not (a.dtype.kind == "i" or a.dtype.kind == "u" and a.max() < 2**63):
+        # the values as given: numpy reads [0, 2**64 - 1] as floats
+        for x in np.asarray(values, dtype=object).flat:
+            if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+                    or not -2**63 <= int(x) < 2**63):
+                raise ValueError(f"{what} must be integers in int64, got {x!r}")
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def _table_fits(n: int, m) -> bool:
+    """The table rule: n^2 bits, a bit table or n bit rows of n bits,
+    take no more bytes than m int64 keys."""
+    return n * n <= 64 * m
 
 
 def _pack(n: int, us, vs) -> np.ndarray:
@@ -98,17 +135,17 @@ def edge_keys(n: int, us, vs) -> np.ndarray:
 
     Each pair must join two distinct vertices of 0..n-1; otherwise
     ValueError names the first endpoint out of range, or else the first
-    self-loop.  With the C kernel, and when n^2 <= 64 m for m pairs, so
-    that a table of n^2 bits takes no more bytes than the m int64 keys a
-    sort needs, each pair sets its key's bit and the set bits are read out
-    in order.  Otherwise the keys are packed and sorted, the reference.
+    self-loop.  With the C kernel, and under the table rule for m pairs,
+    so that a table of n^2 bits takes no more bytes than the m int64 keys
+    a sort needs, each pair sets its key's bit and the set bits are read
+    out in order.  Otherwise the keys are packed and sorted, the reference.
     """
-    us = np.ascontiguousarray(us, dtype=np.int64)
-    vs = np.ascontiguousarray(vs, dtype=np.int64)
+    n = _vertex_count(n)
+    us, vs = _int64s(us, "edge endpoints"), _int64s(vs, "edge endpoints")
     if us.ndim != 1 or us.shape != vs.shape:
         raise ValueError("pairs must be two 1-d arrays of equal length")
     m = len(us)
-    lib = _kernel() if n * n <= 64 * m else None
+    lib = _kernel() if _table_fits(n, m) else None
     if lib is not None:
         table = np.zeros(-(-n * n // 64), dtype=np.uint64)
         keys = np.empty(min(m, n * (n - 1) // 2), dtype=np.int64)
@@ -133,26 +170,21 @@ class Graph:
     __slots__ = ("n", "indptr", "indices", "edge_count", "_edge_codes", "_rows")
 
     def __init__(self, n: int, keys):
-        self.n = n = int(n)
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        keys = np.require(keys, np.int64, "C")
+        self.n = n = _vertex_count(n)
+        keys = _int64s(keys, "edge keys")
         if keys.ndim != 1:
             raise ValueError("edge keys must be a 1-d array")
         m = len(keys)
-        lib = _kernel() if n < 2**31 else None  # the kernel needs n * n in int64
-        rows = None  # bit rows, packed here for dense keys or by bit_rows()
+        lib = _kernel() if _table_fits(n, m) else None
+        rows = None  # bit rows, filled here for dense keys or packed by bit_rows()
         if lib is None:
             done, self.indptr, self.indices = _csr_numpy(n, keys)
         else:
+            rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
             self.indptr = np.empty(n + 1, dtype=np.int64)
             self.indices = np.empty(2 * m, dtype=np.int64)
-            args = (self.indptr.ctypes.data, self.indices.ctypes.data)
-            if n * n <= 64 * m:
-                rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
-                done = lib.qw_csr_rows(n, keys.ctypes.data, m, rows.ctypes.data, *args)
-            else:
-                done = lib.qw_csr(n, keys.ctypes.data, m, *args)
+            done = lib.qw_csr_rows(n, keys.ctypes.data, m, rows.ctypes.data,
+                                   self.indptr.ctypes.data, self.indices.ctypes.data)
         if done < m:
             raise _bad_key(n, keys, done)
         self.edge_count = m
@@ -214,7 +246,8 @@ class Graph:
 
 def _csr_numpy(n: int, keys: np.ndarray):
     """(m, indptr, indices) of the keys by sorting both arcs of every
-    edge, or (j, None, None) for the first invalid key j, as ``qw_csr``."""
+    edge, or (j, None, None) for the first invalid key j, as
+    ``qw_csr_rows`` returns j."""
     u, v = np.divmod(keys, max(n, 1))
     bad = (keys < 0) | (u >= v)
     bad[1:] |= keys[1:] <= keys[:-1]
@@ -279,7 +312,7 @@ class VertexSet:
 
     @classmethod
     def from_iterable(cls, n: int, ids) -> "VertexSet":
-        return cls(n, frozenset(int(v) for v in ids))
+        return cls(n, frozenset(_int64s(list(ids), "vertex ids").tolist()))
 
     @classmethod
     def from_mask(cls, n: int, mask: np.ndarray) -> "VertexSet":
@@ -323,10 +356,9 @@ def build_graph(n: int, edges) -> Graph:
 
     Rejects self-loops and out-of-range endpoints (``edge_keys``).
     """
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    pairs = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                       dtype=np.int64)
+    n = _vertex_count(n)
+    pairs = _int64s(edges if isinstance(edges, np.ndarray) else list(edges),
+                    "edge endpoints")
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -350,14 +382,9 @@ def _bit_rows(g: Graph) -> np.ndarray:
     word u // 64 of row v."""
     n = g.n
     rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
-    lib = _kernel()
-    if lib is not None:
-        lib.qw_bit_rows(n, rows.shape[1], g.indptr.ctypes.data, g.indices.ctypes.data,
-                        rows.ctypes.data)
-    else:
-        src = np.repeat(np.arange(n), g.degrees)
-        np.bitwise_or.at(rows, (src, g.indices // 64),
-                         np.uint64(1) << (g.indices % 64).astype(np.uint64))
+    src = np.repeat(np.arange(n), g.degrees)
+    np.bitwise_or.at(rows, (src, g.indices // 64),
+                     np.uint64(1) << (g.indices % 64).astype(np.uint64))
     rows.setflags(write=False)
     return rows
 
@@ -420,16 +447,18 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     (seed, GNP domain, u), so the pair stream is replayable per row; the
     pair is an edge when the word's double is below p.
 
-    With the C kernel, for seeds below 2^64 and n below 2^32, and when
-    n^2 <= 64 p n(n-1)/2, so that a table of n^2 bits takes no more bytes
-    than the int64 keys it is expected to hold, one call draws every pair
-    and sets its key's bit, and the set bits are read out in order.
-    Otherwise each row is drawn with ``uniform_words``, the reference.
+    With the C kernel, for seeds below 2^64 and n below 2^32, and under
+    the table rule for the expected p n(n-1)/2 edges, so that a table of
+    n^2 bits takes no more bytes than the int64 keys it is expected to
+    hold, one call draws every pair and sets its key's bit, and the set
+    bits are read out in order.  Otherwise each row is drawn with
+    ``uniform_words``, the reference.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     seed = _checked_seed(seed)
-    fits = seed < 2**64 and 0 <= n < 2**32 and n * n <= 32 * p * n * (n - 1)
+    n = _vertex_count(n)
+    fits = seed < 2**64 and n < 2**32 and _table_fits(n, p * n * (n - 1) / 2)
     lib = _kernel() if fits else None
     if lib is not None:
         table = np.zeros(-(-n * n // 64), dtype=np.uint64)
@@ -444,10 +473,9 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def gen_complete(n: int) -> Graph:
-    # the flat indices of the strict upper triangle are the keys, ascending;
-    # a negative n makes no triangle, and Graph rejects it
-    side = max(n, 0)
-    return Graph(n, np.flatnonzero(np.triu(np.ones((side, side), dtype=bool), 1)))
+    # the flat indices of the strict upper triangle are the keys, ascending
+    n = _vertex_count(n)
+    return Graph(n, np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1)))
 
 
 def small_clique_size(n: int, eps: float) -> int:
@@ -543,6 +571,10 @@ def load_graph(path: str) -> Graph:
         raise ValueError(f"{path}:1: header must be 'n m' with non-negative "
                          f"integers, got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
+    try:
+        n = _vertex_count(n)
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
     if len(lines) - 1 != m:
         raise ValueError(f"{path}: header promises {m} edges, found {len(lines) - 1}")
     edges = np.empty((m, 2), dtype=np.int64)

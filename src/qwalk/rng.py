@@ -16,12 +16,12 @@ The same words come from a small C kernel, ``_philox.c``, which derives
 numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
 seeds below 2^64 and indices below 2^32.  ``uniform_words``,
 ``derive_seed`` and the list model use it when it loads.  So does
-``graph``: ``Graph`` builds its CSR arrays from sorted edge keys, for
-dense keys through adjacency bit rows that it keeps; ``gen_gnp`` draws
-every pair of G(n, p) into a bit table in one call and ``edge_keys``
-marks the keys of vertex pairs in such a table, both read out by one
-entry point; and ``neighbour_counts`` packs bit rows and counts
-|N(v) & S| by popcount, in a popcnt clone on x86-64 glibc.  So does
+``graph``: ``Graph`` builds the CSR arrays of dense keys through
+adjacency bit rows that it keeps, and numpy sorts any other keys;
+``gen_gnp`` draws every pair of G(n, p) into a bit table in one call
+and ``edge_keys`` marks the keys of vertex pairs in such a table, both
+read out by one entry point; and ``neighbour_counts`` counts |N(v) & S|
+from the bit rows by popcount, in a popcnt clone on x86-64 glibc.  So does
 ``certify.discrepancy_sampled``, which draws every subset and counts
 every e(A, B) from the bit rows in one call, from the stream position
 ``_next_word`` reads off its generator.  The kernel is built on first
@@ -168,8 +168,6 @@ def _load():
     lib.qw_words.restype = None
     lib.qw_consume.argtypes = [u64, u32, ptr, ptr, ptr, ptr, ptr, i64, ptr]
     lib.qw_consume.restype = i64
-    lib.qw_csr.argtypes = [i64, ptr, i64, ptr, ptr]
-    lib.qw_csr.restype = i64
     lib.qw_csr_rows.argtypes = [i64, ptr, i64, ptr, ptr, ptr]
     lib.qw_csr_rows.restype = i64
     lib.qw_edge_keys.argtypes = [i64, ptr, ptr, i64, ptr, ptr]
@@ -178,8 +176,6 @@ def _load():
     lib.qw_gnp.restype = i64
     lib.qw_table_keys.argtypes = [i64, ptr, ptr]
     lib.qw_table_keys.restype = i64
-    lib.qw_bit_rows.argtypes = [i64, i64, ptr, ptr, ptr]
-    lib.qw_bit_rows.restype = None
     lib.qw_neighbour_counts.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr]
     lib.qw_neighbour_counts.restype = None
     lib.qw_sampled_counts.argtypes = [u64, u32, u32, i64, i64, ptr, ptr, ptr, i64, i64, ptr, ptr]
@@ -197,8 +193,8 @@ def _kernel():
 
 def backend() -> str:
     """Which code draws list words, ``uniform_words``, ``derive_seed``
-    and G(n, p) hosts, builds each ``Graph``'s CSR arrays and bit rows
-    (from the rows for dense keys), makes edge keys from pairs, counts
-    neighbours in sets by popcount and runs the subset sampler's draws
-    and counts: "c" for the kernel, or "numpy"."""
+    and G(n, p) hosts, builds the CSR arrays and bit rows of each dense
+    ``Graph``, makes edge keys from pairs, counts neighbours in sets by
+    popcount and runs the subset sampler's draws and counts: "c" for the
+    kernel, or "numpy"."""
     return "numpy" if _kernel() is None else "c"

@@ -8,7 +8,9 @@ errors.
 """
 
 import hashlib
+import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -23,8 +25,9 @@ import test_experiments
 import test_walks
 from qwalk import graph, rng
 from qwalk.experiments import ExperimentConfig, run_experiment
-from qwalk.graph import (EdgeSubgraph, Graph, _bit_rows, build_graph, edge_keys,
-                         gen_complete, gen_gnp, gen_two_clique_bridge, neighbour_counts)
+from qwalk.graph import (EdgeSubgraph, Graph, VertexSet, _bit_rows, _vertex_count,
+                         build_graph, edge_keys, gen_complete, gen_gnp,
+                         gen_two_clique_bridge, neighbour_counts)
 from qwalk.trees import gen_nary_tree, gen_random_tree, image_subgraph, random_homomorphism
 from qwalk.walks import ListModel, run_walk, walk_subgraph
 
@@ -209,7 +212,7 @@ def _csr_reference(n, keys):
 @settings(max_examples=300, **PER_EXAMPLE)
 @given(case=key_sets())
 def test_csr_matches_reference(c_backend, monkeypatch, case):
-    # the kernel's one pass, the numpy sort it replaces and plain Python
+    # the kernel's bit rows for dense keys, the numpy sort and plain Python
     n, keys = case
     indptr, indices = _csr_reference(n, keys)
     for lib in (c_backend, False):
@@ -239,6 +242,62 @@ def test_bad_keys_rejected(backend, n, keys, message):
         Graph(n, keys)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: Graph(2.5, []), "vertex count must be an integer, got 2.5"),
+    (lambda: Graph(-0.5, []), "vertex count must be an integer, got -0.5"),
+    (lambda: Graph(-1, []), "vertex count must be non-negative, got -1"),
+    (lambda: Graph(2**32, []), "vertex count 4294967296 is too large"),
+    (lambda: edge_keys(10**20, [0], [1]), "vertex count 100000000000000000000 is too large"),
+    (lambda: edge_keys("3", [0], [1]), "vertex count must be an integer, got '3'"),
+    (lambda: build_graph(-1, []), "vertex count must be non-negative, got -1"),
+    (lambda: build_graph(3.0, [(0, 1)]), "vertex count must be an integer, got 3.0"),
+    (lambda: gen_complete(-2), "vertex count must be non-negative, got -2"),
+])
+def test_bad_vertex_counts_rejected(backend, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_vertex_count_bound_keeps_keys_in_int64():
+    # the largest n with n * n < 2^63, and the next one
+    assert _vertex_count(3037000499) == 3037000499
+    with pytest.raises(ValueError, match="too large: edge keys need n \\* n < 2\\^63"):
+        _vertex_count(3037000500)
+    assert type(_vertex_count(np.int64(5))) is int
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Graph(3, np.array([1.7])), "edge keys must be integers in int64, got 1.7"),
+    (lambda: Graph(3, np.array([1.0])), "got 1.0"),
+    (lambda: Graph(3, [True]), "edge keys must be integers in int64, got True"),
+    (lambda: Graph(3, np.array([2**63], dtype=np.uint64)), "got 9223372036854775808"),
+    (lambda: build_graph(3, [[0, 1.5]]), "edge endpoints must be integers in int64, got 1.5"),
+    (lambda: build_graph(3, [[0, 2**70]]), "got 1180591620717411303424"),
+    (lambda: build_graph(3, [[0, 2**64 - 1]]), "got 18446744073709551615"),  # read as floats
+    (lambda: build_graph(3, np.array([[0, 1]], dtype=object) + 0.5), "got 0.5"),
+    (lambda: edge_keys(3, [0.5], [1.9]), "edge endpoints must be integers in int64, got 0.5"),
+    (lambda: edge_keys(3, [0], np.array([True])), "got True"),
+    (lambda: EdgeSubgraph.from_pairs(gen_complete(3), [0], [1.5]), "got 1.5"),
+    (lambda: VertexSet.from_iterable(3, [1.5]), "vertex ids must be integers in int64, got 1.5"),
+])
+def test_non_integral_values_rejected(backend, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_empty_inputs_still_build(backend):
+    # numpy reads [] as float64; no value in it is refused
+    for g in (Graph(3, []), build_graph(3, []), build_graph(3, np.empty((0, 2))),
+              EdgeSubgraph.from_pairs(gen_complete(3), [], []).to_graph()):
+        assert g.n == 3 and g.edge_count == 0 and g.indptr.tolist() == [0, 0, 0, 0]
+    assert edge_keys(3, [], []).dtype == np.int64
+    assert VertexSet.from_iterable(3, []).size == 0
+    # integers of any width and Python ints in an object array are kept
+    assert build_graph(3, np.array([[0, 2]], dtype=np.uint8)).edge_codes().tolist() == [2]
+    assert build_graph(3, np.array([[1, 2]], dtype=object)).edge_codes().tolist() == [5]
+    assert VertexSet.from_iterable(3, range(3)).members == {0, 1, 2}
+
+
 @settings(max_examples=300, **PER_EXAMPLE)
 @given(n=st.integers(0, 12), data=st.data())
 def test_any_keys_give_the_same_graph_or_error(c_backend, monkeypatch, n, data):
@@ -246,7 +305,7 @@ def test_any_keys_give_the_same_graph_or_error(c_backend, monkeypatch, n, data):
     keys = data.draw(st.lists(st.integers(-3, n * n + 3), max_size=30))
     if data.draw(st.booleans()):
         keys = sorted(set(keys))
-    event("bit rows" if n * n <= 64 * len(keys) else "counting fill")
+    event("bit rows" if n * n <= 64 * len(keys) else "numpy sort")
     outcomes = []
     for lib in (c_backend, False):
         monkeypatch.setattr(rng, "_lib", lib)
@@ -260,15 +319,12 @@ def test_any_keys_give_the_same_graph_or_error(c_backend, monkeypatch, n, data):
 
 def test_kernel_writes_nothing_for_bad_keys(c_backend):
     # the validating pass returns the first bad position before the CSR
-    # arrays, or the bit rows of the dense fill, are touched; the last
-    # case fails after four valid keys, three of them on row 0
+    # arrays or the bit rows are touched; the last case fails after four
+    # valid keys, three of them on row 0
     for n, keys, first_bad in [(4, [1, 6, 2], 2), (4, [1, 15], 1), (4, [2**62], 0),
                                (3, [-1], 0), (4, [1, 2, 3, 7, 5], 4)]:
         keys = np.array(keys, dtype=np.int64)
         out = np.full(2 * len(keys) + n + 1, -7, dtype=np.int64)
-        assert c_backend.qw_csr(n, keys.ctypes.data, len(keys), out.ctypes.data,
-                                out[n + 1:].ctypes.data) == first_bad
-        assert (out == -7).all()
         rows = np.full(n * -(-n // 64), 7, dtype=np.uint64)
         assert c_backend.qw_csr_rows(n, keys.ctypes.data, len(keys), rows.ctypes.data,
                                      out.ctypes.data, out[n + 1:].ctypes.data) == first_bad
@@ -298,6 +354,17 @@ def test_generated_graphs_are_pinned(backend):
         for a in (g.indptr, g.indices, g.edge_codes()):
             h.update(str(a.dtype).encode() + a.tobytes())
     assert h.hexdigest() == "05f778d7e3abc4bdd000b87dc48d51ab8e6d0be4729231ed132d15df493684e4"
+
+
+def test_kernel_entry_points_are_the_loaded_ones():
+    # every non-static qw_ function of the source gets its argtypes in
+    # rng._load, and nothing else does, so a half-deleted entry point
+    # fails here rather than when the kernel loads
+    source = (SRC / "qwalk" / "_philox.c").read_text()
+    defined = re.findall(r"^(?!static\b)\w[\w ]*?\b(qw_\w+)\(", source, re.M)
+    declared = re.findall(r"lib\.(qw_\w+)\.argtypes", inspect.getsource(rng._load))
+    assert len(defined) == len(set(defined)) and len(declared) == len(set(declared))
+    assert sorted(defined) == sorted(declared) and len(defined) == 9
 
 
 def test_kernel_compiles_without_warnings():
@@ -430,14 +497,11 @@ def _rows_from_edges(g):
 
 @settings(max_examples=150, **PER_EXAMPLE)
 @given(case=count_cases())
-def test_bit_rows_match_reference(c_backend, monkeypatch, case):
-    # the kernel's rows, numpy's rows and the edge list set the same bits
+def test_bit_rows_match_reference(case):
+    # numpy's rows and the edge list set the same bits
     n, keys, _, _ = case
     g = Graph(n, keys)
-    want = _rows_from_edges(g)
-    for lib in (c_backend, False):
-        monkeypatch.setattr(rng, "_lib", lib)
-        assert np.array_equal(_bit_rows(g), want)
+    assert np.array_equal(_bit_rows(g), _rows_from_edges(g))
 
 
 @settings(max_examples=150, **PER_EXAMPLE)
@@ -445,10 +509,11 @@ def test_bit_rows_match_reference(c_backend, monkeypatch, case):
 def test_dense_graph_keeps_its_rows(c_backend, monkeypatch, case):
     # with the kernel, a graph with n^2 <= 64 m fills its CSR arrays from
     # bit rows and keeps them, read-only; any other graph, and every graph
-    # without the kernel, packs its rows on first use; all equal numpy's
+    # without the kernel, sorts in numpy and packs its rows on first use;
+    # all equal numpy's
     n, keys, _, _ = case
     dense = n * n <= 64 * len(keys)
-    event("bit rows" if dense else "counting fill")
+    event("bit rows" if dense else "numpy sort")
     monkeypatch.setattr(rng, "_lib", False)
     reference = Graph(n, keys)
     want = _bit_rows(reference)
@@ -463,18 +528,22 @@ def test_dense_graph_keeps_its_rows(c_backend, monkeypatch, case):
         assert np.array_equal(g.indices, reference.indices)
 
 
-def test_dense_counts_never_pack_rows(kernel_calls):
+def test_dense_counts_never_pack_rows(kernel_calls, monkeypatch):
     # K_100 and a G(300, 0.3) keep the rows of their construction; a
-    # G(300, 0.01) below the rule packs its rows once, on first use
-    sets = np.ones((2, 100), dtype=bool)
-    neighbour_counts(gen_complete(100), sets)
+    # G(300, 0.01) below the rule builds its CSR arrays with no kernel
+    # call and packs its rows once, in numpy, on first use
+    packed = []
+    monkeypatch.setattr(graph, "_bit_rows", lambda g: packed.append(g) or _bit_rows(g))
+    neighbour_counts(gen_complete(100), np.ones((2, 100), dtype=bool))
     neighbour_counts(gen_gnp(300, 0.3, 1), np.ones((1, 300), dtype=bool))
-    assert kernel_calls["qw_csr_rows"] == 2 and kernel_calls["qw_bit_rows"] == 0
-    g = gen_gnp(300, 0.01, 1)
+    assert kernel_calls["qw_csr_rows"] == 2 and not packed
+    keys = gen_gnp(300, 0.01, 1).edge_codes()
+    kernel_calls.clear()
+    g = Graph(300, keys)
+    assert not kernel_calls and g._rows is None
     for _ in range(2):
         neighbour_counts(g, np.ones((1, 300), dtype=bool))
-    assert kernel_calls["qw_csr"] == 1 and kernel_calls["qw_bit_rows"] == 1
-    assert kernel_calls["qw_neighbour_counts"] == 4
+    assert packed == [g] and kernel_calls == {"qw_neighbour_counts": 2}
 
 
 @pytest.mark.parametrize("sets,among,message", [

@@ -119,3 +119,19 @@ def test_undecodable_file_names_its_line(tmp_path, name, data, line):
             code = main(["certify", "--graph", path, "--eps", "0.5"])
         assert code == 2
         assert err.getvalue() == f"error: {path}:2: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("header", ["99999999999999999999 0", "1000000000000 0"])
+def test_vertex_count_past_the_key_bound_names_line_1(tmp_path, header):
+    # keys u*n+v need n * n < 2^63; a larger n is refused at its header
+    # line, before anything is allocated for it
+    path = str(tmp_path / "g.txt")
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["certify", "--graph", path, "--eps", "0.1"])
+    assert code == 2
+    n = header.split()[0]
+    assert err.getvalue() == (f"error: {path}:1: vertex count {n} is too large: "
+                              f"edge keys need n * n < 2^63\n")
