@@ -15,14 +15,17 @@
  * qw_sampled_counts compute these words, and qw_seed_key gives
  * qwalk.rng.derive_seed the first key word.
  *
+ * Vertex ids are int32, since a graph has fewer than 2^31 vertices, and
+ * an edge key u * n + v, u < v, is int64, formed only after widening.
  * qw_csr_rows fills a dense qwalk.graph.Graph's indptr and indices from
- * its sorted edge keys u * n + v, u < v, through the graph's adjacency
- * bit rows, which it fills and the Graph keeps; qw_edge_keys makes those
- * keys from vertex pairs through a bit table, both with the same bytes
- * as the numpy sorts that stay the reference and serve sparse keys.
- * qw_gnp sets the bits of G(n, p)'s keys in such a table, and
- * qw_table_keys, which qw_edge_keys calls too, reads any such table out
- * in ascending order.
+ * its sorted edge keys through the graph's adjacency bit rows, which it
+ * fills and the Graph keeps as its one edge store; qw_edge_keys makes
+ * keys from vertex pairs, both with the same bytes as the numpy sorts
+ * that stay the reference and serve sparse keys.  qw_edge_keys and qw_gnp
+ * mark each edge (u, v), u < v, as bit v of row u in the same row layout,
+ * and qw_row_keys, which qw_edge_keys calls too, reads the bits above the
+ * diagonal of any such rows out as ascending keys: a marked table, or a
+ * Graph's rows when its keys are asked for.
  *
  * qw_neighbour_counts counts |N(v) & S| as the popcount of row v and S,
  * the counts behind the e(A, B) of qwalk.certify.  qw_sampled_counts
@@ -153,9 +156,9 @@ void qw_words(uint64_t seed, uint32_t domain, uint32_t index,
  * neighbours, after taking the entries before j.
  */
 int64_t qw_consume(uint64_t seed, uint32_t domain,
-                   const int64_t *indptr, const int64_t *indices,
+                   const int64_t *indptr, const int32_t *indices,
                    uint64_t *state, int64_t *taken,
-                   const int64_t *parents, int64_t m, int64_t *image)
+                   const int32_t *parents, int64_t m, int32_t *image)
 {
     int64_t j;
 
@@ -172,7 +175,7 @@ int64_t qw_consume(uint64_t seed, uint32_t domain,
             *next = (uint64_t)indices[lo + (int64_t)(to_double(block[0]) * (double)d)];
             *pos = (uint64_t)(lo + (int64_t)(to_double(block[1]) * (double)d));
         }
-        image[j + 1] = (int64_t)*next;
+        image[j + 1] = (int32_t)*next;
         taken[x] = ++t;
         *next = (uint64_t)indices[*pos];
         /* word t + 1 is the entry after the new next one */
@@ -223,7 +226,7 @@ static int64_t first_bad_key(int64_t n, const int64_t *keys, int64_t m)
  * in int64.  Returns m once the arrays are filled.
  */
 int64_t qw_csr_rows(int64_t n, const int64_t *keys, int64_t m, uint64_t *rows,
-                    int64_t *indptr, int64_t *indices)
+                    int64_t *indptr, int32_t *indices)
 {
     int64_t w = (n + 63) / 64, j, i, v, u = 0, base = 0, count = 0;
     uint64_t bits;
@@ -240,71 +243,78 @@ int64_t qw_csr_rows(int64_t n, const int64_t *keys, int64_t m, uint64_t *rows,
     for (v = 0; v < n; v++) {
         for (i = 0; i < w; i++)
             for (bits = rows[v * w + i]; bits; bits &= bits - 1)
-                indices[count++] = 64 * i + __builtin_ctzll(bits);
+                indices[count++] = (int32_t)(64 * i + __builtin_ctzll(bits));
         indptr[v + 1] = count;
     }
     return m;
 }
 
-/* The set bits of ``table``, n * n bits, in ascending order into ``keys``,
- * which must hold them all.  Returns the number of keys written.
+/* The keys u * n + v of the bits v > u of each row u of ``rows``, n rows
+ * of ceil(n / 64) words where v is bit v % 64 of word v / 64, into
+ * ``keys`` in ascending order, which must hold them all.  Returns the
+ * number of keys written.
  */
-int64_t qw_table_keys(int64_t n, const uint64_t *table, int64_t *keys)
+int64_t qw_row_keys(int64_t n, const uint64_t *rows, int64_t *keys)
 {
-    int64_t w, count = 0;
+    int64_t w = (n + 63) / 64, u, i, count = 0;
     uint64_t bits;
 
-    for (w = 0; w < (n * n + 63) / 64; w++)
-        for (bits = table[w]; bits; bits &= bits - 1)
-            keys[count++] = 64 * w + __builtin_ctzll(bits);
+    for (u = 0; u < n; u++)
+        for (i = (u + 1) / 64; i < w; i++) {
+            bits = rows[u * w + i];
+            if (i == (u + 1) / 64)
+                bits &= ~(uint64_t)0 << ((u + 1) % 64);
+            for (; bits; bits &= bits - 1)
+                keys[count++] = u * n + 64 * i + __builtin_ctzll(bits);
+        }
     return count;
 }
 
 /* Sorted distinct keys min * n + max of the pairs (us[i], vs[i]): each
- * key sets its bit of ``table``, n * n zeroed bits, and the set bits are
- * read out in ascending order, so no key array is sorted.  A first pass
- * writes nothing: it returns -1 when an endpoint lies outside 0..n-1 or a
- * pair is a self-loop.  n * n must fit in int64 and ``keys`` must hold
- * every distinct key.  Returns the number of keys written.
+ * pair sets bit max of row min of ``rows``, n zeroed rows of ceil(n / 64)
+ * words, and qw_row_keys reads the bits out in ascending order, so no key
+ * array is sorted.  A first pass writes nothing: it returns -1 when an
+ * endpoint lies outside 0..n-1 or a pair is a self-loop.  ``keys`` must
+ * hold every distinct key.  Returns the number of keys written.
  */
-int64_t qw_edge_keys(int64_t n, const int64_t *us, const int64_t *vs, int64_t m,
-                     uint64_t *table, int64_t *keys)
+int64_t qw_edge_keys(int64_t n, const int32_t *us, const int32_t *vs, int64_t m,
+                     uint64_t *rows, int64_t *keys)
 {
-    int64_t i;
+    int64_t i, w = (n + 63) / 64;
 
     for (i = 0; i < m; i++)
         if (us[i] < 0 || us[i] >= n || vs[i] < 0 || vs[i] >= n || us[i] == vs[i])
             return -1;
     for (i = 0; i < m; i++) {
-        /* min * n + max with a select, not a branch that a walk mispredicts */
-        int64_t u = us[i], v = vs[i], a = u < v ? u : v;
-        uint64_t k = (uint64_t)(a * n + (u + v - a));
-        table[k / 64] |= (uint64_t)1 << (k % 64);
+        /* min and max with a select, not a branch that a walk mispredicts */
+        int64_t u = us[i], v = vs[i], a = u < v ? u : v, b = u + v - a;
+        rows[a * w + b / 64] |= (uint64_t)1 << (b % 64);
     }
-    return qw_table_keys(n, table, keys);
+    return qw_row_keys(n, rows, keys);
 }
 
-/* The keys u * n + v of G(n, p) on stream domain ``domain``: pair (u, v),
- * u < v, is an edge when the double of word v - u - 1 of stream (seed,
- * domain, u) is below p, the rule of qwalk.graph.gen_gnp's reference, and
- * each edge sets its bit of ``table``, n * n zeroed bits.  n * n must fit
- * in int64.  Returns the number of edges; qw_table_keys reads them out.
+/* The edges of G(n, p) on stream domain ``domain``: pair (u, v), u < v,
+ * is an edge when the double of word v - u - 1 of stream (seed, domain,
+ * u) is below p, the rule of qwalk.graph.gen_gnp's reference, and each
+ * edge sets bit v of row u of ``rows``, n zeroed rows of ceil(n / 64)
+ * words.  Returns the number of edges; qw_row_keys reads them out.
  */
-int64_t qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *table)
+int64_t qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *rows)
 {
     uint64_t key[2], block[4];
-    int64_t u, j, count = 0;
+    int64_t u, j, w = (n + 63) / 64, count = 0;
 
     for (u = 0; u + 1 < n; u++) {
-        uint64_t base = (uint64_t)(u * n + u + 1);
+        uint64_t *row = rows + u * w;
         seed_key(seed, domain, (uint32_t)u, key);
         for (j = 0; j < n - u - 1; j++) {
             /* a 0/1 select, not a branch that p = 1/2 mispredicts half the time */
-            uint64_t k = base + (uint64_t)j, edge;
+            int64_t v = u + 1 + j;
+            uint64_t edge;
             if (j % 4 == 0)
                 philox_block(key, (uint64_t)(j / 4 + 1), block);
             edge = to_double(block[j % 4]) < p;
-            table[k / 64] |= edge << (k % 64);
+            row[v / 64] |= edge << (v % 64);
             count += (int64_t)edge;
         }
     }

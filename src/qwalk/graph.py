@@ -1,43 +1,47 @@
 """Immutable undirected simple graphs in compressed adjacency form.
 
-A ``Graph`` stores sorted per-vertex neighbor lists in CSR layout
-(``indptr``/``indices``) with 64-bit counts throughout.  Instances are
+A ``Graph`` stores sorted per-vertex neighbor lists in CSR layout: int64
+row starts ``indptr`` and int32 vertex ids ``indices``.  Instances are
 frozen after construction, so any number of readers may share one.
 Generators are pure functions of their arguments.
 
-An edge uv, u < v, is the int64 key u * n + v.  This module alone
-packs, deduplicates and looks up keys: a ``Graph`` is built from its
-sorted distinct keys, and an ``EdgeSubgraph`` (the edges a walk or a
-tree embedding traverses) is a sorted distinct key array.
+An edge uv, u < v, is the int64 key u * n + v, formed only after
+widening the int32 ids.  This module alone packs, deduplicates and
+looks up keys: a ``Graph`` is built from its sorted distinct keys, and
+an ``EdgeSubgraph`` (the edges a walk or a tree embedding traverses) is
+a sorted distinct key array.
 
-A vertex count n is an integer with n * n < 2^63, so that every key
-fits in int64, and keys and endpoints are integers; anything else
-raises ValueError.  ``Graph(n, keys)`` checks that its keys are strictly
-ascending and of the form 0 <= u < v < n, and raises ValueError
-otherwise.  Dense keys, m keys with n^2 <= 64 m (``_table_fits``, the
-one table rule), go through the C kernel of ``rng``: each edge sets both
-its bits in the graph's bit rows, n^2/8 bytes, no more than the keys,
-which the graph keeps, and each row's bits are read out in order.  Other
-keys, and every key without the kernel, sort both arcs of every edge in
-numpy, the reference.  Generators and ``EdgeSubgraph.to_graph``, which
-hold their keys sorted already, call ``Graph`` directly;
+A vertex count n is an integer with 0 <= n < 2^31, so that every vertex
+id fits in int32 and every key in int64, and keys and endpoints are
+integers; anything else raises ValueError.  ``Graph(n, keys)`` checks
+that its keys are strictly ascending and of the form 0 <= u < v < n,
+and raises ValueError otherwise.  Dense keys, m keys with n^2 <= 64 m
+(``_table_fits``, the one table rule), go through the C kernel of
+``rng``: each edge sets both its bits in the graph's bit rows, n^2/8
+bytes, no more than the keys, and each row's bits are read out in
+order.  Other keys, and every key without the kernel, sort both arcs of
+every edge in numpy, the reference.  A dense graph keeps one edge store
+beside its CSR arrays, the bit rows, and reads its keys out of them
+when asked; any other graph keeps its keys.  Generators and
+``EdgeSubgraph.to_graph``, which hold their keys sorted already, call
+``Graph`` directly; ``gen_complete`` fills K_n's arrays in closed form;
 ``build_graph`` packs and deduplicates arbitrary pairs first.
 
 ``edge_keys`` alone turns pairs into keys, for ``build_graph`` and for
 ``EdgeSubgraph.from_pairs``, and it alone rejects an endpoint outside
-0..n-1 and a self-loop.  Under the table rule the kernel marks each key
-in an n^2-bit table, no larger than the m int64 keys a sort needs, and
-reads the marks out in order; otherwise numpy sorts the packed keys,
-the reference.
+0..n-1 and a self-loop.  Under the table rule the kernel marks each pair
+in n bit rows, no larger than the m int64 keys a sort needs, and reads
+the marks out in order; otherwise numpy sorts the packed keys, the
+reference.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
 uint64 words, n^2/8 bytes, packed once: at construction for dense keys
-on the kernel, else by numpy on first use.  ``neighbour_counts`` counts
-neighbours in vertex sets, the e(A, B) behind the discrepancy
-estimators: |N(v) & S| is the popcount of row v and S's words, exact
-integers at any n, in the kernel or with ``np.bitwise_count``.  The
-subset sampler of ``certify`` counts from the same rows in its own
-kernel call.
+on the kernel, else by numpy on first use.  ``has_edges`` tests their
+bits on a dense graph.  ``neighbour_counts`` counts neighbours in vertex
+sets, the e(A, B) behind the discrepancy estimators: |N(v) & S| is the
+popcount of row v and S's words, exact integers at any n, in the kernel
+or with ``np.bitwise_count``.  The subset sampler of ``certify`` counts
+from the same rows in its own kernel call.
 """
 
 from __future__ import annotations
@@ -54,32 +58,51 @@ from .rng import DOMAIN_GNP, _checked_seed, _kernel, uniform_words
 
 
 def _vertex_count(n) -> int:
-    """``n`` as an int, 0 <= n with n * n < 2^63 so that every key
-    u * n + v fits in int64; ValueError naming any other value."""
+    """``n`` as an int, 0 <= n < 2^31 so that every vertex id fits in
+    int32 and every key u * n + v in int64; ValueError naming any other
+    value."""
     try:
         n = operator.index(n)
     except TypeError:
         raise ValueError(f"vertex count must be an integer, got {n!r}") from None
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
-    if n * n >= 2**63:
-        raise ValueError(f"vertex count {n} is too large: edge keys need n * n < 2^63")
+    if n >= 2**31:
+        raise ValueError(f"vertex count {n} is too large: vertex ids need n < 2^31")
     return n
 
 
 def _int64s(values, what: str) -> np.ndarray:
-    """``values`` as a C-contiguous int64 array; ValueError names the first
-    value that is not an integer in int64.  Floats are refused even when
-    integral, as ``operator.index`` refuses them, and so are bools; an
-    empty input, which numpy reads as float64, is an empty array."""
+    """``values`` as a C-contiguous int64 array, checked as ``_integers``
+    checks them."""
+    return np.ascontiguousarray(_integers(values, what), dtype=np.int64)
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as a signed integer array: a signed integer array as it
+    is, so int32 ids pass without a copy, and anything else as int64.
+    ValueError names the first value that is not an integer in int64.
+    Floats are refused even when integral, as ``operator.index`` refuses
+    them, and so are bools; an empty input, which numpy reads as
+    float64, is an empty array."""
     a = np.asarray(values)
-    if a.size and not (a.dtype.kind == "i" or a.dtype.kind == "u" and a.max() < 2**63):
+    if a.dtype.kind == "i":
+        return a
+    if a.size and not (a.dtype.kind == "u" and a.max() < 2**63):
         # the values as given: numpy reads [0, 2**64 - 1] as floats
         for x in np.asarray(values, dtype=object).flat:
             if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
                     or not -2**63 <= int(x) < 2**63):
                 raise ValueError(f"{what} must be integers in int64, got {x!r}")
-    return np.ascontiguousarray(a, dtype=np.int64)
+    return a.astype(np.int64)
+
+
+def _ids(a: np.ndarray):
+    """An integer array as C-contiguous int32, without a copy when it is
+    that already, or None when a value lies outside int32."""
+    if a.dtype != np.int32 and a.size and not -2**31 <= a.min() <= a.max() < 2**31:
+        return None
+    return np.ascontiguousarray(a, dtype=np.int32)
 
 
 def _table_fits(n: int, m) -> bool:
@@ -89,10 +112,11 @@ def _table_fits(n: int, m) -> bool:
 
 
 def _pack(n: int, us, vs) -> np.ndarray:
-    """Edge keys min(u, v) * n + max(u, v) as a new int64 array."""
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    return np.minimum(us, vs) * n + np.maximum(us, vs)
+    """Edge keys min(u, v) * n + max(u, v) as a new int64 array, widened
+    before the product, so ids of any integer width make no other copy."""
+    keys = np.array(np.minimum(us, vs), dtype=np.int64)
+    np.multiply(keys, n, out=keys)
+    return np.add(keys, np.maximum(us, vs), out=keys, casting="unsafe")
 
 
 def _inside(n: int, us, vs):
@@ -136,25 +160,27 @@ def edge_keys(n: int, us, vs) -> np.ndarray:
     Each pair must join two distinct vertices of 0..n-1; otherwise
     ValueError names the first endpoint out of range, or else the first
     self-loop.  With the C kernel, and under the table rule for m pairs,
-    so that a table of n^2 bits takes no more bytes than the m int64 keys
-    a sort needs, each pair sets its key's bit and the set bits are read
-    out in order.  Otherwise the keys are packed and sorted, the reference.
+    so that n bit rows take no more bytes than the m int64 keys a sort
+    needs, each pair sets its bit and the set bits are read out in
+    order; int32 endpoints pass to the kernel without a copy.  Otherwise
+    the keys are packed and sorted, the reference.
     """
     n = _vertex_count(n)
-    us, vs = _int64s(us, "edge endpoints"), _int64s(vs, "edge endpoints")
+    us, vs = _integers(us, "edge endpoints"), _integers(vs, "edge endpoints")
     if us.ndim != 1 or us.shape != vs.shape:
         raise ValueError("pairs must be two 1-d arrays of equal length")
     m = len(us)
     lib = _kernel() if _table_fits(n, m) else None
-    if lib is not None:
-        table = np.zeros(-(-n * n // 64), dtype=np.uint64)
+    us32, vs32 = (_ids(us), _ids(vs)) if lib is not None else (None, None)
+    if us32 is not None and vs32 is not None:
+        rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
         keys = np.empty(min(m, n * (n - 1) // 2), dtype=np.int64)
-        count = lib.qw_edge_keys(n, us.ctypes.data, vs.ctypes.data, m, table.ctypes.data,
-                                 keys.ctypes.data)
+        count = lib.qw_edge_keys(n, us32.ctypes.data, vs32.ctypes.data, m,
+                                 rows.ctypes.data, keys.ctypes.data)
         if count >= 0:
             keys.resize(count, refcheck=False)  # no view of keys exists yet
             return keys
-    _check_pairs(n, us, vs)  # raises where the kernel returned -1
+    _check_pairs(n, us, vs)  # raises where the kernel returned -1 or took no ids
     return _distinct(_pack(n, us, vs))
 
 
@@ -163,34 +189,47 @@ class Graph:
 
     Invariants: symmetric adjacency, no self-loops, no duplicate
     neighbors, and sum of degrees equal to twice ``edge_count``.
-    Built from its edge keys u * n + v, u < v, strictly ascending, which
-    it keeps (read-only) as ``edge_codes()``; other keys raise ValueError.
+    Built from its edge keys u * n + v, u < v, strictly ascending; other
+    keys raise ValueError.  A dense graph keeps its bit rows and reads
+    ``edge_codes()`` out of them on each call; any other graph keeps its
+    keys (read-only).
     """
 
     __slots__ = ("n", "indptr", "indices", "edge_count", "_edge_codes", "_rows")
 
     def __init__(self, n: int, keys):
-        self.n = n = _vertex_count(n)
+        n = _vertex_count(n)
         keys = _int64s(keys, "edge keys")
         if keys.ndim != 1:
             raise ValueError("edge keys must be a 1-d array")
         m = len(keys)
-        lib = _kernel() if _table_fits(n, m) else None
+        dense = _table_fits(n, m)
+        lib = _kernel() if dense else None
         rows = None  # bit rows, filled here for dense keys or packed by bit_rows()
         if lib is None:
-            done, self.indptr, self.indices = _csr_numpy(n, keys)
+            done, indptr, indices = _csr_numpy(n, keys)
         else:
             rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
-            self.indptr = np.empty(n + 1, dtype=np.int64)
-            self.indices = np.empty(2 * m, dtype=np.int64)
+            indptr = np.empty(n + 1, dtype=np.int64)
+            indices = np.empty(2 * m, dtype=np.int32)
             done = lib.qw_csr_rows(n, keys.ctypes.data, m, rows.ctypes.data,
-                                   self.indptr.ctypes.data, self.indices.ctypes.data)
+                                   indptr.ctypes.data, indices.ctypes.data)
         if done < m:
             raise _bad_key(n, keys, done)
-        self.edge_count = m
-        self._edge_codes = keys
-        self._rows = rows
-        for a in (self.indptr, self.indices, keys, rows):
+        self._keep(n, indptr, indices, None if dense else keys, rows)
+
+    @classmethod
+    def _from_csr(cls, n: int, indptr, indices, rows) -> "Graph":
+        """A dense graph from its own valid CSR arrays and bit rows."""
+        g = cls.__new__(cls)
+        g._keep(n, indptr, indices, None, rows)
+        return g
+
+    def _keep(self, n, indptr, indices, keys, rows) -> None:
+        self.n, self.indptr, self.indices = n, indptr, indices
+        self.edge_count = len(indices) // 2
+        self._edge_codes, self._rows = keys, rows
+        for a in (indptr, indices, keys, rows):
             if a is not None:
                 a.setflags(write=False)
 
@@ -206,24 +245,43 @@ class Graph:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not _inside(self.n, u, v):
-            return False
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return bool(i < len(row) and row[i] == v)
+        return bool(_inside(self.n, u, v) and self.has_edges(u, v))
 
     def has_edges(self, us, vs) -> np.ndarray:
-        """Elementwise ``has_edge``."""
-        return _inside(self.n, us, vs) & np.isin(_pack(self.n, us, vs),
-                                                 self._edge_codes)
+        """Elementwise ``has_edge``: a bit test on a dense graph's rows, a
+        key lookup on any other graph's keys."""
+        n = self.n
+        inside = _inside(n, us, vs)
+        if self._edge_codes is not None:
+            return inside & np.isin(_pack(n, us, vs), self._edge_codes)
+        if n == 0:
+            return inside
+        # a pair outside reads bit 0 of row 0, which no graph sets; the
+        # rows' little-endian bytes hold neighbour v at bit v % 8 of byte
+        # v // 8, so no temporary is wider than the ids
+        us, vs = np.where(inside, us, 0), np.where(inside, vs, 0)
+        octets = self.bit_rows().astype("<u8", copy=False).view(np.uint8)[us, vs >> 3]
+        return (octets >> (vs & 7).astype(np.uint8) & 1).astype(bool)
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
-        return _unpack(self.n, self._edge_codes)
+        return _unpack(self.n, self.edge_codes())
 
     def edge_codes(self) -> np.ndarray:
-        """Edges packed as u * n + v with u < v, sorted (read-only)."""
-        return self._edge_codes
+        """Edges packed as u * n + v with u < v, sorted (read-only): the
+        kept keys, or a dense graph's read out of its rows."""
+        if self._edge_codes is not None:
+            return self._edge_codes
+        lib = _kernel()
+        if lib is None:  # the reference: every arc u -> v with u < v, in CSR order
+            src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+            up = self.indices > src
+            keys = src[up] * self.n + self.indices[up]
+        else:
+            keys = np.empty(self.edge_count, dtype=np.int64)
+            lib.qw_row_keys(self.n, self.bit_rows().ctypes.data, keys.ctypes.data)
+        keys.setflags(write=False)
+        return keys
 
     def bit_rows(self) -> np.ndarray:
         """(n, ceil(n/64)) uint64 adjacency rows (read-only): neighbour u
@@ -257,7 +315,7 @@ def _csr_numpy(n: int, keys: np.ndarray):
     arcs = np.concatenate([keys, v * n + u])
     arcs.sort()
     indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
-    return len(keys), indptr, arcs % max(n, 1)
+    return len(keys), indptr, (arcs % max(n, 1)).astype(np.int32)
 
 
 def _bad_key(n: int, keys: np.ndarray, j: int) -> ValueError:
@@ -357,8 +415,8 @@ def build_graph(n: int, edges) -> Graph:
     Rejects self-loops and out-of-range endpoints (``edge_keys``).
     """
     n = _vertex_count(n)
-    pairs = _int64s(edges if isinstance(edges, np.ndarray) else list(edges),
-                    "edge endpoints")
+    pairs = _integers(edges if isinstance(edges, np.ndarray) else list(edges),
+                      "edge endpoints")
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -447,23 +505,23 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     (seed, GNP domain, u), so the pair stream is replayable per row; the
     pair is an edge when the word's double is below p.
 
-    With the C kernel, for seeds below 2^64 and n below 2^32, and under
-    the table rule for the expected p n(n-1)/2 edges, so that a table of
-    n^2 bits takes no more bytes than the int64 keys it is expected to
-    hold, one call draws every pair and sets its key's bit, and the set
-    bits are read out in order.  Otherwise each row is drawn with
-    ``uniform_words``, the reference.
+    With the C kernel, for seeds below 2^64, and under the table rule
+    for the expected p n(n-1)/2 edges, so that n bit rows take no more
+    bytes than the int64 keys they are expected to hold, one call draws
+    every pair and sets its bit in the rows, and the set bits are read
+    out in order.  Otherwise each row is drawn with ``uniform_words``,
+    the reference.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     seed = _checked_seed(seed)
     n = _vertex_count(n)
-    fits = seed < 2**64 and n < 2**32 and _table_fits(n, p * n * (n - 1) / 2)
+    fits = seed < 2**64 and _table_fits(n, p * n * (n - 1) / 2)
     lib = _kernel() if fits else None
     if lib is not None:
-        table = np.zeros(-(-n * n // 64), dtype=np.uint64)
-        keys = np.empty(lib.qw_gnp(seed, DOMAIN_GNP, n, p, table.ctypes.data), dtype=np.int64)
-        lib.qw_table_keys(n, table.ctypes.data, keys.ctypes.data)
+        rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+        keys = np.empty(lib.qw_gnp(seed, DOMAIN_GNP, n, p, rows.ctypes.data), dtype=np.int64)
+        lib.qw_row_keys(n, rows.ctypes.data, keys.ctypes.data)
         return Graph(n, keys)
     rows = [np.empty(0, dtype=np.int64)]  # keys of row u are u*n + u+1 .. u*n + n-1
     for u in range(n - 1):
@@ -473,9 +531,18 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def gen_complete(n: int) -> Graph:
-    # the flat indices of the strict upper triangle are the keys, ascending
+    """K_n in closed form: row v of the bit rows holds every u != v, and
+    v's neighbours are 0..n-1 without v, so no key is made."""
     n = _vertex_count(n)
-    return Graph(n, np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1)))
+    rows = np.full((n, -(-n // 64)), np.uint64(2**64 - 1))
+    if n % 64:
+        rows[:, -1] = np.uint64(2**(n % 64) - 1)
+    v = np.arange(n)
+    rows[v, v // 64] ^= np.uint64(1) << (v % 64).astype(np.uint64)
+    # neighbour j of row v is j + 1 past the diagonal, j before it
+    indices = np.arange(1, n, dtype=np.int32) - np.tri(n, max(n - 1, 0), -1, dtype=bool)
+    return Graph._from_csr(n, np.arange(n + 1, dtype=np.int64) * max(n - 1, 0),
+                           indices.reshape(-1), rows)
 
 
 def small_clique_size(n: int, eps: float) -> int:
@@ -531,8 +598,7 @@ def connectivity_profile(g: Graph) -> tuple[bool, bool]:
             nbrs = _distinct(g.indices[slots])
             frontier = nbrs[color[nbrs] < 0]
             color[frontier] = c
-    u, v = g.edge_array().T
-    return components <= 1, bool((color[u] != color[v]).all())
+    return components <= 1, bool((np.repeat(color, g.degrees) != color[g.indices]).all())
 
 
 def save_graph(g: Graph, path: str) -> None:

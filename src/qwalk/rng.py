@@ -17,10 +17,11 @@ numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
 seeds below 2^64 and indices below 2^32.  ``uniform_words``,
 ``derive_seed`` and the list model use it when it loads.  So does
 ``graph``: ``Graph`` builds the CSR arrays of dense keys through
-adjacency bit rows that it keeps, and numpy sorts any other keys;
-``gen_gnp`` draws every pair of G(n, p) into a bit table in one call
-and ``edge_keys`` marks the keys of vertex pairs in such a table, both
-read out by one entry point; and ``neighbour_counts`` counts |N(v) & S|
+adjacency bit rows that it keeps as its one edge store, and numpy sorts
+any other keys; ``gen_gnp`` draws every pair of G(n, p) into rows of
+the same layout in one call and ``edge_keys`` marks the keys of vertex
+pairs in such rows, and one entry point reads out the keys of those
+rows and of a dense graph's; and ``neighbour_counts`` counts |N(v) & S|
 from the bit rows by popcount, in a popcnt clone on x86-64 glibc.  So does
 ``certify.discrepancy_sampled``, which draws every subset and counts
 every e(A, B) from the bit rows in one call, from the stream position
@@ -174,8 +175,8 @@ def _load():
     lib.qw_edge_keys.restype = i64
     lib.qw_gnp.argtypes = [u64, u32, i64, ctypes.c_double, ptr]
     lib.qw_gnp.restype = i64
-    lib.qw_table_keys.argtypes = [i64, ptr, ptr]
-    lib.qw_table_keys.restype = i64
+    lib.qw_row_keys.argtypes = [i64, ptr, ptr]
+    lib.qw_row_keys.restype = i64
     lib.qw_neighbour_counts.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr]
     lib.qw_neighbour_counts.restype = None
     lib.qw_sampled_counts.argtypes = [u64, u32, u32, i64, i64, ptr, ptr, ptr, i64, i64, ptr, ptr]
@@ -194,7 +195,8 @@ def _kernel():
 def backend() -> str:
     """Which code draws list words, ``uniform_words``, ``derive_seed``
     and G(n, p) hosts, builds the CSR arrays and bit rows of each dense
-    ``Graph``, makes edge keys from pairs, counts neighbours in sets by
+    ``Graph`` and reads its keys out of the rows, makes edge keys from
+    pairs, counts neighbours in sets by
     popcount and runs the subset sampler's draws and counts: "c" for the
     kernel, or "numpy"."""
     return "numpy" if _kernel() is None else "c"

@@ -17,11 +17,12 @@ import numpy as np
 
 from .graph import EdgeSubgraph, Graph, read_text
 from .rng import DOMAIN_TREE_GEN, uniform_words
-from .walks import ListModel
+from .walks import ListModel, _count_ids
 
 
 class RootedTree:
-    """Rooted tree as a parent array; parents[0] is -1 for the root."""
+    """Rooted tree as an int32 parent array; parents[0] is -1 for the
+    root.  A tree has at most 2^31 vertices (``_tree_size``)."""
 
     __slots__ = ("parents", "_children", "_graph_degrees")
 
@@ -89,14 +90,23 @@ def build_tree(parents) -> RootedTree:
         j = int(bad[0]) + 1
         raise ValueError(
             f"parent of vertex {j} is {int(arr[j])}; must be an earlier vertex")
-    return RootedTree(arr)
+    _tree_size(len(arr))
+    return RootedTree(arr.astype(np.int32))
+
+
+def _tree_size(size: int) -> int:
+    """``size`` when a tree of that many vertices has ids that fit int32
+    parents, at most 2^31; ValueError otherwise, before any allocation."""
+    if size > 2**31:
+        raise ValueError(f"a tree of {size} vertices has ids past int32")
+    return size
 
 
 def gen_path_tree(length: int) -> RootedTree:
     """Path with ``length`` edges rooted at one end, the tree of a walk."""
     if length < 0:
         raise ValueError(f"a path takes a non-negative number of edges, got {length}")
-    parents = np.arange(-1, length, dtype=np.int64)
+    parents = np.arange(-1, _tree_size(length + 1) - 1, dtype=np.int32)
     return RootedTree(parents)
 
 
@@ -104,11 +114,12 @@ def gen_nary_tree(branching: int, depth: int) -> RootedTree:
     """Complete b-ary tree: every vertex above ``depth`` has b children."""
     if branching < 1 or depth < 0:
         raise ValueError("branching must be >= 1 and depth >= 0")
-    parents = [np.array([-1], dtype=np.int64)]
+    parents = [np.array([-1], dtype=np.int32)]
     level_start, level_size = 0, 1
     for _ in range(depth):
+        _tree_size(level_start + level_size * (1 + branching))  # with the next level
         parents.append(np.repeat(
-            np.arange(level_start, level_start + level_size, dtype=np.int64),
+            np.arange(level_start, level_start + level_size, dtype=np.int32),
             branching))
         level_start += level_size
         level_size *= branching
@@ -126,7 +137,7 @@ def gen_random_tree(n_vertices: int, max_deg: int, seed: int) -> RootedTree:
         raise ValueError("max_deg must be at least 2")
     if n_vertices < 1:
         raise ValueError("need at least the root")
-    parents = np.empty(n_vertices, dtype=np.int64)
+    parents = np.empty(_tree_size(n_vertices), dtype=np.int32)
     parents[0] = -1
     eligible = [0]          # vertices with degree < max_deg, swap-removed
     degree = [0] * n_vertices
@@ -171,9 +182,7 @@ def random_homomorphism(g: Graph, t: RootedTree, model: ListModel,
 
 def tree_visit_counts(h: TreeHomomorphism) -> np.ndarray:
     """visits(x) = number of tree edges whose parent endpoint maps to x."""
-    if h.tree.size <= 1:
-        return np.zeros(h.host.n, dtype=np.int64)
-    return np.bincount(h.image[h.tree.parents[1:]], minlength=h.host.n)
+    return _count_ids(h.image[h.tree.parents[1:]], h.host.n)
 
 
 def image_subgraph(h: TreeHomomorphism) -> EdgeSubgraph:
@@ -264,6 +273,11 @@ def load_tree(path: str) -> RootedTree:
         raise ValueError(f"{path}:1: vertex count must be a positive integer, "
                          f"got {lines[0]!r}")
     size = int(lines[0])
+    # s - 1 edge lines, each filling a distinct vertex or failing, so
+    # every vertex has its line once this holds and no line fails
+    if size > len(lines):
+        raise ValueError(f"{path}:1: vertex count {size} needs {size - 1} edge lines, "
+                         f"found {len(lines) - 1}")
     parents = [-1] + [None] * (size - 1)
     for i, line in enumerate(lines[1:], start=2):
         toks = line.split()
@@ -278,8 +292,6 @@ def load_tree(path: str) -> RootedTree:
             raise ValueError(f"{path}:{i}: parent of vertex {j} is {p}; "
                              f"must be an earlier vertex")
         parents[j] = p
-    if None in parents:
-        raise ValueError(f"{path}:1: vertex {parents.index(None)} of {size} has no line")
     return build_tree(parents)
 
 

@@ -37,6 +37,16 @@ from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _kernel, stream,
 _CHUNK = 2048
 
 
+def _count_ids(ids: np.ndarray, n: int) -> np.ndarray:
+    """``np.bincount(ids, minlength=n)`` for vertex ids 0..n-1, a block of
+    2^16 at a time: bincount first casts its whole input to int64, which
+    would triple the bytes of an int32 walk."""
+    counts = np.zeros(n, dtype=np.int64)
+    for i in range(0, len(ids), 1 << 16):
+        counts += np.bincount(ids[i:i + (1 << 16)], minlength=n)
+    return counts
+
+
 def _vertex(g: Graph, v) -> int:
     """``v`` as an int; a vertex outside the host raises ValueError."""
     v = operator.index(v)
@@ -53,6 +63,10 @@ class ListModel:
     entries in order; walks, tree embeddings and ``next_entry`` all go
     through it, so any mix of them continues the same lists.
 
+    Vertex ids are int32: the kernel reads the host's int32 ``indices``
+    and int32 parents and writes an int32 image, and the numpy reference
+    returns the same dtype.
+
     The backend is chosen at construction.  With the C kernel of
     ``rng`` (seeds below 2^64), a vertex keeps its Philox key, a 4-word
     block, the value of its next entry, the ``indices`` position of the
@@ -68,7 +82,7 @@ class ListModel:
     def __init__(self, graph: Graph, seed: int):
         self.graph = graph
         self.seed = _checked_seed(seed)
-        self._lib = _kernel() if self.seed < 2**64 and graph.n <= 2**32 else None
+        self._lib = _kernel() if self.seed < 2**64 else None
         if self._lib is not None:
             self._taken = np.zeros(graph.n, dtype=np.int64)     # entries taken per vertex
             self._state = np.zeros((graph.n, 8), dtype=np.uint64)  # key, block, next, pos
@@ -98,7 +112,7 @@ class ListModel:
         d = self.graph.degree(v)
         if d == 0:
             if count == 0:
-                return np.empty(0, dtype=np.int64)
+                return np.empty(0, dtype=np.int32)
             raise ValueError(f"vertex {v} has no neighbors")
         u = uniform_words(self.seed, DOMAIN_LIST, v, 0, count)
         return self.graph.neighbors(v)[(u * d).astype(np.int64)]
@@ -120,25 +134,29 @@ class ListModel:
         image[j+1] is the next unused entry of the list of
         image[parents[j]], for j in order.
 
-        ``parents`` is a sequence of integers with parents[j] in 0..j; a
-        walk passes ``range(steps)``, which no array stands for.  A root
-        outside the host or a parent outside its range raises ValueError
-        before any entry is taken.
+        ``parents`` is a sequence of integers with parents[j] in 0..j; an
+        int32 array passes to the kernel without a copy, and a walk passes
+        ``range(steps)``, which no array stands for.  A root outside the
+        host or a parent outside its range raises ValueError before any
+        entry is taken.
         """
         root = _vertex(self.graph, root)
         if isinstance(parents, range) and parents.start == 0 and parents.step == 1:
             m, parents = len(parents), None  # a walk: parents[j] = j
         else:
-            parents = np.ascontiguousarray(parents, dtype=np.int64)
+            parents = np.asarray(parents)
             m = len(parents)
-            bad = np.flatnonzero((parents < 0) | (parents > np.arange(m)))
+            if m >= 2**31:  # an int32 parent holds 0..2^31 - 1
+                raise ValueError(f"a tree of {m + 1} vertices has ids past int32")
+            bad = np.flatnonzero((parents < 0) | (parents > np.arange(m, dtype=np.int32)))
             if len(bad):
                 j = int(bad[0])
                 raise ValueError(f"parents[{j}] is {parents[j]}; it must lie in 0..{j}")
+            parents = np.ascontiguousarray(parents, dtype=np.int32)
         if self._lib is None:
             return self._consume_numpy(parents, m, root)
         g = self.graph
-        image = np.empty(m + 1, dtype=np.int64)
+        image = np.empty(m + 1, dtype=np.int32)
         image[0] = root
         done = self._lib.qw_consume(
             self.seed, DOMAIN_LIST, g.indptr.ctypes.data, g.indices.ctypes.data,
@@ -159,7 +177,7 @@ class ListModel:
                 push(next(iters[x]))
             except (StopIteration, TypeError):
                 push(next(self._refill(x)))
-        return np.array(img, dtype=np.int64)
+        return np.array(img, dtype=np.int32)
 
     def next_entry(self, v: int) -> int:
         """Consume and return the next unused entry of the list of v."""
@@ -180,7 +198,7 @@ class WalkTrace:
     def visit_counts(self) -> np.ndarray:
         """X_v = number of departures from v (positions 0 .. steps-1)."""
         if self._visits is None:
-            self._visits = np.bincount(self.sequence[:-1], minlength=self.graph.n)
+            self._visits = _count_ids(self.sequence[:-1], self.graph.n)
         return self._visits
 
 
@@ -269,13 +287,13 @@ def list_subgraph(g: Graph, model: ListModel, alpha: float) -> EdgeSubgraph:
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    us, vs = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
     for v in range(g.n):
         k = int(alpha * g.degree(v))
         if k <= 0:
             continue
         named = model.entries(v, k)
-        us.append(np.full(len(named), v, dtype=np.int64))
+        us.append(np.full(len(named), v, dtype=np.int32))
         vs.append(named)
     return EdgeSubgraph.from_pairs(g, np.concatenate(us), np.concatenate(vs))
 

@@ -36,8 +36,10 @@ def backend(request):
 @pytest.fixture
 def kernel_calls(c_backend, monkeypatch):
     """The C backend, with the calls of each kernel entry point counted by
-    name in the Counter this returns."""
+    name in the Counter this returns; its ``args`` maps each name to the
+    arguments of its last call."""
     calls = collections.Counter()
+    calls.args = {}
 
     class Counted:
         def __getattr__(self, name):
@@ -45,6 +47,7 @@ def kernel_calls(c_backend, monkeypatch):
 
             def counted(*args):
                 calls[name] += 1
+                calls.args[name] = args
                 return entry(*args)
             return counted
 

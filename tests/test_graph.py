@@ -97,7 +97,7 @@ class TestEdgeKeysAgainstReference:
         for u, v in pairs:
             nbrs[u].add(v)
             nbrs[v].add(u)
-        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
         assert g.indptr.tolist() == [0] + np.cumsum(
             [len(s) for s in nbrs], dtype=np.int64).tolist()
         for v in range(n):
@@ -121,6 +121,9 @@ class TestEdgeKeysAgainstReference:
         us, vs = np.divmod(np.arange(n * n, dtype=np.int64), max(n, 1))
         assert g.has_edges(us, vs).tolist() == \
             [g.has_edge(int(u), int(v)) for u, v in zip(us, vs)]
+        # has_edge goes through has_edges; the CSR lists are independent
+        assert g.has_edges(us, vs).tolist() == \
+            [int(v) in g.neighbors(int(u)) for u, v in zip(us, vs)]
 
     def test_endpoint_outside_host_is_no_edge(self):
         # key 0*4 + 6 packs to 6 = 1*4 + 2, the edge (1, 2); it must not alias

@@ -14,6 +14,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -218,7 +219,7 @@ def test_csr_matches_reference(c_backend, monkeypatch, case):
     for lib in (c_backend, False):
         monkeypatch.setattr(rng, "_lib", lib)
         g = Graph(n, keys.copy())
-        assert g.indptr.dtype == g.indices.dtype == np.int64
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
         assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
         assert np.array_equal(g.edge_codes(), keys) and g.edge_count == len(keys)
 
@@ -259,10 +260,11 @@ def test_bad_vertex_counts_rejected(backend, call, message):
 
 
 def test_vertex_count_bound_keeps_keys_in_int64():
-    # the largest n with n * n < 2^63, and the next one
-    assert _vertex_count(3037000499) == 3037000499
-    with pytest.raises(ValueError, match="too large: edge keys need n \\* n < 2\\^63"):
-        _vertex_count(3037000500)
+    # the largest n whose ids fit int32, and the next one; keys below
+    # n * n < 2^62 then fit int64
+    assert _vertex_count(2**31 - 1) == 2**31 - 1
+    with pytest.raises(ValueError, match="too large: vertex ids need n < 2\\^31"):
+        _vertex_count(2**31)
     assert type(_vertex_count(np.int64(5))) is int
 
 
@@ -298,6 +300,108 @@ def test_empty_inputs_still_build(backend):
     assert VertexSet.from_iterable(3, range(3)).members == {0, 1, 2}
 
 
+def test_two_to_the_31_vertices_refused(backend):
+    # ids are int32; each call refuses the count before it allocates
+    for call in (lambda: Graph(2**31, []), lambda: edge_keys(2**31, [0], [1]),
+                 lambda: build_graph(2**31, [(0, 1)])):
+        with pytest.raises(ValueError, match=re.escape(
+                "vertex count 2147483648 is too large: vertex ids need n < 2^31")):
+            call()
+
+
+@settings(max_examples=60, **PER_EXAMPLE)
+@given(n=st.one_of(st.sampled_from([46_341, 50_000, 2**31 - 1]), st.integers(46_341, 2**31 - 1)),
+       data=st.data())
+def test_keys_are_formed_after_widening(c_backend, monkeypatch, n, data):
+    # past n = 46,341 a product u * n of int32 ids would wrap; int32
+    # endpoints near n - 1 give the keys of Python ints on both backends,
+    # and at n = 50,000 so does a sparse Graph built from them
+    ids = st.one_of(st.integers(0, n - 1), st.integers(max(n - 40, 0), n - 1))
+    pairs = data.draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
+                               min_size=1, max_size=20))
+    us = np.array([u for u, _ in pairs], dtype=np.int32)
+    vs = np.array([v for _, v in pairs], dtype=np.int32)
+    want = sorted({min(u, v) * n + max(u, v) for u, v in pairs})
+    for lib in (c_backend, False):
+        monkeypatch.setattr(rng, "_lib", lib)
+        assert edge_keys(n, us, vs).tolist() == want
+        if n == 50_000:
+            g = build_graph(n, pairs)
+            assert g.edge_codes().tolist() == want
+            assert g.has_edges(us, vs).all() and g.indices.dtype == np.int32
+
+
+@settings(max_examples=200, **PER_EXAMPLE)
+@given(case=key_sets())
+def test_dense_graph_reads_its_keys_from_its_rows(c_backend, monkeypatch, case):
+    # a graph under the table rule keeps no keys: each call reads a new,
+    # read-only array out of its rows (its CSR arrays without the kernel),
+    # equal to the keys it was built from; any other graph keeps its keys
+    n, keys = case
+    dense = n * n <= 64 * len(keys)
+    event("dense" if dense else "sparse")
+    for lib in (c_backend, False):
+        monkeypatch.setattr(rng, "_lib", lib)
+        g = Graph(n, keys.copy())
+        assert (g._edge_codes is None) == dense
+        got = g.edge_codes()
+        assert got.dtype == np.int64 and np.array_equal(got, keys)
+        assert not got.flags.writeable and (got is not g.edge_codes()) == dense
+        assert g.edge_array().tolist() == [list(divmod(k, n)) for k in keys.tolist()]
+
+
+@settings(max_examples=100, **PER_EXAMPLE)
+@given(case=key_sets(), data=st.data())
+def test_has_edges_matches_key_lookup(c_backend, monkeypatch, case, data):
+    # the bit test of a dense graph's rows and the key lookup of any other
+    # graph against np.isin on the keys, with endpoints outside 0..n-1,
+    # whose packed keys may alias an edge, counted as no edge
+    n, keys = case
+    end = st.one_of(st.integers(-3, n + 3), st.sampled_from([-2**40, 2**40, 2**31]))
+    pairs = data.draw(st.lists(st.tuples(end, end), max_size=30))
+    us = np.array([u for u, _ in pairs], dtype=np.int64)
+    vs = np.array([v for _, v in pairs], dtype=np.int64)
+    inside = (0 <= us) & (us < n) & (0 <= vs) & (vs < n)
+    want = inside & np.isin(np.minimum(us, vs) * n + np.maximum(us, vs), keys)
+    for lib in (c_backend, False):
+        monkeypatch.setattr(rng, "_lib", lib)
+        g = Graph(n, keys)
+        assert g.has_edges(us, vs).tolist() == want.tolist()
+        assert [g.has_edge(u, v) for u, v in pairs] == want.tolist()
+
+
+def test_ids_reach_the_kernel_without_a_copy(kernel_calls):
+    # the int32 walk sequence, tree parents and tree image are the very
+    # buffers the kernel reads
+    args = kernel_calls.args
+    g = gen_complete(200)
+    trace = run_walk(g, ListModel(g, 1), 0, 30_000)
+    walk_subgraph(trace)
+    seq = trace.sequence
+    assert seq.dtype == np.int32 and args["qw_consume"][3] == g.indices.ctypes.data
+    assert args["qw_edge_keys"][1:3] == (seq.ctypes.data, seq[1:].ctypes.data)
+    t = gen_nary_tree(150, 2)
+    hom = random_homomorphism(g, t, ListModel(g, 2), 0)
+    assert t.parents.dtype == hom.image.dtype == np.int32
+    assert args["qw_consume"][6] == t.parents[1:].ctypes.data
+    image_subgraph(hom)
+    assert args["qw_edge_keys"][2] == hom.image[1:].ctypes.data
+
+
+def test_visit_counts_make_no_int64_copy(backend):
+    # np.bincount would cast the whole int32 sequence to int64 first
+    g = gen_complete(200)
+    trace = run_walk(g, ListModel(g, 3), 0, 300_000)
+    tracemalloc.start()
+    try:
+        counts = trace.visit_counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < trace.sequence.nbytes
+    assert np.array_equal(counts, np.bincount(trace.sequence[:-1], minlength=200))
+
+
 @settings(max_examples=300, **PER_EXAMPLE)
 @given(n=st.integers(0, 12), data=st.data())
 def test_any_keys_give_the_same_graph_or_error(c_backend, monkeypatch, n, data):
@@ -324,11 +428,12 @@ def test_kernel_writes_nothing_for_bad_keys(c_backend):
     for n, keys, first_bad in [(4, [1, 6, 2], 2), (4, [1, 15], 1), (4, [2**62], 0),
                                (3, [-1], 0), (4, [1, 2, 3, 7, 5], 4)]:
         keys = np.array(keys, dtype=np.int64)
-        out = np.full(2 * len(keys) + n + 1, -7, dtype=np.int64)
+        indptr = np.full(n + 1, -7, dtype=np.int64)
+        indices = np.full(2 * len(keys), -7, dtype=np.int32)
         rows = np.full(n * -(-n // 64), 7, dtype=np.uint64)
         assert c_backend.qw_csr_rows(n, keys.ctypes.data, len(keys), rows.ctypes.data,
-                                     out.ctypes.data, out[n + 1:].ctypes.data) == first_bad
-        assert (out == -7).all() and (rows == 7).all()
+                                     indptr.ctypes.data, indices.ctypes.data) == first_bad
+        assert (indptr == -7).all() and (indices == -7).all() and (rows == 7).all()
 
 
 def _graphs():
@@ -348,10 +453,12 @@ def _graphs():
 def test_generated_graphs_are_pinned(backend):
     # sha256 recorded before generators and to_graph passed their sorted
     # keys straight to Graph, when every graph came through build_graph
+    # and every array was int64; int32 indices are widened to hash the same
     h = hashlib.sha256()
     for g in _graphs():
         h.update(str(g.n).encode())
         for a in (g.indptr, g.indices, g.edge_codes()):
+            a = a.astype(np.int64)
             h.update(str(a.dtype).encode() + a.tobytes())
     assert h.hexdigest() == "05f778d7e3abc4bdd000b87dc48d51ab8e6d0be4729231ed132d15df493684e4"
 
@@ -433,12 +540,12 @@ def test_bad_pairs_rejected(backend, n, us, vs, message):
 def test_kernel_sets_no_bit_for_bad_pairs(c_backend):
     # the checking pass returns before the table or the keys are touched
     for us, vs in [([0, 1], [1, 5]), ([0, 3], [1, 3]), ([0, -1], [1, 2])]:
-        us, vs = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
-        table = np.zeros(1, dtype=np.uint64)
+        us, vs = np.array(us, dtype=np.int32), np.array(vs, dtype=np.int32)
+        rows = np.zeros(4, dtype=np.uint64)
         keys = np.full(2, -7, dtype=np.int64)
         assert c_backend.qw_edge_keys(4, us.ctypes.data, vs.ctypes.data, 2,
-                                      table.ctypes.data, keys.ctypes.data) == -1
-        assert not table.any() and (keys == -7).all()
+                                      rows.ctypes.data, keys.ctypes.data) == -1
+        assert not rows.any() and (keys == -7).all()
 
 
 @st.composite
@@ -529,14 +636,15 @@ def test_dense_graph_keeps_its_rows(c_backend, monkeypatch, case):
 
 
 def test_dense_counts_never_pack_rows(kernel_calls, monkeypatch):
-    # K_100 and a G(300, 0.3) keep the rows of their construction; a
-    # G(300, 0.01) below the rule builds its CSR arrays with no kernel
-    # call and packs its rows once, in numpy, on first use
+    # K_100, whose rows are written in closed form, and a G(300, 0.3)
+    # keep the rows of their construction; a G(300, 0.01) below the rule
+    # builds its CSR arrays with no kernel call and packs its rows once,
+    # in numpy, on first use
     packed = []
     monkeypatch.setattr(graph, "_bit_rows", lambda g: packed.append(g) or _bit_rows(g))
     neighbour_counts(gen_complete(100), np.ones((2, 100), dtype=bool))
     neighbour_counts(gen_gnp(300, 0.3, 1), np.ones((1, 300), dtype=bool))
-    assert kernel_calls["qw_csr_rows"] == 2 and not packed
+    assert kernel_calls["qw_csr_rows"] == 1 and not packed
     keys = gen_gnp(300, 0.01, 1).edge_codes()
     kernel_calls.clear()
     g = Graph(300, keys)

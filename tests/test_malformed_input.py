@@ -1,12 +1,16 @@
 """Fuzzed malformed graph, tree and trace files, and files that are not
 UTF-8 or not gzip: every loader error names the file, and the CLI exits
-2 with an ``error: <path>:`` line."""
+2 with an ``error: <path>:`` line.  Counts of 2^31 and more, past the
+int32 vertex ids, and counts past int64 are in the fuzz: each loader
+refuses them before anything of their size is allocated, which
+``small_peak`` checks."""
 
 import contextlib
 import gzip
 import io
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,9 @@ from qwalk.walks import load_trace
 
 GOOD = ["0", "1", "2", "3"]
 BAD = ["²", "-1", "--1", "x", "1.5"]  # '²'.isdigit() holds; int('²') fails
+# 10^20, 10^12, 2^31, 2^62 and the least n with n * n >= 2^63
+LARGE = ["100000000000000000000", "1000000000000", "2147483648", "4611686018427387904",
+         "3037000500"]
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
 
 
@@ -26,7 +33,7 @@ FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
 def malformed_text(draw, read_lines=None):
     """Lines of tokens with one blank line or one bad token forced into
     the first ``read_lines`` lines (all lines when None)."""
-    token = st.sampled_from(GOOD + BAD)
+    token = st.sampled_from(GOOD + BAD + LARGE)
     lines = draw(st.lists(st.lists(token, max_size=3), max_size=5))
     last = len(lines) if read_lines is None else min(len(lines), read_lines - 1)
     bad = draw(st.lists(token, max_size=2))
@@ -37,6 +44,20 @@ def malformed_text(draw, read_lines=None):
     lines.insert(draw(st.integers(0, last)), bad)
     # the closing newline keeps a trailing blank line a line of its own
     return "".join(" ".join(toks) + "\n" for toks in lines)
+
+
+@contextlib.contextmanager
+def small_peak(limit=2**26):
+    """Fails when the block allocates more than ``limit`` bytes at once,
+    as an array sized by a large token would; numpy reports its arrays to
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        yield
+    finally:  # also when the block raises, as a refused file does
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < limit, f"peak {peak} bytes"
 
 
 @contextlib.contextmanager
@@ -52,6 +73,7 @@ def written(text):
 @given(malformed_text())
 def test_certify_rejects_malformed_graph_file(text):
     with written(text) as path:
+        assert_rejected_naming(path, load_graph)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
@@ -63,7 +85,8 @@ def test_certify_rejects_malformed_graph_file(text):
 
 def assert_rejected_naming(path, load):
     try:
-        load(path)
+        with small_peak():
+            load(path)
     except ValueError as exc:
         assert str(exc).startswith(f"{path}:")
     else:
@@ -121,10 +144,12 @@ def test_undecodable_file_names_its_line(tmp_path, name, data, line):
         assert err.getvalue() == f"error: {path}:2: not UTF-8 text\n"
 
 
-@pytest.mark.parametrize("header", ["99999999999999999999 0", "1000000000000 0"])
+@pytest.mark.parametrize("header", ["99999999999999999999 0", "1000000000000 0",
+                                    "2147483648 1"])
 def test_vertex_count_past_the_key_bound_names_line_1(tmp_path, header):
-    # keys u*n+v need n * n < 2^63; a larger n is refused at its header
-    # line, before anything is allocated for it
+    # vertex ids are int32, so n < 2^31, which keeps every key u*n+v in
+    # int64; a larger n is refused at its header line, before anything is
+    # allocated for it
     path = str(tmp_path / "g.txt")
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -134,4 +159,17 @@ def test_vertex_count_past_the_key_bound_names_line_1(tmp_path, header):
     assert code == 2
     n = header.split()[0]
     assert err.getvalue() == (f"error: {path}:1: vertex count {n} is too large: "
-                              f"edge keys need n * n < 2^63\n")
+                              f"vertex ids need n < 2^31\n")
+
+
+@pytest.mark.parametrize("size", ["99999999999999999999", "1000000000000", "2147483648"])
+def test_tree_header_past_its_lines_names_line_1(tmp_path, size):
+    # the header is checked against the file's lines before a parent
+    # list of its size is built
+    path = str(tmp_path / "t.txt")
+    with open(path, "w") as fh:
+        fh.write(f"{size}\n1 0\n")
+    with pytest.raises(ValueError) as info:
+        load_tree(path)
+    assert str(info.value) == (f"{path}:1: vertex count {size} needs {int(size) - 1} "
+                               f"edge lines, found 1")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qwalk.graph import gen_complete, gen_gnp
 from qwalk.rng import DOMAIN_TRIALS, derive_seed
-from qwalk.trees import (build_tree, decompose_tree, gen_nary_tree,
+from qwalk.trees import (_tree_size, build_tree, decompose_tree, gen_nary_tree,
                          gen_path_tree, gen_random_tree, image_subgraph,
                          load_tree, random_homomorphism, save_homomorphism,
                          save_tree, tree_visit_counts)
@@ -189,6 +189,16 @@ class TestGenerators:
     def test_random_tree_min_degree_guard(self):
         with pytest.raises(ValueError):
             gen_random_tree(10, 1, 0)
+
+    def test_parents_are_int32_up_to_2_to_the_31_vertices(self):
+        # every generator's parents are int32, whose ids 0..2^31 - 1 hold
+        # the parents of a tree of 2^31 vertices and no larger one
+        for t in (build_tree([None, 0, 0]), gen_nary_tree(3, 2), gen_path_tree(4),
+                  gen_random_tree(9, 3, 1)):
+            assert t.parents.dtype == np.int32
+        assert _tree_size(2**31) == 2**31
+        with pytest.raises(ValueError, match="a tree of 2147483649 vertices has ids past int32"):
+            _tree_size(2**31 + 1)
 
 
 class TestHomomorphism:
@@ -370,7 +380,7 @@ class TestTreeIO:
         ("3\n1 0\n2 --1\n", 3, "expected 'j parent'"),
         ("three\n1 0\n", 1, "vertex count"),
         ("0\n", 1, "vertex count"),
-        ("3\n1 0\n", 1, "vertex 2 of 3 has no line"),
+        ("3\n1 0\n", 1, "vertex count 3 needs 2 edge lines, found 1"),
         ("", 1, "missing vertex count"),
     ])
     def test_malformed_file_names_the_line(self, tmp_path, body, where, match):
