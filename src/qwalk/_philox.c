@@ -1,6 +1,5 @@
 /* Philox list words computed in place, bit for bit as numpy draws them,
- * and the CSR arrays and bit rows of a dense graph built from its edge
- * keys.
+ * and the adjacency bit rows and CSR arrays of dense graphs.
  *
  * A stream (seed, domain, index) of qwalk.rng is numpy's
  * Philox(SeedSequence(seed, spawn_key=(domain, index))) read one double
@@ -17,22 +16,21 @@
  *
  * Vertex ids are int32, since a graph has fewer than 2^31 vertices, and
  * an edge key u * n + v, u < v, is int64, formed only after widening.
- * qw_csr_rows fills a dense qwalk.graph.Graph's indptr and indices from
- * its sorted edge keys through the graph's adjacency bit rows, which it
- * fills and the Graph keeps as its one edge store; qw_edge_keys makes
- * keys from vertex pairs, both with the same bytes as the numpy sorts
- * that stay the reference and serve sparse keys.  qw_edge_keys and qw_gnp
- * mark each edge (u, v), u < v, as bit v of row u in the same row layout,
- * and qw_row_keys, which qw_edge_keys calls too, reads the bits above the
- * diagonal of any such rows out as ascending keys: a marked table, or a
- * Graph's rows when its keys are asked for.
+ * A dense qwalk.graph.Graph keeps its adjacency bit rows as its one edge
+ * store: row v holds neighbour u as bit u % 64 of word u / 64.
+ * qw_rows_csr reads any such rows out into the Graph's indptr and indices,
+ * with the same bytes as the numpy code that stays the reference.  Its
+ * rows come from qw_csr_rows, which checks a Graph's sorted edge keys and
+ * sets both bits of each, from qw_gnp, which draws G(n, p) into them, or
+ * from K_n's rows.  qw_edge_keys makes sorted distinct keys from vertex
+ * pairs: it marks each pair (u, v), u < v, as bit v of row u and reads
+ * the bits above the diagonal out in order.
  *
- * qw_neighbour_counts counts |N(v) & S| as the popcount of row v and S,
- * the counts behind the e(A, B) of qwalk.certify.  qw_sampled_counts
- * draws every subset of qwalk.certify.discrepancy_sampled and counts
- * each of its e(A, B) from the rows in one call.  The counts have a
- * popcnt clone on x86-64 glibc: at plain -O2, __builtin_popcountll calls
- * libgcc's table-driven __popcountdi2 instead.
+ * qw_sampled_counts draws every subset of
+ * qwalk.certify.discrepancy_sampled and counts each of its e(A, B) as
+ * popcounts of the rows in one call.  The counts have a popcnt clone on
+ * x86-64 glibc: at plain -O2, __builtin_popcountll calls libgcc's
+ * table-driven __popcountdi2 instead.
  *
  * Built on first use by qwalk.rng and called through ctypes.
  */
@@ -214,22 +212,38 @@ static int64_t first_bad_key(int64_t n, const int64_t *keys, int64_t m)
     return m;
 }
 
+/* CSR arrays of the graph whose adjacency is ``rows``, n rows of w =
+ * ceil(n / 64) words where neighbour u of v is bit u % 64 of word u / 64:
+ * indptr[0..n], and in ``indices``, which must hold every set bit, the
+ * set bits of each row read out in order, its neighbours ascending.
+ */
+void qw_rows_csr(int64_t n, const uint64_t *rows, int64_t *indptr, int32_t *indices)
+{
+    int64_t w = (n + 63) / 64, v, i, count = 0;
+    uint64_t bits;
+
+    indptr[0] = 0;
+    for (v = 0; v < n; v++) {
+        for (i = 0; i < w; i++)
+            for (bits = rows[v * w + i]; bits; bits &= bits - 1)
+                indices[count++] = (int32_t)(64 * i + __builtin_ctzll(bits));
+        indptr[v + 1] = count;
+    }
+}
+
 /* CSR arrays of the graph on 0..n-1 whose edges are the keys u * n + v,
  * u < v, for dense keys, through the graph's bit rows: indptr[0..n], and
  * indices[0..2m-1] with each row ascending.  A first pass writes nothing:
  * it returns first_bad_key's position when that is below m.  Then key
- * (u, v) sets bit v of row u and bit u of row v in ``rows``, n rows of
- * w = ceil(n / 64) zeroed words, where neighbour u of v is bit u % 64 of
- * word u / 64, and the set bits of each row, read out in order, are its
- * sorted neighbours, so ``indices`` is written in order.  The rows take
+ * (u, v) sets bit v of row u and bit u of row v in ``rows``, n zeroed rows
+ * in the layout of qw_rows_csr, which reads them out.  The rows take
  * n^2 / 8 bytes, no more than the keys when n^2 <= 64 m.  n * n must fit
  * in int64.  Returns m once the arrays are filled.
  */
 int64_t qw_csr_rows(int64_t n, const int64_t *keys, int64_t m, uint64_t *rows,
                     int64_t *indptr, int32_t *indices)
 {
-    int64_t w = (n + 63) / 64, j, i, v, u = 0, base = 0, count = 0;
-    uint64_t bits;
+    int64_t w = (n + 63) / 64, j, v, u = 0, base = 0;
 
     if ((j = first_bad_key(n, keys, m)) < m)
         return j;
@@ -239,13 +253,7 @@ int64_t qw_csr_rows(int64_t n, const int64_t *keys, int64_t m, uint64_t *rows,
         rows[u * w + v / 64] |= (uint64_t)1 << (v % 64);
         rows[v * w + u / 64] |= (uint64_t)1 << (u % 64);
     }
-    indptr[0] = 0;
-    for (v = 0; v < n; v++) {
-        for (i = 0; i < w; i++)
-            for (bits = rows[v * w + i]; bits; bits &= bits - 1)
-                indices[count++] = (int32_t)(64 * i + __builtin_ctzll(bits));
-        indptr[v + 1] = count;
-    }
+    qw_rows_csr(n, rows, indptr, indices);
     return m;
 }
 
@@ -254,7 +262,7 @@ int64_t qw_csr_rows(int64_t n, const int64_t *keys, int64_t m, uint64_t *rows,
  * ``keys`` in ascending order, which must hold them all.  Returns the
  * number of keys written.
  */
-int64_t qw_row_keys(int64_t n, const uint64_t *rows, int64_t *keys)
+static int64_t row_keys(int64_t n, const uint64_t *rows, int64_t *keys)
 {
     int64_t w = (n + 63) / 64, u, i, count = 0;
     uint64_t bits;
@@ -272,7 +280,7 @@ int64_t qw_row_keys(int64_t n, const uint64_t *rows, int64_t *keys)
 
 /* Sorted distinct keys min * n + max of the pairs (us[i], vs[i]): each
  * pair sets bit max of row min of ``rows``, n zeroed rows of ceil(n / 64)
- * words, and qw_row_keys reads the bits out in ascending order, so no key
+ * words, and row_keys reads the bits out in ascending order, so no key
  * array is sorted.  A first pass writes nothing: it returns -1 when an
  * endpoint lies outside 0..n-1 or a pair is a self-loop.  ``keys`` must
  * hold every distinct key.  Returns the number of keys written.
@@ -290,14 +298,15 @@ int64_t qw_edge_keys(int64_t n, const int32_t *us, const int32_t *vs, int64_t m,
         int64_t u = us[i], v = vs[i], a = u < v ? u : v, b = u + v - a;
         rows[a * w + b / 64] |= (uint64_t)1 << (b % 64);
     }
-    return qw_row_keys(n, rows, keys);
+    return row_keys(n, rows, keys);
 }
 
 /* The edges of G(n, p) on stream domain ``domain``: pair (u, v), u < v,
  * is an edge when the double of word v - u - 1 of stream (seed, domain,
  * u) is below p, the rule of qwalk.graph.gen_gnp's reference, and each
- * edge sets bit v of row u of ``rows``, n zeroed rows of ceil(n / 64)
- * words.  Returns the number of edges; qw_row_keys reads them out.
+ * edge sets bit v of row u and bit u of row v of ``rows``, n zeroed rows
+ * in the layout of qw_rows_csr, which reads them out.  Returns the number
+ * of edges.
  */
 int64_t qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *rows)
 {
@@ -315,36 +324,11 @@ int64_t qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *ro
                 philox_block(key, (uint64_t)(j / 4 + 1), block);
             edge = to_double(block[j % 4]) < p;
             row[v / 64] |= edge << (v % 64);
+            rows[v * w + u / 64] |= edge << (u % 64);
             count += (int64_t)edge;
         }
     }
     return count;
-}
-
-/* out[t * n + v] = popcount(row v & sets[t]) = |N(v) & S_t| for each of
- * the k sets, w words each, and each v with among[t * n + v] set, or every
- * v when among is NULL; 0 for the other v.
- */
-#if defined(__x86_64__) && defined(__GLIBC__)
-__attribute__((target_clones("popcnt", "default")))
-#endif
-void qw_neighbour_counts(int64_t n, int64_t w, const uint64_t *rows,
-                         const uint64_t *sets, const uint8_t *among, int64_t k,
-                         int64_t *out)
-{
-    int64_t t, v, i;
-
-    for (t = 0; t < k; t++) {
-        const uint64_t *s = sets + t * w;
-        for (v = 0; v < n; v++) {
-            const uint64_t *r = rows + v * w;
-            int64_t c = 0;
-            if (!among || among[t * n + v])
-                for (i = 0; i < w; i++)
-                    c += __builtin_popcountll(r[i] & s[i]);
-            out[t * n + v] = c;
-        }
-    }
 }
 
 /* The element of rank r (0-based) of a[0..c-1], which it reorders:

@@ -18,14 +18,14 @@ arithmetic real and symmetric: trace(P^4) is the squared norm of M @ M,
 and lambda = max(|lambda_2|, |lambda_n|) comes exactly from one dense
 symmetric eigensolve of M, an O(n^3) step like the C4 count and the
 trace.  The trace bound lambda <= (trace(P^4) - 1)^(1/4) stays as a
-certified cross-check.  Products of adjacency counts stay far below
-2**53, so float64 matrix products are exact integer arithmetic.  M, the
-trace, the spectrum, the C4 count and the exhaustive search use float64;
-the sampled and refined estimators count e(A, B) as integer popcounts of
-the graph's adjacency bit rows.  The refined search and the sampler's
-reference count through ``graph.neighbour_counts``; with the C kernel
-the sampler draws every set and counts every e(A, B) in one kernel
-call, over the fewest rows of A, B and their complements.
+certified cross-check.  M, the C4 product, the trace and the spectrum
+use float64; the C4 product is exact because products of adjacency
+counts stay far below 2**53.  Every e(A, B) is an exact integer count
+from the graph's adjacency bit rows: the exhaustive search takes the
+popcount of each one-word row and set, and the refined search and the
+sampler's reference count through ``graph.neighbour_counts``; with the
+C kernel the sampler draws every set and counts every e(A, B) in one
+kernel call, over the fewest rows of A, B and their complements.
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ def _min_size(n: int, eps: float) -> int:
 def _qualifying_masks(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """All subset bitmasks of size >= k, ascending, with their sizes."""
     masks = np.arange(1 << n, dtype=np.int64)
-    sizes = np.zeros(1 << n, dtype=np.int64)
-    for j in range(n):
-        sizes += (masks >> j) & 1
+    sizes = np.bitwise_count(masks).astype(np.int64)
     keep = sizes >= k
     return masks[keep], sizes[keep]
 
@@ -79,6 +77,8 @@ def discrepancy_exhaustive(g: Graph, eps: float) -> tuple[float, tuple[VertexSet
     The graph is eps-quasirandom iff the maximum is below eps.  The
     witness is the first attaining pair in ascending bitmask order: the
     first A whose row attains it, then the first B in one pass for it.
+    Each count |N(j) & A| is the popcount of A's mask and j's bit row, a
+    single word, and each e(A, B) an integer sum of them.
     """
     if g.n > EXHAUSTIVE_MAX_N:
         raise ValueError(
@@ -88,8 +88,8 @@ def discrepancy_exhaustive(g: Graph, eps: float) -> tuple[float, tuple[VertexSet
     k = _min_size(n, eps)
     rho = density(g)
     masks, sizes = _qualifying_masks(n, k)
-    member = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
-    counts = member @ g.adjacency_dense()  # rows: |N(j) & A| per j, exact
+    rows = g.bit_rows()[:, 0].astype(np.int64)
+    counts = np.bitwise_count(masks[:, None] & rows).astype(np.int64)  # |N(j) & A|
     ends = np.sort(counts, axis=1)
     low = np.cumsum(ends, axis=1)[:, k - 1:]  # sums of the b smallest, b >= k
     high = np.cumsum(ends[:, ::-1], axis=1)[:, k - 1:]  # and of the b largest
@@ -97,10 +97,11 @@ def discrepancy_exhaustive(g: Graph, eps: float) -> tuple[float, tuple[VertexSet
     row_best = np.maximum(_deviation(low, rho, size_a, size_b),
                           _deviation(high, rho, size_a, size_b)).max(axis=1)
     ia = int(row_best.argmax())
-    dev = _deviation(member @ counts[ia], rho, sizes[ia], sizes)
-    ib = int(dev.argmax())
-    return float(row_best[ia]), (VertexSet.from_mask(n, member[ia]),
-                                 VertexSet.from_mask(n, member[ib]))
+    a = ((masks[ia] >> np.arange(n)) & 1).astype(bool)
+    # e(A, B) = e(B, A): the counts of each B summed over A's members
+    ib = int(_deviation(counts[:, a].sum(axis=1), rho, sizes[ia], sizes).argmax())
+    return float(row_best[ia]), (VertexSet.from_mask(n, a),
+                                 VertexSet.from_mask(n, (masks[ib] >> np.arange(n)) & 1))
 
 
 def discrepancy_sampled(g: Graph, eps: float, trials: int,

@@ -18,14 +18,16 @@ that its keys are strictly ascending and of the form 0 <= u < v < n,
 and raises ValueError otherwise.  Dense keys, m keys with n^2 <= 64 m
 (``_table_fits``, the one table rule), go through the C kernel of
 ``rng``: each edge sets both its bits in the graph's bit rows, n^2/8
-bytes, no more than the keys, and each row's bits are read out in
-order.  Other keys, and every key without the kernel, sort both arcs of
-every edge in numpy, the reference.  A dense graph keeps one edge store
-beside its CSR arrays, the bit rows, and reads its keys out of them
-when asked; any other graph keeps its keys.  Generators and
-``EdgeSubgraph.to_graph``, which hold their keys sorted already, call
-``Graph`` directly; ``gen_complete`` fills K_n's arrays in closed form;
-``build_graph`` packs and deduplicates arbitrary pairs first.
+bytes, no more than the keys.  Other keys, and every key without the
+kernel, sort both arcs of every edge in numpy, the reference.  A dense
+graph keeps one edge store beside its CSR arrays, the bit rows; any
+other graph keeps its keys.  One read-out, ``qw_rows_csr``, turns bit
+rows into CSR arrays, each row's set bits in order: the rows of dense
+keys, and through ``Graph._from_rows`` the rows ``gen_gnp`` draws and
+``gen_complete`` writes, with ``np.unpackbits`` as its reference.
+``EdgeSubgraph.to_graph`` and ``gen_gnp`` below the table rule call
+``Graph`` with their sorted keys; ``build_graph`` packs and
+deduplicates arbitrary pairs first.
 
 ``edge_keys`` alone turns pairs into keys, for ``build_graph`` and for
 ``EdgeSubgraph.from_pairs``, and it alone rejects an endpoint outside
@@ -35,13 +37,13 @@ the marks out in order; otherwise numpy sorts the packed keys, the
 reference.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
-uint64 words, n^2/8 bytes, packed once: at construction for dense keys
-on the kernel, else by numpy on first use.  ``has_edges`` tests their
-bits on a dense graph.  ``neighbour_counts`` counts neighbours in vertex
+uint64 words, n^2/8 bytes, packed once: kept from construction where it
+made them, else by numpy on first use.  ``has_edges`` tests their bits
+on a dense graph.  ``neighbour_counts`` counts neighbours in vertex
 sets, the e(A, B) behind the discrepancy estimators: |N(v) & S| is the
-popcount of row v and S's words, exact integers at any n, in the kernel
-or with ``np.bitwise_count``.  The subset sampler of ``certify`` counts
-from the same rows in its own kernel call.
+popcount of row v and S's words, exact integers at any n, with
+``np.bitwise_count``.  The subset sampler of ``certify`` counts from the
+same rows in its own kernel call.
 """
 
 from __future__ import annotations
@@ -191,8 +193,8 @@ class Graph:
     neighbors, and sum of degrees equal to twice ``edge_count``.
     Built from its edge keys u * n + v, u < v, strictly ascending; other
     keys raise ValueError.  A dense graph keeps its bit rows and reads
-    ``edge_codes()`` out of them on each call; any other graph keeps its
-    keys (read-only).
+    ``edge_codes()`` out of its CSR arrays on each call; any other graph
+    keeps its keys (read-only).
     """
 
     __slots__ = ("n", "indptr", "indices", "edge_count", "_edge_codes", "_rows")
@@ -219,8 +221,20 @@ class Graph:
         self._keep(n, indptr, indices, None if dense else keys, rows)
 
     @classmethod
-    def _from_csr(cls, n: int, indptr, indices, rows) -> "Graph":
-        """A dense graph from its own valid CSR arrays and bit rows."""
+    def _from_rows(cls, n: int, rows: np.ndarray, m: int) -> "Graph":
+        """A dense graph from its own bit rows, symmetric with a clear
+        diagonal and holding m edges, which it keeps: the CSR arrays are
+        each row's set bits in order."""
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indices = np.empty(2 * m, dtype=np.int32)
+        lib = _kernel()
+        if lib is None:  # the reference
+            bits = np.unpackbits(rows.astype("<u8", copy=False).view(np.uint8), axis=1,
+                                 bitorder="little")
+            np.cumsum(np.count_nonzero(bits, axis=1), out=indptr[1:])
+            indices[:] = np.flatnonzero(bits) % max(bits.shape[1], 1)
+        else:
+            lib.qw_rows_csr(n, rows.ctypes.data, indptr.ctypes.data, indices.ctypes.data)
         g = cls.__new__(cls)
         g._keep(n, indptr, indices, None, rows)
         return g
@@ -269,24 +283,20 @@ class Graph:
 
     def edge_codes(self) -> np.ndarray:
         """Edges packed as u * n + v with u < v, sorted (read-only): the
-        kept keys, or a dense graph's read out of its rows."""
+        kept keys, or a dense graph's read out of its CSR arrays."""
         if self._edge_codes is not None:
             return self._edge_codes
-        lib = _kernel()
-        if lib is None:  # the reference: every arc u -> v with u < v, in CSR order
-            src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-            up = self.indices > src
-            keys = src[up] * self.n + self.indices[up]
-        else:
-            keys = np.empty(self.edge_count, dtype=np.int64)
-            lib.qw_row_keys(self.n, self.bit_rows().ctypes.data, keys.ctypes.data)
+        # every arc u -> v with u < v, in CSR order
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        up = self.indices > src
+        keys = src[up] * self.n + self.indices[up]
         keys.setflags(write=False)
         return keys
 
     def bit_rows(self) -> np.ndarray:
         """(n, ceil(n/64)) uint64 adjacency rows (read-only): neighbour u
-        of v sets bit u % 64 of word u // 64 of row v.  Packed once, at
-        construction for dense keys on the kernel, else on first call."""
+        of v sets bit u % 64 of word u // 64 of row v.  Packed once: kept
+        from construction where it made them, else packed on first call."""
         if self._rows is None:
             self._rows = _bit_rows(self)
         return self._rows
@@ -468,13 +478,6 @@ def neighbour_counts(g: Graph, sets, among=None) -> np.ndarray:
     packed = np.zeros((k, 8 * w), dtype=np.uint8)
     packed[:, :-(-n // 8)] = np.packbits(sets, axis=1, bitorder="little")
     words = packed.view("<u8").astype(np.uint64, copy=False)  # member u: bit u % 64
-    lib = _kernel()
-    if lib is not None:
-        out = np.empty((k, n), dtype=np.int64)
-        lib.qw_neighbour_counts(n, w, rows.ctypes.data, words.ctypes.data,
-                                None if among is None else among.ctypes.data, k,
-                                out.ctypes.data)
-        return out
     out = np.zeros((k, n), dtype=np.int64)
     for t in range(k):
         at = slice(None) if among is None else np.flatnonzero(among[t])
@@ -508,9 +511,9 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     With the C kernel, for seeds below 2^64, and under the table rule
     for the expected p n(n-1)/2 edges, so that n bit rows take no more
     bytes than the int64 keys they are expected to hold, one call draws
-    every pair and sets its bit in the rows, and the set bits are read
-    out in order.  Otherwise each row is drawn with ``uniform_words``,
-    the reference.
+    every pair and sets both its bits in the rows, which the graph keeps
+    and reads out (``Graph._from_rows``); no key is made.  Otherwise each
+    row is drawn with ``uniform_words``, the reference.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
@@ -520,9 +523,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     lib = _kernel() if fits else None
     if lib is not None:
         rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
-        keys = np.empty(lib.qw_gnp(seed, DOMAIN_GNP, n, p, rows.ctypes.data), dtype=np.int64)
-        lib.qw_row_keys(n, rows.ctypes.data, keys.ctypes.data)
-        return Graph(n, keys)
+        return Graph._from_rows(n, rows, lib.qw_gnp(seed, DOMAIN_GNP, n, p, rows.ctypes.data))
     rows = [np.empty(0, dtype=np.int64)]  # keys of row u are u*n + u+1 .. u*n + n-1
     for u in range(n - 1):
         draws = uniform_words(seed, DOMAIN_GNP, u, 0, n - u - 1) < p
@@ -531,18 +532,15 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def gen_complete(n: int) -> Graph:
-    """K_n in closed form: row v of the bit rows holds every u != v, and
-    v's neighbours are 0..n-1 without v, so no key is made."""
+    """K_n from its bit rows, where row v holds every u != v, so no key
+    is made."""
     n = _vertex_count(n)
     rows = np.full((n, -(-n // 64)), np.uint64(2**64 - 1))
     if n % 64:
         rows[:, -1] = np.uint64(2**(n % 64) - 1)
     v = np.arange(n)
     rows[v, v // 64] ^= np.uint64(1) << (v % 64).astype(np.uint64)
-    # neighbour j of row v is j + 1 past the diagonal, j before it
-    indices = np.arange(1, n, dtype=np.int32) - np.tri(n, max(n - 1, 0), -1, dtype=bool)
-    return Graph._from_csr(n, np.arange(n + 1, dtype=np.int64) * max(n - 1, 0),
-                           indices.reshape(-1), rows)
+    return Graph._from_rows(n, rows, n * (n - 1) // 2)
 
 
 def small_clique_size(n: int, eps: float) -> int:
@@ -654,4 +652,7 @@ def load_graph(path: str) -> Graph:
         if v >= n or u < 0:
             raise ValueError(f"{path}:{i}: endpoint out of range for n={n}")
         edges[i - 2] = (u, v)
-    return build_graph(n, edges)
+    try:
+        return build_graph(n, edges)
+    except MemoryError:  # indptr alone takes 8 (n + 1) bytes
+        raise ValueError(f"{path}:1: vertex count {n} needs more memory than there is") from None

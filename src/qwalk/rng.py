@@ -16,15 +16,15 @@ The same words come from a small C kernel, ``_philox.c``, which derives
 numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
 seeds below 2^64 and indices below 2^32.  ``uniform_words``,
 ``derive_seed`` and the list model use it when it loads.  So does
-``graph``: ``Graph`` builds the CSR arrays of dense keys through
-adjacency bit rows that it keeps as its one edge store, and numpy sorts
-any other keys; ``gen_gnp`` draws every pair of G(n, p) into rows of
-the same layout in one call and ``edge_keys`` marks the keys of vertex
-pairs in such rows, and one entry point reads out the keys of those
-rows and of a dense graph's; and ``neighbour_counts`` counts |N(v) & S|
-from the bit rows by popcount, in a popcnt clone on x86-64 glibc.  So does
+``graph``: a dense ``Graph`` keeps adjacency bit rows as its one edge
+store, and one entry point reads any such rows out into its CSR arrays,
+whether ``Graph`` set them from dense keys, ``gen_gnp`` drew G(n, p)
+into them in one call or ``gen_complete`` wrote K_n's; numpy sorts any
+other keys.  ``edge_keys`` marks the keys of vertex pairs in rows of the
+same layout and reads them out in order.  So does
 ``certify.discrepancy_sampled``, which draws every subset and counts
-every e(A, B) from the bit rows in one call, from the stream position
+every e(A, B) from the bit rows by popcount in one call, in a popcnt
+clone on x86-64 glibc, from the stream position
 ``_next_word`` reads off its generator.  The kernel is built on first
 use, never at import, with ``gcc`` into a user cache directory keyed by
 the source's sha256.  Without gcc, when the build or the cache
@@ -175,10 +175,8 @@ def _load():
     lib.qw_edge_keys.restype = i64
     lib.qw_gnp.argtypes = [u64, u32, i64, ctypes.c_double, ptr]
     lib.qw_gnp.restype = i64
-    lib.qw_row_keys.argtypes = [i64, ptr, ptr]
-    lib.qw_row_keys.restype = i64
-    lib.qw_neighbour_counts.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr]
-    lib.qw_neighbour_counts.restype = None
+    lib.qw_rows_csr.argtypes = [i64, ptr, ptr, ptr]
+    lib.qw_rows_csr.restype = None
     lib.qw_sampled_counts.argtypes = [u64, u32, u32, i64, i64, ptr, ptr, ptr, i64, i64, ptr, ptr]
     lib.qw_sampled_counts.restype = None
     return lib
@@ -194,9 +192,7 @@ def _kernel():
 
 def backend() -> str:
     """Which code draws list words, ``uniform_words``, ``derive_seed``
-    and G(n, p) hosts, builds the CSR arrays and bit rows of each dense
-    ``Graph`` and reads its keys out of the rows, makes edge keys from
-    pairs, counts neighbours in sets by
-    popcount and runs the subset sampler's draws and counts: "c" for the
-    kernel, or "numpy"."""
+    and G(n, p) hosts, builds the bit rows and CSR arrays of each dense
+    ``Graph``, makes edge keys from pairs and runs the subset sampler's
+    draws and counts: "c" for the kernel, or "numpy"."""
     return "numpy" if _kernel() is None else "c"

@@ -601,8 +601,8 @@ class TestCertify:
         monkeypatch.setattr(certify_module, "_walk_matrix",
                             lambda *a: walk_matrix(*a).view(CountedSquare))
         certify(g, 0.5, seed=1, **kwargs)
-        # the exhaustive search and the battery build one each; the
-        # sampler builds none
-        assert calls["dense"] == (2 if kwargs.get("exhaustive") else 1)
+        # the battery builds one; the exhaustive search and the sampler,
+        # which count from bit rows, build none
+        assert calls["dense"] == 1
         assert calls["bfs"] == 1
         assert calls["square"] == 1 and calls["eig"] <= 1

@@ -335,7 +335,7 @@ def test_keys_are_formed_after_widening(c_backend, monkeypatch, n, data):
 @given(case=key_sets())
 def test_dense_graph_reads_its_keys_from_its_rows(c_backend, monkeypatch, case):
     # a graph under the table rule keeps no keys: each call reads a new,
-    # read-only array out of its rows (its CSR arrays without the kernel),
+    # read-only array out of its CSR arrays,
     # equal to the keys it was built from; any other graph keeps its keys
     n, keys = case
     dense = n * n <= 64 * len(keys)
@@ -466,12 +466,15 @@ def test_generated_graphs_are_pinned(backend):
 def test_kernel_entry_points_are_the_loaded_ones():
     # every non-static qw_ function of the source gets its argtypes in
     # rng._load, and nothing else does, so a half-deleted entry point
-    # fails here rather than when the kernel loads
+    # fails here rather than when the kernel loads; and the package calls
+    # each of them, so an entry point that loses its last caller fails too
     source = (SRC / "qwalk" / "_philox.c").read_text()
     defined = re.findall(r"^(?!static\b)\w[\w ]*?\b(qw_\w+)\(", source, re.M)
     declared = re.findall(r"lib\.(qw_\w+)\.argtypes", inspect.getsource(rng._load))
     assert len(defined) == len(set(defined)) and len(declared) == len(set(declared))
-    assert sorted(defined) == sorted(declared) and len(defined) == 9
+    assert sorted(defined) == sorted(declared) and len(defined) == 8
+    python = "".join(p.read_text() for p in sorted((SRC / "qwalk").glob("*.py")))
+    assert [name for name in declared if f".{name}(" not in python] == []
 
 
 def test_kernel_compiles_without_warnings():
@@ -636,22 +639,47 @@ def test_dense_graph_keeps_its_rows(c_backend, monkeypatch, case):
 
 
 def test_dense_counts_never_pack_rows(kernel_calls, monkeypatch):
-    # K_100, whose rows are written in closed form, and a G(300, 0.3)
-    # keep the rows of their construction; a G(300, 0.01) below the rule
-    # builds its CSR arrays with no kernel call and packs its rows once,
-    # in numpy, on first use
+    # K_100's rows are written and G(300, 0.3) is drawn into its rows, and
+    # one read-out each turns them into CSR arrays, with no key made; both
+    # keep those rows.  A G(300, 0.01) below the rule builds its CSR
+    # arrays with no kernel call and packs its rows once, in numpy, on
+    # first use; counting calls no kernel
     packed = []
     monkeypatch.setattr(graph, "_bit_rows", lambda g: packed.append(g) or _bit_rows(g))
-    neighbour_counts(gen_complete(100), np.ones((2, 100), dtype=bool))
-    neighbour_counts(gen_gnp(300, 0.3, 1), np.ones((1, 300), dtype=bool))
-    assert kernel_calls["qw_csr_rows"] == 1 and not packed
+    complete = gen_complete(100)
+    assert kernel_calls == {"qw_rows_csr": 1}
+    kernel_calls.clear()
+    gnp = gen_gnp(300, 0.3, 1)
+    assert kernel_calls == {"qw_gnp": 1, "qw_rows_csr": 1}
+    neighbour_counts(complete, np.ones((2, 100), dtype=bool))
+    neighbour_counts(gnp, np.ones((1, 300), dtype=bool))
+    assert kernel_calls == {"qw_gnp": 1, "qw_rows_csr": 1} and not packed
     keys = gen_gnp(300, 0.01, 1).edge_codes()
     kernel_calls.clear()
     g = Graph(300, keys)
     assert not kernel_calls and g._rows is None
     for _ in range(2):
         neighbour_counts(g, np.ones((1, 300), dtype=bool))
-    assert packed == [g] and kernel_calls == {"qw_neighbour_counts": 2}
+    assert packed == [g] and not kernel_calls
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_rows_read_out_as_the_sorted_arcs(backend, n, p):
+    # Graph._from_rows, the kernel's read-out or np.unpackbits, against
+    # the numpy sort of both arcs of the same keys; the rows are kept
+    pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)], dtype=np.int64)
+    pairs = pairs.reshape(-1, 2)[np.random.default_rng(n).random(len(pairs)) < p]
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    for u, v in (pairs.T, pairs.T[::-1]):
+        np.bitwise_or.at(rows, (u, v // 64), np.uint64(1) << (v % 64).astype(np.uint64))
+    m, indptr, indices = graph._csr_numpy(n, keys)
+    g = Graph._from_rows(n, rows, m)
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+    assert g.bit_rows() is rows and g.edge_count == m
+    assert np.array_equal(g.edge_codes(), keys)
 
 
 @pytest.mark.parametrize("sets,among,message", [

@@ -9,8 +9,11 @@ import contextlib
 import gzip
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from qwalk.graph import gen_complete, load_graph
 from qwalk.trees import load_tree
 from qwalk.walks import load_trace
 
+SRC = Path(__file__).parents[1] / "src"
 GOOD = ["0", "1", "2", "3"]
 BAD = ["²", "-1", "--1", "x", "1.5"]  # '²'.isdigit() holds; int('²') fails
 # 10^20, 10^12, 2^31, 2^62 and the least n with n * n >= 2^63
@@ -160,6 +164,27 @@ def test_vertex_count_past_the_key_bound_names_line_1(tmp_path, header):
     n = header.split()[0]
     assert err.getvalue() == (f"error: {path}:1: vertex count {n} is too large: "
                               f"vertex ids need n < 2^31\n")
+
+
+def test_vertex_count_out_of_memory_names_line_1(tmp_path):
+    # n = 2^31 - 1 passes the bound, but its 16 GiB indptr cannot be had
+    # in a child whose address space is capped at 4 GiB; without that
+    # cap the allocation would be filled, so this header is loaded only
+    # in the capped child, never in this process
+    path = str(tmp_path / "g.txt")
+    with open(path, "w") as fh:
+        fh.write("2147483647 0\n")
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+             "from qwalk.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", child, "certify", "--graph", path,
+                           "--eps", "0.1"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == (f"error: {path}:1: vertex count 2147483647 needs more "
+                           f"memory than there is\n")
 
 
 @pytest.mark.parametrize("size", ["99999999999999999999", "1000000000000", "2147483648"])
