@@ -20,11 +20,11 @@
  * store: row v holds neighbour u as bit u % 64 of word u / 64.
  * qw_rows_csr reads any such rows out into the Graph's indptr and indices,
  * with the same bytes as the numpy code that stays the reference.  Its
- * rows come from qw_csr_rows, which checks a Graph's sorted edge keys and
- * sets both bits of each, from qw_gnp, which draws G(n, p) into them, or
- * from K_n's rows.  qw_edge_keys makes sorted distinct keys from vertex
- * pairs: it marks each pair (u, v), u < v, as bit v of row u and reads
- * the bits above the diagonal out in order.
+ * rows come from qw_edge_keys, which makes sorted distinct keys from
+ * vertex pairs by marking each pair (u, v), u < v, as bit v of row u and
+ * reading the bits above the diagonal out in order, mirroring each edge
+ * as it goes; from qw_gnp, which draws G(n, p) into them; or from K_n's
+ * rows.  So each edge is checked and marked once, where its pairs are.
  *
  * qw_sampled_counts draws every subset of
  * qwalk.certify.discrepancy_sampled and counts each of its e(A, B) as
@@ -185,33 +185,6 @@ int64_t qw_consume(uint64_t seed, uint32_t domain,
     return m;
 }
 
-/* Moves (u, base = u * n) forward to the row of key k: keys arrive ascending. */
-static void seek_row(int64_t k, int64_t n, int64_t *u, int64_t *base)
-{
-    while (k - *base >= n) {
-        ++*u;
-        *base += n;
-    }
-}
-
-/* The first position j whose key is not above keys[j-1] or not of the
- * form u * n + v, 0 <= u < v < n, or m when every key is.  Writes nothing.
- */
-static int64_t first_bad_key(int64_t n, const int64_t *keys, int64_t m)
-{
-    int64_t j, u = 0, base = 0;
-
-    for (j = 0; j < m; j++) {
-        int64_t k = keys[j];
-        if ((j > 0 && k <= keys[j - 1]) || k < 0 || k >= n * n)
-            return j;
-        seek_row(k, n, &u, &base);
-        if (k - base <= u)
-            return j;
-    }
-    return m;
-}
-
 /* CSR arrays of the graph whose adjacency is ``rows``, n rows of w =
  * ceil(n / 64) words where neighbour u of v is bit u % 64 of word u / 64:
  * indptr[0..n], and in ``indices``, which must hold every set bit, the
@@ -231,40 +204,16 @@ void qw_rows_csr(int64_t n, const uint64_t *rows, int64_t *indptr, int32_t *indi
     }
 }
 
-/* CSR arrays of the graph on 0..n-1 whose edges are the keys u * n + v,
- * u < v, for dense keys, through the graph's bit rows: indptr[0..n], and
- * indices[0..2m-1] with each row ascending.  A first pass writes nothing:
- * it returns first_bad_key's position when that is below m.  Then key
- * (u, v) sets bit v of row u and bit u of row v in ``rows``, n zeroed rows
- * in the layout of qw_rows_csr, which reads them out.  The rows take
- * n^2 / 8 bytes, no more than the keys when n^2 <= 64 m.  n * n must fit
- * in int64.  Returns m once the arrays are filled.
- */
-int64_t qw_csr_rows(int64_t n, const int64_t *keys, int64_t m, uint64_t *rows,
-                    int64_t *indptr, int32_t *indices)
-{
-    int64_t w = (n + 63) / 64, j, v, u = 0, base = 0;
-
-    if ((j = first_bad_key(n, keys, m)) < m)
-        return j;
-    for (j = 0; j < m; j++) {
-        seek_row(keys[j], n, &u, &base);
-        v = keys[j] - base;
-        rows[u * w + v / 64] |= (uint64_t)1 << (v % 64);
-        rows[v * w + u / 64] |= (uint64_t)1 << (u % 64);
-    }
-    qw_rows_csr(n, rows, indptr, indices);
-    return m;
-}
-
 /* The keys u * n + v of the bits v > u of each row u of ``rows``, n rows
  * of ceil(n / 64) words where v is bit v % 64 of word v / 64, into
- * ``keys`` in ascending order, which must hold them all.  Returns the
- * number of keys written.
+ * ``keys`` in ascending order, which must hold them all.  Each key also
+ * sets bit u of row v, below the diagonal that row v's own read skips,
+ * so the rows end symmetric, in the layout of qw_rows_csr: one mirror
+ * store per edge, not one per marked pair.  Returns the number of keys.
  */
-static int64_t row_keys(int64_t n, const uint64_t *rows, int64_t *keys)
+static int64_t row_keys(int64_t n, uint64_t *rows, int64_t *keys)
 {
-    int64_t w = (n + 63) / 64, u, i, count = 0;
+    int64_t w = (n + 63) / 64, u, v, i, count = 0;
     uint64_t bits;
 
     for (u = 0; u < n; u++)
@@ -272,8 +221,11 @@ static int64_t row_keys(int64_t n, const uint64_t *rows, int64_t *keys)
             bits = rows[u * w + i];
             if (i == (u + 1) / 64)
                 bits &= ~(uint64_t)0 << ((u + 1) % 64);
-            for (; bits; bits &= bits - 1)
-                keys[count++] = u * n + 64 * i + __builtin_ctzll(bits);
+            for (; bits; bits &= bits - 1) {
+                v = 64 * i + __builtin_ctzll(bits);
+                keys[count++] = u * n + v;
+                rows[v * w + u / 64] |= (uint64_t)1 << (u % 64);
+            }
         }
     return count;
 }
@@ -281,9 +233,10 @@ static int64_t row_keys(int64_t n, const uint64_t *rows, int64_t *keys)
 /* Sorted distinct keys min * n + max of the pairs (us[i], vs[i]): each
  * pair sets bit max of row min of ``rows``, n zeroed rows of ceil(n / 64)
  * words, and row_keys reads the bits out in ascending order, so no key
- * array is sorted.  A first pass writes nothing: it returns -1 when an
- * endpoint lies outside 0..n-1 or a pair is a self-loop.  ``keys`` must
- * hold every distinct key.  Returns the number of keys written.
+ * array is sorted, and leaves the rows symmetric for qw_rows_csr.  A
+ * first pass writes nothing: it returns -1 when an endpoint lies outside
+ * 0..n-1 or a pair is a self-loop.  ``keys`` must hold every distinct
+ * key.  Returns the number of keys written.
  */
 int64_t qw_edge_keys(int64_t n, const int32_t *us, const int32_t *vs, int64_t m,
                      uint64_t *rows, int64_t *keys)

@@ -94,8 +94,10 @@ def discrepancy_exhaustive(g: Graph, eps: float) -> tuple[float, tuple[VertexSet
     low = np.cumsum(ends, axis=1)[:, k - 1:]  # sums of the b smallest, b >= k
     high = np.cumsum(ends[:, ::-1], axis=1)[:, k - 1:]  # and of the b largest
     size_a, size_b = sizes[:, None], np.arange(k, n + 1)
-    row_best = np.maximum(_deviation(low, rho, size_a, size_b),
-                          _deviation(high, rho, size_a, size_b)).max(axis=1)
+    # the larger _deviation of the two ends, bit for bit: low <= high, and
+    # rounding keeps that order through "- c" and the division by |A|b > 0
+    c = rho * size_a * size_b
+    row_best = (np.maximum(high - c, c - low) / (size_a * size_b)).max(axis=1)
     ia = int(row_best.argmax())
     a = ((masks[ia] >> np.arange(n)) & 1).astype(bool)
     # e(A, B) = e(B, A): the counts of each B summed over A's members

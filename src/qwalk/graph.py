@@ -7,43 +7,39 @@ Generators are pure functions of their arguments.
 
 An edge uv, u < v, is the int64 key u * n + v, formed only after
 widening the int32 ids.  This module alone packs, deduplicates and
-looks up keys: a ``Graph`` is built from its sorted distinct keys, and
-an ``EdgeSubgraph`` (the edges a walk or a tree embedding traverses) is
-a sorted distinct key array.
+looks up keys: a ``Graph`` is built from its sorted distinct keys or
+from its adjacency bit rows, and an ``EdgeSubgraph`` (the edges a walk
+or a tree embedding traverses) is a sorted distinct key array.
 
 A vertex count n is an integer with 0 <= n < 2^31, so that every vertex
 id fits in int32 and every key in int64, and keys and endpoints are
 integers; anything else raises ValueError.  ``Graph(n, keys)`` checks
 that its keys are strictly ascending and of the form 0 <= u < v < n,
-and raises ValueError otherwise.  Dense keys, m keys with n^2 <= 64 m
-(``_table_fits``, the one table rule), go through the C kernel of
-``rng``: each edge sets both its bits in the graph's bit rows, n^2/8
-bytes, no more than the keys.  Other keys, and every key without the
-kernel, sort both arcs of every edge in numpy, the reference.  A dense
-graph keeps one edge store beside its CSR arrays, the bit rows; any
-other graph keeps its keys.  One read-out, ``qw_rows_csr``, turns bit
-rows into CSR arrays, each row's set bits in order: the rows of dense
-keys, and through ``Graph._from_rows`` the rows ``gen_gnp`` draws and
-``gen_complete`` writes, with ``np.unpackbits`` as its reference.
-``EdgeSubgraph.to_graph`` and ``gen_gnp`` below the table rule call
-``Graph`` with their sorted keys; ``build_graph`` packs and
-deduplicates arbitrary pairs first.
+else raises ValueError, sorts both arcs of every edge in numpy and
+keeps its keys.  ``Graph._from_rows`` keeps bit rows instead, n^2/8
+bytes, and reads each row's set bits out in order into CSR arrays,
+through the kernel's ``qw_rows_csr`` or ``np.unpackbits``, the
+reference.  ``gen_gnp`` draws G(n, p) into rows, ``gen_complete``
+writes K_n's and ``edge_keys`` marks pairs in them.
 
 ``edge_keys`` alone turns pairs into keys, for ``build_graph`` and for
 ``EdgeSubgraph.from_pairs``, and it alone rejects an endpoint outside
-0..n-1 and a self-loop.  Under the table rule the kernel marks each pair
-in n bit rows, no larger than the m int64 keys a sort needs, and reads
-the marks out in order; otherwise numpy sorts the packed keys, the
-reference.
+0..n-1 and a self-loop.  With the C kernel of ``rng`` and under the
+table rule, m pairs with n^2 <= 64 m (``_table_fits``), it marks each
+pair in n bit rows, no larger than the m int64 keys a sort needs, reads
+the keys out in order and mirrors each edge, and ``build_graph`` and
+``EdgeSubgraph.to_graph`` read those rows out, so each edge is checked
+and marked once.  Otherwise numpy sorts the packed keys, the
+reference, and the ``Graph`` is built from them.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
 uint64 words, n^2/8 bytes, packed once: kept from construction where it
-made them, else by numpy on first use.  ``has_edges`` tests their bits
-on a dense graph.  ``neighbour_counts`` counts neighbours in vertex
-sets, the e(A, B) behind the discrepancy estimators: |N(v) & S| is the
-popcount of row v and S's words, exact integers at any n, with
-``np.bitwise_count``.  The subset sampler of ``certify`` counts from the
-same rows in its own kernel call.
+was built from them, else by numpy on first use.  ``has_edges`` tests
+their bits on a graph built from rows.  ``neighbour_counts`` counts
+neighbours in vertex sets, the e(A, B) behind the discrepancy
+estimators: |N(v) & S| is the popcount of row v and S's words, exact
+integers at any n, with ``np.bitwise_count``.  The subset sampler of
+``certify`` counts from the same rows in its own kernel call.
 """
 
 from __future__ import annotations
@@ -167,6 +163,13 @@ def edge_keys(n: int, us, vs) -> np.ndarray:
     order; int32 endpoints pass to the kernel without a copy.  Otherwise
     the keys are packed and sorted, the reference.
     """
+    return _keys_and_rows(n, us, vs)[0]
+
+
+def _keys_and_rows(n: int, us, vs):
+    """``edge_keys`` and the bit rows the kernel marked them in, which it
+    left symmetric, one per vertex as ``Graph._from_rows`` reads them; or
+    None for the rows where the keys were sorted instead."""
     n = _vertex_count(n)
     us, vs = _integers(us, "edge endpoints"), _integers(vs, "edge endpoints")
     if us.ndim != 1 or us.shape != vs.shape:
@@ -181,9 +184,9 @@ def edge_keys(n: int, us, vs) -> np.ndarray:
                                  rows.ctypes.data, keys.ctypes.data)
         if count >= 0:
             keys.resize(count, refcheck=False)  # no view of keys exists yet
-            return keys
+            return keys, rows
     _check_pairs(n, us, vs)  # raises where the kernel returned -1 or took no ids
-    return _distinct(_pack(n, us, vs))
+    return _distinct(_pack(n, us, vs)), None
 
 
 class Graph:
@@ -191,10 +194,10 @@ class Graph:
 
     Invariants: symmetric adjacency, no self-loops, no duplicate
     neighbors, and sum of degrees equal to twice ``edge_count``.
-    Built from its edge keys u * n + v, u < v, strictly ascending; other
-    keys raise ValueError.  A dense graph keeps its bit rows and reads
-    ``edge_codes()`` out of its CSR arrays on each call; any other graph
-    keeps its keys (read-only).
+    Built from its edge keys u * n + v, u < v, strictly ascending, which
+    it keeps (read-only); other keys raise ValueError.  A graph built
+    from bit rows (``_from_rows``) keeps its rows instead and reads
+    ``edge_codes()`` out of its CSR arrays on each call.
     """
 
     __slots__ = ("n", "indptr", "indices", "edge_count", "_edge_codes", "_rows")
@@ -204,21 +207,7 @@ class Graph:
         keys = _int64s(keys, "edge keys")
         if keys.ndim != 1:
             raise ValueError("edge keys must be a 1-d array")
-        m = len(keys)
-        dense = _table_fits(n, m)
-        lib = _kernel() if dense else None
-        rows = None  # bit rows, filled here for dense keys or packed by bit_rows()
-        if lib is None:
-            done, indptr, indices = _csr_numpy(n, keys)
-        else:
-            rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
-            indptr = np.empty(n + 1, dtype=np.int64)
-            indices = np.empty(2 * m, dtype=np.int32)
-            done = lib.qw_csr_rows(n, keys.ctypes.data, m, rows.ctypes.data,
-                                   indptr.ctypes.data, indices.ctypes.data)
-        if done < m:
-            raise _bad_key(n, keys, done)
-        self._keep(n, indptr, indices, None if dense else keys, rows)
+        self._keep(n, *_csr_numpy(n, keys), keys, None)  # rows packed by bit_rows()
 
     @classmethod
     def _from_rows(cls, n: int, rows: np.ndarray, m: int) -> "Graph":
@@ -262,8 +251,8 @@ class Graph:
         return bool(_inside(self.n, u, v) and self.has_edges(u, v))
 
     def has_edges(self, us, vs) -> np.ndarray:
-        """Elementwise ``has_edge``: a bit test on a dense graph's rows, a
-        key lookup on any other graph's keys."""
+        """Elementwise ``has_edge``: a key lookup on a graph's kept keys,
+        a bit test on the rows of a graph built from rows."""
         n = self.n
         inside = _inside(n, us, vs)
         if self._edge_codes is not None:
@@ -313,42 +302,39 @@ class Graph:
 
 
 def _csr_numpy(n: int, keys: np.ndarray):
-    """(m, indptr, indices) of the keys by sorting both arcs of every
-    edge, or (j, None, None) for the first invalid key j, as
-    ``qw_csr_rows`` returns j."""
+    """(indptr, indices) of the keys by sorting both arcs of every edge;
+    ValueError names the first key out of order or not u*n+v, u < v."""
     u, v = np.divmod(keys, max(n, 1))
     bad = (keys < 0) | (u >= v)
     bad[1:] |= keys[1:] <= keys[:-1]
     if bad.any():
-        return int(bad.argmax()), None, None
+        j = int(bad.argmax())
+        k = int(keys[j])
+        if j and k <= keys[j - 1]:
+            raise ValueError(f"edge keys must be strictly ascending: key {k} at "
+                             f"position {j} follows {int(keys[j - 1])}")
+        raise ValueError(f"edge key {k} at position {j} is not u*{n}+v "
+                         f"with 0 <= u < v < {n}")
     # arcs u -> v packed as u * n + v, both directions, in CSR order
     arcs = np.concatenate([keys, v * n + u])
     arcs.sort()
     indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
-    return len(keys), indptr, (arcs % max(n, 1)).astype(np.int32)
-
-
-def _bad_key(n: int, keys: np.ndarray, j: int) -> ValueError:
-    k = int(keys[j])
-    if j and k <= keys[j - 1]:
-        return ValueError(f"edge keys must be strictly ascending: key {k} at "
-                          f"position {j} follows {int(keys[j - 1])}")
-    return ValueError(f"edge key {k} at position {j} is not u*{n}+v "
-                      f"with 0 <= u < v < {n}")
+    return indptr, (arcs % max(n, 1)).astype(np.int32)
 
 
 class EdgeSubgraph:
     """A deduplicated set of edges of a parent graph."""
 
-    __slots__ = ("parent", "codes")
+    __slots__ = ("parent", "codes", "_rows")
 
-    def __init__(self, parent: Graph, codes: np.ndarray):
+    def __init__(self, parent: Graph, codes: np.ndarray, rows=None):
         self.parent = parent
         self.codes = codes  # sorted unique u * n + v with u < v
+        self._rows = rows  # the symmetric bit rows edge_keys marked, or None
 
     @classmethod
     def from_pairs(cls, parent: Graph, us, vs) -> "EdgeSubgraph":
-        return cls(parent, edge_keys(parent.n, us, vs))
+        return cls(parent, *_keys_and_rows(parent.n, us, vs))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -364,7 +350,14 @@ class EdgeSubgraph:
         return bool(np.isin(self.codes, other.codes).all())
 
     def to_graph(self) -> Graph:
-        return Graph(self.parent.n, self.codes)
+        """The edges as a Graph on the parent's vertices: read out of the
+        rows ``edge_keys`` marked, where it marked them, else from the keys."""
+        if self._rows is None:
+            return Graph(self.parent.n, self.codes)
+        # a copy, allocated after the keys: kept, the block edge_keys made
+        # first would sit in glibc's heap before the freed key buffer, which
+        # then stays resident (peak RSS 84.0 against 77.4 MB in tree_star)
+        return Graph._from_rows(self.parent.n, self._rows.copy(), len(self.codes))
 
 
 @dataclass(frozen=True)
@@ -431,7 +424,8 @@ def build_graph(n: int, edges) -> Graph:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be pairs of vertex ids")
-    return Graph(n, edge_keys(n, pairs[:, 0], pairs[:, 1]))
+    keys, rows = _keys_and_rows(n, pairs[:, 0], pairs[:, 1])
+    return Graph(n, keys) if rows is None else Graph._from_rows(n, rows, len(keys))
 
 
 def edges_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
@@ -640,7 +634,7 @@ def load_graph(path: str) -> Graph:
     except ValueError as exc:
         raise ValueError(f"{path}:1: {exc}") from None
     if len(lines) - 1 != m:
-        raise ValueError(f"{path}: header promises {m} edges, found {len(lines) - 1}")
+        raise ValueError(f"{path}:1: header promises {m} edges, found {len(lines) - 1}")
     edges = np.empty((m, 2), dtype=np.int64)
     for i, line in enumerate(lines[1:], start=2):
         toks = line.split()

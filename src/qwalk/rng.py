@@ -16,16 +16,16 @@ The same words come from a small C kernel, ``_philox.c``, which derives
 numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
 seeds below 2^64 and indices below 2^32.  ``uniform_words``,
 ``derive_seed`` and the list model use it when it loads.  So does
-``graph``: a dense ``Graph`` keeps adjacency bit rows as its one edge
-store, and one entry point reads any such rows out into its CSR arrays,
-whether ``Graph`` set them from dense keys, ``gen_gnp`` drew G(n, p)
-into them in one call or ``gen_complete`` wrote K_n's; numpy sorts any
-other keys.  ``edge_keys`` marks the keys of vertex pairs in rows of the
-same layout and reads them out in order.  So does
-``certify.discrepancy_sampled``, which draws every subset and counts
-every e(A, B) from the bit rows by popcount in one call, in a popcnt
-clone on x86-64 glibc, from the stream position
-``_next_word`` reads off its generator.  The kernel is built on first
+``graph``: ``edge_keys`` marks dense vertex pairs in adjacency bit rows
+and reads their keys out in order, leaving the rows symmetric, and
+``gen_gnp`` draws G(n, p) into such rows in one call.  A ``Graph``
+built from rows, these or the K_n rows of ``gen_complete``, keeps them
+as its one edge store, and one entry point reads them out into its CSR
+arrays; a ``Graph`` built from keys sorts them in numpy.
+``certify.discrepancy_sampled`` uses the kernel too: it draws every
+subset and counts every e(A, B) from the bit rows by popcount in one call, in
+a popcnt clone on x86-64 glibc, from the stream position ``_next_word``
+reads off its generator.  The kernel is built on first
 use, never at import, with ``gcc`` into a user cache directory keyed by
 the source's sha256.  Without gcc, when the build or the cache
 directory fails, or for larger seeds, the numpy code serves instead and
@@ -169,8 +169,6 @@ def _load():
     lib.qw_words.restype = None
     lib.qw_consume.argtypes = [u64, u32, ptr, ptr, ptr, ptr, ptr, i64, ptr]
     lib.qw_consume.restype = i64
-    lib.qw_csr_rows.argtypes = [i64, ptr, i64, ptr, ptr, ptr]
-    lib.qw_csr_rows.restype = i64
     lib.qw_edge_keys.argtypes = [i64, ptr, ptr, i64, ptr, ptr]
     lib.qw_edge_keys.restype = i64
     lib.qw_gnp.argtypes = [u64, u32, i64, ctypes.c_double, ptr]
@@ -192,7 +190,8 @@ def _kernel():
 
 def backend() -> str:
     """Which code draws list words, ``uniform_words``, ``derive_seed``
-    and G(n, p) hosts, builds the bit rows and CSR arrays of each dense
-    ``Graph``, makes edge keys from pairs and runs the subset sampler's
-    draws and counts: "c" for the kernel, or "numpy"."""
+    and G(n, p) hosts, marks dense vertex pairs in bit rows and reads
+    their edge keys out, reads the CSR arrays of a ``Graph`` out of its
+    bit rows and runs the subset sampler's draws and counts: "c" for the
+    kernel, or "numpy"."""
     return "numpy" if _kernel() is None else "c"

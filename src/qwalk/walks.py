@@ -428,9 +428,13 @@ def load_trace(g: Graph, path: str) -> WalkTrace:
     if len(bad):
         raise ValueError(f"{path}:2: position {bad[0]} is vertex {seq[bad[0]]}, "
                          f"outside the host's 0..{g.n - 1}")
+    seq = seq.astype(np.int32)  # vertex ids, as run_walk returns them
     bad = np.flatnonzero(~g.has_edges(seq[:-1], seq[1:]))
     if len(bad):
         i = bad[0]
         raise ValueError(f"{path}:2: step {i + 1} from {seq[i]} to {seq[i + 1]} "
                          f"is not a host edge")
+    if len(lines) > 2:
+        raise ValueError(f"{path}:3: a trace ends after its sequence line, "
+                         f"got {lines[2]!r}")
     return WalkTrace(graph=g, start=start, steps=steps, sequence=seq)

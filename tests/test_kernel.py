@@ -210,18 +210,33 @@ def _csr_reference(n, keys):
     return indptr, np.array([v for r in rows for v in sorted(r)], dtype=np.int64)
 
 
+def _built(n, keys):
+    """(graph, from rows) for the graph of sorted distinct ``keys`` built
+    each way on the current backend: from the keys, from their pairs by
+    ``build_graph`` and ``EdgeSubgraph.to_graph``, which read out the rows
+    the kernel marked for dense pairs, and from numpy's bit rows by
+    ``Graph._from_rows``; ``from rows`` says whether it was built from rows."""
+    us, vs = np.divmod(keys, max(n, 1))
+    marked = rng._kernel() is not None and n * n <= 64 * len(keys)
+    yield Graph(n, keys.copy()), False
+    yield build_graph(n, np.column_stack((us, vs))), marked
+    yield EdgeSubgraph.from_pairs(Graph(n, []), us, vs).to_graph(), marked
+    yield Graph._from_rows(n, _bit_rows(Graph(n, keys)), len(keys)), True
+
+
 @settings(max_examples=300, **PER_EXAMPLE)
 @given(case=key_sets())
 def test_csr_matches_reference(c_backend, monkeypatch, case):
-    # the kernel's bit rows for dense keys, the numpy sort and plain Python
+    # the numpy sort of keys, the kernel's and numpy's read-out of bit
+    # rows, and plain Python
     n, keys = case
     indptr, indices = _csr_reference(n, keys)
     for lib in (c_backend, False):
         monkeypatch.setattr(rng, "_lib", lib)
-        g = Graph(n, keys.copy())
-        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
-        assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
-        assert np.array_equal(g.edge_codes(), keys) and g.edge_count == len(keys)
+        for g, _ in _built(n, keys):
+            assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+            assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+            assert np.array_equal(g.edge_codes(), keys) and g.edge_count == len(keys)
 
 
 @pytest.mark.parametrize("n,keys,message", [
@@ -334,20 +349,19 @@ def test_keys_are_formed_after_widening(c_backend, monkeypatch, n, data):
 @settings(max_examples=200, **PER_EXAMPLE)
 @given(case=key_sets())
 def test_dense_graph_reads_its_keys_from_its_rows(c_backend, monkeypatch, case):
-    # a graph under the table rule keeps no keys: each call reads a new,
-    # read-only array out of its CSR arrays,
-    # equal to the keys it was built from; any other graph keeps its keys
+    # a graph built from bit rows keeps no keys: each call reads a new,
+    # read-only array out of its CSR arrays, equal to the keys of its
+    # edges; a graph built from keys keeps them
     n, keys = case
-    dense = n * n <= 64 * len(keys)
-    event("dense" if dense else "sparse")
+    event("dense" if n * n <= 64 * len(keys) else "sparse")
     for lib in (c_backend, False):
         monkeypatch.setattr(rng, "_lib", lib)
-        g = Graph(n, keys.copy())
-        assert (g._edge_codes is None) == dense
-        got = g.edge_codes()
-        assert got.dtype == np.int64 and np.array_equal(got, keys)
-        assert not got.flags.writeable and (got is not g.edge_codes()) == dense
-        assert g.edge_array().tolist() == [list(divmod(k, n)) for k in keys.tolist()]
+        for g, from_rows in _built(n, keys):
+            assert (g._edge_codes is None) == from_rows
+            got = g.edge_codes()
+            assert got.dtype == np.int64 and np.array_equal(got, keys)
+            assert not got.flags.writeable and (got is not g.edge_codes()) == from_rows
+            assert g.edge_array().tolist() == [list(divmod(k, n)) for k in keys.tolist()]
 
 
 @settings(max_examples=100, **PER_EXAMPLE)
@@ -409,7 +423,6 @@ def test_any_keys_give_the_same_graph_or_error(c_backend, monkeypatch, n, data):
     keys = data.draw(st.lists(st.integers(-3, n * n + 3), max_size=30))
     if data.draw(st.booleans()):
         keys = sorted(set(keys))
-    event("bit rows" if n * n <= 64 * len(keys) else "numpy sort")
     outcomes = []
     for lib in (c_backend, False):
         monkeypatch.setattr(rng, "_lib", lib)
@@ -419,21 +432,6 @@ def test_any_keys_give_the_same_graph_or_error(c_backend, monkeypatch, n, data):
         except ValueError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
-
-
-def test_kernel_writes_nothing_for_bad_keys(c_backend):
-    # the validating pass returns the first bad position before the CSR
-    # arrays or the bit rows are touched; the last case fails after four
-    # valid keys, three of them on row 0
-    for n, keys, first_bad in [(4, [1, 6, 2], 2), (4, [1, 15], 1), (4, [2**62], 0),
-                               (3, [-1], 0), (4, [1, 2, 3, 7, 5], 4)]:
-        keys = np.array(keys, dtype=np.int64)
-        indptr = np.full(n + 1, -7, dtype=np.int64)
-        indices = np.full(2 * len(keys), -7, dtype=np.int32)
-        rows = np.full(n * -(-n // 64), 7, dtype=np.uint64)
-        assert c_backend.qw_csr_rows(n, keys.ctypes.data, len(keys), rows.ctypes.data,
-                                     indptr.ctypes.data, indices.ctypes.data) == first_bad
-        assert (indptr == -7).all() and (indices == -7).all() and (rows == 7).all()
 
 
 def _graphs():
@@ -472,7 +470,7 @@ def test_kernel_entry_points_are_the_loaded_ones():
     defined = re.findall(r"^(?!static\b)\w[\w ]*?\b(qw_\w+)\(", source, re.M)
     declared = re.findall(r"lib\.(qw_\w+)\.argtypes", inspect.getsource(rng._load))
     assert len(defined) == len(set(defined)) and len(declared) == len(set(declared))
-    assert sorted(defined) == sorted(declared) and len(defined) == 8
+    assert sorted(defined) == sorted(declared) and len(defined) == 7
     python = "".join(p.read_text() for p in sorted((SRC / "qwalk").glob("*.py")))
     assert [name for name in declared if f".{name}(" not in python] == []
 
@@ -617,25 +615,37 @@ def test_bit_rows_match_reference(case):
 @settings(max_examples=150, **PER_EXAMPLE)
 @given(case=count_cases())
 def test_dense_graph_keeps_its_rows(c_backend, monkeypatch, case):
-    # with the kernel, a graph with n^2 <= 64 m fills its CSR arrays from
-    # bit rows and keeps them, read-only; any other graph, and every graph
-    # without the kernel, sorts in numpy and packs its rows on first use;
-    # all equal numpy's
+    # a graph built from bit rows, as build_graph and to_graph build one
+    # from dense pairs with the kernel, keeps its rows, read-only; a graph
+    # built from keys packs its rows in numpy on first use; all equal
+    # numpy's
     n, keys, _, _ = case
-    dense = n * n <= 64 * len(keys)
-    event("bit rows" if dense else "numpy sort")
+    event("bit rows" if n * n <= 64 * len(keys) else "numpy sort")
     monkeypatch.setattr(rng, "_lib", False)
     reference = Graph(n, keys)
     want = _bit_rows(reference)
     for lib in (c_backend, False):
         monkeypatch.setattr(rng, "_lib", lib)
-        g = Graph(n, keys)
-        assert (g._rows is not None) == (dense and bool(lib))
-        rows = g.bit_rows()
-        assert rows is g._rows and not rows.flags.writeable
-        assert rows.dtype == np.uint64 and np.array_equal(rows, want)
-        assert np.array_equal(g.indptr, reference.indptr)
-        assert np.array_equal(g.indices, reference.indices)
+        for g, from_rows in _built(n, keys):
+            assert (g._rows is not None) == from_rows
+            rows = g.bit_rows()
+            assert rows is g._rows and not rows.flags.writeable
+            assert rows.dtype == np.uint64 and np.array_equal(rows, want)
+            assert np.array_equal(g.indptr, reference.indptr)
+            assert np.array_equal(g.indices, reference.indices)
+
+
+def test_pair_graphs_read_out_the_rows_edge_keys_marked(kernel_calls):
+    # qw_edge_keys marks a walk's dense pairs and mirrors each edge, and
+    # the graph reads those rows out: no key is checked or marked again
+    g = gen_gnp(300, 0.3, 8)
+    trace = run_walk(g, ListModel(g, 9), 0, 20_000)
+    pairs = np.column_stack((trace.sequence[:-1], trace.sequence[1:]))
+    for make in (lambda: walk_subgraph(trace).to_graph(), lambda: build_graph(300, pairs)):
+        kernel_calls.clear()
+        h = make()
+        assert kernel_calls == {"qw_edge_keys": 1, "qw_rows_csr": 1}
+        assert h._rows is not None and np.array_equal(h._rows, _bit_rows(h))
 
 
 def test_dense_counts_never_pack_rows(kernel_calls, monkeypatch):
@@ -674,7 +684,8 @@ def test_rows_read_out_as_the_sorted_arcs(backend, n, p):
     rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
     for u, v in (pairs.T, pairs.T[::-1]):
         np.bitwise_or.at(rows, (u, v // 64), np.uint64(1) << (v % 64).astype(np.uint64))
-    m, indptr, indices = graph._csr_numpy(n, keys)
+    indptr, indices = graph._csr_numpy(n, keys)
+    m = len(keys)
     g = Graph._from_rows(n, rows, m)
     assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
     assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)

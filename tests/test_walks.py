@@ -540,6 +540,7 @@ class TestDefaultBlockLength:
 
 class TestTraceIO:
     def test_round_trip(self, tmp_path):
+        # the same int32 vertex ids that run_walk returns
         g = gen_gnp(20, 0.5, 2)
         trace = run_walk(g, ListModel(g, 5), 0, 50)
         for name in ["t.txt", "t.txt.gz"]:
@@ -547,6 +548,7 @@ class TestTraceIO:
             save_trace(trace, path)
             loaded = load_trace(g, path)
             assert loaded.start == trace.start
+            assert loaded.sequence.dtype == trace.sequence.dtype == np.int32
             assert np.array_equal(loaded.sequence, trace.sequence)
 
     @pytest.mark.parametrize("body, match", [
@@ -558,6 +560,8 @@ class TestTraceIO:
         ("0 3\n0 1 0\n", "sequence length 3 != steps\\+1"),
         ("0 x\n0\n", ":1: header"),
         ("0 1\n0 1.5\n", ":2: the sequence must be integer"),
+        ("0 1\n0 1\ngarbage line three\n", ":3: a trace ends after its sequence line"),
+        ("0 1\n0 1\n\n", ":3: a trace ends after its sequence line, got ''"),
     ])
     def test_invalid_trace_rejected(self, tmp_path, body, match):
         g = build_graph(3, [(0, 1)])  # vertex 2 is isolated
