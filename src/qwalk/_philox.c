@@ -20,11 +20,9 @@
  * store: row v holds neighbour u as bit u % 64 of word u / 64.
  * qw_rows_csr reads any such rows out into the Graph's indptr and indices,
  * with the same bytes as the numpy code that stays the reference.  Its
- * rows come from qw_edge_keys, which makes sorted distinct keys from
- * vertex pairs by marking each pair (u, v), u < v, as bit v of row u and
- * reading the bits above the diagonal out in order, mirroring each edge
- * as it goes; from qw_gnp, which draws G(n, p) into them; or from K_n's
- * rows.  So each edge is checked and marked once, where its pairs are.
+ * rows come from qw_mark_pairs, which marks the vertex pairs of a walk or
+ * a tree image in them and counts their distinct edges, from qw_gnp,
+ * which draws G(n, p) into them, or from K_n's rows; no key is made.
  *
  * qw_sampled_counts draws every subset of
  * qwalk.certify.discrepancy_sampled and counts each of its e(A, B) as
@@ -204,54 +202,29 @@ void qw_rows_csr(int64_t n, const uint64_t *rows, int64_t *indptr, int32_t *indi
     }
 }
 
-/* The keys u * n + v of the bits v > u of each row u of ``rows``, n rows
- * of ceil(n / 64) words where v is bit v % 64 of word v / 64, into
- * ``keys`` in ascending order, which must hold them all.  Each key also
- * sets bit u of row v, below the diagonal that row v's own read skips,
- * so the rows end symmetric, in the layout of qw_rows_csr: one mirror
- * store per edge, not one per marked pair.  Returns the number of keys.
+/* Marks the pairs (us[i], vs[i]) in ``rows``, n zeroed rows in the
+ * layout of qw_rows_csr: pair (a, b), a < b, sets bit b of row a and bit
+ * a of row b.  A first pass writes nothing: it returns -1 when an
+ * endpoint lies outside 0..n-1 or a pair is a self-loop.  Returns the
+ * number of distinct edges, the pairs that found bit b of row a clear.
  */
-static int64_t row_keys(int64_t n, uint64_t *rows, int64_t *keys)
+int64_t qw_mark_pairs(int64_t n, const int32_t *us, const int32_t *vs, int64_t m,
+                      uint64_t *rows)
 {
-    int64_t w = (n + 63) / 64, u, v, i, count = 0;
-    uint64_t bits;
-
-    for (u = 0; u < n; u++)
-        for (i = (u + 1) / 64; i < w; i++) {
-            bits = rows[u * w + i];
-            if (i == (u + 1) / 64)
-                bits &= ~(uint64_t)0 << ((u + 1) % 64);
-            for (; bits; bits &= bits - 1) {
-                v = 64 * i + __builtin_ctzll(bits);
-                keys[count++] = u * n + v;
-                rows[v * w + u / 64] |= (uint64_t)1 << (u % 64);
-            }
-        }
-    return count;
-}
-
-/* Sorted distinct keys min * n + max of the pairs (us[i], vs[i]): each
- * pair sets bit max of row min of ``rows``, n zeroed rows of ceil(n / 64)
- * words, and row_keys reads the bits out in ascending order, so no key
- * array is sorted, and leaves the rows symmetric for qw_rows_csr.  A
- * first pass writes nothing: it returns -1 when an endpoint lies outside
- * 0..n-1 or a pair is a self-loop.  ``keys`` must hold every distinct
- * key.  Returns the number of keys written.
- */
-int64_t qw_edge_keys(int64_t n, const int32_t *us, const int32_t *vs, int64_t m,
-                     uint64_t *rows, int64_t *keys)
-{
-    int64_t i, w = (n + 63) / 64;
+    int64_t i, w = (n + 63) / 64, count = 0;
 
     for (i = 0; i < m; i++)
         if (us[i] < 0 || us[i] >= n || vs[i] < 0 || vs[i] >= n || us[i] == vs[i])
             return -1;
     for (i = 0; i < m; i++) {
-        /* min and max with a select, not a branch that a walk mispredicts */
+        /* selects, not branches that a walk mispredicts */
         int64_t u = us[i], v = vs[i], a = u < v ? u : v, b = u + v - a;
-        rows[a * w + b / 64] |= (uint64_t)1 << (b % 64);
+        uint64_t *word = rows + a * w + b / 64, bit = (uint64_t)1 << (b % 64);
+        count += (int64_t)!(*word & bit);
+        *word |= bit;
+        rows[b * w + a / 64] |= (uint64_t)1 << (a % 64);
     }
-    return row_keys(n, rows, keys);
+    return count;
 }
 
 /* The edges of G(n, p) on stream domain ``domain``: pair (u, v), u < v,

@@ -8,8 +8,9 @@ Generators are pure functions of their arguments.
 An edge uv, u < v, is the int64 key u * n + v, formed only after
 widening the int32 ids.  This module alone packs, deduplicates and
 looks up keys: a ``Graph`` is built from its sorted distinct keys or
-from its adjacency bit rows, and an ``EdgeSubgraph`` (the edges a walk
-or a tree embedding traverses) is a sorted distinct key array.
+from its adjacency bit rows, and so is an ``EdgeSubgraph`` (the edges a
+walk or a tree embedding traverses), which reads its keys out of its
+rows only when they are asked for.
 
 A vertex count n is an integer with 0 <= n < 2^31, so that every vertex
 id fits in int32 and every key in int64, and keys and endpoints are
@@ -20,17 +21,19 @@ keeps its keys.  ``Graph._from_rows`` keeps bit rows instead, n^2/8
 bytes, and reads each row's set bits out in order into CSR arrays,
 through the kernel's ``qw_rows_csr`` or ``np.unpackbits``, the
 reference.  ``gen_gnp`` draws G(n, p) into rows, ``gen_complete``
-writes K_n's and ``edge_keys`` marks pairs in them.
+writes K_n's and ``_mark`` marks pairs in them.
 
-``edge_keys`` alone turns pairs into keys, for ``build_graph`` and for
-``EdgeSubgraph.from_pairs``, and it alone rejects an endpoint outside
-0..n-1 and a self-loop.  With the C kernel of ``rng`` and under the
-table rule, m pairs with n^2 <= 64 m (``_table_fits``), it marks each
-pair in n bit rows, no larger than the m int64 keys a sort needs, reads
-the keys out in order and mirrors each edge, and ``build_graph`` and
-``EdgeSubgraph.to_graph`` read those rows out, so each edge is checked
-and marked once.  Otherwise numpy sorts the packed keys, the
-reference, and the ``Graph`` is built from them.
+``_mark`` alone turns pairs into edges, for ``edge_keys``,
+``build_graph`` and ``EdgeSubgraph.from_pairs``, and it alone rejects
+an endpoint outside 0..n-1 and a self-loop.  With the C kernel of
+``rng`` and under the table rule, m pairs with n^2 <= 64 m
+(``_table_fits``), it marks both bits of each pair in n bit rows, no
+larger than the m int64 keys a sort needs, and counts the distinct
+edges; ``build_graph`` and ``EdgeSubgraph.to_graph`` read those rows
+out, so each edge is checked and marked once, and no key is made until
+``edge_keys`` or ``EdgeSubgraph.codes`` reads them out in numpy.
+Otherwise numpy sorts the packed keys, the reference, and the ``Graph``
+is built from them.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
 uint64 words, n^2/8 bytes, packed once: kept from construction where it
@@ -159,17 +162,19 @@ def edge_keys(n: int, us, vs) -> np.ndarray:
     ValueError names the first endpoint out of range, or else the first
     self-loop.  With the C kernel, and under the table rule for m pairs,
     so that n bit rows take no more bytes than the m int64 keys a sort
-    needs, each pair sets its bit and the set bits are read out in
-    order; int32 endpoints pass to the kernel without a copy.  Otherwise
-    the keys are packed and sorted, the reference.
+    needs, each pair sets its bits and the bits above the diagonal are
+    read out in order; int32 endpoints pass to the kernel without a
+    copy.  Otherwise the keys are packed and sorted, the reference.
     """
-    return _keys_and_rows(n, us, vs)[0]
+    edges, count = _mark(n, us, vs)
+    return edges if count is None else _row_keys(n, edges)
 
 
-def _keys_and_rows(n: int, us, vs):
-    """``edge_keys`` and the bit rows the kernel marked them in, which it
-    left symmetric, one per vertex as ``Graph._from_rows`` reads them; or
-    None for the rows where the keys were sorted instead."""
+def _mark(n: int, us, vs):
+    """The distinct edges of the pairs as (rows, count): the symmetric bit
+    rows the kernel marked, one per vertex as ``Graph._from_rows`` reads
+    them, and the number of edges; or as (keys, None), sorted distinct
+    keys, where the keys were sorted instead."""
     n = _vertex_count(n)
     us, vs = _integers(us, "edge endpoints"), _integers(vs, "edge endpoints")
     if us.ndim != 1 or us.shape != vs.shape:
@@ -179,14 +184,44 @@ def _keys_and_rows(n: int, us, vs):
     us32, vs32 = (_ids(us), _ids(vs)) if lib is not None else (None, None)
     if us32 is not None and vs32 is not None:
         rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
-        keys = np.empty(min(m, n * (n - 1) // 2), dtype=np.int64)
-        count = lib.qw_edge_keys(n, us32.ctypes.data, vs32.ctypes.data, m,
-                                 rows.ctypes.data, keys.ctypes.data)
+        count = lib.qw_mark_pairs(n, us32.ctypes.data, vs32.ctypes.data, m, rows.ctypes.data)
         if count >= 0:
-            keys.resize(count, refcheck=False)  # no view of keys exists yet
-            return keys, rows
+            return rows, count
     _check_pairs(n, us, vs)  # raises where the kernel returned -1 or took no ids
     return _distinct(_pack(n, us, vs)), None
+
+
+def _row_bits(rows: np.ndarray) -> np.ndarray:
+    """Bit rows as an (n, 64 ceil(n/64)) bool matrix, whose nonzero
+    entries numpy finds several times faster than a uint8 one's: column
+    u of row v is bit u % 64 of word u // 64."""
+    return np.unpackbits(rows.astype("<u8", copy=False).view(np.uint8), axis=1,
+                         bitorder="little").view(bool)
+
+
+def _row_keys(n: int, rows: np.ndarray) -> np.ndarray:
+    """The keys u * n + v, ascending, of the bits v > u of each row u:
+    position u * width + v of the bits above the diagonal, less u
+    (width - n)."""
+    bits = _row_bits(rows)
+    width = max(bits.shape[1], 1)
+    at = np.flatnonzero(np.triu(bits, 1))
+    at -= at // width * (width - n)
+    return at
+
+
+def _bits_set(rows: np.ndarray, n: int, us, vs) -> np.ndarray:
+    """Elementwise, whether bit v of row u of symmetric bit rows with a
+    clear diagonal is set; False for a pair outside 0..n-1."""
+    inside = _inside(n, us, vs)
+    if n == 0:
+        return inside
+    # a pair outside reads bit 0 of row 0, which no row sets; the rows'
+    # little-endian bytes hold neighbour v at bit v % 8 of byte v // 8, so
+    # no temporary is wider than the ids
+    us, vs = np.where(inside, us, 0), np.where(inside, vs, 0)
+    octets = rows.astype("<u8", copy=False).view(np.uint8)[us, vs >> 3]
+    return (octets >> (vs & 7).astype(np.uint8) & 1).astype(bool)
 
 
 class Graph:
@@ -218,8 +253,7 @@ class Graph:
         indices = np.empty(2 * m, dtype=np.int32)
         lib = _kernel()
         if lib is None:  # the reference
-            bits = np.unpackbits(rows.astype("<u8", copy=False).view(np.uint8), axis=1,
-                                 bitorder="little")
+            bits = _row_bits(rows)
             np.cumsum(np.count_nonzero(bits, axis=1), out=indptr[1:])
             indices[:] = np.flatnonzero(bits) % max(bits.shape[1], 1)
         else:
@@ -254,17 +288,9 @@ class Graph:
         """Elementwise ``has_edge``: a key lookup on a graph's kept keys,
         a bit test on the rows of a graph built from rows."""
         n = self.n
-        inside = _inside(n, us, vs)
         if self._edge_codes is not None:
-            return inside & np.isin(_pack(n, us, vs), self._edge_codes)
-        if n == 0:
-            return inside
-        # a pair outside reads bit 0 of row 0, which no graph sets; the
-        # rows' little-endian bytes hold neighbour v at bit v % 8 of byte
-        # v // 8, so no temporary is wider than the ids
-        us, vs = np.where(inside, us, 0), np.where(inside, vs, 0)
-        octets = self.bit_rows().astype("<u8", copy=False).view(np.uint8)[us, vs >> 3]
-        return (octets >> (vs & 7).astype(np.uint8) & 1).astype(bool)
+            return _inside(n, us, vs) & np.isin(_pack(n, us, vs), self._edge_codes)
+        return _bits_set(self.bit_rows(), n, us, vs)
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
@@ -323,25 +349,44 @@ def _csr_numpy(n: int, keys: np.ndarray):
 
 
 class EdgeSubgraph:
-    """A deduplicated set of edges of a parent graph."""
+    """A deduplicated set of edges of a parent graph, kept as one edge
+    store, as ``_mark`` gives it: ``edges`` are symmetric bit rows holding
+    ``count`` edges, or sorted distinct keys u * n + v, u < v, when
+    ``count`` is None.  ``codes`` reads the keys out of rows on first use."""
 
-    __slots__ = ("parent", "codes", "_rows")
+    __slots__ = ("parent", "_rows", "_codes", "_count")
 
-    def __init__(self, parent: Graph, codes: np.ndarray, rows=None):
+    def __init__(self, parent: Graph, edges: np.ndarray, count: int | None = None):
         self.parent = parent
-        self.codes = codes  # sorted unique u * n + v with u < v
-        self._rows = rows  # the symmetric bit rows edge_keys marked, or None
+        self._rows, self._codes = (None, edges) if count is None else (edges, None)
+        self._count = len(edges) if count is None else count
+        edges.setflags(write=False)
 
     @classmethod
     def from_pairs(cls, parent: Graph, us, vs) -> "EdgeSubgraph":
-        return cls(parent, *_keys_and_rows(parent.n, us, vs))
+        return cls(parent, *_mark(parent.n, us, vs))
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Sorted distinct keys u * n + v with u < v (read-only)."""
+        if self._codes is None:
+            self._codes = _row_keys(self.parent.n, self._rows)
+            self._codes.setflags(write=False)
+        return self._codes
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return self._count
 
     def __contains__(self, edge) -> bool:
-        n = self.parent.n
-        return bool(_inside(n, *edge) and _pack(n, *edge) in self.codes)
+        """A bit test of the kept rows, else a binary search of the keys."""
+        n, (u, v) = self.parent.n, edge
+        if not _inside(n, u, v):
+            return False
+        if self._rows is not None:
+            return bool(_bits_set(self._rows, n, u, v))
+        key = _pack(n, u, v)
+        at = np.searchsorted(self._codes, key)
+        return bool(at < self._count and self._codes[at] == key)
 
     def edge_array(self) -> np.ndarray:
         return _unpack(self.parent.n, self.codes)
@@ -351,13 +396,13 @@ class EdgeSubgraph:
 
     def to_graph(self) -> Graph:
         """The edges as a Graph on the parent's vertices: read out of the
-        rows ``edge_keys`` marked, where it marked them, else from the keys."""
+        rows ``_mark`` marked, where it marked them, else from the keys."""
         if self._rows is None:
-            return Graph(self.parent.n, self.codes)
-        # a copy, allocated after the keys: kept, the block edge_keys made
-        # first would sit in glibc's heap before the freed key buffer, which
-        # then stays resident (peak RSS 84.0 against 77.4 MB in tree_star)
-        return Graph._from_rows(self.parent.n, self._rows.copy(), len(self.codes))
+            return Graph(self.parent.n, self._codes)
+        # a copy, allocated after the subgraph's rows: handed the very block
+        # _mark made, tree_star's glibc heap places its later buffers so that
+        # more stays resident (peak RSS 75.2 against 72.3 MB with the copy)
+        return Graph._from_rows(self.parent.n, self._rows.copy(), self._count)
 
 
 @dataclass(frozen=True)
@@ -424,8 +469,8 @@ def build_graph(n: int, edges) -> Graph:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be pairs of vertex ids")
-    keys, rows = _keys_and_rows(n, pairs[:, 0], pairs[:, 1])
-    return Graph(n, keys) if rows is None else Graph._from_rows(n, rows, len(keys))
+    edges, count = _mark(n, pairs[:, 0], pairs[:, 1])
+    return Graph(n, edges) if count is None else Graph._from_rows(n, edges, count)
 
 
 def edges_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
@@ -597,8 +642,9 @@ def save_graph(g: Graph, path: str) -> None:
     """Plain text: first line "n m", then one "u v" line per edge, u < v."""
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.edge_count}\n")
-        for u, v in g.edge_array():
-            fh.write(f"{u} {v}\n")
+        # one format over the flat ids: 0.2 s for the 1M edges of G(2000, 1/2),
+        # against 1.3 s for a write per edge
+        fh.write("%d %d\n" * g.edge_count % tuple(g.edge_array().ravel().tolist()))
 
 
 def read_text(path: str, opener=open) -> str:
@@ -620,7 +666,8 @@ def read_text(path: str, opener=open) -> str:
 
 
 def load_graph(path: str) -> Graph:
-    """Load the text format written by save_graph; violations name the line."""
+    """Load the text format written by save_graph; violations name the line,
+    and a repeated edge also the earlier line it repeats."""
     lines = read_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}:1: missing header line 'n m'")
@@ -646,6 +693,16 @@ def load_graph(path: str) -> Graph:
         if v >= n or u < 0:
             raise ValueError(f"{path}:{i}: endpoint out of range for n={n}")
         edges[i - 2] = (u, v)
+    # a stable sort puts each line after the earlier lines of its edge, so
+    # the first repeat in the file follows the edge's first line
+    keys = edges[:, 0] * n + edges[:, 1]
+    order = np.argsort(keys, kind="stable")
+    repeats = keys[order[1:]] == keys[order[:-1]]
+    if repeats.any():
+        later, earlier = order[1:][repeats], order[:-1][repeats]
+        j = later.argmin()
+        u, v = edges[later[j]]
+        raise ValueError(f"{path}:{later[j] + 2}: edge {u} {v} repeats line {earlier[j] + 2}")
     try:
         return build_graph(n, edges)
     except MemoryError:  # indptr alone takes 8 (n + 1) bytes

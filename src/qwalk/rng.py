@@ -16,12 +16,13 @@ The same words come from a small C kernel, ``_philox.c``, which derives
 numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
 seeds below 2^64 and indices below 2^32.  ``uniform_words``,
 ``derive_seed`` and the list model use it when it loads.  So does
-``graph``: ``edge_keys`` marks dense vertex pairs in adjacency bit rows
-and reads their keys out in order, leaving the rows symmetric, and
-``gen_gnp`` draws G(n, p) into such rows in one call.  A ``Graph``
-built from rows, these or the K_n rows of ``gen_complete``, keeps them
-as its one edge store, and one entry point reads them out into its CSR
-arrays; a ``Graph`` built from keys sorts them in numpy.
+``graph``: the dense vertex pairs of a walk or a tree image are marked
+in symmetric adjacency bit rows and their distinct edges counted, with
+no key made, and ``gen_gnp`` draws G(n, p) into such rows in one call.
+An ``EdgeSubgraph`` or a ``Graph`` built from rows, these or the K_n
+rows of ``gen_complete``, keeps them as its one edge store, and one
+entry point reads them out into a ``Graph``'s CSR arrays; a ``Graph``
+built from keys sorts them in numpy.
 ``certify.discrepancy_sampled`` uses the kernel too: it draws every
 subset and counts every e(A, B) from the bit rows by popcount in one call, in
 a popcnt clone on x86-64 glibc, from the stream position ``_next_word``
@@ -169,8 +170,8 @@ def _load():
     lib.qw_words.restype = None
     lib.qw_consume.argtypes = [u64, u32, ptr, ptr, ptr, ptr, ptr, i64, ptr]
     lib.qw_consume.restype = i64
-    lib.qw_edge_keys.argtypes = [i64, ptr, ptr, i64, ptr, ptr]
-    lib.qw_edge_keys.restype = i64
+    lib.qw_mark_pairs.argtypes = [i64, ptr, ptr, i64, ptr]
+    lib.qw_mark_pairs.restype = i64
     lib.qw_gnp.argtypes = [u64, u32, i64, ctypes.c_double, ptr]
     lib.qw_gnp.restype = i64
     lib.qw_rows_csr.argtypes = [i64, ptr, ptr, ptr]
@@ -190,8 +191,8 @@ def _kernel():
 
 def backend() -> str:
     """Which code draws list words, ``uniform_words``, ``derive_seed``
-    and G(n, p) hosts, marks dense vertex pairs in bit rows and reads
-    their edge keys out, reads the CSR arrays of a ``Graph`` out of its
-    bit rows and runs the subset sampler's draws and counts: "c" for the
-    kernel, or "numpy"."""
+    and G(n, p) hosts, marks dense vertex pairs in bit rows and counts
+    their edges, reads the CSR arrays of a ``Graph`` out of its bit rows
+    and runs the subset sampler's draws and counts: "c" for the kernel,
+    or "numpy"."""
     return "numpy" if _kernel() is None else "c"

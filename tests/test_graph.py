@@ -302,6 +302,18 @@ class TestFileFormat:
         h = load_graph(path)
         assert h.n == g.n and np.array_equal(h.indices, g.indices)
 
+    @pytest.mark.parametrize("make", [
+        lambda: gen_gnp(30, 0.4, 2), lambda: gen_complete(70), lambda: build_graph(5, []),
+        lambda: build_graph(0, []), lambda: build_graph(50_000, [(0, 49_999), (123, 45_678)]),
+    ], ids=["gnp", "complete", "no-edges", "no-vertices", "large-ids"])
+    def test_save_writes_one_line_per_edge(self, tmp_path, make):
+        # byte for byte the header and one "u v" line written per edge
+        g = make()
+        path = tmp_path / "g.txt"
+        save_graph(g, str(path))
+        want = f"{g.n} {g.edge_count}\n" + "".join(f"{u} {v}\n" for u, v in g.edge_array())
+        assert path.read_bytes() == want.encode()
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3\n")

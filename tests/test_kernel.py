@@ -393,13 +393,13 @@ def test_ids_reach_the_kernel_without_a_copy(kernel_calls):
     walk_subgraph(trace)
     seq = trace.sequence
     assert seq.dtype == np.int32 and args["qw_consume"][3] == g.indices.ctypes.data
-    assert args["qw_edge_keys"][1:3] == (seq.ctypes.data, seq[1:].ctypes.data)
+    assert args["qw_mark_pairs"][1:3] == (seq.ctypes.data, seq[1:].ctypes.data)
     t = gen_nary_tree(150, 2)
     hom = random_homomorphism(g, t, ListModel(g, 2), 0)
     assert t.parents.dtype == hom.image.dtype == np.int32
     assert args["qw_consume"][6] == t.parents[1:].ctypes.data
     image_subgraph(hom)
-    assert args["qw_edge_keys"][2] == hom.image[1:].ctypes.data
+    assert args["qw_mark_pairs"][2] == hom.image[1:].ctypes.data
 
 
 def test_visit_counts_make_no_int64_copy(backend):
@@ -539,14 +539,49 @@ def test_bad_pairs_rejected(backend, n, us, vs, message):
 
 
 def test_kernel_sets_no_bit_for_bad_pairs(c_backend):
-    # the checking pass returns before the table or the keys are touched
-    for us, vs in [([0, 1], [1, 5]), ([0, 3], [1, 3]), ([0, -1], [1, 2])]:
+    # the checking pass returns before the rows are touched, even where
+    # the bad pair comes after good ones
+    for us, vs in [([0, 1], [1, 5]), ([0, 3], [1, 3]), ([0, -1], [1, 2]), ([2, 0], [4, 1])]:
         us, vs = np.array(us, dtype=np.int32), np.array(vs, dtype=np.int32)
-        rows = np.zeros(4, dtype=np.uint64)
-        keys = np.full(2, -7, dtype=np.int64)
-        assert c_backend.qw_edge_keys(4, us.ctypes.data, vs.ctypes.data, 2,
-                                      rows.ctypes.data, keys.ctypes.data) == -1
-        assert not rows.any() and (keys == -7).all()
+        rows = np.zeros((4, 1), dtype=np.uint64)
+        assert c_backend.qw_mark_pairs(4, us.ctypes.data, vs.ctypes.data, 2,
+                                       rows.ctypes.data) == -1
+        assert not rows.any()
+
+
+@settings(max_examples=100, **PER_EXAMPLE)
+@given(case=pair_lists(), data=st.data())
+def test_subgraph_matches_numpy_backend(c_backend, monkeypatch, case, data):
+    # a subgraph of kept rows, where the kernel marks dense pairs, against
+    # the sorted keys of the numpy backend: the same codes, count, edge
+    # array, membership and inclusion, also across the two backends
+    n, us, vs = case
+    event("bit rows" if n * n <= 64 * len(us) else "sort")
+    half, host = len(us) // 2, Graph(n, [])
+
+    def subgraphs(lib):
+        monkeypatch.setattr(rng, "_lib", lib)
+        return (EdgeSubgraph.from_pairs(host, us, vs),
+                EdgeSubgraph.from_pairs(host, us[:half], vs[:half]))
+
+    (whole, part), (ref_whole, ref_part) = subgraphs(c_backend), subgraphs(False)
+    assert (whole._rows is not None) == (n * n <= 64 * len(us)) and ref_whole._rows is None
+    # endpoints outside 0..n-1, whose packed keys may alias an edge
+    end = st.one_of(st.integers(-2, n + 2), st.sampled_from([-2**40, 2**31, 2**40]))
+    probes = data.draw(st.lists(st.tuples(end, end), max_size=20))
+    probes += [(u, v) for u in range(-1, min(n, 8) + 2) for v in range(-1, min(n, 8) + 2)]
+    for s, ref, k in ((whole, ref_whole, len(us)), (part, ref_part, half)):
+        edges = {(min(u, v), max(u, v)) for u, v in zip(us[:k], vs[:k])}
+        want = [(min(u, v), max(u, v)) in edges for u, v in probes]
+        assert len(s) == len(ref) == len(edges)
+        assert [e in s for e in probes] == [e in ref for e in probes] == want
+        codes = s.codes
+        assert codes.dtype == np.int64 and not codes.flags.writeable and s.codes is codes
+        assert np.array_equal(codes, ref.codes)
+        assert np.array_equal(s.edge_array(), ref.edge_array())
+    for a, b in ((part, whole), (whole, part), (part, ref_whole), (ref_whole, part)):
+        assert a.issubset(b) == (set(a.codes.tolist()) <= set(b.codes.tolist()))
+    assert part.issubset(whole) and whole.issubset(ref_whole)
 
 
 @st.composite
@@ -635,16 +670,38 @@ def test_dense_graph_keeps_its_rows(c_backend, monkeypatch, case):
             assert np.array_equal(g.indices, reference.indices)
 
 
-def test_pair_graphs_read_out_the_rows_edge_keys_marked(kernel_calls):
-    # qw_edge_keys marks a walk's dense pairs and mirrors each edge, and
-    # the graph reads those rows out: no key is checked or marked again
+def test_walk_and_image_subgraphs_make_no_keys(kernel_calls):
+    # a walk's and a tree image's subgraph keep only the rows the kernel
+    # marked: counting them or building their graph reads no key out, and
+    # counting a walk's allocates less than half of what its keys take
+    g = gen_gnp(300, 0.3, 8)
+    trace = run_walk(g, ListModel(g, 9), 0, 20_000)
+    hom = random_homomorphism(g, gen_nary_tree(100, 2), ListModel(g, 10), 0)
+    tracemalloc.start()
+    try:
+        count = len(walk_subgraph(trace))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * count / 2
+    for s in (walk_subgraph(trace), image_subgraph(hom)):
+        count = len(s)
+        h = s.to_graph()
+        assert s._codes is None and h._edge_codes is None and h.edge_count == count
+        assert len(s.codes) == count
+    assert kernel_calls["qw_mark_pairs"] == 3
+
+
+def test_pair_graphs_read_out_the_rows_the_kernel_marked(kernel_calls):
+    # qw_mark_pairs marks both bits of a walk's dense pairs, and the graph
+    # reads those rows out: no key is made, checked or marked again
     g = gen_gnp(300, 0.3, 8)
     trace = run_walk(g, ListModel(g, 9), 0, 20_000)
     pairs = np.column_stack((trace.sequence[:-1], trace.sequence[1:]))
     for make in (lambda: walk_subgraph(trace).to_graph(), lambda: build_graph(300, pairs)):
         kernel_calls.clear()
         h = make()
-        assert kernel_calls == {"qw_edge_keys": 1, "qw_rows_csr": 1}
+        assert kernel_calls == {"qw_mark_pairs": 1, "qw_rows_csr": 1}
         assert h._rows is not None and np.array_equal(h._rows, _bit_rows(h))
 
 

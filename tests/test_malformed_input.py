@@ -187,6 +187,27 @@ def test_vertex_count_out_of_memory_names_line_1(tmp_path):
                            f"memory than there is\n")
 
 
+@pytest.mark.parametrize("text,line,edge,first", [
+    ("3 2\n0 1\n0 1\n", 3, "0 1", 2),
+    ("4 4\n0 2\n1 3\n0 2\n0 2\n", 4, "0 2", 2),
+    ("4 4\n1 3\n0 2\n0 2\n1 3\n", 4, "0 2", 3),
+])
+def test_repeated_edge_line_names_the_line_it_repeats(tmp_path, text, line, edge, first):
+    # a repeated line would collapse into one edge, and the graph would
+    # load with fewer edges than its header promises
+    path = str(tmp_path / "g.txt")
+    with open(path, "w") as fh:
+        fh.write(text)
+    want = f"{path}:{line}: edge {edge} repeats line {first}"
+    with pytest.raises(ValueError) as info:
+        load_graph(path)
+    assert str(info.value) == want
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["certify", "--graph", path, "--eps", "0.5"])
+    assert code == 2 and err.getvalue() == f"error: {want}\n"
+
+
 @pytest.mark.parametrize("size", ["99999999999999999999", "1000000000000", "2147483648"])
 def test_tree_header_past_its_lines_names_line_1(tmp_path, size):
     # the header is checked against the file's lines before a parent
