@@ -17,12 +17,15 @@
  * Vertex ids are int32, since a graph has fewer than 2^31 vertices, and
  * an edge key u * n + v, u < v, is int64, formed only after widening.
  * A dense qwalk.graph.Graph keeps its adjacency bit rows as its one edge
- * store: row v holds neighbour u as bit u % 64 of word u / 64.
- * qw_rows_csr reads any such rows out into the Graph's indptr and indices,
- * with the same bytes as the numpy code that stays the reference.  Its
- * rows come from qw_mark_pairs, which marks the vertex pairs of a walk or
- * a tree image in them and counts their distinct edges, from qw_gnp,
- * which draws G(n, p) into them, or from K_n's rows; no key is made.
+ * store, with its row starts indptr: row v holds neighbour u as bit u % 64
+ * of word u / 64.  Its rows come from qw_mark_pairs, which marks the
+ * vertex pairs of a walk or a tree image in them and counts their
+ * distinct edges, from qw_gnp, which draws G(n, p) into them, or from
+ * K_n's rows; no key is made.  qw_consume takes each list entry of such a
+ * graph from its rows, as the set bit of the entry's rank found by select
+ * (pdep where the CPU runs it fast), so no indices are made either, unless
+ * something asks the Graph for them: qw_rows_csr reads them out, with the
+ * same bytes as the numpy code that stays the reference.
  *
  * qw_sampled_counts draws every subset of
  * qwalk.certify.discrepancy_sampled and counts each of its e(A, B) as
@@ -33,6 +36,9 @@
  * Built on first use by qwalk.rng and called through ctypes.
  */
 #include <stdint.h>
+#if defined(__x86_64__) && defined(__GLIBC__)
+#include <immintrin.h>
+#endif
 
 static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
 {
@@ -129,77 +135,210 @@ void qw_words(uint64_t seed, uint32_t domain, uint32_t index,
     }
 }
 
+/* The set bit of rank r (0-based) of x, which has more than r set bits,
+ * by broadword select (Vigna, "Broadword implementation of rank/select
+ * queries", WEA 2008): byte i of s counts the set bits of bytes 0..i, so
+ * the bytes whose count is at most r are the low ones that the bit lies
+ * above.  The same step, on the bits of that byte spread one to a byte,
+ * finds the bit inside it, with no branch: a loop clearing the byte's
+ * low bits instead made a 2e6-step walk on G(2000, 1/2) take 97-122 ms
+ * in process against 74-85 ms (2-core Xeon KVM guest, six runs each).
+ */
+static int64_t select_broadword(uint64_t x, int64_t r)
+{
+    const uint64_t ones = 0x0101010101010101u, msbs = 0x8080808080808080u;
+    uint64_t s = x - (x >> 1 & 0x5555555555555555u), below, byte;
+    int64_t at;
+
+    s = (s & 0x3333333333333333u) + (s >> 2 & 0x3333333333333333u);
+    s = ((s + (s >> 4)) & 0x0f0f0f0f0f0f0f0fu) * ones;
+    /* the counts and r are below 128, so byte i of (r | 128) - s keeps
+     * its 128 iff byte i of s is at most r: below has bit 0 of those */
+    below = ((((uint64_t)r * ones) | msbs) - s) >> 7 & ones;
+    at = (int64_t)((below * ones) >> 56) * 8;
+    r -= (int64_t)(s << 8 >> at & 0xff);
+    /* byte i is bit i of the byte: its bit, at most 128, plus 127 */
+    byte = (((x >> at & 0xff) * ones & 0x8040201008040201u) + 0x7f7f7f7f7f7f7f7fu) >> 7 & ones;
+    below = ((((uint64_t)r * ones) | msbs) - byte * ones) >> 7 & ones;
+    return at + (int64_t)((below * ones) >> 56);
+}
+
+#if defined(__x86_64__) && defined(__GLIBC__)
+/* select_broadword in one instruction: pdep deposits bit r of 1 << r,
+ * its one set bit, on the set bit of rank r of x.  This pays only where
+ * pdep is a fast instruction, as on Intel since Haswell and AMD since
+ * Zen 3.  There, on a 2-core Xeon KVM guest, it made a 2e6-step walk on
+ * G(2000, 1/2) take 50-64 ms in process against 56-85 ms for
+ * select_broadword, faster in 7 of 8 alternating runs, the 1,001,001
+ * vertex tree image in K_2000 19-27 ms against 34-37 ms, and perfbench's
+ * walk_long run_s 0.103 s against 0.127 s in the median, faster in 10 of
+ * 10 pairs.  Zen 1 and Zen 2 run pdep in microcode, at a cost that grows
+ * with the set bits of the mask, so they take select_broadword. */
+__attribute__((target("bmi2")))
+static int64_t select_pdep(uint64_t x, int64_t r)
+{
+    return __builtin_ctzll(_pdep_u64((uint64_t)1 << r, x));
+}
+#endif
+
+/* A graph's neighbour lists as qw_consume reads them: the CSR ``indices``
+ * of indptr, or the bit rows, w words a row, with ``ranks``, the set bits
+ * of a row before each of its words.  Passed by value, so that its fields
+ * stay in registers across the stores of a step. */
+struct lists {
+    const int64_t *indptr;
+    const int32_t *indices;
+    const uint64_t *rows;
+    const int32_t *ranks;
+    int64_t w;
+};
+
+/* The place of the neighbour of rank k = floor(u d) of x, d its degree:
+ * its position in ``indices`` when ``select`` is NULL, or else 64 times
+ * the index of the row word that holds it plus its rank in that word.
+ * That word is the last of row x whose rank is at most k.  A row whose
+ * bits are spread evenly, as G(n, p)'s and K_n's are, holds it at or next
+ * to word floor(u w), which is tried first.  A binary search of the
+ * ranks, the fallback, puts a chain of dependent loads on every entry:
+ * alone, on a 2-core Xeon KVM guest, it made a 2e6-step walk on
+ * G(2000, 1/2) take 63-89 ms, against 37-62 ms with the guess first. */
+static inline __attribute__((always_inline))
+uint64_t place(struct lists g, int64_t (*select)(uint64_t, int64_t),
+               int64_t x, double u, int64_t d)
+{
+    int64_t k = (int64_t)(u * (double)d), i, len;
+    const int32_t *r;
+
+    if (!select)
+        return (uint64_t)(g.indptr[x] + k);
+    r = g.ranks + x * g.w;
+    i = (int64_t)(u * (double)g.w);
+    i -= i > 0 && r[i] > k;
+    i += i + 1 < g.w && r[i + 1] <= k;
+    if (r[i] > k || (i + 1 < g.w && r[i + 1] <= k))
+        for (i = 0, len = g.w; len > 1; len -= len / 2)
+            i = r[i + len / 2] <= k ? i + len / 2 : i;  /* a select, not a branch */
+    return (uint64_t)(x * g.w + i) * 64 + (uint64_t)(k - r[i]);
+}
+
+/* The neighbour of x at ``at``, a place of row x */
+static inline __attribute__((always_inline))
+int64_t neighbour(struct lists g, int64_t (*select)(uint64_t, int64_t),
+                  int64_t x, uint64_t at)
+{
+    if (!select)
+        return g.indices[at];
+    return 64 * ((int64_t)(at / 64) - x * g.w) + select(g.rows[at / 64], (int64_t)(at % 64));
+}
+
 /* Image of a tree on the lists of stream domain ``domain``: image[0] is
  * the root, set by the caller, and image[j+1] is the next unused entry of
  * the list of image[parents[j]]; parents == NULL reads parents[j] = j, a
  * walk.  Vertex v keeps in state[8v..8v+7] its Philox key, derived when
  * its first entry is taken, the block of the word of the entry after its
- * next one, its next entry itself and the ``indices`` position of the
- * entry after that, and in taken[v] the number of entries taken.
+ * next one, its next entry itself and the place of the entry after that,
+ * and in taken[v] the number of entries taken.  Entry j of v is its
+ * neighbour of rank floor(u d(v)), u the double of word j - 1 of its
+ * stream, counted from 0 in ascending order.
  *
- * A step takes the stored next entry, loads the one after it from the
- * position found at the vertex's previous visit, and prefetches the
- * position of the entry after that.  The step then waits only on state
- * that is cached: the load hits the line that the prefetch brought in,
- * and the prefetch itself retires at once, while the line it asks for
- * arrives during the steps that follow.  A plain load one visit ahead
- * held the reorder buffer until its miss returned, so few steps
- * overlapped; reading each entry when it is taken put one cache miss per
- * step on the critical path.
- *
- * The caller checks that parents[j] lies in 0..j.  Returns m on success,
- * or else the first position j at which the list's vertex has no
- * neighbours, after taking the entries before j.
+ * A step takes the stored next entry, reads the one after it from the
+ * place found at the vertex's previous visit, and prefetches the
+ * ``indices`` line or the row word of the entry after that.  The step
+ * then waits only on state that is cached: the read hits the line that
+ * the prefetch brought in, and the prefetch itself retires at once,
+ * while the line it asks for arrives during the steps that follow.  A
+ * plain load one visit ahead held the reorder buffer until its miss
+ * returned, so few steps overlapped; reading each entry when it is taken
+ * put one cache miss per step on the critical path.
  */
-int64_t qw_consume(uint64_t seed, uint32_t domain,
-                   const int64_t *indptr, const int32_t *indices,
-                   uint64_t *state, int64_t *taken,
-                   const int32_t *parents, int64_t m, int32_t *image)
+static inline __attribute__((always_inline))
+int64_t consume(uint64_t seed, uint32_t domain, struct lists g,
+                int64_t (*select)(uint64_t, int64_t), uint64_t *state, int64_t *taken,
+                const int32_t *parents, int64_t m, int32_t *image)
 {
     int64_t j;
 
     for (j = 0; j < m; j++) {
         int64_t x = image[parents ? parents[j] : j];
-        int64_t lo = indptr[x], d = indptr[x + 1] - lo, t = taken[x];
-        uint64_t *key = state + 8 * x, *block = key + 2, *next = key + 6, *pos = key + 7;
+        int64_t d = g.indptr[x + 1] - g.indptr[x], t = taken[x];
+        uint64_t *key = state + 8 * x, *block = key + 2, *next = key + 6, *at = key + 7;
 
         if (t == 0) {
             if (d == 0)
                 return j;
             seed_key(seed, domain, (uint32_t)x, key);
             philox_block(key, 1, block);
-            *next = (uint64_t)indices[lo + (int64_t)(to_double(block[0]) * (double)d)];
-            *pos = (uint64_t)(lo + (int64_t)(to_double(block[1]) * (double)d));
+            *next = (uint64_t)neighbour(g, select, x,
+                                        place(g, select, x, to_double(block[0]), d));
+            *at = place(g, select, x, to_double(block[1]), d);
         }
         image[j + 1] = (int32_t)*next;
         taken[x] = ++t;
-        *next = (uint64_t)indices[*pos];
+        *next = (uint64_t)neighbour(g, select, x, *at);
         /* word t + 1 is the entry after the new next one */
         if ((t + 1) % 4 == 0)
             philox_block(key, (uint64_t)((t + 1) / 4 + 1), block);
-        *pos = (uint64_t)(lo + (int64_t)(to_double(block[(t + 1) % 4]) * (double)d));
-        __builtin_prefetch(indices + *pos);
+        *at = place(g, select, x, to_double(block[(t + 1) % 4]), d);
+        if (select)
+            __builtin_prefetch(g.rows + *at / 64);
+        else
+            __builtin_prefetch(g.indices + *at);
     }
     return m;
 }
 
-/* CSR arrays of the graph whose adjacency is ``rows``, n rows of w =
- * ceil(n / 64) words where neighbour u of v is bit u % 64 of word u / 64:
- * indptr[0..n], and in ``indices``, which must hold every set bit, the
- * set bits of each row read out in order, its neighbours ascending.
+#if defined(__x86_64__) && defined(__GLIBC__)
+/* consume compiled for bmi2, so that select_pdep inlines; a
+ * target_clones copy, as row_counts has, cannot be used, since its
+ * default clone would have to compile _pdep_u64 too */
+__attribute__((target("bmi2")))
+static int64_t consume_pdep(uint64_t seed, uint32_t domain, struct lists g,
+                            uint64_t *state, int64_t *taken, const int32_t *parents,
+                            int64_t m, int32_t *image)
+{
+    return consume(seed, domain, g, select_pdep, state, taken, parents, m, image);
+}
+#endif
+
+/* consume on the lists of the graph with row starts indptr[0..n]: its
+ * ``indices`` when ``rows`` is NULL, else its bit rows and ``ranks``,
+ * int32 [v * w + i] the set bits of words 0..i-1 of row v, where a
+ * neighbour is taken by select, pdep where the CPU runs it fast.  The
+ * caller checks that parents[j] lies in 0..j.  Returns m on success, or
+ * else the first position j at which the list's vertex has no neighbours,
+ * after taking the entries before j.
  */
-void qw_rows_csr(int64_t n, const uint64_t *rows, int64_t *indptr, int32_t *indices)
+int64_t qw_consume(uint64_t seed, uint32_t domain, int64_t n, const int64_t *indptr,
+                   const int32_t *indices, const uint64_t *rows, const int32_t *ranks,
+                   uint64_t *state, int64_t *taken, const int32_t *parents, int64_t m,
+                   int32_t *image)
+{
+    struct lists g = {indptr, indices, rows, ranks, (n + 63) / 64};
+
+    if (!rows)
+        return consume(seed, domain, g, NULL, state, taken, parents, m, image);
+#if defined(__x86_64__) && defined(__GLIBC__)
+    if (__builtin_cpu_supports("bmi2") && !__builtin_cpu_is("znver1")
+        && !__builtin_cpu_is("znver2"))
+        return consume_pdep(seed, domain, g, state, taken, parents, m, image);
+#endif
+    return consume(seed, domain, g, select_broadword, state, taken, parents, m, image);
+}
+
+/* The CSR ``indices`` of the graph whose adjacency is ``rows``, n rows of
+ * w = ceil(n / 64) words where neighbour u of v is bit u % 64 of word
+ * u / 64: the set bits of each row read out in order, its neighbours
+ * ascending, into ``indices``, which must hold every set bit.
+ */
+void qw_rows_csr(int64_t n, const uint64_t *rows, int32_t *indices)
 {
     int64_t w = (n + 63) / 64, v, i, count = 0;
     uint64_t bits;
 
-    indptr[0] = 0;
-    for (v = 0; v < n; v++) {
+    for (v = 0; v < n; v++)
         for (i = 0; i < w; i++)
             for (bits = rows[v * w + i]; bits; bits &= bits - 1)
                 indices[count++] = (int32_t)(64 * i + __builtin_ctzll(bits));
-        indptr[v + 1] = count;
-    }
 }
 
 /* Marks the pairs (us[i], vs[i]) in ``rows``, n zeroed rows in the
@@ -231,8 +370,7 @@ int64_t qw_mark_pairs(int64_t n, const int32_t *us, const int32_t *vs, int64_t m
  * is an edge when the double of word v - u - 1 of stream (seed, domain,
  * u) is below p, the rule of qwalk.graph.gen_gnp's reference, and each
  * edge sets bit v of row u and bit u of row v of ``rows``, n zeroed rows
- * in the layout of qw_rows_csr, which reads them out.  Returns the number
- * of edges.
+ * in the layout of qw_rows_csr.  Returns the number of edges.
  */
 int64_t qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *rows)
 {

@@ -1,8 +1,8 @@
 """Immutable undirected simple graphs in compressed adjacency form.
 
-A ``Graph`` stores sorted per-vertex neighbor lists in CSR layout: int64
-row starts ``indptr`` and int32 vertex ids ``indices``.  Instances are
-frozen after construction, so any number of readers may share one.
+A ``Graph`` presents sorted per-vertex neighbor lists in CSR layout:
+int64 row starts ``indptr`` and int32 vertex ids ``indices``.  Instances
+are frozen after construction, so any number of readers may share one.
 Generators are pure functions of their arguments.
 
 An edge uv, u < v, is the int64 key u * n + v, formed only after
@@ -18,10 +18,12 @@ integers; anything else raises ValueError.  ``Graph(n, keys)`` checks
 that its keys are strictly ascending and of the form 0 <= u < v < n,
 else raises ValueError, sorts both arcs of every edge in numpy and
 keeps its keys.  ``Graph._from_rows`` keeps bit rows instead, n^2/8
-bytes, and reads each row's set bits out in order into CSR arrays,
-through the kernel's ``qw_rows_csr`` or ``np.unpackbits``, the
-reference.  ``gen_gnp`` draws G(n, p) into rows, ``gen_complete``
-writes K_n's and ``_mark`` marks pairs in them.
+bytes, and ``indptr``, summed from their popcounts; walks select each
+neighbour from the rows, and ``indices``, 8 bytes an edge, are read out
+of them only when asked for, each row's set bits in order, through the
+kernel's ``qw_rows_csr`` or ``np.unpackbits``, the reference.
+``gen_gnp`` draws G(n, p) into rows, ``gen_complete`` writes K_n's and
+``_mark`` marks pairs in them.
 
 ``_mark`` alone turns pairs into edges, for ``edge_keys``,
 ``build_graph`` and ``EdgeSubgraph.from_pairs``, and it alone rejects
@@ -29,11 +31,11 @@ an endpoint outside 0..n-1 and a self-loop.  With the C kernel of
 ``rng`` and under the table rule, m pairs with n^2 <= 64 m
 (``_table_fits``), it marks both bits of each pair in n bit rows, no
 larger than the m int64 keys a sort needs, and counts the distinct
-edges; ``build_graph`` and ``EdgeSubgraph.to_graph`` read those rows
-out, so each edge is checked and marked once, and no key is made until
-``edge_keys`` or ``EdgeSubgraph.codes`` reads them out in numpy.
-Otherwise numpy sorts the packed keys, the reference, and the ``Graph``
-is built from them.
+edges; ``build_graph`` and ``EdgeSubgraph.to_graph`` build their
+``Graph`` from those rows, so each edge is checked and marked once, and
+no key is made until ``edge_keys``, ``EdgeSubgraph.codes`` or
+``Graph.edge_codes`` reads them out in numpy.  Otherwise numpy sorts
+the packed keys, the reference, and the ``Graph`` is built from them.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
 uint64 words, n^2/8 bytes, packed once: kept from construction where it
@@ -230,45 +232,63 @@ class Graph:
     Invariants: symmetric adjacency, no self-loops, no duplicate
     neighbors, and sum of degrees equal to twice ``edge_count``.
     Built from its edge keys u * n + v, u < v, strictly ascending, which
-    it keeps (read-only); other keys raise ValueError.  A graph built
-    from bit rows (``_from_rows``) keeps its rows instead and reads
-    ``edge_codes()`` out of its CSR arrays on each call.
+    it keeps (read-only) with its CSR arrays; other keys raise
+    ValueError.  A graph built from bit rows (``_from_rows``) keeps its
+    rows, ``indptr`` and a rank directory instead: it reads ``indices``
+    out of its rows on first use and ``edge_codes()`` on each call, and
+    its walks select each neighbour from its rows through the directory.
     """
 
-    __slots__ = ("n", "indptr", "indices", "edge_count", "_edge_codes", "_rows")
+    __slots__ = ("n", "indptr", "edge_count", "_indices", "_edge_codes", "_rows", "_ranks")
 
     def __init__(self, n: int, keys):
         n = _vertex_count(n)
         keys = _int64s(keys, "edge keys")
         if keys.ndim != 1:
             raise ValueError("edge keys must be a 1-d array")
-        self._keep(n, *_csr_numpy(n, keys), keys, None)  # rows packed by bit_rows()
+        indptr, indices = _csr_numpy(n, keys)
+        self._keep(n, indptr, indices, len(keys), keys, None)  # rows packed by bit_rows()
 
     @classmethod
     def _from_rows(cls, n: int, rows: np.ndarray, m: int) -> "Graph":
         """A dense graph from its own bit rows, symmetric with a clear
-        diagonal and holding m edges, which it keeps: the CSR arrays are
-        each row's set bits in order."""
+        diagonal and holding m edges, which it keeps, with row starts and
+        the rank directory its kernel walks search, both summed from the
+        rows' popcounts: (n, ceil(n/64)) int32, entry [v, i] the set bits
+        of words 0..i-1 of row v."""
+        counts = np.bitwise_count(rows)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        indices = np.empty(2 * m, dtype=np.int32)
-        lib = _kernel()
-        if lib is None:  # the reference
-            bits = _row_bits(rows)
-            np.cumsum(np.count_nonzero(bits, axis=1), out=indptr[1:])
-            indices[:] = np.flatnonzero(bits) % max(bits.shape[1], 1)
-        else:
-            lib.qw_rows_csr(n, rows.ctypes.data, indptr.ctypes.data, indices.ctypes.data)
+        np.cumsum(counts.sum(axis=1, dtype=np.int64), out=indptr[1:])
+        ranks = np.cumsum(counts, axis=1, dtype=np.int32)
+        ranks -= counts
         g = cls.__new__(cls)
-        g._keep(n, indptr, indices, None, rows)
+        g._keep(n, indptr, None, m, None, rows, ranks)
         return g
 
-    def _keep(self, n, indptr, indices, keys, rows) -> None:
-        self.n, self.indptr, self.indices = n, indptr, indices
-        self.edge_count = len(indices) // 2
-        self._edge_codes, self._rows = keys, rows
-        for a in (indptr, indices, keys, rows):
+    def _keep(self, n, indptr, indices, m, keys, rows, ranks=None) -> None:
+        self.n, self.indptr, self.edge_count = n, indptr, m
+        self._indices, self._edge_codes, self._rows, self._ranks = indices, keys, rows, ranks
+        for a in (indptr, indices, keys, rows, ranks):
             if a is not None:
                 a.setflags(write=False)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """int32 neighbour ids, each row's ascending, in CSR layout
+        (read-only): kept from construction, or read out of the rows of a
+        graph built from them on first use, through the kernel's
+        ``qw_rows_csr`` or ``np.unpackbits``, the reference."""
+        if self._indices is None:
+            indices = np.empty(2 * self.edge_count, dtype=np.int32)
+            lib = _kernel()
+            if lib is None:
+                bits = _row_bits(self._rows)
+                indices[:] = np.flatnonzero(bits) % max(bits.shape[1], 1)
+            else:
+                lib.qw_rows_csr(self.n, self._rows.ctypes.data, indices.ctypes.data)
+            indices.setflags(write=False)
+            self._indices = indices
+        return self._indices
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -298,13 +318,10 @@ class Graph:
 
     def edge_codes(self) -> np.ndarray:
         """Edges packed as u * n + v with u < v, sorted (read-only): the
-        kept keys, or a dense graph's read out of its CSR arrays."""
+        kept keys, or a dense graph's read out of its rows."""
         if self._edge_codes is not None:
             return self._edge_codes
-        # every arc u -> v with u < v, in CSR order
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        up = self.indices > src
-        keys = src[up] * self.n + self.indices[up]
+        keys = _row_keys(self.n, self._rows)
         keys.setflags(write=False)
         return keys
 

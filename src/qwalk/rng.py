@@ -20,9 +20,12 @@ seeds below 2^64 and indices below 2^32.  ``uniform_words``,
 in symmetric adjacency bit rows and their distinct edges counted, with
 no key made, and ``gen_gnp`` draws G(n, p) into such rows in one call.
 An ``EdgeSubgraph`` or a ``Graph`` built from rows, these or the K_n
-rows of ``gen_complete``, keeps them as its one edge store, and one
-entry point reads them out into a ``Graph``'s CSR arrays; a ``Graph``
-built from keys sorts them in numpy.
+rows of ``gen_complete``, keeps them as its one edge store.  The list
+model's kernel takes each entry on such a graph from its rows, by
+select (pdep on x86-64 CPUs that run it fast, a broadword select
+elsewhere), and one entry point reads the rows out into a ``Graph``'s
+``indices`` only when they are asked for; a ``Graph`` built from keys
+sorts them in numpy and its walks read its ``indices``.
 ``certify.discrepancy_sampled`` uses the kernel too: it draws every
 subset and counts every e(A, B) from the bit rows by popcount in one call, in
 a popcnt clone on x86-64 glibc, from the stream position ``_next_word``
@@ -168,13 +171,13 @@ def _load():
     lib.qw_seed_key.restype = u64
     lib.qw_words.argtypes = [u64, u32, u32, i64, i64, ptr]
     lib.qw_words.restype = None
-    lib.qw_consume.argtypes = [u64, u32, ptr, ptr, ptr, ptr, ptr, i64, ptr]
+    lib.qw_consume.argtypes = [u64, u32, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr]
     lib.qw_consume.restype = i64
     lib.qw_mark_pairs.argtypes = [i64, ptr, ptr, i64, ptr]
     lib.qw_mark_pairs.restype = i64
     lib.qw_gnp.argtypes = [u64, u32, i64, ctypes.c_double, ptr]
     lib.qw_gnp.restype = i64
-    lib.qw_rows_csr.argtypes = [i64, ptr, ptr, ptr]
+    lib.qw_rows_csr.argtypes = [i64, ptr, ptr]
     lib.qw_rows_csr.restype = None
     lib.qw_sampled_counts.argtypes = [u64, u32, u32, i64, i64, ptr, ptr, ptr, i64, i64, ptr, ptr]
     lib.qw_sampled_counts.restype = None
@@ -192,7 +195,7 @@ def _kernel():
 def backend() -> str:
     """Which code draws list words, ``uniform_words``, ``derive_seed``
     and G(n, p) hosts, marks dense vertex pairs in bit rows and counts
-    their edges, reads the CSR arrays of a ``Graph`` out of its bit rows
+    their edges, reads the ``indices`` of a ``Graph`` out of its bit rows
     and runs the subset sampler's draws and counts: "c" for the kernel,
     or "numpy"."""
     return "numpy" if _kernel() is None else "c"

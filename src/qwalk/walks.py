@@ -63,15 +63,18 @@ class ListModel:
     entries in order; walks, tree embeddings and ``next_entry`` all go
     through it, so any mix of them continues the same lists.
 
-    Vertex ids are int32: the kernel reads the host's int32 ``indices``
-    and int32 parents and writes an int32 image, and the numpy reference
-    returns the same dtype.
+    Vertex ids are int32: the kernel reads int32 parents and writes an
+    int32 image, and the numpy reference returns the same dtype.
 
     The backend is chosen at construction.  With the C kernel of
     ``rng`` (seeds below 2^64), a vertex keeps its Philox key, a 4-word
-    block, the value of its next entry, the ``indices`` position of the
-    entry after it, which the kernel prefetches, and its count of entries
-    taken, 72 bytes in all, and the kernel computes each entry in place.
+    block, the value of its next entry, the place of the entry after it,
+    which the kernel prefetches, and its count of entries taken, 72 bytes
+    in all, and the kernel computes each entry in place.  On a host built
+    from bit rows the place is a row word and a rank in it, found in the
+    host's rank directory, and the entry is the set bit of that rank, so
+    no ``indices`` are read out; on any other host it is a position in
+    the host's int32 ``indices``.
     Otherwise, the numpy reference draws ``_CHUNK`` words per refill from
     a sequential stream per vertex; buffered entries are the model's own
     n vertex-id objects, shared by every buffer, so a refill allocates
@@ -153,13 +156,17 @@ class ListModel:
                 j = int(bad[0])
                 raise ValueError(f"parents[{j}] is {parents[j]}; it must lie in 0..{j}")
             parents = np.ascontiguousarray(parents, dtype=np.int32)
-        if self._lib is None:
-            return self._consume_numpy(parents, m, root)
-        g = self.graph
+        # before any entry is taken, so that an image too large for memory
+        # fails at once on both backends
         image = np.empty(m + 1, dtype=np.int32)
         image[0] = root
+        if self._lib is None:
+            return self._consume_numpy(parents, image)
+        g = self.graph
+        lists = (g.indices.ctypes.data, None, None) if g._ranks is None else \
+            (None, g.bit_rows().ctypes.data, g._ranks.ctypes.data)
         done = self._lib.qw_consume(
-            self.seed, DOMAIN_LIST, g.indptr.ctypes.data, g.indices.ctypes.data,
+            self.seed, DOMAIN_LIST, g.n, g.indptr.ctypes.data, *lists,
             self._state.ctypes.data, self._taken.ctypes.data,
             None if parents is None else parents.ctypes.data, m, image.ctypes.data)
         if done < m:  # the list's vertex at position done has no neighbors
@@ -167,17 +174,18 @@ class ListModel:
             raise ValueError(f"vertex {image[p]} has no neighbors")
         return image
 
-    def _consume_numpy(self, parents, m: int, root: int) -> np.ndarray:
+    def _consume_numpy(self, parents, image: np.ndarray) -> np.ndarray:
         iters = self._iters
-        img = [root]  # python ints keep the hot loop cheap
+        img = [int(image[0])]  # python ints keep the hot loop cheap
         push = img.append
-        for p in range(m) if parents is None else parents.tolist():
+        for p in range(len(image) - 1) if parents is None else parents.tolist():
             x = img[p]
             try:
                 push(next(iters[x]))
             except (StopIteration, TypeError):
                 push(next(self._refill(x)))
-        return np.array(img, dtype=np.int32)
+        image[:] = img
+        return image
 
     def next_entry(self, v: int) -> int:
         """Consume and return the next unused entry of the list of v."""
@@ -299,17 +307,25 @@ def list_subgraph(g: Graph, model: ListModel, alpha: float) -> EdgeSubgraph:
 
 
 def sandwich_bounds(trace: WalkTrace, g: Graph) -> tuple[float, float]:
-    """(alpha_lo, alpha_hi) = extremes of X_v / d(v) over vertices.
+    """(alpha_lo, alpha_hi): the least X_v / d(v) over vertices, and the
+    least double at or above the greatest with int(alpha_hi * d(v)) >=
+    X_v at every v, the count ``list_subgraph`` takes.
 
     For the model that drove the walk, list_subgraph(alpha_lo) is
     contained in the traversed subgraph, which is contained in
     list_subgraph(alpha_hi); the containments are exact, not asymptotic,
-    because floor(alpha_lo * d(v)) <= X_v <= floor(alpha_hi * d(v)).
+    because floor(alpha_lo * d(v)) <= X_v <= floor(alpha_hi * d(v)) in
+    floating point.  The greatest ratio alone may round below: with X_v
+    = 15 and d(v) = 11, int(fl(15 / 11) * 11) is 14.
     """
     deg = g.degrees
     live = deg > 0
-    ratios = trace.visit_counts[live] / deg[live]
-    return float(ratios.min()), float(ratios.max())
+    visits, deg = trace.visit_counts[live], deg[live]
+    ratios = visits / deg
+    hi = ratios.max()
+    while ((hi * deg).astype(np.int64) < visits).any():
+        hi = np.nextafter(hi, np.inf)
+    return float(ratios.min()), float(hi)
 
 
 def subsequence_visit_counts(trace: WalkTrace, L: int) -> np.ndarray:

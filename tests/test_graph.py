@@ -307,10 +307,13 @@ class TestFileFormat:
         lambda: build_graph(0, []), lambda: build_graph(50_000, [(0, 49_999), (123, 45_678)]),
     ], ids=["gnp", "complete", "no-edges", "no-vertices", "large-ids"])
     def test_save_writes_one_line_per_edge(self, tmp_path, make):
-        # byte for byte the header and one "u v" line written per edge
+        # byte for byte the header and one "u v" line written per edge;
+        # a graph built from rows (K_70 always) writes from its rows and
+        # reads no indices out
         g = make()
         path = tmp_path / "g.txt"
         save_graph(g, str(path))
+        assert g._edge_codes is not None or g._indices is None
         want = f"{g.n} {g.edge_count}\n" + "".join(f"{u} {v}\n" for u, v in g.edge_array())
         assert path.read_bytes() == want.encode()
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import test_experiments
 import test_walks
 from qwalk import graph, rng
+from qwalk.certify import discrepancy_refined, discrepancy_sampled
 from qwalk.experiments import ExperimentConfig, run_experiment
 from qwalk.graph import (EdgeSubgraph, Graph, VertexSet, _bit_rows, _vertex_count,
                          build_graph, edge_keys, gen_complete, gen_gnp,
@@ -141,6 +142,162 @@ def test_long_lists_cross_many_blocks(c_backend, monkeypatch):
             assert kernel.consumed.max() > 2 * 2048
             offsets.update(x for c in kernel.parts[4::2] for x in (c % 4).tolist())
         assert offsets == {0, 1, 2, 3}
+
+
+def _rows_graph(n, keys):
+    """The graph of sorted distinct ``keys`` built from numpy's bit rows,
+    on either backend."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return Graph._from_rows(n, _bit_rows(Graph(n, keys)), len(keys))
+
+
+def _select_hosts(n):
+    """Keys of graphs whose rows end at bit (n - 1) % 64 of their last
+    word: K_n; G(n, 1/2); the complete bipartite graph between 0..s-1 and
+    s..n-1, s = min(64, n // 2), whose low rows start with an empty word
+    once s = 64; K_n less vertex 0's edges but {0, n - 1}, whose row 0
+    holds only its last bit; K_(n-1) with n - 1 isolated; and the
+    vertices below n / 10 joined to the odd ones from 7n / 10 on, whose
+    rows hold their bits far from where evenly spread bits would lie, so
+    that the kernel's first guess of a word misses, and never in bit 0 of
+    a word of the low rows."""
+    u, v = np.triu_indices(n, 1)
+    s = min(64, n // 2)
+    yield u * n + v
+    yield (u * n + v)[np.random.default_rng(n).random(len(u)) < 0.5]
+    yield (u * n + v)[(u < s) & (v >= s)]
+    yield (u * n + v)[(u > 0) | (v == n - 1)]
+    yield (u * n + v)[v < n - 1]
+    yield (u * n + v)[(10 * u < n) & (10 * v >= 7 * n) & (v % 2 == 1)]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 1000])
+def test_row_select_matches_reference(c_backend, monkeypatch, n):
+    # the kernel's walks and tree images select each neighbour from the
+    # rows; the reference indexes the indices.  A walk from 0 takes rank
+    # d - 1, the last set bit of its row, from some vertex, and the
+    # isolated vertex raises the same error on both backends
+    for keys in _select_hosts(n):
+        g = _rows_graph(n, keys)
+        kernel, reference = _pair(g, n, c_backend, monkeypatch)
+        tree = gen_nary_tree(n, 2)
+        for m in (kernel, reference):
+            m.parts = [_outcome(lambda: run_walk(g, m, 0, 20_000).sequence),
+                       _outcome(lambda: random_homomorphism(g, tree, m, n - 1).image),
+                       _outcome(lambda: run_walk(g, m, n - 1, 5).sequence), m.consumed]
+        assert kernel.parts[:3] == reference.parts[:3]
+        assert np.array_equal(kernel.parts[3], reference.parts[3])
+        seq = np.array(kernel.parts[0])
+        last = np.array([g.neighbors(x)[-1] if g.degree(x) else -1 for x in range(n)])
+        assert (seq[1:] == last[seq[:-1]]).any()
+        if g.degree(n - 1) == 0:
+            assert kernel.parts[1] == f"ValueError: vertex {n - 1} has no neighbors"
+    assert g._rows is not None and g._ranks is not None
+
+
+@settings(max_examples=60, **PER_EXAMPLE)
+@given(seed=SEEDS, n=st.integers(1, 200), p=st.floats(0, 1), gseed=st.integers(0, 99),
+       root=st.integers(0, 199), steps=st.integers(0, 3000), tseed=st.integers(0, 50))
+def test_row_select_matches_reference_on_any_rows(c_backend, monkeypatch, seed, n, p,
+                                                   gseed, root, steps, tseed):
+    # random symmetric rows of any density, isolated vertices included
+    u, v = np.triu_indices(n, 1)
+    keys = (u * n + v)[np.random.default_rng(gseed).random(len(u)) < p]
+    g = _rows_graph(n, keys)
+    kernel, reference = _pair(g, seed, c_backend, monkeypatch)
+    root %= n
+    tree = gen_random_tree(steps + 1, 5, tseed)
+    for call in (lambda m: run_walk(g, m, root, steps).sequence,
+                 lambda m: random_homomorphism(g, tree, m, root).image):
+        assert _outcome(lambda: call(kernel)) == _outcome(lambda: call(reference))
+        assert np.array_equal(kernel.consumed, reference.consumed)
+
+
+SELECT_HARNESS = r"""
+#include "%s"
+#include <stdio.h>
+
+/* rank r by clearing the r lowest set bits */
+static int64_t select_loop(uint64_t x, int64_t r)
+{
+    for (; r; r--)
+        x &= x - 1;
+    return __builtin_ctzll(x);
+}
+
+int main(void)
+{
+    uint64_t s = 0x9e3779b97f4a7c15u, x;
+    uint64_t edge[] = {1, (uint64_t)1 << 63, ~(uint64_t)0, ~(uint64_t)0 << 1,
+                       ~(uint64_t)0 >> 1, 0x8000000000000001u, 0x5555555555555555u,
+                       0xaaaaaaaaaaaaaaaau, 0xff00000000000000u, 0xffu};
+    long i, checks = 0, portable = 0, pdep = 0;
+    int has_pdep = 0;
+    int64_t r;
+
+#if defined(__x86_64__) && defined(__GLIBC__)
+    has_pdep = __builtin_cpu_supports("bmi2") != 0;
+#endif
+    for (i = 0; i < 60000; i++) {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        /* the edge cases, then sparse, half-full and dense words */
+        x = i < 10 ? edge[i] : i %% 3 == 0 ? s & s >> 7 & s >> 19 : i %% 3 == 1 ? s : s | s >> 9;
+        for (r = 0; r < __builtin_popcountll(x); r++) {
+            checks++;
+            portable += select_broadword(x, r) != select_loop(x, r);
+#if defined(__x86_64__) && defined(__GLIBC__)
+            if (has_pdep)
+                pdep += select_pdep(x, r) != select_loop(x, r);
+#endif
+        }
+    }
+    printf("%%ld %%d %%ld %%ld\n", checks, has_pdep, portable, pdep);
+    return 0;
+}
+"""
+
+
+def test_broadword_select_matches_pdep(tmp_path):
+    # the portable select, which serves CPUs without a fast pdep, and
+    # pdep, where the CPU has it (has_pdep), against clearing the lowest
+    # set bits one by one, over every rank of edge-case and random words
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    harness, exe = tmp_path / "select.c", tmp_path / "select"
+    harness.write_text(SELECT_HARNESS % (SRC / "qwalk" / "_philox.c"))
+    subprocess.run(["gcc", "-O2", "-o", str(exe), str(harness)], check=True,
+                   capture_output=True)
+    out = subprocess.run([str(exe)], capture_output=True, text=True, check=True).stdout
+    checks, has_pdep, portable, pdep = map(int, out.split())
+    assert checks > 1_500_000 and portable == 0 and pdep == 0
+
+
+def test_dense_graphs_read_no_indices_out(c_backend, monkeypatch):
+    # walks, tree images, their subgraphs and graphs, both discrepancy
+    # estimators and the density and tree_counterexample experiments read
+    # a graph built from rows through its rows and indptr: no graph reads
+    # its indices out
+    read = []
+    kept = Graph.indices
+    monkeypatch.setattr(Graph, "indices", property(
+        lambda g: (g._indices is None and read.append(g)) or kept.fget(g)))
+    g = gen_gnp(300, 0.3, 8)
+    trace = run_walk(g, ListModel(g, 9), 0, 20_000)
+    walked = walk_subgraph(trace).to_graph()
+    k = gen_complete(200)
+    hom = random_homomorphism(k, gen_nary_tree(100, 2), ListModel(k, 10), 0)
+    image = image_subgraph(hom).to_graph()
+    _, pair = discrepancy_sampled(image, 0.1, 100, 1)
+    discrepancy_refined(image, 0.1, pair)
+    for config in (dict(experiment="density", n=200, seed=5, trials=2),
+                   dict(experiment="tree_counterexample", n=200, seed=4,
+                        generator="complete", eps=0.1, trials=1, disc_trials=100)):
+        run_experiment(ExperimentConfig(**config))
+    assert not read
+    assert all(h._rows is not None and h._ranks is not None and h._indices is None
+               for h in (g, walked, k, image))
 
 
 def test_seed_at_2_64_takes_the_numpy_path(c_backend):
@@ -350,8 +507,8 @@ def test_keys_are_formed_after_widening(c_backend, monkeypatch, n, data):
 @given(case=key_sets())
 def test_dense_graph_reads_its_keys_from_its_rows(c_backend, monkeypatch, case):
     # a graph built from bit rows keeps no keys: each call reads a new,
-    # read-only array out of its CSR arrays, equal to the keys of its
-    # edges; a graph built from keys keeps them
+    # read-only array out of its rows, equal to the keys of its edges,
+    # and reads no indices out; a graph built from keys keeps them
     n, keys = case
     event("dense" if n * n <= 64 * len(keys) else "sparse")
     for lib in (c_backend, False):
@@ -362,6 +519,7 @@ def test_dense_graph_reads_its_keys_from_its_rows(c_backend, monkeypatch, case):
             assert got.dtype == np.int64 and np.array_equal(got, keys)
             assert not got.flags.writeable and (got is not g.edge_codes()) == from_rows
             assert g.edge_array().tolist() == [list(divmod(k, n)) for k in keys.tolist()]
+            assert (g._indices is None) == from_rows
 
 
 @settings(max_examples=100, **PER_EXAMPLE)
@@ -386,20 +544,25 @@ def test_has_edges_matches_key_lookup(c_backend, monkeypatch, case, data):
 
 def test_ids_reach_the_kernel_without_a_copy(kernel_calls):
     # the int32 walk sequence, tree parents and tree image are the very
-    # buffers the kernel reads
+    # buffers the kernel reads, and so are a dense host's rows and rank
+    # directory, with no indices, and a sparse host's indices, with no rows
     args = kernel_calls.args
     g = gen_complete(200)
     trace = run_walk(g, ListModel(g, 1), 0, 30_000)
     walk_subgraph(trace)
     seq = trace.sequence
-    assert seq.dtype == np.int32 and args["qw_consume"][3] == g.indices.ctypes.data
+    assert seq.dtype == np.int32
+    assert args["qw_consume"][4:7] == (None, g.bit_rows().ctypes.data, g._ranks.ctypes.data)
     assert args["qw_mark_pairs"][1:3] == (seq.ctypes.data, seq[1:].ctypes.data)
     t = gen_nary_tree(150, 2)
     hom = random_homomorphism(g, t, ListModel(g, 2), 0)
     assert t.parents.dtype == hom.image.dtype == np.int32
-    assert args["qw_consume"][6] == t.parents[1:].ctypes.data
+    assert args["qw_consume"][9] == t.parents[1:].ctypes.data
     image_subgraph(hom)
     assert args["qw_mark_pairs"][2] == hom.image[1:].ctypes.data
+    sparse = gen_gnp(200, 0.01, 1)
+    run_walk(sparse, ListModel(sparse, 3), int(sparse.degrees.argmax()), 1000)
+    assert args["qw_consume"][4:7] == (sparse.indices.ctypes.data, None, None)
 
 
 def test_visit_counts_make_no_int64_copy(backend):
@@ -701,26 +864,26 @@ def test_pair_graphs_read_out_the_rows_the_kernel_marked(kernel_calls):
     for make in (lambda: walk_subgraph(trace).to_graph(), lambda: build_graph(300, pairs)):
         kernel_calls.clear()
         h = make()
-        assert kernel_calls == {"qw_mark_pairs": 1, "qw_rows_csr": 1}
+        assert kernel_calls == {"qw_mark_pairs": 1} and h._indices is None
         assert h._rows is not None and np.array_equal(h._rows, _bit_rows(h))
 
 
 def test_dense_counts_never_pack_rows(kernel_calls, monkeypatch):
-    # K_100's rows are written and G(300, 0.3) is drawn into its rows, and
-    # one read-out each turns them into CSR arrays, with no key made; both
-    # keep those rows.  A G(300, 0.01) below the rule builds its CSR
-    # arrays with no kernel call and packs its rows once, in numpy, on
-    # first use; counting calls no kernel
+    # K_100's rows are written in numpy and G(300, 0.3) is drawn into its
+    # rows, with no key made and no indices read out; both keep those
+    # rows.  A G(300, 0.01) below the rule builds its CSR arrays with no
+    # kernel call and packs its rows once, in numpy, on first use;
+    # counting calls no kernel
     packed = []
     monkeypatch.setattr(graph, "_bit_rows", lambda g: packed.append(g) or _bit_rows(g))
     complete = gen_complete(100)
-    assert kernel_calls == {"qw_rows_csr": 1}
-    kernel_calls.clear()
+    assert not kernel_calls
     gnp = gen_gnp(300, 0.3, 1)
-    assert kernel_calls == {"qw_gnp": 1, "qw_rows_csr": 1}
+    assert kernel_calls == {"qw_gnp": 1}
     neighbour_counts(complete, np.ones((2, 100), dtype=bool))
     neighbour_counts(gnp, np.ones((1, 300), dtype=bool))
-    assert kernel_calls == {"qw_gnp": 1, "qw_rows_csr": 1} and not packed
+    assert kernel_calls == {"qw_gnp": 1} and not packed
+    assert complete._indices is None and gnp._indices is None
     keys = gen_gnp(300, 0.01, 1).edge_codes()
     kernel_calls.clear()
     g = Graph(300, keys)

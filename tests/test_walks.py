@@ -175,8 +175,8 @@ class TestListModel:
         assert held / words < 10
 
     def test_kernel_holds_no_buffers(self, c_backend):
-        # the C backend keeps a key, a block, the next entry, the position
-        # of the entry after it and a count per vertex, 72 bytes, however
+        # the C backend keeps a key, a block, the next entry, the place of
+        # the entry after it and a count per vertex, 72 bytes, however
         # many entries a walk takes
         g = gen_gnp(600, 0.5, 3)
         tracemalloc.start()
@@ -402,6 +402,22 @@ class TestSandwich:
         trace = run_walk(g, model, balanced_start(g, 0.2), 800)
         lo, hi = sandwich_bounds(trace, g)
         fresh = ListModel(g, seed)
+        gw = walk_subgraph(trace)
+        assert list_subgraph(g, fresh, lo).issubset(gw)
+        assert gw.issubset(list_subgraph(g, fresh, hi))
+
+
+    def test_upper_bound_takes_every_visit(self, backend):
+        # vertex 25 departs X = 15 times with d = 11: int(fl(15/11) * 11)
+        # is 14, so the greatest ratio alone left one walk edge outside
+        # list_subgraph(alpha_hi); the bound steps up to the next double
+        g = gen_gnp(30, 0.4, 9)
+        trace = run_walk(g, ListModel(g, 31), 0, 300)
+        assert (trace.visit_counts[25], g.degree(25)) == (15, 11)
+        lo, hi = sandwich_bounds(trace, g)
+        assert int(15 / 11 * 11) == 14 and hi == np.nextafter(15 / 11, 2)
+        assert int(hi * 11) == 15
+        fresh = ListModel(g, 31)
         gw = walk_subgraph(trace)
         assert list_subgraph(g, fresh, lo).issubset(gw)
         assert gw.issubset(list_subgraph(g, fresh, hi))
