@@ -8,34 +8,36 @@ Generators are pure functions of their arguments.
 An edge uv, u < v, is the int64 key u * n + v, formed only after
 widening the int32 ids.  This module alone packs, deduplicates and
 looks up keys: a ``Graph`` is built from its sorted distinct keys or
-from its adjacency bit rows, and so is an ``EdgeSubgraph`` (the edges a
-walk or a tree embedding traverses), which reads its keys out of its
-rows only when they are asked for.
+from its adjacency bit rows, and an ``EdgeSubgraph`` (the edges a walk
+or a tree embedding traverses) is its parent graph and such a
+``Graph`` of its edges.
 
 A vertex count n is an integer with 0 <= n < 2^31, so that every vertex
-id fits in int32 and every key in int64, and keys and endpoints are
-integers; anything else raises ValueError.  ``Graph(n, keys)`` checks
-that its keys are strictly ascending and of the form 0 <= u < v < n,
-else raises ValueError, sorts both arcs of every edge in numpy and
-keeps its keys.  ``Graph._from_rows`` keeps bit rows instead, n^2/8
-bytes, and ``indptr``, summed from their popcounts; walks select each
-neighbour from the rows, and ``indices``, 8 bytes an edge, are read out
-of them only when asked for, each row's set bits in order, through the
-kernel's ``qw_rows_csr`` or ``np.unpackbits``, the reference.
-``gen_gnp`` draws G(n, p) into rows, ``gen_complete`` writes K_n's and
-``_mark`` marks pairs in them.
+id fits in int32 and every key in int64, and keys, endpoints and
+vertices are integers; anything else raises ValueError, and so does a
+vertex outside 0..n-1 given to ``degree`` or ``neighbors``.
+``Graph(n, keys)`` checks that its keys are strictly ascending and of
+the form 0 <= u < v < n, else raises ValueError, and keeps its keys and
+``indptr``, counted from their endpoints.  ``Graph._from_rows`` keeps
+bit rows instead, n^2/8 bytes, and ``indptr``, summed from their
+popcounts; walks select each neighbour from the rows.  Either reads
+``indices``, 8 bytes an edge, out of its one edge store only when they
+are asked for: from keys by the numpy sort of both arcs of every edge,
+from rows as each row's set bits in order, through the kernel's
+``qw_rows_csr`` or ``np.unpackbits``, the reference.  ``gen_gnp`` draws
+G(n, p) into rows, ``gen_complete`` writes K_n's and ``_pairs_graph``
+marks pairs in them.
 
-``_mark`` alone turns pairs into edges, for ``edge_keys``,
+``_pairs_graph`` alone turns pairs into a ``Graph``, for
 ``build_graph`` and ``EdgeSubgraph.from_pairs``, and it alone rejects
 an endpoint outside 0..n-1 and a self-loop.  With the C kernel of
 ``rng`` and under the table rule, m pairs with n^2 <= 64 m
 (``_table_fits``), it marks both bits of each pair in n bit rows, no
-larger than the m int64 keys a sort needs, and counts the distinct
-edges; ``build_graph`` and ``EdgeSubgraph.to_graph`` build their
-``Graph`` from those rows, so each edge is checked and marked once, and
-no key is made until ``edge_keys``, ``EdgeSubgraph.codes`` or
-``Graph.edge_codes`` reads them out in numpy.  Otherwise numpy sorts
-the packed keys, the reference, and the ``Graph`` is built from them.
+larger than the m int64 keys a sort needs, counts the distinct edges
+and builds the ``Graph`` from those rows, so each edge is checked and
+marked once and no key is made until ``Graph.edge_codes`` reads them
+out in numpy.  Otherwise numpy sorts the packed keys, the reference,
+and the ``Graph`` is built from them.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
 uint64 words, n^2/8 bytes, packed once: kept from construction where it
@@ -73,6 +75,14 @@ def _vertex_count(n) -> int:
     if n >= 2**31:
         raise ValueError(f"vertex count {n} is too large: vertex ids need n < 2^31")
     return n
+
+
+def _vertex(g: Graph, v) -> int:
+    """``v`` as an int; a vertex outside the host raises ValueError."""
+    v = operator.index(v)
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} is not in the host's 0..{g.n - 1}")
+    return v
 
 
 def _int64s(values, what: str) -> np.ndarray:
@@ -137,12 +147,15 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values of ``a``, which is sorted in place.
 
     A sort and a mask of neighbours that differ give the same array as
-    ``np.unique``, which is over 20x slower on millions of values.
+    ``np.unique``, which is over 20x slower on millions of values, and
+    ``np.compress`` takes the values where most are repeats about 3.5x
+    faster than ``a[first]`` (the 10^6 keys of a walk on G(20000, 0.001),
+    numpy 2.4).
     """
     a.sort()
     first = np.ones(len(a), dtype=bool)
     np.not_equal(a[1:], a[:-1], out=first[1:])
-    return a[first]
+    return np.compress(first, a)
 
 
 def _check_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> None:
@@ -157,26 +170,19 @@ def _check_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> None:
         raise ValueError(f"self-loop rejected at vertex {us[loop.argmax()]}")
 
 
-def edge_keys(n: int, us, vs) -> np.ndarray:
-    """Sorted distinct keys of the unordered pairs (us[i], vs[i]).
+def _pairs_graph(n: int, us, vs) -> Graph:
+    """The Graph on 0..n-1 of the distinct edges of the unordered pairs
+    (us[i], vs[i]).
 
     Each pair must join two distinct vertices of 0..n-1; otherwise
     ValueError names the first endpoint out of range, or else the first
     self-loop.  With the C kernel, and under the table rule for m pairs,
     so that n bit rows take no more bytes than the m int64 keys a sort
-    needs, each pair sets its bits and the bits above the diagonal are
-    read out in order; int32 endpoints pass to the kernel without a
-    copy.  Otherwise the keys are packed and sorted, the reference.
+    needs, each pair sets both its bits in the rows, which the graph
+    keeps; int32 endpoints pass to the kernel without a copy.  Otherwise
+    the keys are packed and sorted, the reference, and the graph keeps
+    them.
     """
-    edges, count = _mark(n, us, vs)
-    return edges if count is None else _row_keys(n, edges)
-
-
-def _mark(n: int, us, vs):
-    """The distinct edges of the pairs as (rows, count): the symmetric bit
-    rows the kernel marked, one per vertex as ``Graph._from_rows`` reads
-    them, and the number of edges; or as (keys, None), sorted distinct
-    keys, where the keys were sorted instead."""
     n = _vertex_count(n)
     us, vs = _integers(us, "edge endpoints"), _integers(vs, "edge endpoints")
     if us.ndim != 1 or us.shape != vs.shape:
@@ -188,9 +194,9 @@ def _mark(n: int, us, vs):
         rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
         count = lib.qw_mark_pairs(n, us32.ctypes.data, vs32.ctypes.data, m, rows.ctypes.data)
         if count >= 0:
-            return rows, count
+            return Graph._from_rows(n, rows, count)
     _check_pairs(n, us, vs)  # raises where the kernel returned -1 or took no ids
-    return _distinct(_pack(n, us, vs)), None
+    return Graph(n, _distinct(_pack(n, us, vs)))
 
 
 def _row_bits(rows: np.ndarray) -> np.ndarray:
@@ -232,11 +238,12 @@ class Graph:
     Invariants: symmetric adjacency, no self-loops, no duplicate
     neighbors, and sum of degrees equal to twice ``edge_count``.
     Built from its edge keys u * n + v, u < v, strictly ascending, which
-    it keeps (read-only) with its CSR arrays; other keys raise
-    ValueError.  A graph built from bit rows (``_from_rows``) keeps its
-    rows, ``indptr`` and a rank directory instead: it reads ``indices``
-    out of its rows on first use and ``edge_codes()`` on each call, and
-    its walks select each neighbour from its rows through the directory.
+    it keeps (read-only) with ``indptr``, counted from their endpoints;
+    other keys raise ValueError.  A graph built from bit rows
+    (``_from_rows``) keeps its rows, ``indptr`` and a rank directory
+    instead, reads ``edge_codes()`` out of its rows on each call, and its
+    walks select each neighbour from its rows through the directory.
+    Either reads ``indices`` out of its one edge store on first use.
     """
 
     __slots__ = ("n", "indptr", "edge_count", "_indices", "_edge_codes", "_rows", "_ranks")
@@ -246,8 +253,10 @@ class Graph:
         keys = _int64s(keys, "edge keys")
         if keys.ndim != 1:
             raise ValueError("edge keys must be a 1-d array")
-        indptr, indices = _csr_numpy(n, keys)
-        self._keep(n, indptr, indices, len(keys), keys, None)  # rows packed by bit_rows()
+        us, vs = _key_endpoints(n, keys)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(us, minlength=n) + np.bincount(vs, minlength=n), out=indptr[1:])
+        self._keep(n, indptr, len(keys), keys, None)  # rows packed by bit_rows()
 
     @classmethod
     def _from_rows(cls, n: int, rows: np.ndarray, m: int) -> "Graph":
@@ -262,35 +271,42 @@ class Graph:
         ranks = np.cumsum(counts, axis=1, dtype=np.int32)
         ranks -= counts
         g = cls.__new__(cls)
-        g._keep(n, indptr, None, m, None, rows, ranks)
+        g._keep(n, indptr, m, None, rows, ranks)
         return g
 
-    def _keep(self, n, indptr, indices, m, keys, rows, ranks=None) -> None:
+    def _keep(self, n, indptr, m, keys, rows, ranks=None) -> None:
         self.n, self.indptr, self.edge_count = n, indptr, m
-        self._indices, self._edge_codes, self._rows, self._ranks = indices, keys, rows, ranks
-        for a in (indptr, indices, keys, rows, ranks):
+        self._indices, self._edge_codes, self._rows, self._ranks = None, keys, rows, ranks
+        for a in (indptr, keys, rows, ranks):
             if a is not None:
                 a.setflags(write=False)
 
     @property
     def indices(self) -> np.ndarray:
         """int32 neighbour ids, each row's ascending, in CSR layout
-        (read-only): kept from construction, or read out of the rows of a
-        graph built from them on first use, through the kernel's
+        (read-only), read out on first use: by the numpy sort of both arcs
+        of every edge from the keys of a graph built from them, or from
+        the rows of a graph built from rows, through the kernel's
         ``qw_rows_csr`` or ``np.unpackbits``, the reference."""
         if self._indices is None:
             indices = np.empty(2 * self.edge_count, dtype=np.int32)
-            lib = _kernel()
-            if lib is None:
+            lib, keys, n = _kernel(), self._edge_codes, self.n
+            if keys is not None:
+                # arcs u -> v packed as u * n + v, both directions, in CSR order
+                arcs = np.concatenate([keys, keys % n * n + keys // n])
+                arcs.sort()
+                indices[:] = arcs % n
+            elif lib is None:
                 bits = _row_bits(self._rows)
                 indices[:] = np.flatnonzero(bits) % max(bits.shape[1], 1)
             else:
-                lib.qw_rows_csr(self.n, self._rows.ctypes.data, indices.ctypes.data)
+                lib.qw_rows_csr(n, self._rows.ctypes.data, indices.ctypes.data)
             indices.setflags(write=False)
             self._indices = indices
         return self._indices
 
     def degree(self, v: int) -> int:
+        v = _vertex(self, v)
         return int(self.indptr[v + 1] - self.indptr[v])
 
     @property
@@ -299,15 +315,19 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of v (read-only view)."""
+        v = _vertex(self, v)
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(_inside(self.n, u, v) and self.has_edges(u, v))
+        return bool(self.has_edges(u, v))
 
     def has_edges(self, us, vs) -> np.ndarray:
         """Elementwise ``has_edge``: a key lookup on a graph's kept keys,
-        a bit test on the rows of a graph built from rows."""
+        a bit test on the rows of a graph built from rows.  A pair outside
+        0..n-1 is no edge; an endpoint that is not an integer raises
+        ValueError."""
         n = self.n
+        us, vs = _integers(us, "edge endpoints"), _integers(vs, "edge endpoints")
         if self._edge_codes is not None:
             return _inside(n, us, vs) & np.isin(_pack(n, us, vs), self._edge_codes)
         return _bits_set(self.bit_rows(), n, us, vs)
@@ -344,9 +364,9 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def _csr_numpy(n: int, keys: np.ndarray):
-    """(indptr, indices) of the keys by sorting both arcs of every edge;
-    ValueError names the first key out of order or not u*n+v, u < v."""
+def _key_endpoints(n: int, keys: np.ndarray):
+    """(u, v) of each key u * n + v; ValueError names the first key out of
+    order or not u*n+v, u < v."""
     u, v = np.divmod(keys, max(n, 1))
     bad = (keys < 0) | (u >= v)
     bad[1:] |= keys[1:] <= keys[:-1]
@@ -358,68 +378,50 @@ def _csr_numpy(n: int, keys: np.ndarray):
                              f"position {j} follows {int(keys[j - 1])}")
         raise ValueError(f"edge key {k} at position {j} is not u*{n}+v "
                          f"with 0 <= u < v < {n}")
-    # arcs u -> v packed as u * n + v, both directions, in CSR order
-    arcs = np.concatenate([keys, v * n + u])
-    arcs.sort()
-    indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
-    return indptr, (arcs % max(n, 1)).astype(np.int32)
+    return u, v
 
 
+@dataclass(frozen=True)
 class EdgeSubgraph:
-    """A deduplicated set of edges of a parent graph, kept as one edge
-    store, as ``_mark`` gives it: ``edges`` are symmetric bit rows holding
-    ``count`` edges, or sorted distinct keys u * n + v, u < v, when
-    ``count`` is None.  ``codes`` reads the keys out of rows on first use."""
+    """A deduplicated set of edges of ``parent``, the edges a walk or a tree
+    embedding traverses, held as ``graph``, a Graph on the parent's
+    vertices built from their pairs in one place (``from_pairs``)."""
 
-    __slots__ = ("parent", "_rows", "_codes", "_count")
-
-    def __init__(self, parent: Graph, edges: np.ndarray, count: int | None = None):
-        self.parent = parent
-        self._rows, self._codes = (None, edges) if count is None else (edges, None)
-        self._count = len(edges) if count is None else count
-        edges.setflags(write=False)
+    parent: Graph
+    graph: Graph
 
     @classmethod
     def from_pairs(cls, parent: Graph, us, vs) -> "EdgeSubgraph":
-        return cls(parent, *_mark(parent.n, us, vs))
+        return cls(parent, _pairs_graph(parent.n, us, vs))
 
     @property
     def codes(self) -> np.ndarray:
         """Sorted distinct keys u * n + v with u < v (read-only)."""
-        if self._codes is None:
-            self._codes = _row_keys(self.parent.n, self._rows)
-            self._codes.setflags(write=False)
-        return self._codes
+        return self.graph.edge_codes()
 
     def __len__(self) -> int:
-        return self._count
+        return self.graph.edge_count
 
     def __contains__(self, edge) -> bool:
-        """A bit test of the kept rows, else a binary search of the keys."""
-        n, (u, v) = self.parent.n, edge
-        if not _inside(n, u, v):
-            return False
-        if self._rows is not None:
-            return bool(_bits_set(self._rows, n, u, v))
-        key = _pack(n, u, v)
-        at = np.searchsorted(self._codes, key)
-        return bool(at < self._count and self._codes[at] == key)
+        return self.graph.has_edge(*edge)
 
     def edge_array(self) -> np.ndarray:
-        return _unpack(self.parent.n, self.codes)
+        return self.graph.edge_array()
 
     def issubset(self, other: "EdgeSubgraph") -> bool:
         return bool(np.isin(self.codes, other.codes).all())
 
     def to_graph(self) -> Graph:
-        """The edges as a Graph on the parent's vertices: read out of the
-        rows ``_mark`` marked, where it marked them, else from the keys."""
-        if self._rows is None:
-            return Graph(self.parent.n, self._codes)
+        """The edges as a Graph on the parent's vertices: ``graph`` where it
+        was built from keys, else a new Graph on a copy of its rows."""
+        g = self.graph
+        if g._edge_codes is not None:
+            return g
         # a copy, allocated after the subgraph's rows: handed the very block
-        # _mark made, tree_star's glibc heap places its later buffers so that
-        # more stays resident (peak RSS 75.2 against 72.3 MB with the copy)
-        return Graph._from_rows(self.parent.n, self._rows.copy(), self._count)
+        # the pairs were marked in, tree_star's glibc heap places its later
+        # buffers so that more stays resident (peak RSS over 7 calls in one
+        # process 57.3 against 51.4 MB with the copy)
+        return Graph._from_rows(g.n, g._rows.copy(), g.edge_count)
 
 
 @dataclass(frozen=True)
@@ -477,7 +479,7 @@ class DegreeProfile:
 def build_graph(n: int, edges) -> Graph:
     """Build a Graph from unordered vertex pairs; duplicates collapse.
 
-    Rejects self-loops and out-of-range endpoints (``edge_keys``).
+    Rejects self-loops and out-of-range endpoints (``_pairs_graph``).
     """
     n = _vertex_count(n)
     pairs = _integers(edges if isinstance(edges, np.ndarray) else list(edges),
@@ -486,8 +488,7 @@ def build_graph(n: int, edges) -> Graph:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be pairs of vertex ids")
-    edges, count = _mark(n, pairs[:, 0], pairs[:, 1])
-    return Graph(n, edges) if count is None else Graph._from_rows(n, edges, count)
+    return _pairs_graph(n, pairs[:, 0], pairs[:, 1])
 
 
 def edges_between(g: Graph, a: VertexSet, b: VertexSet) -> int:

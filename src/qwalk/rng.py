@@ -19,13 +19,14 @@ seeds below 2^64 and indices below 2^32.  ``uniform_words``,
 ``graph``: the dense vertex pairs of a walk or a tree image are marked
 in symmetric adjacency bit rows and their distinct edges counted, with
 no key made, and ``gen_gnp`` draws G(n, p) into such rows in one call.
-An ``EdgeSubgraph`` or a ``Graph`` built from rows, these or the K_n
-rows of ``gen_complete``, keeps them as its one edge store.  The list
-model's kernel takes each entry on such a graph from its rows, by
-select (pdep on x86-64 CPUs that run it fast, a broadword select
-elsewhere), and one entry point reads the rows out into a ``Graph``'s
-``indices`` only when they are asked for; a ``Graph`` built from keys
-sorts them in numpy and its walks read its ``indices``.
+A ``Graph`` built from rows, these (the ``Graph`` an ``EdgeSubgraph``
+holds) or the K_n rows of ``gen_complete``, keeps them as its one edge
+store.  The list model's kernel takes each entry on such a graph from
+its rows, by select (pdep on x86-64 CPUs that run it fast, a broadword
+select elsewhere), and one entry point reads the rows out into a
+``Graph``'s ``indices`` only when they are asked for; a ``Graph`` built
+from keys reads its ``indices`` out of them by a numpy sort, also on
+first use, and its walks read them.
 ``certify.discrepancy_sampled`` uses the kernel too: it draws every
 subset and counts every e(A, B) from the bit rows by popcount in one call, in
 a popcnt clone on x86-64 glibc, from the stream position ``_next_word``

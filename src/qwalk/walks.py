@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (EdgeSubgraph, Graph, VertexSet, balanced_vertices, density,
-                    read_text)
+from .graph import (EdgeSubgraph, Graph, VertexSet, _vertex, balanced_vertices,
+                    density, read_text)
 from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _kernel, stream,
                   uniform_words)
 
@@ -45,14 +45,6 @@ def _count_ids(ids: np.ndarray, n: int) -> np.ndarray:
     for i in range(0, len(ids), 1 << 16):
         counts += np.bincount(ids[i:i + (1 << 16)], minlength=n)
     return counts
-
-
-def _vertex(g: Graph, v) -> int:
-    """``v`` as an int; a vertex outside the host raises ValueError."""
-    v = operator.index(v)
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} is not in the host's 0..{g.n - 1}")
-    return v
 
 
 class ListModel:

@@ -53,6 +53,17 @@ class TestBuildGraph:
                 assert g.has_edge(int(u), v)
         assert int(g.degrees.sum()) == 2 * g.edge_count
 
+    @pytest.mark.parametrize("make", [lambda: gen_gnp(10, 0.5, 1),
+                                      lambda: build_graph(10, [(0, 9), (3, 4)])],
+                             ids=["rows", "keys"])
+    @pytest.mark.parametrize("v", [-1, 10, 2**40])
+    def test_vertex_outside_host_rejected(self, make, v):
+        # -1 used to give -2m as a degree and an empty neighbour list
+        g = make()
+        for call in (g.degree, g.neighbors):
+            with pytest.raises(ValueError, match=f"vertex {v} is not in the host's 0..9"):
+                call(v)
+
 
 KEYS = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -137,6 +148,18 @@ class TestEdgeKeysAgainstReference:
         us, vs = zip(*outside)
         assert g.has_edges(list(us), list(vs)).tolist() == [False] * len(outside)
         assert g.has_edges([0, 0, 1], [6, 1, 2]).tolist() == [False, True, True]
+
+    @pytest.mark.parametrize("make", [lambda: build_graph(100, [(0, 1)]),
+                                      lambda: gen_complete(4)], ids=["keys", "rows"])
+    def test_non_integral_endpoints_rejected(self, backend, make):
+        # one answer from keys and from rows, and so from a subgraph of
+        # either: the keys used to read 0.5 as 0, the rows to raise IndexError
+        g = make()
+        s = EdgeSubgraph.from_pairs(g, [0], [1])
+        for call in (lambda: g.has_edge(0.5, 1), lambda: g.has_edges([0], [1.5]),
+                     lambda: (0, True) in s, lambda: (1.0, 0) in s):
+            with pytest.raises(ValueError, match="edge endpoints must be integers in int64"):
+                call()
 
     @KEYS
     @given(pair_lists(lists=2))
@@ -307,13 +330,13 @@ class TestFileFormat:
         lambda: build_graph(0, []), lambda: build_graph(50_000, [(0, 49_999), (123, 45_678)]),
     ], ids=["gnp", "complete", "no-edges", "no-vertices", "large-ids"])
     def test_save_writes_one_line_per_edge(self, tmp_path, make):
-        # byte for byte the header and one "u v" line written per edge;
-        # a graph built from rows (K_70 always) writes from its rows and
-        # reads no indices out
+        # byte for byte the header and one "u v" line written per edge,
+        # from the graph's keys or its rows (K_70 always), with no indices
+        # read out
         g = make()
         path = tmp_path / "g.txt"
         save_graph(g, str(path))
-        assert g._edge_codes is not None or g._indices is None
+        assert g._indices is None
         want = f"{g.n} {g.edge_count}\n" + "".join(f"{u} {v}\n" for u, v in g.edge_array())
         assert path.read_bytes() == want.encode()
 

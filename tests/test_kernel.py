@@ -28,8 +28,8 @@ from qwalk import graph, rng
 from qwalk.certify import discrepancy_refined, discrepancy_sampled
 from qwalk.experiments import ExperimentConfig, run_experiment
 from qwalk.graph import (EdgeSubgraph, Graph, VertexSet, _bit_rows, _vertex_count,
-                         build_graph, edge_keys, gen_complete, gen_gnp,
-                         gen_two_clique_bridge, neighbour_counts)
+                         build_graph, gen_complete, gen_gnp,
+                         gen_two_clique_bridge, neighbour_counts, save_graph)
 from qwalk.trees import gen_nary_tree, gen_random_tree, image_subgraph, random_homomorphism
 from qwalk.walks import ListModel, run_walk, walk_subgraph
 
@@ -300,6 +300,35 @@ def test_dense_graphs_read_no_indices_out(c_backend, monkeypatch):
                for h in (g, walked, k, image))
 
 
+def test_key_graphs_read_no_indices_out_until_asked(backend, monkeypatch, tmp_path):
+    # a graph built from keys, here a sparse walk's subgraph, keeps its
+    # keys and an indptr counted from them: counting, looking up, reading
+    # keys or edges out, inclusion, to_graph and saving read no indices
+    # out; the first neighbour list does, once, as the numpy sort of both
+    # arcs gives them
+    g = gen_gnp(2000, 0.005, 5)
+    trace = run_walk(g, ListModel(g, 6), 0, 20_000)
+    read = []
+    kept = Graph.indices
+    monkeypatch.setattr(Graph, "indices", property(
+        lambda g: (g._indices is None and read.append(g)) or kept.fget(g)))
+    s = walk_subgraph(trace)
+    h = s.graph
+    assert h._edge_codes is not None and h._rows is None
+    pairs = np.column_stack((trace.sequence[:-1], trace.sequence[1:]))
+    assert len(s) == len({(min(u, v), max(u, v)) for u, v in pairs.tolist()})
+    assert all(tuple(e) in s for e in pairs[:100]) and h.has_edges(*pairs.T).all()
+    assert s.codes is h.edge_codes() and len(s.edge_array()) == len(s)
+    assert s.issubset(s) and s.to_graph() is h
+    assert h.degrees.sum() == 2 * len(s) and h.degree(0) == h.indptr[1]
+    save_graph(h, str(tmp_path / "walked.txt"))
+    assert not read and h._indices is None
+    assert trace.sequence[1] in h.neighbors(int(trace.sequence[0]))
+    _, indices = _csr_reference(2000, h.edge_codes())
+    assert h.indices.dtype == np.int32 and np.array_equal(h.indices, indices)
+    assert read == [h]
+
+
 def test_seed_at_2_64_takes_the_numpy_path(c_backend):
     g = build_graph(3, [(0, 1), (1, 2)])
     assert ListModel(g, 2**64 - 1)._lib is not None
@@ -420,8 +449,8 @@ def test_bad_keys_rejected(backend, n, keys, message):
     (lambda: Graph(-0.5, []), "vertex count must be an integer, got -0.5"),
     (lambda: Graph(-1, []), "vertex count must be non-negative, got -1"),
     (lambda: Graph(2**32, []), "vertex count 4294967296 is too large"),
-    (lambda: edge_keys(10**20, [0], [1]), "vertex count 100000000000000000000 is too large"),
-    (lambda: edge_keys("3", [0], [1]), "vertex count must be an integer, got '3'"),
+    (lambda: build_graph(10**20, [(0, 1)]), "vertex count 100000000000000000000 is too large"),
+    (lambda: build_graph("3", [(0, 1)]), "vertex count must be an integer, got '3'"),
     (lambda: build_graph(-1, []), "vertex count must be non-negative, got -1"),
     (lambda: build_graph(3.0, [(0, 1)]), "vertex count must be an integer, got 3.0"),
     (lambda: gen_complete(-2), "vertex count must be non-negative, got -2"),
@@ -449,8 +478,9 @@ def test_vertex_count_bound_keeps_keys_in_int64():
     (lambda: build_graph(3, [[0, 2**70]]), "got 1180591620717411303424"),
     (lambda: build_graph(3, [[0, 2**64 - 1]]), "got 18446744073709551615"),  # read as floats
     (lambda: build_graph(3, np.array([[0, 1]], dtype=object) + 0.5), "got 0.5"),
-    (lambda: edge_keys(3, [0.5], [1.9]), "edge endpoints must be integers in int64, got 0.5"),
-    (lambda: edge_keys(3, [0], np.array([True])), "got True"),
+    (lambda: EdgeSubgraph.from_pairs(gen_complete(3), [0.5], [1.9]),
+     "edge endpoints must be integers in int64, got 0.5"),
+    (lambda: EdgeSubgraph.from_pairs(gen_complete(3), [0], np.array([True])), "got True"),
     (lambda: EdgeSubgraph.from_pairs(gen_complete(3), [0], [1.5]), "got 1.5"),
     (lambda: VertexSet.from_iterable(3, [1.5]), "vertex ids must be integers in int64, got 1.5"),
 ])
@@ -464,7 +494,7 @@ def test_empty_inputs_still_build(backend):
     for g in (Graph(3, []), build_graph(3, []), build_graph(3, np.empty((0, 2))),
               EdgeSubgraph.from_pairs(gen_complete(3), [], []).to_graph()):
         assert g.n == 3 and g.edge_count == 0 and g.indptr.tolist() == [0, 0, 0, 0]
-    assert edge_keys(3, [], []).dtype == np.int64
+    assert EdgeSubgraph.from_pairs(gen_complete(3), [], []).codes.dtype == np.int64
     assert VertexSet.from_iterable(3, []).size == 0
     # integers of any width and Python ints in an object array are kept
     assert build_graph(3, np.array([[0, 2]], dtype=np.uint8)).edge_codes().tolist() == [2]
@@ -474,8 +504,7 @@ def test_empty_inputs_still_build(backend):
 
 def test_two_to_the_31_vertices_refused(backend):
     # ids are int32; each call refuses the count before it allocates
-    for call in (lambda: Graph(2**31, []), lambda: edge_keys(2**31, [0], [1]),
-                 lambda: build_graph(2**31, [(0, 1)])):
+    for call in (lambda: Graph(2**31, []), lambda: build_graph(2**31, [(0, 1)])):
         with pytest.raises(ValueError, match=re.escape(
                 "vertex count 2147483648 is too large: vertex ids need n < 2^31")):
             call()
@@ -486,17 +515,18 @@ def test_two_to_the_31_vertices_refused(backend):
        data=st.data())
 def test_keys_are_formed_after_widening(c_backend, monkeypatch, n, data):
     # past n = 46,341 a product u * n of int32 ids would wrap; int32
-    # endpoints near n - 1 give the keys of Python ints on both backends,
-    # and at n = 50,000 so does a sparse Graph built from them
+    # endpoints near n - 1 give the keys of Python ints, formed where every
+    # key is, and at n = 50,000 so does a sparse Graph built from them on
+    # both backends (a Graph at n near 2^31 needs a 16 GiB indptr)
     ids = st.one_of(st.integers(0, n - 1), st.integers(max(n - 40, 0), n - 1))
     pairs = data.draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
                                min_size=1, max_size=20))
     us = np.array([u for u, _ in pairs], dtype=np.int32)
     vs = np.array([v for _, v in pairs], dtype=np.int32)
     want = sorted({min(u, v) * n + max(u, v) for u, v in pairs})
+    assert sorted(set(graph._pack(n, us, vs).tolist())) == want
     for lib in (c_backend, False):
         monkeypatch.setattr(rng, "_lib", lib)
-        assert edge_keys(n, us, vs).tolist() == want
         if n == 50_000:
             g = build_graph(n, pairs)
             assert g.edge_codes().tolist() == want
@@ -507,8 +537,8 @@ def test_keys_are_formed_after_widening(c_backend, monkeypatch, n, data):
 @given(case=key_sets())
 def test_dense_graph_reads_its_keys_from_its_rows(c_backend, monkeypatch, case):
     # a graph built from bit rows keeps no keys: each call reads a new,
-    # read-only array out of its rows, equal to the keys of its edges,
-    # and reads no indices out; a graph built from keys keeps them
+    # read-only array out of its rows, equal to the keys of its edges; a
+    # graph built from keys keeps them; neither reads its indices out
     n, keys = case
     event("dense" if n * n <= 64 * len(keys) else "sparse")
     for lib in (c_backend, False):
@@ -519,7 +549,7 @@ def test_dense_graph_reads_its_keys_from_its_rows(c_backend, monkeypatch, case):
             assert got.dtype == np.int64 and np.array_equal(got, keys)
             assert not got.flags.writeable and (got is not g.edge_codes()) == from_rows
             assert g.edge_array().tolist() == [list(divmod(k, n)) for k in keys.tolist()]
-            assert (g._indices is None) == from_rows
+            assert g._indices is None
 
 
 @settings(max_examples=100, **PER_EXAMPLE)
@@ -677,7 +707,7 @@ def test_edge_keys_table_matches_sort(c_backend, monkeypatch, case):
     want = sorted({min(u, v) * n + max(u, v) for u, v in zip(us, vs)})
     for lib in (c_backend, False):
         monkeypatch.setattr(rng, "_lib", lib)
-        keys = edge_keys(n, us, vs)
+        keys = EdgeSubgraph.from_pairs(Graph(n, []), us, vs).codes
         assert keys.dtype == np.int64 and keys.tolist() == want
 
 
@@ -695,10 +725,10 @@ def test_edge_keys_table_matches_sort(c_backend, monkeypatch, case):
 ])
 def test_bad_pairs_rejected(backend, n, us, vs, message):
     with pytest.raises(ValueError, match=message):
-        edge_keys(n, us, vs)
-    if n == 4 and len(us) == len(vs):
+        EdgeSubgraph.from_pairs(Graph(n, []), us, vs)
+    if len(us) == len(vs):
         with pytest.raises(ValueError, match=message):
-            EdgeSubgraph.from_pairs(gen_complete(4), us, vs)
+            build_graph(n, np.column_stack((us, vs)))
 
 
 def test_kernel_sets_no_bit_for_bad_pairs(c_backend):
@@ -728,7 +758,8 @@ def test_subgraph_matches_numpy_backend(c_backend, monkeypatch, case, data):
                 EdgeSubgraph.from_pairs(host, us[:half], vs[:half]))
 
     (whole, part), (ref_whole, ref_part) = subgraphs(c_backend), subgraphs(False)
-    assert (whole._rows is not None) == (n * n <= 64 * len(us)) and ref_whole._rows is None
+    assert (whole.graph._rows is not None) == (n * n <= 64 * len(us))
+    assert ref_whole.graph._rows is None
     # endpoints outside 0..n-1, whose packed keys may alias an edge
     end = st.one_of(st.integers(-2, n + 2), st.sampled_from([-2**40, 2**31, 2**40]))
     probes = data.draw(st.lists(st.tuples(end, end), max_size=20))
@@ -739,7 +770,7 @@ def test_subgraph_matches_numpy_backend(c_backend, monkeypatch, case, data):
         assert len(s) == len(ref) == len(edges)
         assert [e in s for e in probes] == [e in ref for e in probes] == want
         codes = s.codes
-        assert codes.dtype == np.int64 and not codes.flags.writeable and s.codes is codes
+        assert codes.dtype == np.int64 and not codes.flags.writeable
         assert np.array_equal(codes, ref.codes)
         assert np.array_equal(s.edge_array(), ref.edge_array())
     for a, b in ((part, whole), (whole, part), (part, ref_whole), (ref_whole, part)):
@@ -850,7 +881,7 @@ def test_walk_and_image_subgraphs_make_no_keys(kernel_calls):
     for s in (walk_subgraph(trace), image_subgraph(hom)):
         count = len(s)
         h = s.to_graph()
-        assert s._codes is None and h._edge_codes is None and h.edge_count == count
+        assert s.graph._edge_codes is None and h._edge_codes is None and h.edge_count == count
         assert len(s.codes) == count
     assert kernel_calls["qw_mark_pairs"] == 3
 
@@ -904,11 +935,11 @@ def test_rows_read_out_as_the_sorted_arcs(backend, n, p):
     rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
     for u, v in (pairs.T, pairs.T[::-1]):
         np.bitwise_or.at(rows, (u, v // 64), np.uint64(1) << (v % 64).astype(np.uint64))
-    indptr, indices = graph._csr_numpy(n, keys)
+    ref = Graph(n, keys)
     m = len(keys)
     g = Graph._from_rows(n, rows, m)
     assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
-    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+    assert np.array_equal(g.indptr, ref.indptr) and np.array_equal(g.indices, ref.indices)
     assert g.bit_rows() is rows and g.edge_count == m
     assert np.array_equal(g.edge_codes(), keys)
 
