@@ -29,12 +29,20 @@
  *
  * qw_sampled_counts draws every subset of
  * qwalk.certify.discrepancy_sampled and counts each of its e(A, B) as
- * popcounts of the rows in one call.  The counts have a popcnt clone on
- * x86-64 glibc: at plain -O2, __builtin_popcountll calls libgcc's
- * table-driven __popcountdi2 instead.
+ * popcounts of the rows in one call.  Its trials run on POSIX threads,
+ * each with its own scratch words, which claim them one at a time; since
+ * a trial's words are Philox blocks at counters fixed by its number, any
+ * thread can run any trial, and the counts are those that one thread
+ * gives.  The counts have a popcnt clone on x86-64 glibc: at
+ * plain -O2, __builtin_popcountll calls libgcc's table-driven
+ * __popcountdi2 instead.
  *
- * Built on first use by qwalk.rng and called through ctypes.
+ * Built with -O2 -pthread on first use by qwalk.rng and called through
+ * ctypes, which releases the GIL for the call; the threads run C alone.
  */
+#define _GNU_SOURCE
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
 #if defined(__x86_64__) && defined(__GLIBC__)
 #include <immintrin.h>
@@ -524,6 +532,80 @@ static int64_t volume(int64_t n, int64_t w, const int64_t *indptr, const uint64_
 
 #define HIST_BITS 12
 
+/* The trials of one qw_sampled_counts call, shared by its threads, each
+ * of which claims the next unclaimed trial, ``next``, until none is left. */
+struct sampler {
+    uint64_t key[2];
+    int64_t offset, n, trials, block, next;
+    int bits;
+    const uint64_t *rows;
+    const int64_t *indptr, *sizes;
+    int64_t *e;
+};
+
+/* One thread of a qw_sampled_counts call, with its own 2 n + 2 ceil(n / 64)
+ * words of ``work`` and a histogram on its own stack. */
+struct part {
+    struct sampler *s;
+    uint64_t *work;
+};
+
+static void *claim_trials(void *arg)
+{
+    const struct part *p = arg;
+    struct sampler *s = p->s;
+    int64_t n = s->n, w = (n + 63) / 64, t;
+    uint64_t *vals = p->work, *cand = vals + n, *a = cand + n, *b = a + w;
+    int64_t hist[(int64_t)1 << HIST_BITS];
+
+    /* relaxed: the claims need only be distinct; the join orders e */
+    while ((t = __atomic_fetch_add(&s->next, 1, __ATOMIC_RELAXED)) < s->trials) {
+        int64_t t0 = t - t % s->block;
+        int64_t rows_in_block = s->trials - t0 < s->block ? s->trials - t0 : s->block;
+        int64_t start = s->offset + 2 * t0 * n + (t - t0) * n;
+        int64_t sa = s->sizes[2 * t], sb = s->sizes[2 * t + 1], least;
+        subset_mask(s->key, start, n, sa, s->bits, vals, cand, hist, a);
+        subset_mask(s->key, start + rows_in_block * n, n, sb, s->bits, vals, cand, hist, b);
+        least = sa < sb ? sa : sb;
+        if (n - sa < least || n - sb < least) {
+            /* over the complement of the larger set, against the smaller */
+            const uint64_t *big = sa > sb ? a : b, *small = sa > sb ? b : a;
+            s->e[t] = volume(n, w, s->indptr, small) - row_counts(n, w, s->rows, big, 1, small);
+        } else {
+            s->e[t] = row_counts(n, w, s->rows, sa < sb ? a : b, 0, sa < sb ? b : a);
+        }
+    }
+    return NULL;
+}
+
+/* Pins the thread that ``attr`` starts to the i-th CPU, from 1, that the
+ * calling thread may run on, other than the one it runs on; where that
+ * cannot be found, ``attr`` is left as it is.  Left to itself, the
+ * scheduler of a 2-CPU KVM guest kept a new thread on its creator's CPU
+ * through two 21 ms computations, one on each thread, in each of 44
+ * runs, while the other CPU stood idle; pinned, the two ran apart in
+ * 21-27 ms. */
+static void pin_apart(pthread_attr_t *attr, int64_t i)
+{
+#ifdef __GLIBC__
+    cpu_set_t allowed, one;
+    int cpu, here = sched_getcpu();
+
+    if (pthread_getaffinity_np(pthread_self(), sizeof allowed, &allowed) != 0)
+        return;
+    for (cpu = 0; cpu < CPU_SETSIZE; cpu++)
+        if (cpu != here && CPU_ISSET(cpu, &allowed) && --i == 0) {
+            CPU_ZERO(&one);
+            CPU_SET(cpu, &one);
+            pthread_attr_setaffinity_np(attr, sizeof one, &one);
+            return;
+        }
+#else
+    (void)attr;
+    (void)i;
+#endif
+}
+
 /* e[t] = e(A_t, B_t) for the trials of qwalk.certify.discrepancy_sampled
  * on the graph with bit rows ``rows`` and CSR row starts ``indptr``.
  * Trial t of the block of ``block`` trials (fewer in the last) that
@@ -533,34 +615,45 @@ static int64_t volume(int64_t n, int64_t w, const int64_t *indptr, const uint64_
  * layout of one (2b, n) draw per block.  Each e(A, B) is counted over the
  * fewest rows: over A, over B, since e(A, B) = e(B, A), or over V \ A or
  * V \ B, since the sum over every v of |N(v) & B| is vol(B), the degrees
- * summed over B.  ``work`` holds 2 n + 2 ceil(n / 64) words.
+ * summed over B.
+ *
+ * The trials run on ``threads`` >= 1 threads: the calling thread and
+ * threads - 1 more, each pinned apart from the caller by pin_apart.  Each
+ * has its own 2 n + 2 ceil(n / 64) words of ``work``, which holds
+ * ``threads`` times that, and claims one trial at a time, so a thread
+ * that gets less of its CPU runs fewer trials, and a thread that cannot
+ * be started runs none.  The split is exact: a trial's words are Philox
+ * blocks at counters fixed by t, ``offset`` and ``block`` alone, and it
+ * writes only e[t], so the counts do not depend on which thread ran it.
  */
 void qw_sampled_counts(uint64_t seed, uint32_t domain, uint32_t index, int64_t offset,
                        int64_t n, const uint64_t *rows, const int64_t *indptr,
-                       const int64_t *sizes, int64_t trials, int64_t block,
+                       const int64_t *sizes, int64_t trials, int64_t block, int64_t threads,
                        uint64_t *work, int64_t *e)
 {
-    uint64_t key[2], *vals = work, *cand = work + n, *a = cand + n, *b = a + (n + 63) / 64;
-    int64_t hist[(int64_t)1 << HIST_BITS], w = (n + 63) / 64, t;
-    int bits = 0;
+    struct sampler s = {{0, 0}, offset, n, trials, block, 0, 0, rows, indptr, sizes, e};
+    struct part part[threads];
+    pthread_t id[threads];
+    pthread_attr_t attr;
+    int started[threads];
+    int64_t i;
 
     /* about two words a bucket */
-    while (bits < HIST_BITS && (int64_t)2 << bits <= n)
-        bits++;
-    seed_key(seed, domain, index, key);
-    for (t = 0; t < trials; t++) {
-        int64_t t0 = t - t % block, rows_in_block = trials - t0 < block ? trials - t0 : block;
-        int64_t start = offset + 2 * t0 * n + (t - t0) * n;
-        int64_t sa = sizes[2 * t], sb = sizes[2 * t + 1], least;
-        subset_mask(key, start, n, sa, bits, vals, cand, hist, a);
-        subset_mask(key, start + rows_in_block * n, n, sb, bits, vals, cand, hist, b);
-        least = sa < sb ? sa : sb;
-        if (n - sa < least || n - sb < least) {
-            /* over the complement of the larger set, against the smaller */
-            const uint64_t *big = sa > sb ? a : b, *small = sa > sb ? b : a;
-            e[t] = volume(n, w, indptr, small) - row_counts(n, w, rows, big, 1, small);
-        } else {
-            e[t] = row_counts(n, w, rows, sa < sb ? a : b, 0, sa < sb ? b : a);
+    while (s.bits < HIST_BITS && (int64_t)2 << s.bits <= n)
+        s.bits++;
+    seed_key(seed, domain, index, s.key);
+    for (i = 0; i < threads; i++) {
+        part[i].s = &s;
+        part[i].work = work + i * (2 * n + 2 * ((n + 63) / 64));
+        started[i] = 0;
+        if (i > 0 && pthread_attr_init(&attr) == 0) {
+            pin_apart(&attr, i);
+            started[i] = pthread_create(&id[i], &attr, claim_trials, &part[i]) == 0;
+            pthread_attr_destroy(&attr);
         }
     }
+    claim_trials(&part[0]);
+    for (i = 1; i < threads; i++)
+        if (started[i])
+            pthread_join(id[i], NULL);
 }

@@ -25,13 +25,15 @@ from the graph's adjacency bit rows: the exhaustive search takes the
 popcount of each one-word row and set, and the refined search and the
 sampler's reference count through ``graph.neighbour_counts``; with the
 C kernel the sampler draws every set and counts every e(A, B) in one
-kernel call, over the fewest rows of A, B and their complements.
+kernel call, over the fewest rows of A, B and their complements, with
+its trials split among the CPUs the process may use.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -119,10 +121,16 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
     block of b <= 256 trials, A's rows first.  With the C kernel and a
     seed below 2^64, one call draws every set and counts every e(A, B)
     from the graph's bit rows over the fewest rows: A, B, V - A or V - B,
-    since e(A, B) = e(B, A) and vol(B) - e(V - A, B) = e(A, B).  Only
+    since e(A, B) = e(B, A) and vol(B) - e(V - A, B) = e(A, B).  That
+    call runs its trials on min(CPUs this process may use,
+    ceil(trials / 256)) threads, which claim one trial at a time, so up
+    to 256 trials run on the calling thread alone; each trial reads its
+    words at stream positions fixed by its number, so the counts do not
+    depend on which thread ran it.  Only
     the witness's two sets are drawn again, to be returned.  Otherwise
     the blocks are drawn as floats and counted by ``neighbour_counts``,
-    the reference.  The witness is the first trial of largest deviation.
+    the reference, on one thread.  The witness is the first trial of
+    largest deviation.
     """
     lo = _min_size(g.n, eps)
     if trials < 1:
@@ -137,9 +145,10 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
     if lib is None:
         return _sampled_blocks(g, rho, gen, sizes)
     e = np.empty(trials, dtype=np.int64)
-    work = np.empty(2 * n + 2 * -(-n // 64), dtype=np.uint64)
+    threads = min(_cpus(), -(-trials // _BLOCK))
+    work = np.empty(threads * (2 * n + 2 * -(-n // 64)), dtype=np.uint64)
     lib.qw_sampled_counts(seed, DOMAIN_SUBSETS, 0, offset, n, g.bit_rows().ctypes.data,
-                          g.indptr.ctypes.data, sizes.ctypes.data, trials, _BLOCK,
+                          g.indptr.ctypes.data, sizes.ctypes.data, trials, _BLOCK, threads,
                           work.ctypes.data, e.ctypes.data)
     dev = _deviation(e, rho, sizes[:, 0], sizes[:, 1])
     i = int(dev.argmax())
@@ -148,6 +157,13 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
     witness = (_subset(seed, start, sizes[i, 0], n),
                _subset(seed, start + min(_BLOCK, trials - t0) * n, sizes[i, 1], n))
     return float(dev[i]), witness
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _subset(seed: int, start: int, size: int, n: int) -> VertexSet:

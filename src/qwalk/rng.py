@@ -30,9 +30,10 @@ first use, and its walks read them.
 ``certify.discrepancy_sampled`` uses the kernel too: it draws every
 subset and counts every e(A, B) from the bit rows by popcount in one call, in
 a popcnt clone on x86-64 glibc, from the stream position ``_next_word``
-reads off its generator.  The kernel is built on first
-use, never at import, with ``gcc`` into a user cache directory keyed by
-the source's sha256.  Without gcc, when the build or the cache
+reads off its generator, with its trials claimed one at a time by POSIX
+threads that run C alone.  The kernel is built on first use, never at import, with
+``gcc -O2 -pthread`` into a user cache directory keyed by the sha256 of
+its flags and source.  Without gcc, when the build or the cache
 directory fails, or for larger seeds, the numpy code serves instead and
 stays the reference; ``backend()`` says which one is in use.
 """
@@ -138,35 +139,52 @@ def derive_seed(seed: int, domain: int, index: int) -> int:
 
 
 _SOURCE = Path(__file__).with_name("_philox.c")
+_FLAGS = ["-O2", "-pthread"]
 _lib = None  # the loaded kernel; False once loading it failed
 
 
-def _load():
-    """Build the kernel once per source hash, load it; None on any failure.
+def _build(source: bytes, flags, path: Path) -> None:
+    """Compile the kernel ``source`` with gcc and ``flags`` into the shared
+    object ``path``, through a file of this process renamed into place, so
+    a concurrent build or a reader never sees a partial file.  Raises
+    OSError or subprocess.SubprocessError when gcc cannot run or fails."""
+    import subprocess
 
-    The shared object is compiled from the bytes that were hashed into a
-    file of this process in the cache directory and renamed into place,
-    so a concurrent build or a reader never sees a partial file.
-    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}")
+    try:
+        subprocess.run(["gcc", *flags, "-shared", "-fPIC", "-x", "c", "-", "-o", str(tmp)],
+                       input=source, capture_output=True, check=True, timeout=300)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _load():
+    """Build the kernel once per hash of its flags and source, load it;
+    None on any failure.  The shared object is compiled from the bytes
+    that were hashed into the cache directory."""
     import ctypes
     import hashlib
     import subprocess
 
     try:
         source = _SOURCE.read_bytes()
-        path = Path.home() / ".cache" / "qwalk" / f"philox-{hashlib.sha256(source).hexdigest()}.so"
+        digest = hashlib.sha256(" ".join(_FLAGS).encode() + b"\n" + source).hexdigest()
+        path = Path.home() / ".cache" / "qwalk" / f"philox-{digest}.so"
         if not path.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}")
-            try:
-                subprocess.run(["gcc", "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", str(tmp)],
-                               input=source, capture_output=True, check=True, timeout=300)
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
+            _build(source, _FLAGS, path)
         lib = ctypes.CDLL(str(path))
     except (OSError, RuntimeError, subprocess.SubprocessError):
         return None
+    return _declare(lib)
+
+
+def _declare(lib):
+    """``lib``, a loaded build of the kernel, with the argument and result
+    types of each of its entry points set."""
+    import ctypes
+
     u64, u32, i64, ptr = ctypes.c_uint64, ctypes.c_uint32, ctypes.c_int64, ctypes.c_void_p
     lib.qw_seed_key.argtypes = [u64, u32, u32]
     lib.qw_seed_key.restype = u64
@@ -180,7 +198,8 @@ def _load():
     lib.qw_gnp.restype = i64
     lib.qw_rows_csr.argtypes = [i64, ptr, ptr]
     lib.qw_rows_csr.restype = None
-    lib.qw_sampled_counts.argtypes = [u64, u32, u32, i64, i64, ptr, ptr, ptr, i64, i64, ptr, ptr]
+    lib.qw_sampled_counts.argtypes = [u64, u32, u32, i64, i64, ptr, ptr, ptr, i64, i64, i64,
+                                      ptr, ptr]
     lib.qw_sampled_counts.restype = None
     return lib
 
@@ -198,5 +217,6 @@ def backend() -> str:
     and G(n, p) hosts, marks dense vertex pairs in bit rows and counts
     their edges, reads the ``indices`` of a ``Graph`` out of its bit rows
     and runs the subset sampler's draws and counts: "c" for the kernel,
-    or "numpy"."""
+    whose sampler splits its trials among the CPUs the process may use,
+    or "numpy", on one thread."""
     return "numpy" if _kernel() is None else "c"

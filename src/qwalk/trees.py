@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EdgeSubgraph, Graph, read_text
+from .graph import EdgeSubgraph, Graph, _write_pairs, read_text
 from .rng import DOMAIN_TREE_GEN, uniform_words
 from .walks import ListModel, _count_ids
 
@@ -260,8 +260,7 @@ def save_tree(t: RootedTree, path: str) -> None:
     """Text format: first line the vertex count, then "j parent(j)" lines."""
     with open(path, "w") as fh:
         fh.write(f"{t.size}\n")
-        for j in range(1, t.size):
-            fh.write(f"{j} {int(t.parents[j])}\n")
+        _write_pairs(fh, np.column_stack((np.arange(1, t.size), t.parents[1:])))
 
 
 def load_tree(path: str) -> RootedTree:
@@ -298,5 +297,4 @@ def load_tree(path: str) -> RootedTree:
 def save_homomorphism(h: TreeHomomorphism, path: str) -> None:
     """One "j image(j)" line per tree vertex."""
     with open(path, "w") as fh:
-        for j, x in enumerate(h.image.tolist()):
-            fh.write(f"{j} {x}\n")
+        _write_pairs(fh, np.column_stack((np.arange(len(h.image)), h.image)))

@@ -4,6 +4,7 @@ against an independent brute-force or dense-eigensolver oracle."""
 import importlib
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -285,6 +286,15 @@ class TestSampledKernelEdges:
         assert np.array_equal(wa.bool_mask(), ra) and np.array_equal(wb.bool_mask(), rb)
         assert kernel_calls["qw_sampled_counts"] == (seed < 2**64)
         assert_matches_reference(g, 0.3, 30, seed)
+
+    @pytest.mark.parametrize("trials", [1, 256, 257, 2000])
+    def test_one_thread_a_block_at_most(self, kernel_calls, trials):
+        # one thread up to 256 trials, and no more threads than the
+        # 256-trial blocks or the CPUs this process may use above that
+        discrepancy_sampled(gen_gnp(40, 0.5, 1), 0.3, trials, 5)
+        threads = kernel_calls.args["qw_sampled_counts"][10]
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert threads == (1 if trials <= 256 else min(cpus or 1, -(-trials // 256)))
 
     def test_two_block_edges(self):
         # 513 trials: blocks of 256, 256 and 1

@@ -259,19 +259,151 @@ int main(void)
 """
 
 
-def test_broadword_select_matches_pdep(tmp_path):
-    # the portable select, which serves CPUs without a fast pdep, and
-    # pdep, where the CPU has it (has_pdep), against clearing the lowest
-    # set bits one by one, over every rank of edge-case and random words
+SANITIZE = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+            "-pthread"]
+
+
+def _libasan():
+    """The path of gcc's libasan.so; skips the test without gcc or it."""
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
+    path = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True,
+                          text=True).stdout.strip()
+    if not os.path.isabs(path) or not os.path.exists(path):
+        pytest.skip("gcc has no libasan")
+    return path
+
+
+@pytest.mark.parametrize("flags", [["-O2", "-pthread"], SANITIZE], ids=["O2", "sanitized"])
+def test_broadword_select_matches_pdep(tmp_path, flags):
+    # the portable select, which serves CPUs without a fast pdep, and
+    # pdep, where the CPU has it (has_pdep), against clearing the lowest
+    # set bits one by one, over every rank of edge-case and random words;
+    # built with the kernel's flags, and under AddressSanitizer and UBSan,
+    # where any report aborts the run: qw_consume takes one select by the
+    # CPU it runs on, so the kernel's own sanitized run reaches only one
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    if flags is SANITIZE:
+        _libasan()
     harness, exe = tmp_path / "select.c", tmp_path / "select"
     harness.write_text(SELECT_HARNESS % (SRC / "qwalk" / "_philox.c"))
-    subprocess.run(["gcc", "-O2", "-o", str(exe), str(harness)], check=True,
+    subprocess.run(["gcc", *flags, "-o", str(exe), str(harness)], check=True,
+                   capture_output=True)
+    run = subprocess.run([str(exe)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    checks, has_pdep, portable, pdep = map(int, run.stdout.split())
+    assert checks > 1_500_000 and portable == 0 and pdep == 0
+
+
+REFUSED_THREADS_HARNESS = r"""
+#define pthread_create refuse_create
+#include "%s"
+#undef pthread_create
+#include <stdio.h>
+
+int refuse_create(pthread_t *id, const pthread_attr_t *attr, void *(*run)(void *), void *arg)
+{
+    (void)id;
+    (void)attr;
+    (void)run;
+    (void)arg;
+    return 11;  /* EAGAIN */
+}
+
+/* G(100, 1/2) from a xorshift, and 600 trials of sizes 10..100 counted
+ * on 1 thread and on 5 threads, none of which starts */
+int main(void)
+{
+    static uint64_t rows[100 * 2], work[5 * 204];
+    static int64_t indptr[101], sizes[1200], one[600], five[600];
+    uint64_t x = 0x9e3779b97f4a7c15u;
+    int64_t u, v, t, differ = 0;
+
+    for (u = 0; u < 100; u++)
+        for (v = u + 1; v < 100; v++) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if (x & 1) {
+                rows[2 * u + v / 64] |= (uint64_t)1 << (v %% 64);
+                rows[2 * v + u / 64] |= (uint64_t)1 << (u %% 64);
+            }
+        }
+    for (u = 0; u < 100; u++)
+        indptr[u + 1] = indptr[u] + __builtin_popcountll(rows[2 * u])
+                        + __builtin_popcountll(rows[2 * u + 1]);
+    for (t = 0; t < 1200; t++) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        sizes[t] = 10 + (int64_t)(x %% 91);
+    }
+    qw_sampled_counts(5, 2, 0, 3, 100, rows, indptr, sizes, 600, 256, 1, work, one);
+    for (t = 0; t < 600; t++)
+        five[t] = -1;
+    qw_sampled_counts(5, 2, 0, 3, 100, rows, indptr, sizes, 600, 256, 5, work, five);
+    for (t = 0; t < 600; t++)
+        differ += one[t] != five[t];
+    printf("%%ld\n", (long)differ);
+    return 0;
+}
+"""
+
+
+def test_sampler_counts_every_trial_when_no_thread_starts(tmp_path):
+    # where pthread_create fails, the calling thread claims every trial,
+    # with the counts that one thread gives
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    harness, exe = tmp_path / "refused.c", tmp_path / "refused"
+    harness.write_text(REFUSED_THREADS_HARNESS % (SRC / "qwalk" / "_philox.c"))
+    subprocess.run(["gcc", "-O2", "-pthread", "-o", str(exe), str(harness)], check=True,
                    capture_output=True)
     out = subprocess.run([str(exe)], capture_output=True, text=True, check=True).stdout
-    checks, has_pdep, portable, pdep = map(int, out.split())
-    assert checks > 1_500_000 and portable == 0 and pdep == 0
+    assert out.split() == ["0"]
+
+
+# a test of each entry point, of qw_consume on indices and on rows at the
+# 64-bit word edges, and of the sampler on 1, 2, 3 and 5 threads, at small n
+SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
+    f"tests/test_kernel.py::{name}" for name in (
+        "test_derive_seed_matches_reference", "test_uniform_words_match_reference",
+        "test_long_lists_cross_many_blocks", "test_row_select_matches_reference",
+        "test_kernel_sets_no_bit_for_bad_pairs",
+        "test_pair_graphs_read_out_the_rows_the_kernel_marked",
+        "test_gnp_matches_row_reference", "test_rows_read_out_as_the_sorted_arcs",
+        "test_sampled_counts_do_not_depend_on_threads")]
+
+# a -p plugin that serves the kernel build at %r wherever the tests load it
+SANITIZED_PLUGIN = """
+import ctypes
+from qwalk import rng
+lib = rng._declare(ctypes.CDLL(%r))
+rng._load = lambda: lib
+"""
+
+
+def test_kernel_runs_clean_under_sanitizers(tmp_path):
+    # the kernel built with AddressSanitizer and UBSan into tmp_path runs
+    # SANITIZED_TESTS in a child process with libasan preloaded, since
+    # Python is not built with it; the sanitizers log to files, which
+    # pytest's capture cannot swallow when a report aborts the child
+    libasan = _libasan()
+    rng._build(rng._SOURCE.read_bytes(), SANITIZE, tmp_path / "kernel.so")
+    (tmp_path / "sanitized_kernel.py").write_text(SANITIZED_PLUGIN % str(tmp_path / "kernel.so"))
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(SRC)]),
+               LD_PRELOAD=libasan, ASAN_OPTIONS=f"log_path={logs / 'asan'}:detect_leaks=0",
+               UBSAN_OPTIONS=f"log_path={logs / 'ubsan'}:print_stacktrace=1")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "sanitized_kernel",
+                          "-p", "no:cacheprovider", *SANITIZED_TESTS], cwd=SRC.parent,
+                         env=env, capture_output=True, text=True, timeout=600)
+    reports = "".join(log.read_text() for log in sorted(logs.iterdir()))
+    assert not reports, reports
+    assert run.returncode == 0, run.stdout[-4000:]
+    assert " passed" in run.stdout and " skipped" not in run.stdout
 
 
 def test_dense_graphs_read_no_indices_out(c_backend, monkeypatch):
@@ -303,9 +435,9 @@ def test_dense_graphs_read_no_indices_out(c_backend, monkeypatch):
 def test_key_graphs_read_no_indices_out_until_asked(backend, monkeypatch, tmp_path):
     # a graph built from keys, here a sparse walk's subgraph, keeps its
     # keys and an indptr counted from them: counting, looking up, reading
-    # keys or edges out, inclusion, to_graph and saving read no indices
-    # out; the first neighbour list does, once, as the numpy sort of both
-    # arcs gives them
+    # keys or edges out, inclusion, to_graph, saving, packing its bit rows
+    # and counting or sampling with them read no indices out; the first
+    # neighbour list does, once, as the numpy sort of both arcs gives them
     g = gen_gnp(2000, 0.005, 5)
     trace = run_walk(g, ListModel(g, 6), 0, 20_000)
     read = []
@@ -322,6 +454,9 @@ def test_key_graphs_read_no_indices_out_until_asked(backend, monkeypatch, tmp_pa
     assert s.issubset(s) and s.to_graph() is h
     assert h.degrees.sum() == 2 * len(s) and h.degree(0) == h.indptr[1]
     save_graph(h, str(tmp_path / "walked.txt"))
+    assert np.array_equal(np.bitwise_count(h.bit_rows()).sum(axis=1), h.degrees)
+    assert np.array_equal(neighbour_counts(h, np.ones((1, 2000), dtype=bool))[0], h.degrees)
+    discrepancy_sampled(h, 0.1, 20, 1)
     assert not read and h._indices is None
     assert trace.sequence[1] in h.neighbors(int(trace.sequence[0]))
     _, indices = _csr_reference(2000, h.edge_codes())
@@ -656,12 +791,12 @@ def test_generated_graphs_are_pinned(backend):
 
 def test_kernel_entry_points_are_the_loaded_ones():
     # every non-static qw_ function of the source gets its argtypes in
-    # rng._load, and nothing else does, so a half-deleted entry point
+    # rng._declare, and nothing else does, so a half-deleted entry point
     # fails here rather than when the kernel loads; and the package calls
     # each of them, so an entry point that loses its last caller fails too
     source = (SRC / "qwalk" / "_philox.c").read_text()
     defined = re.findall(r"^(?!static\b)\w[\w ]*?\b(qw_\w+)\(", source, re.M)
-    declared = re.findall(r"lib\.(qw_\w+)\.argtypes", inspect.getsource(rng._load))
+    declared = re.findall(r"lib\.(qw_\w+)\.argtypes", inspect.getsource(rng._declare))
     assert len(defined) == len(set(defined)) and len(declared) == len(set(declared))
     assert sorted(defined) == sorted(declared) and len(defined) == 7
     python = "".join(p.read_text() for p in sorted((SRC / "qwalk").glob("*.py")))
@@ -669,12 +804,35 @@ def test_kernel_entry_points_are_the_loaded_ones():
 
 
 def test_kernel_compiles_without_warnings():
-    # rng._load discards gcc's output, so a warning would show nowhere else
+    # rng._build discards gcc's output, so a warning would show nowhere else
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
     out = subprocess.run(["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
                           str(SRC / "qwalk" / "_philox.c")], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 2000])
+@pytest.mark.parametrize("eps", [0.2, 0.9])
+def test_sampled_counts_do_not_depend_on_threads(c_backend, n, eps):
+    # the sampler's trials run on 1, 2, 3 and 5 threads, each with its own
+    # part of ``work``, give the same counts: 255, 257 and 513 trials end
+    # in a part block, the threads split blocks among them, and at
+    # eps = 0.9 every e(A, B) is counted over a complement
+    g = gen_gnp(n, 0.5, n)
+    rows, w = g.bit_rows(), -(-n // 64)
+    for trials in (1, 255, 257, 513, 2000):
+        sizes = np.random.default_rng(trials).integers(int(np.ceil(eps * n)), n + 1, (trials, 2))
+        counts = []
+        for threads in (1, 2, 3, 5):
+            e = np.full(trials, -1, dtype=np.int64)
+            work = np.empty(threads * (2 * n + 2 * w), dtype=np.uint64)
+            c_backend.qw_sampled_counts(trials, rng.DOMAIN_SUBSETS, 0, 3, n, rows.ctypes.data,
+                                        g.indptr.ctypes.data, sizes.ctypes.data, trials, 256,
+                                        threads, work.ctypes.data, e.ctypes.data)
+            counts.append(e)
+        assert (counts[0] >= 0).all()
+        assert all(np.array_equal(e, counts[0]) for e in counts[1:])
 
 
 @st.composite

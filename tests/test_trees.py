@@ -390,6 +390,22 @@ class TestTreeIO:
             load_tree(str(path))
         assert str(info.value).startswith(f"{path}:{where}: ")
 
+    @pytest.mark.parametrize("make", [lambda: build_tree([-1]), lambda: gen_random_tree(40, 4, 12),
+                                      lambda: gen_nary_tree(1000, 2)],
+                             ids=["size-1", "random", "1000-ary-depth-2"])
+    def test_writers_match_a_write_per_line(self, tmp_path, make):
+        # one format call writes byte for byte what a write per vertex wrote
+        t = make()
+        g = gen_complete(50)
+        hom = random_homomorphism(g, t, ListModel(g, 3), 0)
+        save_tree(t, str(tmp_path / "t.txt"))
+        save_homomorphism(hom, str(tmp_path / "h.txt"))
+        parents, image = t.parents.tolist(), hom.image.tolist()
+        lines = "".join(f"{j} {parents[j]}\n" for j in range(1, t.size))
+        assert (tmp_path / "t.txt").read_bytes() == f"{t.size}\n{lines}".encode()
+        lines = "".join(f"{j} {x}\n" for j, x in enumerate(image))
+        assert (tmp_path / "h.txt").read_bytes() == lines.encode()
+
     def test_homomorphism_export(self, tmp_path):
         g = gen_complete(8)
         t = gen_path_tree(5)
