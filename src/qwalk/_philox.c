@@ -1,5 +1,5 @@
 /* Philox list words computed in place, bit for bit as numpy draws them,
- * and the adjacency bit rows and CSR arrays of dense graphs.
+ * and the adjacency bit rows of dense graphs.
  *
  * A stream (seed, domain, index) of qwalk.rng is numpy's
  * Philox(SeedSequence(seed, spawn_key=(domain, index))) read one double
@@ -17,15 +17,15 @@
  * Vertex ids are int32, since a graph has fewer than 2^31 vertices, and
  * an edge key u * n + v, u < v, is int64, formed only after widening.
  * A dense qwalk.graph.Graph keeps its adjacency bit rows as its one edge
- * store, with its row starts indptr: row v holds neighbour u as bit u % 64
- * of word u / 64.  Its rows come from qw_mark_pairs, which marks the
- * vertex pairs of a walk or a tree image in them and counts their
- * distinct edges, from qw_gnp, which draws G(n, p) into them, or from
- * K_n's rows; no key is made.  qw_consume takes each list entry of such a
- * graph from its rows, as the set bit of the entry's rank found by select
- * (pdep where the CPU runs it fast), so no indices are made either, unless
- * something asks the Graph for them: qw_rows_csr reads them out, with the
- * same bytes as the numpy code that stays the reference.
+ * store, with its row starts indptr: n rows of w = ceil(n / 64) words, row
+ * v holding neighbour u as bit u % 64 of word u / 64.  Its rows come from
+ * qw_mark_pairs, which marks the vertex pairs of a walk or a tree image in
+ * them and counts their distinct edges, from qw_gnp, which draws G(n, p)
+ * into them, or from K_n's rows; no key is made.  qw_consume takes each
+ * list entry of such a graph from its rows, as the set bit of the entry's
+ * rank found by select (pdep where the CPU runs it fast), so no indices
+ * are made either; qwalk.graph reads them, keys and dense matrices out of
+ * the rows in numpy when they are asked for.
  *
  * qw_sampled_counts draws every subset of
  * qwalk.certify.discrepancy_sampled and counts each of its e(A, B) as
@@ -333,24 +333,8 @@ int64_t qw_consume(uint64_t seed, uint32_t domain, int64_t n, const int64_t *ind
     return consume(seed, domain, g, select_broadword, state, taken, parents, m, image);
 }
 
-/* The CSR ``indices`` of the graph whose adjacency is ``rows``, n rows of
- * w = ceil(n / 64) words where neighbour u of v is bit u % 64 of word
- * u / 64: the set bits of each row read out in order, its neighbours
- * ascending, into ``indices``, which must hold every set bit.
- */
-void qw_rows_csr(int64_t n, const uint64_t *rows, int32_t *indices)
-{
-    int64_t w = (n + 63) / 64, v, i, count = 0;
-    uint64_t bits;
-
-    for (v = 0; v < n; v++)
-        for (i = 0; i < w; i++)
-            for (bits = rows[v * w + i]; bits; bits &= bits - 1)
-                indices[count++] = (int32_t)(64 * i + __builtin_ctzll(bits));
-}
-
 /* Marks the pairs (us[i], vs[i]) in ``rows``, n zeroed rows in the
- * layout of qw_rows_csr: pair (a, b), a < b, sets bit b of row a and bit
+ * header's bit row layout: pair (a, b), a < b, sets bit b of row a and bit
  * a of row b.  A first pass writes nothing: it returns -1 when an
  * endpoint lies outside 0..n-1 or a pair is a self-loop.  Returns the
  * number of distinct edges, the pairs that found bit b of row a clear.
@@ -378,7 +362,7 @@ int64_t qw_mark_pairs(int64_t n, const int32_t *us, const int32_t *vs, int64_t m
  * is an edge when the double of word v - u - 1 of stream (seed, domain,
  * u) is below p, the rule of qwalk.graph.gen_gnp's reference, and each
  * edge sets bit v of row u and bit u of row v of ``rows``, n zeroed rows
- * in the layout of qw_rows_csr.  Returns the number of edges.
+ * in the header's bit row layout.  Returns the number of edges.
  */
 int64_t qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *rows)
 {

@@ -23,10 +23,10 @@ bit rows instead, n^2/8 bytes, and ``indptr``, summed from their
 popcounts; walks select each neighbour from the rows.  Either reads
 ``indices``, 8 bytes an edge, out of its one edge store only when they
 are asked for: from keys by the numpy sort of both arcs of every edge,
-from rows as each row's set bits in order, through the kernel's
-``qw_rows_csr`` or ``np.unpackbits``, the reference.  ``gen_gnp`` draws
-G(n, p) into rows, ``gen_complete`` writes K_n's and ``_pairs_graph``
-marks pairs in them.
+from rows as each row's set bits in order.  Rows become ``indices``,
+keys and the dense matrix in numpy alone, through ``_row_bits``.
+``gen_gnp`` draws G(n, p) into rows, ``gen_complete`` writes K_n's and
+``_pairs_graph`` marks pairs in them.
 
 ``_pairs_graph`` alone turns pairs into a ``Graph``, for
 ``build_graph`` and ``EdgeSubgraph.from_pairs``, and it alone rejects
@@ -78,8 +78,11 @@ def _vertex_count(n) -> int:
 
 
 def _vertex(g: Graph, v) -> int:
-    """``v`` as an int; a vertex outside the host raises ValueError."""
-    v = operator.index(v)
+    """``v`` as an int; ValueError names a value that is not an integer,
+    as ``_integers`` judges them, or a vertex outside the host."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"vertex must be an integer, got {v!r}")
+    v = int(v)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} is not in the host's 0..{g.n - 1}")
     return v
@@ -285,22 +288,19 @@ class Graph:
     def indices(self) -> np.ndarray:
         """int32 neighbour ids, each row's ascending, in CSR layout
         (read-only), read out on first use: by the numpy sort of both arcs
-        of every edge from the keys of a graph built from them, or from
-        the rows of a graph built from rows, through the kernel's
-        ``qw_rows_csr`` or ``np.unpackbits``, the reference."""
+        of every edge from the keys of a graph built from them, or as the
+        set bits of each row of a graph built from rows."""
         if self._indices is None:
             indices = np.empty(2 * self.edge_count, dtype=np.int32)
-            lib, keys, n = _kernel(), self._edge_codes, self.n
+            keys, n = self._edge_codes, self.n
             if keys is not None:
                 # arcs u -> v packed as u * n + v, both directions, in CSR order
                 arcs = np.concatenate([keys, keys % n * n + keys // n])
                 arcs.sort()
                 indices[:] = arcs % n
-            elif lib is None:
+            else:
                 bits = _row_bits(self._rows)
                 indices[:] = np.flatnonzero(bits) % max(bits.shape[1], 1)
-            else:
-                lib.qw_rows_csr(n, self._rows.ctypes.data, indices.ctypes.data)
             indices.setflags(write=False)
             self._indices = indices
         return self._indices
@@ -354,11 +354,9 @@ class Graph:
         return self._rows
 
     def adjacency_dense(self) -> np.ndarray:
-        """Dense float64 adjacency matrix; intended for n at desk scale only."""
-        a = np.zeros((self.n, self.n))
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        a[src, self.indices] = 1
-        return a
+        """Dense float64 adjacency matrix, unpacked from ``bit_rows()``, so
+        no ``indices`` are read out; intended for n at desk scale only."""
+        return _row_bits(self.bit_rows())[:, :self.n].astype(np.float64)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"

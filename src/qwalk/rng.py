@@ -23,10 +23,9 @@ A ``Graph`` built from rows, these (the ``Graph`` an ``EdgeSubgraph``
 holds) or the K_n rows of ``gen_complete``, keeps them as its one edge
 store.  The list model's kernel takes each entry on such a graph from
 its rows, by select (pdep on x86-64 CPUs that run it fast, a broadword
-select elsewhere), and one entry point reads the rows out into a
-``Graph``'s ``indices`` only when they are asked for; a ``Graph`` built
-from keys reads its ``indices`` out of them by a numpy sort, also on
-first use, and its walks read them.
+select elsewhere); ``graph`` reads a ``Graph``'s ``indices`` out of its
+rows, or out of its keys by a sort, in numpy and only when they are asked
+for, and the walks of a ``Graph`` built from keys read them.
 ``certify.discrepancy_sampled`` uses the kernel too: it draws every
 subset and counts every e(A, B) from the bit rows by popcount in one call, in
 a popcnt clone on x86-64 glibc, from the stream position ``_next_word``
@@ -196,8 +195,6 @@ def _declare(lib):
     lib.qw_mark_pairs.restype = i64
     lib.qw_gnp.argtypes = [u64, u32, i64, ctypes.c_double, ptr]
     lib.qw_gnp.restype = i64
-    lib.qw_rows_csr.argtypes = [i64, ptr, ptr]
-    lib.qw_rows_csr.restype = None
     lib.qw_sampled_counts.argtypes = [u64, u32, u32, i64, i64, ptr, ptr, ptr, i64, i64, i64,
                                       ptr, ptr]
     lib.qw_sampled_counts.restype = None
@@ -215,8 +212,7 @@ def _kernel():
 def backend() -> str:
     """Which code draws list words, ``uniform_words``, ``derive_seed``
     and G(n, p) hosts, marks dense vertex pairs in bit rows and counts
-    their edges, reads the ``indices`` of a ``Graph`` out of its bit rows
-    and runs the subset sampler's draws and counts: "c" for the kernel,
-    whose sampler splits its trials among the CPUs the process may use,
-    or "numpy", on one thread."""
+    their edges, and runs the subset sampler's draws and counts: "c" for
+    the kernel, whose sampler splits its trials among the CPUs the process
+    may use, or "numpy", on one thread."""
     return "numpy" if _kernel() is None else "c"

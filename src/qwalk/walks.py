@@ -67,11 +67,11 @@ class ListModel:
     host's rank directory, and the entry is the set bit of that rank, so
     no ``indices`` are read out; on any other host it is a position in
     the host's int32 ``indices``.
-    Otherwise, the numpy reference draws ``_CHUNK`` words per refill from
-    a sequential stream per vertex; buffered entries are the model's own
-    n vertex-id objects, shared by every buffer, so a refill allocates
-    one list of references and no new int per word.  Both give the same
-    entries.
+    Otherwise, the numpy reference draws a vertex's next ``_CHUNK`` words
+    per refill with ``uniform_words``, as ``entries`` replays them;
+    buffered entries are the model's own n vertex-id objects, shared by
+    every buffer, so a refill allocates one list of references and no new
+    int per word.  Both give the same entries.
     """
 
     def __init__(self, graph: Graph, seed: int):
@@ -84,7 +84,6 @@ class ListModel:
             return
         self._ids = np.arange(graph.n).astype(object)  # one int per vertex
         self._drawn = np.zeros(graph.n, dtype=np.int64)  # list words drawn per vertex
-        self._gens = [None] * graph.n   # sequential stream per vertex
         self._iters = [None] * graph.n  # buffered unconsumed entries
 
     @property
@@ -116,10 +115,8 @@ class ListModel:
         d = self.graph.degree(v)
         if d == 0:
             raise ValueError(f"vertex {v} has no neighbors")
-        gen = self._gens[v]
-        if gen is None:
-            gen = self._gens[v] = stream(self.seed, DOMAIN_LIST, v)
-        buf = self.graph.neighbors(v)[(gen.random(_CHUNK) * d).astype(np.int64)]
+        u = uniform_words(self.seed, DOMAIN_LIST, v, int(self._drawn[v]), _CHUNK)
+        buf = self.graph.neighbors(v)[(u * d).astype(np.int64)]
         self._drawn[v] += _CHUNK
         it = self._iters[v] = iter(self._ids[buf].tolist())
         return it
@@ -400,6 +397,8 @@ def hit_probability_check(g: Graph, start: int, s: VertexSet, i: int,
         raise ValueError("target set smaller than eps*n")
     if i < 2:
         raise ValueError("the floor applies to steps i >= 2")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     where = step_positions(g, start, i, trials, seed)
     empirical = float(s.bool_mask()[where].mean())
     floor = s.size / g.n - 9.0 * np.sqrt(eps) / rho
@@ -419,15 +418,19 @@ def load_trace(g: Graph, path: str) -> WalkTrace:
     """Read the format of save_trace; reject anything that is not a walk on g."""
     lines = read_text(path, gzip.open if path.endswith(".gz") else open).splitlines()
     head = lines[0].split() if lines else []
-    toks = lines[1].split() if len(lines) > 1 else []
+    body = lines[1] if len(lines) > 1 else ""
     if len(head) != 2 or not all(t.isdecimal() for t in head):
         raise ValueError(f"{path}:1: header must be 'start steps', "
                          f"got {' '.join(head)!r}")
     start, steps = int(head[0]), int(head[1])
+    # numpy reads a token as int() does, [+-]?\d+(_\d+)*; without '+' and '_'
+    # that is load_graph's rule: decimal digits after at most one '-'
     try:
-        seq = np.array(toks, dtype=np.int64)
+        seq = np.array(body.split(), dtype=np.int64)
     except (ValueError, OverflowError):
-        raise ValueError(f"{path}:2: the sequence must be integer vertex ids") from None
+        seq = None
+    if seq is None or "+" in body or "_" in body:
+        raise ValueError(f"{path}:2: the sequence must be integer vertex ids")
     if len(seq) != steps + 1:
         raise ValueError(f"{path}:2: sequence length {len(seq)} != steps+1")
     if seq[0] != start:

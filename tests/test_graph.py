@@ -1,6 +1,7 @@
 """Graph construction, pairwise edge counting, profiles, and generators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,12 +57,15 @@ class TestBuildGraph:
     @pytest.mark.parametrize("make", [lambda: gen_gnp(10, 0.5, 1),
                                       lambda: build_graph(10, [(0, 9), (3, 4)])],
                              ids=["rows", "keys"])
-    @pytest.mark.parametrize("v", [-1, 10, 2**40])
+    @pytest.mark.parametrize("v", [-1, 10, 2**40, 0.5, 1.0, True, np.True_])
     def test_vertex_outside_host_rejected(self, make, v):
-        # -1 used to give -2m as a degree and an empty neighbour list
+        # -1 used to give -2m as a degree and an empty neighbour list, 0.5
+        # a TypeError, and True row 1
         g = make()
+        message = re.escape(f"vertex must be an integer, got {v!r}" if type(v) is not int
+                            else f"vertex {v} is not in the host's 0..9")
         for call in (g.degree, g.neighbors):
-            with pytest.raises(ValueError, match=f"vertex {v} is not in the host's 0..9"):
+            with pytest.raises(ValueError, match=message):
                 call(v)
 
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import test_experiments
 import test_walks
 from qwalk import graph, rng
-from qwalk.certify import discrepancy_refined, discrepancy_sampled
+from qwalk.certify import count_c4_labelled, discrepancy_refined, discrepancy_sampled, trace_p4
 from qwalk.experiments import ExperimentConfig, run_experiment
 from qwalk.graph import (EdgeSubgraph, Graph, VertexSet, _bit_rows, _vertex_count,
                          build_graph, gen_complete, gen_gnp,
@@ -364,24 +364,49 @@ def test_sampler_counts_every_trial_when_no_thread_starts(tmp_path):
     assert out.split() == ["0"]
 
 
-# a test of each entry point, of qw_consume on indices and on rows at the
-# 64-bit word edges, and of the sampler on 1, 2, 3 and 5 threads, at small n
+# tests that call each entry point, qw_consume on indices and on rows at
+# the 64-bit word edges, and the sampler on 1, 2, 3 and 5 threads, at small n
 SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
     f"tests/test_kernel.py::{name}" for name in (
         "test_derive_seed_matches_reference", "test_uniform_words_match_reference",
         "test_long_lists_cross_many_blocks", "test_row_select_matches_reference",
         "test_kernel_sets_no_bit_for_bad_pairs",
         "test_pair_graphs_read_out_the_rows_the_kernel_marked",
-        "test_gnp_matches_row_reference", "test_rows_read_out_as_the_sorted_arcs",
-        "test_sampled_counts_do_not_depend_on_threads")]
+        "test_gnp_matches_row_reference", "test_sampled_counts_do_not_depend_on_threads")]
 
 # a -p plugin that serves the kernel build at %r wherever the tests load it
+# and writes the name of each entry point they call to %r when they end
 SANITIZED_PLUGIN = """
 import ctypes
 from qwalk import rng
 lib = rng._declare(ctypes.CDLL(%r))
-rng._load = lambda: lib
+called = set()
+
+
+class Recorded:
+    def __getattr__(self, name):
+        entry = getattr(lib, name)
+
+        def recorded(*args):
+            called.add(name)
+            return entry(*args)
+        setattr(self, name, recorded)
+        return recorded
+
+
+proxy = Recorded()
+rng._load = lambda: proxy
+
+
+def pytest_sessionfinish():
+    with open(%r, "w") as fh:
+        fh.write(" ".join(sorted(called)))
 """
+
+
+def _declared():
+    """The entry points that rng._declare gives argtypes."""
+    return re.findall(r"lib\.(qw_\w+)\.argtypes", inspect.getsource(rng._declare))
 
 
 def test_kernel_runs_clean_under_sanitizers(tmp_path):
@@ -391,7 +416,8 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
     # pytest's capture cannot swallow when a report aborts the child
     libasan = _libasan()
     rng._build(rng._SOURCE.read_bytes(), SANITIZE, tmp_path / "kernel.so")
-    (tmp_path / "sanitized_kernel.py").write_text(SANITIZED_PLUGIN % str(tmp_path / "kernel.so"))
+    (tmp_path / "sanitized_kernel.py").write_text(
+        SANITIZED_PLUGIN % (str(tmp_path / "kernel.so"), str(tmp_path / "called.txt")))
     logs = tmp_path / "logs"
     logs.mkdir()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(SRC)]),
@@ -404,13 +430,15 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
     assert not reports, reports
     assert run.returncode == 0, run.stdout[-4000:]
     assert " passed" in run.stdout and " skipped" not in run.stdout
+    # SANITIZED_TESTS reach every entry point
+    assert sorted((tmp_path / "called.txt").read_text().split()) == sorted(_declared())
 
 
 def test_dense_graphs_read_no_indices_out(c_backend, monkeypatch):
     # walks, tree images, their subgraphs and graphs, both discrepancy
-    # estimators and the density and tree_counterexample experiments read
-    # a graph built from rows through its rows and indptr: no graph reads
-    # its indices out
+    # estimators, the dense matrix with the C4 count and trace over it, and
+    # the density and tree_counterexample experiments read a graph built
+    # from rows through its rows and indptr: no graph reads its indices out
     read = []
     kept = Graph.indices
     monkeypatch.setattr(Graph, "indices", property(
@@ -423,6 +451,10 @@ def test_dense_graphs_read_no_indices_out(c_backend, monkeypatch):
     image = image_subgraph(hom).to_graph()
     _, pair = discrepancy_sampled(image, 0.1, 100, 1)
     discrepancy_refined(image, 0.1, pair)
+    for h in (g, walked, k, image):
+        assert np.array_equal(h.adjacency_dense().sum(axis=1), h.degrees)
+        count_c4_labelled(h)
+        trace_p4(h)
     for config in (dict(experiment="density", n=200, seed=5, trials=2),
                    dict(experiment="tree_counterexample", n=200, seed=4,
                         generator="complete", eps=0.1, trials=1, disc_trials=100)):
@@ -435,9 +467,10 @@ def test_dense_graphs_read_no_indices_out(c_backend, monkeypatch):
 def test_key_graphs_read_no_indices_out_until_asked(backend, monkeypatch, tmp_path):
     # a graph built from keys, here a sparse walk's subgraph, keeps its
     # keys and an indptr counted from them: counting, looking up, reading
-    # keys or edges out, inclusion, to_graph, saving, packing its bit rows
-    # and counting or sampling with them read no indices out; the first
-    # neighbour list does, once, as the numpy sort of both arcs gives them
+    # keys or edges out, inclusion, to_graph, saving, packing its bit rows,
+    # counting or sampling with them and unpacking them into the dense
+    # matrix read no indices out; the first neighbour list does, once, as
+    # the numpy sort of both arcs gives them
     g = gen_gnp(2000, 0.005, 5)
     trace = run_walk(g, ListModel(g, 6), 0, 20_000)
     read = []
@@ -457,6 +490,7 @@ def test_key_graphs_read_no_indices_out_until_asked(backend, monkeypatch, tmp_pa
     assert np.array_equal(np.bitwise_count(h.bit_rows()).sum(axis=1), h.degrees)
     assert np.array_equal(neighbour_counts(h, np.ones((1, 2000), dtype=bool))[0], h.degrees)
     discrepancy_sampled(h, 0.1, 20, 1)
+    assert np.array_equal(h.adjacency_dense().sum(axis=1), h.degrees)
     assert not read and h._indices is None
     assert trace.sequence[1] in h.neighbors(int(trace.sequence[0]))
     _, indices = _csr_reference(2000, h.edge_codes())
@@ -618,6 +652,11 @@ def test_vertex_count_bound_keeps_keys_in_int64():
     (lambda: EdgeSubgraph.from_pairs(gen_complete(3), [0], np.array([True])), "got True"),
     (lambda: EdgeSubgraph.from_pairs(gen_complete(3), [0], [1.5]), "got 1.5"),
     (lambda: VertexSet.from_iterable(3, [1.5]), "vertex ids must be integers in int64, got 1.5"),
+    (lambda: gen_complete(3).degree(0.5), "vertex must be an integer, got 0.5"),
+    (lambda: gen_complete(3).neighbors(True), "vertex must be an integer, got True"),
+    (lambda: ListModel(gen_complete(3), 1).entries(1.0, 2), "vertex must be an integer, got 1.0"),
+    (lambda: run_walk(gen_complete(3), ListModel(gen_complete(3), 1), 1.5, 3),
+     "vertex must be an integer, got 1.5"),
 ])
 def test_non_integral_values_rejected(backend, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -796,9 +835,9 @@ def test_kernel_entry_points_are_the_loaded_ones():
     # each of them, so an entry point that loses its last caller fails too
     source = (SRC / "qwalk" / "_philox.c").read_text()
     defined = re.findall(r"^(?!static\b)\w[\w ]*?\b(qw_\w+)\(", source, re.M)
-    declared = re.findall(r"lib\.(qw_\w+)\.argtypes", inspect.getsource(rng._declare))
+    declared = _declared()
     assert len(defined) == len(set(defined)) and len(declared) == len(set(declared))
-    assert sorted(defined) == sorted(declared) and len(defined) == 7
+    assert sorted(defined) == sorted(declared) and len(defined) == 6
     python = "".join(p.read_text() for p in sorted((SRC / "qwalk").glob("*.py")))
     assert [name for name in declared if f".{name}(" not in python] == []
 
@@ -1084,9 +1123,10 @@ def test_dense_counts_never_pack_rows(kernel_calls, monkeypatch):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129])
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
-def test_rows_read_out_as_the_sorted_arcs(backend, n, p):
-    # Graph._from_rows, the kernel's read-out or np.unpackbits, against
-    # the numpy sort of both arcs of the same keys; the rows are kept
+def test_rows_read_out_as_the_sorted_arcs(n, p):
+    # Graph._from_rows' indices, unpacked from its rows, against the numpy
+    # sort of both arcs of the same keys, and either graph's dense matrix
+    # against the edges set one by one; the rows are kept
     pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)], dtype=np.int64)
     pairs = pairs.reshape(-1, 2)[np.random.default_rng(n).random(len(pairs)) < p]
     keys = pairs[:, 0] * n + pairs[:, 1]
@@ -1100,6 +1140,11 @@ def test_rows_read_out_as_the_sorted_arcs(backend, n, p):
     assert np.array_equal(g.indptr, ref.indptr) and np.array_equal(g.indices, ref.indices)
     assert g.bit_rows() is rows and g.edge_count == m
     assert np.array_equal(g.edge_codes(), keys)
+    dense = np.zeros((n, n))
+    dense[pairs[:, 0], pairs[:, 1]] = dense[pairs[:, 1], pairs[:, 0]] = 1
+    for h in (g, ref):
+        assert h.adjacency_dense().dtype == np.float64
+        assert np.array_equal(h.adjacency_dense(), dense)
 
 
 @pytest.mark.parametrize("sets,among,message", [

@@ -112,6 +112,22 @@ def test_load_trace_rejects_malformed_file(text):
         assert_rejected_naming(path, lambda p: load_trace(host, p))
 
 
+@FUZZ
+@given(st.lists(st.text("019-+_٣１²", min_size=1, max_size=3), min_size=1, max_size=4))
+def test_load_trace_takes_the_tokens_load_graph_takes(toks):
+    # decimal digits after at most one '-', as str.isdecimal judges them;
+    # int() and numpy also read '+1' and '1_0'
+    body = f"0 {len(toks)}\n0 {' '.join(toks)}\n"
+    with written(body) as path:
+        try:
+            load_trace(gen_complete(20), path)
+        except ValueError as exc:
+            refused = ":2: the sequence must be integer vertex ids" in str(exc)
+        else:
+            refused = False
+    assert refused == (not all(t.removeprefix("-").isdecimal() for t in toks))
+
+
 def gz(data):
     return gzip.compress(data, mtime=0)
 

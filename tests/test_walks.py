@@ -538,6 +538,15 @@ class TestHitProbability:
             hit_probability_check(star_plus, 0, VertexSet.full(12), 2, 10, 1,
                                   eps=0.05)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, trials):
+        # 0 trials read as a nan hit rate, and -3 as numpy's negative dimensions
+        for check in (lambda: hit_probability_check(gen_complete(4), 0, VertexSet.full(4),
+                                                    2, trials, 1, eps=0.5),
+                      lambda: empirical_step_distribution(gen_complete(4), 0, 2, trials, 1)):
+            with pytest.raises(ValueError, match="need at least one trial"):
+                check()
+
     def test_floor_holds_on_random_hosts(self):
         for seed in range(10):
             g = gen_gnp(500, 0.5, 300 + seed)
@@ -576,6 +585,10 @@ class TestTraceIO:
         ("0 3\n0 1 0\n", "sequence length 3 != steps\\+1"),
         ("0 x\n0\n", ":1: header"),
         ("0 1\n0 1.5\n", ":2: the sequence must be integer"),
+        # int() reads these, as numpy did for the sequence; load_graph does not
+        ("0 2\n0 +1 0\n", ":2: the sequence must be integer"),
+        ("0 2\n0 1_0 0\n", ":2: the sequence must be integer"),
+        ("0 2\n0 --1 0\n", ":2: the sequence must be integer"),
         ("0 1\n0 1\ngarbage line three\n", ":3: a trace ends after its sequence line"),
         ("0 1\n0 1\n\n", ":3: a trace ends after its sequence line, got ''"),
     ])
@@ -586,3 +599,9 @@ class TestTraceIO:
         with pytest.raises(ValueError, match=match) as info:
             load_trace(g, str(path))
         assert str(info.value).startswith(f"{path}:")
+
+    def test_decimal_digits_of_any_script_read(self, tmp_path):
+        # the digits str.isdecimal takes, as load_graph and load_tree read them
+        path = tmp_path / "digits.txt"
+        path.write_text("0 3\n0 \u0661 -\uff10 \u0967\n", encoding="utf-8")
+        assert load_trace(build_graph(3, [(0, 1)]), str(path)).sequence.tolist() == [0, 1, 0, 1]
