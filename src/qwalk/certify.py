@@ -26,7 +26,8 @@ popcount of each one-word row and set, and the refined search and the
 sampler's reference count through ``graph.neighbour_counts``; with the
 C kernel the sampler draws every set and counts every e(A, B) in one
 kernel call, over the fewest rows of A, B and their complements, with
-its trials split among the CPUs the process may use.
+its trials split among the CPUs the process may use; the sampler's two
+paths part only in that count, and share the rest.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import numpy as np
 
 from .graph import (Graph, VertexSet, connectivity_profile, density,
                     neighbour_counts)
-from .rng import (DOMAIN_SUBSETS, _checked_seed, _kernel, _next_word, stream,
-                  uniform_words)
+from .rng import (DOMAIN_SUBSETS, _checked_seed, _integer, _kernel, _next_word,
+                  stream, uniform_words)
 
 EXHAUSTIVE_MAX_N = 16
 _BLOCK = 256  # trials per draw of the subset sampler's sets
@@ -114,43 +115,44 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
 
     Sizes are uniform on [ceil(eps*n), n] and each set is a uniform
     subset of its size: the vertices whose draws are at most the
-    size-th smallest of n draws.  Deterministic given the seed.  Each
-    e(A, B) is an exact integer count.
+    size-th smallest of n draws (``_picks``).  Deterministic given the
+    seed.  Each e(A, B) is an exact integer count.
 
     The draws follow the sizes on one stream, 2b rows of n for each
-    block of b <= 256 trials, A's rows first.  With the C kernel and a
-    seed below 2^64, one call draws every set and counts every e(A, B)
-    from the graph's bit rows over the fewest rows: A, B, V - A or V - B,
-    since e(A, B) = e(B, A) and vol(B) - e(V - A, B) = e(A, B).  That
-    call runs its trials on min(CPUs this process may use,
-    ceil(trials / 256)) threads, which claim one trial at a time, so up
-    to 256 trials run on the calling thread alone; each trial reads its
-    words at stream positions fixed by its number, so the counts do not
-    depend on which thread ran it.  Only
-    the witness's two sets are drawn again, to be returned.  Otherwise
-    the blocks are drawn as floats and counted by ``neighbour_counts``,
-    the reference, on one thread.  The witness is the first trial of
-    largest deviation.
+    block of b <= 256 trials, A's rows first.  The two paths part only
+    in how they count each trial's e(A, B).  With the C kernel, for an
+    address it takes (``rng._kernel``), one call draws every set and
+    counts every e(A, B) from the graph's bit rows over the fewest rows:
+    A, B, V - A or V - B, since e(A, B) = e(B, A) and vol(B) - e(V - A,
+    B) = e(A, B).  That call runs its trials on min(CPUs this process
+    may use, ceil(trials / 256)) threads, which claim one trial at a
+    time, so up to 256 trials run on the calling thread alone; each trial
+    reads its words at stream positions fixed by its number, so the
+    counts do not depend on which thread ran it.  Otherwise each block is
+    drawn as floats and counted by ``neighbour_counts``, the reference,
+    on one thread.  Then the witness is the first trial of largest
+    deviation, and only its two sets are drawn again, to be returned.
     """
     lo = _min_size(g.n, eps)
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("need at least one trial")
     n = g.n
-    rho = density(g)
     seed = _checked_seed(seed)
     gen = stream(seed, DOMAIN_SUBSETS, 0)
     sizes = gen.integers(lo, n + 1, size=(trials, 2))
     offset = _next_word(gen)
-    lib = _kernel() if seed < 2**64 and offset + 2 * trials * n < 2**63 else None
+    lib = _kernel(seed, DOMAIN_SUBSETS, 0, offset + 2 * trials * n)
     if lib is None:
-        return _sampled_blocks(g, rho, gen, sizes)
-    e = np.empty(trials, dtype=np.int64)
-    threads = min(_cpus(), -(-trials // _BLOCK))
-    work = np.empty(threads * (2 * n + 2 * -(-n // 64)), dtype=np.uint64)
-    lib.qw_sampled_counts(seed, DOMAIN_SUBSETS, 0, offset, n, g.bit_rows().ctypes.data,
-                          g.indptr.ctypes.data, sizes.ctypes.data, trials, _BLOCK, threads,
-                          work.ctypes.data, e.ctypes.data)
-    dev = _deviation(e, rho, sizes[:, 0], sizes[:, 1])
+        e = _sampled_counts(g, gen, sizes)
+    else:
+        e = np.empty(trials, dtype=np.int64)
+        threads = min(_cpus(), -(-trials // _BLOCK))
+        work = np.empty(threads * (2 * n + 2 * -(-n // 64)), dtype=np.uint64)
+        lib.qw_sampled_counts(seed, DOMAIN_SUBSETS, 0, offset, n, g.bit_rows().ctypes.data,
+                              g.indptr.ctypes.data, sizes.ctypes.data, trials, _BLOCK,
+                              threads, work.ctypes.data, e.ctypes.data)
+    dev = _deviation(e, density(g), sizes[:, 0], sizes[:, 1])
     i = int(dev.argmax())
     t0 = i - i % _BLOCK
     start = offset + 2 * t0 * n + (i - t0) * n
@@ -166,49 +168,31 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _picks(u: np.ndarray, sizes) -> np.ndarray:
+    """The sampler's subsets: row i's vertices whose draws are at most
+    the sizes[i]-th smallest of its row of ``u``."""
+    kth = np.sort(u, axis=1)[np.arange(len(u)), np.asarray(sizes) - 1]
+    return u <= kth[:, None]
+
+
 def _subset(seed: int, start: int, size: int, n: int) -> VertexSet:
     """The sampler's set from words start .. start+n-1 of its stream."""
     u = uniform_words(seed, DOMAIN_SUBSETS, 0, start, n)
-    return VertexSet.from_mask(n, u <= np.partition(u, size - 1)[size - 1])
+    return VertexSet.from_mask(n, _picks(u[None], [size])[0])
 
 
-def _sampled_blocks(g: Graph, rho: float, gen, sizes: np.ndarray
-                    ) -> tuple[float, tuple[VertexSet, VertexSet]]:
-    """``discrepancy_sampled`` from ``gen``, placed after the sizes: each
+def _sampled_counts(g: Graph, gen, sizes: np.ndarray) -> np.ndarray:
+    """Each trial's e(A, B) from ``gen``, placed after the sizes: each
     block's sets drawn as one float array and counted by
     ``neighbour_counts``, the reference."""
     n, trials = g.n, len(sizes)
-    best = -1.0
-    best_masks = None
+    e = np.empty(trials, dtype=np.int64)
     for t0 in range(0, trials, _BLOCK):
         t1 = min(t0 + _BLOCK, trials)
         block = t1 - t0
-        u = gen.random((2 * block, n))
-        # the k-th smallest draw of each row, the value a full sort would
-        # put at k: rows grouped by k, one partition per group, so small
-        # hosts, whose blocks repeat each k often, partition rarely
-        ks = sizes[t0:t1].T.reshape(-1) - 1
-        order = np.argsort(ks, kind="stable")
-        grouped, ks = u[order], ks[order]
-        distinct, first = np.unique(ks, return_index=True)
-        bounds = [*first.tolist(), len(ks)]
-        for k, a, b in zip(distinct.tolist(), bounds, bounds[1:]):
-            grouped[a:b].partition(k, axis=1)
-        cut = np.empty(len(ks))
-        cut[order] = grouped[np.arange(len(ks)), ks]
-        del grouped  # before the next block's draw
-        picks = u <= cut[:, None]  # uniform subsets of the drawn sizes
-        amask, bmask = picks[:block], picks[block:]
-        e = neighbour_counts(g, bmask, amask).sum(axis=1)
-        dev = _deviation(e, rho, sizes[t0:t1, 0], sizes[t0:t1, 1])
-        local = float(dev.max())
-        if local > best:
-            i = int(dev.argmax())
-            best = local
-            best_masks = (amask[i].copy(), bmask[i].copy())
-    witness = (VertexSet.from_mask(n, best_masks[0]),
-               VertexSet.from_mask(n, best_masks[1]))
-    return best, witness
+        picks = _picks(gen.random((2 * block, n)), sizes[t0:t1].T.reshape(-1))
+        e[t0:t1] = neighbour_counts(g, picks[block:], picks[:block]).sum(axis=1)
+    return e
 
 
 def discrepancy_refined(g: Graph, eps: float, start: tuple[VertexSet, VertexSet]

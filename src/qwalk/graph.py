@@ -53,25 +53,19 @@ from __future__ import annotations
 
 import gzip
 import math
-import operator
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import DOMAIN_GNP, _checked_seed, _kernel, uniform_words
+from .rng import DOMAIN_GNP, _checked_seed, _integer, _kernel, uniform_words
 
 
 def _vertex_count(n) -> int:
     """``n`` as an int, 0 <= n < 2^31 so that every vertex id fits in
     int32 and every key u * n + v in int64; ValueError naming any other
     value."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"vertex count must be an integer, got {n!r}") from None
-    if n < 0:
-        raise ValueError(f"vertex count must be non-negative, got {n}")
+    n = _integer(n, "vertex count", natural=True)
     if n >= 2**31:
         raise ValueError(f"vertex count {n} is too large: vertex ids need n < 2^31")
     return n
@@ -80,9 +74,7 @@ def _vertex_count(n) -> int:
 def _vertex(g: Graph, v) -> int:
     """``v`` as an int; ValueError names a value that is not an integer,
     as ``_integers`` judges them, or a vertex outside the host."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"vertex must be an integer, got {v!r}")
-    v = int(v)
+    v = _integer(v, "vertex")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} is not in the host's 0..{g.n - 1}")
     return v
@@ -299,8 +291,10 @@ class Graph:
                 arcs.sort()
                 indices[:] = arcs % n
             else:
-                bits = _row_bits(self._rows)
-                indices[:] = np.flatnonzero(bits) % max(bits.shape[1], 1)
+                width = 64 * self._rows.shape[1]  # a row's bits in _row_bits
+                starts = np.repeat(np.arange(n) * width, np.diff(self.indptr))
+                np.subtract(np.flatnonzero(_row_bits(self._rows)), starts, out=indices,
+                            casting="unsafe")
             indices.setflags(write=False)
             self._indices = indices
         return self._indices
@@ -564,19 +558,18 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     (seed, GNP domain, u), so the pair stream is replayable per row; the
     pair is an edge when the word's double is below p.
 
-    With the C kernel, for seeds below 2^64, and under the table rule
-    for the expected p n(n-1)/2 edges, so that n bit rows take no more
-    bytes than the int64 keys they are expected to hold, one call draws
-    every pair and sets both its bits in the rows, which the graph keeps
-    and reads out (``Graph._from_rows``); no key is made.  Otherwise each
-    row is drawn with ``uniform_words``, the reference.
+    With the C kernel, for a seed it takes (``rng._kernel``), and under
+    the table rule for the expected p n(n-1)/2 edges, so that n bit rows
+    take no more bytes than the int64 keys they are expected to hold, one
+    call draws every pair and sets both its bits in the rows, which the
+    graph keeps and reads out (``Graph._from_rows``); no key is made.
+    Otherwise each row is drawn with ``uniform_words``, the reference.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     seed = _checked_seed(seed)
     n = _vertex_count(n)
-    fits = seed < 2**64 and _table_fits(n, p * n * (n - 1) / 2)
-    lib = _kernel() if fits else None
+    lib = _kernel(seed, DOMAIN_GNP) if _table_fits(n, p * n * (n - 1) / 2) else None
     if lib is not None:
         rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
         return Graph._from_rows(n, rows, lib.qw_gnp(seed, DOMAIN_GNP, n, p, rows.ctypes.data))

@@ -14,7 +14,7 @@ arithmetic is what makes chunked replay exact; it is pinned by tests.
 
 The same words come from a small C kernel, ``_philox.c``, which derives
 numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
-seeds below 2^64 and indices below 2^32.  ``uniform_words``,
+the addresses that ``_kernel`` alone accepts.  ``uniform_words``,
 ``derive_seed`` and the list model use it when it loads.  So does
 ``graph``: the dense vertex pairs of a walk or a tree image are marked
 in symmetric adjacency bit rows and their distinct edges counted, with
@@ -33,13 +33,12 @@ reads off its generator, with its trials claimed one at a time by POSIX
 threads that run C alone.  The kernel is built on first use, never at import, with
 ``gcc -O2 -pthread`` into a user cache directory keyed by the sha256 of
 its flags and source.  Without gcc, when the build or the cache
-directory fails, or for larger seeds, the numpy code serves instead and
-stays the reference; ``backend()`` says which one is in use.
+directory fails, or for an address past its limits, the numpy code
+serves instead and stays the reference; ``backend()`` says which one is in use.
 """
 
 from __future__ import annotations
 
-import operator
 import os
 from pathlib import Path
 
@@ -56,15 +55,20 @@ DOMAIN_TREE_GEN = 5     # index = 0; random tree attachment choices
 DOMAIN_HOST = 6         # index = 0; host generation inside experiments
 
 
+def _integer(value, what: str, natural: bool = False) -> int:
+    """``value`` as an int, for seeds, vertex counts, vertices and counts.
+    ValueError names a bool, any other non-integer (a float however
+    integral), and a negative value when ``natural``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if natural and value < 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
+    return int(value)
+
+
 def _checked_seed(seed) -> int:
     """``seed`` as an int; a negative or non-integral seed raises ValueError."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return seed
+    return _integer(seed, "seed", natural=True)
 
 
 def _address(seed: int, domain: int, index: int) -> np.random.SeedSequence:
@@ -86,8 +90,7 @@ def stream(seed: int, domain: int, index: int, offset: int = 0) -> np.random.Gen
     is ``stream_key``; handing it the address directly saves a second,
     entropy-seeded SeedSequence per stream.
     """
-    if offset < 0:
-        raise ValueError(f"offset must be non-negative, got {offset}")
+    offset = _integer(offset, "offset", natural=True)
     bg = np.random.Philox(_address(seed, domain, index))
     if offset:
         bg.advance(offset // 4)
@@ -100,9 +103,9 @@ def stream(seed: int, domain: int, index: int, offset: int = 0) -> np.random.Gen
 def uniform_words(seed: int, domain: int, index: int, start: int, count: int) -> np.ndarray:
     """Doubles for words start .. start+count-1 of the addressed stream."""
     seed = _checked_seed(seed)
-    lib = _kernel()
-    if lib is None or not (seed < 2**64 and 0 <= domain < 2**32 and 0 <= index < 2**32
-                           and 0 <= start and 0 <= count and start + count < 2**63):
+    start, count = _integer(start, "offset", True), _integer(count, "count", True)
+    lib = _kernel(seed, domain, index, start + count)
+    if lib is None:
         return stream(seed, domain, index, offset=start).random(count)
     out = np.empty(count)
     lib.qw_words(seed, domain, index, start, count, out.ctypes.data)
@@ -131,8 +134,8 @@ def derive_seed(seed: int, domain: int, index: int) -> int:
     is the first word of ``generate_state(2, uint64)``.
     """
     seed = _checked_seed(seed)
-    lib = _kernel()
-    if lib is None or not (seed < 2**64 and 0 <= domain < 2**32 and 0 <= index < 2**32):
+    lib = _kernel(seed, domain, index)
+    if lib is None:
         return int(_address(seed, domain, index).generate_state(1, np.uint64)[0])
     return lib.qw_seed_key(seed, domain, index)
 
@@ -201,9 +204,16 @@ def _declare(lib):
     return lib
 
 
-def _kernel():
-    """The C kernel, loaded on first call, or None when it is unavailable."""
+def _kernel(seed: int = 0, domain: int = 0, index: int = 0, end: int = 0):
+    """The C kernel, loaded on first call, if it can serve the stream at
+    (seed, domain, index) up to word position ``end``, else None.  The
+    one place that knows its limits, seeds below 2^64, domains and
+    indices below 2^32 and positions below 2^63; a caller that draws no
+    words asks with the defaults."""
     global _lib
+    if not (0 <= seed < 2**64 and 0 <= domain < 2**32 and 0 <= index < 2**32
+            and 0 <= end < 2**63):
+        return None
     if _lib is None:
         _lib = _load() or False
     return _lib or None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import EdgeSubgraph, Graph, _write_pairs, read_text
 from .rng import DOMAIN_TREE_GEN, uniform_words
-from .walks import ListModel, _count_ids
+from .walks import ListModel, _check_model, _count_ids
 
 
 class RootedTree:
@@ -176,6 +176,7 @@ def random_homomorphism(g: Graph, t: RootedTree, model: ListModel,
     Vertices are processed in enumeration order, so a path tree consumes
     entries exactly as run_walk does and yields the identical sequence.
     """
+    _check_model(g, model)
     image = model.consume(t.parents[1:], root_image)
     return TreeHomomorphism(tree=t, host=g, image=image)
 

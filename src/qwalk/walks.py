@@ -31,7 +31,7 @@ import numpy as np
 
 from .graph import (EdgeSubgraph, Graph, VertexSet, _vertex, balanced_vertices,
                     density, read_text)
-from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _kernel, stream,
+from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _integer, _kernel, stream,
                   uniform_words)
 
 _CHUNK = 2048
@@ -59,7 +59,7 @@ class ListModel:
     int32 image, and the numpy reference returns the same dtype.
 
     The backend is chosen at construction.  With the C kernel of
-    ``rng`` (seeds below 2^64), a vertex keeps its Philox key, a 4-word
+    ``rng``, for a seed it takes, a vertex keeps its Philox key, a 4-word
     block, the value of its next entry, the place of the entry after it,
     which the kernel prefetches, and its count of entries taken, 72 bytes
     in all, and the kernel computes each entry in place.  On a host built
@@ -77,7 +77,7 @@ class ListModel:
     def __init__(self, graph: Graph, seed: int):
         self.graph = graph
         self.seed = _checked_seed(seed)
-        self._lib = _kernel() if self.seed < 2**64 else None
+        self._lib = _kernel(self.seed, DOMAIN_LIST)
         if self._lib is not None:
             self._taken = np.zeros(graph.n, dtype=np.int64)     # entries taken per vertex
             self._state = np.zeros((graph.n, 8), dtype=np.uint64)  # key, block, next, pos
@@ -206,8 +206,8 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        if (self.probs < 0).any():
-            raise ValueError("negative probability entry")
+        if not (self.probs >= 0).all():  # NaN compares False too
+            raise ValueError("probability entries must be non-negative numbers")
         if abs(float(self.probs.sum()) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
 
@@ -247,12 +247,21 @@ def run_walk(g: Graph, model: ListModel, start: int, steps: int) -> WalkTrace:
     so repeated runs against one model continue its streams while a
     fresh model with the same seed reproduces the trace exactly.
     """
+    _check_model(g, model)
+    steps = _integer(steps, "steps")
     if steps < 0:
         raise ValueError(f"a walk takes a non-negative number of steps, got {steps}")
     sequence = model.consume(range(steps), start)  # checks start first
     if g.degree(start) == 0:
         raise ValueError(f"start vertex {start} has no neighbors")
-    return WalkTrace(graph=g, start=int(start), steps=int(steps), sequence=sequence)
+    return WalkTrace(graph=g, start=int(start), steps=steps, sequence=sequence)
+
+
+def _check_model(g: Graph, model: ListModel) -> None:
+    """ValueError, before any entry is taken, unless ``model`` is built on ``g``."""
+    if model.graph is not g:
+        raise ValueError("the list model belongs to another graph; "
+                         "build it on the graph it drives")
 
 
 def walk_steps(alpha: float, n: int) -> int:
@@ -282,6 +291,7 @@ def list_subgraph(g: Graph, model: ListModel, alpha: float) -> EdgeSubgraph:
 
     Replayed from the model's seed, independent of any walk's consumption.
     """
+    _check_model(g, model)
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     us, vs = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
@@ -324,6 +334,7 @@ def subsequence_visit_counts(trace: WalkTrace, L: int) -> np.ndarray:
     When L divides steps the rows sum to the plain visit counts; the
     trailing steps - K*L positions are truncated otherwise.
     """
+    L = _integer(L, "L")
     if L < 1:
         raise ValueError("L must be positive")
     if L > trace.steps:

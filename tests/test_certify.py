@@ -272,6 +272,47 @@ class TestSampledMatchesReference:
         assert_matches_reference(build_graph(n, pairs), 0.1, 40, 5)
 
 
+def sampled_counts(g, eps, trials, seed):
+    """The per-trial e(A, B) that ``discrepancy_sampled`` hands its one
+    deviation, on the kernel and on numpy, each on its own copy of ``g``."""
+    deviation = certify_module._deviation
+    counts = []
+    for lib in (rng._load(), False):
+        seen = []
+
+        def recorded(e, *rest):
+            seen.append(e.copy())
+            return deviation(e, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_lib", lib)
+            patch.setattr(certify_module, "_deviation", recorded)
+            discrepancy_sampled(Graph(g.n, g.edge_codes()), eps, trials, seed)
+        [e] = seen
+        counts.append(e)
+    return counts
+
+
+class TestSampledCountsMatch:
+    """The two paths part only in how they count: every trial's e(A, B),
+    not just the largest deviation and its witness, is the same on both."""
+
+    @given(sampler_hosts(), st.sampled_from([0.2, 0.3, 0.5]),
+           st.sampled_from([1, 256, 257, 600]), st.integers(0, 10_000))
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_small_hosts(self, g, eps, trials, seed):
+        kernel, reference = sampled_counts(g, eps, trials, seed)
+        assert kernel.dtype == reference.dtype == np.int64
+        assert len(kernel) == trials and np.array_equal(kernel, reference)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    @pytest.mark.parametrize("eps", [0.2, 0.9])
+    def test_word_edges(self, n, eps):
+        for g in (gen_gnp(n, 0.5, n), gen_gnp(n, 0.05, n + 1)):
+            kernel, reference = sampled_counts(g, eps, 300, n)
+            assert np.array_equal(kernel, reference)
+
+
 class TestSampledKernelEdges:
     """Where the kernel's one call and the reference's block loop could
     part: seeds it must leave to numpy, block edges, 64-bit word edges

@@ -8,6 +8,7 @@ errors.
 """
 
 import hashlib
+import importlib
 import inspect
 import os
 import re
@@ -25,15 +26,18 @@ from hypothesis import strategies as st
 import test_experiments
 import test_walks
 from qwalk import graph, rng
+from qwalk import walks as walks_module
 from qwalk.certify import count_c4_labelled, discrepancy_refined, discrepancy_sampled, trace_p4
 from qwalk.experiments import ExperimentConfig, run_experiment
 from qwalk.graph import (EdgeSubgraph, Graph, VertexSet, _bit_rows, _vertex_count,
                          build_graph, gen_complete, gen_gnp,
                          gen_two_clique_bridge, neighbour_counts, save_graph)
 from qwalk.trees import gen_nary_tree, gen_random_tree, image_subgraph, random_homomorphism
-from qwalk.walks import ListModel, run_walk, walk_subgraph
+from qwalk.walks import ListModel, run_walk, subsequence_visit_counts, walk_subgraph
 
 SRC = Path(__file__).parents[1] / "src"
+# the package re-exports the function ``certify`` under the module's name
+certify_module = importlib.import_module("qwalk.certify")
 # each example sets the backend it needs; the fixtures restore it after the test
 PER_EXAMPLE = dict(derandomize=True, deadline=None,
                    suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -527,6 +531,44 @@ def test_uniform_words_match_reference(c_backend, monkeypatch, seed, domain, ind
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("address", [
+    (2**64, 0, 0, 0), (0, 2**32, 0, 0), (0, 0, 2**32, 0), (0, 0, 0, 2**63),
+    (2**70, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1),
+])
+def test_kernel_refuses_addresses_past_its_limits(c_backend, address):
+    assert rng._kernel(*address) is None
+    # one below each limit is served
+    assert rng._kernel(2**64 - 1, 2**32 - 1, 2**32 - 1, 2**63 - 1) is c_backend
+    assert rng._kernel() is c_backend
+
+
+# each consumer that draws words, called with a seed the kernel takes
+CONSUMERS = {
+    "uniform_words": lambda: rng.uniform_words(7, 1, 3, 5, 40).tolist(),
+    "derive_seed": lambda: rng.derive_seed(7, 4, 3),
+    "ListModel": lambda: ListModel(gen_complete(9), 7).consume(range(300), 0).tolist(),
+    "gen_gnp": lambda: gen_gnp(40, 0.5, 7).edge_codes().tolist(),
+    "discrepancy_sampled": lambda: discrepancy_sampled(gen_complete(30), 0.3, 300, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSUMERS))
+def test_no_module_keeps_a_gate_of_its_own(kernel_calls, monkeypatch, name):
+    # the kernel serves each consumer; once rng._kernel refuses, as every
+    # module imports it, none calls the kernel and each gives the numpy
+    # reference's result, so no module decides on its own that it may
+    call = CONSUMERS[name]
+    call()
+    assert sum(kernel_calls.values()) > 0
+    kernel_calls.clear()
+    for module in (rng, graph, walks_module, certify_module):
+        monkeypatch.setattr(module, "_kernel", lambda *address: None)
+    refused = call()
+    assert not kernel_calls
+    monkeypatch.setattr(rng, "_lib", False)
+    assert refused == call()
+
+
 def test_seeded_outputs_are_pinned(backend):
     test_walks.TestListModel().test_seeded_outputs_are_pinned()
 
@@ -655,8 +697,28 @@ def test_vertex_count_bound_keeps_keys_in_int64():
     (lambda: gen_complete(3).degree(0.5), "vertex must be an integer, got 0.5"),
     (lambda: gen_complete(3).neighbors(True), "vertex must be an integer, got True"),
     (lambda: ListModel(gen_complete(3), 1).entries(1.0, 2), "vertex must be an integer, got 1.0"),
-    (lambda: run_walk(gen_complete(3), ListModel(gen_complete(3), 1), 1.5, 3),
+    (lambda g=gen_complete(3): run_walk(g, ListModel(g, 1), 1.5, 3),
      "vertex must be an integer, got 1.5"),
+    # counts: bools and floats, integral or not, are refused by name
+    (lambda: rng.uniform_words(1, 0, 0, 2.5, 3), "offset must be an integer, got 2.5"),
+    (lambda: rng.uniform_words(1, 0, 0, True, 3), "offset must be an integer, got True"),
+    (lambda: rng.uniform_words(1, 0, 0, 0, 3.0), "count must be an integer, got 3.0"),
+    (lambda: rng.uniform_words(1, 0, 0, 0, False), "count must be an integer, got False"),
+    (lambda: rng.uniform_words(1, 0, 0, 0, -1), "count must be non-negative, got -1"),
+    (lambda g=gen_complete(3): run_walk(g, ListModel(g, 1), 0, True),
+     "steps must be an integer, got True"),
+    (lambda g=gen_complete(3): run_walk(g, ListModel(g, 1), 0, 4.0),
+     "steps must be an integer, got 4.0"),
+    (lambda: ListModel(gen_complete(3), 1).entries(1, 2.5), "count must be an integer, got 2.5"),
+    (lambda: ListModel(gen_complete(3), 1).entries(1, -1), "count must be non-negative, got -1"),
+    (lambda: ListModel(gen_complete(3), 1).entry(1, 2.0), "count must be an integer, got 2.0"),
+    (lambda: discrepancy_sampled(gen_complete(4), 0.5, 2.5, 1),
+     "trials must be an integer, got 2.5"),
+    (lambda: discrepancy_sampled(gen_complete(4), 0.5, True, 1),
+     "trials must be an integer, got True"),
+    (lambda g=gen_complete(3): subsequence_visit_counts(
+        run_walk(g, ListModel(g, 1), 0, 6), True), "L must be an integer, got True"),
+    (lambda: rng.derive_seed(True, 0, 0), "seed must be an integer, got True"),
 ])
 def test_non_integral_values_rejected(backend, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -285,6 +285,24 @@ class TestRunWalk:
         with pytest.raises(ValueError, match="non-negative number of steps, got -5"):
             run_walk(g, ListModel(g, 1), 0, -5)
 
+    @pytest.mark.parametrize("drive", [
+        lambda g, model: run_walk(g, model, 0, 200),
+        lambda g, model: random_homomorphism(g, gen_random_tree(50, 3, 1), model, 0),
+        lambda g, model: list_subgraph(g, model, 0.5),
+    ])
+    @pytest.mark.parametrize("other", [
+        lambda: gen_gnp(50, 0.5, 2),  # another host on the same vertices
+        lambda: gen_gnp(50, 0.5, 1),  # an equal host, another object
+        lambda: gen_complete(10),     # fewer vertices than the model names
+    ])
+    def test_model_of_another_graph_rejected(self, drive, other):
+        g = gen_gnp(50, 0.5, 1)
+        model = ListModel(g, 3)
+        with pytest.raises(ValueError, match="list model belongs to another graph"):
+            drive(other(), model)
+        assert model.consumed.sum() == 0
+        drive(g, model)  # its own graph still drives it
+
     def test_uniform_law_on_k4_chi_square(self):
         # on K_4 every non-stuttering length-3 continuation has mass 27^-1
         g = gen_complete(4)
@@ -502,6 +520,20 @@ class TestTvDistance:
     def test_mismatched_universes(self):
         with pytest.raises(ValueError):
             tv_distance(Distribution.point_mass(2, 0), Distribution.point_mass(3, 0))
+
+
+@pytest.mark.parametrize("probs,message", [
+    ([math.nan, 1.0], "entries must be non-negative numbers"),
+    ([0.5, math.nan, 0.5], "entries must be non-negative numbers"),
+    ([math.nan] * 3, "entries must be non-negative numbers"),
+    ([-math.inf, 1.0], "entries must be non-negative numbers"),
+    ([math.inf, 1.0], "must sum to 1"),
+])
+def test_distribution_refuses_non_finite_entries(probs, message):
+    # a NaN sum is not more than 1e-12 away from 1, so the sign check,
+    # which NaN fails, must refuse it
+    with pytest.raises(ValueError, match=message):
+        Distribution(np.array(probs))
 
 
 class TestHitProbability:
