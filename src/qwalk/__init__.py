@@ -11,7 +11,7 @@ predictions of that coupling at desk scale.
 
 __version__ = "0.1.0"
 
-from .graph import (DegreeProfile, EdgeSubgraph, Graph, VertexSet,
+from .graph import (DegreeProfile, Graph, VertexSet,
                     balanced_vertices, build_graph, connectivity_profile,
                     density, edges_between, gen_complete, gen_gnp,
                     gen_two_clique_bridge, load_graph, save_graph)
@@ -43,7 +43,7 @@ __all__ = [
     "discrepancy_exhaustive", "discrepancy_sampled", "discrepancy_refined",
     "count_c4_labelled",
     "trace_p4", "lambda_bound_from_trace", "lambda_estimate",
-    "ListModel", "WalkTrace", "EdgeSubgraph", "Distribution", "stationary",
+    "ListModel", "WalkTrace", "Distribution", "stationary",
     "balanced_start", "run_walk", "walk_subgraph", "list_subgraph",
     "sandwich_bounds", "subsequence_visit_counts", "default_block_length",
     "empirical_step_distribution", "tv_distance", "hit_probability_check",

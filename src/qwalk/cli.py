@@ -153,7 +153,7 @@ def _cmd_walk(args) -> int:
     if args.trace:
         save_trace(trace, args.trace)
     if args.subgraph:
-        save_graph(sub.to_graph(), args.subgraph)
+        save_graph(sub, args.subgraph)
     return 0
 
 
@@ -170,7 +170,7 @@ def _cmd_tree(args) -> int:
     if args.out_map:
         save_homomorphism(hom, args.out_map)
     if args.out_subgraph:
-        save_graph(sub.to_graph(), args.out_subgraph)
+        save_graph(sub, args.out_subgraph)
     return 0
 
 

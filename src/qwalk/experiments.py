@@ -350,7 +350,7 @@ def exp_preservation(cfg: ExperimentConfig) -> ExperimentReport:
     host_disc, _ = discrepancy_sampled(g, cfg.eps, cfg.disc_trials, cfg.seed)
     per_trial = []
     for t, trace in _walk_trials(cfg, g, start, steps):
-        gw = walk_subgraph(trace).to_graph()
+        gw = walk_subgraph(trace)
         disc, _ = discrepancy_sampled(gw, cfg.eps, cfg.disc_trials, cfg.seed)
         per_trial.append({"trial": t, "walk_discrepancy": disc,
                           "walk_edges": gw.edge_count})
@@ -496,7 +496,7 @@ def exp_tree_counterexample(cfg: ExperimentConfig) -> ExperimentReport:
         hom = random_homomorphism(g, t, model, root_image)
         depth1 = hom.image[1:1 + branching]
         distinct = int(len(np.unique(depth1)))
-        gt = image_subgraph(hom).to_graph()
+        gt = image_subgraph(hom)
         disc, sampled_pair = discrepancy_sampled(gt, cfg.eps, cfg.disc_trials,
                                                  _trial_seed(cfg, tr))
         refined, _ = discrepancy_refined(gt, cfg.eps, sampled_pair)

@@ -8,9 +8,9 @@ Generators are pure functions of their arguments.
 An edge uv, u < v, is the int64 key u * n + v, formed only after
 widening the int32 ids.  This module alone packs, deduplicates and
 looks up keys: a ``Graph`` is built from its sorted distinct keys or
-from its adjacency bit rows, and an ``EdgeSubgraph`` (the edges a walk
-or a tree embedding traverses) is its parent graph and such a
-``Graph`` of its edges.
+from its adjacency bit rows.  The edges a walk or a tree embedding
+traverses are such a ``Graph``, read as an edge set by ``len``, ``in``
+and ``issubset``.
 
 A vertex count n is an integer with 0 <= n < 2^31, so that every vertex
 id fits in int32 and every key in int64, and keys, endpoints and
@@ -29,11 +29,11 @@ keys and the dense matrix in numpy alone, through ``_row_bits``.
 ``_pairs_graph`` marks pairs in them.
 
 ``_pairs_graph`` alone turns pairs into a ``Graph``, for
-``build_graph`` and ``EdgeSubgraph.from_pairs``, and it alone rejects
-an endpoint outside 0..n-1 and a self-loop.  With the C kernel of
-``rng`` and under the table rule, m pairs with n^2 <= 64 m
-(``_table_fits``), it marks both bits of each pair in n bit rows, no
-larger than the m int64 keys a sort needs, counts the distinct edges
+``build_graph`` and the edges of walks, tree images and list prefixes,
+and it alone rejects an endpoint outside 0..n-1 and a self-loop.  With
+the C kernel of ``rng`` and under the table rule, m pairs with n^2 <=
+64 m (``_table_fits``), it marks both bits of each pair in n bit rows,
+no larger than the m int64 keys a sort needs, counts the distinct edges
 and builds the ``Graph`` from those rows, so each edge is checked and
 marked once and no key is made until ``Graph.edge_codes`` reads them
 out in numpy.  Otherwise numpy sorts the packed keys, the reference,
@@ -312,6 +312,20 @@ class Graph:
         v = _vertex(self, v)
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
+    def __len__(self) -> int:
+        return self.edge_count
+
+    def __contains__(self, edge) -> bool:
+        return self.has_edge(*edge)
+
+    def issubset(self, other: Graph) -> bool:
+        """Whether every edge of this graph is an edge of ``other``, by
+        ``other.has_edges`` over this graph's edge array; ValueError for
+        graphs on different vertex counts."""
+        if other.n != self.n:
+            raise ValueError(f"edge sets on {self.n} and {other.n} vertices are not comparable")
+        return bool(other.has_edges(*self.edge_array().T).all())
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.has_edges(u, v))
 
@@ -371,49 +385,6 @@ def _key_endpoints(n: int, keys: np.ndarray):
         raise ValueError(f"edge key {k} at position {j} is not u*{n}+v "
                          f"with 0 <= u < v < {n}")
     return u, v
-
-
-@dataclass(frozen=True)
-class EdgeSubgraph:
-    """A deduplicated set of edges of ``parent``, the edges a walk or a tree
-    embedding traverses, held as ``graph``, a Graph on the parent's
-    vertices built from their pairs in one place (``from_pairs``)."""
-
-    parent: Graph
-    graph: Graph
-
-    @classmethod
-    def from_pairs(cls, parent: Graph, us, vs) -> "EdgeSubgraph":
-        return cls(parent, _pairs_graph(parent.n, us, vs))
-
-    @property
-    def codes(self) -> np.ndarray:
-        """Sorted distinct keys u * n + v with u < v (read-only)."""
-        return self.graph.edge_codes()
-
-    def __len__(self) -> int:
-        return self.graph.edge_count
-
-    def __contains__(self, edge) -> bool:
-        return self.graph.has_edge(*edge)
-
-    def edge_array(self) -> np.ndarray:
-        return self.graph.edge_array()
-
-    def issubset(self, other: "EdgeSubgraph") -> bool:
-        return bool(np.isin(self.codes, other.codes).all())
-
-    def to_graph(self) -> Graph:
-        """The edges as a Graph on the parent's vertices: ``graph`` where it
-        was built from keys, else a new Graph on a copy of its rows."""
-        g = self.graph
-        if g._edge_codes is not None:
-            return g
-        # a copy, allocated after the subgraph's rows: handed the very block
-        # the pairs were marked in, tree_star's glibc heap places its later
-        # buffers so that more stays resident (peak RSS over 7 calls in one
-        # process 57.3 against 51.4 MB with the copy)
-        return Graph._from_rows(g.n, g._rows.copy(), g.edge_count)
 
 
 @dataclass(frozen=True)

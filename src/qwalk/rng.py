@@ -19,9 +19,9 @@ the addresses that ``_kernel`` alone accepts.  ``uniform_words``,
 ``graph``: the dense vertex pairs of a walk or a tree image are marked
 in symmetric adjacency bit rows and their distinct edges counted, with
 no key made, and ``gen_gnp`` draws G(n, p) into such rows in one call.
-A ``Graph`` built from rows, these (the ``Graph`` an ``EdgeSubgraph``
-holds) or the K_n rows of ``gen_complete``, keeps them as its one edge
-store.  The list model's kernel takes each entry on such a graph from
+A ``Graph`` built from rows, these (the ``Graph`` of a walk's or a tree
+image's edges) or the K_n rows of ``gen_complete``, keeps them as its
+one edge store.  The list model's kernel takes each entry on such a graph from
 its rows, by select (pdep on x86-64 CPUs that run it fast, a broadword
 select elsewhere); ``graph`` reads a ``Graph``'s ``indices`` out of its
 rows, or out of its keys by a sort, in numpy and only when they are asked

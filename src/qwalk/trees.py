@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EdgeSubgraph, Graph, _write_pairs, read_text
-from .rng import DOMAIN_TREE_GEN, uniform_words
+from .graph import Graph, _pairs_graph, _write_pairs, read_text
+from .rng import DOMAIN_TREE_GEN, _integer, uniform_words
 from .walks import ListModel, _check_model, _count_ids
 
 
@@ -104,6 +104,7 @@ def _tree_size(size: int) -> int:
 
 def gen_path_tree(length: int) -> RootedTree:
     """Path with ``length`` edges rooted at one end, the tree of a walk."""
+    length = _integer(length, "length")
     if length < 0:
         raise ValueError(f"a path takes a non-negative number of edges, got {length}")
     parents = np.arange(-1, _tree_size(length + 1) - 1, dtype=np.int32)
@@ -112,18 +113,19 @@ def gen_path_tree(length: int) -> RootedTree:
 
 def gen_nary_tree(branching: int, depth: int) -> RootedTree:
     """Complete b-ary tree: every vertex above ``depth`` has b children."""
+    branching, depth = _integer(branching, "branching"), _integer(depth, "depth")
     if branching < 1 or depth < 0:
         raise ValueError("branching must be >= 1 and depth >= 0")
-    parents = [np.array([-1], dtype=np.int32)]
-    level_start, level_size = 0, 1
+    sizes, total = [1], 1  # vertices per level, and in the tree
     for _ in range(depth):
-        _tree_size(level_start + level_size * (1 + branching))  # with the next level
-        parents.append(np.repeat(
-            np.arange(level_start, level_start + level_size, dtype=np.int32),
-            branching))
-        level_start += level_size
-        level_size *= branching
-    return RootedTree(np.concatenate(parents))
+        sizes.append(sizes[-1] * branching)
+        total = _tree_size(total + sizes[-1])
+    parents, start = np.full(total, -1, dtype=np.int32), 0
+    for size in sizes[:-1]:  # a level's vertices, b times each, parent the next level
+        parents[start + size:start + size * (1 + branching)].reshape(size, branching)[:] = \
+            np.arange(start, start + size, dtype=np.int32)[:, None]
+        start += size
+    return RootedTree(parents)
 
 
 def gen_random_tree(n_vertices: int, max_deg: int, seed: int) -> RootedTree:
@@ -133,6 +135,7 @@ def gen_random_tree(n_vertices: int, max_deg: int, seed: int) -> RootedTree:
     still have degree budget.  Requires max_deg >= 2, which guarantees a
     vertex with spare capacity always exists.
     """
+    n_vertices, max_deg = _integer(n_vertices, "n_vertices"), _integer(max_deg, "max_deg")
     if max_deg < 2:
         raise ValueError("max_deg must be at least 2")
     if n_vertices < 1:
@@ -186,9 +189,9 @@ def tree_visit_counts(h: TreeHomomorphism) -> np.ndarray:
     return _count_ids(h.image[h.tree.parents[1:]], h.host.n)
 
 
-def image_subgraph(h: TreeHomomorphism) -> EdgeSubgraph:
-    """Host edges in the image of the tree, deduplicated."""
-    return EdgeSubgraph.from_pairs(h.host, h.image[h.tree.parents[1:]], h.image[1:])
+def image_subgraph(h: TreeHomomorphism) -> Graph:
+    """Host edges in the image of the tree, deduplicated, as a Graph."""
+    return _pairs_graph(h.host.n, h.image[h.tree.parents[1:]], h.image[1:])
 
 
 @dataclass
@@ -216,6 +219,7 @@ def decompose_tree(t: RootedTree, L: int) -> TreeDecomposition:
     is re-rooted at the tree root (the remainder always contains it),
     keeping every size within [L, 3L].
     """
+    L = _integer(L, "L")
     if L < 1:
         raise ValueError("L must be positive")
     if L > t.n_edges:

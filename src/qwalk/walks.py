@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (EdgeSubgraph, Graph, VertexSet, _vertex, balanced_vertices,
-                    density, read_text)
+from .graph import (Graph, VertexSet, _pairs_graph, _vertex, balanced_vertices, density,
+                    read_text)
 from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _integer, _kernel, stream,
                   uniform_words)
 
@@ -280,12 +280,12 @@ def walk_steps(alpha: float, n: int) -> int:
     return int(alpha * n * n)
 
 
-def walk_subgraph(trace: WalkTrace) -> EdgeSubgraph:
-    """Edges traversed by the walk, deduplicated."""
-    return EdgeSubgraph.from_pairs(trace.graph, trace.sequence[:-1], trace.sequence[1:])
+def walk_subgraph(trace: WalkTrace) -> Graph:
+    """Edges traversed by the walk, deduplicated, as a Graph."""
+    return _pairs_graph(trace.graph.n, trace.sequence[:-1], trace.sequence[1:])
 
 
-def list_subgraph(g: Graph, model: ListModel, alpha: float) -> EdgeSubgraph:
+def list_subgraph(g: Graph, model: ListModel, alpha: float) -> Graph:
     """Prefix subgraph: uv kept iff u is among the first floor(alpha*d(v))
     entries of the list of v, or vice versa.
 
@@ -302,7 +302,7 @@ def list_subgraph(g: Graph, model: ListModel, alpha: float) -> EdgeSubgraph:
         named = model.entries(v, k)
         us.append(np.full(len(named), v, dtype=np.int32))
         vs.append(named)
-    return EdgeSubgraph.from_pairs(g, np.concatenate(us), np.concatenate(vs))
+    return _pairs_graph(g.n, np.concatenate(us), np.concatenate(vs))
 
 
 def sandwich_bounds(trace: WalkTrace, g: Graph) -> tuple[float, float]:
@@ -361,8 +361,7 @@ def step_positions(g: Graph, start, i: int, trials: int, rng) -> np.ndarray:
     ``trials`` words in order; draws are independent across trials and
     steps, which realizes the law of W_i for fresh walks.
     """
-    if i < 0:
-        raise ValueError(f"step index must be non-negative, got {i}")
+    i, trials = _integer(i, "step index", natural=True), _integer(trials, "trials")
     gen = stream(rng, DOMAIN_STEP_LAW, 0) if isinstance(rng, (int, np.integer)) else rng
     cur = np.full(trials, start, dtype=np.int64)
     deg = g.degrees
@@ -375,7 +374,7 @@ def step_positions(g: Graph, start, i: int, trials: int, rng) -> np.ndarray:
 def empirical_step_distribution(g: Graph, start: int, i: int, trials: int,
                                 seed: int) -> Distribution:
     """Monte-Carlo law of W_i over independent walks from ``start``."""
-    start = _vertex(g, start)
+    start, i, trials = _vertex(g, start), _integer(i, "step index"), _integer(trials, "trials")
     if trials < 1:
         raise ValueError("need at least one trial")
     if g.degree(start) == 0 and i > 0:
@@ -398,7 +397,7 @@ def hit_probability_check(g: Graph, start: int, s: VertexSet, i: int,
     The floor is |S|/n - 9*sqrt(eps)/rho, valid for i >= 2 and |S| >= eps*n
     when the host is eps-quasirandom.  Rejects unbalanced starts.
     """
-    start = _vertex(g, start)
+    start, i, trials = _vertex(g, start), _integer(i, "step index"), _integer(trials, "trials")
     if s.n != g.n:
         raise ValueError("vertex sets must live on the graph's vertex range")
     rho = density(g)

@@ -341,6 +341,15 @@ def test_readme_command_lines_parse():
         build_parser().parse_args(argv)
 
 
+def test_readme_library_sketch_runs(capsys):
+    # the block as written: its asserts check the sandwich on the returned
+    # subgraphs, and it prints the host's certification report
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library sketch")[1].split("```python")[1].split("```")[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert json.loads(capsys.readouterr().out)["method"] == "sampled"
+
+
 def test_readme_tolerances_match_table():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("* Experiment config")[1].split("## Reports")[0]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.graph import (EdgeSubgraph, VertexSet, balanced_vertices,
+from qwalk.graph import (VertexSet, _pairs_graph, balanced_vertices,
                          build_graph, connectivity_profile, density,
                          edges_between, gen_complete, gen_gnp,
                          gen_two_clique_bridge, load_graph, save_graph)
@@ -126,7 +126,7 @@ class TestEdgeKeysAgainstReference:
         want = reference_keys(n, pairs)
         assert g.edge_codes().tolist() == want
         assert g.edge_count == len(want)
-        assert EdgeSubgraph.from_pairs(g, *split(pairs)).codes.tolist() == want
+        assert _pairs_graph(n, *split(pairs)).edge_codes().tolist() == want
 
     @KEYS
     @given(pair_lists())
@@ -143,7 +143,7 @@ class TestEdgeKeysAgainstReference:
     def test_endpoint_outside_host_is_no_edge(self):
         # key 0*4 + 6 packs to 6 = 1*4 + 2, the edge (1, 2); it must not alias
         g = gen_complete(4)
-        s = EdgeSubgraph.from_pairs(g, [1], [2])
+        s = _pairs_graph(4, [1], [2])
         assert (1, 2) in s and (2, 1) in s
         outside = [(0, 6), (6, 0), (4, 0), (0, 4), (-1, 2), (2, -1), (-4, 5)]
         for u, v in outside:
@@ -156,12 +156,13 @@ class TestEdgeKeysAgainstReference:
     @pytest.mark.parametrize("make", [lambda: build_graph(100, [(0, 1)]),
                                       lambda: gen_complete(4)], ids=["keys", "rows"])
     def test_non_integral_endpoints_rejected(self, backend, make):
-        # one answer from keys and from rows, and so from a subgraph of
-        # either: the keys used to read 0.5 as 0, the rows to raise IndexError
+        # one answer from keys and from rows, and so from the graph of a
+        # pair on either host's vertices: the keys used to read 0.5 as 0,
+        # the rows to raise IndexError
         g = make()
-        s = EdgeSubgraph.from_pairs(g, [0], [1])
+        s = _pairs_graph(g.n, [0], [1])
         for call in (lambda: g.has_edge(0.5, 1), lambda: g.has_edges([0], [1.5]),
-                     lambda: (0, True) in s, lambda: (1.0, 0) in s):
+                     lambda: (0, True) in g, lambda: (0, True) in s, lambda: (1.0, 0) in s):
             with pytest.raises(ValueError, match="edge endpoints must be integers in int64"):
                 call()
 
@@ -170,11 +171,20 @@ class TestEdgeKeysAgainstReference:
     def test_issubset_is_set_inclusion(self, case):
         n, (a, b) = case
         host = gen_complete(n)
-        sa = EdgeSubgraph.from_pairs(host, *split(a))
-        sb = EdgeSubgraph.from_pairs(host, *split(b))
+        sa, sb = _pairs_graph(n, *split(a)), _pairs_graph(n, *split(b))
         keys_a, keys_b = set(reference_keys(n, a)), set(reference_keys(n, b))
         assert sa.issubset(sb) == (keys_a <= keys_b)
         assert sb.issubset(sa) == (keys_b <= keys_a)
+        assert sa.issubset(host) and len(sa) == len(keys_a)
+
+    def test_issubset_refuses_another_vertex_count(self):
+        # keys u*n+v of different n alias: (1, 2) on 10 vertices packs to
+        # 12, the key of (0, 12) on 20, which is no inclusion
+        a, b = _pairs_graph(10, [1], [2]), _pairs_graph(20, [0], [12])
+        assert (1, 2) not in b
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="on 10 and 20 vertices|on 20 and 10 vertices"):
+                x.issubset(y)
 
 
 class TestEdgesBetween:

@@ -29,11 +29,13 @@ from qwalk import graph, rng
 from qwalk import walks as walks_module
 from qwalk.certify import count_c4_labelled, discrepancy_refined, discrepancy_sampled, trace_p4
 from qwalk.experiments import ExperimentConfig, run_experiment
-from qwalk.graph import (EdgeSubgraph, Graph, VertexSet, _bit_rows, _vertex_count,
+from qwalk.graph import (Graph, VertexSet, _bit_rows, _pairs_graph, _vertex_count,
                          build_graph, gen_complete, gen_gnp,
                          gen_two_clique_bridge, neighbour_counts, save_graph)
-from qwalk.trees import gen_nary_tree, gen_random_tree, image_subgraph, random_homomorphism
-from qwalk.walks import ListModel, run_walk, subsequence_visit_counts, walk_subgraph
+from qwalk.trees import (decompose_tree, gen_nary_tree, gen_path_tree, gen_random_tree,
+                         image_subgraph, random_homomorphism)
+from qwalk.walks import (ListModel, empirical_step_distribution, hit_probability_check,
+                         run_walk, step_positions, subsequence_visit_counts, walk_subgraph)
 
 SRC = Path(__file__).parents[1] / "src"
 # the package re-exports the function ``certify`` under the module's name
@@ -449,10 +451,10 @@ def test_dense_graphs_read_no_indices_out(c_backend, monkeypatch):
         lambda g: (g._indices is None and read.append(g)) or kept.fget(g)))
     g = gen_gnp(300, 0.3, 8)
     trace = run_walk(g, ListModel(g, 9), 0, 20_000)
-    walked = walk_subgraph(trace).to_graph()
+    walked = walk_subgraph(trace)
     k = gen_complete(200)
     hom = random_homomorphism(k, gen_nary_tree(100, 2), ListModel(k, 10), 0)
-    image = image_subgraph(hom).to_graph()
+    image = image_subgraph(hom)
     _, pair = discrepancy_sampled(image, 0.1, 100, 1)
     discrepancy_refined(image, 0.1, pair)
     for h in (g, walked, k, image):
@@ -471,7 +473,7 @@ def test_dense_graphs_read_no_indices_out(c_backend, monkeypatch):
 def test_key_graphs_read_no_indices_out_until_asked(backend, monkeypatch, tmp_path):
     # a graph built from keys, here a sparse walk's subgraph, keeps its
     # keys and an indptr counted from them: counting, looking up, reading
-    # keys or edges out, inclusion, to_graph, saving, packing its bit rows,
+    # keys or edges out, inclusion, saving, packing its bit rows,
     # counting or sampling with them and unpacking them into the dense
     # matrix read no indices out; the first neighbour list does, once, as
     # the numpy sort of both arcs gives them
@@ -481,15 +483,14 @@ def test_key_graphs_read_no_indices_out_until_asked(backend, monkeypatch, tmp_pa
     kept = Graph.indices
     monkeypatch.setattr(Graph, "indices", property(
         lambda g: (g._indices is None and read.append(g)) or kept.fget(g)))
-    s = walk_subgraph(trace)
-    h = s.graph
+    h = walk_subgraph(trace)
     assert h._edge_codes is not None and h._rows is None
     pairs = np.column_stack((trace.sequence[:-1], trace.sequence[1:]))
-    assert len(s) == len({(min(u, v), max(u, v)) for u, v in pairs.tolist()})
-    assert all(tuple(e) in s for e in pairs[:100]) and h.has_edges(*pairs.T).all()
-    assert s.codes is h.edge_codes() and len(s.edge_array()) == len(s)
-    assert s.issubset(s) and s.to_graph() is h
-    assert h.degrees.sum() == 2 * len(s) and h.degree(0) == h.indptr[1]
+    assert len(h) == len({(min(u, v), max(u, v)) for u, v in pairs.tolist()})
+    assert all(tuple(e) in h for e in pairs[:100]) and h.has_edges(*pairs.T).all()
+    assert h.edge_codes() is h._edge_codes and len(h.edge_array()) == len(h)
+    assert h.issubset(h) and h.issubset(g)
+    assert h.degrees.sum() == 2 * len(h) and h.degree(0) == h.indptr[1]
     save_graph(h, str(tmp_path / "walked.txt"))
     assert np.array_equal(np.bitwise_count(h.bit_rows()).sum(axis=1), h.degrees)
     assert np.array_equal(neighbour_counts(h, np.ones((1, 2000), dtype=bool))[0], h.degrees)
@@ -610,14 +611,14 @@ def _csr_reference(n, keys):
 def _built(n, keys):
     """(graph, from rows) for the graph of sorted distinct ``keys`` built
     each way on the current backend: from the keys, from their pairs by
-    ``build_graph`` and ``EdgeSubgraph.to_graph``, which read out the rows
-    the kernel marked for dense pairs, and from numpy's bit rows by
+    ``build_graph`` and ``_pairs_graph``, which keep the rows the kernel
+    marked for dense pairs, and from numpy's bit rows by
     ``Graph._from_rows``; ``from rows`` says whether it was built from rows."""
     us, vs = np.divmod(keys, max(n, 1))
     marked = rng._kernel() is not None and n * n <= 64 * len(keys)
     yield Graph(n, keys.copy()), False
     yield build_graph(n, np.column_stack((us, vs))), marked
-    yield EdgeSubgraph.from_pairs(Graph(n, []), us, vs).to_graph(), marked
+    yield _pairs_graph(n, us, vs), marked
     yield Graph._from_rows(n, _bit_rows(Graph(n, keys)), len(keys)), True
 
 
@@ -689,10 +690,9 @@ def test_vertex_count_bound_keeps_keys_in_int64():
     (lambda: build_graph(3, [[0, 2**70]]), "got 1180591620717411303424"),
     (lambda: build_graph(3, [[0, 2**64 - 1]]), "got 18446744073709551615"),  # read as floats
     (lambda: build_graph(3, np.array([[0, 1]], dtype=object) + 0.5), "got 0.5"),
-    (lambda: EdgeSubgraph.from_pairs(gen_complete(3), [0.5], [1.9]),
-     "edge endpoints must be integers in int64, got 0.5"),
-    (lambda: EdgeSubgraph.from_pairs(gen_complete(3), [0], np.array([True])), "got True"),
-    (lambda: EdgeSubgraph.from_pairs(gen_complete(3), [0], [1.5]), "got 1.5"),
+    (lambda: _pairs_graph(3, [0.5], [1.9]), "edge endpoints must be integers in int64, got 0.5"),
+    (lambda: _pairs_graph(3, [0], np.array([True])), "got True"),
+    (lambda: _pairs_graph(3, [0], [1.5]), "got 1.5"),
     (lambda: VertexSet.from_iterable(3, [1.5]), "vertex ids must be integers in int64, got 1.5"),
     (lambda: gen_complete(3).degree(0.5), "vertex must be an integer, got 0.5"),
     (lambda: gen_complete(3).neighbors(True), "vertex must be an integer, got True"),
@@ -719,6 +719,27 @@ def test_vertex_count_bound_keeps_keys_in_int64():
     (lambda g=gen_complete(3): subsequence_visit_counts(
         run_walk(g, ListModel(g, 1), 0, 6), True), "L must be an integer, got True"),
     (lambda: rng.derive_seed(True, 0, 0), "seed must be an integer, got True"),
+    # tree sizes and piece sizes
+    (lambda: gen_path_tree(2.5), "length must be an integer, got 2.5"),
+    (lambda: gen_path_tree(True), "length must be an integer, got True"),
+    (lambda: gen_nary_tree(2, 1.5), "depth must be an integer, got 1.5"),
+    (lambda: gen_nary_tree(2.0, 1), "branching must be an integer, got 2.0"),
+    (lambda: gen_random_tree(5.0, 3, 1), "n_vertices must be an integer, got 5.0"),
+    (lambda: gen_random_tree(5, 3.0, 1), "max_deg must be an integer, got 3.0"),
+    (lambda: decompose_tree(gen_path_tree(10), 1.5), "L must be an integer, got 1.5"),
+    # the step laws' step index and trials
+    (lambda: empirical_step_distribution(gen_complete(5), 0, 2, True, 1),
+     "trials must be an integer, got True"),
+    (lambda: empirical_step_distribution(gen_complete(5), 0, 2, 2.5, 1),
+     "trials must be an integer, got 2.5"),
+    (lambda: empirical_step_distribution(gen_complete(5), 0, 2.0, 3, 1),
+     "step index must be an integer, got 2.0"),
+    (lambda: step_positions(gen_complete(5), 0, 2.0, 3, 1), "step index must be an integer, got 2.0"),
+    (lambda: step_positions(gen_complete(5), 0, 2, 3.0, 1), "trials must be an integer, got 3.0"),
+    (lambda: hit_probability_check(gen_complete(5), 0, VertexSet.full(5), 2, 2.5, 1, eps=0.5),
+     "trials must be an integer, got 2.5"),
+    (lambda: hit_probability_check(gen_complete(5), 0, VertexSet.full(5), 2.5, 3, 1, eps=0.5),
+     "step index must be an integer, got 2.5"),
 ])
 def test_non_integral_values_rejected(backend, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -728,9 +749,9 @@ def test_non_integral_values_rejected(backend, call, message):
 def test_empty_inputs_still_build(backend):
     # numpy reads [] as float64; no value in it is refused
     for g in (Graph(3, []), build_graph(3, []), build_graph(3, np.empty((0, 2))),
-              EdgeSubgraph.from_pairs(gen_complete(3), [], []).to_graph()):
+              _pairs_graph(3, [], [])):
         assert g.n == 3 and g.edge_count == 0 and g.indptr.tolist() == [0, 0, 0, 0]
-    assert EdgeSubgraph.from_pairs(gen_complete(3), [], []).codes.dtype == np.int64
+    assert _pairs_graph(3, [], []).edge_codes().dtype == np.int64
     assert VertexSet.from_iterable(3, []).size == 0
     # integers of any width and Python ints in an object array are kept
     assert build_graph(3, np.array([[0, 2]], dtype=np.uint8)).edge_codes().tolist() == [2]
@@ -871,14 +892,14 @@ def _graphs():
         yield gen_gnp(n, p, seed)
     yield gen_two_clique_bridge(40, 0.3)
     g = gen_gnp(300, 0.3, 8)
-    yield walk_subgraph(run_walk(g, ListModel(g, 9), 0, 20_000)).to_graph()
+    yield walk_subgraph(run_walk(g, ListModel(g, 9), 0, 20_000))
     g = gen_complete(200)
     hom = random_homomorphism(g, gen_nary_tree(100, 2), ListModel(g, 10), 0)
-    yield image_subgraph(hom).to_graph()
+    yield image_subgraph(hom)
 
 
 def test_generated_graphs_are_pinned(backend):
-    # sha256 recorded before generators and to_graph passed their sorted
+    # sha256 recorded before generators and subgraphs passed their sorted
     # keys straight to Graph, when every graph came through build_graph
     # and every array was int64; int32 indices are widened to hash the same
     h = hashlib.sha256()
@@ -966,7 +987,7 @@ def test_edge_keys_table_matches_sort(c_backend, monkeypatch, case):
     want = sorted({min(u, v) * n + max(u, v) for u, v in zip(us, vs)})
     for lib in (c_backend, False):
         monkeypatch.setattr(rng, "_lib", lib)
-        keys = EdgeSubgraph.from_pairs(Graph(n, []), us, vs).codes
+        keys = _pairs_graph(n, us, vs).edge_codes()
         assert keys.dtype == np.int64 and keys.tolist() == want
 
 
@@ -984,7 +1005,7 @@ def test_edge_keys_table_matches_sort(c_backend, monkeypatch, case):
 ])
 def test_bad_pairs_rejected(backend, n, us, vs, message):
     with pytest.raises(ValueError, match=message):
-        EdgeSubgraph.from_pairs(Graph(n, []), us, vs)
+        _pairs_graph(n, us, vs)
     if len(us) == len(vs):
         with pytest.raises(ValueError, match=message):
             build_graph(n, np.column_stack((us, vs)))
@@ -1009,16 +1030,15 @@ def test_subgraph_matches_numpy_backend(c_backend, monkeypatch, case, data):
     # array, membership and inclusion, also across the two backends
     n, us, vs = case
     event("bit rows" if n * n <= 64 * len(us) else "sort")
-    half, host = len(us) // 2, Graph(n, [])
+    half = len(us) // 2
 
     def subgraphs(lib):
         monkeypatch.setattr(rng, "_lib", lib)
-        return (EdgeSubgraph.from_pairs(host, us, vs),
-                EdgeSubgraph.from_pairs(host, us[:half], vs[:half]))
+        return _pairs_graph(n, us, vs), _pairs_graph(n, us[:half], vs[:half])
 
     (whole, part), (ref_whole, ref_part) = subgraphs(c_backend), subgraphs(False)
-    assert (whole.graph._rows is not None) == (n * n <= 64 * len(us))
-    assert ref_whole.graph._rows is None
+    assert (whole._rows is not None) == (n * n <= 64 * len(us))
+    assert ref_whole._rows is None
     # endpoints outside 0..n-1, whose packed keys may alias an edge
     end = st.one_of(st.integers(-2, n + 2), st.sampled_from([-2**40, 2**31, 2**40]))
     probes = data.draw(st.lists(st.tuples(end, end), max_size=20))
@@ -1028,12 +1048,12 @@ def test_subgraph_matches_numpy_backend(c_backend, monkeypatch, case, data):
         want = [(min(u, v), max(u, v)) in edges for u, v in probes]
         assert len(s) == len(ref) == len(edges)
         assert [e in s for e in probes] == [e in ref for e in probes] == want
-        codes = s.codes
+        codes = s.edge_codes()
         assert codes.dtype == np.int64 and not codes.flags.writeable
-        assert np.array_equal(codes, ref.codes)
+        assert np.array_equal(codes, ref.edge_codes())
         assert np.array_equal(s.edge_array(), ref.edge_array())
     for a, b in ((part, whole), (whole, part), (part, ref_whole), (ref_whole, part)):
-        assert a.issubset(b) == (set(a.codes.tolist()) <= set(b.codes.tolist()))
+        assert a.issubset(b) == (set(a.edge_codes().tolist()) <= set(b.edge_codes().tolist()))
     assert part.issubset(whole) and whole.issubset(ref_whole)
 
 
@@ -1103,7 +1123,7 @@ def test_bit_rows_match_reference(case):
 @settings(max_examples=150, **PER_EXAMPLE)
 @given(case=count_cases())
 def test_dense_graph_keeps_its_rows(c_backend, monkeypatch, case):
-    # a graph built from bit rows, as build_graph and to_graph build one
+    # a graph built from bit rows, as build_graph and _pairs_graph build one
     # from dense pairs with the kernel, keeps its rows, read-only; a graph
     # built from keys packs its rows in numpy on first use; all equal
     # numpy's
@@ -1125,8 +1145,8 @@ def test_dense_graph_keeps_its_rows(c_backend, monkeypatch, case):
 
 def test_walk_and_image_subgraphs_make_no_keys(kernel_calls):
     # a walk's and a tree image's subgraph keep only the rows the kernel
-    # marked: counting them or building their graph reads no key out, and
-    # counting a walk's allocates less than half of what its keys take
+    # marked: counting them reads no key out, and counting a walk's
+    # allocates less than half of what its keys take
     g = gen_gnp(300, 0.3, 8)
     trace = run_walk(g, ListModel(g, 9), 0, 20_000)
     hom = random_homomorphism(g, gen_nary_tree(100, 2), ListModel(g, 10), 0)
@@ -1139,9 +1159,8 @@ def test_walk_and_image_subgraphs_make_no_keys(kernel_calls):
     assert peak < 8 * count / 2
     for s in (walk_subgraph(trace), image_subgraph(hom)):
         count = len(s)
-        h = s.to_graph()
-        assert s.graph._edge_codes is None and h._edge_codes is None and h.edge_count == count
-        assert len(s.codes) == count
+        assert s._edge_codes is None and s.edge_count == count
+        assert len(s.edge_codes()) == count
     assert kernel_calls["qw_mark_pairs"] == 3
 
 
@@ -1151,7 +1170,7 @@ def test_pair_graphs_read_out_the_rows_the_kernel_marked(kernel_calls):
     g = gen_gnp(300, 0.3, 8)
     trace = run_walk(g, ListModel(g, 9), 0, 20_000)
     pairs = np.column_stack((trace.sequence[:-1], trace.sequence[1:]))
-    for make in (lambda: walk_subgraph(trace).to_graph(), lambda: build_graph(300, pairs)):
+    for make in (lambda: walk_subgraph(trace), lambda: build_graph(300, pairs)):
         kernel_calls.clear()
         h = make()
         assert kernel_calls == {"qw_mark_pairs": 1} and h._indices is None

@@ -168,6 +168,13 @@ class TestGenerators:
         t = gen_nary_tree(1000, 2)
         assert t.size == 1 + 1000 + 1000 ** 2
 
+    @pytest.mark.parametrize("b,d", [(1, 5), (2, 4), (3, 3), (1000, 2)])
+    def test_nary_parents_in_level_order(self, b, d):
+        # numbered level by level, vertex j > 0 hangs from (j - 1) // b
+        t = gen_nary_tree(b, d)
+        assert t.parents[0] == -1
+        assert np.array_equal(t.parents[1:], (np.arange(1, t.size) - 1) // b)
+
     def test_path_tree(self):
         t = gen_path_tree(5)
         assert t.size == 6 and t.parents.tolist() == [-1, 0, 1, 2, 3, 4]
@@ -199,6 +206,9 @@ class TestGenerators:
         assert _tree_size(2**31) == 2**31
         with pytest.raises(ValueError, match="a tree of 2147483649 vertices has ids past int32"):
             _tree_size(2**31 + 1)
+        # every level is counted before the parent array is allocated
+        with pytest.raises(ValueError, match="a tree of 4294967295 vertices has ids past int32"):
+            gen_nary_tree(2, 31)
 
 
 class TestHomomorphism:
@@ -209,8 +219,8 @@ class TestHomomorphism:
         walk = run_walk(g, ListModel(g, seed), 5, steps)
         hom = random_homomorphism(g, gen_path_tree(steps), ListModel(g, seed), 5)
         assert np.array_equal(hom.image, walk.sequence)
-        assert image_subgraph(hom).codes.tolist() == \
-            walk_subgraph(walk).codes.tolist()
+        assert image_subgraph(hom).edge_codes().tolist() == \
+            walk_subgraph(walk).edge_codes().tolist()
 
     def test_k2_alternates_by_parity(self):
         g = gen_complete(2)

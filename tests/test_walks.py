@@ -410,8 +410,8 @@ class TestSandwich:
         lo, hi = sandwich_bounds(trace, g)
         assert lo == hi == 2.0
         fresh = ListModel(g, 3)
-        assert list_subgraph(g, fresh, lo).codes.tolist() == \
-            walk_subgraph(trace).codes.tolist()
+        assert list_subgraph(g, fresh, lo).edge_codes().tolist() == \
+            walk_subgraph(trace).edge_codes().tolist()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_containments_exact(self, seed):
