@@ -19,9 +19,10 @@
  * A dense qwalk.graph.Graph keeps its adjacency bit rows as its one edge
  * store, with its row starts indptr: n rows of w = ceil(n / 64) words, row
  * v holding neighbour u as bit u % 64 of word u / 64.  Its rows come from
- * qw_mark_pairs, which marks the vertex pairs of a walk or a tree image in
- * them and counts their distinct edges, from qw_gnp, which draws G(n, p)
- * into them, or from K_n's rows; no key is made.  qw_consume takes each
+ * qw_mark_pairs, which marks vertex pairs in them, those of a walk or a
+ * tree image or the edges of a graph built from keys, from qw_gnp, which
+ * draws G(n, p) into them, or from K_n's rows; no key is made, and the
+ * graph counts its edges from the rows' popcounts.  qw_consume takes each
  * list entry of such a graph from its rows, as the set bit of the entry's
  * rank found by select (pdep where the CPU runs it fast), so no indices
  * are made either; qwalk.graph reads them, keys and dense matrices out of
@@ -333,41 +334,38 @@ int64_t qw_consume(uint64_t seed, uint32_t domain, int64_t n, const int64_t *ind
     return consume(seed, domain, g, select_broadword, state, taken, parents, m, image);
 }
 
-/* Marks the pairs (us[i], vs[i]) in ``rows``, n zeroed rows in the
- * header's bit row layout: pair (a, b), a < b, sets bit b of row a and bit
- * a of row b.  A first pass writes nothing: it returns -1 when an
- * endpoint lies outside 0..n-1 or a pair is a self-loop.  Returns the
- * number of distinct edges, the pairs that found bit b of row a clear.
+/* Marks the pairs (us[i], vs[i]) in ``rows``, n rows in the header's bit
+ * row layout: pair (u, v) sets bit v of row u and bit u of row v.  A first
+ * pass writes nothing: it returns -1 when an endpoint lies outside
+ * 0..n-1 or a pair is a self-loop.  Returns 0 once every pair is marked;
+ * qwalk.graph counts the edges from the rows' popcounts.
  */
 int64_t qw_mark_pairs(int64_t n, const int32_t *us, const int32_t *vs, int64_t m,
                       uint64_t *rows)
 {
-    int64_t i, w = (n + 63) / 64, count = 0;
+    int64_t i, w = (n + 63) / 64;
 
     for (i = 0; i < m; i++)
         if (us[i] < 0 || us[i] >= n || vs[i] < 0 || vs[i] >= n || us[i] == vs[i])
             return -1;
     for (i = 0; i < m; i++) {
-        /* selects, not branches that a walk mispredicts */
-        int64_t u = us[i], v = vs[i], a = u < v ? u : v, b = u + v - a;
-        uint64_t *word = rows + a * w + b / 64, bit = (uint64_t)1 << (b % 64);
-        count += (int64_t)!(*word & bit);
-        *word |= bit;
-        rows[b * w + a / 64] |= (uint64_t)1 << (a % 64);
+        int64_t u = us[i], v = vs[i];
+        rows[u * w + v / 64] |= (uint64_t)1 << (v % 64);
+        rows[v * w + u / 64] |= (uint64_t)1 << (u % 64);
     }
-    return count;
+    return 0;
 }
 
 /* The edges of G(n, p) on stream domain ``domain``: pair (u, v), u < v,
  * is an edge when the double of word v - u - 1 of stream (seed, domain,
  * u) is below p, the rule of qwalk.graph.gen_gnp's reference, and each
  * edge sets bit v of row u and bit u of row v of ``rows``, n zeroed rows
- * in the header's bit row layout.  Returns the number of edges.
+ * in the header's bit row layout.
  */
-int64_t qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *rows)
+void qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *rows)
 {
     uint64_t key[2], block[4];
-    int64_t u, j, w = (n + 63) / 64, count = 0;
+    int64_t u, j, w = (n + 63) / 64;
 
     for (u = 0; u + 1 < n; u++) {
         uint64_t *row = rows + u * w;
@@ -381,10 +379,8 @@ int64_t qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *ro
             edge = to_double(block[j % 4]) < p;
             row[v / 64] |= edge << (v % 64);
             rows[v * w + u / 64] |= edge << (u % 64);
-            count += (int64_t)edge;
         }
     }
-    return count;
 }
 
 /* The element of rank r (0-based) of a[0..c-1], which it reorders:

@@ -20,29 +20,29 @@ vertex outside 0..n-1 given to ``degree`` or ``neighbors``.
 the form 0 <= u < v < n, else raises ValueError, and keeps its keys and
 ``indptr``, counted from their endpoints.  ``Graph._from_rows`` keeps
 bit rows instead, n^2/8 bytes, and ``indptr``, summed from their
-popcounts; walks select each neighbour from the rows.  Either reads
-``indices``, 8 bytes an edge, out of its one edge store only when they
-are asked for: from keys by the numpy sort of both arcs of every edge,
-from rows as each row's set bits in order.  Rows become ``indices``,
-keys and the dense matrix in numpy alone, through ``_row_bits``.
-``gen_gnp`` draws G(n, p) into rows, ``gen_complete`` writes K_n's and
-``_pairs_graph`` marks pairs in them.
+popcounts, half of whose total is its edge count; walks select each
+neighbour from the rows.  Either reads ``indices``, 8 bytes an edge,
+out of its one edge store only when they are asked for: from keys by
+the numpy sort of both arcs of every edge, from rows as each row's set
+bits in order.  Rows become ``indices``, keys and the dense matrix in
+numpy alone, through ``_row_bits``.  ``gen_gnp`` draws G(n, p) into
+rows, ``gen_complete`` writes K_n's, and ``_mark_rows`` alone marks
+pairs in them, by the C kernel of ``rng`` or by numpy, the reference.
 
 ``_pairs_graph`` alone turns pairs into a ``Graph``, for
 ``build_graph`` and the edges of walks, tree images and list prefixes,
-and it alone rejects an endpoint outside 0..n-1 and a self-loop.  With
-the C kernel of ``rng`` and under the table rule, m pairs with n^2 <=
-64 m (``_table_fits``), it marks both bits of each pair in n bit rows,
-no larger than the m int64 keys a sort needs, counts the distinct edges
-and builds the ``Graph`` from those rows, so each edge is checked and
-marked once and no key is made until ``Graph.edge_codes`` reads them
-out in numpy.  Otherwise numpy sorts the packed keys, the reference,
-and the ``Graph`` is built from them.
+and rejects an endpoint outside 0..n-1 and a self-loop.  With the
+kernel and under the table rule, m pairs with n^2 <= 64 m
+(``_table_fits``), it builds the ``Graph`` from the n bit rows that
+``_mark_rows`` marks, no larger than the m int64 keys a sort needs, so
+each edge is checked and marked once and no key is made until
+``Graph.edge_codes`` reads them out in numpy.  Otherwise numpy sorts
+the packed keys, the reference, and the ``Graph`` is built from them.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
 uint64 words, n^2/8 bytes, packed once: kept from construction where it
-was built from them, else by numpy on first use.  ``has_edges`` tests
-their bits on a graph built from rows.  ``neighbour_counts`` counts
+was built from them, else marked by ``_mark_rows`` on first use.
+``has_edges`` tests their bits on a graph built from rows.  ``neighbour_counts`` counts
 neighbours in vertex sets, the e(A, B) behind the discrepancy
 estimators: |N(v) & S| is the popcount of row v and S's words, exact
 integers at any n, with ``np.bitwise_count``.  The subset sampler of
@@ -165,6 +165,23 @@ def _check_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> None:
         raise ValueError(f"self-loop rejected at vertex {us[loop.argmax()]}")
 
 
+def _mark_rows(n: int, us, vs) -> np.ndarray:
+    """n bit rows of ceil(n/64) uint64 words with bit v of row u and bit u
+    of row v set for each pair of the equal-length integer arrays us, vs:
+    by the kernel's ``qw_mark_pairs`` on int32 ids, else by numpy, the
+    reference.  A bad pair raises ``_check_pairs``' ValueError first."""
+    rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    lib = _kernel()
+    us32, vs32 = (_ids(us), _ids(vs)) if lib is not None else (None, None)
+    if us32 is not None and vs32 is not None and lib.qw_mark_pairs(
+            n, us32.ctypes.data, vs32.ctypes.data, len(us32), rows.ctypes.data) == 0:
+        return rows
+    _check_pairs(n, us, vs)  # raises where the kernel returned -1 or took no ids
+    for a, b in ((us, vs), (vs, us)):
+        np.bitwise_or.at(rows, (a, b // 64), np.uint64(1) << (b % 64).astype(np.uint64))
+    return rows
+
+
 def _pairs_graph(n: int, us, vs) -> Graph:
     """The Graph on 0..n-1 of the distinct edges of the unordered pairs
     (us[i], vs[i]).
@@ -173,24 +190,17 @@ def _pairs_graph(n: int, us, vs) -> Graph:
     ValueError names the first endpoint out of range, or else the first
     self-loop.  With the C kernel, and under the table rule for m pairs,
     so that n bit rows take no more bytes than the m int64 keys a sort
-    needs, each pair sets both its bits in the rows, which the graph
-    keeps; int32 endpoints pass to the kernel without a copy.  Otherwise
-    the keys are packed and sorted, the reference, and the graph keeps
-    them.
+    needs, the graph keeps the rows ``_mark_rows`` marks.  Otherwise the
+    keys are packed and sorted, the reference, which takes about half as
+    long as numpy's marking on a walk's pairs, and the graph keeps them.
     """
     n = _vertex_count(n)
     us, vs = _integers(us, "edge endpoints"), _integers(vs, "edge endpoints")
     if us.ndim != 1 or us.shape != vs.shape:
         raise ValueError("pairs must be two 1-d arrays of equal length")
-    m = len(us)
-    lib = _kernel() if _table_fits(n, m) else None
-    us32, vs32 = (_ids(us), _ids(vs)) if lib is not None else (None, None)
-    if us32 is not None and vs32 is not None:
-        rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
-        count = lib.qw_mark_pairs(n, us32.ctypes.data, vs32.ctypes.data, m, rows.ctypes.data)
-        if count >= 0:
-            return Graph._from_rows(n, rows, count)
-    _check_pairs(n, us, vs)  # raises where the kernel returned -1 or took no ids
+    if _table_fits(n, len(us)) and _kernel() is not None:
+        return Graph._from_rows(_mark_rows(n, us, vs))
+    _check_pairs(n, us, vs)
     return Graph(n, _distinct(_pack(n, us, vs)))
 
 
@@ -251,26 +261,26 @@ class Graph:
         us, vs = _key_endpoints(n, keys)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(us, minlength=n) + np.bincount(vs, minlength=n), out=indptr[1:])
-        self._keep(n, indptr, len(keys), keys, None)  # rows packed by bit_rows()
+        self._keep(n, indptr, keys, None)  # rows packed by bit_rows()
 
     @classmethod
-    def _from_rows(cls, n: int, rows: np.ndarray, m: int) -> "Graph":
-        """A dense graph from its own bit rows, symmetric with a clear
-        diagonal and holding m edges, which it keeps, with row starts and
-        the rank directory its kernel walks search, both summed from the
-        rows' popcounts: (n, ceil(n/64)) int32, entry [v, i] the set bits
-        of words 0..i-1 of row v."""
+    def _from_rows(cls, rows: np.ndarray) -> "Graph":
+        """A dense graph on n vertices from its own n bit rows, symmetric
+        with a clear diagonal, which it keeps, with row starts and the rank
+        directory its kernel walks search, both summed from the rows'
+        popcounts: (n, ceil(n/64)) int32, entry [v, i] the set bits of
+        words 0..i-1 of row v.  Its edges are half its row starts' total."""
         counts = np.bitwise_count(rows)
-        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(counts.sum(axis=1, dtype=np.int64), out=indptr[1:])
         ranks = np.cumsum(counts, axis=1, dtype=np.int32)
         ranks -= counts
         g = cls.__new__(cls)
-        g._keep(n, indptr, m, None, rows, ranks)
+        g._keep(len(rows), indptr, None, rows, ranks)
         return g
 
-    def _keep(self, n, indptr, m, keys, rows, ranks=None) -> None:
-        self.n, self.indptr, self.edge_count = n, indptr, m
+    def _keep(self, n, indptr, keys, rows, ranks=None) -> None:
+        self.n, self.indptr, self.edge_count = n, indptr, int(indptr[-1]) // 2
         self._indices, self._edge_codes, self._rows, self._ranks = None, keys, rows, ranks
         for a in (indptr, keys, rows, ranks):
             if a is not None:
@@ -356,9 +366,10 @@ class Graph:
     def bit_rows(self) -> np.ndarray:
         """(n, ceil(n/64)) uint64 adjacency rows (read-only): neighbour u
         of v sets bit u % 64 of word u // 64 of row v.  Packed once: kept
-        from construction where it made them, else packed on first call."""
+        from construction where it made them, else marked on first call."""
         if self._rows is None:
-            self._rows = _bit_rows(self)
+            self._rows = _mark_rows(self.n, *_key_endpoints(self.n, self._edge_codes))
+            self._rows.setflags(write=False)
         return self._rows
 
     def adjacency_dense(self) -> np.ndarray:
@@ -465,19 +476,6 @@ def edges_between(g: Graph, a: VertexSet, b: VertexSet) -> int:
     return int(neighbour_counts(g, b.bool_mask()[None], a.bool_mask()[None]).sum())
 
 
-def _bit_rows(g: Graph) -> np.ndarray:
-    """(n, ceil(n/64)) uint64 rows: neighbour u of v sets bit u % 64 of
-    word u // 64 of row v.  Both bits of each edge are set from its key,
-    so no ``indices`` are read out."""
-    n = g.n
-    rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
-    us, vs = _key_endpoints(n, g.edge_codes())
-    for a, b in ((us, vs), (vs, us)):
-        np.bitwise_or.at(rows, (a, b // 64), np.uint64(1) << (b % 64).astype(np.uint64))
-    rows.setflags(write=False)
-    return rows
-
-
 def neighbour_counts(g: Graph, sets, among=None) -> np.ndarray:
     """(k, n) int64 counts: entry [t, v] is |N(v) & sets[t]| for v in
     ``among[t]``, and 0 for the other v.
@@ -543,7 +541,8 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     lib = _kernel(seed, DOMAIN_GNP) if _table_fits(n, p * n * (n - 1) / 2) else None
     if lib is not None:
         rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
-        return Graph._from_rows(n, rows, lib.qw_gnp(seed, DOMAIN_GNP, n, p, rows.ctypes.data))
+        lib.qw_gnp(seed, DOMAIN_GNP, n, p, rows.ctypes.data)
+        return Graph._from_rows(rows)
     rows = [np.empty(0, dtype=np.int64)]  # keys of row u are u*n + u+1 .. u*n + n-1
     for u in range(n - 1):
         draws = uniform_words(seed, DOMAIN_GNP, u, 0, n - u - 1) < p
@@ -560,7 +559,7 @@ def gen_complete(n: int) -> Graph:
         rows[:, -1] = np.uint64(2**(n % 64) - 1)
     v = np.arange(n)
     rows[v, v // 64] ^= np.uint64(1) << (v % 64).astype(np.uint64)
-    return Graph._from_rows(n, rows, n * (n - 1) // 2)
+    return Graph._from_rows(rows)
 
 
 def small_clique_size(n: int, eps: float) -> int:

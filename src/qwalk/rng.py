@@ -16,16 +16,16 @@ The same words come from a small C kernel, ``_philox.c``, which derives
 numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
 the addresses that ``_kernel`` alone accepts.  ``uniform_words``,
 ``derive_seed`` and the list model use it when it loads.  So does
-``graph``: the dense vertex pairs of a walk or a tree image are marked
-in symmetric adjacency bit rows and their distinct edges counted, with
-no key made, and ``gen_gnp`` draws G(n, p) into such rows in one call.
-A ``Graph`` built from rows, these (the ``Graph`` of a walk's or a tree
-image's edges) or the K_n rows of ``gen_complete``, keeps them as its
-one edge store.  The list model's kernel takes each entry on such a graph from
-its rows, by select (pdep on x86-64 CPUs that run it fast, a broadword
-select elsewhere); ``graph`` reads a ``Graph``'s ``indices`` out of its
-rows, or out of its keys by a sort, in numpy and only when they are asked
-for, and the walks of a ``Graph`` built from keys read them.
+``graph``: vertex pairs are marked in symmetric adjacency bit rows, and
+``gen_gnp`` draws G(n, p) into such rows in one call.  A ``Graph``
+built from rows, these (the ``Graph`` of a walk's or a tree image's
+edges) or the K_n rows of ``gen_complete``, keeps them as its one edge
+store and counts its edges from them.  The list model's kernel takes
+each entry on such a graph from its rows, by select (pdep on x86-64
+CPUs that run it fast, a broadword select elsewhere); ``graph`` reads a
+``Graph``'s ``indices`` out of its rows, or out of its keys by a sort,
+in numpy and only when asked, and the walks of a ``Graph`` built from
+keys read them.
 ``certify.discrepancy_sampled`` uses the kernel too: it draws every
 subset and counts every e(A, B) from the bit rows by popcount in one call, in
 a popcnt clone on x86-64 glibc, from the stream position ``_next_word``
@@ -197,7 +197,7 @@ def _declare(lib):
     lib.qw_mark_pairs.argtypes = [i64, ptr, ptr, i64, ptr]
     lib.qw_mark_pairs.restype = i64
     lib.qw_gnp.argtypes = [u64, u32, i64, ctypes.c_double, ptr]
-    lib.qw_gnp.restype = i64
+    lib.qw_gnp.restype = None
     lib.qw_sampled_counts.argtypes = [u64, u32, u32, i64, i64, ptr, ptr, ptr, i64, i64, i64,
                                       ptr, ptr]
     lib.qw_sampled_counts.restype = None
@@ -221,8 +221,7 @@ def _kernel(seed: int = 0, domain: int = 0, index: int = 0, end: int = 0):
 
 def backend() -> str:
     """Which code draws list words, ``uniform_words``, ``derive_seed``
-    and G(n, p) hosts, marks dense vertex pairs in bit rows and counts
-    their edges, and runs the subset sampler's draws and counts: "c" for
-    the kernel, whose sampler splits its trials among the CPUs the process
-    may use, or "numpy", on one thread."""
+    and G(n, p) hosts, marks vertex pairs in bit rows and runs the subset
+    sampler: "c" for the kernel, whose sampler splits its trials among the
+    CPUs the process may use, or "numpy", on one thread."""
     return "numpy" if _kernel() is None else "c"

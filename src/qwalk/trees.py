@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import Graph, _pairs_graph, _write_pairs, read_text
 from .rng import DOMAIN_TREE_GEN, _integer, uniform_words
-from .walks import ListModel, _check_model, _count_ids
+from .walks import ListModel, _check_model, _count_ids, _tree_size
 
 
 class RootedTree:
@@ -92,14 +92,6 @@ def build_tree(parents) -> RootedTree:
             f"parent of vertex {j} is {int(arr[j])}; must be an earlier vertex")
     _tree_size(len(arr))
     return RootedTree(arr.astype(np.int32))
-
-
-def _tree_size(size: int) -> int:
-    """``size`` when a tree of that many vertices has ids that fit int32
-    parents, at most 2^31; ValueError otherwise, before any allocation."""
-    if size > 2**31:
-        raise ValueError(f"a tree of {size} vertices has ids past int32")
-    return size
 
 
 def gen_path_tree(length: int) -> RootedTree:

@@ -35,6 +35,7 @@ from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _integer, _kernel
                   uniform_words)
 
 _CHUNK = 2048
+_BLOCK = 1 << 16  # ids per block where a whole-array temporary would outweigh them
 
 
 def _count_ids(ids: np.ndarray, n: int) -> np.ndarray:
@@ -42,9 +43,17 @@ def _count_ids(ids: np.ndarray, n: int) -> np.ndarray:
     2^16 at a time: bincount first casts its whole input to int64, which
     would triple the bytes of an int32 walk."""
     counts = np.zeros(n, dtype=np.int64)
-    for i in range(0, len(ids), 1 << 16):
-        counts += np.bincount(ids[i:i + (1 << 16)], minlength=n)
+    for i in range(0, len(ids), _BLOCK):
+        counts += np.bincount(ids[i:i + _BLOCK], minlength=n)
     return counts
+
+
+def _tree_size(size: int) -> int:
+    """``size`` when a tree of that many vertices has ids that fit int32
+    parents, at most 2^31; ValueError otherwise, before any allocation."""
+    if size > 2**31:
+        raise ValueError(f"a tree of {size} vertices has ids past int32")
+    return size
 
 
 class ListModel:
@@ -102,21 +111,19 @@ class ListModel:
 
     def entries(self, v: int, count: int) -> np.ndarray:
         """Entries 1 .. count of the list of v, replayed statelessly."""
-        v = _vertex(self.graph, v)
+        return self._entries(_vertex(self.graph, v), 0, count)
+
+    def _entries(self, v: int, start: int, count: int) -> np.ndarray:
+        """Entries start+1 .. start+count of the list of v, from the words
+        ``uniform_words`` draws."""
         d = self.graph.degree(v)
-        if d == 0:
-            if count == 0:
-                return np.empty(0, dtype=np.int32)
+        if d == 0 and count:
             raise ValueError(f"vertex {v} has no neighbors")
-        u = uniform_words(self.seed, DOMAIN_LIST, v, 0, count)
+        u = uniform_words(self.seed, DOMAIN_LIST, v, start, count)
         return self.graph.neighbors(v)[(u * d).astype(np.int64)]
 
     def _refill(self, v: int):
-        d = self.graph.degree(v)
-        if d == 0:
-            raise ValueError(f"vertex {v} has no neighbors")
-        u = uniform_words(self.seed, DOMAIN_LIST, v, int(self._drawn[v]), _CHUNK)
-        buf = self.graph.neighbors(v)[(u * d).astype(np.int64)]
+        buf = self._entries(v, int(self._drawn[v]), _CHUNK)
         self._drawn[v] += _CHUNK
         it = self._iters[v] = iter(self._ids[buf].tolist())
         return it
@@ -137,13 +144,13 @@ class ListModel:
             m, parents = len(parents), None  # a walk: parents[j] = j
         else:
             parents = np.asarray(parents)
-            m = len(parents)
-            if m >= 2**31:  # an int32 parent holds 0..2^31 - 1
-                raise ValueError(f"a tree of {m + 1} vertices has ids past int32")
-            bad = np.flatnonzero((parents < 0) | (parents > np.arange(m, dtype=np.int32)))
-            if len(bad):
-                j = int(bad[0])
-                raise ValueError(f"parents[{j}] is {parents[j]}; it must lie in 0..{j}")
+            m = _tree_size(len(parents) + 1) - 1
+            for i in range(0, m, _BLOCK):  # temporaries of a block, not of the tree
+                block, at = parents[i:i + _BLOCK], np.arange(i, min(i + _BLOCK, m), dtype=np.int32)
+                bad = at[(block < 0) | (block > at)]
+                if len(bad):
+                    j = int(bad[0])
+                    raise ValueError(f"parents[{j}] is {parents[j]}; it must lie in 0..{j}")
             parents = np.ascontiguousarray(parents, dtype=np.int32)
         # before any entry is taken, so that an image too large for memory
         # fails at once on both backends
@@ -292,6 +299,8 @@ def list_subgraph(g: Graph, model: ListModel, alpha: float) -> Graph:
     Replayed from the model's seed, independent of any walk's consumption.
     """
     _check_model(g, model)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     us, vs = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]

@@ -10,6 +10,7 @@ errors.
 import hashlib
 import importlib
 import inspect
+import math
 import os
 import re
 import shutil
@@ -29,13 +30,14 @@ from qwalk import graph, rng
 from qwalk import walks as walks_module
 from qwalk.certify import count_c4_labelled, discrepancy_refined, discrepancy_sampled, trace_p4
 from qwalk.experiments import ExperimentConfig, run_experiment
-from qwalk.graph import (Graph, VertexSet, _bit_rows, _pairs_graph, _vertex_count,
+from qwalk.graph import (Graph, VertexSet, _mark_rows, _pairs_graph, _vertex_count,
                          build_graph, gen_complete, gen_gnp,
                          gen_two_clique_bridge, neighbour_counts, save_graph)
 from qwalk.trees import (decompose_tree, gen_nary_tree, gen_path_tree, gen_random_tree,
                          image_subgraph, random_homomorphism)
 from qwalk.walks import (ListModel, empirical_step_distribution, hit_probability_check,
-                         run_walk, step_positions, subsequence_visit_counts, walk_subgraph)
+                         list_subgraph, run_walk, step_positions, subsequence_visit_counts,
+                         walk_subgraph)
 
 SRC = Path(__file__).parents[1] / "src"
 # the package re-exports the function ``certify`` under the module's name
@@ -151,10 +153,9 @@ def test_long_lists_cross_many_blocks(c_backend, monkeypatch):
 
 
 def _rows_graph(n, keys):
-    """The graph of sorted distinct ``keys`` built from numpy's bit rows,
-    on either backend."""
-    keys = np.asarray(keys, dtype=np.int64)
-    return Graph._from_rows(n, _bit_rows(Graph(n, keys)), len(keys))
+    """The graph of sorted distinct ``keys`` built from the bit rows that
+    the graph of those keys packs, on either backend."""
+    return Graph._from_rows(Graph(n, np.asarray(keys, dtype=np.int64)).bit_rows())
 
 
 def _select_hosts(n):
@@ -376,7 +377,7 @@ SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
     f"tests/test_kernel.py::{name}" for name in (
         "test_derive_seed_matches_reference", "test_uniform_words_match_reference",
         "test_long_lists_cross_many_blocks", "test_row_select_matches_reference",
-        "test_kernel_sets_no_bit_for_bad_pairs",
+        "test_kernel_sets_no_bit_for_bad_pairs", "test_bit_rows_match_reference",
         "test_pair_graphs_read_out_the_rows_the_kernel_marked",
         "test_gnp_matches_row_reference", "test_sampled_counts_do_not_depend_on_threads")]
 
@@ -612,14 +613,15 @@ def _built(n, keys):
     """(graph, from rows) for the graph of sorted distinct ``keys`` built
     each way on the current backend: from the keys, from their pairs by
     ``build_graph`` and ``_pairs_graph``, which keep the rows the kernel
-    marked for dense pairs, and from numpy's bit rows by
-    ``Graph._from_rows``; ``from rows`` says whether it was built from rows."""
+    marked for dense pairs, and from the rows the graph of the keys packs
+    by ``Graph._from_rows``; ``from rows`` says whether it was built from
+    rows."""
     us, vs = np.divmod(keys, max(n, 1))
     marked = rng._kernel() is not None and n * n <= 64 * len(keys)
     yield Graph(n, keys.copy()), False
     yield build_graph(n, np.column_stack((us, vs))), marked
     yield _pairs_graph(n, us, vs), marked
-    yield Graph._from_rows(n, _bit_rows(Graph(n, keys)), len(keys)), True
+    yield Graph._from_rows(Graph(n, keys).bit_rows()), True
 
 
 @settings(max_examples=300, **PER_EXAMPLE)
@@ -740,6 +742,11 @@ def test_vertex_count_bound_keeps_keys_in_int64():
      "trials must be an integer, got 2.5"),
     (lambda: hit_probability_check(gen_complete(5), 0, VertexSet.full(5), 2.5, 3, 1, eps=0.5),
      "step index must be an integer, got 2.5"),
+    # a list prefix's length parameter, refused in walk_steps' words
+    (lambda g=gen_complete(3): list_subgraph(g, ListModel(g, 1), math.inf),
+     "alpha must be finite, got inf"),
+    (lambda g=gen_complete(3): list_subgraph(g, ListModel(g, 1), math.nan),
+     "alpha must be finite, got nan"),
 ])
 def test_non_integral_values_rejected(backend, call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -904,6 +911,7 @@ def test_generated_graphs_are_pinned(backend):
     # and every array was int64; int32 indices are widened to hash the same
     h = hashlib.sha256()
     for g in _graphs():
+        assert g.edge_count == g.degrees.sum() // 2 == len(g.edge_codes())
         h.update(str(g.n).encode())
         for a in (g.indptr, g.indices, g.edge_codes()):
             a = a.astype(np.int64)
@@ -1011,15 +1019,26 @@ def test_bad_pairs_rejected(backend, n, us, vs, message):
             build_graph(n, np.column_stack((us, vs)))
 
 
-def test_kernel_sets_no_bit_for_bad_pairs(c_backend):
+def test_kernel_sets_no_bit_for_bad_pairs(c_backend, monkeypatch):
     # the checking pass returns before the rows are touched, even where
-    # the bad pair comes after good ones
+    # the bad pair comes after good ones; _mark_rows then raises the
+    # ValueError of numpy's check, with no bit of its rows set, on either
+    # backend
     for us, vs in [([0, 1], [1, 5]), ([0, 3], [1, 3]), ([0, -1], [1, 2]), ([2, 0], [4, 1])]:
         us, vs = np.array(us, dtype=np.int32), np.array(vs, dtype=np.int32)
         rows = np.zeros((4, 1), dtype=np.uint64)
         assert c_backend.qw_mark_pairs(4, us.ctypes.data, vs.ctypes.data, 2,
                                        rows.ctypes.data) == -1
         assert not rows.any()
+        messages = []
+        for lib in (c_backend, False):
+            monkeypatch.setattr(rng, "_lib", lib)
+            with pytest.raises(ValueError) as raised:
+                _mark_rows(4, us, vs)
+            marked = next(e.locals["rows"] for e in raised.traceback if e.name == "_mark_rows")
+            assert marked.shape == (4, 1) and not marked.any()
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
 
 @settings(max_examples=100, **PER_EXAMPLE)
@@ -1112,12 +1131,23 @@ def _rows_from_edges(g):
 
 
 @settings(max_examples=150, **PER_EXAMPLE)
-@given(case=count_cases())
-def test_bit_rows_match_reference(case):
-    # numpy's rows and the edge list set the same bits
+@given(case=count_cases(), data=st.data())
+def test_bit_rows_match_reference(backend, case, data):
+    # the rows a graph packs from its keys, and _mark_rows over its edges
+    # in any order and orientation, some repeated, as int32 or int64 ids,
+    # set the bits that the edge list sets one at a time
     n, keys, _, _ = case
     g = Graph(n, keys)
-    assert np.array_equal(_bit_rows(g), _rows_from_edges(g))
+    want = _rows_from_edges(g)
+    assert np.array_equal(g.bit_rows(), want)
+    rand = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pairs = g.edge_array()
+    pairs = np.concatenate([pairs, pairs[rand.random(len(pairs)) < 0.3]])
+    pairs = pairs[rand.permutation(len(pairs))]
+    flip = rand.random(len(pairs)) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    ids = pairs.astype(data.draw(st.sampled_from([np.int32, np.int64])))
+    assert np.array_equal(_mark_rows(n, ids[:, 0], ids[:, 1]), want)
 
 
 @settings(max_examples=150, **PER_EXAMPLE)
@@ -1125,17 +1155,18 @@ def test_bit_rows_match_reference(case):
 def test_dense_graph_keeps_its_rows(c_backend, monkeypatch, case):
     # a graph built from bit rows, as build_graph and _pairs_graph build one
     # from dense pairs with the kernel, keeps its rows, read-only; a graph
-    # built from keys packs its rows in numpy on first use; all equal
-    # numpy's
+    # built from keys marks its rows on first use; all equal numpy's, and
+    # every graph counts the edges of its keys
     n, keys, _, _ = case
     event("bit rows" if n * n <= 64 * len(keys) else "numpy sort")
     monkeypatch.setattr(rng, "_lib", False)
     reference = Graph(n, keys)
-    want = _bit_rows(reference)
+    want = reference.bit_rows()
     for lib in (c_backend, False):
         monkeypatch.setattr(rng, "_lib", lib)
         for g, from_rows in _built(n, keys):
             assert (g._rows is not None) == from_rows
+            assert g.edge_count == g.degrees.sum() // 2 == len(keys)
             rows = g.bit_rows()
             assert rows is g._rows and not rows.flags.writeable
             assert rows.dtype == np.uint64 and np.array_equal(rows, want)
@@ -1174,17 +1205,18 @@ def test_pair_graphs_read_out_the_rows_the_kernel_marked(kernel_calls):
         kernel_calls.clear()
         h = make()
         assert kernel_calls == {"qw_mark_pairs": 1} and h._indices is None
-        assert h._rows is not None and np.array_equal(h._rows, _bit_rows(h))
+        assert h._rows is not None and np.array_equal(h._rows, _rows_from_edges(h))
 
 
 def test_dense_counts_never_pack_rows(kernel_calls, monkeypatch):
     # K_100's rows are written in numpy and G(300, 0.3) is drawn into its
     # rows, with no key made and no indices read out; both keep those
     # rows.  A G(300, 0.01) below the rule builds its CSR arrays with no
-    # kernel call and packs its rows once, in numpy, on first use;
-    # counting calls no kernel
+    # kernel call and packs its rows once, on first use, in one
+    # qw_mark_pairs call; counting calls no other entry point
     packed = []
-    monkeypatch.setattr(graph, "_bit_rows", lambda g: packed.append(g) or _bit_rows(g))
+    monkeypatch.setattr(graph, "_mark_rows",
+                        lambda n, us, vs: packed.append(n) or _mark_rows(n, us, vs))
     complete = gen_complete(100)
     assert not kernel_calls
     gnp = gen_gnp(300, 0.3, 1)
@@ -1199,7 +1231,7 @@ def test_dense_counts_never_pack_rows(kernel_calls, monkeypatch):
     assert not kernel_calls and g._rows is None
     for _ in range(2):
         neighbour_counts(g, np.ones((1, 300), dtype=bool))
-    assert packed == [g] and not kernel_calls
+    assert packed == [300] and kernel_calls == {"qw_mark_pairs": 1}
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129])
@@ -1216,7 +1248,7 @@ def test_rows_read_out_as_the_sorted_arcs(n, p):
         np.bitwise_or.at(rows, (u, v // 64), np.uint64(1) << (v % 64).astype(np.uint64))
     ref = Graph(n, keys)
     m = len(keys)
-    g = Graph._from_rows(n, rows, m)
+    g = Graph._from_rows(rows)
     assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
     assert np.array_equal(g.indptr, ref.indptr) and np.array_equal(g.indices, ref.indices)
     assert g.bit_rows() is rows and g.edge_count == m
