@@ -24,7 +24,7 @@ from .walks import (Distribution, ListModel, WalkTrace,
                     empirical_step_distribution, hit_probability_check,
                     list_subgraph, load_trace, run_walk, sandwich_bounds,
                     save_trace, stationary, subsequence_visit_counts,
-                    tv_distance, walk_subgraph)
+                    tv_distance, walk_edges, walk_subgraph)
 from .trees import (RootedTree, TreeDecomposition, TreeHomomorphism,
                     build_tree, decompose_tree, gen_nary_tree, gen_path_tree,
                     gen_random_tree, image_subgraph, load_tree,
@@ -44,7 +44,8 @@ __all__ = [
     "count_c4_labelled",
     "trace_p4", "lambda_bound_from_trace", "lambda_estimate",
     "ListModel", "WalkTrace", "Distribution", "stationary",
-    "balanced_start", "run_walk", "walk_subgraph", "list_subgraph",
+    "balanced_start", "run_walk", "walk_edges", "walk_subgraph",
+    "list_subgraph",
     "sandwich_bounds", "subsequence_visit_counts", "default_block_length",
     "empirical_step_distribution", "tv_distance", "hit_probability_check",
     "save_trace", "load_trace",

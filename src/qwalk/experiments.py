@@ -34,8 +34,8 @@ from .rng import DOMAIN_HOST, DOMAIN_STEP_LAW, DOMAIN_TRIALS, derive_seed, strea
 from .trees import (gen_nary_tree, gen_path_tree, gen_random_tree,
                     image_subgraph, random_homomorphism)
 from .walks import (Distribution, ListModel, balanced_start, run_walk,
-                    stationary, step_positions, tv_distance, walk_steps,
-                    walk_subgraph)
+                    stationary, step_positions, tv_distance, walk_edges,
+                    walk_steps)
 
 
 # what each check in an experiment passes at, unless config.tolerances says
@@ -278,11 +278,12 @@ def _setup(cfg: ExperimentConfig) -> tuple[Graph, float, int, int]:
     return g, density(g), _pick_start(cfg, g), walk_steps(cfg.alpha, cfg.n)
 
 
-def _walk_trials(cfg: ExperimentConfig, g: Graph, start: int, steps: int):
-    """Yield ``(t, trace)`` per trial, each walk on a fresh list model that
-    is dropped as soon as the walk returns."""
+def _walk_trials(cfg: ExperimentConfig, g: Graph, start: int, steps: int, walk):
+    """Yield ``(t, walk(g, model, start, steps))`` per trial, ``walk`` being
+    ``run_walk`` for the trace or ``walk_edges`` for the edges alone.  Each
+    walk runs on a fresh list model that is dropped as soon as it returns."""
     for t in range(cfg.trials):
-        yield t, run_walk(g, ListModel(g, _trial_seed(cfg, t)), start, steps)
+        yield t, walk(g, ListModel(g, _trial_seed(cfg, t)), start, steps)
 
 
 def _retention_prediction(alpha: float, rho: float, n: int) -> dict:
@@ -300,10 +301,14 @@ def _retention_checks(cfg: ExperimentConfig, counts: list,
 
 
 def exp_density(cfg: ExperimentConfig) -> ExperimentReport:
-    """Edge count of the traversed subgraph against its closed form."""
+    """Edge count of the traversed subgraph against its closed form.
+
+    Each walk's edges are marked as it goes (``walk_edges``): no trace of
+    a walk is held.
+    """
     g, rho, start, steps = _setup(cfg)
-    per_trial = [{"trial": t, "walk_edges": len(walk_subgraph(trace))}
-                 for t, trace in _walk_trials(cfg, g, start, steps)]
+    per_trial = [{"trial": t, "walk_edges": len(gw)}
+                 for t, gw in _walk_trials(cfg, g, start, steps, walk_edges)]
     predicted = _retention_prediction(cfg.alpha, rho, cfg.n)
     checks = _retention_checks(
         cfg, [r["walk_edges"] for r in per_trial], predicted)
@@ -318,7 +323,7 @@ def exp_visits(cfg: ExperimentConfig) -> ExperimentReport:
     band = cfg.tolerance("rel_visits")
     need = cfg.tolerance("frac_within")
     per_trial = []
-    for t, trace in _walk_trials(cfg, g, start, steps):
+    for t, trace in _walk_trials(cfg, g, start, steps, run_walk):
         pred = (cfg.alpha / rho) * g.degrees
         live = pred > 0
         rel = np.abs(trace.visit_counts[live] / pred[live] - 1.0)
@@ -340,6 +345,8 @@ def exp_preservation(cfg: ExperimentConfig) -> ExperimentReport:
 
     Host and walk subgraphs are certified with the same sampler seed, so
     the comparison is paired: both maxima run over the same set pairs.
+    Each walk's edges are marked as it goes (``walk_edges``): no trace of
+    a walk is held.
     """
     g, rho, start, steps = _setup(cfg)
     gamma = cfg.gamma_coefficient * cfg.eps ** 0.25
@@ -349,8 +356,7 @@ def exp_preservation(cfg: ExperimentConfig) -> ExperimentReport:
                       "eps-preservation is not guaranteed at this scale")
     host_disc, _ = discrepancy_sampled(g, cfg.eps, cfg.disc_trials, cfg.seed)
     per_trial = []
-    for t, trace in _walk_trials(cfg, g, start, steps):
-        gw = walk_subgraph(trace)
+    for t, gw in _walk_trials(cfg, g, start, steps, walk_edges):
         disc, _ = discrepancy_sampled(gw, cfg.eps, cfg.disc_trials, cfg.seed)
         per_trial.append({"trial": t, "walk_discrepancy": disc,
                           "walk_edges": gw.edge_count})
@@ -375,6 +381,11 @@ def exp_pathology(cfg: ExperimentConfig) -> ExperimentReport:
     probability is interior to the calibrated interval and that the two
     conditional means are separated by more than two pooled standard
     errors.
+
+    Each walk's edges are marked as it goes (``walk_edges``): no trace of
+    a walk is held.  A walk crossed when it starts in the small clique
+    0..s-1 or some edge it traversed has an endpoint there, since every
+    vertex it visits after the start ends a traversed edge.
     """
     if cfg.generator != "two_clique_bridge":
         raise ValueError("the pathology experiment needs the two-clique host")
@@ -382,9 +393,9 @@ def exp_pathology(cfg: ExperimentConfig) -> ExperimentReport:
     s = small_clique_size(cfg.n, _clique_eps(cfg))
     start = cfg.start if cfg.start is not None else s  # large-clique corner
     steps = walk_steps(cfg.alpha, cfg.n)
-    per_trial = [{"trial": t, "crossed": bool((trace.sequence < s).any()),
-                  "walk_edges": len(walk_subgraph(trace))}
-                 for t, trace in _walk_trials(cfg, g, start, steps)]
+    per_trial = [{"trial": t, "crossed": bool(start < s or gw.indptr[s] > 0),
+                  "walk_edges": len(gw)}
+                 for t, gw in _walk_trials(cfg, g, start, steps, walk_edges)]
     crossed = np.array([r["crossed"] for r in per_trial])
     edges = np.array([r["walk_edges"] for r in per_trial], dtype=np.float64)
     p_cross = float(crossed.mean())

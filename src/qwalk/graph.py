@@ -24,20 +24,25 @@ popcounts, half of whose total is its edge count; walks select each
 neighbour from the rows.  Either reads ``indices``, 8 bytes an edge,
 out of its one edge store only when they are asked for: from keys by
 the numpy sort of both arcs of every edge, from rows as each row's set
-bits in order.  Rows become ``indices``, keys and the dense matrix in
-numpy alone, through ``_row_bits``.  ``gen_gnp`` draws G(n, p) into
+bits in order; until then ``neighbors(v)`` of a graph built from rows
+reads row v alone.  Rows become ``indices``, keys and the dense matrix
+in numpy alone, through ``_row_bits``.  ``gen_gnp`` draws G(n, p) into
 rows, ``gen_complete`` writes K_n's, and ``_mark_rows`` alone marks
-pairs in them, by the C kernel of ``rng`` or by numpy, the reference.
+pairs in them, by the C kernel of ``rng`` or by numpy, the reference;
+both OR into rows, so pairs may be marked a block at a time.
 
-``_pairs_graph`` alone turns pairs into a ``Graph``, for
-``build_graph`` and the edges of walks, tree images and list prefixes,
-and rejects an endpoint outside 0..n-1 and a self-loop.  With the
-kernel and under the table rule, m pairs with n^2 <= 64 m
-(``_table_fits``), it builds the ``Graph`` from the n bit rows that
+``_pairs_graph`` turns pairs into a ``Graph``, for ``build_graph`` and
+the edges of walks, tree images and list prefixes, and rejects an
+endpoint outside 0..n-1 and a self-loop.  With the kernel and under the
+table rule, m pairs with n^2 <= 64 m (``_table_fits``; both together
+are ``_rows_rule``), it builds the ``Graph`` from the n bit rows that
 ``_mark_rows`` marks, no larger than the m int64 keys a sort needs, so
 each edge is checked and marked once and no key is made until
 ``Graph.edge_codes`` reads them out in numpy.  Otherwise numpy sorts
 the packed keys, the reference, and the ``Graph`` is built from them.
+Under the same rule ``walks.walk_edges`` and ``walks.list_subgraph``
+hand ``_rows_graph`` their pairs a block at a time as they draw them,
+and build the same ``Graph`` without holding all the pairs at once.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
 uint64 words, n^2/8 bytes, packed once: kept from construction where it
@@ -165,12 +170,21 @@ def _check_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> None:
         raise ValueError(f"self-loop rejected at vertex {us[loop.argmax()]}")
 
 
-def _mark_rows(n: int, us, vs) -> np.ndarray:
-    """n bit rows of ceil(n/64) uint64 words with bit v of row u and bit u
-    of row v set for each pair of the equal-length integer arrays us, vs:
-    by the kernel's ``qw_mark_pairs`` on int32 ids, else by numpy, the
-    reference.  A bad pair raises ``_check_pairs``' ValueError first."""
-    rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+def _rows_rule(n: int, m) -> bool:
+    """Whether m pairs on n vertices become bit rows: the kernel is loaded
+    and the table rule holds.  Otherwise numpy sorts their keys."""
+    return _table_fits(n, m) and _kernel() is not None
+
+
+def _mark_rows(n: int, us, vs, rows: np.ndarray | None = None) -> np.ndarray:
+    """``rows``, or n new clear bit rows of ceil(n/64) uint64 words, with
+    bit v of row u and bit u of row v set for each pair of the
+    equal-length integer arrays us, vs: by the kernel's ``qw_mark_pairs``
+    on int32 ids, else by numpy, the reference.  Both OR into the rows, so
+    a caller may mark its pairs a block at a time.  A bad pair raises
+    ``_check_pairs``' ValueError before any bit is set."""
+    if rows is None:
+        rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
     lib = _kernel()
     us32, vs32 = (_ids(us), _ids(vs)) if lib is not None else (None, None)
     if us32 is not None and vs32 is not None and lib.qw_mark_pairs(
@@ -180,6 +194,16 @@ def _mark_rows(n: int, us, vs) -> np.ndarray:
     for a, b in ((us, vs), (vs, us)):
         np.bitwise_or.at(rows, (a, b // 64), np.uint64(1) << (b % 64).astype(np.uint64))
     return rows
+
+
+def _rows_graph(n: int, blocks) -> Graph:
+    """The Graph on 0..n-1 of the pairs of each (us, vs) of the iterable
+    ``blocks``, marked into one set of rows as each block comes, so no
+    more than one block is held at a time."""
+    rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    for us, vs in blocks:
+        _mark_rows(n, us, vs, rows)
+    return Graph._from_rows(rows)
 
 
 def _pairs_graph(n: int, us, vs) -> Graph:
@@ -198,8 +222,8 @@ def _pairs_graph(n: int, us, vs) -> Graph:
     us, vs = _integers(us, "edge endpoints"), _integers(vs, "edge endpoints")
     if us.ndim != 1 or us.shape != vs.shape:
         raise ValueError("pairs must be two 1-d arrays of equal length")
-    if _table_fits(n, len(us)) and _kernel() is not None:
-        return Graph._from_rows(_mark_rows(n, us, vs))
+    if _rows_rule(n, len(us)):
+        return _rows_graph(n, [(us, vs)])
     _check_pairs(n, us, vs)
     return Graph(n, _distinct(_pack(n, us, vs)))
 
@@ -248,7 +272,8 @@ class Graph:
     (``_from_rows``) keeps its rows, ``indptr`` and a rank directory
     instead, reads ``edge_codes()`` out of its rows on each call, and its
     walks select each neighbour from its rows through the directory.
-    Either reads ``indices`` out of its one edge store on first use.
+    Either reads ``indices`` out of its one edge store on first use;
+    ``neighbors`` of a graph built from rows reads one row until then.
     """
 
     __slots__ = ("n", "indptr", "edge_count", "_indices", "_edge_codes", "_rows", "_ranks")
@@ -318,8 +343,14 @@ class Graph:
         return np.diff(self.indptr)
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of v (read-only view)."""
+        """Sorted int32 neighbor ids of v (read-only): a view of
+        ``indices``, or, where a graph built from rows has not read them
+        out, the set bits of row v alone."""
         v = _vertex(self, v)
+        if self._indices is None and self._rows is not None:
+            row = np.flatnonzero(_row_bits(self._rows[v:v + 1])).astype(np.int32)
+            row.setflags(write=False)
+            return row
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def __len__(self) -> int:

@@ -12,6 +12,10 @@ parent's image, and a walk is the path tree.  It runs in the C kernel
 of ``rng`` when that loads, and in a Python loop over numpy-drawn
 buffers otherwise; both take the same entries, bit for bit.
 
+``walk_edges`` gives a walk's edges alone, the graph ``walk_subgraph``
+builds from its trace: where those pairs take bit rows it marks them a
+block of steps at a time, so the trace is never held whole.
+
 A "visit" is a departure: visit counts run over walk positions
 0 .. steps-1, one list entry consumed per visit, so counts sum to the
 number of steps and the terminal vertex consumes nothing.
@@ -29,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (Graph, VertexSet, _pairs_graph, _vertex, balanced_vertices, density,
-                    read_text)
+from .graph import (Graph, VertexSet, _pairs_graph, _rows_graph, _rows_rule, _vertex,
+                    balanced_vertices, density, read_text)
 from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _integer, _kernel, stream,
                   uniform_words)
 
@@ -254,14 +258,47 @@ def run_walk(g: Graph, model: ListModel, start: int, steps: int) -> WalkTrace:
     so repeated runs against one model continue its streams while a
     fresh model with the same seed reproduces the trace exactly.
     """
+    start, steps = _walk_args(g, model, start, steps)
+    sequence = model.consume(range(steps), start)
+    if g.degree(start) == 0:
+        raise ValueError(f"start vertex {start} has no neighbors")
+    return WalkTrace(graph=g, start=start, steps=steps, sequence=sequence)
+
+
+def walk_edges(g: Graph, model: ListModel, start: int, steps: int) -> Graph:
+    """The edges a walk of ``steps`` steps from ``start`` traverses: the
+    graph ``walk_subgraph(run_walk(g, model, start, steps))`` returns,
+    with the model left in the state that leaves and the same errors.
+
+    Where those pairs become bit rows (``graph._rows_rule``), the walk
+    takes ``_BLOCK`` steps at a time, each block's pairs marked into one
+    set of rows (``graph._rows_graph``), so no more than a block of the
+    walk is held at once.  Otherwise it is that call, the reference.
+    """
+    start, steps = _walk_args(g, model, start, steps)
+    if not _rows_rule(g.n, steps):
+        return walk_subgraph(run_walk(g, model, start, steps))
+    return _rows_graph(g.n, _walk_blocks(model, start, steps))
+
+
+def _walk_blocks(model: ListModel, start: int, steps: int):
+    """Yield the (from, to) vertices of a walk's steps, ``_BLOCK`` steps
+    at a time, each block walked from where the last one ended."""
+    for done in range(0, steps, _BLOCK):
+        walk = model.consume(range(min(_BLOCK, steps - done)), start)
+        yield walk[:-1], walk[1:]
+        start = int(walk[-1])
+
+
+def _walk_args(g: Graph, model: ListModel, start, steps) -> tuple[int, int]:
+    """(start, steps) as ints, checked before any entry is taken: the
+    model is built on ``g``, steps is a non-negative integer and start a
+    vertex of ``g``, each refused with ValueError in that order."""
     _check_model(g, model)
     steps = _integer(steps, "steps")
     if steps < 0:
         raise ValueError(f"a walk takes a non-negative number of steps, got {steps}")
-    sequence = model.consume(range(steps), start)  # checks start first
-    if g.degree(start) == 0:
-        raise ValueError(f"start vertex {start} has no neighbors")
-    return WalkTrace(graph=g, start=int(start), steps=steps, sequence=sequence)
+    return _vertex(g, start), steps
 
 
 def _check_model(g: Graph, model: ListModel) -> None:
@@ -288,7 +325,9 @@ def walk_steps(alpha: float, n: int) -> int:
 
 
 def walk_subgraph(trace: WalkTrace) -> Graph:
-    """Edges traversed by the walk, deduplicated, as a Graph."""
+    """Edges traversed by the walk, deduplicated, as a Graph.  A caller
+    that needs the edges alone calls ``walk_edges``, which holds no
+    trace."""
     return _pairs_graph(trace.graph.n, trace.sequence[:-1], trace.sequence[1:])
 
 
@@ -297,19 +336,27 @@ def list_subgraph(g: Graph, model: ListModel, alpha: float) -> Graph:
     entries of the list of v, or vice versa.
 
     Replayed from the model's seed, independent of any walk's consumption.
+    Where the sum m of those counts takes bit rows (``graph._rows_rule``,
+    counted before any entry is drawn), each vertex's prefix is marked
+    into one set of rows as it is drawn; otherwise the prefixes are
+    concatenated into the m pairs ``_pairs_graph`` takes.  Either gives
+    the same graph.  On a host built from rows, each prefix is drawn from
+    the vertex's row alone (``Graph.neighbors``), so the host reads out
+    no ``indices``.
     """
     _check_model(g, model)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
+    counts = [int(alpha * d) for d in g.degrees.tolist()]
+    prefixes = ((np.full(k, v, dtype=np.int32), model.entries(v, k))
+                for v, k in enumerate(counts) if k > 0)
+    if _rows_rule(g.n, sum(counts)):
+        return _rows_graph(g.n, prefixes)
     us, vs = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
-    for v in range(g.n):
-        k = int(alpha * g.degree(v))
-        if k <= 0:
-            continue
-        named = model.entries(v, k)
-        us.append(np.full(len(named), v, dtype=np.int32))
+    for u, named in prefixes:
+        us.append(u)
         vs.append(named)
     return _pairs_graph(g.n, np.concatenate(us), np.concatenate(vs))
 

@@ -4,13 +4,16 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qwalk import walks
 from qwalk.experiments import ExperimentConfig, make_host, run_experiment
 from qwalk.graph import gen_complete
-from qwalk.walks import ListModel, run_walk, stationary, walk_subgraph
+from qwalk.rng import DOMAIN_TRIALS, derive_seed
+from qwalk.walks import ListModel, run_walk, stationary, walk_steps, walk_subgraph
 
 
 def cfg_density(**over):
@@ -186,6 +189,23 @@ def test_seeded_report_is_pinned(case):
 
 
 class TestDensityExperiment:
+    def test_holds_no_trace(self, c_backend):
+        # 720k steps on G(300, 1/2): the walk is marked a block at a time,
+        # so the run peaks below half of what its int32 trace would take
+        cfg = cfg_density(n=300, alpha=8.0, trials=1)
+        trace_bytes = 4 * (walk_steps(8.0, 300) + 1)
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trace_bytes / 2
+        g = make_host(cfg)
+        trace = run_walk(g, ListModel(g, derive_seed(5, DOMAIN_TRIALS, 0)),
+                         report.notes["start"], walk_steps(8.0, 300))
+        assert report.per_trial[0]["walk_edges"] == len(walk_subgraph(trace))
+
     def test_alpha_zero_no_edges(self):
         report = run_experiment(cfg_density(alpha=0.0, tolerances={"rel_edges": 0}))
         assert all(r["walk_edges"] == 0 for r in report.per_trial)
@@ -283,6 +303,32 @@ class TestPathologyExperiment:
             crossing_interval=[0.0, 1.0])
         report = run_experiment(cfg)
         assert all(r["crossed"] for r in report.per_trial)
+
+    @pytest.mark.parametrize("alpha,start", [
+        (0.2, None), (0.05, 0), (0.05, 12), (0.05, 100),   # 5120 or 1280 steps, rows
+        (0.01, None), (0.01, 5),                          # 256 steps, keys
+        (0.0, 3), (0.0, None),                            # no step
+    ])
+    def test_crossed_read_from_edges_is_the_walks(self, backend, monkeypatch, alpha, start):
+        # a walk enters the small clique 0..12 iff it starts there or one
+        # of its edges ends there: the edges give the trace's answer, on
+        # either side of the rows rule and across blocks of 100 steps
+        monkeypatch.setattr(walks, "_BLOCK", 100)
+        cfg = ExperimentConfig(
+            experiment="pathology", n=160, seed=9,
+            generator="two_clique_bridge", generator_params={"eps": 0.4},
+            alpha=alpha, eps=0.1, trials=8, start=start,
+            crossing_interval=[0.0, 1.0])
+        report = run_experiment(cfg)
+        g, s, first = make_host(cfg), report.notes["small_clique"], report.notes["start"]
+        assert s == 13
+        for r in report.per_trial:
+            model = ListModel(g, derive_seed(9, DOMAIN_TRIALS, r["trial"]))
+            trace = run_walk(g, model, first, walk_steps(alpha, 160))
+            assert r["crossed"] == bool((trace.sequence < s).any())
+            assert r["walk_edges"] == len(walk_subgraph(trace))
+        if (alpha, start) == (0.2, None):  # both outcomes occur
+            assert len({r["crossed"] for r in report.per_trial}) == 2
 
 
 class TestMixingExperiment:

@@ -45,6 +45,19 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count == 1
 
+    @pytest.mark.parametrize("make", [lambda: gen_gnp(130, 0.3, 2), lambda: gen_complete(65),
+                                      lambda: build_graph(3, [(0, 1)])])
+    def test_neighbors_of_a_row(self, backend, make):
+        # a graph built from rows reads one row per call, with no indices
+        # read out, and gives what its indices give once they are
+        g = make()
+        rows = [g.neighbors(v) for v in range(g.n)]
+        assert g._indices is None or g._rows is None
+        for v, row in enumerate(rows):
+            assert row.dtype == np.int32 and not row.flags.writeable
+            assert np.array_equal(row, g.indices[g.indptr[v]:g.indptr[v + 1]])
+            assert np.array_equal(g.neighbors(v), row)
+
     def test_adjacency_symmetric_and_sorted(self):
         g = gen_gnp(40, 0.4, 3)
         for v in range(g.n):

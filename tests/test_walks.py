@@ -7,16 +7,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from qwalk.graph import VertexSet, build_graph, gen_complete, gen_gnp
+from qwalk import rng, walks
+from qwalk.graph import Graph, VertexSet, _pairs_graph, build_graph, gen_complete, gen_gnp
 from qwalk.rng import DOMAIN_STEP_LAW, DOMAIN_TRIALS, derive_seed, stream
 from qwalk.trees import gen_random_tree, random_homomorphism, tree_visit_counts
 from qwalk.walks import (Distribution, ListModel, WalkTrace, balanced_start,
                          empirical_step_distribution, hit_probability_check,
                          list_subgraph, load_trace, run_walk, sandwich_bounds,
                          save_trace, stationary, step_positions,
-                         subsequence_visit_counts, tv_distance, walk_steps,
-                         walk_subgraph)
+                         subsequence_visit_counts, tv_distance, walk_edges,
+                         walk_steps, walk_subgraph)
+
+# each example sets the block it needs; the fixtures restore it after the test
+PER_EXAMPLE = dict(derandomize=True, deadline=None,
+                   suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def path_graph(k):
@@ -287,6 +294,7 @@ class TestRunWalk:
 
     @pytest.mark.parametrize("drive", [
         lambda g, model: run_walk(g, model, 0, 200),
+        lambda g, model: walk_edges(g, model, 0, 200),
         lambda g, model: random_homomorphism(g, gen_random_tree(50, 3, 1), model, 0),
         lambda g, model: list_subgraph(g, model, 0.5),
     ])
@@ -371,6 +379,95 @@ class TestWalkSubgraph:
             assert g.has_edge(int(u), int(v))
 
 
+def same_graph(got, want):
+    """Whether two graphs keep the same edge store, rows or keys, with the
+    same row starts and edge count."""
+    return ((got._rows is None) == (want._rows is None)
+            and np.array_equal(got.edge_codes(), want.edge_codes())
+            and (got._rows is None or np.array_equal(got._rows, want._rows))
+            and np.array_equal(got.indptr, want.indptr)
+            and got.edge_count == want.edge_count)
+
+
+@st.composite
+def walk_cases(draw):
+    """(host, seed, start, steps, block): G(n, p) plus the edge 01 on up to
+    40 vertices, a start with neighbours, a block of 2 to 9 steps and a
+    walk of 0, 1, block - 1, block, block + 1 steps or several blocks,
+    with n^2 <= 64 steps on either side; seeds past 2^64 drive the numpy
+    model beside the kernel's marking."""
+    n = draw(st.integers(2, 40))
+    edges = gen_gnp(n, draw(st.sampled_from([0.1, 0.5, 1.0])), draw(st.integers(0, 99)))
+    g = build_graph(n, edges.edge_array().tolist() + [(0, 1)])
+    start = draw(st.sampled_from(np.flatnonzero(g.degrees).tolist()))
+    block = draw(st.integers(2, 9))
+    steps = draw(st.one_of(st.sampled_from([0, 1, block - 1, block, block + 1]),
+                           st.integers(2 * block, 12 * block)))
+    seed = draw(st.one_of(st.integers(0, 2**64 - 1), st.just(2**64 + 5)))
+    return g, seed, start, steps, block
+
+
+class TestWalkEdges:
+    @settings(max_examples=150, **PER_EXAMPLE)
+    @given(case=walk_cases())
+    def test_same_graph_and_model_as_walk_subgraph(self, backend, monkeypatch, case):
+        # rows marked block by block where the rule holds, the reference
+        # call elsewhere; either leaves the lists where the walk does
+        g, seed, start, steps, block = case
+        monkeypatch.setattr(walks, "_BLOCK", block)
+        event("n^2 <= 64 steps" if g.n * g.n <= 64 * steps else "n^2 > 64 steps")
+        event(f"{min(steps // block, 3)} whole blocks, {steps % block > 0} part")
+        mine, ref = ListModel(g, seed), ListModel(g, seed)
+        got = walk_edges(g, mine, start, steps)
+        assert same_graph(got, walk_subgraph(run_walk(g, ref, start, steps)))
+        assert np.array_equal(mine.consumed, ref.consumed)
+        assert np.array_equal(run_walk(g, mine, start, 20).sequence,
+                              run_walk(g, ref, start, 20).sequence)
+
+    @pytest.mark.parametrize("steps", [0, 1, 99, 100, 101, 350])
+    def test_both_sides_of_the_rule(self, backend, monkeypatch, steps):
+        # K_80 takes rows from 100 steps on, 80^2 = 64 * 100, with the
+        # kernel: a walk of no step, one, a block less one, a block, a
+        # block and one, and three and a half blocks
+        monkeypatch.setattr(walks, "_BLOCK", 100)
+        g = gen_complete(80)
+        mine, ref = ListModel(g, 4), ListModel(g, 4)
+        got = walk_edges(g, mine, 3, steps)
+        want = walk_subgraph(run_walk(g, ref, 3, steps))
+        assert same_graph(got, want) and np.array_equal(mine.consumed, ref.consumed)
+        assert (got._rows is not None) == (steps >= 100 and rng.backend() == "c")
+
+    @pytest.mark.parametrize("steps", [5, 65_536 * 2 + 7])
+    def test_whole_blocks_on_the_kernel_path(self, c_backend, steps):
+        g = gen_gnp(300, 0.5, 2)
+        mine, ref = ListModel(g, 8), ListModel(g, 8)
+        got = walk_edges(g, mine, 0, steps)
+        assert same_graph(got, walk_subgraph(run_walk(g, ref, 0, steps)))
+        assert np.array_equal(mine.consumed, ref.consumed)
+
+    @pytest.mark.parametrize("graph,start,steps", [
+        (build_graph(3, [(0, 1)]), 2, 0),       # isolated start, no step
+        (build_graph(3, [(0, 1)]), 2, 1),       # isolated start, rows rule holds
+        (build_graph(3, [(0, 1)]), 2, 40),
+        (gen_complete(4), 4, 10),               # start outside the host
+        (gen_complete(4), -1, 0),
+        (gen_complete(4), 1.0, 10),             # start not an integer
+        (gen_complete(4), 0, -5),               # negative steps
+        (gen_complete(4), 0, 2.5),              # steps not an integer
+        (gen_complete(4), 9, "3"),              # steps checked before start
+        (gen_complete(0), 0, 0),                # no vertex to start from
+        (gen_complete(0), 0, 3),
+    ])
+    def test_errors_are_run_walks(self, backend, graph, start, steps):
+        raised = []
+        for walk in (run_walk, walk_edges):
+            model = ListModel(graph, 2)
+            with pytest.raises(Exception) as caught:
+                walk(graph, model, start, steps)
+            raised.append((type(caught.value), str(caught.value), model.consumed.tolist()))
+        assert raised[0] == raised[1] and raised[0][0] is ValueError
+
+
 class TestListSubgraph:
     def test_alpha_zero_empty(self):
         g = gen_gnp(20, 0.5, 3)
@@ -385,6 +482,31 @@ class TestListSubgraph:
         model = ListModel(g, 7)
         for a1, a2 in [(0.1, 0.3), (0.3, 0.9), (0.9, 2.0)]:
             assert list_subgraph(g, model, a1).issubset(list_subgraph(g, model, a2))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.05, 0.5, 3.0])
+    def test_rows_or_keys_as_the_concatenated_prefixes(self, backend, alpha):
+        # every vertex's prefix marked into one set of rows where the pairs
+        # take rows (with the kernel, from alpha = 0.05 on: n^2 <= 64 m),
+        # else concatenated: the same graph as _pairs_graph over all
+        # prefixes at once, from a host's rows or its keys
+        g = gen_gnp(60, 0.5, 1)
+        for host in (g, Graph(60, g.edge_codes())):
+            model = ListModel(host, 5)
+            us, vs = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+            for v in range(60):
+                k = int(alpha * host.degree(v))
+                us.append(np.full(k, v, dtype=np.int32))
+                vs.append(model.entries(v, k))
+            want = _pairs_graph(60, np.concatenate(us), np.concatenate(vs))
+            assert same_graph(list_subgraph(host, model, alpha), want)
+
+    def test_host_from_rows_reads_no_indices_out(self, backend):
+        # the prefixes are drawn from each vertex's row alone; K_150 is
+        # built from rows on both backends, G(150, 1/2) with the kernel
+        for g in (gen_complete(150), gen_gnp(150, 0.5, 3)):
+            from_rows = g._rows is not None
+            list_subgraph(g, ListModel(g, 2), 0.7)
+            assert (g._indices is None) == from_rows
 
     def test_retention_probability_closed_form(self):
         # fixed edge of a 100-regular host at alpha = 0.5
