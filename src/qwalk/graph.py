@@ -40,9 +40,9 @@ are ``_rows_rule``), it builds the ``Graph`` from the n bit rows that
 each edge is checked and marked once and no key is made until
 ``Graph.edge_codes`` reads them out in numpy.  Otherwise numpy sorts
 the packed keys, the reference, and the ``Graph`` is built from them.
-Under the same rule ``walks.walk_edges`` and ``walks.list_subgraph``
-hand ``_rows_graph`` their pairs a block at a time as they draw them,
-and build the same ``Graph`` without holding all the pairs at once.
+Under the same rule ``walks.walk_edges`` hands ``_rows_graph`` a
+walk's pairs a block at a time as it draws them, and builds the same
+``Graph`` without holding all the pairs at once.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
 uint64 words, n^2/8 bytes, packed once: kept from construction where it
@@ -198,11 +198,11 @@ def _mark_rows(n: int, us, vs, rows: np.ndarray | None = None) -> np.ndarray:
 
 def _rows_graph(n: int, blocks) -> Graph:
     """The Graph on 0..n-1 of the pairs of each (us, vs) of the iterable
-    ``blocks``, marked into one set of rows as each block comes, so no
-    more than one block is held at a time."""
-    rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    ``blocks``, which yields at least one, marked into one set of rows as
+    each block comes, so no more than one block is held at a time."""
+    rows = None
     for us, vs in blocks:
-        _mark_rows(n, us, vs, rows)
+        rows = _mark_rows(n, us, vs, rows)
     return Graph._from_rows(rows)
 
 

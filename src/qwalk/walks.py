@@ -336,27 +336,21 @@ def list_subgraph(g: Graph, model: ListModel, alpha: float) -> Graph:
     entries of the list of v, or vice versa.
 
     Replayed from the model's seed, independent of any walk's consumption.
-    Where the sum m of those counts takes bit rows (``graph._rows_rule``,
-    counted before any entry is drawn), each vertex's prefix is marked
-    into one set of rows as it is drawn; otherwise the prefixes are
-    concatenated into the m pairs ``_pairs_graph`` takes.  Either gives
-    the same graph.  On a host built from rows, each prefix is drawn from
-    the vertex's row alone (``Graph.neighbors``), so the host reads out
-    no ``indices``.
+    On a host built from rows, each prefix is drawn from the vertex's row
+    alone (``Graph.neighbors``), so the host reads out no ``indices``.
     """
     _check_model(g, model)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    counts = [int(alpha * d) for d in g.degrees.tolist()]
-    prefixes = ((np.full(k, v, dtype=np.int32), model.entries(v, k))
-                for v, k in enumerate(counts) if k > 0)
-    if _rows_rule(g.n, sum(counts)):
-        return _rows_graph(g.n, prefixes)
     us, vs = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
-    for u, named in prefixes:
-        us.append(u)
+    for v in range(g.n):
+        k = int(alpha * g.degree(v))
+        if k <= 0:
+            continue
+        named = model.entries(v, k)
+        us.append(np.full(len(named), v, dtype=np.int32))
         vs.append(named)
     return _pairs_graph(g.n, np.concatenate(us), np.concatenate(vs))
 

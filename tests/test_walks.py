@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from qwalk import rng, walks
-from qwalk.graph import Graph, VertexSet, _pairs_graph, build_graph, gen_complete, gen_gnp
+from qwalk.graph import Graph, VertexSet, build_graph, gen_complete, gen_gnp
 from qwalk.rng import DOMAIN_STEP_LAW, DOMAIN_TRIALS, derive_seed, stream
 from qwalk.trees import gen_random_tree, random_homomorphism, tree_visit_counts
 from qwalk.walks import (Distribution, ListModel, WalkTrace, balanced_start,
@@ -484,21 +484,14 @@ class TestListSubgraph:
             assert list_subgraph(g, model, a1).issubset(list_subgraph(g, model, a2))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.05, 0.5, 3.0])
-    def test_rows_or_keys_as_the_concatenated_prefixes(self, backend, alpha):
-        # every vertex's prefix marked into one set of rows where the pairs
-        # take rows (with the kernel, from alpha = 0.05 on: n^2 <= 64 m),
-        # else concatenated: the same graph as _pairs_graph over all
-        # prefixes at once, from a host's rows or its keys
-        g = gen_gnp(60, 0.5, 1)
-        for host in (g, Graph(60, g.edge_codes())):
-            model = ListModel(host, 5)
-            us, vs = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
-            for v in range(60):
-                k = int(alpha * host.degree(v))
-                us.append(np.full(k, v, dtype=np.int32))
-                vs.append(model.entries(v, k))
-            want = _pairs_graph(60, np.concatenate(us), np.concatenate(vs))
-            assert same_graph(list_subgraph(host, model, alpha), want)
+    def test_same_prefixes_from_a_hosts_rows_or_keys(self, backend, alpha):
+        # a host built from rows draws each prefix from its row, one built
+        # from keys from its indices: the same entries, the same graph.
+        # K_60 is built from rows on both backends, G(60, 1/2) with the kernel
+        for g in (gen_complete(60), gen_gnp(60, 0.5, 1)):
+            got, want = (list_subgraph(host, ListModel(host, 5), alpha)
+                         for host in (g, Graph(60, g.edge_codes())))
+            assert same_graph(got, want)
 
     def test_host_from_rows_reads_no_indices_out(self, backend):
         # the prefixes are drawn from each vertex's row alone; K_150 is
