@@ -28,7 +28,7 @@
  * are made either; qwalk.graph reads them, keys and dense matrices out of
  * the rows in numpy when they are asked for.
  *
- * qw_sampled_counts draws every subset of
+ * qw_sampled_counts draws every set size and every subset of
  * qwalk.certify.discrepancy_sampled and counts each of its e(A, B) as
  * popcounts of the rows in one call.  Its trials run on POSIX threads,
  * each with its own scratch words, which claim them one at a time; since
@@ -510,6 +510,49 @@ static int64_t volume(int64_t n, int64_t w, const int64_t *indptr, const uint64_
     return flip ? indptr[n] - vol : vol;
 }
 
+/* The sampler's 2 trials set sizes into ``sizes``, as numpy's
+ * Generator(Philox).integers(lo, n + 1, size=(trials, 2)) of the stream
+ * keyed ``key`` draws them: for lo < n, one 32-bit draw x each, the low
+ * half of the next word and then its high half, gives lo + (x r) >> 32
+ * for the r = n - lo + 1 sizes, and is drawn again while the low 32 bits
+ * of x r are below 2^32 mod r (Lemire, "Fast random integer generation
+ * in an interval", ACM TOMACS 2019); for lo = n it takes no word.  The
+ * next double starts at the next whole word, whose position this returns:
+ * qwalk.rng._next_word of numpy's generator.  It takes at most 2 trials
+ * words, twice what the sizes take without a repeated draw, and returns
+ * -1 as it would take more.  n < 2^31, so r < 2^32 - 1. */
+static int64_t draw_sizes(const uint64_t key[2], int64_t lo, int64_t n, int64_t trials,
+                          int64_t *sizes)
+{
+    uint32_t r = (uint32_t)(n - lo + 1), low = (uint32_t)-r % r, x;
+    uint64_t block[4], m;
+    int64_t i, j = 0;
+    int half = 0;
+
+    if (lo == n) {
+        for (i = 0; i < 2 * trials; i++)
+            sizes[i] = n;
+        return 0;
+    }
+    for (i = 0; i < 2 * trials; i++) {
+        do {
+            if (half) {
+                x = (uint32_t)(block[(j - 1) % 4] >> 32);
+            } else {
+                if (j == 2 * trials)
+                    return -1;
+                if (j % 4 == 0)
+                    philox_block(key, (uint64_t)(j / 4 + 1), block);
+                x = (uint32_t)block[j++ % 4];
+            }
+            half = !half;
+            m = (uint64_t)x * r;
+        } while ((uint32_t)m < low);
+        sizes[i] = lo + (int64_t)(m >> 32);
+    }
+    return j;
+}
+
 #define HIST_BITS 12
 
 /* The trials of one qw_sampled_counts call, shared by its threads, each
@@ -587,7 +630,10 @@ static void pin_apart(pthread_attr_t *attr, int64_t i)
 }
 
 /* e[t] = e(A_t, B_t) for the trials of qwalk.certify.discrepancy_sampled
- * on the graph with bit rows ``rows`` and CSR row starts ``indptr``.
+ * on the graph with bit rows ``rows`` and CSR row starts ``indptr``, and
+ * the offset of stream (seed, domain, index) past its sizes, which
+ * draw_sizes writes into ``sizes`` first; -1, with no trial counted,
+ * where they would take more than 2 trials words.
  * Trial t of the block of ``block`` trials (fewer in the last) that
  * starts at t0 draws A_t of size sizes[2t] from words offset + 2 t0 n +
  * (t - t0) n onwards of stream (seed, domain, index), and B_t of size
@@ -606,22 +652,25 @@ static void pin_apart(pthread_attr_t *attr, int64_t i)
  * blocks at counters fixed by t, ``offset`` and ``block`` alone, and it
  * writes only e[t], so the counts do not depend on which thread ran it.
  */
-void qw_sampled_counts(uint64_t seed, uint32_t domain, uint32_t index, int64_t offset,
-                       int64_t n, const uint64_t *rows, const int64_t *indptr,
-                       const int64_t *sizes, int64_t trials, int64_t block, int64_t threads,
-                       uint64_t *work, int64_t *e)
+int64_t qw_sampled_counts(uint64_t seed, uint32_t domain, uint32_t index, int64_t lo,
+                          int64_t n, const uint64_t *rows, const int64_t *indptr,
+                          int64_t *sizes, int64_t trials, int64_t block, int64_t threads,
+                          uint64_t *work, int64_t *e)
 {
-    struct sampler s = {{0, 0}, offset, n, trials, block, 0, 0, rows, indptr, sizes, e};
+    struct sampler s = {{0, 0}, 0, n, trials, block, 0, 0, rows, indptr, sizes, e};
     struct part part[threads];
     pthread_t id[threads];
     pthread_attr_t attr;
     int started[threads];
     int64_t i;
 
+    seed_key(seed, domain, index, s.key);
+    s.offset = draw_sizes(s.key, lo, n, trials, sizes);
+    if (s.offset < 0)
+        return -1;
     /* about two words a bucket */
     while (s.bits < HIST_BITS && (int64_t)2 << s.bits <= n)
         s.bits++;
-    seed_key(seed, domain, index, s.key);
     for (i = 0; i < threads; i++) {
         part[i].s = &s;
         part[i].work = work + i * (2 * n + 2 * ((n + 63) / 64));
@@ -636,4 +685,5 @@ void qw_sampled_counts(uint64_t seed, uint32_t domain, uint32_t index, int64_t o
     for (i = 1; i < threads; i++)
         if (started[i])
             pthread_join(id[i], NULL);
+    return s.offset;
 }

@@ -118,20 +118,26 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
     size-th smallest of n draws (``_picks``).  Deterministic given the
     seed.  Each e(A, B) is an exact integer count.
 
-    The draws follow the sizes on one stream, 2b rows of n for each
+    The sizes are numpy's ``integers(lo, n + 1, size=(trials, 2))`` of
+    the stream, and the draws follow them on it, 2b rows of n for each
     block of b <= 256 trials, A's rows first.  The two paths part only
     in how they count each trial's e(A, B).  With the C kernel, for an
-    address it takes (``rng._kernel``), one call draws every set and
-    counts every e(A, B) from the graph's bit rows over the fewest rows:
+    address it takes (``rng._kernel``), one call draws the sizes as numpy
+    does, with no numpy generator opened, then every set, and counts
+    every e(A, B) from the graph's bit rows over the fewest rows:
     A, B, V - A or V - B, since e(A, B) = e(B, A) and vol(B) - e(V - A,
     B) = e(A, B).  That call runs its trials on min(CPUs this process
     may use, ceil(trials / 256)) threads, which claim one trial at a
     time, so up to 256 trials run on the calling thread alone; each trial
     reads its words at stream positions fixed by its number, so the
-    counts do not depend on which thread ran it.  Otherwise each block is
-    drawn as floats and counted by ``neighbour_counts``, the reference,
-    on one thread.  Then the witness is the first trial of largest
-    deviation, and only its two sets are drawn again, to be returned.
+    counts do not depend on which thread ran it.  The kernel takes the
+    sizes from at most 2 trials words, twice what they take unless a
+    32-bit draw is repeated (a chance below n / 2^32 each), so its words
+    end below 2 trials (n + 1), the ``end`` it is asked for; past that it
+    returns -1 before counting, and the numpy path serves.  That path
+    draws each block as floats after the sizes and counts it by
+    ``neighbour_counts``, the reference, on one thread.  Then the witness is the first trial of largest deviation,
+    and only its two sets are drawn again, to be returned.
     """
     lo = _min_size(g.n, eps)
     trials = _integer(trials, "trials")
@@ -139,19 +145,21 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
         raise ValueError("need at least one trial")
     n = g.n
     seed = _checked_seed(seed)
-    gen = stream(seed, DOMAIN_SUBSETS, 0)
-    sizes = gen.integers(lo, n + 1, size=(trials, 2))
-    offset = _next_word(gen)
-    lib = _kernel(seed, DOMAIN_SUBSETS, 0, offset + 2 * trials * n)
-    if lib is None:
-        e = _sampled_counts(g, gen, sizes)
-    else:
+    lib = _kernel(seed, DOMAIN_SUBSETS, 0, 2 * trials * (n + 1))
+    offset = -1
+    if lib is not None:
+        sizes = np.empty((trials, 2), dtype=np.int64)
         e = np.empty(trials, dtype=np.int64)
         threads = min(_cpus(), -(-trials // _BLOCK))
         work = np.empty(threads * (2 * n + 2 * -(-n // 64)), dtype=np.uint64)
-        lib.qw_sampled_counts(seed, DOMAIN_SUBSETS, 0, offset, n, g.bit_rows().ctypes.data,
-                              g.indptr.ctypes.data, sizes.ctypes.data, trials, _BLOCK,
-                              threads, work.ctypes.data, e.ctypes.data)
+        offset = lib.qw_sampled_counts(seed, DOMAIN_SUBSETS, 0, lo, n, g.bit_rows().ctypes.data,
+                                       g.indptr.ctypes.data, sizes.ctypes.data, trials, _BLOCK,
+                                       threads, work.ctypes.data, e.ctypes.data)
+    if offset < 0:
+        gen = stream(seed, DOMAIN_SUBSETS, 0)
+        sizes = gen.integers(lo, n + 1, size=(trials, 2))
+        offset = _next_word(gen)
+        e = _sampled_counts(g, gen, sizes)
     dev = _deviation(e, density(g), sizes[:, 0], sizes[:, 1])
     i = int(dev.argmax())
     t0 = i - i % _BLOCK

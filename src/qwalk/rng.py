@@ -26,15 +26,18 @@ CPUs that run it fast, a broadword select elsewhere); ``graph`` reads a
 ``Graph``'s ``indices`` out of its rows, or out of its keys by a sort,
 in numpy and only when asked, and the walks of a ``Graph`` built from
 keys read them.
-``certify.discrepancy_sampled`` uses the kernel too: it draws every
-subset and counts every e(A, B) from the bit rows by popcount in one call, in
-a popcnt clone on x86-64 glibc, from the stream position ``_next_word``
-reads off its generator, with its trials claimed one at a time by POSIX
-threads that run C alone.  The kernel is built on first use, never at import, with
+``certify.discrepancy_sampled`` uses the kernel too: it draws every set
+size as numpy's ``integers`` would, then every subset from the stream
+position ``_next_word`` would read off numpy's generator, and counts every
+e(A, B) from the bit rows by popcount in one call, in a popcnt clone on
+x86-64 glibc, with its trials claimed one at a time by POSIX threads that
+run C alone.  The kernel is built on first use, never at import, with
 ``gcc -O2 -pthread`` into a user cache directory keyed by the sha256 of
-its flags and source.  Without gcc, when the build or the cache
-directory fails, or for an address past its limits, the numpy code
-serves instead and stays the reference; ``backend()`` says which one is in use.
+its flags and source, from CPython's built-in sha256 module, which names
+each build as ``hashlib`` did and loads no OpenSSL library.  Without
+gcc, when the build or the cache directory fails, or for an address past
+its limits, the numpy code serves instead and stays the reference;
+``backend()`` says which one is in use.
 """
 
 from __future__ import annotations
@@ -161,23 +164,42 @@ def _build(source: bytes, flags, path: Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The hex sha256 of ``data`` from CPython's built-in module, ``_sha256``
+    up to 3.11 and ``_sha2`` from 3.12, as the stdlib's ``random`` takes
+    its sha512, so that no OpenSSL library is loaded; ``hashlib``, whose
+    digest is the same, where neither is built in."""
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def _load():
     """Build the kernel once per hash of its flags and source, load it;
     None on any failure.  The shared object is compiled from the bytes
-    that were hashed into the cache directory."""
+    that were hashed into the cache directory; ``subprocess`` is imported
+    only to build it."""
     import ctypes
-    import hashlib
-    import subprocess
 
     try:
         source = _SOURCE.read_bytes()
-        digest = hashlib.sha256(" ".join(_FLAGS).encode() + b"\n" + source).hexdigest()
+        digest = _sha256_hex(" ".join(_FLAGS).encode() + b"\n" + source)
         path = Path.home() / ".cache" / "qwalk" / f"philox-{digest}.so"
         if not path.exists():
+            import subprocess
+
             path.parent.mkdir(parents=True, exist_ok=True)
-            _build(source, _FLAGS, path)
+            try:
+                _build(source, _FLAGS, path)
+            except subprocess.SubprocessError:
+                return None
         lib = ctypes.CDLL(str(path))
-    except (OSError, RuntimeError, subprocess.SubprocessError):
+    except (OSError, RuntimeError):
         return None
     return _declare(lib)
 
@@ -200,7 +222,7 @@ def _declare(lib):
     lib.qw_gnp.restype = None
     lib.qw_sampled_counts.argtypes = [u64, u32, u32, i64, i64, ptr, ptr, ptr, i64, i64, i64,
                                       ptr, ptr]
-    lib.qw_sampled_counts.restype = None
+    lib.qw_sampled_counts.restype = i64
     return lib
 
 

@@ -328,6 +328,23 @@ class TestSampledKernelEdges:
         assert kernel_calls["qw_sampled_counts"] == (seed < 2**64)
         assert_matches_reference(g, 0.3, 30, seed)
 
+    def test_sizes_past_their_words_leave_the_sampler_to_numpy(self, c_backend, monkeypatch):
+        # a kernel call whose sizes would take more than 2 trials words
+        # returns -1 before counting, and the numpy path draws everything
+        class GivesUp:
+            def __getattr__(self, name):
+                return getattr(c_backend, name)
+
+            def qw_sampled_counts(self, *args):
+                return -1
+
+        g = gen_gnp(40, 0.5, 1)
+        ref, (ra, rb) = reference_sampled(g, 0.3, 300, 8)
+        monkeypatch.setattr(rng, "_lib", GivesUp())
+        dev, (wa, wb) = discrepancy_sampled(g, 0.3, 300, 8)
+        assert dev == ref
+        assert np.array_equal(wa.bool_mask(), ra) and np.array_equal(wb.bool_mask(), rb)
+
     @pytest.mark.parametrize("trials", [1, 256, 257, 2000])
     def test_one_thread_a_block_at_most(self, kernel_calls, trials):
         # one thread up to 256 trials, and no more threads than the

@@ -77,6 +77,37 @@ def test_import_neither_builds_nor_loads_the_kernel():
     assert out.split() == ["False", "True"]
 
 
+FOOTPRINT = """
+import sys
+from qwalk import rng
+from qwalk.experiments import ExperimentConfig, run_experiment
+assert rng.backend() == "c"
+run_experiment(ExperimentConfig(experiment="density", n=300, seed=5, trials=1))
+run_experiment(ExperimentConfig(experiment="tree_counterexample", n=200, seed=4,
+                                generator="complete", eps=0.1, trials=1, disc_trials=300))
+print(*sorted({"numpy.random", "hashlib", "_hashlib", "subprocess"} & set(sys.modules)))
+"""
+
+
+def test_kernel_backed_runs_load_neither_openssl_nor_numpy_random(c_backend):
+    # a walk's edges and a tree image, with the subset sampler, through the
+    # cached kernel: nothing loads numpy.random or hashlib, each of which
+    # maps OpenSSL's libcrypto, nor subprocess, which only a build needs
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
+    assert out.split() == []
+
+
+@pytest.mark.parametrize("missing", [(), ("_sha256",), ("_sha256", "_sha2")])
+def test_kernel_cache_name_is_the_sha256_of_flags_and_source(monkeypatch, missing):
+    # CPython's built-in sha256 or, where it is missing, hashlib's names
+    # the cached build as hashlib always did
+    for name in missing:
+        monkeypatch.setitem(sys.modules, name, None)
+    data = " ".join(rng._FLAGS).encode() + b"\n" + rng._SOURCE.read_bytes()
+    assert rng._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
 def _pair(g, seed, c_backend, monkeypatch):
     monkeypatch.setattr(rng, "_lib", c_backend)
     kernel = ListModel(g, seed)
@@ -318,12 +349,12 @@ int refuse_create(pthread_t *id, const pthread_attr_t *attr, void *(*run)(void *
     return 11;  /* EAGAIN */
 }
 
-/* G(100, 1/2) from a xorshift, and 600 trials of sizes 10..100 counted
- * on 1 thread and on 5 threads, none of which starts */
+/* G(100, 1/2) from a xorshift, and 600 trials of sizes 10..100 drawn and
+ * counted on 1 thread and on 5 threads, none of which starts */
 int main(void)
 {
     static uint64_t rows[100 * 2], work[5 * 204];
-    static int64_t indptr[101], sizes[1200], one[600], five[600];
+    static int64_t indptr[101], sizes[1200], again[1200], one[600], five[600];
     uint64_t x = 0x9e3779b97f4a7c15u;
     int64_t u, v, t, differ = 0;
 
@@ -340,18 +371,15 @@ int main(void)
     for (u = 0; u < 100; u++)
         indptr[u + 1] = indptr[u] + __builtin_popcountll(rows[2 * u])
                         + __builtin_popcountll(rows[2 * u + 1]);
-    for (t = 0; t < 1200; t++) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        sizes[t] = 10 + (int64_t)(x %% 91);
-    }
-    qw_sampled_counts(5, 2, 0, 3, 100, rows, indptr, sizes, 600, 256, 1, work, one);
+    differ += qw_sampled_counts(5, 2, 0, 10, 100, rows, indptr, sizes, 600, 256, 1, work,
+                                one) < 600;
     for (t = 0; t < 600; t++)
         five[t] = -1;
-    qw_sampled_counts(5, 2, 0, 3, 100, rows, indptr, sizes, 600, 256, 5, work, five);
+    differ += qw_sampled_counts(5, 2, 0, 10, 100, rows, indptr, again, 600, 256, 5, work,
+                                five) < 600;
     for (t = 0; t < 600; t++)
-        differ += one[t] != five[t];
+        differ += one[t] != five[t] || sizes[2 * t] != again[2 * t]
+                  || sizes[2 * t + 1] != again[2 * t + 1];
     printf("%%ld\n", (long)differ);
     return 0;
 }
@@ -372,14 +400,16 @@ def test_sampler_counts_every_trial_when_no_thread_starts(tmp_path):
 
 
 # tests that call each entry point, qw_consume on indices and on rows at
-# the 64-bit word edges, and the sampler on 1, 2, 3 and 5 threads, at small n
+# the 64-bit word edges, and the sampler on 1, 2, 3 and 5 threads and with
+# its sizes' word edges, at small n
 SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
     f"tests/test_kernel.py::{name}" for name in (
         "test_derive_seed_matches_reference", "test_uniform_words_match_reference",
         "test_long_lists_cross_many_blocks", "test_row_select_matches_reference",
         "test_kernel_sets_no_bit_for_bad_pairs", "test_bit_rows_match_reference",
         "test_pair_graphs_read_out_the_rows_the_kernel_marked",
-        "test_gnp_matches_row_reference", "test_sampled_counts_do_not_depend_on_threads")]
+        "test_gnp_matches_row_reference", "test_sampled_counts_do_not_depend_on_threads",
+        "test_kernel_sizes_match_generator_integers")]
 
 # a -p plugin that serves the kernel build at %r wherever the tests load it
 # and writes the name of each entry point they call to %r when they end
@@ -946,23 +976,113 @@ def test_kernel_compiles_without_warnings():
 @pytest.mark.parametrize("eps", [0.2, 0.9])
 def test_sampled_counts_do_not_depend_on_threads(c_backend, n, eps):
     # the sampler's trials run on 1, 2, 3 and 5 threads, each with its own
-    # part of ``work``, give the same counts: 255, 257 and 513 trials end
-    # in a part block, the threads split blocks among them, and at
-    # eps = 0.9 every e(A, B) is counted over a complement
+    # part of ``work``, give the same sizes and counts: 255, 257 and 513
+    # trials end in a part block, the threads split blocks among them, and
+    # at eps = 0.9 every e(A, B) is counted over a complement
     g = gen_gnp(n, 0.5, n)
-    rows, w = g.bit_rows(), -(-n // 64)
     for trials in (1, 255, 257, 513, 2000):
-        sizes = np.random.default_rng(trials).integers(int(np.ceil(eps * n)), n + 1, (trials, 2))
-        counts = []
-        for threads in (1, 2, 3, 5):
-            e = np.full(trials, -1, dtype=np.int64)
-            work = np.empty(threads * (2 * n + 2 * w), dtype=np.uint64)
-            c_backend.qw_sampled_counts(trials, rng.DOMAIN_SUBSETS, 0, 3, n, rows.ctypes.data,
-                                        g.indptr.ctypes.data, sizes.ctypes.data, trials, 256,
-                                        threads, work.ctypes.data, e.ctypes.data)
-            counts.append(e)
-        assert (counts[0] >= 0).all()
-        assert all(np.array_equal(e, counts[0]) for e in counts[1:])
+        runs = [_sampler_call(c_backend, g, math.ceil(eps * n), trials, trials, threads)
+                for threads in (1, 2, 3, 5)]
+        offset, sizes, e = runs[0]
+        assert offset >= trials and (e >= 0).all()
+        assert all(o == offset and np.array_equal(s, sizes) and np.array_equal(c, e)
+                   for o, s, c in runs[1:])
+
+
+def _sampler_call(lib, g, lo, seed, trials, threads=1):
+    """(offset, sizes, counts) of one qw_sampled_counts call on ``g``."""
+    n = g.n
+    sizes = np.full((trials, 2), -1, dtype=np.int64)
+    e = np.full(trials, -1, dtype=np.int64)
+    work = np.empty(threads * (2 * n + 2 * -(-n // 64)), dtype=np.uint64)
+    offset = lib.qw_sampled_counts(seed, rng.DOMAIN_SUBSETS, 0, lo, n, g.bit_rows().ctypes.data,
+                                   g.indptr.ctypes.data, sizes.ctypes.data, trials, 256,
+                                   threads, work.ctypes.data, e.ctypes.data)
+    return offset, sizes, e
+
+
+def _numpy_sizes(lo, n, seed, trials):
+    """numpy's sizes for the sampler, the stream position after them and
+    whether they leave half a word unread."""
+    gen = rng.stream(seed, rng.DOMAIN_SUBSETS, 0)
+    sizes = gen.integers(lo, n + 1, size=(trials, 2))
+    return rng._next_word(gen), sizes, bool(gen.bit_generator.state["has_uint32"])
+
+
+@pytest.mark.parametrize("n, lo", [(1, 1), (2, 1), (5, 5), (65, 1), (65, 33), (130, 13)])
+def test_kernel_sizes_match_generator_integers(c_backend, n, lo):
+    # the kernel's sizes and offset are numpy's: lo = n takes no word, and
+    # 255, 256 and 257 trials cross a 4-word block edge; on 65 vertices
+    # seed 3332 repeats one draw of its 2000 trials, so its 4001 32-bit
+    # draws leave half a word, which no double reads
+    g = gen_gnp(n, 0.5, n)
+    cases = [(seed, trials) for seed in (0, 2**32 - 1, 2**64 - 1)
+             for trials in (1, 255, 256, 257, 2000)]
+    if (n, lo) == (65, 1):
+        assert _numpy_sizes(lo, n, 3332, 2000)[::2] == (2001, True)
+        cases.append((3332, 2000))
+    for seed, trials in cases:
+        offset, sizes, _ = _numpy_sizes(lo, n, seed, trials)
+        got, drawn, e = _sampler_call(c_backend, g, lo, seed, trials)
+        assert got == offset and np.array_equal(drawn, sizes) and (e >= 0).all()
+        assert (offset == 0) == (lo == n)
+
+
+SIZES_HARNESS = r"""
+#include "%s"
+#include <stdio.h>
+
+/* for each line "seed lo n trials" of stdin, draw_sizes' offset and sizes */
+int main(void)
+{
+    static int64_t sizes[64];
+    unsigned long long seed;
+    long long lo, n, trials;
+    uint64_t key[2];
+    int64_t i, offset;
+
+    while (scanf("%%llu %%lld %%lld %%lld", &seed, &lo, &n, &trials) == 4) {
+        seed_key(seed, 2, 0, key);
+        offset = draw_sizes(key, lo, n, trials, sizes);
+        printf("%%ld", (long)offset);
+        for (i = 0; offset >= 0 && i < 2 * trials; i++)
+            printf(" %%ld", (long)sizes[i]);
+        printf("\n");
+    }
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O2", "-pthread"], SANITIZE], ids=["O2", "sanitized"])
+def test_size_draw_repeats_and_gives_up_as_numpy_would(tmp_path, flags):
+    # the sizes of a 1431655766-vertex graph from lo = 1: 2^32 mod r is
+    # about r, so a third of the 32-bit draws are drawn again, and the
+    # kernel returns -1 where numpy's sizes take more than 2 trials words;
+    # no graph is needed, since the trials are never reached
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    if flags is SANITIZE:
+        _libasan()
+    harness, exe = tmp_path / "sizes.c", tmp_path / "sizes"
+    harness.write_text(SIZES_HARNESS % (SRC / "qwalk" / "_philox.c"))
+    subprocess.run(["gcc", *flags, "-o", str(exe), str(harness)], check=True,
+                   capture_output=True)
+    n = 1431655766
+    cases = [(seed, trials) for seed in range(40) for trials in (1, 2, 5)]
+    lines = "".join(f"{seed} 1 {n} {trials}\n" for seed, trials in cases)
+    out = subprocess.run([str(exe)], input=lines, capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    seen = set()
+    for (seed, trials), line in zip(cases, out, strict=True):
+        offset, sizes, half = _numpy_sizes(1, n, seed, trials)
+        if offset > 2 * trials:
+            seen.add("gave up")
+            assert line == "-1"
+        else:
+            seen.add("half a word" if half else "whole words")
+            assert list(map(int, line.split())) == [offset, *sizes.ravel().tolist()]
+    assert seen == {"gave up", "half a word", "whole words"}
 
 
 @st.composite
