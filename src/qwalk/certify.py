@@ -136,8 +136,9 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
     end below 2 trials (n + 1), the ``end`` it is asked for; past that it
     returns -1 before counting, and the numpy path serves.  That path
     draws each block as floats after the sizes and counts it by
-    ``neighbour_counts``, the reference, on one thread.  Then the witness is the first trial of largest deviation,
-    and only its two sets are drawn again, to be returned.
+    ``neighbour_counts``, the reference, on one thread.  Then the witness
+    is the first trial of largest deviation, and only its two sets are
+    drawn again, to be returned.
     """
     lo = _min_size(g.n, eps)
     trials = _integer(trials, "trials")

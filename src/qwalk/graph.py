@@ -31,18 +31,14 @@ rows, ``gen_complete`` writes K_n's, and ``_mark_rows`` alone marks
 pairs in them, by the C kernel of ``rng`` or by numpy, the reference;
 both OR into rows, so pairs may be marked a block at a time.
 
-``_pairs_graph`` turns pairs into a ``Graph``, for ``build_graph`` and
-the edges of walks, tree images and list prefixes, and rejects an
-endpoint outside 0..n-1 and a self-loop.  With the kernel and under the
-table rule, m pairs with n^2 <= 64 m (``_table_fits``; both together
-are ``_rows_rule``), it builds the ``Graph`` from the n bit rows that
-``_mark_rows`` marks, no larger than the m int64 keys a sort needs, so
-each edge is checked and marked once and no key is made until
-``Graph.edge_codes`` reads them out in numpy.  Otherwise numpy sorts
-the packed keys, the reference, and the ``Graph`` is built from them.
-Under the same rule ``walks.walk_edges`` hands ``_rows_graph`` a
-walk's pairs a block at a time as it draws them, and builds the same
-``Graph`` without holding all the pairs at once.
+``_pairs_graph`` alone turns pairs into a ``Graph``, for ``build_graph``
+and the edges of walks, tree images and list prefixes, which it takes a
+block of pairs at a time, and rejects an endpoint outside 0..n-1 and a
+self-loop.  With the kernel and under the table rule, m pairs with
+n^2 <= 64 m (``_table_fits``), it marks each block into the n bit rows
+of the ``Graph``, no larger than the m int64 keys a sort needs, so no
+key is made until ``Graph.edge_codes`` reads them out.  Otherwise it
+packs each block's keys into one array, which numpy sorts, the reference.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
 uint64 words, n^2/8 bytes, packed once: kept from construction where it
@@ -96,10 +92,11 @@ def _integers(values, what: str) -> np.ndarray:
     is, so int32 ids pass without a copy, and anything else as int64.
     ValueError names the first value that is not an integer in int64.
     Floats are refused even when integral, as ``operator.index`` refuses
-    them, and so are bools; an empty input, which numpy reads as
-    float64, is an empty array."""
+    them, and so are bools, among ints too; an empty input, which numpy
+    reads as float64, is an empty array."""
     a = np.asarray(values)
-    if a.dtype.kind == "i":
+    if a.dtype.kind == "i" and (isinstance(values, np.ndarray) or not {bool, np.bool_} & set(
+            map(type, np.asarray(values, dtype=object).flat))):
         return a
     if a.size and not (a.dtype.kind == "u" and a.max() < 2**63):
         # the values as given: numpy reads [0, 2**64 - 1] as floats
@@ -124,10 +121,10 @@ def _table_fits(n: int, m) -> bool:
     return n * n <= 64 * m
 
 
-def _pack(n: int, us, vs) -> np.ndarray:
-    """Edge keys min(u, v) * n + max(u, v) as a new int64 array, widened
-    before the product, so ids of any integer width make no other copy."""
-    keys = np.array(np.minimum(us, vs), dtype=np.int64)
+def _pack(n: int, us, vs, out=None) -> np.ndarray:
+    """Edge keys min(u, v) * n + max(u, v), widened before the product, in
+    the int64 array ``out`` or a new one; ids of any width make no copy."""
+    keys = np.asarray(np.minimum(us, vs, out=out, dtype=np.int64))
     np.multiply(keys, n, out=keys)
     return np.add(keys, np.maximum(us, vs), out=keys, casting="unsafe")
 
@@ -170,12 +167,6 @@ def _check_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> None:
         raise ValueError(f"self-loop rejected at vertex {us[loop.argmax()]}")
 
 
-def _rows_rule(n: int, m) -> bool:
-    """Whether m pairs on n vertices become bit rows: the kernel is loaded
-    and the table rule holds.  Otherwise numpy sorts their keys."""
-    return _table_fits(n, m) and _kernel() is not None
-
-
 def _mark_rows(n: int, us, vs, rows: np.ndarray | None = None) -> np.ndarray:
     """``rows``, or n new clear bit rows of ceil(n/64) uint64 words, with
     bit v of row u and bit u of row v set for each pair of the
@@ -196,36 +187,38 @@ def _mark_rows(n: int, us, vs, rows: np.ndarray | None = None) -> np.ndarray:
     return rows
 
 
-def _rows_graph(n: int, blocks) -> Graph:
-    """The Graph on 0..n-1 of the pairs of each (us, vs) of the iterable
-    ``blocks``, which yields at least one, marked into one set of rows as
-    each block comes, so no more than one block is held at a time."""
-    rows = None
-    for us, vs in blocks:
-        rows = _mark_rows(n, us, vs, rows)
-    return Graph._from_rows(rows)
+def _pairs_graph(n: int, m: int, blocks) -> Graph:
+    """The Graph on 0..n-1 of the distinct edges of the m unordered pairs
+    (us[i], vs[i]) of the blocks (us, vs) that the iterable ``blocks``
+    yields, holding no more than one block at a time.
 
-
-def _pairs_graph(n: int, us, vs) -> Graph:
-    """The Graph on 0..n-1 of the distinct edges of the unordered pairs
-    (us[i], vs[i]).
-
-    Each pair must join two distinct vertices of 0..n-1; otherwise
-    ValueError names the first endpoint out of range, or else the first
-    self-loop.  With the C kernel, and under the table rule for m pairs,
-    so that n bit rows take no more bytes than the m int64 keys a sort
-    needs, the graph keeps the rows ``_mark_rows`` marks.  Otherwise the
-    keys are packed and sorted, the reference, which takes about half as
-    long as numpy's marking on a walk's pairs, and the graph keeps them.
+    ValueError names a block's first endpoint outside 0..n-1, or else its
+    first self-loop, or blocks that hold other than m pairs.  With the C
+    kernel and under the table rule for m, each block is marked into the
+    n bit rows the graph keeps.  Otherwise each block's keys are packed
+    into one array of m and sorted, the reference, which takes about half
+    as long as numpy's marking of a walk's pairs, and the graph keeps them.
     """
     n = _vertex_count(n)
-    us, vs = _integers(us, "edge endpoints"), _integers(vs, "edge endpoints")
-    if us.ndim != 1 or us.shape != vs.shape:
-        raise ValueError("pairs must be two 1-d arrays of equal length")
-    if _rows_rule(n, len(us)):
-        return _rows_graph(n, [(us, vs)])
-    _check_pairs(n, us, vs)
-    return Graph(n, _distinct(_pack(n, us, vs)))
+    keys = None if _table_fits(n, m) and _kernel() is not None else np.empty(m, dtype=np.int64)
+    rows, at = None, 0
+    for us, vs in blocks:
+        us, vs = _integers(us, "edge endpoints"), _integers(vs, "edge endpoints")
+        if us.ndim != 1 or us.shape != vs.shape:
+            raise ValueError("pairs must be two 1-d arrays of equal length")
+        if keys is None:
+            rows = _mark_rows(n, us, vs, rows)
+        elif at + len(us) <= m:  # else the count is refused below
+            _check_pairs(n, us, vs)
+            _pack(n, us, vs, out=keys[at:at + len(us)])
+        at += len(us)
+    if at != m:
+        raise ValueError(f"the blocks hold {at} pairs, not m = {m}")
+    if keys is not None:
+        return Graph(n, _distinct(keys))
+    if rows is None:  # no block came, as on n = m = 0
+        rows = _mark_rows(n, *np.empty((2, 0), dtype=np.int32))
+    return Graph._from_rows(rows)
 
 
 def _row_bits(rows: np.ndarray) -> np.ndarray:
@@ -493,7 +486,7 @@ def build_graph(n: int, edges) -> Graph:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be pairs of vertex ids")
-    return _pairs_graph(n, pairs[:, 0], pairs[:, 1])
+    return _pairs_graph(n, len(pairs), [(pairs[:, 0], pairs[:, 1])])
 
 
 def edges_between(g: Graph, a: VertexSet, b: VertexSet) -> int:

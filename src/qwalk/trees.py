@@ -7,6 +7,8 @@ containing the root.  A random homomorphism maps the root to a chosen
 host vertex and each later vertex to the next unused list entry of its
 parent's image, through ``ListModel.consume``, the loop that also drives
 walks.  A path tree therefore reproduces a walk exactly, seed for seed.
+An image's edges reach ``graph._pairs_graph`` a block of tree edges at
+a time.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _pairs_graph, _write_pairs, read_text
+from .graph import Graph, _integers, _pairs_graph, _write_pairs, read_text
 from .rng import DOMAIN_TREE_GEN, _integer, uniform_words
-from .walks import ListModel, _check_model, _count_ids, _tree_size
+from .walks import _BLOCK, ListModel, _check_model, _count_ids, _tree_size
 
 
 class RootedTree:
@@ -77,9 +79,10 @@ class RootedTree:
 def build_tree(parents) -> RootedTree:
     """Validate a parent array: parents[j] must index an earlier vertex.
 
-    The root slot accepts -1 or None.
+    The root slot accepts -1 or None.  Parents are integers: ValueError
+    names a float, bool, string or value outside int64 (``_integers``).
     """
-    arr = np.array([-1 if p is None else p for p in parents], dtype=np.int64)
+    arr = _integers([-1 if p is None else p for p in parents], "parents")
     if len(arr) == 0:
         raise ValueError("a tree has at least its root")
     if arr[0] != -1:
@@ -182,8 +185,12 @@ def tree_visit_counts(h: TreeHomomorphism) -> np.ndarray:
 
 
 def image_subgraph(h: TreeHomomorphism) -> Graph:
-    """Host edges in the image of the tree, deduplicated, as a Graph."""
-    return _pairs_graph(h.host.n, h.image[h.tree.parents[1:]], h.image[1:])
+    """Host edges in the image of the tree, deduplicated, as a Graph; the
+    parents' images are gathered ``_BLOCK`` tree edges at a time."""
+    heads, image = h.tree.parents[1:], h.image
+    blocks = ((image[heads[i:i + _BLOCK]], image[1 + i:1 + i + _BLOCK])
+              for i in range(0, len(heads), _BLOCK))
+    return _pairs_graph(h.host.n, len(heads), blocks)
 
 
 @dataclass

@@ -13,8 +13,8 @@ of ``rng`` when that loads, and in a Python loop over numpy-drawn
 buffers otherwise; both take the same entries, bit for bit.
 
 ``walk_edges`` gives a walk's edges alone, the graph ``walk_subgraph``
-builds from its trace: where those pairs take bit rows it marks them a
-block of steps at a time, so the trace is never held whole.
+builds from its trace: it hands ``graph._pairs_graph`` the walk a block
+of steps at a time, as it walks, so the trace is never held whole.
 
 A "visit" is a departure: visit counts run over walk positions
 0 .. steps-1, one list entry consumed per visit, so counts sum to the
@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (Graph, VertexSet, _pairs_graph, _rows_graph, _rows_rule, _vertex,
-                    balanced_vertices, density, read_text)
+from .graph import (Graph, VertexSet, _pairs_graph, _vertex, balanced_vertices, density,
+                    read_text)
 from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _integer, _kernel, stream,
                   uniform_words)
 
@@ -268,17 +268,14 @@ def run_walk(g: Graph, model: ListModel, start: int, steps: int) -> WalkTrace:
 def walk_edges(g: Graph, model: ListModel, start: int, steps: int) -> Graph:
     """The edges a walk of ``steps`` steps from ``start`` traverses: the
     graph ``walk_subgraph(run_walk(g, model, start, steps))`` returns,
-    with the model left in the state that leaves and the same errors.
-
-    Where those pairs become bit rows (``graph._rows_rule``), the walk
-    takes ``_BLOCK`` steps at a time, each block's pairs marked into one
-    set of rows (``graph._rows_graph``), so no more than a block of the
-    walk is held at once.  Otherwise it is that call, the reference.
-    """
+    with the model left in the state that leaves and the same errors,
+    built by ``graph._pairs_graph`` from ``_BLOCK`` steps at a time, so
+    no more than a block of the walk is held at once."""
     start, steps = _walk_args(g, model, start, steps)
-    if not _rows_rule(g.n, steps):
-        return walk_subgraph(run_walk(g, model, start, steps))
-    return _rows_graph(g.n, _walk_blocks(model, start, steps))
+    edges = _pairs_graph(g.n, steps, _walk_blocks(model, start, steps))
+    if g.degree(start) == 0:  # run_walk's check; a walk of a step or more failed sooner
+        raise ValueError(f"start vertex {start} has no neighbors")
+    return edges
 
 
 def _walk_blocks(model: ListModel, start: int, steps: int):
@@ -328,7 +325,8 @@ def walk_subgraph(trace: WalkTrace) -> Graph:
     """Edges traversed by the walk, deduplicated, as a Graph.  A caller
     that needs the edges alone calls ``walk_edges``, which holds no
     trace."""
-    return _pairs_graph(trace.graph.n, trace.sequence[:-1], trace.sequence[1:])
+    seq = trace.sequence
+    return _pairs_graph(trace.graph.n, len(seq[1:]), [(seq[:-1], seq[1:])])
 
 
 def list_subgraph(g: Graph, model: ListModel, alpha: float) -> Graph:
@@ -352,7 +350,7 @@ def list_subgraph(g: Graph, model: ListModel, alpha: float) -> Graph:
         named = model.entries(v, k)
         us.append(np.full(len(named), v, dtype=np.int32))
         vs.append(named)
-    return _pairs_graph(g.n, np.concatenate(us), np.concatenate(vs))
+    return _pairs_graph(g.n, sum(map(len, us)), [(np.concatenate(us), np.concatenate(vs))])
 
 
 def sandwich_bounds(trace: WalkTrace, g: Graph) -> tuple[float, float]:

@@ -139,7 +139,7 @@ class TestEdgeKeysAgainstReference:
         want = reference_keys(n, pairs)
         assert g.edge_codes().tolist() == want
         assert g.edge_count == len(want)
-        assert _pairs_graph(n, *split(pairs)).edge_codes().tolist() == want
+        assert _pairs_graph(n, len(pairs), [split(pairs)]).edge_codes().tolist() == want
 
     @KEYS
     @given(pair_lists())
@@ -156,7 +156,7 @@ class TestEdgeKeysAgainstReference:
     def test_endpoint_outside_host_is_no_edge(self):
         # key 0*4 + 6 packs to 6 = 1*4 + 2, the edge (1, 2); it must not alias
         g = gen_complete(4)
-        s = _pairs_graph(4, [1], [2])
+        s = _pairs_graph(4, 1, [([1], [2])])
         assert (1, 2) in s and (2, 1) in s
         outside = [(0, 6), (6, 0), (4, 0), (0, 4), (-1, 2), (2, -1), (-4, 5)]
         for u, v in outside:
@@ -173,7 +173,7 @@ class TestEdgeKeysAgainstReference:
         # pair on either host's vertices: the keys used to read 0.5 as 0,
         # the rows to raise IndexError
         g = make()
-        s = _pairs_graph(g.n, [0], [1])
+        s = _pairs_graph(g.n, 1, [([0], [1])])
         for call in (lambda: g.has_edge(0.5, 1), lambda: g.has_edges([0], [1.5]),
                      lambda: (0, True) in g, lambda: (0, True) in s, lambda: (1.0, 0) in s):
             with pytest.raises(ValueError, match="edge endpoints must be integers in int64"):
@@ -184,7 +184,7 @@ class TestEdgeKeysAgainstReference:
     def test_issubset_is_set_inclusion(self, case):
         n, (a, b) = case
         host = gen_complete(n)
-        sa, sb = _pairs_graph(n, *split(a)), _pairs_graph(n, *split(b))
+        sa, sb = _pairs_graph(n, len(a), [split(a)]), _pairs_graph(n, len(b), [split(b)])
         keys_a, keys_b = set(reference_keys(n, a)), set(reference_keys(n, b))
         assert sa.issubset(sb) == (keys_a <= keys_b)
         assert sb.issubset(sa) == (keys_b <= keys_a)
@@ -193,7 +193,7 @@ class TestEdgeKeysAgainstReference:
     def test_issubset_refuses_another_vertex_count(self):
         # keys u*n+v of different n alias: (1, 2) on 10 vertices packs to
         # 12, the key of (0, 12) on 20, which is no inclusion
-        a, b = _pairs_graph(10, [1], [2]), _pairs_graph(20, [0], [12])
+        a, b = _pairs_graph(10, 1, [([1], [2])]), _pairs_graph(20, 1, [([0], [12])])
         assert (1, 2) not in b
         for x, y in ((a, b), (b, a)):
             with pytest.raises(ValueError, match="on 10 and 20 vertices|on 20 and 10 vertices"):

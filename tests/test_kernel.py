@@ -406,7 +406,8 @@ SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
     f"tests/test_kernel.py::{name}" for name in (
         "test_derive_seed_matches_reference", "test_uniform_words_match_reference",
         "test_long_lists_cross_many_blocks", "test_row_select_matches_reference",
-        "test_kernel_sets_no_bit_for_bad_pairs", "test_bit_rows_match_reference",
+        "test_kernel_sets_no_bit_for_bad_pairs", "test_blocks_build_the_graph_of_one_block",
+        "test_bit_rows_match_reference",
         "test_pair_graphs_read_out_the_rows_the_kernel_marked",
         "test_gnp_matches_row_reference", "test_sampled_counts_do_not_depend_on_threads",
         "test_kernel_sizes_match_generator_integers")]
@@ -650,7 +651,7 @@ def _built(n, keys):
     marked = rng._kernel() is not None and n * n <= 64 * len(keys)
     yield Graph(n, keys.copy()), False
     yield build_graph(n, np.column_stack((us, vs))), marked
-    yield _pairs_graph(n, us, vs), marked
+    yield _pairs_graph(n, len(us), [(us, vs)]), marked
     yield Graph._from_rows(Graph(n, keys).bit_rows()), True
 
 
@@ -722,9 +723,10 @@ def test_vertex_count_bound_keeps_keys_in_int64():
     (lambda: build_graph(3, [[0, 2**70]]), "got 1180591620717411303424"),
     (lambda: build_graph(3, [[0, 2**64 - 1]]), "got 18446744073709551615"),  # read as floats
     (lambda: build_graph(3, np.array([[0, 1]], dtype=object) + 0.5), "got 0.5"),
-    (lambda: _pairs_graph(3, [0.5], [1.9]), "edge endpoints must be integers in int64, got 0.5"),
-    (lambda: _pairs_graph(3, [0], np.array([True])), "got True"),
-    (lambda: _pairs_graph(3, [0], [1.5]), "got 1.5"),
+    (lambda: _pairs_graph(3, 1, [([0.5], [1.9])]),
+     "edge endpoints must be integers in int64, got 0.5"),
+    (lambda: _pairs_graph(3, 1, [([0], np.array([True]))]), "got True"),
+    (lambda: _pairs_graph(3, 1, [([0], [1.5])]), "got 1.5"),
     (lambda: VertexSet.from_iterable(3, [1.5]), "vertex ids must be integers in int64, got 1.5"),
     (lambda: gen_complete(3).degree(0.5), "vertex must be an integer, got 0.5"),
     (lambda: gen_complete(3).neighbors(True), "vertex must be an integer, got True"),
@@ -786,9 +788,9 @@ def test_non_integral_values_rejected(backend, call, message):
 def test_empty_inputs_still_build(backend):
     # numpy reads [] as float64; no value in it is refused
     for g in (Graph(3, []), build_graph(3, []), build_graph(3, np.empty((0, 2))),
-              _pairs_graph(3, [], [])):
+              _pairs_graph(3, 0, [([], [])])):
         assert g.n == 3 and g.edge_count == 0 and g.indptr.tolist() == [0, 0, 0, 0]
-    assert _pairs_graph(3, [], []).edge_codes().dtype == np.int64
+    assert _pairs_graph(3, 0, [([], [])]).edge_codes().dtype == np.int64
     assert VertexSet.from_iterable(3, []).size == 0
     # integers of any width and Python ints in an object array are kept
     assert build_graph(3, np.array([[0, 2]], dtype=np.uint8)).edge_codes().tolist() == [2]
@@ -1115,7 +1117,7 @@ def test_edge_keys_table_matches_sort(c_backend, monkeypatch, case):
     want = sorted({min(u, v) * n + max(u, v) for u, v in zip(us, vs)})
     for lib in (c_backend, False):
         monkeypatch.setattr(rng, "_lib", lib)
-        keys = _pairs_graph(n, us, vs).edge_codes()
+        keys = _pairs_graph(n, len(us), [(us, vs)]).edge_codes()
         assert keys.dtype == np.int64 and keys.tolist() == want
 
 
@@ -1133,10 +1135,56 @@ def test_edge_keys_table_matches_sort(c_backend, monkeypatch, case):
 ])
 def test_bad_pairs_rejected(backend, n, us, vs, message):
     with pytest.raises(ValueError, match=message):
-        _pairs_graph(n, us, vs)
+        _pairs_graph(n, len(us), [(us, vs)])
     if len(us) == len(vs):
         with pytest.raises(ValueError, match=message):
             build_graph(n, np.column_stack((us, vs)))
+
+
+@settings(max_examples=200, **PER_EXAMPLE)
+@given(case=pair_lists(), data=st.data())
+def test_blocks_build_the_graph_of_one_block(c_backend, monkeypatch, case, data):
+    # pairs cut into blocks, empty ones among them, and no block at all
+    # for no pairs, give the graph of one block on either backend and in
+    # either store: the kernel marks each block into one set of rows, and
+    # numpy packs each block's keys into one array
+    n, us, vs = case
+    us, vs = np.array(us, dtype=np.int32), np.array(vs, dtype=np.int32)
+    cuts = [0, *sorted(data.draw(st.lists(st.integers(0, len(us)), max_size=6))), len(us)]
+    blocks = [(us[a:b], vs[a:b]) for a, b in zip(cuts, cuts[1:])]
+    if not len(us) and data.draw(st.booleans()):
+        blocks = []
+    event(f"{min(len(blocks), 3)} blocks, rows rule {n * n <= 64 * len(us)}")
+    for lib in (c_backend, False):
+        monkeypatch.setattr(rng, "_lib", lib)
+        one, cut = _pairs_graph(n, len(us), [(us, vs)]), _pairs_graph(n, len(us), iter(blocks))
+        assert (cut._rows is not None) == (lib is c_backend and n * n <= 64 * len(us))
+        assert np.array_equal(cut.edge_codes(), one.edge_codes())
+        assert np.array_equal(cut.indptr, one.indptr)
+        for mine, want in ((cut._rows, one._rows), (cut._edge_codes, one._edge_codes)):
+            assert (mine is None) == (want is None)
+            assert mine is None or np.array_equal(mine, want)
+
+
+@pytest.mark.parametrize("n", [4, 100])  # rows with the kernel on 4 vertices, keys on 100
+@pytest.mark.parametrize("bad,message", [
+    (([2, 3, 0], [1, 3, 1000]), r"edge endpoint out of range: \(0, 1000\) with n="),
+    (([2, 3], [1, 3]), "self-loop rejected at vertex 3"),
+])
+def test_a_later_blocks_bad_pair_raises_its_message(backend, n, bad, message):
+    # the first bad block's own message, though a good block came before
+    # it and a block with another fault after it
+    good, worse = ([0, 1], [1, 2]), ([-1, 2], [2, 2])
+    for blocks in ([good, bad], [good, ([], []), bad, worse]):
+        with pytest.raises(ValueError, match=message):
+            _pairs_graph(n, sum(len(us) for us, _ in blocks), iter(blocks))
+
+
+def test_blocks_hold_the_pairs_given(backend):
+    # more pairs than m, on rows with the kernel, and fewer
+    for m in (1, 3):
+        with pytest.raises(ValueError, match=f"the blocks hold 2 pairs, not m = {m}"):
+            _pairs_graph(4, m, [([0], [1]), ([1], [2])])
 
 
 def test_kernel_sets_no_bit_for_bad_pairs(c_backend, monkeypatch):
@@ -1173,7 +1221,8 @@ def test_subgraph_matches_numpy_backend(c_backend, monkeypatch, case, data):
 
     def subgraphs(lib):
         monkeypatch.setattr(rng, "_lib", lib)
-        return _pairs_graph(n, us, vs), _pairs_graph(n, us[:half], vs[:half])
+        return (_pairs_graph(n, len(us), [(us, vs)]),
+                _pairs_graph(n, half, [(us[:half], vs[:half])]))
 
     (whole, part), (ref_whole, ref_part) = subgraphs(c_backend), subgraphs(False)
     assert (whole._rows is not None) == (n * n <= 64 * len(us))

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +159,24 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             build_tree([0, 0])
 
+    @pytest.mark.parametrize("parents,got", [
+        ([None, 0.7, 1.9], "0.7"),            # once truncated to [-1, 0, 1]
+        ([None, 0, 1.0], "1.0"),              # integral, still a float
+        ([None, False], "False"),             # numpy reads it as 0 beside ints
+        ([-1, 0, True], "True"),
+        ([None, "0"], "'0'"),
+        ([None, 2**70], str(2**70)),          # once an OverflowError
+    ])
+    def test_parents_follow_the_integer_rule(self, parents, got):
+        with pytest.raises(ValueError, match=re.escape(
+                f"parents must be integers in int64, got {got}")):
+            build_tree(parents)
+
+    def test_integer_parents_of_any_type(self):
+        for parents in ([None, 0, np.int64(1)], np.array([-1, 0, 1], dtype=np.int32),
+                        (-1, np.uint8(0), 1)):
+            assert build_tree(parents).parents.tolist() == [-1, 0, 1]
+
 
 class TestGenerators:
     def test_nary_2_2(self):
@@ -287,6 +307,22 @@ class TestImageSubgraph:
         hom = random_homomorphism(g, star, ListModel(g, 3), 7)
         for u, v in image_subgraph(hom).edge_array():
             assert 7 in (u, v)
+
+    def test_gathers_parent_images_a_block_at_a_time(self, c_backend):
+        # the 1000-ary depth-2 tree's 1,001,000 parent images take 4 MB as
+        # int32; its image's graph, K_2000's 0.5 MB of rows marked a block
+        # of tree edges at a time, peaks at less than half of that
+        g = gen_complete(2000)
+        t = gen_nary_tree(1000, 2)
+        hom = random_homomorphism(g, t, ListModel(g, 5), 0)
+        tracemalloc.start()
+        try:
+            image = image_subgraph(hom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert image._rows is not None
+        assert peak < 4 * t.n_edges / 2
 
     def test_depth2_counterexample_shape(self):
         # every image edge touches the root's image or a depth-1 image

@@ -411,8 +411,9 @@ class TestWalkEdges:
     @settings(max_examples=150, **PER_EXAMPLE)
     @given(case=walk_cases())
     def test_same_graph_and_model_as_walk_subgraph(self, backend, monkeypatch, case):
-        # rows marked block by block where the rule holds, the reference
-        # call elsewhere; either leaves the lists where the walk does
+        # the walk's pairs built a block at a time, into rows where the
+        # rule holds and keys elsewhere, against the graph of its trace;
+        # either leaves the lists where the walk does
         g, seed, start, steps, block = case
         monkeypatch.setattr(walks, "_BLOCK", block)
         event("n^2 <= 64 steps" if g.n * g.n <= 64 * steps else "n^2 > 64 steps")
