@@ -29,15 +29,20 @@ keys read them.
 ``certify.discrepancy_sampled`` uses the kernel too: it draws every set
 size as numpy's ``integers`` would, then every subset from the stream
 position ``_next_word`` would read off numpy's generator, and counts every
-e(A, B) from the bit rows by popcount in one call, in a popcnt clone on
-x86-64 glibc, with its trials claimed one at a time by POSIX threads that
-run C alone.  The kernel is built on first use, never at import, with
-``gcc -O2 -pthread`` into a user cache directory keyed by the sha256 of
-its flags and source, from CPython's built-in sha256 module, which names
-each build as ``hashlib`` did and loads no OpenSSL library.  Without
-gcc, when the build or the cache directory fails, or for an address past
-its limits, the numpy code serves instead and stays the reference;
-``backend()`` says which one is in use.
+e(A, B) from the bit rows by popcount in one call, with its trials
+claimed one at a time by POSIX threads that run C alone.  On x86-64 CPUs
+with AVX-512F and AVX-512 VPOPCNTDQ, found at run time, the kernel
+computes eight Philox blocks at a time for ``uniform_words``, G(n, p)
+rows, the sampler's sets and a tree's runs of 32 or more siblings, and
+the sampler picks and counts its sets in 512-bit registers; elsewhere it
+draws one block at a time and counts in a popcnt clone on x86-64 glibc,
+with the same results.  The kernel is built on first use, never at
+import, with ``gcc -O2 -pthread`` into a user cache directory keyed by the
+sha256 of its flags and source, from CPython's built-in sha256 module,
+which names each build as ``hashlib`` did and loads no OpenSSL library.
+Without gcc, when the build or the cache directory fails, or for an
+address past its limits, the numpy code serves instead and stays the
+reference; ``backend()`` says which one is in use.
 """
 
 from __future__ import annotations
@@ -245,5 +250,9 @@ def backend() -> str:
     """Which code draws list words, ``uniform_words``, ``derive_seed``
     and G(n, p) hosts, marks vertex pairs in bit rows and runs the subset
     sampler: "c" for the kernel, whose sampler splits its trials among the
-    CPUs the process may use, or "numpy", on one thread."""
+    CPUs the process may use, or "numpy", on one thread.  Both give the
+    same words and results.  Where the CPU has AVX-512F and AVX-512
+    VPOPCNTDQ, "c" draws eight Philox blocks at a time and runs the
+    sampler's wide steps; the choice is made in the kernel at each call
+    and shows nowhere else."""
     return "numpy" if _kernel() is None else "c"

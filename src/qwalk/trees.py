@@ -7,8 +7,8 @@ containing the root.  A random homomorphism maps the root to a chosen
 host vertex and each later vertex to the next unused list entry of its
 parent's image, through ``ListModel.consume``, the loop that also drives
 walks.  A path tree therefore reproduces a walk exactly, seed for seed.
-An image's edges reach ``graph._pairs_graph`` a block of tree edges at
-a time.
+An image's edges are gathered a block of tree edges at a time, for
+``graph._pairs_graph``, the edge check and the visit counts.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .graph import Graph, _integers, _pairs_graph, _write_pairs, read_text
 from .rng import DOMAIN_TREE_GEN, _integer, uniform_words
-from .walks import _BLOCK, ListModel, _check_model, _count_ids, _tree_size
+from .walks import _BLOCK, ListModel, _check_model, _tree_size
 
 
 class RootedTree:
@@ -163,8 +163,15 @@ class TreeHomomorphism:
     image: np.ndarray
 
     def is_edge_preserving(self) -> bool:
-        heads = self.image[self.tree.parents[1:]]
-        return bool(self.host.has_edges(heads, self.image[1:]).all())
+        return all(self.host.has_edges(us, vs).all() for us, vs in _edge_blocks(self))
+
+
+def _edge_blocks(h: TreeHomomorphism):
+    """The images (parent's, child's) of the tree's edges, gathered
+    ``_BLOCK`` edges at a time, so that no whole-tree temporary is made."""
+    heads, image = h.tree.parents[1:], h.image
+    for i in range(0, len(heads), _BLOCK):
+        yield image[heads[i:i + _BLOCK]], image[1 + i:1 + i + _BLOCK]
 
 
 def random_homomorphism(g: Graph, t: RootedTree, model: ListModel,
@@ -181,16 +188,13 @@ def random_homomorphism(g: Graph, t: RootedTree, model: ListModel,
 
 def tree_visit_counts(h: TreeHomomorphism) -> np.ndarray:
     """visits(x) = number of tree edges whose parent endpoint maps to x."""
-    return _count_ids(h.image[h.tree.parents[1:]], h.host.n)
+    return sum((np.bincount(us, minlength=h.host.n) for us, _ in _edge_blocks(h)),
+               np.zeros(h.host.n, dtype=np.int64))
 
 
 def image_subgraph(h: TreeHomomorphism) -> Graph:
-    """Host edges in the image of the tree, deduplicated, as a Graph; the
-    parents' images are gathered ``_BLOCK`` tree edges at a time."""
-    heads, image = h.tree.parents[1:], h.image
-    blocks = ((image[heads[i:i + _BLOCK]], image[1 + i:1 + i + _BLOCK])
-              for i in range(0, len(heads), _BLOCK))
-    return _pairs_graph(h.host.n, len(heads), blocks)
+    """Host edges in the image of the tree, deduplicated, as a Graph."""
+    return _pairs_graph(h.host.n, h.tree.n_edges, _edge_blocks(h))
 
 
 @dataclass

@@ -33,8 +33,8 @@ from qwalk.experiments import ExperimentConfig, run_experiment
 from qwalk.graph import (Graph, VertexSet, _mark_rows, _pairs_graph, _vertex_count,
                          build_graph, gen_complete, gen_gnp,
                          gen_two_clique_bridge, neighbour_counts, save_graph)
-from qwalk.trees import (decompose_tree, gen_nary_tree, gen_path_tree, gen_random_tree,
-                         image_subgraph, random_homomorphism)
+from qwalk.trees import (build_tree, decompose_tree, gen_nary_tree, gen_path_tree,
+                         gen_random_tree, image_subgraph, random_homomorphism)
 from qwalk.walks import (ListModel, empirical_step_distribution, hit_probability_check,
                          list_subgraph, run_walk, step_positions, subsequence_visit_counts,
                          walk_subgraph)
@@ -181,6 +181,41 @@ def test_long_lists_cross_many_blocks(c_backend, monkeypatch):
             assert kernel.consumed.max() > 2 * 2048
             offsets.update(x for c in kernel.parts[4::2] for x in (c % 4).tolist())
         assert offsets == {0, 1, 2, 3}
+
+
+def _sibling_tree(runs):
+    """The tree whose parents come in ``runs`` of (parent, length): the
+    children of one vertex in a row."""
+    return build_tree([None] + [p for p, length in runs for _ in range(length)])
+
+
+# runs below, at and above the 32 siblings that qw_consume takes in one
+# draw; vertex 0's second run and vertex 1's second run start at t > 0
+SIBLING_RUNS = [(0, 31), (1, 32), (2, 33), (0, 256), (3, 257), (1, 40), (40, 5), (5, 31),
+                (5, 33), (0, 1)]
+
+
+@pytest.mark.parametrize("host", ["rows", "keys"])
+def test_sibling_runs_match_reference(c_backend, monkeypatch, host):
+    # a run of equal parents is taken in one bulk draw by the kernel and
+    # step by step by the reference: the same images and counts, and the
+    # same state, which a second tree, rooted where the first took
+    # entries, and then a walk read on from
+    keys = gen_gnp(150, 0.3, 1).edge_codes()
+    g = _rows_graph(150, keys) if host == "rows" else Graph(150, keys.copy())
+    assert (g._rows is not None) == (host == "rows")
+    first, second = _sibling_tree(SIBLING_RUNS), _sibling_tree([(0, 100), (7, 64), (7, 3)])
+    for seed in (0, 7, 2**64 - 1):
+        kernel, reference = _pair(g, seed, c_backend, monkeypatch)
+        for m in (kernel, reference):
+            image = random_homomorphism(g, first, m, 3).image
+            m.parts = [image, m.consumed]
+            image = random_homomorphism(g, second, m, int(image[1])).image
+            m.parts += [image, m.consumed, run_walk(g, m, int(image[1]), 3000).sequence,
+                        m.consumed]
+        assert kernel.parts[1][3] == 31 + 256 + 1 and kernel.parts[3][kernel.parts[0][1]] > 100
+        for a, b in zip(kernel.parts, reference.parts, strict=True):
+            assert np.array_equal(a, b)
 
 
 def _rows_graph(n, keys):
@@ -334,6 +369,151 @@ def test_broadword_select_matches_pdep(tmp_path, flags):
     assert checks > 1_500_000 and portable == 0 and pdep == 0
 
 
+WIDE_HARNESS = r"""
+#include "%s"
+#include <stdio.h>
+#include <stdlib.h>
+
+static uint64_t s = 0x9e3779b97f4a7c15u;
+
+static uint64_t xorshift(void)
+{
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    return s;
+}
+
+/* each array on its own allocation of exactly its words, so that a
+ * sanitized build reports any access past its end */
+static uint64_t *words(int64_t count)
+{
+    return malloc((size_t)(count > 0 ? count : 1) * sizeof(uint64_t));
+}
+
+int main(void)
+{
+    uint64_t key[2], block[4], eight[32];
+    int64_t starts[] = {0, 1, 2, 3, 4, 5, 6, 7, 31, 32, 33, 1001, 1002, 1003, 1004};
+    int64_t n, i, j, k, c, flip, start, count, w;
+    long checks = 0, wide_checks = 0, wrong = 0;
+    int has = has_wide();
+
+    for (k = 0; k < 20; k++) {
+        key[0] = k ? xorshift() : 0;
+        key[1] = k ? xorshift() : 0;
+        /* philox_run against philox_block, word by word */
+        for (i = 0; i < (int64_t)(sizeof starts / sizeof *starts); i++)
+            for (count = 0; count <= 100; count++) {
+                uint64_t *out = words(count);
+                start = starts[i] + (k %% 2 ? (int64_t)(xorshift() >> 8) * 4 : 0);
+                philox_run(key, start, count, out);
+                for (j = 0; j < count; j++) {
+                    philox_block(key, (uint64_t)((start + j) / 4 + 1), block);
+                    wrong += out[j] != block[(start + j) %% 4];
+                    checks++;
+                }
+                free(out);
+            }
+#if defined(__x86_64__) && defined(__GLIBC__)
+        /* philox_8 against philox_block */
+        for (i = 0; has && i < 40; i++) {
+            uint64_t ctr = i < 8 ? (uint64_t)i + 1 : (xorshift() >> 4) + 1;
+            philox_8(key, ctr, eight);
+            for (j = 0; j < 8; j++) {
+                philox_block(key, ctr + (uint64_t)j, block);
+                for (c = 0; c < 4; c++)
+                    wrong += eight[4 * j + c] != block[c];
+            }
+            wide_checks++;
+        }
+#endif
+    }
+#if defined(__x86_64__) && defined(__GLIBC__)
+    /* the wide subset_mask against the scalar one, sizes 1, n and between */
+    for (n = 1; has && n <= 2000; n = n == 130 ? 2000 : n + 1) {
+        int bits = 0;
+        uint64_t *vals = words(n), *cand = words(n), *a = words((n + 63) / 64);
+        uint64_t *b = words((n + 63) / 64);
+        int64_t *hist;
+        while (bits < HIST_BITS && (int64_t)2 << bits <= n)
+            bits++;
+        hist = malloc(sizeof(int64_t) << bits);
+        for (k = 0; k < 12; k++) {
+            int64_t size = k == 0 ? 1 : k == 1 ? n : 1 + (int64_t)(xorshift() %% (uint64_t)n);
+            key[0] = xorshift();
+            key[1] = xorshift();
+            start = (int64_t)(xorshift() >> 20);
+            subset_mask(key, start, n, size, bits, vals, cand, hist, a);
+            subset_mask_wide(key, start, n, size, bits, vals, cand, hist, b);
+            for (c = 0, i = 0; i < (n + 63) / 64; i++) {
+                wrong += a[i] != b[i];
+                c += __builtin_popcountll(a[i]);
+            }
+            wrong += c < size;  /* ties only add members */
+            wide_checks++;
+        }
+        free(vals);
+        free(cand);
+        free(a);
+        free(b);
+        free(hist);
+    }
+    /* the wide row_counts against the scalar one, at every w %% 8 */
+    for (w = 1; has && w <= 17; w++)
+        for (k = 0; k < 6; k++) {
+            uint64_t *rows, *set, *t;
+            n = 64 * w - (k == 0 ? 0 : (int64_t)(xorshift() %% 64));
+            rows = words(n * w);
+            set = words(w);
+            t = words(w);
+            for (i = 0; i < n * w; i++)
+                rows[i] = xorshift() & xorshift();
+            for (i = 0; i < w; i++) {
+                set[i] = xorshift();
+                t[i] = i == w - 1 && n %% 64 ? xorshift() >> (64 - n %% 64) : xorshift();
+            }
+            for (flip = 0; flip < 2; flip++) {
+                wrong += row_counts(n, w, rows, set, (int)flip, t)
+                         != row_counts_wide(n, w, rows, set, (int)flip, t);
+                wide_checks++;
+            }
+            free(rows);
+            free(set);
+            free(t);
+        }
+#endif
+    printf("%%ld %%d %%ld %%ld\n", checks, has, wide_checks, wrong);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O2", "-pthread"], SANITIZE], ids=["O2", "sanitized"])
+def test_wide_code_matches_scalar(tmp_path, flags):
+    # where the CPU has AVX-512F and VPOPCNTDQ (has_wide), the kernel
+    # draws Philox words 8 blocks at a time and runs the subset sampler's
+    # wide steps, and its Python-level tests reach only those: here
+    # philox_8 and philox_run, at every start % 4 and count 0..100, are
+    # checked against philox_block, and the wide subset_mask and row_counts
+    # against the scalar ones, which other CPUs run; built with the
+    # kernel's flags, and under AddressSanitizer and UBSan, where any
+    # report aborts the run
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    if flags is SANITIZE:
+        _libasan()
+    harness, exe = tmp_path / "wide.c", tmp_path / "wide"
+    harness.write_text(WIDE_HARNESS % (SRC / "qwalk" / "_philox.c"))
+    subprocess.run(["gcc", *flags, "-o", str(exe), str(harness)], check=True,
+                   capture_output=True)
+    run = subprocess.run([str(exe)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    checks, has_wide, wide_checks, wrong = map(int, run.stdout.split())
+    assert checks == 20 * 15 * 101 * 100 // 2 and wrong == 0
+    assert wide_checks == (20 * 40 + 131 * 12 + 17 * 6 * 2 if has_wide else 0)
+
+
 REFUSED_THREADS_HARNESS = r"""
 #define pthread_create refuse_create
 #include "%s"
@@ -406,6 +586,7 @@ SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
     f"tests/test_kernel.py::{name}" for name in (
         "test_derive_seed_matches_reference", "test_uniform_words_match_reference",
         "test_long_lists_cross_many_blocks", "test_row_select_matches_reference",
+        "test_sibling_runs_match_reference",
         "test_kernel_sets_no_bit_for_bad_pairs", "test_blocks_build_the_graph_of_one_block",
         "test_bit_rows_match_reference",
         "test_pair_graphs_read_out_the_rows_the_kernel_marked",
@@ -552,11 +733,12 @@ def test_seed_at_2_64_takes_the_numpy_path(c_backend):
        index=st.one_of(st.integers(0, 10_000), st.sampled_from([2**32 - 1, 2**32])),
        start=st.one_of(st.integers(0, 10**9), st.integers(2**63 - 60, 2**63 + 60),
                        st.integers(2**64 - 10, 2**64 + 10), st.integers(2**64, 2**70)),
-       count=st.integers(0, 40))
+       count=st.integers(0, 300))
 def test_uniform_words_match_reference(c_backend, monkeypatch, seed, domain, index,
                                        start, count):
-    # a range that ends at or past word 2^63 does not fit the kernel's
-    # int64 counter and takes the numpy path
+    # counts past 32 cover whole runs of 8 blocks, which the kernel may
+    # draw 8 at a time, and their ends; a range that ends at or past word
+    # 2^63 does not fit the kernel's int64 counter and takes the numpy path
     monkeypatch.setattr(rng, "_lib", c_backend)
     got = rng.uniform_words(seed, domain, index, start, count)
     monkeypatch.setattr(rng, "_lib", False)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from qwalk.graph import gen_complete, gen_gnp
 from qwalk.rng import DOMAIN_TRIALS, derive_seed
-from qwalk.trees import (_tree_size, build_tree, decompose_tree, gen_nary_tree,
-                         gen_path_tree, gen_random_tree, image_subgraph,
+from qwalk.trees import (TreeHomomorphism, _tree_size, build_tree, decompose_tree,
+                         gen_nary_tree, gen_path_tree, gen_random_tree, image_subgraph,
                          load_tree, random_homomorphism, save_homomorphism,
                          save_tree, tree_visit_counts)
 from qwalk.walks import ListModel, run_walk, walk_subgraph
@@ -292,6 +292,46 @@ class TestVisitCounts:
         t = gen_random_tree(120, 5, 8)
         hom = random_homomorphism(g, t, ListModel(g, 6), 0)
         assert tree_visit_counts(hom).sum() == t.n_edges
+
+
+class TestEdgeBlocks:
+    """``is_edge_preserving`` and ``tree_visit_counts`` gather the parents'
+    images 2^16 tree edges at a time, as ``image_subgraph`` does."""
+
+    def test_blocks_give_the_whole_tree_gather(self):
+        # the root alone, then trees of two blocks; the 90,301-vertex
+        # tree's only bad edge, a self-loop at its last vertex, lies in its
+        # last block
+        g = gen_complete(400)
+        for t in (gen_path_tree(0), gen_path_tree(70_000), gen_nary_tree(300, 2)):
+            hom = random_homomorphism(g, t, ListModel(g, 3), 0)
+            heads = hom.image[t.parents[1:]]
+            assert np.array_equal(tree_visit_counts(hom), np.bincount(heads, minlength=g.n))
+            assert tree_visit_counts(hom).dtype == np.int64
+            assert hom.is_edge_preserving() is bool(g.has_edges(heads, hom.image[1:]).all())
+            assert hom.is_edge_preserving() is True
+        bad = TreeHomomorphism(t, g, hom.image.copy())
+        bad.image[-1] = bad.image[t.parents[-1]]
+        assert t.n_edges - 1 >= 2**16
+        assert not g.has_edges(bad.image[t.parents[1:]], bad.image[1:]).all()
+        assert bad.is_edge_preserving() is False
+        assert np.array_equal(tree_visit_counts(bad), tree_visit_counts(hom))
+
+    def test_edge_check_and_visit_counts_make_no_whole_tree_temporary(self, c_backend):
+        # the 1000-ary depth-2 tree's 1,001,000 parent images take 4 MB as
+        # int32; the edge check and the visit counts peak at less than half
+        # of that (18.1 and 4.3 MiB when each gathered them all at once)
+        g = gen_complete(2000)
+        t = gen_nary_tree(1000, 2)
+        hom = random_homomorphism(g, t, ListModel(g, 5), 0)
+        for call in (hom.is_edge_preserving, lambda: tree_visit_counts(hom)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * t.n_edges / 2
 
 
 class TestImageSubgraph:
