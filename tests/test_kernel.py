@@ -399,7 +399,7 @@ int main(void)
     long checks = 0, wide_checks = 0, wrong = 0;
     int has = has_wide();
 
-    for (k = 0; k < 20; k++) {
+    for (k = 0; k < 6; k++) {
         key[0] = k ? xorshift() : 0;
         key[1] = k ? xorshift() : 0;
         /* philox_run against philox_block, word by word */
@@ -510,8 +510,8 @@ def test_wide_code_matches_scalar(tmp_path, flags):
     run = subprocess.run([str(exe)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     checks, has_wide, wide_checks, wrong = map(int, run.stdout.split())
-    assert checks == 20 * 15 * 101 * 100 // 2 and wrong == 0
-    assert wide_checks == (20 * 40 + 131 * 12 + 17 * 6 * 2 if has_wide else 0)
+    assert checks == 6 * 15 * 101 * 100 // 2 and wrong == 0
+    assert wide_checks == (6 * 40 + 131 * 12 + 17 * 6 * 2 if has_wide else 0)
 
 
 REFUSED_THREADS_HARNESS = r"""
