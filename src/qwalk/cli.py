@@ -135,20 +135,16 @@ def _cmd_certify(args) -> int:
 
 def _cmd_walk(args) -> int:
     g = load_graph(args.graph)
-    if args.steps is None:
-        if args.alpha is None:
-            print("error: need --steps or --alpha", file=sys.stderr)
-            return 2
-        steps = walk_steps(args.alpha, g.n)
-    else:
-        steps = args.steps
+    if args.steps is None and args.alpha is None:
+        print("error: need --steps or --alpha", file=sys.stderr)
+        return 2
+    steps = walk_steps(args.alpha, g.n) if args.steps is None else args.steps
     start = args.start if args.start is not None else balanced_start(g, args.eps)
-    model = ListModel(g, args.seed)
-    trace = run_walk(g, model, start, steps)
+    trace = run_walk(g, ListModel(g, args.seed), start, steps)
     sub = walk_subgraph(trace)
     print(json.dumps({"start": start, "steps": steps,
                       "distinct_edges": len(sub),
-                      "distinct_vertices": int((trace.visit_counts > 0).sum())},
+                      "distinct_vertices": int((sub.degrees > 0).sum()) or 1},
                      sort_keys=True))
     if args.trace:
         save_trace(trace, args.trace)
@@ -161,8 +157,7 @@ def _cmd_tree(args) -> int:
     g = load_graph(args.host)
     tree = TREES[args.kind](args.edges, args.branching, args.depth,
                             args.max_degree, args.seed)
-    model = ListModel(g, args.seed)
-    hom = random_homomorphism(g, tree, model, args.root_image)
+    hom = random_homomorphism(g, tree, ListModel(g, args.seed), args.root_image)
     sub = image_subgraph(hom)
     print(json.dumps({"tree_vertices": tree.size,
                       "tree_max_degree": tree.max_degree,

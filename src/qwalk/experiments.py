@@ -33,9 +33,8 @@ from .graph import (Graph, VertexSet, balanced_vertices, connectivity_profile,
 from .rng import DOMAIN_HOST, DOMAIN_STEP_LAW, DOMAIN_TRIALS, derive_seed, stream
 from .trees import (gen_nary_tree, gen_path_tree, gen_random_tree,
                     image_subgraph, random_homomorphism)
-from .walks import (Distribution, ListModel, balanced_start, run_walk,
-                    stationary, step_positions, tv_distance, walk_edges,
-                    walk_steps)
+from .walks import (Distribution, ListModel, balanced_start, stationary,
+                    step_positions, tv_distance, walk_edges, walk_steps)
 
 
 # what each check in an experiment passes at, unless config.tolerances says
@@ -278,12 +277,14 @@ def _setup(cfg: ExperimentConfig) -> tuple[Graph, float, int, int]:
     return g, density(g), _pick_start(cfg, g), walk_steps(cfg.alpha, cfg.n)
 
 
-def _walk_trials(cfg: ExperimentConfig, g: Graph, start: int, steps: int, walk):
-    """Yield ``(t, walk(g, model, start, steps))`` per trial, ``walk`` being
-    ``run_walk`` for the trace or ``walk_edges`` for the edges alone.  Each
-    walk runs on a fresh list model that is dropped as soon as it returns."""
+def _walk_trials(cfg: ExperimentConfig, g: Graph, start: int, steps: int):
+    """Yield ``(t, visits, edges)`` per trial: the X_v (``consumed``) and the
+    edges (``walk_edges``) of a walk on a fresh list model, which is dropped
+    once they are read, so no trial holds a trace or another's model."""
     for t in range(cfg.trials):
-        yield t, walk(g, ListModel(g, _trial_seed(cfg, t)), start, steps)
+        model = ListModel(g, _trial_seed(cfg, t))
+        edges = walk_edges(g, model, start, steps)
+        yield t, model.consumed, edges
 
 
 def _retention_prediction(alpha: float, rho: float, n: int) -> dict:
@@ -308,7 +309,7 @@ def exp_density(cfg: ExperimentConfig) -> ExperimentReport:
     """
     g, rho, start, steps = _setup(cfg)
     per_trial = [{"trial": t, "walk_edges": len(gw)}
-                 for t, gw in _walk_trials(cfg, g, start, steps, walk_edges)]
+                 for t, _, gw in _walk_trials(cfg, g, start, steps)]
     predicted = _retention_prediction(cfg.alpha, rho, cfg.n)
     checks = _retention_checks(
         cfg, [r["walk_edges"] for r in per_trial], predicted)
@@ -318,15 +319,16 @@ def exp_density(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def exp_visits(cfg: ExperimentConfig) -> ExperimentReport:
-    """Distribution of relative visit-count deviations from (alpha/rho)d(v)."""
+    """Distribution of relative visit-count deviations from (alpha/rho)d(v).
+    Each walk's X_v is its list model's ``consumed``: no trace is held."""
     g, rho, start, steps = _setup(cfg)
     band = cfg.tolerance("rel_visits")
     need = cfg.tolerance("frac_within")
     per_trial = []
-    for t, trace in _walk_trials(cfg, g, start, steps, run_walk):
+    for t, visits, _ in _walk_trials(cfg, g, start, steps):
         pred = (cfg.alpha / rho) * g.degrees
         live = pred > 0
-        rel = np.abs(trace.visit_counts[live] / pred[live] - 1.0)
+        rel = np.abs(visits[live] / pred[live] - 1.0)
         per_trial.append({"trial": t,
                           "frac_within_band": float(np.mean(rel <= band)),
                           "max_rel_deviation": float(rel.max()),
@@ -356,7 +358,7 @@ def exp_preservation(cfg: ExperimentConfig) -> ExperimentReport:
                       "eps-preservation is not guaranteed at this scale")
     host_disc, _ = discrepancy_sampled(g, cfg.eps, cfg.disc_trials, cfg.seed)
     per_trial = []
-    for t, gw in _walk_trials(cfg, g, start, steps, walk_edges):
+    for t, _, gw in _walk_trials(cfg, g, start, steps):
         disc, _ = discrepancy_sampled(gw, cfg.eps, cfg.disc_trials, cfg.seed)
         per_trial.append({"trial": t, "walk_discrepancy": disc,
                           "walk_edges": gw.edge_count})
@@ -395,7 +397,7 @@ def exp_pathology(cfg: ExperimentConfig) -> ExperimentReport:
     steps = walk_steps(cfg.alpha, cfg.n)
     per_trial = [{"trial": t, "crossed": bool(start < s or gw.indptr[s] > 0),
                   "walk_edges": len(gw)}
-                 for t, gw in _walk_trials(cfg, g, start, steps, walk_edges)]
+                 for t, _, gw in _walk_trials(cfg, g, start, steps)]
     crossed = np.array([r["crossed"] for r in per_trial])
     edges = np.array([r["walk_edges"] for r in per_trial], dtype=np.float64)
     p_cross = float(crossed.mean())

@@ -8,7 +8,8 @@ host vertex and each later vertex to the next unused list entry of its
 parent's image, through ``ListModel.consume``, the loop that also drives
 walks.  A path tree therefore reproduces a walk exactly, seed for seed.
 An image's edges are gathered a block of tree edges at a time, for
-``graph._pairs_graph``, the edge check and the visit counts.
+``graph._pairs_graph``, the edge check and the visit counts, which
+``walks.sandwich_bounds`` reads for an image as for a walk.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .graph import Graph, _integers, _pairs_graph, _write_pairs, read_text
 from .rng import DOMAIN_TREE_GEN, _integer, uniform_words
-from .walks import _BLOCK, ListModel, _check_model, _tree_size
+from .walks import _BLOCK, ListModel, _check_model, _count_ids, _tree_size
 
 
 class RootedTree:
@@ -165,6 +166,11 @@ class TreeHomomorphism:
     def is_edge_preserving(self) -> bool:
         return all(self.host.has_edges(us, vs).all() for us, vs in _edge_blocks(self))
 
+    @property
+    def visit_counts(self) -> np.ndarray:
+        """visits(x) = number of tree edges whose parent endpoint maps to x."""
+        return _count_ids((us for us, _ in _edge_blocks(self)), self.host.n)
+
 
 def _edge_blocks(h: TreeHomomorphism):
     """The images (parent's, child's) of the tree's edges, gathered
@@ -187,9 +193,8 @@ def random_homomorphism(g: Graph, t: RootedTree, model: ListModel,
 
 
 def tree_visit_counts(h: TreeHomomorphism) -> np.ndarray:
-    """visits(x) = number of tree edges whose parent endpoint maps to x."""
-    return sum((np.bincount(us, minlength=h.host.n) for us, _ in _edge_blocks(h)),
-               np.zeros(h.host.n, dtype=np.int64))
+    """``h.visit_counts``, per host vertex."""
+    return h.visit_counts
 
 
 def image_subgraph(h: TreeHomomorphism) -> Graph:

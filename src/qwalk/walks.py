@@ -18,7 +18,8 @@ of steps at a time, as it walks, so the trace is never held whole.
 
 A "visit" is a departure: visit counts run over walk positions
 0 .. steps-1, one list entry consumed per visit, so counts sum to the
-number of steps and the terminal vertex consumes nothing.
+number of steps and the terminal vertex consumes nothing: they are a
+fresh model's ``consumed``, for a walk as for a tree image.
 
 Walks are inherently sequential; independent trials parallelize over
 derived seeds and all aggregation here is order-independent.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import gzip
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +43,13 @@ _CHUNK = 2048
 _BLOCK = 1 << 16  # ids per block where a whole-array temporary would outweigh them
 
 
-def _count_ids(ids: np.ndarray, n: int) -> np.ndarray:
-    """``np.bincount(ids, minlength=n)`` for vertex ids 0..n-1, a block of
-    2^16 at a time: bincount first casts its whole input to int64, which
-    would triple the bytes of an int32 walk."""
+def _count_ids(blocks, n: int) -> np.ndarray:
+    """How often each vertex id 0..n-1 occurs in ``blocks``, an iterable of
+    id arrays, a block at a time: bincount first casts its whole input to
+    int64, which would triple the bytes of an int32 walk or tree image."""
     counts = np.zeros(n, dtype=np.int64)
-    for i in range(0, len(ids), _BLOCK):
-        counts += np.bincount(ids[i:i + _BLOCK], minlength=n)
+    for ids in blocks:
+        counts += np.bincount(ids, minlength=n)
     return counts
 
 
@@ -200,14 +201,12 @@ class WalkTrace:
     start: int
     steps: int
     sequence: np.ndarray
-    _visits: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def visit_counts(self) -> np.ndarray:
         """X_v = number of departures from v (positions 0 .. steps-1)."""
-        if self._visits is None:
-            self._visits = _count_ids(self.sequence[:-1], self.graph.n)
-        return self._visits
+        seq = self.sequence[:-1]
+        return _count_ids(np.split(seq, range(_BLOCK, len(seq), _BLOCK)), self.graph.n)
 
 
 @dataclass(frozen=True)
@@ -353,14 +352,15 @@ def list_subgraph(g: Graph, model: ListModel, alpha: float) -> Graph:
     return _pairs_graph(g.n, sum(map(len, us)), [(np.concatenate(us), np.concatenate(vs))])
 
 
-def sandwich_bounds(trace: WalkTrace, g: Graph) -> tuple[float, float]:
+def sandwich_bounds(trace, g: Graph) -> tuple[float, float]:
     """(alpha_lo, alpha_hi): the least X_v / d(v) over vertices, and the
     least double at or above the greatest with int(alpha_hi * d(v)) >=
-    X_v at every v, the count ``list_subgraph`` takes.
+    X_v at every v, the count ``list_subgraph`` takes.  ``trace`` is a
+    ``WalkTrace`` or a ``trees.TreeHomomorphism``; X_v is its ``visit_counts``.
 
-    For the model that drove the walk, list_subgraph(alpha_lo) is
-    contained in the traversed subgraph, which is contained in
-    list_subgraph(alpha_hi); the containments are exact, not asymptotic,
+    For the model that drove it, list_subgraph(alpha_lo) is contained in
+    the walk's traversed subgraph or the tree's image, which is contained
+    in list_subgraph(alpha_hi); the containments are exact, not asymptotic,
     because floor(alpha_lo * d(v)) <= X_v <= floor(alpha_hi * d(v)) in
     floating point.  The greatest ratio alone may round below: with X_v
     = 15 and d(v) = 11, int(fl(15 / 11) * 11) is 14.
@@ -389,10 +389,7 @@ def subsequence_visit_counts(trace: WalkTrace, L: int) -> np.ndarray:
         raise ValueError("L exceeds the walk length")
     K = trace.steps // L
     block = trace.sequence[:K * L].reshape(K, L)
-    out = np.empty((L, trace.graph.n), dtype=np.int64)
-    for i in range(L):
-        out[i] = np.bincount(block[:, i], minlength=trace.graph.n)
-    return out
+    return np.array([_count_ids([block[:, i]], trace.graph.n) for i in range(L)])
 
 
 def default_block_length(n: int) -> int:
@@ -403,13 +400,17 @@ def default_block_length(n: int) -> int:
 def step_positions(g: Graph, start, i: int, trials: int, rng) -> np.ndarray:
     """Vertices at step i of ``trials`` independent walks (vectorized).
 
-    ``start`` is one vertex or one per walk.  ``rng`` is a seed, whose
+    ``start`` is one vertex or one per walk, each in the host and, for i >=
+    1, with neighbors, or ValueError names it.  ``rng`` is a seed, whose
     step-law stream is opened, or a generator to continue, so callers
     can batch walks or advance them step by step.  Every step draws
     ``trials`` words in order; draws are independent across trials and
     steps, which realizes the law of W_i for fresh walks.
     """
     i, trials = _integer(i, "step index", natural=True), _integer(trials, "trials")
+    for v in np.unique(start).tolist():
+        if g.degree(v) == 0 and i:
+            raise ValueError(f"start vertex {v} has no neighbors")
     gen = stream(rng, DOMAIN_STEP_LAW, 0) if isinstance(rng, (int, np.integer)) else rng
     cur = np.full(trials, start, dtype=np.int64)
     deg = g.degrees
@@ -422,11 +423,8 @@ def step_positions(g: Graph, start, i: int, trials: int, rng) -> np.ndarray:
 def empirical_step_distribution(g: Graph, start: int, i: int, trials: int,
                                 seed: int) -> Distribution:
     """Monte-Carlo law of W_i over independent walks from ``start``."""
-    start, i, trials = _vertex(g, start), _integer(i, "step index"), _integer(trials, "trials")
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise ValueError("need at least one trial")
-    if g.degree(start) == 0 and i > 0:
-        raise ValueError(f"start vertex {start} has no neighbors")
     where = step_positions(g, start, i, trials, seed)
     return Distribution.from_counts(np.bincount(where, minlength=g.n))
 

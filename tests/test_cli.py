@@ -46,6 +46,18 @@ def test_walk_writes_trace_and_subgraph(tmp_path, capsys):
     sub = load_graph(spath)
     assert sub.edge_count == out["distinct_edges"]
     assert len(open(tpath).read().split()) == 2 + 501
+    assert out["distinct_vertices"] == len(set(open(tpath).read().split()[2:]))
+
+
+@pytest.mark.parametrize("steps,distinct", [(0, 1), (1, 2), (2, 3)])
+def test_walk_counts_the_vertex_it_ends_at(tmp_path, capsys, steps, distinct):
+    # on K_5 with seed 1 each step of a walk from 0 reaches a new vertex, and
+    # the last one counts though the walk never leaves it
+    gpath = str(tmp_path / "g.txt")
+    main(["generate", "--kind", "complete", "--n", "5", "--out", gpath])
+    assert main(["walk", "--graph", gpath, "--seed", "1", "--start", "0",
+                 "--steps", str(steps)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["distinct_vertices"] == distinct
 
 
 def test_tree_embedding_command(tmp_path, capsys):

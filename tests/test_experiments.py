@@ -225,6 +225,27 @@ class TestVisitsExperiment:
         trace = run_walk(g, ListModel(g, 1), 0, 0)
         assert trace.visit_counts.sum() == 0
 
+    def test_holds_no_trace(self, c_backend):
+        # criterion 4's walk, 5e5 steps on G(1000, 1/2): X_v is read from
+        # the list model, so the run peaks below the 2 MB of its int32 trace
+        cfg = ExperimentConfig(experiment="visits", n=1000, seed=20240601,
+                               generator_params={"p": 0.5}, alpha=0.5, eps=0.05, trials=1)
+        steps = walk_steps(0.5, 1000)
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (steps + 1)
+        g = make_host(cfg)
+        trace = run_walk(g, ListModel(g, derive_seed(cfg.seed, DOMAIN_TRIALS, 0)),
+                         report.notes["start"], steps)
+        pred = 0.5 / report.notes["rho"] * g.degrees
+        rel = np.abs(trace.visit_counts / pred - 1.0)
+        assert report.per_trial[0]["frac_within_band"] == float(np.mean(rel <= 0.10))
+        assert report.per_trial[0]["max_rel_deviation"] == float(rel.max())
+
     def test_report_structure(self):
         report = run_experiment(cfg_density(experiment="visits", trials=2,
                                             tolerances={"frac_within": 0.0}))

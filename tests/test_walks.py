@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from qwalk import rng, walks
 from qwalk.graph import Graph, VertexSet, build_graph, gen_complete, gen_gnp
 from qwalk.rng import DOMAIN_STEP_LAW, DOMAIN_TRIALS, derive_seed, stream
-from qwalk.trees import gen_random_tree, random_homomorphism, tree_visit_counts
+from qwalk.trees import (build_tree, gen_nary_tree, gen_random_tree, image_subgraph,
+                         random_homomorphism, tree_visit_counts)
 from qwalk.walks import (Distribution, ListModel, WalkTrace, balanced_start,
                          empirical_step_distribution, hit_probability_check,
                          list_subgraph, load_trace, run_walk, sandwich_bounds,
@@ -556,6 +557,53 @@ class TestSandwich:
         assert list_subgraph(g, fresh, lo).issubset(gw)
         assert gw.issubset(list_subgraph(g, fresh, hi))
 
+    @pytest.mark.parametrize("host,tree,root", [
+        (gen_gnp(300, 0.3, 1), gen_random_tree(20_000, 4, 2), 0),
+        (gen_complete(200), gen_nary_tree(30, 2), 7),
+        (gen_gnp(400, 0.1, 3), gen_random_tree(5_000, 3, 4), 5),
+        (build_graph(4, [(0, 1), (1, 2), (2, 3)]), gen_random_tree(300, 3, 5), 3),
+    ])
+    def test_tree_image_containments_exact(self, backend, host, tree, root):
+        # a tree embedding takes each image vertex's entries in order, as
+        # a walk does, so the walk's sandwich bounds the tree's image
+        hom = random_homomorphism(host, tree, ListModel(host, 8), root)
+        lo, hi = sandwich_bounds(hom, host)
+        fresh, image = ListModel(host, 8), image_subgraph(hom)
+        assert list_subgraph(host, fresh, lo).issubset(image)
+        assert image.issubset(list_subgraph(host, fresh, hi))
+
+    def test_tree_upper_bound_takes_every_visit(self, backend):
+        # a star of 15 children at vertex 25, of degree 11, takes X = 15
+        # entries of its list; with this seed the 15th adds an edge that
+        # list_subgraph(15/11), 14 entries, leaves out
+        g = gen_gnp(30, 0.4, 9)
+        hom = random_homomorphism(g, build_tree([None] + [0] * 15), ListModel(g, 1), 25)
+        assert (hom.visit_counts[25], g.degree(25)) == (15, 11)
+        lo, hi = sandwich_bounds(hom, g)
+        assert lo == 0.0 and hi == np.nextafter(15 / 11, 2)
+        fresh, image = ListModel(g, 1), image_subgraph(hom)
+        assert not image.issubset(list_subgraph(g, fresh, 15 / 11))
+        assert list_subgraph(g, fresh, lo).issubset(image)
+        assert image.issubset(list_subgraph(g, fresh, hi))
+
+
+class TestVisitCounts:
+    """A fresh model's ``consumed`` is the X_v of the walk or the tree
+    image it drove: the counts ``sandwich_bounds`` reads for either."""
+
+    @settings(max_examples=60, **PER_EXAMPLE)
+    @given(case=walk_cases(), size=st.integers(1, 400), cap=st.integers(2, 6),
+           tree_seed=st.integers(0, 99))
+    def test_consumed_is_the_walks_and_the_trees(self, backend, case, size, cap, tree_seed):
+        g, seed, start, steps, _ = case
+        model = ListModel(g, seed)
+        trace = run_walk(g, model, start, steps)
+        assert np.array_equal(model.consumed, trace.visit_counts)
+        model = ListModel(g, seed)
+        hom = random_homomorphism(g, gen_random_tree(size, cap, tree_seed), model, start)
+        assert np.array_equal(model.consumed, tree_visit_counts(hom))
+        assert np.array_equal(model.consumed, hom.visit_counts)
+
 
 class TestSubsequenceCounts:
     def test_l1_is_visit_counts(self):
@@ -605,6 +653,24 @@ class TestStepDistribution:
         with pytest.raises(ValueError, match=f"vertex {start} is not in the host's 0..3"):
             hit_probability_check(gen_complete(4), start, VertexSet.full(4), 2, 10, 1,
                                   eps=0.5)
+
+    @pytest.mark.parametrize("host,start", [
+        (build_graph(4, [(1, 2), (2, 3)]), 0),  # once walked on to vertex 2
+        (build_graph(4, [(0, 1), (1, 2)]), 3),  # once raised IndexError
+        (build_graph(4, [(1, 2), (2, 3)]), [1, 2, 0, 3]),
+    ])
+    def test_start_without_neighbors_rejected(self, host, start):
+        with pytest.raises(ValueError, match=r"start vertex [03] has no neighbors"):
+            step_positions(host, start, 1, 4, 1)
+        assert (step_positions(host, start, 0, 4, 1) == start).all()  # no step taken
+        if isinstance(start, int):
+            with pytest.raises(ValueError, match=f"start vertex {start} has no neighbors"):
+                empirical_step_distribution(host, start, 3, 4, 1)
+
+    def test_starts_outside_host_rejected(self):
+        with pytest.raises(ValueError, match="vertex 4 is not in the host's 0..3"):
+            step_positions(gen_complete(4), [0, 4, 1], 0, 3, 1)
+        assert step_positions(gen_complete(4), [0, 3, 1], 0, 3, 1).tolist() == [0, 3, 1]
 
     def test_converges_to_stationary(self):
         g = gen_gnp(100, 0.5, 15)
