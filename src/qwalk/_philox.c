@@ -15,20 +15,24 @@
  * qwalk.rng.derive_seed the first key word.
  *
  * Runs of words come from one generator, philox_run: qw_words, qw_gnp's
- * rows, the subset sampler's sets and qw_consume's runs of siblings call
- * it.  On x86-64 CPUs with AVX-512F and AVX-512 VPOPCNTDQ, chosen at run
- * time by __builtin_cpu_supports as pdep is, it computes each whole run of
- * 8 blocks in the lanes of 512-bit registers (philox_8), and the subset
+ * rows, the subset sampler's sets and qw_consume's chunks call it.  On
+ * x86-64 CPUs with AVX-512F and AVX-512 VPOPCNTDQ, chosen at run time by
+ * __builtin_cpu_supports as pdep is, it computes each whole run of 16
+ * blocks as two interleaved chains of 8 in the lanes of 512-bit registers
+ * (philox_16), and a last run of 8 as one chain (philox_8); qw_gnp builds
+ * its row words from 8-lane compares (below_cut_wide), and the subset
  * sampler keeps the words of each set's cut bucket by vpcompressq, builds
  * its set words from 8-lane compares and counts e(A, B) by vpopcntq
- * (subset_mask_wide, row_counts_wide).  philox_block and the scalar
- * sampler stay the portable code and the reference, against which a
- * compiled test checks the wide code.  In process on a 2-core Xeon KVM
- * guest with AVX-512, the median of 5 calls in each of 5 alternating
- * rounds, against the scalar code alone: the 2000-trial sampler on the
- * image of the 1000-ary depth-2 tree in K_2000 took 21.6-28.6 ms against
- * 44.8-54.4 ms, that tree's embedding 12.2-17.5 ms against 17.8-23.5 ms,
- * and G(2000, 1/2) 10.8-15.3 ms against 14.6-29.9 ms.
+ * (subset_mask_wide, row_counts_wide).  With AVX-512F and a fast pdep,
+ * qw_consume finds the row word of each list entry by counting ranks in
+ * 512-bit registers (fill_wide).  philox_block, the scalar row words and
+ * sampler, and fill_pdep and fill_broadword stay the portable code and the
+ * reference, against which compiled tests check the wide code.  In process
+ * on a 2-core Xeon KVM guest with AVX-512, the median of five alternating
+ * rounds, each the best of 11 calls: a 2e6-step walk on G(2000, 1/2) took
+ * 12.2 ns a step against 23.3 ns for a walk that drew one Philox block
+ * every 4 steps and placed each entry on its vertex's previous visit, and
+ * gen_gnp(2000, 1/2) 4.2 ms against 13.3 ms.
  *
  * Vertex ids are int32, since a graph has fewer than 2^31 vertices, and
  * an edge key u * n + v, u < v, is int64, formed only after widening.
@@ -46,11 +50,11 @@
  *
  * qw_sampled_counts draws every set size and every subset of
  * qwalk.certify.discrepancy_sampled and counts each of its e(A, B) as
- * popcounts of the rows in one call.  Its trials run on POSIX threads,
- * each with its own scratch words, which claim them one at a time; since
- * a trial's words are Philox blocks at counters fixed by its number, any
- * thread can run any trial, and the counts are those that one thread
- * gives.  Without the wide code, the counts have a popcnt clone on x86-64
+ * popcounts of the rows in one call.  Its trials, and qw_gnp's rows, run
+ * on POSIX threads (on_threads), which claim them one at a time; since a
+ * trial's or a row's words are Philox blocks at counters fixed by its
+ * number, any thread can run any of them, and the results are those that
+ * one thread gives.  Without the wide code, the counts have a popcnt clone on x86-64
  * glibc: at plain -O2, __builtin_popcountll calls libgcc's table-driven
  * __popcountdi2 instead.
  *
@@ -169,10 +173,15 @@ WIDE static inline __m512i mul_hi_lo(__m512i x, __m512i ml, __m512i mh, __m512i 
                             _mm512_srli_epi64(b, 32));
 }
 
-/* philox_block at counters ctr .. ctr+7, one block a lane, into out[0..31]
- * in stream order: lane i of c0..c3 is block i, and two vpermt2q steps
- * interleave them into its four words */
-WIDE static void philox_8(const uint64_t key[2], uint64_t ctr, uint64_t out[32])
+/* philox_block at counters ctr .. ctr + 8 chains - 1 into out[0 .. 32 chains - 1]
+ * in stream order, for chains 1 or 2: each chain holds 8 blocks, one a
+ * lane of c0..c3, and two vpermt2q steps interleave them into their
+ * words.  One chain of 10 rounds is bound by the latency of its products,
+ * so two interleaved chains draw words faster: in a C harness on a 2-core
+ * Xeon KVM guest with AVX-512, a word took 2.0-2.2 ns against 2.7-2.8 ns
+ * for one chain, in three alternating runs. */
+WIDE static inline __attribute__((always_inline))
+void philox_lanes(const uint64_t key[2], uint64_t ctr, int chains, uint64_t *out)
 {
     const __m512i m0l = _mm512_set1_epi64(0xE14C6C93), m0h = _mm512_set1_epi64(0xD2E7470E);
     const __m512i m1l = _mm512_set1_epi64(0x95121157), m1h = _mm512_set1_epi64(0xCA5A8263);
@@ -180,55 +189,79 @@ WIDE static void philox_8(const uint64_t key[2], uint64_t ctr, uint64_t out[32])
     const __m512i pair_hi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
     const __m512i quad_lo = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
     const __m512i quad_hi = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
-    __m512i c0 = _mm512_add_epi64(_mm512_set1_epi64((int64_t)ctr),
-                                  _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
-    __m512i c1 = _mm512_setzero_si512(), c2 = c1, c3 = c1, lo0, lo1, hi0, hi1, a, b;
-    uint64_t k0 = key[0], k1 = key[1];
-    int r;
+    __m512i c0[2], c1[2], c2[2], c3[2], lo0, lo1, hi0, hi1, a, b, k0, k1;
+    int r, h;
 
-    for (r = 0; r < 10; r++) {
-        hi0 = mul_hi_lo(c0, m0l, m0h, &lo0);
-        hi1 = mul_hi_lo(c2, m1l, m1h, &lo1);
-        /* 0x96: the xor of all three */
-        c0 = _mm512_ternarylogic_epi64(hi1, c1, _mm512_set1_epi64((int64_t)k0), 0x96);
-        c1 = lo1;
-        c2 = _mm512_ternarylogic_epi64(hi0, c3, _mm512_set1_epi64((int64_t)k1), 0x96);
-        c3 = lo0;
-        k0 += 0x9E3779B97F4A7C15u;
-        k1 += 0xBB67AE8584CAA73Bu;
+#pragma GCC unroll 2
+    for (h = 0; h < chains; h++) {
+        c0[h] = _mm512_add_epi64(_mm512_set1_epi64((int64_t)(ctr + 8 * (uint64_t)h)),
+                                 _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+        c1[h] = c2[h] = c3[h] = _mm512_setzero_si512();
     }
-    /* a, b: words 0, 1 and 2, 3 of blocks 0..3, then of blocks 4..7 */
-    a = _mm512_permutex2var_epi64(c0, pair_lo, c1);
-    b = _mm512_permutex2var_epi64(c2, pair_lo, c3);
-    _mm512_storeu_si512(out, _mm512_permutex2var_epi64(a, quad_lo, b));
-    _mm512_storeu_si512(out + 8, _mm512_permutex2var_epi64(a, quad_hi, b));
-    a = _mm512_permutex2var_epi64(c0, pair_hi, c1);
-    b = _mm512_permutex2var_epi64(c2, pair_hi, c3);
-    _mm512_storeu_si512(out + 16, _mm512_permutex2var_epi64(a, quad_lo, b));
-    _mm512_storeu_si512(out + 24, _mm512_permutex2var_epi64(a, quad_hi, b));
+    for (r = 0; r < 10; r++) {
+        k0 = _mm512_set1_epi64((int64_t)(key[0] + (uint64_t)r * 0x9E3779B97F4A7C15u));
+        k1 = _mm512_set1_epi64((int64_t)(key[1] + (uint64_t)r * 0xBB67AE8584CAA73Bu));
+#pragma GCC unroll 2
+        for (h = 0; h < chains; h++) {
+            hi0 = mul_hi_lo(c0[h], m0l, m0h, &lo0);
+            hi1 = mul_hi_lo(c2[h], m1l, m1h, &lo1);
+            /* 0x96: the xor of all three */
+            c0[h] = _mm512_ternarylogic_epi64(hi1, c1[h], k0, 0x96);
+            c1[h] = lo1;
+            c2[h] = _mm512_ternarylogic_epi64(hi0, c3[h], k1, 0x96);
+            c3[h] = lo0;
+        }
+    }
+#pragma GCC unroll 2
+    for (h = 0; h < chains; h++, out += 32) {
+        /* a, b: words 0, 1 and 2, 3 of blocks 0..3, then of blocks 4..7 */
+        a = _mm512_permutex2var_epi64(c0[h], pair_lo, c1[h]);
+        b = _mm512_permutex2var_epi64(c2[h], pair_lo, c3[h]);
+        _mm512_storeu_si512(out, _mm512_permutex2var_epi64(a, quad_lo, b));
+        _mm512_storeu_si512(out + 8, _mm512_permutex2var_epi64(a, quad_hi, b));
+        a = _mm512_permutex2var_epi64(c0[h], pair_hi, c1[h]);
+        b = _mm512_permutex2var_epi64(c2[h], pair_hi, c3[h]);
+        _mm512_storeu_si512(out + 16, _mm512_permutex2var_epi64(a, quad_lo, b));
+        _mm512_storeu_si512(out + 24, _mm512_permutex2var_epi64(a, quad_hi, b));
+    }
 }
 #else
+#define WIDE
+
 static int has_wide(void)
 {
     return 0;
 }
 
-/* philox_8 where no CPU has the wide code: has_wide keeps it uncalled */
-static void philox_8(const uint64_t key[2], uint64_t ctr, uint64_t out[32])
+/* philox_lanes where no CPU has the wide code: has_wide keeps it uncalled */
+static void philox_lanes(const uint64_t key[2], uint64_t ctr, int chains, uint64_t *out)
 {
     int i;
 
-    for (i = 0; i < 8; i++)
+    for (i = 0; i < 8 * chains; i++)
         philox_block(key, ctr + (uint64_t)i, out + 4 * i);
 }
 #endif
 
+/* 8 blocks from counter ctr, one chain, into out[0..31] */
+WIDE static void philox_8(const uint64_t key[2], uint64_t ctr, uint64_t out[32])
+{
+    philox_lanes(key, ctr, 1, out);
+}
+
+/* 16 blocks from counter ctr, two chains, into out[0..63] */
+WIDE static void philox_16(const uint64_t key[2], uint64_t ctr, uint64_t out[64])
+{
+    philox_lanes(key, ctr, 2, out);
+}
+
 /* Words start .. start+count-1 of the stream keyed ``key`` into out[0..count-1]:
- * each whole run of 8 blocks that they cover by philox_8 where the CPU has
- * the wide code, and every other block by philox_block, the reference.  On
- * a 2-core Xeon KVM guest with AVX-512, 2000 words took 5.4-5.8 us this
- * way against 9.3-12.7 us by philox_block alone, in three alternating
- * runs. */
+ * each whole run of 16 blocks that they cover by philox_16 and a last
+ * whole run of 8 by philox_8, where the CPU has the wide code, and every
+ * other block by philox_block, the reference.  On a 2-core Xeon KVM guest
+ * with AVX-512, the best of 2000 calls for 2000 words took 4.8-5.1 us this
+ * way against 6.2-6.4 us by philox_8 alone, in three alternating runs;
+ * philox_8 had taken 5.4-5.8 us against 9.3-12.7 us by philox_block. */
 static void philox_run(const uint64_t key[2], int64_t start, int64_t count, uint64_t *out)
 {
     uint64_t block[4];
@@ -237,8 +270,13 @@ static void philox_run(const uint64_t key[2], int64_t start, int64_t count, uint
 
     while (j < end) {
         if (wide && j % 4 == 0 && end - j >= 32) {
-            philox_8(key, (uint64_t)(j / 4 + 1), out + (j - start));
-            j += 32;
+            if (end - j >= 64) {
+                philox_16(key, (uint64_t)(j / 4 + 1), out + (j - start));
+                j += 64;
+            } else {
+                philox_8(key, (uint64_t)(j / 4 + 1), out + (j - start));
+                j += 32;
+            }
             continue;
         }
         philox_block(key, (uint64_t)(j / 4 + 1), block);
@@ -254,18 +292,18 @@ static double to_double(uint64_t w)
 }
 
 /* words a stack buffer holds for philox_run */
-#define CHUNK 256
+#define STACK_WORDS 256
 
 /* Doubles for words start .. start+count-1 of stream (seed, domain, index). */
 void qw_words(uint64_t seed, uint32_t domain, uint32_t index,
               int64_t start, int64_t count, double *out)
 {
-    uint64_t key[2], words[CHUNK];
+    uint64_t key[2], words[STACK_WORDS];
     int64_t i, k, c;
 
     seed_key(seed, domain, index, key);
     for (i = 0; i < count; i += c) {
-        c = count - i < CHUNK ? count - i : CHUNK;
+        c = count - i < STACK_WORDS ? count - i : STACK_WORDS;
         philox_run(key, start + i, c, words);
         for (k = 0; k < c; k++)
             out[i + k] = to_double(words[k]);
@@ -309,19 +347,26 @@ static int64_t select_broadword(uint64_t x, int64_t r)
  * select_broadword, faster in 7 of 8 alternating runs, the 1,001,001
  * vertex tree image in K_2000 19-27 ms against 34-37 ms, and perfbench's
  * walk_long run_s 0.103 s against 0.127 s in the median, faster in 10 of
- * 10 pairs.  Zen 1 and Zen 2 run pdep in microcode, at a cost that grows
- * with the set bits of the mask, so they take select_broadword. */
+ * 10 pairs. */
 __attribute__((target("bmi2")))
 static int64_t select_pdep(uint64_t x, int64_t r)
 {
     return __builtin_ctzll(_pdep_u64((uint64_t)1 << r, x));
 }
+
+/* Whether the CPU runs pdep fast: Zen 1 and Zen 2 run it in microcode, at
+ * a cost that grows with the set bits of the mask, so they take
+ * select_broadword. */
+static int fast_pdep(void)
+{
+    return __builtin_cpu_supports("bmi2") && !__builtin_cpu_is("znver1")
+           && !__builtin_cpu_is("znver2");
+}
 #endif
 
 /* A graph's neighbour lists as qw_consume reads them: the CSR ``indices``
  * of indptr, or the bit rows, w words a row, with ``ranks``, the set bits
- * of a row before each of its words.  Passed by value, so that its fields
- * stay in registers across the stores of a step. */
+ * of a row before each of its words. */
 struct lists {
     const int64_t *indptr;
     const int32_t *indices;
@@ -335,10 +380,8 @@ struct lists {
  * the index of the row word that holds it plus its rank in that word.
  * That word is the last of row x whose rank is at most k.  A row whose
  * bits are spread evenly, as G(n, p)'s and K_n's are, holds it at or next
- * to word floor(u w), which is tried first.  A binary search of the
- * ranks, the fallback, puts a chain of dependent loads on every entry:
- * alone, on a 2-core Xeon KVM guest, it made a 2e6-step walk on
- * G(2000, 1/2) take 63-89 ms, against 37-62 ms with the guess first. */
+ * to word floor(u w), which is tried first; a binary search of the ranks
+ * is the fallback. */
 static inline __attribute__((always_inline))
 uint64_t place(struct lists g, int64_t (*select)(uint64_t, int64_t),
                int64_t x, double u, int64_t d)
@@ -368,136 +411,193 @@ int64_t neighbour(struct lists g, int64_t (*select)(uint64_t, int64_t),
     return 64 * ((int64_t)(at / 64) - x * g.w) + select(g.rows[at / 64], (int64_t)(at % 64));
 }
 
-/* Entries t + 1 .. t + r of x, t taken, into out[0..r-1], with the state
- * that r steps of consume leave: out[0] is the stored next entry, and the
- * rest come from words t + 1 .. t + r - 1, drawn CHUNK at a time by
- * philox_run and each placed and selected at once; the next entry, the
- * place after it and its block are then found from words t + r and
- * t + r + 1. */
-static inline __attribute__((always_inline))
-void take_run(struct lists g, int64_t (*select)(uint64_t, int64_t), uint64_t *key,
-              int64_t x, int64_t d, int64_t t, int64_t r, int32_t *out)
-{
-    uint64_t *block = key + 2, *next = key + 6, *at = key + 7, words[CHUNK];
-    int64_t i, k, c;
+/* A vertex's chunk: its next entries, 32 uint16 ids where the host has at
+ * most 2^16 vertices (``small``), else 16 int32 ids, 64 bytes either way */
+#define CHUNK_BYTES 64
 
-    out[0] = (int32_t)*next;
-    for (i = 1; i < r; i += c) {
-        c = r - i < CHUNK ? r - i : CHUNK;
-        philox_run(key, t + i, c, words);
-        for (k = 0; k < c; k++)
-            out[i + k] = (int32_t)neighbour(g, select, x,
-                                            place(g, select, x, to_double(words[k]), d));
-    }
-    t += r;
-    philox_block(key, (uint64_t)(t / 4 + 1), block);
-    *next = (uint64_t)neighbour(g, select, x, place(g, select, x, to_double(block[t % 4]), d));
-    if ((t + 1) % 4 == 0)
-        philox_block(key, (uint64_t)((t + 1) / 4 + 1), block);
-    *at = place(g, select, x, to_double(block[(t + 1) % 4]), d);
+/* The uint64 words of a vertex's key and chunk */
+#define STATE_WORDS (2 + CHUNK_BYTES / 8)
+
+/* Entry k of ``chunk`` set to vertex v */
+static inline __attribute__((always_inline))
+void put(void *chunk, int small, int64_t k, int64_t v)
+{
+    if (small)
+        ((uint16_t *)chunk)[k] = (uint16_t)v;
+    else
+        ((int32_t *)chunk)[k] = (int32_t)v;
 }
 
-/* The shortest run of equal parents that take_run takes: 32 words are the
- * fewest that can hold a whole run of 8 blocks for philox_8.  On a 2-core
- * Xeon KVM guest with AVX-512, embedding trees of 400,000 vertices in
- * K_2000, whose parents come in runs of b, took 6-10 ms against 11-14 ms
- * one step at a time for b = 32, while bursts from 4, 8 or 16 siblings on
- * read within the host's noise for b = 2..16, as did the compare a step
- * that looks for a run on a random tree of degree 4. */
-#define RUN 32
+/* The chunk of entries t + 1 .. t + c of x, d its degree, t a multiple of
+ * c, the chunk's size: words t .. t + c - 1 of its stream, drawn at once
+ * by philox_run, and each entry placed and selected apart from the
+ * others, so that none waits on another. */
+static inline __attribute__((always_inline))
+void fill(struct lists g, int64_t (*select)(uint64_t, int64_t), const uint64_t key[2],
+          int64_t x, int64_t d, int64_t t, int small, void *chunk)
+{
+    uint64_t words[32];
+    int64_t k, c = small ? 32 : 16;
+
+    philox_run(key, t, c, words);
+    for (k = 0; k < c; k++)
+        put(chunk, small, k, neighbour(g, select, x, place(g, select, x, to_double(words[k]), d)));
+}
+
+/* fill on the ``indices`` of a graph built from keys */
+static void fill_indices(struct lists g, const uint64_t key[2], int64_t x, int64_t d,
+                         int64_t t, int small, void *chunk)
+{
+    fill(g, NULL, key, x, d, t, small, chunk);
+}
+
+/* fill on bit rows by select_broadword, the portable select */
+static void fill_broadword(struct lists g, const uint64_t key[2], int64_t x, int64_t d,
+                           int64_t t, int small, void *chunk)
+{
+    fill(g, select_broadword, key, x, d, t, small, chunk);
+}
+
+#if defined(__x86_64__) && defined(__GLIBC__)
+/* fill on bit rows by select_pdep, compiled for bmi2 so that it inlines */
+__attribute__((target("bmi2")))
+static void fill_pdep(struct lists g, const uint64_t key[2], int64_t x, int64_t d,
+                      int64_t t, int small, void *chunk)
+{
+    fill(g, select_pdep, key, x, d, t, small, chunk);
+}
+
+#define WIDE_FILL __attribute__((target("avx512f,avx512dq,bmi2,popcnt")))
+
+/* How many of the 32 int32 in lo and hi are at most k */
+WIDE_FILL static inline int64_t count_at_most(__m512i lo, __m512i hi, int64_t k)
+{
+    const __m512i ks = _mm512_set1_epi32((int32_t)k);
+
+    return __builtin_popcount(_mm512_cmple_epi32_mask(lo, ks))
+           + __builtin_popcount(_mm512_cmple_epi32_mask(hi, ks));
+}
+
+/* fill_pdep with the rank of each entry computed 8 at a time, bit for bit
+ * as place does, and its row word found by counting the ranks of the row
+ * at most that rank: the word is the last of those.  Where the row has
+ * w <= 32 words, its ranks sit in two registers, the lanes past w held at
+ * INT32_MAX, for the whole chunk.  A wider row is counted in the 32 ranks
+ * around the guess floor(u w), and an entry whose word lies outside them
+ * takes place's binary search.  In a C harness on a loaded 2-core Xeon KVM
+ * guest with AVX-512, in nine runs that each timed every fill, a chunk of
+ * G(2000, 1/2) took 6.6-9.3 ns an entry this way, against 10.3-15.2 ns by
+ * fill_pdep and 19.7-25.7 ns by fill_broadword, and a 2e6-step walk
+ * 12.0-16.7 ns a step, against 16.3-22.2 ns and 26.5-35.5 ns; at a quieter
+ * time the ranks computed 8 at a time took a chunk from 7.2-7.6 ns an
+ * entry to 5.5-5.9 ns, in three alternating runs. */
+WIDE_FILL static void fill_wide(struct lists g, const uint64_t key[2], int64_t x, int64_t d,
+                                int64_t t, int small, void *chunk)
+{
+    const int32_t *r = g.ranks + x * g.w;
+    const uint64_t *row = g.rows + x * g.w;
+    const __m512i past = _mm512_set1_epi32(INT32_MAX);
+    const __m512d scale = _mm512_set1_pd(1.0 / 9007199254740992.0);
+    const __m512d degree = _mm512_set1_pd((double)d);
+    uint64_t words[32];
+    int64_t ranks[32], k, c = small ? 32 : 16, w = g.w;
+    __m512i lo = past, hi = past;
+
+    philox_run(key, t, c, words);
+    for (k = 0; k < c; k += 8) {
+        __m512d u = _mm512_mul_pd(
+            _mm512_cvtepi64_pd(_mm512_srli_epi64(_mm512_loadu_si512(words + k), 11)), scale);
+        _mm512_storeu_si512(ranks + k, _mm512_cvttpd_epi64(_mm512_mul_pd(u, degree)));
+    }
+    if (w <= 32) {
+        lo = _mm512_mask_loadu_epi32(past, (__mmask16)(w >= 16 ? 0xffff : (1u << w) - 1), r);
+        hi = _mm512_mask_loadu_epi32(past, (__mmask16)(w <= 16 ? 0 : (1u << (w - 16)) - 1),
+                                     r + 16);
+    }
+    for (k = 0; k < c; k++) {
+        int64_t rank = ranks[k], i, s, in;
+
+        if (w <= 32) {
+            i = count_at_most(lo, hi, rank) - 1;
+        } else {
+            double u = to_double(words[k]);
+            s = (int64_t)(u * (double)w) - 16;
+            s = s < 0 ? 0 : s > w - 32 ? w - 32 : s;
+            in = count_at_most(_mm512_loadu_si512(r + s), _mm512_loadu_si512(r + s + 16), rank);
+            if (in == 0 || (in == 32 && s + 32 < w && r[s + 32] <= rank)) {
+                put(chunk, small, k, neighbour(g, select_pdep, x, place(g, select_pdep, x, u, d)));
+                continue;
+            }
+            i = s + in - 1;
+        }
+        put(chunk, small, k, 64 * i + select_pdep(row[i], rank - r[i]));
+    }
+}
+
+/* Whether the CPU runs fill_wide: AVX-512F, AVX-512DQ for the rank
+ * conversions, and a fast pdep */
+static int has_wide_fill(void)
+{
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") && fast_pdep();
+}
+#endif
+
+typedef void (*filler)(struct lists, const uint64_t *, int64_t, int64_t, int64_t, int, void *);
 
 /* Image of a tree on the lists of stream domain ``domain``: image[0] is
  * the root, set by the caller, and image[j+1] is the next unused entry of
  * the list of image[parents[j]]; parents == NULL reads parents[j] = j, a
- * walk.  Vertex v keeps in state[8v..8v+7] its Philox key, derived when
- * its first entry is taken, the block of the word of the entry after its
- * next one, its next entry itself and the place of the entry after that,
- * and in taken[v] the number of entries taken.  Entry j of v is its
- * neighbour of rank floor(u d(v)), u the double of word j - 1 of its
- * stream, counted from 0 in ascending order.
+ * walk.  Entry j of v is its neighbour of rank floor(u d(v)), u the double
+ * of word j - 1 of its stream, counted from 0 in ascending order.
  *
- * A step takes the stored next entry, reads the one after it from the
- * place found at the vertex's previous visit, and prefetches the
- * ``indices`` line or the row word of the entry after that.  The step
- * then waits only on state that is cached: the read hits the line that
- * the prefetch brought in, and the prefetch itself retires at once,
- * while the line it asks for arrives during the steps that follow.  A
- * plain load one visit ahead held the reorder buffer until its miss
- * returned, so few steps overlapped; reading each entry when it is taken
- * put one cache miss per step on the critical path.
- *
- * A run of at least RUN equal parents[j], one vertex's children in a row,
- * is taken at once by take_run, whose entries all come from one list:
- * none waits on another, and its words come from philox_run.  A walk and
- * shorter runs take the steps above.
+ * Vertex v keeps in state[10v..10v+9] its Philox key, derived when its
+ * first entry is taken, and its chunk, the entries of the c words from
+ * c floor(t / c) on, where t = taken[v] counts the entries taken and c is
+ * the chunk's size; its next entry, that of word t, sits in next[v], an
+ * int32 array of n after the n chunks.  A step takes next[x], counts it
+ * and reads the entry after it from the chunk, which ``fill`` makes anew
+ * whenever t reaches a multiple of c.  So a step waits on one load, from
+ * next, and a run of siblings reads consecutive entries of one chunk.
  */
-static inline __attribute__((always_inline))
-int64_t consume(uint64_t seed, uint32_t domain, struct lists g,
-                int64_t (*select)(uint64_t, int64_t), uint64_t *state, int64_t *taken,
-                const int32_t *parents, int64_t m, int32_t *image)
+static int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, int64_t n,
+                       uint64_t *state, int64_t *taken, const int32_t *parents, int64_t m,
+                       int32_t *image)
 {
-    int64_t j, r;
+    int small = n <= (int64_t)1 << 16;
+    int64_t j, last = small ? 31 : 15, walker = image[0];
+    int32_t *next = (int32_t *)(state + n * STATE_WORDS);
 
     for (j = 0; j < m; j++) {
-        int64_t x = image[parents ? parents[j] : j];
-        int64_t d = g.indptr[x + 1] - g.indptr[x], t = taken[x];
-        uint64_t *key = state + 8 * x, *block = key + 2, *next = key + 6, *at = key + 7;
+        int64_t x = parents ? image[parents[j]] : walker, t = taken[x];
+        uint64_t *key = state + x * STATE_WORDS;
+        void *chunk = key + 2;
 
         if (t == 0) {
-            if (d == 0)
+            if (g.indptr[x + 1] == g.indptr[x])
                 return j;
             seed_key(seed, domain, (uint32_t)x, key);
-            philox_block(key, 1, block);
-            *next = (uint64_t)neighbour(g, select, x,
-                                        place(g, select, x, to_double(block[0]), d));
-            *at = place(g, select, x, to_double(block[1]), d);
+            fill(g, key, x, g.indptr[x + 1] - g.indptr[x], 0, small, chunk);
+            next[x] = small ? *(uint16_t *)chunk : *(int32_t *)chunk;
         }
-        /* one vertex's children in a row: parents[j .. j + r - 1] equal */
-        if (parents && j + RUN <= m && parents[j + RUN - 1] == parents[j]) {
-            for (r = 1; j + r < m && parents[j + r] == parents[j]; r++)
-                ;
-            if (r >= RUN) {
-                take_run(g, select, key, x, d, t, r, image + j + 1);
-                taken[x] = t + r;
-                j += r - 1;
-                continue;
-            }
-        }
-        image[j + 1] = (int32_t)*next;
+        walker = image[j + 1] = next[x];
         taken[x] = ++t;
-        *next = (uint64_t)neighbour(g, select, x, *at);
-        /* word t + 1 is the entry after the new next one */
-        if ((t + 1) % 4 == 0)
-            philox_block(key, (uint64_t)((t + 1) / 4 + 1), block);
-        *at = place(g, select, x, to_double(block[(t + 1) % 4]), d);
-        if (select)
-            __builtin_prefetch(g.rows + *at / 64);
-        else
-            __builtin_prefetch(g.indices + *at);
+        if ((t & last) == 0)
+            fill(g, key, x, g.indptr[x + 1] - g.indptr[x], t, small, chunk);
+        next[x] = small ? ((uint16_t *)chunk)[t & last] : ((int32_t *)chunk)[t & last];
     }
     return m;
 }
 
-#if defined(__x86_64__) && defined(__GLIBC__)
-/* consume compiled for bmi2, so that select_pdep inlines; a
- * target_clones copy, as row_counts has, cannot be used, since its
- * default clone would have to compile _pdep_u64 too */
-__attribute__((target("bmi2")))
-static int64_t consume_pdep(uint64_t seed, uint32_t domain, struct lists g,
-                            uint64_t *state, int64_t *taken, const int32_t *parents,
-                            int64_t m, int32_t *image)
-{
-    return consume(seed, domain, g, select_pdep, state, taken, parents, m, image);
-}
-#endif
-
 /* consume on the lists of the graph with row starts indptr[0..n]: its
  * ``indices`` when ``rows`` is NULL, else its bit rows and ``ranks``,
  * int32 [v * w + i] the set bits of words 0..i-1 of row v, where a
- * neighbour is taken by select, pdep where the CPU runs it fast.  The
- * caller checks that parents[j] lies in 0..j.  Returns m on success, or
- * else the first position j at which the list's vertex has no neighbours,
- * after taking the entries before j.
+ * neighbour is taken by select: fill_wide where the CPU has AVX-512F and
+ * AVX-512DQ and runs pdep fast, fill_pdep where it only runs pdep fast,
+ * and fill_broadword elsewhere.  ``state`` holds n (2 + CHUNK_BYTES / 8)
+ * words and then n int32, zeroed before the first call.  The caller checks
+ * that parents[j] lies in 0..j.  Returns m on success, or else the first
+ * position j at which the list's vertex has no neighbours, after taking
+ * the entries before j.
  */
 int64_t qw_consume(uint64_t seed, uint32_t domain, int64_t n, const int64_t *indptr,
                    const int32_t *indices, const uint64_t *rows, const int32_t *ranks,
@@ -505,15 +605,13 @@ int64_t qw_consume(uint64_t seed, uint32_t domain, int64_t n, const int64_t *ind
                    int32_t *image)
 {
     struct lists g = {indptr, indices, rows, ranks, (n + 63) / 64};
+    filler fill = rows ? fill_broadword : fill_indices;
 
-    if (!rows)
-        return consume(seed, domain, g, NULL, state, taken, parents, m, image);
 #if defined(__x86_64__) && defined(__GLIBC__)
-    if (__builtin_cpu_supports("bmi2") && !__builtin_cpu_is("znver1")
-        && !__builtin_cpu_is("znver2"))
-        return consume_pdep(seed, domain, g, state, taken, parents, m, image);
+    if (rows && fast_pdep())
+        fill = has_wide_fill() ? fill_wide : fill_pdep;
 #endif
-    return consume(seed, domain, g, select_broadword, state, taken, parents, m, image);
+    return consume(seed, domain, g, fill, n, state, taken, parents, m, image);
 }
 
 /* Marks the pairs (us[i], vs[i]) in ``rows``, n rows in the header's bit
@@ -536,34 +634,6 @@ int64_t qw_mark_pairs(int64_t n, const int32_t *us, const int32_t *vs, int64_t m
         rows[v * w + u / 64] |= (uint64_t)1 << (u % 64);
     }
     return 0;
-}
-
-/* The edges of G(n, p) on stream domain ``domain``: pair (u, v), u < v,
- * is an edge when the double of word v - u - 1 of stream (seed, domain,
- * u) is below p, the rule of qwalk.graph.gen_gnp's reference, and each
- * edge sets bit v of row u and bit u of row v of ``rows``, n zeroed rows
- * in the header's bit row layout.
- */
-void qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *rows)
-{
-    uint64_t key[2], words[CHUNK];
-    int64_t u, j, k, c, w = (n + 63) / 64;
-
-    for (u = 0; u + 1 < n; u++) {
-        uint64_t *row = rows + u * w;
-        seed_key(seed, domain, (uint32_t)u, key);
-        for (j = 0; j < n - u - 1; j += c) {
-            c = n - u - 1 - j < CHUNK ? n - u - 1 - j : CHUNK;
-            philox_run(key, j, c, words);
-            for (k = 0; k < c; k++) {
-                /* a 0/1 select, not a branch that p = 1/2 mispredicts half the time */
-                int64_t v = u + 1 + j + k;
-                uint64_t edge = to_double(words[k]) < p;
-                row[v / 64] |= edge << (v % 64);
-                rows[v * w + u / 64] |= edge << (u % 64);
-            }
-        }
-    }
 }
 
 /* The element of rank r (0-based) of a[0..c-1], which it reorders:
@@ -895,6 +965,33 @@ static void pin_apart(pthread_attr_t *attr, int64_t i)
 #endif
 }
 
+/* run(parts + i size) for i = 0 .. threads - 1: part 0 on the calling
+ * thread, and each other on a thread of its own pinned apart from the
+ * caller by pin_apart, where one can be started; returns once all have
+ * ended.  The parts claim their work one item at a time, so a thread that
+ * gets less of its CPU does less, and a part whose thread cannot be
+ * started does nothing and leaves its items to the others. */
+static void on_threads(int64_t threads, void *(*run)(void *), void *parts, size_t size)
+{
+    pthread_t id[threads];
+    pthread_attr_t attr;
+    int started[threads];
+    int64_t i;
+
+    for (i = 1; i < threads; i++) {
+        started[i] = 0;
+        if (pthread_attr_init(&attr) == 0) {
+            pin_apart(&attr, i);
+            started[i] = pthread_create(&id[i], &attr, run, (char *)parts + i * size) == 0;
+            pthread_attr_destroy(&attr);
+        }
+    }
+    run(parts);
+    for (i = 1; i < threads; i++)
+        if (started[i])
+            pthread_join(id[i], NULL);
+}
+
 /* e[t] = e(A_t, B_t) for the trials of qwalk.certify.discrepancy_sampled
  * on the graph with bit rows ``rows`` and CSR row starts ``indptr``, and
  * the offset of stream (seed, domain, index) past its sizes, which
@@ -909,14 +1006,11 @@ static void pin_apart(pthread_attr_t *attr, int64_t i)
  * V \ B, since the sum over every v of |N(v) & B| is vol(B), the degrees
  * summed over B.
  *
- * The trials run on ``threads`` >= 1 threads: the calling thread and
- * threads - 1 more, each pinned apart from the caller by pin_apart.  Each
- * has its own 2 n + 2 ceil(n / 64) words of ``work``, which holds
- * ``threads`` times that, and claims one trial at a time, so a thread
- * that gets less of its CPU runs fewer trials, and a thread that cannot
- * be started runs none.  The split is exact: a trial's words are Philox
- * blocks at counters fixed by t, ``offset`` and ``block`` alone, and it
- * writes only e[t], so the counts do not depend on which thread ran it.
+ * The trials run on_threads on ``threads`` >= 1 threads, each with its
+ * own 2 n + 2 ceil(n / 64) words of ``work``, which holds ``threads``
+ * times that.  The split is exact: a trial's words are Philox blocks at
+ * counters fixed by t, ``offset`` and ``block`` alone, and it writes only
+ * e[t], so the counts do not depend on which thread ran it.
  */
 int64_t qw_sampled_counts(uint64_t seed, uint32_t domain, uint32_t index, int64_t lo,
                           int64_t n, const uint64_t *rows, const int64_t *indptr,
@@ -925,9 +1019,6 @@ int64_t qw_sampled_counts(uint64_t seed, uint32_t domain, uint32_t index, int64_
 {
     struct sampler s = {{0, 0}, 0, n, trials, block, 0, 0, rows, indptr, sizes, e};
     struct part part[threads];
-    pthread_t id[threads];
-    pthread_attr_t attr;
-    int started[threads];
     int64_t i;
 
     seed_key(seed, domain, index, s.key);
@@ -940,16 +1031,139 @@ int64_t qw_sampled_counts(uint64_t seed, uint32_t domain, uint32_t index, int64_
     for (i = 0; i < threads; i++) {
         part[i].s = &s;
         part[i].work = work + i * (2 * n + 2 * ((n + 63) / 64));
-        started[i] = 0;
-        if (i > 0 && pthread_attr_init(&attr) == 0) {
-            pin_apart(&attr, i);
-            started[i] = pthread_create(&id[i], &attr, claim_trials, &part[i]) == 0;
-            pthread_attr_destroy(&attr);
+    }
+    on_threads(threads, claim_trials, part, sizeof *part);
+    return s.offset;
+}
+
+/* Bit i set where word i of words[0..count-1], count <= 64, shifted right
+ * by 11, is below ``cut``: where its double is below p, for cut =
+ * ceil(p 2^53) */
+static uint64_t below_cut(const uint64_t *words, int64_t count, uint64_t cut)
+{
+    uint64_t bits = 0;
+    int64_t i;
+
+    for (i = 0; i < count; i++)
+        bits |= (uint64_t)(words[i] >> 11 < cut) << i;
+    return bits;
+}
+
+#if defined(__x86_64__) && defined(__GLIBC__)
+/* below_cut on 8 words at a time, the last group's loads masked so that
+ * nothing past words[count - 1] is read */
+WIDE static uint64_t below_cut_wide(const uint64_t *words, int64_t count, uint64_t cut)
+{
+    const __m512i cuts = _mm512_set1_epi64((int64_t)cut);
+    uint64_t bits = 0;
+    int64_t i;
+
+    for (i = 0; i < count; i += 8) {
+        __mmask8 in = (__mmask8)(count - i >= 8 ? 0xff : (1u << (count - i)) - 1);
+        __m512i x = _mm512_srli_epi64(_mm512_maskz_loadu_epi64(in, words + i), 11);
+        bits |= (uint64_t)_mm512_mask_cmplt_epu64_mask(in, x, cuts) << i;
+    }
+    return bits;
+}
+#endif
+
+/* The 64 x 64 bit block a[0..63], bit j of a[i] its entry (i, j),
+ * transposed in place: the swap of its two off-diagonal 32 x 32 blocks,
+ * then of those of each 32 x 32 block, down to single bits (Warren,
+ * "Hacker's Delight", 2nd ed., 7-3). */
+static void transpose64(uint64_t a[64])
+{
+    uint64_t m = 0x00000000ffffffffu, t;
+    int j, k;
+
+    for (j = 32; j; j >>= 1, m ^= m << j)
+        for (k = 0; k < 64; k = (k + j + 1) & ~j) {
+            t = (a[k] >> j ^ a[k + j]) & m;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+        }
+}
+
+/* The rows of one qw_gnp call, shared by its threads, each of which claims
+ * the next unbuilt row, ``next``, until none is left */
+struct gnp {
+    uint64_t seed, cut, *rows;
+    uint32_t domain;
+    int64_t n, next;
+};
+
+/* row words drawn at a time: 1024 words of a thread's stack */
+#define ROW_WORDS 16
+
+/* Builds the words of each claimed row u above the diagonal, the pairs
+ * (u, v), u < v: word i, which holds v = 64 i .. 64 i + 63, is built from
+ * their words v - u - 1 in a register by below_cut and stored once. */
+static void *claim_rows(void *arg)
+{
+    struct gnp *s = arg;
+    uint64_t key[2], words[64 * ROW_WORDS];
+    int64_t u, i, k, n = s->n, w = (n + 63) / 64;
+    uint64_t (*below)(const uint64_t *, int64_t, uint64_t) = below_cut;
+
+#if defined(__x86_64__) && defined(__GLIBC__)
+    if (has_wide())
+        below = below_cut_wide;
+#endif
+    /* relaxed: the claims need only be distinct; the join orders the rows */
+    while ((u = __atomic_fetch_add(&s->next, 1, __ATOMIC_RELAXED)) < n - 1) {
+        uint64_t *row = s->rows + u * w;
+        seed_key(s->seed, s->domain, (uint32_t)u, key);
+        for (i = (u + 1) / 64; i < w; i += ROW_WORDS) {
+            int64_t v0 = 64 * i > u + 1 ? 64 * i : u + 1, v1 = 64 * (i + ROW_WORDS);
+            v1 = v1 < n ? v1 : n;
+            philox_run(key, v0 - u - 1, v1 - v0, words);
+            for (k = i; k < i + ROW_WORDS && k < w; k++) {
+                int64_t lo = 64 * k > v0 ? 64 * k : v0, hi = 64 * k + 64 < v1 ? 64 * k + 64 : v1;
+                row[k] = below(words + (lo - v0), hi - lo, s->cut) << (lo - 64 * k);
+            }
         }
     }
-    claim_trials(&part[0]);
-    for (i = 1; i < threads; i++)
-        if (started[i])
-            pthread_join(id[i], NULL);
-    return s.offset;
+    return NULL;
+}
+
+/* The edges of G(n, p) on stream domain ``domain``: pair (u, v), u < v,
+ * is an edge when the double (x >> 11) 2^-53 of word v - u - 1 of stream
+ * (seed, domain, u) is below p, the rule of qwalk.graph.gen_gnp's
+ * reference, and each edge sets bit v of row u and bit u of row v of
+ * ``rows``, n zeroed rows in the header's bit row layout.  That double is
+ * below p exactly where x >> 11 is below ceil(p 2^53), which is 2^53 for
+ * p = 1, so each row word is built from integer compares.
+ *
+ * The rows above the diagonal are built on_threads on ``threads`` >= 1
+ * threads, which claim them one at a time; a row's words are fixed by its
+ * stream, so the rows do not depend on which thread built them.  Then
+ * each 64 x 64 block above the diagonal is transposed into its mirror
+ * below it.  On a 2-core Xeon KVM guest with AVX-512, the best of 11
+ * calls for G(2000, 1/2) took a median 3.5 ms in process on two threads
+ * and 5.8 ms on one, over five alternating rounds, against 11.7 ms for
+ * two read-modify-writes a pair.
+ */
+void qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *rows,
+            int64_t threads)
+{
+    double scaled = p * 9007199254740992.0;
+    struct gnp s = {seed, 0, rows, domain, n, 0};
+    int64_t w = (n + 63) / 64, I, J, r;
+    uint64_t a[64];
+
+    if (p >= 1) {
+        s.cut = (uint64_t)1 << 53;
+    } else if (p > 0) {
+        s.cut = (uint64_t)scaled;
+        s.cut += (double)s.cut < scaled;
+    }
+    on_threads(threads, claim_rows, &s, 0);
+    for (I = 0; I < w; I++)
+        for (J = I; J < w; J++) {
+            for (r = 0; r < 64; r++)
+                a[r] = 64 * I + r < n ? rows[(64 * I + r) * w + J] : 0;
+            transpose64(a);
+            for (r = 0; r < 64 && 64 * J + r < n; r++)
+                rows[(64 * J + r) * w + I] |= a[r];
+        }
 }

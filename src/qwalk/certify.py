@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .graph import (Graph, VertexSet, connectivity_profile, density,
                     neighbour_counts)
-from .rng import (DOMAIN_SUBSETS, _checked_seed, _integer, _kernel, _next_word,
+from .rng import (DOMAIN_SUBSETS, _checked_seed, _cpus, _integer, _kernel, _next_word,
                   stream, uniform_words)
 
 EXHAUSTIVE_MAX_N = 16
@@ -168,13 +167,6 @@ def discrepancy_sampled(g: Graph, eps: float, trials: int,
     witness = (_subset(seed, start, sizes[i, 0], n),
                _subset(seed, start + min(_BLOCK, trials - t0) * n, sizes[i, 1], n))
     return float(dev[i]), witness
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _picks(u: np.ndarray, sizes) -> np.ndarray:

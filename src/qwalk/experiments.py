@@ -111,6 +111,9 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be finite, got {value}")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
+        if self.experiment == "visits" and self.alpha == 0:
+            # no vertex has a positive predicted count to compare against
+            raise ValueError(f"alpha must be positive for visits, got {self.alpha}")
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie strictly between 0 and 1")
         if self.experiment in _CERTIFYING and self.eps * self.n < 1:

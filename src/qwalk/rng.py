@@ -30,16 +30,22 @@ keys read them.
 size as numpy's ``integers`` would, then every subset from the stream
 position ``_next_word`` would read off numpy's generator, and counts every
 e(A, B) from the bit rows by popcount in one call, with its trials
-claimed one at a time by POSIX threads that run C alone.  On x86-64 CPUs
-with AVX-512F and AVX-512 VPOPCNTDQ, found at run time, the kernel
-computes eight Philox blocks at a time for ``uniform_words``, G(n, p)
-rows, the sampler's sets and a tree's runs of 32 or more siblings, and
-the sampler picks and counts its sets in 512-bit registers; elsewhere it
-draws one block at a time and counts in a popcnt clone on x86-64 glibc,
-with the same results.  The kernel is built on first use, never at
-import, with ``gcc -O2 -pthread`` into a user cache directory keyed by the
-sha256 of its flags and source, from CPython's built-in sha256 module,
-which names each build as ``hashlib`` did and loads no OpenSSL library.
+claimed one at a time by POSIX threads that run C alone.  The list model's
+kernel makes a vertex's entries a 64-byte chunk at a time, and
+``gen_gnp``'s call builds its rows on as many threads as the process
+may use CPUs (``_cpus``, which the sampler's call shares).  On x86-64
+CPUs with AVX-512F and AVX-512 VPOPCNTDQ, found at run time, the kernel
+computes eight or sixteen Philox blocks at a time for ``uniform_words``,
+G(n, p) rows, the sampler's sets and the list model's chunks, builds
+G(n, p)'s row words from 8-lane compares, and the sampler picks and
+counts its sets in 512-bit registers; with AVX-512F, AVX-512DQ and a
+fast pdep it finds each list entry's row word by counting ranks in
+512-bit registers.  Elsewhere it draws one block at a time and counts in
+a popcnt clone on x86-64 glibc, with the same results.  The kernel is
+built on first use, never at import, with ``gcc -O2 -pthread`` into a
+user cache directory keyed by the sha256 of its flags and source, from
+CPython's built-in sha256 module, which names each build as ``hashlib``
+did and loads no OpenSSL library.
 Without gcc, when the build or the cache directory fails, or for an
 address past its limits, the numpy code serves instead and stays the
 reference; ``backend()`` says which one is in use.
@@ -223,7 +229,7 @@ def _declare(lib):
     lib.qw_consume.restype = i64
     lib.qw_mark_pairs.argtypes = [i64, ptr, ptr, i64, ptr]
     lib.qw_mark_pairs.restype = i64
-    lib.qw_gnp.argtypes = [u64, u32, i64, ctypes.c_double, ptr]
+    lib.qw_gnp.argtypes = [u64, u32, i64, ctypes.c_double, ptr, i64]
     lib.qw_gnp.restype = None
     lib.qw_sampled_counts.argtypes = [u64, u32, u32, i64, i64, ptr, ptr, ptr, i64, i64, i64,
                                       ptr, ptr]
@@ -246,13 +252,23 @@ def _kernel(seed: int = 0, domain: int = 0, index: int = 0, end: int = 0):
     return _lib or None
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: the threads that the kernel's
+    subset sampler and G(n, p) rows are split among."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def backend() -> str:
     """Which code draws list words, ``uniform_words``, ``derive_seed``
     and G(n, p) hosts, marks vertex pairs in bit rows and runs the subset
-    sampler: "c" for the kernel, whose sampler splits its trials among the
-    CPUs the process may use, or "numpy", on one thread.  Both give the
-    same words and results.  Where the CPU has AVX-512F and AVX-512
-    VPOPCNTDQ, "c" draws eight Philox blocks at a time and runs the
-    sampler's wide steps; the choice is made in the kernel at each call
-    and shows nowhere else."""
+    sampler: "c" for the kernel, whose sampler trials and G(n, p) rows are
+    split among the CPUs the process may use, or "numpy", on one thread.
+    Both give the same words and results.  Where the CPU has AVX-512F and
+    AVX-512 VPOPCNTDQ, "c" draws eight or sixteen Philox blocks at a time
+    and runs the sampler's and G(n, p)'s wide steps, and with AVX-512F,
+    AVX-512DQ and a fast pdep it fills list chunks in 512-bit registers;
+    the choice is made in the kernel at each call and shows nowhere
+    else."""
     return "numpy" if _kernel() is None else "c"

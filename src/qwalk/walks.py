@@ -73,14 +73,14 @@ class ListModel:
     int32 image, and the numpy reference returns the same dtype.
 
     The backend is chosen at construction.  With the C kernel of
-    ``rng``, for a seed it takes, a vertex keeps its Philox key, a 4-word
-    block, the value of its next entry, the place of the entry after it,
-    which the kernel prefetches, and its count of entries taken, 72 bytes
-    in all, and the kernel computes each entry in place.  On a host built
-    from bit rows the place is a row word and a rank in it, found in the
-    host's rank directory, and the entry is the set bit of that rank, so
-    no ``indices`` are read out; on any other host it is a position in
-    the host's int32 ``indices``.
+    ``rng``, for a seed it takes, a vertex keeps its Philox key, a 64-byte
+    chunk of its next entries (32 uint16 ids on a host of at most 2^16
+    vertices, else 16 int32 ids), its next entry and its count of entries
+    taken, 92 bytes in all, and the kernel makes each chunk in place,
+    whole, when the count reaches a multiple of its size.  On a host
+    built from bit rows an entry is the set bit of its rank in a row word
+    found in the host's rank directory, so no ``indices`` are read out;
+    on any other host it is read from the host's int32 ``indices``.
     Otherwise, the numpy reference draws a vertex's next ``_CHUNK`` words
     per refill with ``uniform_words``, as ``entries`` replays them;
     buffered entries are the model's own n vertex-id objects, shared by
@@ -94,7 +94,8 @@ class ListModel:
         self._lib = _kernel(self.seed, DOMAIN_LIST)
         if self._lib is not None:
             self._taken = np.zeros(graph.n, dtype=np.int64)     # entries taken per vertex
-            self._state = np.zeros((graph.n, 8), dtype=np.uint64)  # key, block, next, pos
+            # each vertex's key and 64-byte chunk, then the int32 next entries
+            self._state = np.zeros(10 * graph.n + -(-graph.n // 2), dtype=np.uint64)
             return
         self._ids = np.arange(graph.n).astype(object)  # one int per vertex
         self._drawn = np.zeros(graph.n, dtype=np.int64)  # list words drawn per vertex

@@ -427,4 +427,7 @@ def test_numeric_flag_sweep_ends_in_an_exit_code(tmp_path, capsys, sweep_host, c
     except SystemExit as exc:  # argparse's usage errors
         code = exc.code
     assert code in (0, 1, 2)
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if (command, flag, value) == ("experiment-visits", "--alpha", "0"):
+        assert code == 2 and err == "error: alpha must be positive for visits, got 0.0\n"

@@ -82,6 +82,14 @@ class TestConfig:
                 "unknown generator_params ['pp']; choose from ['eps', 'p']")):
             cfg_density(generator_params={"pp": 0.1})
 
+    def test_visits_at_alpha_zero_rejected(self):
+        # a walk of no steps predicts no visit at any vertex, so there is no
+        # deviation to report; other experiments report a walk of no steps
+        with pytest.raises(ValueError, match=re.escape(
+                "alpha must be positive for visits, got 0.0")):
+            cfg_density(experiment="visits", alpha=0.0)
+        assert cfg_density(alpha=0.0).alpha == 0.0
+
     @pytest.mark.parametrize("over,message", [
         ({"alpha": math.inf}, "alpha must be finite, got inf"),
         ({"alpha": math.nan}, "alpha must be finite, got nan"),

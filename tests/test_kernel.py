@@ -189,18 +189,19 @@ def _sibling_tree(runs):
     return build_tree([None] + [p for p, length in runs for _ in range(length)])
 
 
-# runs below, at and above the 32 siblings that qw_consume takes in one
-# draw; vertex 0's second run and vertex 1's second run start at t > 0
+# runs below, at and above the 32 entries of a vertex's chunk, and runs
+# that cross several; vertex 0's second run and vertex 1's second run
+# start at t > 0, inside a chunk
 SIBLING_RUNS = [(0, 31), (1, 32), (2, 33), (0, 256), (3, 257), (1, 40), (40, 5), (5, 31),
                 (5, 33), (0, 1)]
 
 
 @pytest.mark.parametrize("host", ["rows", "keys"])
 def test_sibling_runs_match_reference(c_backend, monkeypatch, host):
-    # a run of equal parents is taken in one bulk draw by the kernel and
-    # step by step by the reference: the same images and counts, and the
-    # same state, which a second tree, rooted where the first took
-    # entries, and then a walk read on from
+    # a run of equal parents reads consecutive entries of the kernel's
+    # chunks across their boundaries, and the reference's buffer: the same
+    # images and counts, and the same state, which a second tree, rooted
+    # where the first took entries, and then a walk read on from
     keys = gen_gnp(150, 0.3, 1).edge_codes()
     g = _rows_graph(150, keys) if host == "rows" else Graph(150, keys.copy())
     assert (g._rows is not None) == (host == "rows")
@@ -216,6 +217,44 @@ def test_sibling_runs_match_reference(c_backend, monkeypatch, host):
         assert kernel.parts[1][3] == 31 + 256 + 1 and kernel.parts[3][kernel.parts[0][1]] > 100
         for a, b in zip(kernel.parts, reference.parts, strict=True):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("host", ["rows", "keys"])
+def test_chunk_boundaries_match_reference(c_backend, monkeypatch, host):
+    # the kernel makes a vertex's entries 32 at a time: one vertex's list
+    # is taken up to entries 31, 32, 33, 64 and 65, each a run of siblings
+    # or a single entry, and then a tree and a walk read on from the model
+    keys = gen_gnp(120, 0.4, 2).edge_codes()
+    g = _rows_graph(120, keys) if host == "rows" else Graph(120, keys.copy())
+    assert (g._rows is not None) == (host == "rows")
+    tree = gen_random_tree(400, 4, 3)
+    for seed in (0, 9, 2**64 - 1):
+        kernel, reference = _pair(g, seed, c_backend, monkeypatch)
+        for m in (kernel, reference):
+            m.parts = []
+            for upto in (31, 32, 33, 64, 65):
+                m.parts += [m.consume([0] * (upto - int(m.consumed[5])), 5), m.consumed]
+            m.parts += [random_homomorphism(g, tree, m, 5).image, m.consumed,
+                        run_walk(g, m, 5, 5000).sequence, m.consumed]
+        assert kernel.parts[9][5] == 65
+        for a, b in zip(kernel.parts, reference.parts, strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_host_past_2_16_vertices_takes_int32_chunks(c_backend, monkeypatch):
+    # past 2^16 vertices a chunk holds 16 int32 entries, not 32 uint16: a
+    # 1e5-step walk on the 70,000-vertex cycle, built from keys, crosses
+    # many chunks of the vertices near its start, and reaches ids past 2^16
+    n = 70_000
+    u = np.arange(n - 1, dtype=np.int64)
+    g = Graph(n, np.sort(np.append(u * n + u + 1, n - 1)))
+    assert g._rows is None
+    for seed in (1, 2**64 - 1):
+        kernel, reference = _pair(g, seed, c_backend, monkeypatch)
+        walks = [run_walk(g, m, 0, 100_000).sequence for m in (kernel, reference)]
+        assert np.array_equal(walks[0], walks[1])
+        assert np.array_equal(kernel.consumed, reference.consumed)
+        assert kernel.consumed.max() > 16 and walks[0].max() >= 2**16
 
 
 def _rows_graph(n, keys):
@@ -393,7 +432,7 @@ static uint64_t *words(int64_t count)
 
 int main(void)
 {
-    uint64_t key[2], block[4], eight[32];
+    uint64_t key[2], block[4], eight[32], sixteen[64];
     int64_t starts[] = {0, 1, 2, 3, 4, 5, 6, 7, 31, 32, 33, 1001, 1002, 1003, 1004};
     int64_t n, i, j, k, c, flip, start, count, w;
     long checks = 0, wide_checks = 0, wrong = 0;
@@ -404,7 +443,7 @@ int main(void)
         key[1] = k ? xorshift() : 0;
         /* philox_run against philox_block, word by word */
         for (i = 0; i < (int64_t)(sizeof starts / sizeof *starts); i++)
-            for (count = 0; count <= 100; count++) {
+            for (count = 0; count <= 200; count++) {
                 uint64_t *out = words(count);
                 start = starts[i] + (k %% 2 ? (int64_t)(xorshift() >> 8) * 4 : 0);
                 philox_run(key, start, count, out);
@@ -416,14 +455,16 @@ int main(void)
                 free(out);
             }
 #if defined(__x86_64__) && defined(__GLIBC__)
-        /* philox_8 against philox_block */
+        /* philox_8 and philox_16, its two-chain case, against philox_block */
         for (i = 0; has && i < 40; i++) {
             uint64_t ctr = i < 8 ? (uint64_t)i + 1 : (xorshift() >> 4) + 1;
             philox_8(key, ctr, eight);
-            for (j = 0; j < 8; j++) {
+            philox_16(key, ctr, sixteen);
+            for (j = 0; j < 16; j++) {
                 philox_block(key, ctr + (uint64_t)j, block);
                 for (c = 0; c < 4; c++)
-                    wrong += eight[4 * j + c] != block[c];
+                    wrong += (j < 8 && eight[4 * j + c] != block[c])
+                             + (sixteen[4 * j + c] != block[c]);
             }
             wide_checks++;
         }
@@ -492,10 +533,11 @@ int main(void)
 @pytest.mark.parametrize("flags", [["-O2", "-pthread"], SANITIZE], ids=["O2", "sanitized"])
 def test_wide_code_matches_scalar(tmp_path, flags):
     # where the CPU has AVX-512F and VPOPCNTDQ (has_wide), the kernel
-    # draws Philox words 8 blocks at a time and runs the subset sampler's
-    # wide steps, and its Python-level tests reach only those: here
-    # philox_8 and philox_run, at every start % 4 and count 0..100, are
-    # checked against philox_block, and the wide subset_mask and row_counts
+    # draws Philox words 8 and 16 blocks at a time and runs the subset
+    # sampler's wide steps, and its Python-level tests reach only those:
+    # here philox_8, philox_16 and philox_run, with its two-chain runs, at
+    # every start % 4 and count 0..200, are checked against philox_block,
+    # and the wide subset_mask and row_counts
     # against the scalar ones, which other CPUs run; built with the
     # kernel's flags, and under AddressSanitizer and UBSan, where any
     # report aborts the run
@@ -510,8 +552,177 @@ def test_wide_code_matches_scalar(tmp_path, flags):
     run = subprocess.run([str(exe)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     checks, has_wide, wide_checks, wrong = map(int, run.stdout.split())
-    assert checks == 6 * 15 * 101 * 100 // 2 and wrong == 0
+    assert checks == 6 * 15 * 201 * 200 // 2 and wrong == 0
     assert wide_checks == (6 * 40 + 131 * 12 + 17 * 6 * 2 if has_wide else 0)
+
+
+FILL_HARNESS = r"""
+#include "%s"
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+static uint64_t s = 0x9e3779b97f4a7c15u;
+
+static uint64_t xorshift(void)
+{
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    return s;
+}
+
+/* The bit rows, ranks and row starts of host ``kind`` on n vertices: 0 a
+ * G(n, 1/2), 1 the vertices below n / 10 joined to the odd ones from
+ * 7n / 10 on, whose bits sit far from where evenly spread bits would lie,
+ * so that a guess of their word misses, 2 a G(n, 1/16) */
+static void host(int kind, int64_t n, uint64_t *rows, int32_t *ranks, int64_t *indptr)
+{
+    int64_t w = (n + 63) / 64, u, v, i;
+
+    memset(rows, 0, (size_t)(n * w) * sizeof *rows);
+    for (u = 0; u < n; u++)
+        for (v = u + 1; v < n; v++) {
+            uint64_t x = xorshift();
+            if (kind == 0 ? x & 1 : kind == 1 ? 10 * u < n && 10 * v >= 7 * n && v %% 2
+                                              : (x & 15) == 0) {
+                rows[u * w + v / 64] |= (uint64_t)1 << (v %% 64);
+                rows[v * w + u / 64] |= (uint64_t)1 << (u %% 64);
+            }
+        }
+    indptr[0] = 0;
+    for (u = 0; u < n; u++) {
+        int32_t c = 0;
+        for (i = 0; i < w; i++) {
+            ranks[u * w + i] = c;
+            c += __builtin_popcountll(rows[u * w + i]);
+        }
+        indptr[u + 1] = indptr[u] + c;
+    }
+}
+
+int main(void)
+{
+    /* w = 1, 8, 16, 24, 32 and 47 words a row */
+    int64_t sizes[] = {50, 500, 1000, 1500, 2000, 3000};
+    uint64_t key[2], a[8], b[8], c[8], words[64], t64[64];
+    long fills = 0, pdep_fills = 0, wide_fills = 0, checks = 0, wrong = 0;
+    int64_t i, j, k, n, x, start, count;
+    int small, kind, pdep = 0, wide = 0;
+
+#if defined(__x86_64__) && defined(__GLIBC__)
+    pdep = fast_pdep();
+    wide = has_wide_fill();
+#endif
+    /* fill_wide and fill_pdep against fill_broadword, at both chunk widths */
+    for (i = 0; i < (int64_t)(sizeof sizes / sizeof *sizes); i++) {
+        int64_t w = (sizes[i] + 63) / 64;
+        uint64_t *rows;
+        int32_t *ranks;
+        int64_t *indptr;
+        n = sizes[i];
+        rows = malloc((size_t)(n * w) * sizeof *rows);
+        ranks = malloc((size_t)(n * w) * sizeof *ranks);
+        indptr = malloc((size_t)(n + 1) * sizeof *indptr);
+        for (kind = 0; kind < 3; kind++) {
+            struct lists g = {indptr, NULL, rows, ranks, w};
+            host(kind, n, rows, ranks, indptr);
+            for (x = 0; x < n; x += kind == 1 && x < n / 10 ? 1 : 1 + n / 100) {
+                int64_t d = indptr[x + 1] - indptr[x];
+                if (d == 0)
+                    continue;
+                for (small = 0; small < 2; small++) {
+                    key[0] = xorshift();
+                    key[1] = xorshift();
+                    start = (int64_t)(xorshift() %% 1000) * (small ? 32 : 16);
+                    fill_broadword(g, key, x, d, start, small, a);
+                    for (k = 0; k < (small ? 32 : 16); k++) {
+                        int64_t v = small ? ((uint16_t *)a)[k] : ((int32_t *)a)[k];
+                        wrong += v < 0 || v >= n || !(rows[x * w + v / 64] >> (v %% 64) & 1);
+                    }
+                    fills++;
+#if defined(__x86_64__) && defined(__GLIBC__)
+                    if (pdep) {
+                        fill_pdep(g, key, x, d, start, small, b);
+                        wrong += memcmp(a, b, sizeof a) != 0;
+                        pdep_fills++;
+                    }
+                    if (wide) {
+                        fill_wide(g, key, x, d, start, small, c);
+                        wrong += memcmp(a, c, sizeof a) != 0;
+                        wide_fills++;
+                    }
+#endif
+                }
+            }
+        }
+        free(rows);
+        free(ranks);
+        free(indptr);
+    }
+    /* the wide below_cut against the scalar one, at the cut's edges */
+    for (k = 0; k < 200; k++) {
+        uint64_t edges[] = {0, 1, 2, (uint64_t)1 << 52, ((uint64_t)1 << 53) - 1,
+                            (uint64_t)1 << 53};
+        uint64_t cut = k < 6 ? edges[k] : xorshift() >> 11;
+        for (j = 0; j < 64; j++) {
+            uint64_t r = xorshift();
+            words[j] = r %% 3 == 0 ? cut << 11 : r %% 3 == 1 ? (cut << 11) - 1 : r;
+        }
+        for (count = 0; count <= 64; count++) {
+#if defined(__x86_64__) && defined(__GLIBC__)
+            if (has_wide()) {
+                uint64_t *part = malloc((size_t)(count > 0 ? count : 1) * sizeof *part);
+                memcpy(part, words, (size_t)count * sizeof *part);
+                wrong += below_cut(part, count, cut) != below_cut_wide(part, count, cut);
+                free(part);
+            }
+#endif
+            checks++;
+        }
+    }
+    /* transpose64 against a bit-by-bit transpose */
+    for (k = 0; k < 100; k++) {
+        for (i = 0; i < 64; i++)
+            t64[i] = words[i] = k == 0 ? (uint64_t)1 << i : k == 1 ? ~(uint64_t)0 >> i
+                                                       : xorshift() & xorshift();
+        transpose64(t64);
+        for (i = 0; i < 64; i++)
+            for (j = 0; j < 64; j++)
+                wrong += (t64[i] >> j & 1) != (words[j] >> i & 1);
+        checks++;
+    }
+    printf("%%ld %%ld %%d %%ld %%ld %%ld\n", fills, pdep_fills, wide, wide_fills, checks, wrong);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O2", "-pthread"], SANITIZE], ids=["O2", "sanitized"])
+def test_fill_and_row_code_match_reference(tmp_path, flags):
+    # qw_consume takes one fill by the CPU it runs on, so on a CPU with
+    # AVX-512F, AVX-512DQ and a fast pdep (``wide``) its Python-level tests reach only
+    # fill_wide: here fill_wide and fill_pdep are checked against
+    # fill_broadword, on rows of 1 to 47 words, of hosts whose bits sit
+    # far from the guessed word, at both chunk widths; the wide below_cut
+    # against the scalar one; and transpose64 bit by bit.  Built with the
+    # kernel's flags, and under AddressSanitizer and UBSan, where any
+    # report aborts the run
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    if flags is SANITIZE:
+        _libasan()
+    harness, exe = tmp_path / "fill.c", tmp_path / "fill"
+    harness.write_text(FILL_HARNESS % (SRC / "qwalk" / "_philox.c"))
+    subprocess.run(["gcc", *flags, "-o", str(exe), str(harness)], check=True,
+                   capture_output=True)
+    run = subprocess.run([str(exe)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    fills, pdep_fills, wide, wide_fills, checks, wrong = map(int, run.stdout.split())
+    assert wrong == 0 and fills > 3000
+    assert checks == 200 * 65 + 100
+    assert wide_fills == (fills if wide else 0) and pdep_fills in (0, fills)
+    assert pdep_fills == fills or not wide
 
 
 REFUSED_THREADS_HARNESS = r"""
@@ -530,10 +741,11 @@ int refuse_create(pthread_t *id, const pthread_attr_t *attr, void *(*run)(void *
 }
 
 /* G(100, 1/2) from a xorshift, and 600 trials of sizes 10..100 drawn and
- * counted on 1 thread and on 5 threads, none of which starts */
+ * counted on 1 thread and on 5 threads, none of which starts; then the
+ * rows of G(300, 1/2) built by qw_gnp on 1 thread and on 5 */
 int main(void)
 {
-    static uint64_t rows[100 * 2], work[5 * 204];
+    static uint64_t rows[100 * 2], work[5 * 204], gnp_one[300 * 5], gnp_five[300 * 5];
     static int64_t indptr[101], sizes[1200], again[1200], one[600], five[600];
     uint64_t x = 0x9e3779b97f4a7c15u;
     int64_t u, v, t, differ = 0;
@@ -560,6 +772,13 @@ int main(void)
     for (t = 0; t < 600; t++)
         differ += one[t] != five[t] || sizes[2 * t] != again[2 * t]
                   || sizes[2 * t + 1] != again[2 * t + 1];
+    qw_gnp(5, 0, 300, 0.5, gnp_one, 1);
+    qw_gnp(5, 0, 300, 0.5, gnp_five, 5);
+    for (t = 0; t < 300 * 5; t++)
+        differ += gnp_one[t] != gnp_five[t];
+    for (u = 0, v = 0; u < 300 * 5; u++)
+        v += __builtin_popcountll(gnp_one[u]);
+    differ += v < 40000 || v > 50000;  /* about 44,850 ends of edges */
     printf("%%ld\n", (long)differ);
     return 0;
 }
@@ -568,7 +787,7 @@ int main(void)
 
 def test_sampler_counts_every_trial_when_no_thread_starts(tmp_path):
     # where pthread_create fails, the calling thread claims every trial,
-    # with the counts that one thread gives
+    # with the counts that one thread gives, and every G(n, p) row
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
     harness, exe = tmp_path / "refused.c", tmp_path / "refused"
@@ -580,13 +799,16 @@ def test_sampler_counts_every_trial_when_no_thread_starts(tmp_path):
 
 
 # tests that call each entry point, qw_consume on indices and on rows at
-# the 64-bit word edges, and the sampler on 1, 2, 3 and 5 threads and with
-# its sizes' word edges, at small n
+# the 64-bit word edges and across its chunks of both widths, G(n, p) rows
+# and the sampler on 1, 2, 3 and 5 threads, and the sampler's sizes at
+# their word edges, at small n
 SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
     f"tests/test_kernel.py::{name}" for name in (
         "test_derive_seed_matches_reference", "test_uniform_words_match_reference",
         "test_long_lists_cross_many_blocks", "test_row_select_matches_reference",
-        "test_sibling_runs_match_reference",
+        "test_sibling_runs_match_reference", "test_chunk_boundaries_match_reference",
+        "test_host_past_2_16_vertices_takes_int32_chunks",
+        "test_gnp_rows_do_not_depend_on_threads",
         "test_kernel_sets_no_bit_for_bad_pairs", "test_blocks_build_the_graph_of_one_block",
         "test_bit_rows_match_reference",
         "test_pair_graphs_read_out_the_rows_the_kernel_marked",
@@ -1673,6 +1895,26 @@ def test_gnp_matches_row_reference(backend, case):
 def test_gnp_rejects_bad_arguments(backend, n, p, seed, message):
     with pytest.raises(ValueError, match=message):
         gen_gnp(n, p, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+def test_gnp_rows_do_not_depend_on_threads(c_backend, n):
+    # the kernel's rows on 1, 2, 3 and 5 threads, which claim them one at a
+    # time, against the reference, at p from 0 to 1 and each word next to
+    # them, where the integer compare with ceil(p 2^53) is at its edges,
+    # and at a p half a step of 2^-53 above the double of pair (0, v)'s
+    # word, so that p 2^53 is no integer and its ceiling keeps that pair
+    words = rng.stream(11, rng.DOMAIN_GNP, 0).random(n - 1)
+    v = 1 + int(np.argmax(words < 0.5)) if n > 1 else None
+    half = [float(words[v - 1]) + 2.0**-54] if n > 1 and words[v - 1] < 0.5 else []
+    for p in [0.0, 2.0**-53, 0.5, 1 - 2.0**-53, 1.0, *half]:
+        want = Graph(n, _gnp_reference(n, p, 11)).bit_rows()
+        if p in half:
+            assert want[0, v // 64] >> np.uint64(v % 64) & np.uint64(1)
+        for threads in (1, 2, 3, 5):
+            rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+            c_backend.qw_gnp(11, rng.DOMAIN_GNP, n, p, rows.ctypes.data, threads)
+            assert np.array_equal(rows, want), (p, threads)
 
 
 def test_gnp_draws_in_one_kernel_call(c_backend, monkeypatch):

@@ -183,9 +183,9 @@ class TestListModel:
         assert held / words < 10
 
     def test_kernel_holds_no_buffers(self, c_backend):
-        # the C backend keeps a key, a block, the next entry, the place of
-        # the entry after it and a count per vertex, 72 bytes, however
-        # many entries a walk takes
+        # the C backend keeps a key, a 64-byte chunk of next entries, the
+        # next entry and a count per vertex, 92 bytes, however many
+        # entries a walk takes
         g = gen_gnp(600, 0.5, 3)
         tracemalloc.start()
         try:
