@@ -24,10 +24,11 @@
  * sampler keeps the words of each set's cut bucket by vpcompressq, builds
  * its set words from 8-lane compares and counts e(A, B) by vpopcntq
  * (subset_mask_wide, row_counts_wide).  With AVX-512F and a fast pdep,
- * qw_consume finds the row word of each list entry by counting ranks in
- * 512-bit registers (fill_wide).  philox_block, the scalar row words and
- * sampler, and fill_pdep and fill_broadword stay the portable code and the
- * reference, against which compiled tests check the wide code.  In process
+ * qw_consume finds the row words of 16 list entries at a time by a binary
+ * search of the row's ranks in 512-bit registers (fill_wide, row_words).
+ * philox_block, the scalar row words and sampler, and fill_pdep and
+ * fill_broadword stay the portable code and the reference, against which
+ * compiled tests check the wide code.  In process
  * on a 2-core Xeon KVM guest with AVX-512, the median of five alternating
  * rounds, each the best of 11 calls: a 2e6-step walk on G(2000, 1/2) took
  * 12.2 ns a step against 23.3 ns for a walk that drew one Philox block
@@ -39,14 +40,17 @@
  * A dense qwalk.graph.Graph keeps its adjacency bit rows as its one edge
  * store, with its row starts indptr: n rows of w = ceil(n / 64) words, row
  * v holding neighbour u as bit u % 64 of word u / 64.  Its rows come from
- * qw_mark_pairs, which marks vertex pairs in them, those of a walk or a
- * tree image or the edges of a graph built from keys, from qw_gnp, which
- * draws G(n, p) into them, or from K_n's rows; no key is made, and the
- * graph counts its edges from the rows' popcounts.  qw_consume takes each
- * list entry of such a graph from its rows, as the set bit of the entry's
- * rank found by select (pdep where the CPU runs it fast), so no indices
- * are made either; qwalk.graph reads them, keys and dense matrices out of
- * the rows in numpy when they are asked for.
+ * qw_consume, which marks a walk's edges in them as it walks, from
+ * qw_mark_pairs, which marks vertex pairs in them, those of a tree image,
+ * of a walk's trace or the edges of a graph built from keys, from qw_gnp,
+ * which draws G(n, p) into them, or from K_n's rows; no key is made, and
+ * the graph counts its edges from the rows' popcounts.  qw_consume and
+ * qw_gnp set the bits above the diagonal and mirror them below it once, a
+ * 64 x 64 block at a time (mirror_upper).  qw_consume takes each list
+ * entry of such a graph from its rows, as the set bit of the entry's rank
+ * found by select (pdep where the CPU runs it fast), so no indices are
+ * made either; qwalk.graph reads them, keys and dense matrices out of the
+ * rows in numpy when they are asked for.
  *
  * qw_sampled_counts draws every set size and every subset of
  * qwalk.certify.discrepancy_sampled and counts each of its e(A, B) as
@@ -478,58 +482,87 @@ WIDE_FILL static inline int64_t count_at_most(__m512i lo, __m512i hi, int64_t k)
            + __builtin_popcount(_mm512_cmple_epi32_mask(hi, ks));
 }
 
-/* fill_pdep with the rank of each entry computed 8 at a time, bit for bit
- * as place does, and its row word found by counting the ranks of the row
- * at most that rank: the word is the last of those.  Where the row has
- * w <= 32 words, its ranks sit in two registers, the lanes past w held at
- * INT32_MAX, for the whole chunk.  A wider row is counted in the 32 ranks
- * around the guess floor(u w), and an entry whose word lies outside them
- * takes place's binary search.  In a C harness on a loaded 2-core Xeon KVM
- * guest with AVX-512, in nine runs that each timed every fill, a chunk of
- * G(2000, 1/2) took 6.6-9.3 ns an entry this way, against 10.3-15.2 ns by
- * fill_pdep and 19.7-25.7 ns by fill_broadword, and a 2e6-step walk
- * 12.0-16.7 ns a step, against 16.3-22.2 ns and 26.5-35.5 ns; at a quieter
- * time the ranks computed 8 at a time took a chunk from 7.2-7.6 ns an
- * entry to 5.5-5.9 ns, in three alternating runs. */
+/* The row word of each of 16 ranks ks in the row whose w <= 32 words open
+ * at ranks r[0..w-1], the last word whose first rank is at most the
+ * entry's, and in ``in_word`` the entry's rank in that word.  The row's
+ * ranks sit in two registers, lo and hi, the lanes past w held at
+ * INT32_MAX.  Rank 0 opens word 0, so a binary search that steps 16, 8,
+ * 4, 2 and 1 words on while the rank there is at most the entry's finds
+ * it, each step one two-register permute and one compare for all 16
+ * entries. */
+WIDE_FILL static inline __m512i row_words(const int32_t *r, int64_t w, __m512i ks,
+                                          __m512i *in_word)
+{
+    const __m512i past = _mm512_set1_epi32(INT32_MAX);
+    __m512i lo = _mm512_mask_loadu_epi32(past, (__mmask16)(w >= 16 ? 0xffff : (1u << w) - 1), r);
+    __m512i hi = _mm512_mask_loadu_epi32(past, (__mmask16)(w <= 16 ? 0 : (1u << (w - 16)) - 1),
+                                         r + 16);
+    __m512i at = _mm512_setzero_si512(), up;
+    int step;
+
+    for (step = 16; step; step >>= 1) {
+        up = _mm512_add_epi32(at, _mm512_set1_epi32(step));
+        at = _mm512_mask_mov_epi32(
+            at, _mm512_cmple_epi32_mask(_mm512_permutex2var_epi32(lo, up, hi), ks), up);
+    }
+    *in_word = _mm512_sub_epi32(ks, _mm512_permutex2var_epi32(lo, at, hi));
+    return at;
+}
+
+/* fill_pdep with the rank of each entry computed 16 at a time, bit for
+ * bit as place does, and its row word found apart from the others.
+ * Where the row has w <= 32 words, row_words finds the words of 16
+ * entries at a time, and their ranks in them, for pdep to select.  A
+ * wider row is counted in the 32 ranks around the guess floor(u w): the
+ * word is the last of those at most the entry's rank, and an entry whose
+ * word lies outside them takes place's binary search.  In a C harness on
+ * a 2-core Xeon KVM guest with AVX-512, the best of five timings of 63,500
+ * fills of G(2000, 1/2) took 5.4-5.6 ns an entry, in five runs, against
+ * 5.7-6.0 ns with each word found by its own count of the row's ranks at
+ * most the entry's, of which Philox took 2.6-2.7 ns; on a loaded host,
+ * each word counted took 6.6-9.3 ns an entry, fill_pdep 10.3-15.2 ns and
+ * fill_broadword 19.7-25.7 ns. */
 WIDE_FILL static void fill_wide(struct lists g, const uint64_t key[2], int64_t x, int64_t d,
                                 int64_t t, int small, void *chunk)
 {
     const int32_t *r = g.ranks + x * g.w;
     const uint64_t *row = g.rows + x * g.w;
-    const __m512i past = _mm512_set1_epi32(INT32_MAX);
     const __m512d scale = _mm512_set1_pd(1.0 / 9007199254740992.0);
     const __m512d degree = _mm512_set1_pd((double)d);
     uint64_t words[32];
-    int64_t ranks[32], k, c = small ? 32 : 16, w = g.w;
-    __m512i lo = past, hi = past;
+    int32_t ranks[32], at[32];
+    int64_t k, c = small ? 32 : 16, w = g.w;
 
     philox_run(key, t, c, words);
-    for (k = 0; k < c; k += 8) {
-        __m512d u = _mm512_mul_pd(
+    for (k = 0; k < c; k += 16) {
+        __m512d u0 = _mm512_mul_pd(
             _mm512_cvtepi64_pd(_mm512_srli_epi64(_mm512_loadu_si512(words + k), 11)), scale);
-        _mm512_storeu_si512(ranks + k, _mm512_cvttpd_epi64(_mm512_mul_pd(u, degree)));
+        __m512d u1 = _mm512_mul_pd(
+            _mm512_cvtepi64_pd(_mm512_srli_epi64(_mm512_loadu_si512(words + k + 8), 11)), scale);
+        __m512i ks = _mm512_inserti64x4(
+            _mm512_castsi256_si512(_mm512_cvttpd_epi32(_mm512_mul_pd(u0, degree))),
+            _mm512_cvttpd_epi32(_mm512_mul_pd(u1, degree)), 1);
+        if (w <= 32)
+            _mm512_storeu_si512(at + k, row_words(r, w, ks, &ks));
+        _mm512_storeu_si512(ranks + k, ks);
     }
     if (w <= 32) {
-        lo = _mm512_mask_loadu_epi32(past, (__mmask16)(w >= 16 ? 0xffff : (1u << w) - 1), r);
-        hi = _mm512_mask_loadu_epi32(past, (__mmask16)(w <= 16 ? 0 : (1u << (w - 16)) - 1),
-                                     r + 16);
+        /* ranks[k] is the entry's rank in its word */
+        for (k = 0; k < c; k++)
+            put(chunk, small, k, 64 * at[k] + select_pdep(row[at[k]], ranks[k]));
+        return;
     }
     for (k = 0; k < c; k++) {
-        int64_t rank = ranks[k], i, s, in;
+        double u = to_double(words[k]);
+        int64_t rank = ranks[k], s = (int64_t)(u * (double)w) - 16, in, i;
 
-        if (w <= 32) {
-            i = count_at_most(lo, hi, rank) - 1;
-        } else {
-            double u = to_double(words[k]);
-            s = (int64_t)(u * (double)w) - 16;
-            s = s < 0 ? 0 : s > w - 32 ? w - 32 : s;
-            in = count_at_most(_mm512_loadu_si512(r + s), _mm512_loadu_si512(r + s + 16), rank);
-            if (in == 0 || (in == 32 && s + 32 < w && r[s + 32] <= rank)) {
-                put(chunk, small, k, neighbour(g, select_pdep, x, place(g, select_pdep, x, u, d)));
-                continue;
-            }
-            i = s + in - 1;
+        s = s < 0 ? 0 : s > w - 32 ? w - 32 : s;
+        in = count_at_most(_mm512_loadu_si512(r + s), _mm512_loadu_si512(r + s + 16), rank);
+        if (in == 0 || (in == 32 && s + 32 < w && r[s + 32] <= rank)) {
+            put(chunk, small, k, neighbour(g, select_pdep, x, place(g, select_pdep, x, u, d)));
+            continue;
         }
+        i = s + in - 1;
         put(chunk, small, k, 64 * i + select_pdep(row[i], rank - r[i]));
     }
 }
@@ -541,6 +574,41 @@ static int has_wide_fill(void)
     return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") && fast_pdep();
 }
 #endif
+
+/* The 64 x 64 bit block a[0..63], bit j of a[i] its entry (i, j),
+ * transposed in place: the swap of its two off-diagonal 32 x 32 blocks,
+ * then of those of each 32 x 32 block, down to single bits (Warren,
+ * "Hacker's Delight", 2nd ed., 7-3). */
+static void transpose64(uint64_t a[64])
+{
+    uint64_t m = 0x00000000ffffffffu, t;
+    int j, k;
+
+    for (j = 32; j; j >>= 1, m ^= m << j)
+        for (k = 0; k < 64; k = (k + j + 1) & ~j) {
+            t = (a[k] >> j ^ a[k + j]) & m;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+        }
+}
+
+/* Mirrors n bit rows in the header's layout, whose bits lie above the
+ * diagonal, into symmetric rows: each 64 x 64 block above it is
+ * transposed into its mirror below it, which it ORs into. */
+static void mirror_upper(int64_t n, uint64_t *rows)
+{
+    int64_t w = (n + 63) / 64, I, J, r;
+    uint64_t a[64];
+
+    for (I = 0; I < w; I++)
+        for (J = I; J < w; J++) {
+            for (r = 0; r < 64; r++)
+                a[r] = 64 * I + r < n ? rows[(64 * I + r) * w + J] : 0;
+            transpose64(a);
+            for (r = 0; r < 64 && 64 * J + r < n; r++)
+                rows[(64 * J + r) * w + I] |= a[r];
+        }
+}
 
 typedef void (*filler)(struct lists, const uint64_t *, int64_t, int64_t, int64_t, int, void *);
 
@@ -558,10 +626,16 @@ typedef void (*filler)(struct lists, const uint64_t *, int64_t, int64_t, int64_t
  * and reads the entry after it from the chunk, which ``fill`` makes anew
  * whenever t reaches a multiple of c.  So a step waits on one load, from
  * next, and a run of siblings reads consecutive entries of one chunk.
+ *
+ * With ``marks``, n clear bit rows in the header's layout, a walk writes
+ * no image past image[0]: each step from x to y sets bit max(x, y) of row
+ * min(x, y), and once the walk ends mirror_upper makes the rows
+ * symmetric.
  */
-static int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, int64_t n,
-                       uint64_t *state, int64_t *taken, const int32_t *parents, int64_t m,
-                       int32_t *image)
+static inline __attribute__((always_inline))
+int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, int64_t n,
+                uint64_t *state, int64_t *taken, const int32_t *parents, int64_t m,
+                int32_t *image, uint64_t *marks)
 {
     int small = n <= (int64_t)1 << 16;
     int64_t j, last = small ? 31 : 15, walker = image[0];
@@ -574,18 +648,26 @@ static int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fi
 
         if (t == 0) {
             if (g.indptr[x + 1] == g.indptr[x])
-                return j;
+                break;
             seed_key(seed, domain, (uint32_t)x, key);
             fill(g, key, x, g.indptr[x + 1] - g.indptr[x], 0, small, chunk);
             next[x] = small ? *(uint16_t *)chunk : *(int32_t *)chunk;
         }
-        walker = image[j + 1] = next[x];
+        walker = next[x];
+        if (marks) {
+            uint64_t lo = (uint64_t)(x < walker ? x : walker), hi = (uint64_t)(x ^ walker) ^ lo;
+            marks[lo * (uint64_t)g.w + hi / 64] |= (uint64_t)1 << (hi % 64);
+        } else {
+            image[j + 1] = (int32_t)walker;
+        }
         taken[x] = ++t;
         if ((t & last) == 0)
             fill(g, key, x, g.indptr[x + 1] - g.indptr[x], t, small, chunk);
         next[x] = small ? ((uint16_t *)chunk)[t & last] : ((int32_t *)chunk)[t & last];
     }
-    return m;
+    if (marks)
+        mirror_upper(n, marks);
+    return j;
 }
 
 /* consume on the lists of the graph with row starts indptr[0..n]: its
@@ -595,14 +677,15 @@ static int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fi
  * AVX-512DQ and runs pdep fast, fill_pdep where it only runs pdep fast,
  * and fill_broadword elsewhere.  ``state`` holds n (2 + CHUNK_BYTES / 8)
  * words and then n int32, zeroed before the first call.  The caller checks
- * that parents[j] lies in 0..j.  Returns m on success, or else the first
- * position j at which the list's vertex has no neighbours, after taking
- * the entries before j.
+ * that parents[j] lies in 0..j.  ``marks`` is NULL, or n zeroed bit rows
+ * that a walk (parents NULL) marks its edges in instead of writing its
+ * image.  Returns m on success, or else the first position j at which the
+ * list's vertex has no neighbours, after taking the entries before j.
  */
 int64_t qw_consume(uint64_t seed, uint32_t domain, int64_t n, const int64_t *indptr,
                    const int32_t *indices, const uint64_t *rows, const int32_t *ranks,
                    uint64_t *state, int64_t *taken, const int32_t *parents, int64_t m,
-                   int32_t *image)
+                   int32_t *image, uint64_t *marks)
 {
     struct lists g = {indptr, indices, rows, ranks, (n + 63) / 64};
     filler fill = rows ? fill_broadword : fill_indices;
@@ -611,7 +694,10 @@ int64_t qw_consume(uint64_t seed, uint32_t domain, int64_t n, const int64_t *ind
     if (rows && fast_pdep())
         fill = has_wide_fill() ? fill_wide : fill_pdep;
 #endif
-    return consume(seed, domain, g, fill, n, state, taken, parents, m, image);
+    /* consume inlined twice, so that neither loop tests marks at each step */
+    if (marks && !parents)
+        return consume(seed, domain, g, fill, n, state, taken, NULL, m, image, marks);
+    return consume(seed, domain, g, fill, n, state, taken, parents, m, image, NULL);
 }
 
 /* Marks the pairs (us[i], vs[i]) in ``rows``, n rows in the header's bit
@@ -1067,23 +1153,6 @@ WIDE static uint64_t below_cut_wide(const uint64_t *words, int64_t count, uint64
 }
 #endif
 
-/* The 64 x 64 bit block a[0..63], bit j of a[i] its entry (i, j),
- * transposed in place: the swap of its two off-diagonal 32 x 32 blocks,
- * then of those of each 32 x 32 block, down to single bits (Warren,
- * "Hacker's Delight", 2nd ed., 7-3). */
-static void transpose64(uint64_t a[64])
-{
-    uint64_t m = 0x00000000ffffffffu, t;
-    int j, k;
-
-    for (j = 32; j; j >>= 1, m ^= m << j)
-        for (k = 0; k < 64; k = (k + j + 1) & ~j) {
-            t = (a[k] >> j ^ a[k + j]) & m;
-            a[k] ^= t << j;
-            a[k + j] ^= t;
-        }
-}
-
 /* The rows of one qw_gnp call, shared by its threads, each of which claims
  * the next unbuilt row, ``next``, until none is left */
 struct gnp {
@@ -1137,8 +1206,7 @@ static void *claim_rows(void *arg)
  * The rows above the diagonal are built on_threads on ``threads`` >= 1
  * threads, which claim them one at a time; a row's words are fixed by its
  * stream, so the rows do not depend on which thread built them.  Then
- * each 64 x 64 block above the diagonal is transposed into its mirror
- * below it.  On a 2-core Xeon KVM guest with AVX-512, the best of 11
+ * mirror_upper makes them symmetric.  On a 2-core Xeon KVM guest with AVX-512, the best of 11
  * calls for G(2000, 1/2) took a median 3.5 ms in process on two threads
  * and 5.8 ms on one, over five alternating rounds, against 11.7 ms for
  * two read-modify-writes a pair.
@@ -1148,8 +1216,6 @@ void qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *rows,
 {
     double scaled = p * 9007199254740992.0;
     struct gnp s = {seed, 0, rows, domain, n, 0};
-    int64_t w = (n + 63) / 64, I, J, r;
-    uint64_t a[64];
 
     if (p >= 1) {
         s.cut = (uint64_t)1 << 53;
@@ -1158,12 +1224,5 @@ void qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *rows,
         s.cut += (double)s.cut < scaled;
     }
     on_threads(threads, claim_rows, &s, 0);
-    for (I = 0; I < w; I++)
-        for (J = I; J < w; J++) {
-            for (r = 0; r < 64; r++)
-                a[r] = 64 * I + r < n ? rows[(64 * I + r) * w + J] : 0;
-            transpose64(a);
-            for (r = 0; r < 64 && 64 * J + r < n; r++)
-                rows[(64 * J + r) * w + I] |= a[r];
-        }
+    mirror_upper(n, rows);
 }

@@ -28,17 +28,20 @@ bits in order; until then ``neighbors(v)`` of a graph built from rows
 reads row v alone.  Rows become ``indices``, keys and the dense matrix
 in numpy alone, through ``_row_bits``.  ``gen_gnp`` draws G(n, p) into
 rows, ``gen_complete`` writes K_n's, and ``_mark_rows`` alone marks
-pairs in them, by the C kernel of ``rng`` or by numpy, the reference;
-both OR into rows, so pairs may be marked a block at a time.
+given pairs in them, by the C kernel of ``rng`` or by numpy, the
+reference; both OR into rows, so pairs may be marked a block at a time.
 
-``_pairs_graph`` alone turns pairs into a ``Graph``, for ``build_graph``
-and the edges of walks, tree images and list prefixes, which it takes a
-block of pairs at a time, and rejects an endpoint outside 0..n-1 and a
-self-loop.  With the kernel and under the table rule, m pairs with
-n^2 <= 64 m (``_table_fits``), it marks each block into the n bit rows
-of the ``Graph``, no larger than the m int64 keys a sort needs, so no
-key is made until ``Graph.edge_codes`` reads them out.  Otherwise it
-packs each block's keys into one array, which numpy sorts, the reference.
+``_pairs_graph`` alone turns given pairs into a ``Graph``, for
+``build_graph`` and the edges of walks, tree images and list prefixes,
+which it takes a block of pairs at a time, and rejects an endpoint
+outside 0..n-1 and a self-loop.  With the kernel and under the table
+rule, m pairs with n^2 <= 64 m (``_table_fits``, ``_rows_fit``), it
+marks each block into the n bit rows of the ``Graph``, no larger than
+the m int64 keys a sort needs, so no key is made until
+``Graph.edge_codes`` reads them out.  Otherwise it packs each block's
+keys into one array, which numpy sorts, the reference.  Under the same
+rule ``walks.walk_edges`` has the list model's kernel mark a walk's
+edges as it walks, and builds the ``Graph`` from those rows.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
 uint64 words, n^2/8 bytes, packed once: kept from construction where it
@@ -121,6 +124,17 @@ def _table_fits(n: int, m) -> bool:
     return n * n <= 64 * m
 
 
+def _rows_fit(n: int, m) -> bool:
+    """Whether m pairs on n vertices are marked into bit rows rather than
+    packed into keys: under the table rule, with the kernel loaded."""
+    return _table_fits(n, m) and _kernel() is not None
+
+
+def _clear_rows(n: int) -> np.ndarray:
+    """n clear bit rows of ceil(n/64) uint64 words."""
+    return np.zeros((n, -(-n // 64)), dtype=np.uint64)
+
+
 def _pack(n: int, us, vs, out=None) -> np.ndarray:
     """Edge keys min(u, v) * n + max(u, v), widened before the product, in
     the int64 array ``out`` or a new one; ids of any width make no copy."""
@@ -175,7 +189,7 @@ def _mark_rows(n: int, us, vs, rows: np.ndarray | None = None) -> np.ndarray:
     a caller may mark its pairs a block at a time.  A bad pair raises
     ``_check_pairs``' ValueError before any bit is set."""
     if rows is None:
-        rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+        rows = _clear_rows(n)
     lib = _kernel()
     us32, vs32 = (_ids(us), _ids(vs)) if lib is not None else (None, None)
     if us32 is not None and vs32 is not None and lib.qw_mark_pairs(
@@ -200,7 +214,7 @@ def _pairs_graph(n: int, m: int, blocks) -> Graph:
     as long as numpy's marking of a walk's pairs, and the graph keeps them.
     """
     n = _vertex_count(n)
-    keys = None if _table_fits(n, m) and _kernel() is not None else np.empty(m, dtype=np.int64)
+    keys = None if _rows_fit(n, m) else np.empty(m, dtype=np.int64)
     rows, at = None, 0
     for us, vs in blocks:
         us, vs = _integers(us, "edge endpoints"), _integers(vs, "edge endpoints")
@@ -439,7 +453,7 @@ class VertexSet:
 
     @classmethod
     def from_mask(cls, n: int, mask: np.ndarray) -> "VertexSet":
-        return cls(n, frozenset(int(v) for v in np.nonzero(mask)[0]))
+        return cls(n, frozenset(np.flatnonzero(mask).tolist()))
 
     @classmethod
     def full(cls, n: int) -> "VertexSet":
@@ -573,7 +587,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     n = _vertex_count(n)
     lib = _kernel(seed, DOMAIN_GNP) if _table_fits(n, p * n * (n - 1) / 2) else None
     if lib is not None:
-        rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+        rows = _clear_rows(n)
         threads = 1 if n <= _GNP_ONE_THREAD else _cpus()
         lib.qw_gnp(seed, DOMAIN_GNP, n, p, rows.ctypes.data, threads)
         return Graph._from_rows(rows)

@@ -17,10 +17,12 @@ numpy's SeedSequence key and computes Philox4x64-10 blocks in place for
 the addresses that ``_kernel`` alone accepts.  ``uniform_words``,
 ``derive_seed`` and the list model use it when it loads.  So does
 ``graph``: vertex pairs are marked in symmetric adjacency bit rows, and
-``gen_gnp`` draws G(n, p) into such rows in one call.  A ``Graph``
-built from rows, these (the ``Graph`` of a walk's or a tree image's
-edges) or the K_n rows of ``gen_complete``, keeps them as its one edge
-store and counts its edges from them.  The list model's kernel takes
+``gen_gnp`` draws G(n, p) into such rows in one call.  The list model's
+kernel marks a walk's edges in such rows as it walks, for
+``walks.walk_edges``.  A ``Graph`` built from rows, these (the ``Graph``
+of a walk's or a tree image's edges) or the K_n rows of
+``gen_complete``, keeps them as its one edge store and counts its edges
+from them.  The list model's kernel takes
 each entry on such a graph from its rows, by select (pdep on x86-64
 CPUs that run it fast, a broadword select elsewhere); ``graph`` reads a
 ``Graph``'s ``indices`` out of its rows, or out of its keys by a sort,
@@ -39,8 +41,8 @@ computes eight or sixteen Philox blocks at a time for ``uniform_words``,
 G(n, p) rows, the sampler's sets and the list model's chunks, builds
 G(n, p)'s row words from 8-lane compares, and the sampler picks and
 counts its sets in 512-bit registers; with AVX-512F, AVX-512DQ and a
-fast pdep it finds each list entry's row word by counting ranks in
-512-bit registers.  Elsewhere it draws one block at a time and counts in
+fast pdep it finds the row words of 16 list entries at a time by a binary
+search of the row's ranks in 512-bit registers.  Elsewhere it draws one block at a time and counts in
 a popcnt clone on x86-64 glibc, with the same results.  The kernel is
 built on first use, never at import, with ``gcc -O2 -pthread`` into a
 user cache directory keyed by the sha256 of its flags and source, from
@@ -225,7 +227,8 @@ def _declare(lib):
     lib.qw_seed_key.restype = u64
     lib.qw_words.argtypes = [u64, u32, u32, i64, i64, ptr]
     lib.qw_words.restype = None
-    lib.qw_consume.argtypes = [u64, u32, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr]
+    lib.qw_consume.argtypes = [u64, u32, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr,
+                               ptr]
     lib.qw_consume.restype = i64
     lib.qw_mark_pairs.argtypes = [i64, ptr, ptr, i64, ptr]
     lib.qw_mark_pairs.restype = i64

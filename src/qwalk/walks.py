@@ -13,8 +13,10 @@ of ``rng`` when that loads, and in a Python loop over numpy-drawn
 buffers otherwise; both take the same entries, bit for bit.
 
 ``walk_edges`` gives a walk's edges alone, the graph ``walk_subgraph``
-builds from its trace: it hands ``graph._pairs_graph`` the walk a block
-of steps at a time, as it walks, so the trace is never held whole.
+builds from its trace, and never holds the trace whole: where the edges
+go into bit rows, the kernel marks each step's edge as it walks, and
+otherwise it hands ``graph._pairs_graph`` the walk a block of steps at a
+time.
 
 A "visit" is a departure: visit counts run over walk positions
 0 .. steps-1, one list entry consumed per visit, so counts sum to the
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, VertexSet, _pairs_graph, _vertex, balanced_vertices, density,
-                    read_text)
+from .graph import (Graph, VertexSet, _clear_rows, _pairs_graph, _rows_fit, _vertex,
+                    balanced_vertices, density, read_text)
 from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _integer, _kernel, stream,
                   uniform_words)
 
@@ -164,17 +166,37 @@ class ListModel:
         image[0] = root
         if self._lib is None:
             return self._consume_numpy(parents, image)
-        g = self.graph
-        lists = (g.indices.ctypes.data, None, None) if g._ranks is None else \
-            (None, g.bit_rows().ctypes.data, g._ranks.ctypes.data)
-        done = self._lib.qw_consume(
-            self.seed, DOMAIN_LIST, g.n, g.indptr.ctypes.data, *lists,
-            self._state.ctypes.data, self._taken.ctypes.data,
-            None if parents is None else parents.ctypes.data, m, image.ctypes.data)
+        done = self._consume_kernel(parents, m, image)
         if done < m:  # the list's vertex at position done has no neighbors
             p = done if parents is None else parents[done]
             raise ValueError(f"vertex {image[p]} has no neighbors")
         return image
+
+    def _consume_kernel(self, parents, m: int, image: np.ndarray, marks=None) -> int:
+        """``qw_consume`` of m entries from image[0]: the entries it took,
+        m or the position of a vertex without neighbors."""
+        g = self.graph
+        lists = (g.indices.ctypes.data, None, None) if g._ranks is None else \
+            (None, g.bit_rows().ctypes.data, g._ranks.ctypes.data)
+        return self._lib.qw_consume(
+            self.seed, DOMAIN_LIST, g.n, g.indptr.ctypes.data, *lists,
+            self._state.ctypes.data, self._taken.ctypes.data,
+            None if parents is None else parents.ctypes.data, m, image.ctypes.data,
+            None if marks is None else marks.ctypes.data)
+
+    def _walk_rows(self, start: int, steps: int):
+        """The symmetric bit rows of the edges that a walk of ``steps``
+        steps from ``start`` traverses, marked by the kernel in one call as
+        it walks, with no step held; None where the kernel does not serve
+        this model.  The lists are taken as ``consume(range(steps), start)``
+        takes them, and a start without neighbors raises its ValueError."""
+        if self._lib is None:
+            return None
+        rows = _clear_rows(self.graph.n)
+        if self._consume_kernel(None, steps, np.array([start], dtype=np.int32), rows) < steps:
+            # every vertex after the start ends an edge, so only it can stop a walk
+            raise ValueError(f"vertex {start} has no neighbors")
+        return rows
 
     def _consume_numpy(self, parents, image: np.ndarray) -> np.ndarray:
         iters = self._iters
@@ -268,11 +290,17 @@ def run_walk(g: Graph, model: ListModel, start: int, steps: int) -> WalkTrace:
 def walk_edges(g: Graph, model: ListModel, start: int, steps: int) -> Graph:
     """The edges a walk of ``steps`` steps from ``start`` traverses: the
     graph ``walk_subgraph(run_walk(g, model, start, steps))`` returns,
-    with the model left in the state that leaves and the same errors,
-    built by ``graph._pairs_graph`` from ``_BLOCK`` steps at a time, so
-    no more than a block of the walk is held at once."""
+    with the model left in the state that leaves and the same errors.
+
+    Where its pairs go into bit rows (``graph._rows_fit``) and the kernel
+    serves the model, one kernel call walks and marks each step's edge in
+    the rows (``ListModel._walk_rows``) and holds no block of steps.
+    Otherwise ``graph._pairs_graph`` builds it from ``_BLOCK`` steps at a
+    time, the reference, so no more than a block of the walk is held."""
     start, steps = _walk_args(g, model, start, steps)
-    edges = _pairs_graph(g.n, steps, _walk_blocks(model, start, steps))
+    rows = model._walk_rows(start, steps) if _rows_fit(g.n, steps) else None
+    edges = _pairs_graph(g.n, steps, _walk_blocks(model, start, steps)) if rows is None \
+        else Graph._from_rows(rows)
     if g.degree(start) == 0:  # run_walk's check; a walk of a step or more failed sooner
         raise ValueError(f"start vertex {start} has no neighbors")
     return edges

@@ -408,3 +408,12 @@ class TestVertexSet:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             VertexSet.from_iterable(3, [3])
+
+    @pytest.mark.parametrize("mask", [np.zeros(0, dtype=bool), np.zeros(7, dtype=bool),
+                                      np.ones(130, dtype=bool),
+                                      np.random.default_rng(3).random(300) < 0.4])
+    def test_from_mask_members_are_the_nonzero_positions(self, mask):
+        s = VertexSet.from_mask(len(mask), mask)
+        assert s.members == frozenset(int(v) for v in np.nonzero(mask)[0])
+        assert all(type(v) is int for v in s.members)
+        assert np.array_equal(s.bool_mask(), mask)

@@ -601,12 +601,25 @@ static void host(int kind, int64_t n, uint64_t *rows, int32_t *ranks, int64_t *i
     }
 }
 
+#if defined(__x86_64__) && defined(__GLIBC__)
+/* row_words of the 16 ranks ks on the w <= 32 ranks r: the words into
+ * at, the ranks in them into in */
+WIDE_FILL static void search16(const int32_t *r, int64_t w, const int32_t *ks, int32_t *at,
+                               int32_t *in)
+{
+    __m512i in_word;
+
+    _mm512_storeu_si512(at, row_words(r, w, _mm512_loadu_si512(ks), &in_word));
+    _mm512_storeu_si512(in, in_word);
+}
+#endif
+
 int main(void)
 {
-    /* w = 1, 8, 16, 24, 32 and 47 words a row */
-    int64_t sizes[] = {50, 500, 1000, 1500, 2000, 3000};
+    /* every w from 1 to 32 words a row, n a multiple of 64 or not, and 47 */
+    int64_t sizes[33];
     uint64_t key[2], a[8], b[8], c[8], words[64], t64[64];
-    long fills = 0, pdep_fills = 0, wide_fills = 0, checks = 0, wrong = 0;
+    long fills = 0, pdep_fills = 0, wide_fills = 0, searches = 0, checks = 0, wrong = 0;
     int64_t i, j, k, n, x, start, count;
     int small, kind, pdep = 0, wide = 0;
 
@@ -614,6 +627,9 @@ int main(void)
     pdep = fast_pdep();
     wide = has_wide_fill();
 #endif
+    for (i = 0; i < 32; i++)
+        sizes[i] = 64 * (i + 1) - (13 * i) %% 64;
+    sizes[32] = 3000;
     /* fill_wide and fill_pdep against fill_broadword, at both chunk widths */
     for (i = 0; i < (int64_t)(sizeof sizes / sizeof *sizes); i++) {
         int64_t w = (sizes[i] + 63) / 64;
@@ -660,6 +676,30 @@ int main(void)
         free(ranks);
         free(indptr);
     }
+#if defined(__x86_64__) && defined(__GLIBC__)
+    /* row_words against the last of w ascending ranks at most each of 16
+     * ranks, and the rank past it, on rows of 1 to 32 words with empty
+     * words, and ranks at and next to each word's first */
+    for (k = 0; wide && k < 3200; k++) {
+        int32_t r[32], ks[16], at[16], in[16];
+        int64_t w = 1 + k %% 32, d;
+        for (r[0] = 0, j = 1; j < w; j++)
+            r[j] = r[j - 1] + (xorshift() %% 4 == 0 ? 0 : (int32_t)(xorshift() %% 65));
+        d = r[w - 1] + 1 + (int64_t)(xorshift() %% 64);
+        for (j = 0; j < 16; j++) {
+            int64_t near = r[xorshift() %% w] + (int64_t)(xorshift() %% 3) - 1;
+            ks[j] = (int32_t)(j %% 2 && near >= 0 && near < d ? near : (int64_t)(xorshift() %% d));
+        }
+        search16(r, w, ks, at, in);
+        for (j = 0; j < 16; j++) {
+            int64_t want = w - 1;
+            while (r[want] > ks[j])
+                want--;
+            wrong += at[j] != want || in[j] != ks[j] - r[want];
+        }
+        searches++;
+    }
+#endif
     /* the wide below_cut against the scalar one, at the cut's edges */
     for (k = 0; k < 200; k++) {
         uint64_t edges[] = {0, 1, 2, (uint64_t)1 << 52, ((uint64_t)1 << 53) - 1,
@@ -692,7 +732,8 @@ int main(void)
                 wrong += (t64[i] >> j & 1) != (words[j] >> i & 1);
         checks++;
     }
-    printf("%%ld %%ld %%d %%ld %%ld %%ld\n", fills, pdep_fills, wide, wide_fills, checks, wrong);
+    printf("%%ld %%ld %%d %%ld %%ld %%ld %%ld\n", fills, pdep_fills, wide, wide_fills, searches,
+           checks, wrong);
     return 0;
 }
 """
@@ -718,10 +759,11 @@ def test_fill_and_row_code_match_reference(tmp_path, flags):
                    capture_output=True)
     run = subprocess.run([str(exe)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    fills, pdep_fills, wide, wide_fills, checks, wrong = map(int, run.stdout.split())
+    fills, pdep_fills, wide, wide_fills, searches, checks, wrong = map(int, run.stdout.split())
     assert wrong == 0 and fills > 3000
     assert checks == 200 * 65 + 100
     assert wide_fills == (fills if wide else 0) and pdep_fills in (0, fills)
+    assert searches == (3200 if wide else 0)
     assert pdep_fills == fills or not wide
 
 
@@ -799,9 +841,9 @@ def test_sampler_counts_every_trial_when_no_thread_starts(tmp_path):
 
 
 # tests that call each entry point, qw_consume on indices and on rows at
-# the 64-bit word edges and across its chunks of both widths, G(n, p) rows
-# and the sampler on 1, 2, 3 and 5 threads, and the sampler's sizes at
-# their word edges, at small n
+# the 64-bit word edges and across its chunks of both widths, walking and
+# marking a walk's edges in one call, G(n, p) rows and the sampler on 1, 2,
+# 3 and 5 threads, and the sampler's sizes at their word edges, at small n
 SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
     f"tests/test_kernel.py::{name}" for name in (
         "test_derive_seed_matches_reference", "test_uniform_words_match_reference",
@@ -813,7 +855,10 @@ SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
         "test_bit_rows_match_reference",
         "test_pair_graphs_read_out_the_rows_the_kernel_marked",
         "test_gnp_matches_row_reference", "test_sampled_counts_do_not_depend_on_threads",
-        "test_kernel_sizes_match_generator_integers")]
+        "test_kernel_sizes_match_generator_integers",
+        "test_walk_edges_walk_and_mark_in_one_kernel_call")] + [
+    f"tests/test_walks.py::TestWalkEdges::{name}" for name in (
+        "test_one_pass_matches_walk_subgraph", "test_errors_are_run_walks")]
 
 # a -p plugin that serves the kernel build at %r wherever the tests load it
 # and writes the name of each entry point they call to %r when they end
@@ -1766,6 +1811,26 @@ def test_walk_and_image_subgraphs_make_no_keys(kernel_calls):
         assert s._edge_codes is None and s.edge_count == count
         assert len(s.edge_codes()) == count
     assert kernel_calls["qw_mark_pairs"] == 3
+
+
+def test_walk_edges_walk_and_mark_in_one_kernel_call(kernel_calls, monkeypatch):
+    # under the table rule the one qw_consume call that walks also marks
+    # the walk's edges, on a host built from rows and on one built from
+    # keys, with no qw_mark_pairs call and the rows its trace marks; a
+    # walk whose pairs take keys walks a block at a time and marks nothing
+    monkeypatch.setattr(walks_module, "_BLOCK", 1000)
+    rows_host = gen_gnp(300, 0.5, 2)
+    for g in (rows_host, Graph(300, gen_gnp(300, 0.05, 2).edge_codes()), gen_complete(65)):
+        kernel_calls.clear()
+        start = int(g.degrees.argmax())
+        got = walks_module.walk_edges(g, ListModel(g, 5), start, 5000)
+        assert kernel_calls == {"qw_consume": 1} and kernel_calls.args["qw_consume"][12]
+        want = walk_subgraph(run_walk(g, ListModel(g, 5), start, 5000))
+        assert np.array_equal(got._rows, want._rows) and got._indices is None
+    sparse = Graph(3000, gen_gnp(3000, 0.002, 1).edge_codes())
+    kernel_calls.clear()
+    walks_module.walk_edges(sparse, ListModel(sparse, 5), int(sparse.degrees.argmax()), 10_000)
+    assert kernel_calls == {"qw_consume": 10} and kernel_calls.args["qw_consume"][12] is None
 
 
 def test_pair_graphs_read_out_the_rows_the_kernel_marked(kernel_calls):

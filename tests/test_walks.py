@@ -408,7 +408,56 @@ def walk_cases(draw):
     return g, seed, start, steps, block
 
 
+@st.composite
+def one_pass_cases(draw):
+    """(host, seed, start, steps): G(n, p) built from rows or from keys,
+    K_n, or a host whose last vertex is isolated, on 1 to 63 vertices or
+    about a multiple of 64, any start, and a walk of 0 or 1 steps or of
+    about n^2 / 64, on either side of the table rule."""
+    n = draw(st.one_of(st.integers(1, 63), st.sampled_from([64, 65, 127, 128, 129, 191])))
+    kind = draw(st.sampled_from(["rows", "keys", "complete", "isolated"]))
+    gnp = gen_gnp(n, draw(st.sampled_from([0.1, 0.5])), draw(st.integers(0, 99)))
+    if kind == "keys":
+        g = Graph(n, gnp.edge_codes())
+    elif kind == "complete":
+        g = gen_complete(n)
+    elif kind == "isolated":
+        g = build_graph(n, [(u, v) for u, v in gnp.edge_array().tolist() if v < n - 1])
+    else:
+        g = gnp
+    rule = -(-n * n // 64)
+    steps = draw(st.one_of(st.sampled_from([0, 1]), st.integers(max(rule - 3, 0), rule + 3),
+                           st.integers(rule, rule + 4 * n)))
+    seed = draw(st.sampled_from([0, 1, 7, 2**32 + 5, 2**64 - 1, 2**64 + 5]))
+    return g, seed, draw(st.integers(0, n - 1)), steps
+
+
+def _edges_or_error(walk):
+    """The graph ``walk()`` returns, or the message of its ValueError."""
+    try:
+        return walk()
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestWalkEdges:
+    @settings(max_examples=120, **PER_EXAMPLE)
+    @given(case=one_pass_cases())
+    def test_one_pass_matches_walk_subgraph(self, backend, case):
+        # the kernel walks and marks in one pass where the rule holds, and
+        # the blocks path serves elsewhere: both give the trace's graph or
+        # its error and leave the lists where the walk does, over two calls
+        # that continue one model
+        g, seed, start, steps = case
+        event("one pass" if rng.backend() == "c" and seed < 2**64 and g.n**2 <= 64 * steps
+              else "blocks")
+        mine, ref = ListModel(g, seed), ListModel(g, seed)
+        for _ in range(2):
+            got = _edges_or_error(lambda: walk_edges(g, mine, start, steps))
+            want = _edges_or_error(lambda: walk_subgraph(run_walk(g, ref, start, steps)))
+            assert got == want if isinstance(want, str) else same_graph(got, want)
+            assert np.array_equal(mine.consumed, ref.consumed)
+
     @settings(max_examples=150, **PER_EXAMPLE)
     @given(case=walk_cases())
     def test_same_graph_and_model_as_walk_subgraph(self, backend, monkeypatch, case):
