@@ -517,11 +517,10 @@ WIDE_FILL static inline __m512i row_words(const int32_t *r, int64_t w, __m512i k
  * word is the last of those at most the entry's rank, and an entry whose
  * word lies outside them takes place's binary search.  In a C harness on
  * a 2-core Xeon KVM guest with AVX-512, the best of five timings of 63,500
- * fills of G(2000, 1/2) took 5.4-5.6 ns an entry, in five runs, against
- * 5.7-6.0 ns with each word found by its own count of the row's ranks at
- * most the entry's, of which Philox took 2.6-2.7 ns; on a loaded host,
- * each word counted took 6.6-9.3 ns an entry, fill_pdep 10.3-15.2 ns and
- * fill_broadword 19.7-25.7 ns. */
+ * fills of G(2000, 1/2) took 5.3-5.7 ns an entry, in five alternating
+ * runs, against 6.0-7.7 ns with each word found by its own count of the
+ * row's ranks at most the entry's, of which Philox took 2.6-2.9 ns;
+ * fill_pdep took 9.7-12.7 ns and fill_broadword 17.4-19.5 ns. */
 WIDE_FILL static void fill_wide(struct lists g, const uint64_t key[2], int64_t x, int64_t d,
                                 int64_t t, int small, void *chunk)
 {
@@ -1206,10 +1205,10 @@ static void *claim_rows(void *arg)
  * The rows above the diagonal are built on_threads on ``threads`` >= 1
  * threads, which claim them one at a time; a row's words are fixed by its
  * stream, so the rows do not depend on which thread built them.  Then
- * mirror_upper makes them symmetric.  On a 2-core Xeon KVM guest with AVX-512, the best of 11
- * calls for G(2000, 1/2) took a median 3.5 ms in process on two threads
- * and 5.8 ms on one, over five alternating rounds, against 11.7 ms for
- * two read-modify-writes a pair.
+ * mirror_upper makes them symmetric.  On a 2-core Xeon KVM guest with
+ * AVX-512, the best of 11 calls for G(2000, 1/2) took a median 3.5 ms in
+ * process on two threads and 5.8 ms on one, over five alternating rounds,
+ * against 11.7 ms for two read-modify-writes a pair.
  */
 void qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *rows,
             int64_t threads)

@@ -41,9 +41,10 @@ computes eight or sixteen Philox blocks at a time for ``uniform_words``,
 G(n, p) rows, the sampler's sets and the list model's chunks, builds
 G(n, p)'s row words from 8-lane compares, and the sampler picks and
 counts its sets in 512-bit registers; with AVX-512F, AVX-512DQ and a
-fast pdep it finds the row words of 16 list entries at a time by a binary
-search of the row's ranks in 512-bit registers.  Elsewhere it draws one block at a time and counts in
-a popcnt clone on x86-64 glibc, with the same results.  The kernel is
+fast pdep it finds the row words of 16 list entries at a time by a
+binary search of the row's ranks in 512-bit registers.  Elsewhere it
+draws one block at a time and counts in a popcnt clone on x86-64 glibc,
+with the same results.  The kernel is
 built on first use, never at import, with ``gcc -O2 -pthread`` into a
 user cache directory keyed by the sha256 of its flags and source, from
 CPython's built-in sha256 module, which names each build as ``hashlib``

@@ -1819,8 +1819,8 @@ def test_walk_edges_walk_and_mark_in_one_kernel_call(kernel_calls, monkeypatch):
     # keys, with no qw_mark_pairs call and the rows its trace marks; a
     # walk whose pairs take keys walks a block at a time and marks nothing
     monkeypatch.setattr(walks_module, "_BLOCK", 1000)
-    rows_host = gen_gnp(300, 0.5, 2)
-    for g in (rows_host, Graph(300, gen_gnp(300, 0.05, 2).edge_codes()), gen_complete(65)):
+    for g in (gen_gnp(300, 0.5, 2), Graph(300, gen_gnp(300, 0.05, 2).edge_codes()),
+              gen_complete(65)):
         kernel_calls.clear()
         start = int(g.degrees.argmax())
         got = walks_module.walk_edges(g, ListModel(g, 5), start, 5000)
