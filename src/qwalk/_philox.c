@@ -40,13 +40,14 @@
  * A dense qwalk.graph.Graph keeps its adjacency bit rows as its one edge
  * store, with its row starts indptr: n rows of w = ceil(n / 64) words, row
  * v holding neighbour u as bit u % 64 of word u / 64.  Its rows come from
- * qw_consume, which marks a walk's edges in them as it walks, from
- * qw_mark_pairs, which marks vertex pairs in them, those of a tree image,
- * of a walk's trace or the edges of a graph built from keys, from qw_gnp,
- * which draws G(n, p) into them, or from K_n's rows; no key is made, and
- * the graph counts its edges from the rows' popcounts.  qw_consume and
- * qw_gnp set the bits above the diagonal and mirror them below it once, a
- * 64 x 64 block at a time (mirror_upper).  qw_consume takes each list
+ * qw_consume, which marks the edges of a walk or a tree image in them as
+ * it takes their entries, from qw_mark_pairs, which marks vertex pairs in
+ * them, those of a walk's trace or the edges of a graph built from keys,
+ * from qw_gnp, which draws G(n, p) into them, or from K_n's rows; no key
+ * is made, and the graph counts its edges from the rows' popcounts.
+ * qw_consume sets one bit of each edge, and qw_gnp the bits above the
+ * diagonal; each then makes its rows symmetric once, a 64 x 64 block at a
+ * time (mirror).  qw_consume takes each list
  * entry of such a graph from its rows, as the set bit of the entry's rank
  * found by select (pdep where the CPU runs it fast), so no indices are
  * made either; qwalk.graph reads them, keys and dense matrices out of the
@@ -591,21 +592,29 @@ static void transpose64(uint64_t a[64])
         }
 }
 
-/* Mirrors n bit rows in the header's layout, whose bits lie above the
- * diagonal, into symmetric rows: each 64 x 64 block above it is
- * transposed into its mirror below it, which it ORs into. */
-static void mirror_upper(int64_t n, uint64_t *rows)
+/* Makes n bit rows in the header's layout symmetric: each 64 x 64 block
+ * ORs in the transpose of its partner across the diagonal, a diagonal
+ * block its own.  A clear block, as each below qw_gnp's diagonal is, is
+ * not transposed. */
+static void mirror(int64_t n, uint64_t *rows)
 {
     int64_t w = (n + 63) / 64, I, J, r;
-    uint64_t a[64];
+    uint64_t a[64], b[64], in_a, in_b;
 
     for (I = 0; I < w; I++)
         for (J = I; J < w; J++) {
-            for (r = 0; r < 64; r++)
-                a[r] = 64 * I + r < n ? rows[(64 * I + r) * w + J] : 0;
-            transpose64(a);
+            for (r = 0, in_a = in_b = 0; r < 64; r++) {
+                in_a |= a[r] = 64 * I + r < n ? rows[(64 * I + r) * w + J] : 0;
+                in_b |= b[r] = 64 * J + r < n ? rows[(64 * J + r) * w + I] : 0;
+            }
+            if (in_a)
+                transpose64(a);
+            if (in_b)
+                transpose64(b);
             for (r = 0; r < 64 && 64 * J + r < n; r++)
                 rows[(64 * J + r) * w + I] |= a[r];
+            for (r = 0; r < 64 && 64 * I + r < n; r++)
+                rows[(64 * I + r) * w + J] |= b[r];
         }
 }
 
@@ -624,12 +633,13 @@ typedef void (*filler)(struct lists, const uint64_t *, int64_t, int64_t, int64_t
  * int32 array of n after the n chunks.  A step takes next[x], counts it
  * and reads the entry after it from the chunk, which ``fill`` makes anew
  * whenever t reaches a multiple of c.  So a step waits on one load, from
- * next, and a run of siblings reads consecutive entries of one chunk.
+ * next, and a run of siblings, positions of equal parents[j], reads
+ * consecutive entries of one chunk, keeping x, t and the next entry in
+ * registers and storing taken[x] and next[x] once, when it ends.
  *
- * With ``marks``, n clear bit rows in the header's layout, a walk writes
- * no image past image[0]: each step from x to y sets bit max(x, y) of row
- * min(x, y), and once the walk ends mirror_upper makes the rows
- * symmetric.
+ * With ``marks``, n clear bit rows in the header's layout, each entry y
+ * taken from x's list sets bit y of row x, and once the loop ends mirror
+ * makes the rows symmetric; a walk then writes no image past image[0].
  */
 static inline __attribute__((always_inline))
 int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, int64_t n,
@@ -637,11 +647,11 @@ int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, int
                 int32_t *image, uint64_t *marks)
 {
     int small = n <= (int64_t)1 << 16;
-    int64_t j, last = small ? 31 : 15, walker = image[0];
+    int64_t j = 0, last = small ? 31 : 15, y = image[0];
     int32_t *next = (int32_t *)(state + n * STATE_WORDS);
 
-    for (j = 0; j < m; j++) {
-        int64_t x = parents ? image[parents[j]] : walker, t = taken[x];
+    while (j < m) {
+        int64_t p = parents ? parents[j] : 0, x = parents ? image[p] : y, t = taken[x], z;
         uint64_t *key = state + x * STATE_WORDS;
         void *chunk = key + 2;
 
@@ -652,20 +662,22 @@ int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, int
             fill(g, key, x, g.indptr[x + 1] - g.indptr[x], 0, small, chunk);
             next[x] = small ? *(uint16_t *)chunk : *(int32_t *)chunk;
         }
-        walker = next[x];
-        if (marks) {
-            uint64_t lo = (uint64_t)(x < walker ? x : walker), hi = (uint64_t)(x ^ walker) ^ lo;
-            marks[lo * (uint64_t)g.w + hi / 64] |= (uint64_t)1 << (hi % 64);
-        } else {
-            image[j + 1] = (int32_t)walker;
-        }
-        taken[x] = ++t;
-        if ((t & last) == 0)
-            fill(g, key, x, g.indptr[x + 1] - g.indptr[x], t, small, chunk);
-        next[x] = small ? ((uint16_t *)chunk)[t & last] : ((int32_t *)chunk)[t & last];
+        z = next[x];
+        do {
+            y = z;
+            if (marks)
+                marks[x * g.w + y / 64] |= (uint64_t)1 << (y % 64);
+            if (parents || !marks)
+                image[j + 1] = (int32_t)y;
+            if ((++t & last) == 0)
+                fill(g, key, x, g.indptr[x + 1] - g.indptr[x], t, small, chunk);
+            z = small ? ((uint16_t *)chunk)[t & last] : ((int32_t *)chunk)[t & last];
+        } while (++j < m && parents && parents[j] == p);
+        taken[x] = t;
+        next[x] = (int32_t)z;
     }
     if (marks)
-        mirror_upper(n, marks);
+        mirror(n, marks);
     return j;
 }
 
@@ -677,9 +689,10 @@ int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, int
  * and fill_broadword elsewhere.  ``state`` holds n (2 + CHUNK_BYTES / 8)
  * words and then n int32, zeroed before the first call.  The caller checks
  * that parents[j] lies in 0..j.  ``marks`` is NULL, or n zeroed bit rows
- * that a walk (parents NULL) marks its edges in instead of writing its
- * image.  Returns m on success, or else the first position j at which the
- * list's vertex has no neighbours, after taking the entries before j.
+ * in which the tree's or the walk's edges are marked as its entries are
+ * taken; a walk given them writes no image.  Returns m on success, or
+ * else the first position j at which the list's vertex has no neighbours,
+ * after taking the entries before j.
  */
 int64_t qw_consume(uint64_t seed, uint32_t domain, int64_t n, const int64_t *indptr,
                    const int32_t *indices, const uint64_t *rows, const int32_t *ranks,
@@ -693,9 +706,11 @@ int64_t qw_consume(uint64_t seed, uint32_t domain, int64_t n, const int64_t *ind
     if (rows && fast_pdep())
         fill = has_wide_fill() ? fill_wide : fill_pdep;
 #endif
-    /* consume inlined twice, so that neither loop tests marks at each step */
+    /* consume inlined three times, so that no loop tests marks at each step */
     if (marks && !parents)
         return consume(seed, domain, g, fill, n, state, taken, NULL, m, image, marks);
+    if (marks)
+        return consume(seed, domain, g, fill, n, state, taken, parents, m, image, marks);
     return consume(seed, domain, g, fill, n, state, taken, parents, m, image, NULL);
 }
 
@@ -1205,7 +1220,7 @@ static void *claim_rows(void *arg)
  * The rows above the diagonal are built on_threads on ``threads`` >= 1
  * threads, which claim them one at a time; a row's words are fixed by its
  * stream, so the rows do not depend on which thread built them.  Then
- * mirror_upper makes them symmetric.  On a 2-core Xeon KVM guest with
+ * mirror makes them symmetric.  On a 2-core Xeon KVM guest with
  * AVX-512, the best of 11 calls for G(2000, 1/2) took a median 3.5 ms in
  * process on two threads and 5.8 ms on one, over five alternating rounds,
  * against 11.7 ms for two read-modify-writes a pair.
@@ -1223,5 +1238,5 @@ void qw_gnp(uint64_t seed, uint32_t domain, int64_t n, double p, uint64_t *rows,
         s.cut += (double)s.cut < scaled;
     }
     on_threads(threads, claim_rows, &s, 0);
-    mirror_upper(n, rows);
+    mirror(n, rows);
 }

@@ -40,8 +40,10 @@ marks each block into the n bit rows of the ``Graph``, no larger than
 the m int64 keys a sort needs, so no key is made until
 ``Graph.edge_codes`` reads them out.  Otherwise it packs each block's
 keys into one array, which numpy sorts, the reference.  Under the same
-rule ``walks.walk_edges`` has the list model's kernel mark a walk's
-edges as it walks, and builds the ``Graph`` from those rows.
+rule ``walks.walk_edges`` and ``trees.random_homomorphism`` have the list
+model's kernel mark a walk's or a tree image's edges as it takes their
+entries, and ``walk_edges`` and ``trees.image_subgraph`` build the
+``Graph`` from those rows.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
 uint64 words, n^2/8 bytes, packed once: kept from construction where it

@@ -18,9 +18,10 @@ the addresses that ``_kernel`` alone accepts.  ``uniform_words``,
 ``derive_seed`` and the list model use it when it loads.  So does
 ``graph``: vertex pairs are marked in symmetric adjacency bit rows, and
 ``gen_gnp`` draws G(n, p) into such rows in one call.  The list model's
-kernel marks a walk's edges in such rows as it walks, for
-``walks.walk_edges``.  A ``Graph`` built from rows, these (the ``Graph``
-of a walk's or a tree image's edges) or the K_n rows of
+kernel marks the edges of a walk or a tree image in such rows as it
+takes their entries, for ``walks.walk_edges`` and
+``trees.image_subgraph``.  A ``Graph`` built from rows, these (the
+``Graph`` of a walk's or a tree image's edges) or the K_n rows of
 ``gen_complete``, keeps them as its one edge store and counts its edges
 from them.  The list model's kernel takes
 each entry on such a graph from its rows, by select (pdep on x86-64

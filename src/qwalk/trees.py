@@ -7,18 +7,22 @@ containing the root.  A random homomorphism maps the root to a chosen
 host vertex and each later vertex to the next unused list entry of its
 parent's image, through ``ListModel.consume``, the loop that also drives
 walks.  A path tree therefore reproduces a walk exactly, seed for seed.
-An image's edges are gathered a block of tree edges at a time, for
-``graph._pairs_graph``, the edge check and the visit counts, which
-``walks.sandwich_bounds`` reads for an image as for a walk.
+Where an image's edges go into bit rows (``graph._rows_fit``) and the
+kernel serves the model, the kernel call that embeds the tree also marks
+its edges in rows, which ``image_subgraph`` hands to the ``Graph``, as
+``walks.walk_edges`` does for a walk.  Otherwise, and for the edge check
+and the visit counts, which ``walks.sandwich_bounds`` reads for an image
+as for a walk, an image's edges are gathered a block of tree edges at a
+time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _integers, _pairs_graph, _write_pairs, read_text
+from .graph import Graph, _integers, _pairs_graph, _rows_fit, _write_pairs, read_text
 from .rng import DOMAIN_TREE_GEN, _integer, uniform_words
 from .walks import _BLOCK, ListModel, _check_model, _count_ids, _tree_size
 
@@ -157,11 +161,17 @@ def gen_random_tree(n_vertices: int, max_deg: int, seed: int) -> RootedTree:
 
 @dataclass
 class TreeHomomorphism:
-    """An edge-preserving map of a rooted tree into a host graph."""
+    """An edge-preserving map of a rooted tree into a host graph.
+
+    ``_rows``, which ``==`` and ``repr`` ignore, are the symmetric bit rows
+    of the image's edges where the kernel marked them as it embedded the
+    tree (``random_homomorphism``), else None.  The image they were marked
+    from is read-only, so they describe no other image."""
 
     tree: RootedTree
     host: Graph
     image: np.ndarray
+    _rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def is_edge_preserving(self) -> bool:
         return all(self.host.has_edges(us, vs).all() for us, vs in _edge_blocks(self))
@@ -186,10 +196,14 @@ def random_homomorphism(g: Graph, t: RootedTree, model: ListModel,
 
     Vertices are processed in enumeration order, so a path tree consumes
     entries exactly as run_walk does and yields the identical sequence.
+    The image is read-only.  Where its edges go into bit rows
+    (``graph._rows_fit``) and the kernel serves the model, the kernel call
+    that embeds the tree marks them in rows, kept for ``image_subgraph``.
     """
     _check_model(g, model)
-    image = model.consume(t.parents[1:], root_image)
-    return TreeHomomorphism(tree=t, host=g, image=image)
+    image, rows = model._consume(t.parents[1:], root_image, _rows_fit(g.n, t.n_edges))
+    image.setflags(write=False)
+    return TreeHomomorphism(tree=t, host=g, image=image, _rows=rows)
 
 
 def tree_visit_counts(h: TreeHomomorphism) -> np.ndarray:
@@ -198,7 +212,12 @@ def tree_visit_counts(h: TreeHomomorphism) -> np.ndarray:
 
 
 def image_subgraph(h: TreeHomomorphism) -> Graph:
-    """Host edges in the image of the tree, deduplicated, as a Graph."""
+    """Host edges in the image of the tree, deduplicated, as a Graph: the
+    rows the kernel marked as it embedded the tree, with no kernel call,
+    or else, as for a hand-built homomorphism, the graph
+    ``graph._pairs_graph`` builds from ``_edge_blocks``, the reference."""
+    if h._rows is not None:
+        return Graph._from_rows(h._rows)
     return _pairs_graph(h.host.n, h.tree.n_edges, _edge_blocks(h))
 
 

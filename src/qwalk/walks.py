@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, VertexSet, _clear_rows, _pairs_graph, _rows_fit, _vertex,
-                    balanced_vertices, density, read_text)
+from .graph import (Graph, VertexSet, _clear_rows, _integers, _pairs_graph, _rows_fit,
+                    _vertex, balanced_vertices, density, read_text)
 from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _integer, _kernel, stream,
                   uniform_words)
 
@@ -141,17 +141,28 @@ class ListModel:
         image[j+1] is the next unused entry of the list of
         image[parents[j]], for j in order.
 
-        ``parents`` is a sequence of integers with parents[j] in 0..j; an
-        int32 array passes to the kernel without a copy, and a walk passes
-        ``range(steps)``, which no array stands for.  A root outside the
-        host or a parent outside its range raises ValueError before any
-        entry is taken.
+        ``parents`` is a 1-d sequence of integers with parents[j] in 0..j;
+        an int32 array passes to the kernel without a copy, and a walk
+        passes ``range(steps)``, which no array stands for.  A root
+        outside the host, parents that are not integers (``_integers``:
+        floats and bools are refused) or not 1-d, or a parent outside its
+        range raises ValueError before any entry is taken.
         """
+        return self._consume(parents, root, False)[0]
+
+    def _consume(self, parents, root: int, mark: bool):
+        """(image, rows): ``consume(parents, root)``, and for a tree given
+        by an array of parents with ``mark``, where the kernel serves this
+        model, the symmetric bit rows of the image's edges, which the same
+        kernel call marks as it takes their entries; else None.  A walk's
+        rows are ``_walk_rows``'."""
         root = _vertex(self.graph, root)
         if isinstance(parents, range) and parents.start == 0 and parents.step == 1:
             m, parents = len(parents), None  # a walk: parents[j] = j
         else:
-            parents = np.asarray(parents)
+            parents = _integers(parents, "parents")
+            if parents.ndim != 1:
+                raise ValueError(f"parents must be a 1-d sequence, got {parents.ndim} dimensions")
             m = _tree_size(len(parents) + 1) - 1
             for i in range(0, m, _BLOCK):  # temporaries of a block, not of the tree
                 block, at = parents[i:i + _BLOCK], np.arange(i, min(i + _BLOCK, m), dtype=np.int32)
@@ -165,12 +176,13 @@ class ListModel:
         image = np.empty(m + 1, dtype=np.int32)
         image[0] = root
         if self._lib is None:
-            return self._consume_numpy(parents, image)
-        done = self._consume_kernel(parents, m, image)
+            return self._consume_numpy(parents, image), None
+        rows = _clear_rows(self.graph.n) if mark else None
+        done = self._consume_kernel(parents, m, image, rows)
         if done < m:  # the list's vertex at position done has no neighbors
             p = done if parents is None else parents[done]
             raise ValueError(f"vertex {image[p]} has no neighbors")
-        return image
+        return image, rows
 
     def _consume_kernel(self, parents, m: int, image: np.ndarray, marks=None) -> int:
         """``qw_consume`` of m entries from image[0]: the entries it took,
@@ -392,8 +404,12 @@ def sandwich_bounds(trace, g: Graph) -> tuple[float, float]:
     in list_subgraph(alpha_hi); the containments are exact, not asymptotic,
     because floor(alpha_lo * d(v)) <= X_v <= floor(alpha_hi * d(v)) in
     floating point.  The greatest ratio alone may round below: with X_v
-    = 15 and d(v) = 11, int(fl(15 / 11) * 11) is 14.
+    = 15 and d(v) = 11, int(fl(15 / 11) * 11) is 14.  ValueError unless
+    ``g`` is the walk's or the image's host.
     """
+    if (trace.graph if isinstance(trace, WalkTrace) else trace.host) is not g:
+        raise ValueError("the trace belongs to another graph; "
+                         "bound it on the graph it ran on")
     deg = g.degrees
     live = deg > 0
     visits, deg = trace.visit_counts[live], deg[live]

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import test_experiments
 import test_walks
 from qwalk import graph, rng
+from qwalk import trees as trees_module
 from qwalk import walks as walks_module
 from qwalk.certify import count_c4_labelled, discrepancy_refined, discrepancy_sampled, trace_p4
 from qwalk.experiments import ExperimentConfig, run_experiment
@@ -841,9 +842,10 @@ def test_sampler_counts_every_trial_when_no_thread_starts(tmp_path):
 
 
 # tests that call each entry point, qw_consume on indices and on rows at
-# the 64-bit word edges and across its chunks of both widths, walking and
-# marking a walk's edges in one call, G(n, p) rows and the sampler on 1, 2,
-# 3 and 5 threads, and the sampler's sizes at their word edges, at small n
+# the 64-bit word edges and across its chunks of both widths, walking or
+# embedding a tree and marking its edges in one call, G(n, p) rows and the
+# sampler on 1, 2, 3 and 5 threads, and the sampler's sizes at their word
+# edges, at small n
 SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
     f"tests/test_kernel.py::{name}" for name in (
         "test_derive_seed_matches_reference", "test_uniform_words_match_reference",
@@ -858,7 +860,9 @@ SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
         "test_kernel_sizes_match_generator_integers",
         "test_walk_edges_walk_and_mark_in_one_kernel_call")] + [
     f"tests/test_walks.py::TestWalkEdges::{name}" for name in (
-        "test_one_pass_matches_walk_subgraph", "test_errors_are_run_walks")]
+        "test_one_pass_matches_walk_subgraph", "test_errors_are_run_walks")] + [
+    f"tests/test_trees.py::TestImageSubgraph::{name}" for name in (
+        "test_path_image_is_the_walks_edges", "test_sibling_runs_cross_chunks")]
 
 # a -p plugin that serves the kernel build at %r wherever the tests load it
 # and writes the name of each entry point they call to %r when they end
@@ -1318,9 +1322,12 @@ def test_has_edges_matches_key_lookup(c_backend, monkeypatch, case, data):
 
 
 def test_ids_reach_the_kernel_without_a_copy(kernel_calls):
-    # the int32 walk sequence, tree parents and tree image are the very
-    # buffers the kernel reads, and so are a dense host's rows and rank
-    # directory, with no indices, and a sparse host's indices, with no rows
+    # the int32 walk sequence and tree parents are the very buffers the
+    # kernel reads, and so are a dense host's rows and rank directory, with
+    # no indices, and a sparse host's indices, with no rows; the call that
+    # embeds the tree marks its image's edges in the rows the homomorphism
+    # keeps, so its subgraph makes no kernel call and no copy of them, and
+    # they are the rows the image's gathered pairs mark
     args = kernel_calls.args
     g = gen_complete(200)
     trace = run_walk(g, ListModel(g, 1), 0, 30_000)
@@ -1333,8 +1340,12 @@ def test_ids_reach_the_kernel_without_a_copy(kernel_calls):
     hom = random_homomorphism(g, t, ListModel(g, 2), 0)
     assert t.parents.dtype == hom.image.dtype == np.int32
     assert args["qw_consume"][9] == t.parents[1:].ctypes.data
-    image_subgraph(hom)
-    assert args["qw_mark_pairs"][2] == hom.image[1:].ctypes.data
+    assert args["qw_consume"][12] is not None and args["qw_consume"][12] == hom._rows.ctypes.data
+    kernel_calls.clear()
+    got = image_subgraph(hom)
+    assert not kernel_calls and got._rows is hom._rows
+    want = _pairs_graph(g.n, t.n_edges, trees_module._edge_blocks(hom))
+    assert np.array_equal(got._rows, want._rows)
     sparse = gen_gnp(200, 0.01, 1)
     run_walk(sparse, ListModel(sparse, 3), int(sparse.degrees.argmax()), 1000)
     assert args["qw_consume"][4:7] == (sparse.indices.ctypes.data, None, None)
@@ -1795,10 +1806,16 @@ def test_dense_graph_keeps_its_rows(c_backend, monkeypatch, case):
 def test_walk_and_image_subgraphs_make_no_keys(kernel_calls):
     # a walk's and a tree image's subgraph keep only the rows the kernel
     # marked: counting them reads no key out, and counting a walk's
-    # allocates less than half of what its keys take
+    # allocates less than half of what its keys take.  The walk's trace is
+    # marked by qw_mark_pairs on each call; the image's edges were marked
+    # by the qw_consume call that embedded the tree, given clear rows, so
+    # its subgraph makes no kernel call, and its rows are those that the
+    # image's gathered pairs mark
     g = gen_gnp(300, 0.3, 8)
     trace = run_walk(g, ListModel(g, 9), 0, 20_000)
-    hom = random_homomorphism(g, gen_nary_tree(100, 2), ListModel(g, 10), 0)
+    t = gen_nary_tree(100, 2)
+    hom = random_homomorphism(g, t, ListModel(g, 10), 0)
+    assert kernel_calls.args["qw_consume"][12] is not None
     tracemalloc.start()
     try:
         count = len(walk_subgraph(trace))
@@ -1806,19 +1823,29 @@ def test_walk_and_image_subgraphs_make_no_keys(kernel_calls):
     finally:
         tracemalloc.stop()
     assert peak < 8 * count / 2
-    for s in (walk_subgraph(trace), image_subgraph(hom)):
+    kernel_calls.clear()
+    image = image_subgraph(hom)
+    assert not kernel_calls
+    for s in (walk_subgraph(trace), image):
         count = len(s)
         assert s._edge_codes is None and s.edge_count == count
         assert len(s.edge_codes()) == count
-    assert kernel_calls["qw_mark_pairs"] == 3
+    assert kernel_calls == {"qw_mark_pairs": 1}
+    want = _pairs_graph(g.n, t.n_edges, trees_module._edge_blocks(hom))
+    assert np.array_equal(image._rows, want._rows)
 
 
 def test_walk_edges_walk_and_mark_in_one_kernel_call(kernel_calls, monkeypatch):
     # under the table rule the one qw_consume call that walks also marks
     # the walk's edges, on a host built from rows and on one built from
-    # keys, with no qw_mark_pairs call and the rows its trace marks; a
-    # walk whose pairs take keys walks a block at a time and marks nothing
+    # keys, with no qw_mark_pairs call and the rows its trace marks; so
+    # does the one call that embeds a tree, whose image_subgraph then makes
+    # no kernel call and gives the rows its image's pairs mark.  A walk
+    # whose pairs take keys walks a block at a time and marks nothing, and
+    # a tree whose pairs take keys is embedded in one call that marks
+    # nothing
     monkeypatch.setattr(walks_module, "_BLOCK", 1000)
+    tree = gen_random_tree(3000, 4, 1)
     for g in (gen_gnp(300, 0.5, 2), Graph(300, gen_gnp(300, 0.05, 2).edge_codes()),
               gen_complete(65)):
         kernel_calls.clear()
@@ -1827,10 +1854,21 @@ def test_walk_edges_walk_and_mark_in_one_kernel_call(kernel_calls, monkeypatch):
         assert kernel_calls == {"qw_consume": 1} and kernel_calls.args["qw_consume"][12]
         want = walk_subgraph(run_walk(g, ListModel(g, 5), start, 5000))
         assert np.array_equal(got._rows, want._rows) and got._indices is None
+        kernel_calls.clear()
+        hom = random_homomorphism(g, tree, ListModel(g, 5), start)
+        assert kernel_calls == {"qw_consume": 1} and kernel_calls.args["qw_consume"][12]
+        got = image_subgraph(hom)
+        assert kernel_calls == {"qw_consume": 1} and got._indices is None
+        want = _pairs_graph(g.n, tree.n_edges, trees_module._edge_blocks(hom))
+        assert np.array_equal(got._rows, want._rows)
     sparse = Graph(3000, gen_gnp(3000, 0.002, 1).edge_codes())
     kernel_calls.clear()
     walks_module.walk_edges(sparse, ListModel(sparse, 5), int(sparse.degrees.argmax()), 10_000)
     assert kernel_calls == {"qw_consume": 10} and kernel_calls.args["qw_consume"][12] is None
+    kernel_calls.clear()
+    hom = random_homomorphism(sparse, tree, ListModel(sparse, 5), int(sparse.degrees.argmax()))
+    assert kernel_calls == {"qw_consume": 1} and kernel_calls.args["qw_consume"][12] is None
+    assert hom._rows is None and image_subgraph(hom)._rows is None
 
 
 def test_pair_graphs_read_out_the_rows_the_kernel_marked(kernel_calls):

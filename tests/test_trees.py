@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.graph import gen_complete, gen_gnp
+from qwalk import rng
+from qwalk.graph import Graph, _pairs_graph, gen_complete, gen_gnp
 from qwalk.rng import DOMAIN_TRIALS, derive_seed
-from qwalk.trees import (TreeHomomorphism, _tree_size, build_tree, decompose_tree,
-                         gen_nary_tree, gen_path_tree, gen_random_tree, image_subgraph,
-                         load_tree, random_homomorphism, save_homomorphism,
+from qwalk.trees import (RootedTree, TreeHomomorphism, _edge_blocks, _tree_size, build_tree,
+                         decompose_tree, gen_nary_tree, gen_path_tree, gen_random_tree,
+                         image_subgraph, load_tree, random_homomorphism, save_homomorphism,
                          save_tree, tree_visit_counts)
-from qwalk.walks import ListModel, run_walk, walk_subgraph
+from qwalk.walks import ListModel, run_walk, walk_edges, walk_subgraph
 
 
 def check_decomposition(t, L, dec):
@@ -242,6 +243,18 @@ class TestHomomorphism:
         assert image_subgraph(hom).edge_codes().tolist() == \
             walk_subgraph(walk).edge_codes().tolist()
 
+    @pytest.mark.parametrize("parents", [np.array([-1.0, 0.0, 0.5, 1.9]),
+                                         np.array([-1, 0, 0, 1], dtype=float)])
+    def test_tree_on_float_parents_rejected(self, backend, parents):
+        # a RootedTree built by hand on floats, which numpy would truncate
+        # to parents [0, 0, 1], is refused before any entry is taken, even
+        # where each float is integral
+        g = gen_complete(4)
+        model = ListModel(g, 3)
+        with pytest.raises(ValueError, match="parents must be integers in int64"):
+            random_homomorphism(g, RootedTree(parents), model, 0)
+        assert model.consumed.sum() == 0
+
     def test_k2_alternates_by_parity(self):
         g = gen_complete(2)
         t = gen_nary_tree(2, 3)
@@ -363,6 +376,89 @@ class TestImageSubgraph:
             tracemalloc.stop()
         assert image._rows is not None
         assert peak < 4 * t.n_edges / 2
+
+    @pytest.mark.parametrize("host", ["rows", "keys", "complete"])
+    def test_path_image_is_the_walks_edges(self, backend, host):
+        # the coupling carried to edges: a path tree's image_subgraph is the
+        # graph walk_edges gives for the walk on a fresh model, row for row,
+        # and the one the image's gathered pairs build, the reference; with
+        # 0 steps, below the table rule, at it and past it, on hosts built
+        # from rows and from keys and on K_65
+        g = {"rows": lambda: gen_gnp(300, 0.3, 4),
+             "keys": lambda: Graph(300, gen_gnp(300, 0.3, 4).edge_codes()),
+             "complete": lambda: gen_complete(65)}[host]()
+        assert host != "keys" or g._rows is None
+        rule = -(-g.n * g.n // 64)  # the fewest steps whose pairs go into rows
+        for seed, start, steps in ((1, 0, 0), (2, 5, rule - 1), (3, 7, rule), (4, 11, 20_000)):
+            hom = random_homomorphism(g, gen_path_tree(steps), ListModel(g, seed), start)
+            assert (hom._rows is not None) == (steps >= rule and rng._kernel() is not None)
+            got = image_subgraph(hom)
+            for want in (walk_edges(g, ListModel(g, seed), start, steps),
+                         _pairs_graph(g.n, steps, _edge_blocks(hom))):
+                assert np.array_equal(got.bit_rows(), want.bit_rows())
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.edge_codes(), want.edge_codes())
+
+    @pytest.mark.parametrize("host", ["rows", "keys", "complete"])
+    def test_sibling_runs_cross_chunks(self, backend, host):
+        # the root's 200 children take its first 200 list entries, a run
+        # across 7 chunks of 32, and each of its first five children 40 of
+        # its own; under the table rule the rows marked as they are taken
+        # are those the gathered pairs build
+        g = {"rows": lambda: gen_gnp(150, 0.5, 3),
+             "keys": lambda: Graph(150, gen_gnp(150, 0.5, 3).edge_codes()),
+             "complete": lambda: gen_complete(65)}[host]()
+        t = build_tree([None] + [0] * 200 + [c for c in range(1, 6) for _ in range(40)])
+        assert g.n * g.n <= 64 * t.n_edges
+        hom = random_homomorphism(g, t, ListModel(g, 6), 9)
+        assert (hom._rows is not None) == (rng._kernel() is not None)
+        fresh, taken = ListModel(g, 6), {}
+        assert np.array_equal(hom.image[1:201], fresh.entries(9, 200))
+        for c in range(1, 6):  # a child sharing an image reads on from the last
+            y = int(hom.image[c])
+            k = taken[y] = taken.get(y, 0) + 40
+            assert np.array_equal(hom.image[161 + 40 * c:201 + 40 * c], fresh.entries(y, k)[-40:])
+        got, want = image_subgraph(hom), _pairs_graph(g.n, t.n_edges, _edge_blocks(hom))
+        assert np.array_equal(got.bit_rows(), want.bit_rows())
+        assert np.array_equal(got.indptr, want.indptr)
+
+    def test_host_past_2_16_vertices_matches_numpy(self, c_backend, monkeypatch):
+        # past 2^16 vertices a chunk holds 16 int32 entries, and a tree's
+        # pairs on a sparse host take keys, so the kernel's runs of
+        # siblings mark nothing: the 150-entry runs of a 150-ary depth-2
+        # tree on the 70,000-cycle, whose vertex 0 is joined to every 500th
+        # vertex, give the numpy backend's image, counts and image graph,
+        # and reach ids past 2^16
+        n = 70_000
+        u = np.arange(n - 1, dtype=np.int64)
+        keys = np.unique(np.concatenate((u * n + u + 1, [n - 1], np.arange(500, n, 500))))
+        g = Graph(n, keys)
+        t = gen_nary_tree(150, 2)
+        got = []
+        for lib in (c_backend, False):
+            monkeypatch.setattr(rng, "_lib", lib)
+            model = ListModel(g, 12)
+            hom = random_homomorphism(g, t, model, 0)
+            assert hom._rows is None
+            got.append((hom.image, model.consumed, image_subgraph(hom).edge_codes()))
+        for a, b in zip(*got, strict=True):
+            assert np.array_equal(a, b)
+        assert got[0][1][0] == 150 and got[0][0].max() >= 2**16
+
+    def test_rows_are_private_to_a_read_only_image(self, backend):
+        # the kept rows are no part of == or repr, and the image they were
+        # marked from cannot be written; a homomorphism built by hand from
+        # that image gathers the same graph
+        g = gen_complete(65)
+        t = gen_random_tree(500, 4, 1)
+        hom = random_homomorphism(g, t, ListModel(g, 2), 3)
+        by_hand = TreeHomomorphism(t, g, hom.image)
+        assert by_hand._rows is None and by_hand == hom and repr(by_hand) == repr(hom)
+        assert "_rows" not in repr(hom)
+        assert not hom.image.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            hom.image[1] = 0
+        assert np.array_equal(image_subgraph(by_hand).bit_rows(), image_subgraph(hom).bit_rows())
 
     def test_depth2_counterexample_shape(self):
         # every image edge touches the root's image or a depth-1 image

@@ -216,13 +216,27 @@ class TestListModel:
         with pytest.raises(ValueError, match=f"vertex {v} is not in the host's 0..3"):
             model.entry(v, 2)
 
-    @pytest.mark.parametrize("parents,j,p", [([1], 0, 1), ([0, 2], 1, 2),
-                                             ([0, 0, -1], 2, -1)])
-    def test_parent_outside_its_range_rejected(self, backend, parents, j, p):
-        # parents[j] must name a vertex already placed, 0..j; nothing is
-        # taken from any list when one does not
+    @pytest.mark.parametrize("parents,match", [
+        ([1], r"parents\[0\] is 1; it must lie in 0..0"),
+        ([0, 2], r"parents\[1\] is 2; it must lie in 0..1"),
+        ([0, 0, -1], r"parents\[2\] is -1; it must lie in 0..2"),
+        (np.array([0.0, 0.5, 1.9]), "parents must be integers in int64, got 0.0"),
+        ([0.0, 1.0], "parents must be integers in int64, got 0.0"),
+        ([True, False], "parents must be integers in int64, got True"),
+        ([0, True], "parents must be integers in int64, got True"),
+        (np.zeros(2, dtype=bool), "parents must be integers in int64, got False"),
+        (["0"], "parents must be integers in int64, got '0'"),
+        (np.zeros((2, 1), dtype=np.int32), "parents must be a 1-d sequence, got 2 dimensions"),
+        ([[0, 0], [0, 1]], "parents must be a 1-d sequence, got 2 dimensions")],
+        ids=["parents0-0-1", "parents1-1-2", "parents2-2--1", "floats", "float-list", "bools",
+             "bool-among-ints", "bool-array", "strings", "2-d-array", "2-d-list"])
+    def test_parent_outside_its_range_rejected(self, backend, parents, match):
+        # parents[j] must be an integer naming a vertex already placed,
+        # 0..j, in a 1-d sequence: floats, which numpy would truncate, bools,
+        # strings and 2-d arrays are refused too, and nothing is taken from
+        # any list when one is
         model = ListModel(gen_complete(4), 3)
-        with pytest.raises(ValueError, match=rf"parents\[{j}\] is {p}; it must lie in 0..{j}"):
+        with pytest.raises(ValueError, match=match):
             model.consume(parents, 0)
         assert model.consumed.sum() == 0
 
@@ -605,6 +619,20 @@ class TestSandwich:
         gw = walk_subgraph(trace)
         assert list_subgraph(g, fresh, lo).issubset(gw)
         assert gw.issubset(list_subgraph(g, fresh, hi))
+
+    def test_another_host_refused(self, backend):
+        # bounds read against another G(50, 1/2), or a graph on another n,
+        # are those of the wrong graph or an IndexError: both are refused,
+        # for a walk and for a tree image, as a model on another graph is
+        g, same_n, other_n = gen_gnp(50, 0.5, 1), gen_gnp(50, 0.5, 2), gen_gnp(60, 0.5, 1)
+        trace = run_walk(g, ListModel(g, 3), 0, 500)
+        hom = random_homomorphism(g, gen_random_tree(300, 4, 1), ListModel(g, 3), 0)
+        for walked in (trace, hom):
+            lo, hi = sandwich_bounds(walked, g)
+            assert 0 <= lo <= hi
+            for other in (same_n, other_n):
+                with pytest.raises(ValueError, match="the trace belongs to another graph"):
+                    sandwich_bounds(walked, other)
 
     @pytest.mark.parametrize("host,tree,root", [
         (gen_gnp(300, 0.3, 1), gen_random_tree(20_000, 4, 2), 0),
