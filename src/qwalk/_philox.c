@@ -59,7 +59,11 @@
  * on POSIX threads (on_threads), which claim them one at a time; since a
  * trial's or a row's words are Philox blocks at counters fixed by its
  * number, any thread can run any of them, and the results are those that
- * one thread gives.  Without the wide code, the counts have a popcnt clone on x86-64
+ * one thread gives.  A long walk's chunks are filled ahead by a helper
+ * thread (struct ahead), which the walker asks for a vertex's next four
+ * chunks at a time and never waits on; it copies each chunk that the
+ * helper has made and fills any other itself, so its outputs are those of
+ * one thread.  Without the wide code, the counts have a popcnt clone on x86-64
  * glibc: at plain -O2, __builtin_popcountll calls libgcc's table-driven
  * __popcountdi2 instead.
  *
@@ -70,6 +74,7 @@
 #include <pthread.h>
 #include <sched.h>
 #include <stdint.h>
+#include <string.h>
 #if defined(__x86_64__) && defined(__GLIBC__)
 #include <immintrin.h>
 #endif
@@ -433,43 +438,40 @@ void put(void *chunk, int small, int64_t k, int64_t v)
         ((int32_t *)chunk)[k] = (int32_t)v;
 }
 
-/* The chunk of entries t + 1 .. t + c of x, d its degree, t a multiple of
- * c, the chunk's size: words t .. t + c - 1 of its stream, drawn at once
- * by philox_run, and each entry placed and selected apart from the
- * others, so that none waits on another. */
+/* A chunk of x, d its degree, from ``words``, the c words of its stream
+ * that it stands for, c the chunk's size: each entry placed and selected
+ * apart from the others, so that none waits on another. */
 static inline __attribute__((always_inline))
-void fill(struct lists g, int64_t (*select)(uint64_t, int64_t), const uint64_t key[2],
-          int64_t x, int64_t d, int64_t t, int small, void *chunk)
+void fill(struct lists g, int64_t (*select)(uint64_t, int64_t), const uint64_t *words,
+          int64_t x, int64_t d, int small, void *chunk)
 {
-    uint64_t words[32];
     int64_t k, c = small ? 32 : 16;
 
-    philox_run(key, t, c, words);
     for (k = 0; k < c; k++)
         put(chunk, small, k, neighbour(g, select, x, place(g, select, x, to_double(words[k]), d)));
 }
 
 /* fill on the ``indices`` of a graph built from keys */
-static void fill_indices(struct lists g, const uint64_t key[2], int64_t x, int64_t d,
-                         int64_t t, int small, void *chunk)
+static void fill_indices(struct lists g, const uint64_t *words, int64_t x, int64_t d,
+                         int small, void *chunk)
 {
-    fill(g, NULL, key, x, d, t, small, chunk);
+    fill(g, NULL, words, x, d, small, chunk);
 }
 
 /* fill on bit rows by select_broadword, the portable select */
-static void fill_broadword(struct lists g, const uint64_t key[2], int64_t x, int64_t d,
-                           int64_t t, int small, void *chunk)
+static void fill_broadword(struct lists g, const uint64_t *words, int64_t x, int64_t d,
+                           int small, void *chunk)
 {
-    fill(g, select_broadword, key, x, d, t, small, chunk);
+    fill(g, select_broadword, words, x, d, small, chunk);
 }
 
 #if defined(__x86_64__) && defined(__GLIBC__)
 /* fill on bit rows by select_pdep, compiled for bmi2 so that it inlines */
 __attribute__((target("bmi2")))
-static void fill_pdep(struct lists g, const uint64_t key[2], int64_t x, int64_t d,
-                      int64_t t, int small, void *chunk)
+static void fill_pdep(struct lists g, const uint64_t *words, int64_t x, int64_t d,
+                      int small, void *chunk)
 {
-    fill(g, select_pdep, key, x, d, t, small, chunk);
+    fill(g, select_pdep, words, x, d, small, chunk);
 }
 
 #define WIDE_FILL __attribute__((target("avx512f,avx512dq,bmi2,popcnt")))
@@ -522,18 +524,16 @@ WIDE_FILL static inline __m512i row_words(const int32_t *r, int64_t w, __m512i k
  * runs, against 6.0-7.7 ns with each word found by its own count of the
  * row's ranks at most the entry's, of which Philox took 2.6-2.9 ns;
  * fill_pdep took 9.7-12.7 ns and fill_broadword 17.4-19.5 ns. */
-WIDE_FILL static void fill_wide(struct lists g, const uint64_t key[2], int64_t x, int64_t d,
-                                int64_t t, int small, void *chunk)
+WIDE_FILL static void fill_wide(struct lists g, const uint64_t *words, int64_t x, int64_t d,
+                                int small, void *chunk)
 {
     const int32_t *r = g.ranks + x * g.w;
     const uint64_t *row = g.rows + x * g.w;
     const __m512d scale = _mm512_set1_pd(1.0 / 9007199254740992.0);
     const __m512d degree = _mm512_set1_pd((double)d);
-    uint64_t words[32];
     int32_t ranks[32], at[32];
     int64_t k, c = small ? 32 : 16, w = g.w;
 
-    philox_run(key, t, c, words);
     for (k = 0; k < c; k += 16) {
         __m512d u0 = _mm512_mul_pd(
             _mm512_cvtepi64_pd(_mm512_srli_epi64(_mm512_loadu_si512(words + k), 11)), scale);
@@ -618,7 +618,191 @@ static void mirror(int64_t n, uint64_t *rows)
         }
 }
 
-typedef void (*filler)(struct lists, const uint64_t *, int64_t, int64_t, int64_t, int, void *);
+typedef void (*filler)(struct lists, const uint64_t *, int64_t, int64_t, int, void *);
+
+/* x's chunk of entries t + 1 .. t + c, t a multiple of c, the chunk's
+ * size: words t .. t + c - 1 of its stream, drawn at once by philox_run,
+ * made into entries by ``fill`` */
+static void draw_fill(struct lists g, filler fill, const uint64_t key[2], int64_t x, int64_t t,
+                      int small, void *chunk)
+{
+    uint64_t words[32];
+
+    philox_run(key, t, small ? 32 : 16, words);
+    fill(g, words, x, g.indptr[x + 1] - g.indptr[x], small, chunk);
+}
+
+/* Pins the thread that ``attr`` starts to the i-th CPU, from 1, that the
+ * calling thread may run on, other than the one it runs on; where that
+ * cannot be found, ``attr`` is left as it is.  Left to itself, the
+ * scheduler of a 2-CPU KVM guest kept a new thread on its creator's CPU
+ * through two 21 ms computations, one on each thread, in each of 44
+ * runs, while the other CPU stood idle; pinned, the two ran apart in
+ * 21-27 ms. */
+static void pin_apart(pthread_attr_t *attr, int64_t i)
+{
+#ifdef __GLIBC__
+    cpu_set_t allowed, one;
+    int cpu, here = sched_getcpu();
+
+    if (pthread_getaffinity_np(pthread_self(), sizeof allowed, &allowed) != 0)
+        return;
+    for (cpu = 0; cpu < CPU_SETSIZE; cpu++)
+        if (cpu != here && CPU_ISSET(cpu, &allowed) && --i == 0) {
+            CPU_ZERO(&one);
+            CPU_SET(cpu, &one);
+            pthread_attr_setaffinity_np(attr, sizeof one, &one);
+            return;
+        }
+#else
+    (void)attr;
+    (void)i;
+#endif
+}
+
+/* The chunks of a group, which one request to a walk's helper makes */
+#define GROUP 4
+
+/* The uint64 words of a vertex's slot in a helper's work: a line whose
+ * first word, the tag, is 1 + the number of the group that the slot
+ * holds, 0 for none, then the group's chunks */
+#define SLOT_WORDS (8 + GROUP * CHUNK_BYTES / 8)
+
+/* The requests that a walk's ring holds, a power of 2: enough for one
+ * request of each vertex of G(4096, p), since a walk's vertices reach
+ * their first groups and the ends of their next few at about the same time */
+#ifndef RING
+#define RING 4096
+#endif
+
+/* A walk and its helper, a second thread that fills its chunks ahead.
+ * Chunk k of a vertex lies in group k / GROUP.  As the walker makes x's
+ * first chunk it pushes the request (x, 0) into ``ring``, which one thread
+ * writes and one reads, and as it reaches the last chunk of each group of
+ * x, (x, the next group); it drops a request where the ring is full.  The helper
+ * takes each request in turn, draws the group's words in one philox_run,
+ * fills its chunks on its stack by the walker's ``fill``, copies them to
+ * x's slot and then stores the group's tag with release order.  At each
+ * chunk boundary the walker copies the chunk from x's slot where an
+ * acquire load of its tag names the chunk's group, and fills it itself
+ * otherwise, so it never waits.  Since a chunk is a pure function of
+ * (seed, x, k), the outputs do not depend on which thread made it.  The
+ * walker reads a slot only once its last request for x is done, and
+ * pushes the next after its last read of the group, so the helper never
+ * writes a slot that the walker reads.  The ring's indices and the tags
+ * are the only handoff, in __atomic builtins alone.  Each group of fields
+ * below sits on lines of its own. */
+struct ahead {
+    /* set before the helper starts */
+    uint64_t seed __attribute__((aligned(64))), *slots;
+    int64_t (*ring)[2];
+    uint32_t domain;
+    int small;
+    struct lists g;
+    filler fill;
+    /* written by the walker: requests pushed, and set once the walk ends */
+    int64_t head __attribute__((aligned(64))), done;
+    /* written by the helper: requests taken */
+    int64_t tail __attribute__((aligned(64)));
+    /* the walker's own: tail as last read, and the chunks it copied and filled */
+    int64_t seen __attribute__((aligned(64))), copied, filled;
+};
+
+/* The helper of a walk, on a thread of its own until the walk ends.  As
+ * it takes a request it brings the next one's slot, rank row and row
+ * words into its cache: on G(2000, 1/2) that cut its time a request from
+ * about 2,000 to 1,600 cycles, and a 2e6-step walk from 15.8 to 15.1 ms
+ * (medians of 31 alternating calls in process, 2-vCPU Xeon KVM guest). */
+static void *fill_ahead(void *arg)
+{
+    struct ahead *a = arg;
+    uint64_t key[2], words[GROUP * 32], chunks[GROUP * CHUNK_BYTES / 8], *slot;
+    int64_t tail = 0, c = a->small ? 32 : 16, i, x, group;
+
+    while (!__atomic_load_n(&a->done, __ATOMIC_ACQUIRE)) {
+        if (tail == __atomic_load_n(&a->head, __ATOMIC_ACQUIRE)) {
+            sched_yield();
+            continue;
+        }
+        x = a->ring[tail % RING][0];
+        group = a->ring[tail % RING][1];
+        __atomic_store_n(&a->tail, ++tail, __ATOMIC_RELEASE);
+        if (tail != __atomic_load_n(&a->head, __ATOMIC_ACQUIRE)) {
+            int64_t next = a->ring[tail % RING][0];
+            const char *line = (const char *)(a->slots + next * SLOT_WORDS);
+            for (i = 0; i < SLOT_WORDS * 8; i += 64)
+                __builtin_prefetch(line + i, 1);
+            for (i = 0; a->g.rows && i < a->g.w * 8; i += 64)
+                __builtin_prefetch((const char *)(a->g.rows + next * a->g.w) + i);
+            for (i = 0; a->g.rows && i < a->g.w * 4; i += 64)
+                __builtin_prefetch((const char *)(a->g.ranks + next * a->g.w) + i);
+        }
+        seed_key(a->seed, a->domain, (uint32_t)x, key);
+        philox_run(key, GROUP * c * group, GROUP * c, words);
+        for (i = 0; i < GROUP; i++)
+            a->fill(a->g, words + i * c, x, a->g.indptr[x + 1] - a->g.indptr[x], a->small,
+                    chunks + i * (CHUNK_BYTES / 8));
+        slot = a->slots + x * SLOT_WORDS;
+        memcpy(slot + 8, chunks, sizeof chunks);
+        __atomic_store_n(slot, (uint64_t)group + 1, __ATOMIC_RELEASE);
+    }
+    return NULL;
+}
+
+/* Pushes the request (x, group) to the helper, unless the ring is full */
+static void request(struct ahead *a, int64_t x, int64_t group)
+{
+    int64_t head = a->head;
+
+    if (head - a->seen == RING) {
+        a->seen = __atomic_load_n(&a->tail, __ATOMIC_ACQUIRE);
+        if (head - a->seen == RING)
+            return;
+    }
+    a->ring[head % RING][0] = x;
+    a->ring[head % RING][1] = group;
+    __atomic_store_n(&a->head, head + 1, __ATOMIC_RELEASE);
+}
+
+/* x's chunk of entries t + 1 .. t + c into ``chunk``, t a multiple of c:
+ * made by draw_fill, or with a helper ``a``, copied from x's slot where
+ * its tag names the chunk's group, and at x's first chunk and the last
+ * chunk of each group followed by the request for the next group */
+static void refill(struct lists g, filler fill, struct ahead *a, const uint64_t key[2],
+                   int64_t x, int64_t t, int small, void *chunk)
+{
+    int64_t k = t / (small ? 32 : 16), group = k / GROUP;
+    const uint64_t *slot;
+
+    if (!a) {
+        draw_fill(g, fill, key, x, t, small, chunk);
+        return;
+    }
+    slot = a->slots + x * SLOT_WORDS;
+    if (__atomic_load_n(slot, __ATOMIC_ACQUIRE) == (uint64_t)group + 1) {
+        memcpy(chunk, slot + 8 + k % GROUP * (CHUNK_BYTES / 8), CHUNK_BYTES);
+        a->copied++;
+    } else {
+        draw_fill(g, fill, key, x, t, small, chunk);
+        a->filled++;
+    }
+    if (k == 0 || k % GROUP == GROUP - 1)
+        request(a, x, k ? group + 1 : 0);
+}
+
+/* Brings x's slot tag and the line of its chunk k into the walker's
+ * cache a visit of x before the boundary that reads them, so that the
+ * lines come over from the helper's CPU while the walk goes on: a
+ * 2e6-step walk on G(2000, 1/2) took 15.1 ms against 16.8 ms without, in
+ * the medians above.  Requesting each vertex's first group took it from
+ * 16.0 ms to 15.1 ms, and the helper cut it from 22.9 ms. */
+static inline void prefetch_slot(const struct ahead *a, int64_t x, int64_t k)
+{
+    const uint64_t *slot = a->slots + x * SLOT_WORDS;
+
+    __builtin_prefetch(slot);
+    __builtin_prefetch(slot + 8 + k % GROUP * (CHUNK_BYTES / 8));
+}
 
 /* Image of a tree on the lists of stream domain ``domain``: image[0] is
  * the root, set by the caller, and image[j+1] is the next unused entry of
@@ -631,19 +815,19 @@ typedef void (*filler)(struct lists, const uint64_t *, int64_t, int64_t, int64_t
  * c floor(t / c) on, where t = taken[v] counts the entries taken and c is
  * the chunk's size; its next entry, that of word t, sits in next[v], an
  * int32 array of n after the n chunks.  A step takes next[x], counts it
- * and reads the entry after it from the chunk, which ``fill`` makes anew
+ * and reads the entry after it from the chunk, which ``refill`` makes anew
  * whenever t reaches a multiple of c.  So a step waits on one load, from
  * next, and a run of siblings, positions of equal parents[j], reads
  * consecutive entries of one chunk, keeping x, t and the next entry in
  * registers and storing taken[x] and next[x] once, when it ends.
  *
  * With ``marks``, n clear bit rows in the header's layout, each entry y
- * taken from x's list sets bit y of row x, and once the loop ends mirror
- * makes the rows symmetric; a walk then writes no image past image[0].
+ * taken from x's list sets bit y of row x; a walk then writes no image
+ * past image[0].  ``a`` is a walk's helper, or NULL.
  */
 static inline __attribute__((always_inline))
-int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, int64_t n,
-                uint64_t *state, int64_t *taken, const int32_t *parents, int64_t m,
+int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, struct ahead *a,
+                int64_t n, uint64_t *state, int64_t *taken, const int32_t *parents, int64_t m,
                 int32_t *image, uint64_t *marks)
 {
     int small = n <= (int64_t)1 << 16;
@@ -659,7 +843,7 @@ int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, int
             if (g.indptr[x + 1] == g.indptr[x])
                 break;
             seed_key(seed, domain, (uint32_t)x, key);
-            fill(g, key, x, g.indptr[x + 1] - g.indptr[x], 0, small, chunk);
+            refill(g, fill, a, key, x, 0, small, chunk);
             next[x] = small ? *(uint16_t *)chunk : *(int32_t *)chunk;
         }
         z = next[x];
@@ -670,14 +854,14 @@ int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, int
             if (parents || !marks)
                 image[j + 1] = (int32_t)y;
             if ((++t & last) == 0)
-                fill(g, key, x, g.indptr[x + 1] - g.indptr[x], t, small, chunk);
+                refill(g, fill, a, key, x, t, small, chunk);
+            else if (a && (t & last) == last)
+                prefetch_slot(a, x, (t + 1) / (last + 1));
             z = small ? ((uint16_t *)chunk)[t & last] : ((int32_t *)chunk)[t & last];
         } while (++j < m && parents && parents[j] == p);
         taken[x] = t;
         next[x] = (int32_t)z;
     }
-    if (marks)
-        mirror(n, marks);
     return j;
 }
 
@@ -690,28 +874,75 @@ int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, int
  * words and then n int32, zeroed before the first call.  The caller checks
  * that parents[j] lies in 0..j.  ``marks`` is NULL, or n zeroed bit rows
  * in which the tree's or the walk's edges are marked as its entries are
- * taken; a walk given them writes no image.  Returns m on success, or
- * else the first position j at which the list's vertex has no neighbours,
- * after taking the entries before j.
+ * taken, and which mirror makes symmetric once the loop ends; a walk given
+ * them writes no image.  Returns m on success, or else the first position
+ * j at which the list's vertex has no neighbours, after taking the
+ * entries before j.
+ *
+ * A walk (parents == NULL) given ``threads`` >= 2 runs with a helper
+ * (struct ahead) on a thread pinned apart from the caller by pin_apart,
+ * where one can be started; a walk whose helper does not start fills
+ * every chunk itself.  ``work`` then holds 16 + 2 RING + SLOT_WORDS n
+ * zeroed words: from the first 64-byte boundary past work[7] the ring and
+ * then the vertices' slots, and in work[0] and work[1] the call writes
+ * how many chunks the walker copied from the slots and how many it filled
+ * itself, first chunks included.  A tree, or ``threads`` 1, takes no
+ * helper and leaves ``work``, which may be NULL, as it is.
+ * qwalk.walks passes threads = 2 for walks of 2^18 steps or more where
+ * the process may use 2 CPUs and the work, 320 bytes a vertex and the
+ * 64 kB ring, is no larger than the host's neighbour storage: in process
+ * a 2e6-step walk on G(2000, 1/2) then took 8.9 ns a step against
+ * 12.9 ns on one thread (2-vCPU Xeon KVM guest).
  */
 int64_t qw_consume(uint64_t seed, uint32_t domain, int64_t n, const int64_t *indptr,
                    const int32_t *indices, const uint64_t *rows, const int32_t *ranks,
                    uint64_t *state, int64_t *taken, const int32_t *parents, int64_t m,
-                   int32_t *image, uint64_t *marks)
+                   int32_t *image, uint64_t *marks, int64_t threads, uint64_t *work)
 {
     struct lists g = {indptr, indices, rows, ranks, (n + 63) / 64};
     filler fill = rows ? fill_broadword : fill_indices;
+    struct ahead ahead, *a = threads > 1 && !parents ? &ahead : NULL;
+    pthread_attr_t attr;
+    pthread_t helper;
+    int started = 0;
+    int64_t j;
 
 #if defined(__x86_64__) && defined(__GLIBC__)
     if (rows && fast_pdep())
         fill = has_wide_fill() ? fill_wide : fill_pdep;
 #endif
+    if (a) {
+        a->seed = seed;
+        a->ring = (int64_t (*)[2])(((uintptr_t)(work + 8) + 63) & ~(uintptr_t)63);
+        a->slots = (uint64_t *)(a->ring + RING);
+        a->domain = domain;
+        a->small = n <= (int64_t)1 << 16;
+        a->g = g;
+        a->fill = fill;
+        a->head = a->done = a->tail = a->seen = a->copied = a->filled = 0;
+        if (pthread_attr_init(&attr) == 0) {
+            pin_apart(&attr, 1);
+            started = pthread_create(&helper, &attr, fill_ahead, a) == 0;
+            pthread_attr_destroy(&attr);
+        }
+    }
     /* consume inlined three times, so that no loop tests marks at each step */
     if (marks && !parents)
-        return consume(seed, domain, g, fill, n, state, taken, NULL, m, image, marks);
+        j = consume(seed, domain, g, fill, a, n, state, taken, NULL, m, image, marks);
+    else if (marks)
+        j = consume(seed, domain, g, fill, NULL, n, state, taken, parents, m, image, marks);
+    else
+        j = consume(seed, domain, g, fill, a, n, state, taken, parents, m, image, NULL);
+    if (a) {
+        __atomic_store_n(&a->done, 1, __ATOMIC_RELEASE);
+        if (started)
+            pthread_join(helper, NULL);
+        work[0] = (uint64_t)a->copied;
+        work[1] = (uint64_t)a->filled;
+    }
     if (marks)
-        return consume(seed, domain, g, fill, n, state, taken, parents, m, image, marks);
-    return consume(seed, domain, g, fill, n, state, taken, parents, m, image, NULL);
+        mirror(n, marks);
+    return j;
 }
 
 /* Marks the pairs (us[i], vs[i]) in ``rows``, n rows in the header's bit
@@ -1035,34 +1266,6 @@ static void *claim_trials(void *arg)
         }
     }
     return NULL;
-}
-
-/* Pins the thread that ``attr`` starts to the i-th CPU, from 1, that the
- * calling thread may run on, other than the one it runs on; where that
- * cannot be found, ``attr`` is left as it is.  Left to itself, the
- * scheduler of a 2-CPU KVM guest kept a new thread on its creator's CPU
- * through two 21 ms computations, one on each thread, in each of 44
- * runs, while the other CPU stood idle; pinned, the two ran apart in
- * 21-27 ms. */
-static void pin_apart(pthread_attr_t *attr, int64_t i)
-{
-#ifdef __GLIBC__
-    cpu_set_t allowed, one;
-    int cpu, here = sched_getcpu();
-
-    if (pthread_getaffinity_np(pthread_self(), sizeof allowed, &allowed) != 0)
-        return;
-    for (cpu = 0; cpu < CPU_SETSIZE; cpu++)
-        if (cpu != here && CPU_ISSET(cpu, &allowed) && --i == 0) {
-            CPU_ZERO(&one);
-            CPU_SET(cpu, &one);
-            pthread_attr_setaffinity_np(attr, sizeof one, &one);
-            return;
-        }
-#else
-    (void)attr;
-    (void)i;
-#endif
 }
 
 /* run(parts + i size) for i = 0 .. threads - 1: part 0 on the calling

@@ -36,12 +36,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .graph import (Graph, VertexSet, _clear_rows, _integers, _pairs_graph, _rows_fit,
                     _vertex, balanced_vertices, density, read_text)
 from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _integer, _kernel, stream,
                   uniform_words)
 
 _CHUNK = 2048
+# The shortest walk that the kernel's helper thread serves.  In process on
+# G(2000, 1/2), medians of 21 alternating walk_edges calls: 2e4 steps took
+# 1.34 ms with the helper against 1.10 ms without, 1e5 steps 2.38 ms
+# against 2.38 ms, and 2^18 steps 3.58 ms against 4.24 ms (BENCH_42.json).
+_AHEAD_STEPS = 1 << 18
 _BLOCK = 1 << 16  # ids per block where a whole-array temporary would outweigh them
 
 
@@ -53,6 +59,13 @@ def _count_ids(blocks, n: int) -> np.ndarray:
     for ids in blocks:
         counts += np.bincount(ids, minlength=n)
     return counts
+
+
+def _ahead_words(n: int) -> int:
+    """The uint64 words of the work of ``qw_consume``'s helper on n
+    vertices: a header line, a ring of 4096 two-word requests, and a
+    64-byte tag line and four 64-byte chunks a vertex."""
+    return 16 + 2 * 4096 + 40 * n
 
 
 def _tree_size(size: int) -> int:
@@ -186,15 +199,25 @@ class ListModel:
 
     def _consume_kernel(self, parents, m: int, image: np.ndarray, marks=None) -> int:
         """``qw_consume`` of m entries from image[0]: the entries it took,
-        m or the position of a vertex without neighbors."""
+        m or the position of a vertex without neighbors.  A walk of at
+        least ``_AHEAD_STEPS`` steps, in a process that may use 2 CPUs or
+        more, runs with the kernel's helper thread, which fills the walk's
+        chunks ahead, where its work (``_ahead_words``, 320 bytes a vertex)
+        takes no more bytes than the host's neighbour storage."""
         g = self.graph
-        lists = (g.indices.ctypes.data, None, None) if g._ranks is None else \
-            (None, g.bit_rows().ctypes.data, g._ranks.ctypes.data)
+        lists = (g.indices, None, None) if g._ranks is None else \
+            (None, g.bit_rows(), g._ranks)
+        work = None
+        if parents is None and m >= _AHEAD_STEPS and rng._cpus() > 1 and \
+                8 * _ahead_words(g.n) <= sum(a.nbytes for a in lists if a is not None):
+            work = np.zeros(_ahead_words(g.n), dtype=np.uint64)
         return self._lib.qw_consume(
-            self.seed, DOMAIN_LIST, g.n, g.indptr.ctypes.data, *lists,
+            self.seed, DOMAIN_LIST, g.n, g.indptr.ctypes.data,
+            *(None if a is None else a.ctypes.data for a in lists),
             self._state.ctypes.data, self._taken.ctypes.data,
             None if parents is None else parents.ctypes.data, m, image.ctypes.data,
-            None if marks is None else marks.ctypes.data)
+            None if marks is None else marks.ctypes.data, 1 if work is None else 2,
+            None if work is None else work.ctypes.data)
 
     def _walk_rows(self, start: int, steps: int):
         """The symmetric bit rows of the edges that a walk of ``steps``
@@ -306,7 +329,13 @@ def walk_edges(g: Graph, model: ListModel, start: int, steps: int) -> Graph:
 
     Where its pairs go into bit rows (``graph._rows_fit``) and the kernel
     serves the model, one kernel call walks and marks each step's edge in
-    the rows (``ListModel._walk_rows``) and holds no block of steps.
+    the rows (``ListModel._walk_rows``) and holds no block of steps.  From
+    ``_AHEAD_STEPS`` (2^18) steps on, where the process may use 2 CPUs
+    and the helper's work (320 bytes a vertex and a 64 kB ring, made per
+    call) is no larger than the host's rows and ranks or ``indices``, that
+    call runs with a helper thread that fills the walk's list chunks ahead,
+    with the same result: on G(2000, 1/2), 8.9 ns a step against 12.9 ns on
+    one thread in process.
     Otherwise ``graph._pairs_graph`` builds it from ``_BLOCK`` steps at a
     time, the reference, so no more than a block of the walk is held."""
     start, steps = _walk_args(g, model, start, steps)

@@ -258,6 +258,125 @@ def test_host_past_2_16_vertices_takes_int32_chunks(c_backend, monkeypatch):
         assert kernel.consumed.max() > 16 and walks[0].max() >= 2**16
 
 
+def _int32_host():
+    """A host of 70,000 vertices built from keys, so that its chunks hold
+    16 int32 entries, whose edges join 150 vertices below 2^16 and 150 from
+    2^16 on at random: a walk stays among those 300 and crosses many of
+    their chunks."""
+    n, core = 70_000, np.r_[0:150, 2**16:2**16 + 150]
+    u, v = np.triu_indices(len(core), 1)
+    keep = np.random.default_rng(4).random(len(u)) < 0.3
+    return Graph(n, np.sort(core[u[keep]] * n + core[v[keep]]))
+
+
+# hosts of the helper's tests: G(n, 1/2) rows of 4, 32 and 33 words, the
+# last past fill_wide's two-register search, a sparse host built from keys,
+# and one past 2^16 vertices
+HELPER_HOSTS = {"gnp200": lambda: gen_gnp(200, 0.5, 3), "gnp2000": lambda: gen_gnp(2000, 0.5, 3),
+                "gnp2112": lambda: gen_gnp(2112, 0.5, 3),
+                "keys": lambda: Graph(3000, gen_gnp(3000, 0.03, 3).edge_codes()),
+                "int32": _int32_host}
+
+
+def _walk_call(lib, model, start, steps, threads, mark):
+    """One qw_consume walk of ``model``'s lists from ``start`` on
+    ``threads`` threads, with a zeroed work of its helper's size: (the
+    rows it marked, or with ``mark`` false its image, work[0:2])."""
+    g = model.graph
+    lists = (g.indices, None, None) if g._ranks is None else (None, g.bit_rows(), g._ranks)
+    rows = graph._clear_rows(g.n) if mark else None
+    image = np.full(1 if mark else steps + 1, start, dtype=np.int32)
+    work = np.zeros(walks_module._ahead_words(g.n), dtype=np.uint64)
+    done = lib.qw_consume(model.seed, rng.DOMAIN_LIST, g.n, g.indptr.ctypes.data,
+                          *(None if a is None else a.ctypes.data for a in lists),
+                          model._state.ctypes.data, model._taken.ctypes.data, None, steps,
+                          image.ctypes.data, None if rows is None else rows.ctypes.data,
+                          threads, work.ctypes.data)
+    assert done == steps
+    return image if rows is None else rows, work[:2].tolist()
+
+
+@pytest.mark.parametrize("host", sorted(HELPER_HOSTS))
+def test_walk_helper_changes_no_output(c_backend, host):
+    # threads = 2 runs a walk with the kernel's helper thread, which fills
+    # its chunks ahead, whatever the CPUs: the rows that the walk marks, or
+    # the image that it writes, and the model's state and counts are those
+    # of threads = 1, for walks that end at and next to the edges of chunks
+    # and of 4-chunk groups, and for long ones; and so they are for a model
+    # walked in two calls, the second starting with its vertices inside
+    # their groups, whose pending requests the first call dropped
+    g = HELPER_HOSTS[host]()
+    start, c = int(g.degrees.argmax()), 32 if g.n <= 2**16 else 16
+    marks = (False, True) if g.n < 2**16 else (False,)  # no 70,000 bit rows
+    for steps in (0, 1, 31, 32, 33, 127, 128, 129, 200_000):
+        for mark in marks:
+            runs = []
+            for threads in (1, 2):
+                m = ListModel(g, 11)
+                runs.append([_walk_call(c_backend, m, start, steps, threads, mark)[0],
+                             m._state, m._taken])
+            for a, b in zip(*runs, strict=True):
+                assert np.array_equal(a, b), (steps, mark)
+    runs = []
+    for threads in (1, 2):
+        m = ListModel(g, 12)
+        image = _walk_call(c_backend, m, start, 150_001, threads, False)[0]
+        mid = m._taken.copy()
+        runs.append([image, _walk_call(c_backend, m, int(image[-1]), 200_000, threads,
+                                       marks[-1])[0], m._state, m._taken])
+    assert ((mid % (4 * c) > c) & (mid > 0)).sum() > 50
+    for a, b in zip(*runs, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_walk_helper_counts_its_chunks(c_backend):
+    # a call given threads = 2 writes into its work's header how many
+    # chunks the walker copied from the helper and how many it filled
+    # itself: the two are the chunks the walk needed, a vertex's first
+    # included, and on 2e5-step walks, the second resuming the first, the
+    # helper made some where the process may use a second CPU (on one,
+    # the scheduler may not run it during a 2 ms walk); threads = 1 leaves
+    # the work as it is
+    g = gen_gnp(200, 0.5, 3)
+    m = ListModel(g, 13)
+    for start in (0, 7):
+        before = m._taken.copy()
+        copied, filled = _walk_call(c_backend, m, start, 200_000, 2, True)[1]
+        after = m._taken
+        need = (after // 32 - before // 32 + ((before == 0) & (after > 0))).sum()
+        assert copied + filled == need and (copied > 0 or rng._cpus() == 1)
+    assert _walk_call(c_backend, m, 0, 200_000, 1, True)[1] == [0, 0]
+
+
+def test_walks_take_the_helper_by_length_cpus_and_memory(kernel_calls, monkeypatch):
+    # a walk takes the helper (threads = 2, with its work) from
+    # _AHEAD_STEPS steps on, where the process may use 2 CPUs and the work
+    # takes no more bytes than the host's rows and ranks; a shorter walk, a
+    # tree, a process on one CPU and G(200, 1/2), whose rows and ranks take
+    # 9.6 kB, pass threads = 1 and no work
+    def passed():
+        args = kernel_calls.args["qw_consume"]
+        assert (args[13] == 2) == (args[14] is not None)
+        return args[13]
+
+    g, small = gen_gnp(2000, 0.5, 3), gen_gnp(200, 0.5, 3)
+    steps = walks_module._AHEAD_STEPS
+    monkeypatch.setattr(rng, "_cpus", lambda: 2)
+    walks_module.walk_edges(g, ListModel(g, 1), 0, steps)
+    assert passed() == 2
+    run_walk(g, ListModel(g, 1), 0, steps)
+    assert passed() == 2
+    walks_module.walk_edges(g, ListModel(g, 1), 0, steps - 1)
+    assert passed() == 1
+    random_homomorphism(g, gen_random_tree(steps + 1, 4, 1), ListModel(g, 1), 0)
+    assert passed() == 1
+    walks_module.walk_edges(small, ListModel(small, 1), 0, steps)
+    assert passed() == 1
+    monkeypatch.setattr(rng, "_cpus", lambda: 1)
+    walks_module.walk_edges(g, ListModel(g, 1), 0, steps)
+    assert passed() == 1
+
+
 def _rows_graph(n, keys):
     """The graph of sorted distinct ``keys`` built from the bit rows that
     the graph of those keys packs, on either backend."""
@@ -619,7 +738,7 @@ int main(void)
 {
     /* every w from 1 to 32 words a row, n a multiple of 64 or not, and 47 */
     int64_t sizes[33];
-    uint64_t key[2], a[8], b[8], c[8], words[64], t64[64];
+    uint64_t key[2], a[8], b[8], c[8], chunk_words[32], words[64], t64[64];
     long fills = 0, pdep_fills = 0, wide_fills = 0, searches = 0, checks = 0, wrong = 0;
     int64_t i, j, k, n, x, start, count;
     int small, kind, pdep = 0, wide = 0;
@@ -652,7 +771,8 @@ int main(void)
                     key[0] = xorshift();
                     key[1] = xorshift();
                     start = (int64_t)(xorshift() %% 1000) * (small ? 32 : 16);
-                    fill_broadword(g, key, x, d, start, small, a);
+                    philox_run(key, start, small ? 32 : 16, chunk_words);
+                    fill_broadword(g, chunk_words, x, d, small, a);
                     for (k = 0; k < (small ? 32 : 16); k++) {
                         int64_t v = small ? ((uint16_t *)a)[k] : ((int32_t *)a)[k];
                         wrong += v < 0 || v >= n || !(rows[x * w + v / 64] >> (v %% 64) & 1);
@@ -660,12 +780,12 @@ int main(void)
                     fills++;
 #if defined(__x86_64__) && defined(__GLIBC__)
                     if (pdep) {
-                        fill_pdep(g, key, x, d, start, small, b);
+                        fill_pdep(g, chunk_words, x, d, small, b);
                         wrong += memcmp(a, b, sizeof a) != 0;
                         pdep_fills++;
                     }
                     if (wide) {
-                        fill_wide(g, key, x, d, start, small, c);
+                        fill_wide(g, chunk_words, x, d, small, c);
                         wrong += memcmp(a, c, sizeof a) != 0;
                         wide_fills++;
                     }
@@ -841,9 +961,181 @@ def test_sampler_counts_every_trial_when_no_thread_starts(tmp_path):
     assert out.split() == ["0"]
 
 
+HELPER_HARNESS = r"""
+/* row_counts' popcnt clone is chosen by an ifunc resolver, which the
+ * loader runs before ThreadSanitizer's runtime is set up and which then
+ * crashes the program: the harness, which counts no rows, takes the
+ * default clone alone */
+#define target_clones(...) unused
+#include "%s"
+#include <stdio.h>
+#include <stdlib.h>
+
+static uint64_t s = 0x9e3779b97f4a7c15u;
+
+static uint64_t xorshift(void)
+{
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    return s;
+}
+
+/* One host: G(300, 1/2) in bit rows, its chunks 32 uint16, or a host of
+ * 70,000 vertices from CSR indices whose edges join 0..149 and
+ * 65536..65685 at random, its chunks 16 int32 */
+struct host {
+    int64_t n, w, *indptr;
+    int32_t *indices, *ranks;
+    uint64_t *rows;
+};
+
+static struct host make(int wide)
+{
+    struct host h = {wide ? 70000 : 300, 0, NULL, NULL, NULL, NULL};
+    int64_t u, v, i, e = 0;
+
+    h.w = (h.n + 63) / 64;
+    h.indptr = calloc((size_t)h.n + 1, sizeof *h.indptr);
+    if (!wide) {
+        h.rows = calloc((size_t)(h.n * h.w), sizeof *h.rows);
+        h.ranks = malloc((size_t)(h.n * h.w) * sizeof *h.ranks);
+        qw_gnp(3, 0, h.n, 0.5, h.rows, 1);
+        for (u = 0; u < h.n; u++)
+            for (i = 0, h.indptr[u + 1] = h.indptr[u]; i < h.w; i++) {
+                h.ranks[u * h.w + i] = (int32_t)(h.indptr[u + 1] - h.indptr[u]);
+                h.indptr[u + 1] += __builtin_popcountll(h.rows[u * h.w + i]);
+            }
+        return h;
+    }
+    /* a symmetric 300 x 300 adjacency of the core, then its CSR lists */
+    {
+        static char adj[300][300];
+        int64_t id[300];
+        for (u = 0; u < 300; u++)
+            id[u] = u < 150 ? u : 65536 + u - 150;
+        for (u = 0; u < 300; u++)
+            for (v = u + 1; v < 300; v++)
+                adj[u][v] = adj[v][u] = xorshift() %% 10 < 3;
+        h.indices = malloc(300 * 300 * sizeof *h.indices);
+        for (u = 0; u < 300; u++) {
+            for (v = 0; v < 300; v++)
+                if (adj[u][v])
+                    h.indices[e++] = (int32_t)id[v];
+            h.indptr[id[u] + 1] = e;
+        }
+        for (u = 1; u <= h.n; u++)
+            if (h.indptr[u] < h.indptr[u - 1])
+                h.indptr[u] = h.indptr[u - 1];
+    }
+    return h;
+}
+
+/* A model's walk of m1 steps from 0, writing its image, then of m2 steps
+ * from where it ended, marking rows where the host has them, on
+ * ``threads`` threads; counts into copied and filled */
+static void walk(struct host h, int64_t threads, int64_t m1, int64_t m2, uint64_t *state,
+                 int64_t *taken, int32_t *image, uint64_t *marks, long *copied, long *filled)
+{
+    int64_t words = 16 + 2 * RING + SLOT_WORDS * h.n;
+    uint64_t *work = calloc((size_t)words, sizeof *work);
+
+    image[0] = 0;
+    if (qw_consume(7, 1, h.n, h.indptr, h.indices, h.rows, h.ranks, state, taken, NULL, m1,
+                   image, NULL, threads, work) != m1)
+        abort();
+    *copied += (long)work[0];
+    *filled += (long)work[1];
+    memset(work, 0, (size_t)words * sizeof *work);
+    image[m1 + 1] = image[m1];
+    if (qw_consume(7, 1, h.n, h.indptr, h.indices, h.rows, h.ranks, state, taken, NULL, m2,
+                   image + m1 + 1, marks, threads, work) != m2)
+        abort();
+    *copied += (long)work[0];
+    *filled += (long)work[1];
+    free(work);
+}
+
+/* Each host walked on 1 thread and on 2, first through its whole model
+ * and then in two calls; prints the words and entries that differ, and
+ * the chunks copied and filled on 2 threads */
+int main(void)
+{
+    long differ = 0, copied = 0, filled = 0, ignore = 0;
+    int wide;
+    int64_t i, m1 = 30001, m2 = 60000;
+
+    for (wide = 0; wide < 2; wide++) {
+        struct host h = make(wide);
+        int64_t sw = STATE_WORDS * h.n + (h.n + 1) / 2, mw = wide ? 1 : h.n * h.w;
+        uint64_t *state[2], *marks[2];
+        int64_t *taken[2];
+        int32_t *image[2];
+        int t;
+        for (t = 0; t < 2; t++) {
+            state[t] = calloc((size_t)sw, sizeof **state);
+            taken[t] = calloc((size_t)h.n, sizeof **taken);
+            image[t] = calloc((size_t)(m1 + m2 + 2), sizeof **image);
+            marks[t] = wide ? NULL : calloc((size_t)mw, sizeof **marks);
+            walk(h, t + 1, m1, m2, state[t], taken[t], image[t], marks[t],
+                 t ? &copied : &ignore, t ? &filled : &ignore);
+        }
+        for (i = 0; i < sw; i++)
+            differ += state[0][i] != state[1][i];
+        for (i = 0; i < h.n; i++)
+            differ += taken[0][i] != taken[1][i];
+        for (i = 0; i < m1 + (wide ? m2 + 2 : 1); i++)
+            differ += image[0][i] != image[1][i];
+        for (i = 0; !wide && i < mw; i++)
+            differ += marks[0][i] != marks[1][i];
+        for (t = 0; t < 2; t++) {
+            free(state[t]);
+            free(taken[t]);
+            free(image[t]);
+            free(marks[t]);
+        }
+        free(h.indptr);
+        free(h.indices);
+        free(h.rows);
+        free(h.ranks);
+    }
+    printf("%%ld %%ld %%ld\n", differ, copied, filled);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("ring", [["-DRING=4"], []], ids=["ring4", "ring4096"])
+def test_walk_helper_runs_clean_under_thread_sanitizer(tmp_path, ring):
+    # walks with the helper thread, built with ThreadSanitizer, on both
+    # chunk widths and across a model walked in two calls, with the ring's
+    # own size and with a ring of 4 requests, which the first visits of a
+    # walk's vertices overflow: no report, the outputs of one thread, and,
+    # given a second CPU, some chunks made by the helper.  -fno-builtin
+    # keeps memcpy a call, which ThreadSanitizer checks: gcc expands it
+    # inline unchecked, and then a helper that published its tags relaxed
+    # went unreported
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    path = subprocess.run(["gcc", "-print-file-name=libtsan.so"], capture_output=True,
+                          text=True).stdout.strip()
+    if not os.path.isabs(path) or not os.path.exists(path):
+        pytest.skip("gcc has no libtsan")
+    harness, exe = tmp_path / "helper.c", tmp_path / "helper"
+    harness.write_text(HELPER_HARNESS % (SRC / "qwalk" / "_philox.c"))
+    subprocess.run(["gcc", "-O1", "-g", "-fsanitize=thread", "-fno-builtin", "-pthread", *ring,
+                    "-o", str(exe), str(harness)], check=True, capture_output=True)
+    run = subprocess.run([str(exe)], capture_output=True, text=True, timeout=600,
+                         env=dict(os.environ, TSAN_OPTIONS="halt_on_error=1:exitcode=66"))
+    assert run.returncode == 0 and "ThreadSanitizer" not in run.stderr, run.stderr[-4000:]
+    differ, copied, filled = map(int, run.stdout.split())
+    assert differ == 0 and filled > 0 and (copied > 0 or rng._cpus() == 1)
+
+
 # tests that call each entry point, qw_consume on indices and on rows at
 # the 64-bit word edges and across its chunks of both widths, walking or
-# embedding a tree and marking its edges in one call, G(n, p) rows and the
+# embedding a tree and marking its edges in one call, walking with its
+# helper thread on both chunk widths and across two calls, G(n, p) rows and the
 # sampler on 1, 2, 3 and 5 threads, and the sampler's sizes at their word
 # edges, at small n
 SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
@@ -852,6 +1144,7 @@ SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
         "test_long_lists_cross_many_blocks", "test_row_select_matches_reference",
         "test_sibling_runs_match_reference", "test_chunk_boundaries_match_reference",
         "test_host_past_2_16_vertices_takes_int32_chunks",
+        "test_walk_helper_changes_no_output", "test_walk_helper_counts_its_chunks",
         "test_gnp_rows_do_not_depend_on_threads",
         "test_kernel_sets_no_bit_for_bad_pairs", "test_blocks_build_the_graph_of_one_block",
         "test_bit_rows_match_reference",
