@@ -24,11 +24,12 @@
  * sampler keeps the words of each set's cut bucket by vpcompressq, builds
  * its set words from 8-lane compares and counts e(A, B) by vpopcntq
  * (subset_mask_wide, row_counts_wide).  With AVX-512F and a fast pdep,
- * qw_consume finds the row words of 16 list entries at a time by a binary
- * search of the row's ranks in 512-bit registers (fill_wide, row_words).
- * philox_block, the scalar row words and sampler, and fill_pdep and
- * fill_broadword stay the portable code and the reference, against which
- * compiled tests check the wide code.  In process
+ * qw_consume finds the row words of 16 list entries at a time on rows of
+ * at most 32 words, n <= 2048, by a binary search of the row's ranks in
+ * two 512-bit registers (fill_wide, row_words); a wider row takes
+ * fill_pdep.  philox_block, the scalar row words and sampler, and
+ * fill_pdep and fill_broadword stay the portable code and the reference,
+ * against which compiled tests check the wide code.  In process
  * on a 2-core Xeon KVM guest with AVX-512, the median of five alternating
  * rounds, each the best of 11 calls: a 2e6-step walk on G(2000, 1/2) took
  * 12.2 ns a step against 23.3 ns for a walk that drew one Philox block
@@ -63,9 +64,9 @@
  * thread (struct ahead), which the walker asks for a vertex's next four
  * chunks at a time and never waits on; it copies each chunk that the
  * helper has made and fills any other itself, so its outputs are those of
- * one thread.  Without the wide code, the counts have a popcnt clone on x86-64
- * glibc: at plain -O2, __builtin_popcountll calls libgcc's table-driven
- * __popcountdi2 instead.
+ * one thread.  Without the wide code, the counts take the popcnt
+ * instruction where the CPU has it (row_counts_popcnt), chosen at run
+ * time as the wide code is.
  *
  * Built with -O2 -pthread on first use by qwalk.rng and called through
  * ctypes, which releases the GIL for the call; the threads run C alone.
@@ -476,15 +477,6 @@ static void fill_pdep(struct lists g, const uint64_t *words, int64_t x, int64_t 
 
 #define WIDE_FILL __attribute__((target("avx512f,avx512dq,bmi2,popcnt")))
 
-/* How many of the 32 int32 in lo and hi are at most k */
-WIDE_FILL static inline int64_t count_at_most(__m512i lo, __m512i hi, int64_t k)
-{
-    const __m512i ks = _mm512_set1_epi32((int32_t)k);
-
-    return __builtin_popcount(_mm512_cmple_epi32_mask(lo, ks))
-           + __builtin_popcount(_mm512_cmple_epi32_mask(hi, ks));
-}
-
 /* The row word of each of 16 ranks ks in the row whose w <= 32 words open
  * at ranks r[0..w-1], the last word whose first rank is at most the
  * entry's, and in ``in_word`` the entry's rank in that word.  The row's
@@ -513,17 +505,15 @@ WIDE_FILL static inline __m512i row_words(const int32_t *r, int64_t w, __m512i k
 }
 
 /* fill_pdep with the rank of each entry computed 16 at a time, bit for
- * bit as place does, and its row word found apart from the others.
- * Where the row has w <= 32 words, row_words finds the words of 16
- * entries at a time, and their ranks in them, for pdep to select.  A
- * wider row is counted in the 32 ranks around the guess floor(u w): the
- * word is the last of those at most the entry's rank, and an entry whose
- * word lies outside them takes place's binary search.  In a C harness on
- * a 2-core Xeon KVM guest with AVX-512, the best of five timings of 63,500
- * fills of G(2000, 1/2) took 5.3-5.7 ns an entry, in five alternating
- * runs, against 6.0-7.7 ns with each word found by its own count of the
- * row's ranks at most the entry's, of which Philox took 2.6-2.9 ns;
- * fill_pdep took 9.7-12.7 ns and fill_broadword 17.4-19.5 ns. */
+ * bit as place does, and row_words finding the words of 16 entries at a
+ * time, and their ranks in them, for pdep to select.  The row must have
+ * w <= 32 words, the ranks that row_words' two registers hold: qw_consume
+ * gives a wider row to fill_pdep, whose place stays the reference.  In a
+ * C harness on a 2-core Xeon KVM guest with AVX-512, the best of five
+ * timings of 63,500 fills of G(2000, 1/2) took 5.3-5.7 ns an entry, in
+ * five alternating runs, against 6.0-7.7 ns with each word found by its
+ * own count of the row's ranks at most the entry's, of which Philox took
+ * 2.6-2.9 ns; fill_pdep took 9.7-12.7 ns and fill_broadword 17.4-19.5 ns. */
 WIDE_FILL static void fill_wide(struct lists g, const uint64_t *words, int64_t x, int64_t d,
                                 int small, void *chunk)
 {
@@ -532,7 +522,7 @@ WIDE_FILL static void fill_wide(struct lists g, const uint64_t *words, int64_t x
     const __m512d scale = _mm512_set1_pd(1.0 / 9007199254740992.0);
     const __m512d degree = _mm512_set1_pd((double)d);
     int32_t ranks[32], at[32];
-    int64_t k, c = small ? 32 : 16, w = g.w;
+    int64_t k, c = small ? 32 : 16;
 
     for (k = 0; k < c; k += 16) {
         __m512d u0 = _mm512_mul_pd(
@@ -542,33 +532,16 @@ WIDE_FILL static void fill_wide(struct lists g, const uint64_t *words, int64_t x
         __m512i ks = _mm512_inserti64x4(
             _mm512_castsi256_si512(_mm512_cvttpd_epi32(_mm512_mul_pd(u0, degree))),
             _mm512_cvttpd_epi32(_mm512_mul_pd(u1, degree)), 1);
-        if (w <= 32)
-            _mm512_storeu_si512(at + k, row_words(r, w, ks, &ks));
+        _mm512_storeu_si512(at + k, row_words(r, g.w, ks, &ks));
         _mm512_storeu_si512(ranks + k, ks);
     }
-    if (w <= 32) {
-        /* ranks[k] is the entry's rank in its word */
-        for (k = 0; k < c; k++)
-            put(chunk, small, k, 64 * at[k] + select_pdep(row[at[k]], ranks[k]));
-        return;
-    }
-    for (k = 0; k < c; k++) {
-        double u = to_double(words[k]);
-        int64_t rank = ranks[k], s = (int64_t)(u * (double)w) - 16, in, i;
-
-        s = s < 0 ? 0 : s > w - 32 ? w - 32 : s;
-        in = count_at_most(_mm512_loadu_si512(r + s), _mm512_loadu_si512(r + s + 16), rank);
-        if (in == 0 || (in == 32 && s + 32 < w && r[s + 32] <= rank)) {
-            put(chunk, small, k, neighbour(g, select_pdep, x, place(g, select_pdep, x, u, d)));
-            continue;
-        }
-        i = s + in - 1;
-        put(chunk, small, k, 64 * i + select_pdep(row[i], rank - r[i]));
-    }
+    /* ranks[k] is the entry's rank in its word */
+    for (k = 0; k < c; k++)
+        put(chunk, small, k, 64 * at[k] + select_pdep(row[at[k]], ranks[k]));
 }
 
 /* Whether the CPU runs fill_wide: AVX-512F, AVX-512DQ for the rank
- * conversions, and a fast pdep */
+ * conversions, and a fast pdep; qw_consume gives it rows of w <= 32 words */
 static int has_wide_fill(void)
 {
     return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") && fast_pdep();
@@ -869,9 +842,10 @@ int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, str
  * ``indices`` when ``rows`` is NULL, else its bit rows and ``ranks``,
  * int32 [v * w + i] the set bits of words 0..i-1 of row v, where a
  * neighbour is taken by select: fill_wide where the CPU has AVX-512F and
- * AVX-512DQ and runs pdep fast, fill_pdep where it only runs pdep fast,
- * and fill_broadword elsewhere.  ``state`` holds n (2 + CHUNK_BYTES / 8)
- * words and then n int32, zeroed before the first call.  The caller checks
+ * AVX-512DQ and runs pdep fast and the rows have w <= 32 words, fill_pdep
+ * where it runs pdep fast otherwise, and fill_broadword elsewhere.
+ * ``state`` holds n (2 + CHUNK_BYTES / 8) words and then n int32, zeroed
+ * before the first call.  The caller checks
  * that parents[j] lies in 0..j.  ``marks`` is NULL, or n zeroed bit rows
  * in which the tree's or the walk's edges are marked as its entries are
  * taken, and which mirror makes symmetric once the loop ends; a walk given
@@ -879,29 +853,28 @@ int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, str
  * j at which the list's vertex has no neighbours, after taking the
  * entries before j.
  *
- * A walk (parents == NULL) given ``threads`` >= 2 runs with a helper
- * (struct ahead) on a thread pinned apart from the caller by pin_apart,
- * where one can be started; a walk whose helper does not start fills
- * every chunk itself.  ``work`` then holds 16 + 2 RING + SLOT_WORDS n
- * zeroed words: from the first 64-byte boundary past work[7] the ring and
- * then the vertices' slots, and in work[0] and work[1] the call writes
- * how many chunks the walker copied from the slots and how many it filled
- * itself, first chunks included.  A tree, or ``threads`` 1, takes no
- * helper and leaves ``work``, which may be NULL, as it is.
- * qwalk.walks passes threads = 2 for walks of 2^18 steps or more where
- * the process may use 2 CPUs and the work, 320 bytes a vertex and the
- * 64 kB ring, is no larger than the host's neighbour storage: in process
- * a 2e6-step walk on G(2000, 1/2) then took 8.9 ns a step against
- * 12.9 ns on one thread (2-vCPU Xeon KVM guest).
+ * A walk (parents == NULL) given ``work`` runs with a helper (struct
+ * ahead) on a thread pinned apart from the caller by pin_apart, where one
+ * can be started; a walk whose helper does not start fills every chunk
+ * itself.  ``work`` holds 16 + 2 RING + SLOT_WORDS n zeroed words: from
+ * the first 64-byte boundary past work[7] the ring and then the vertices'
+ * slots, and in work[0] and work[1] the call writes how many chunks the
+ * walker copied from the slots and how many it filled itself, first
+ * chunks included.  A tree, or a call whose ``work`` is NULL, takes no
+ * helper and leaves ``work`` as it is.  qwalk.walks passes work for walks
+ * of 2^18 steps or more where the process may use 2 CPUs and the work,
+ * 320 bytes a vertex and the 64 kB ring, is no larger than the host's
+ * neighbour storage: in process a 2e6-step walk on G(2000, 1/2) then took
+ * 8.9 ns a step against 12.9 ns on one thread (2-vCPU Xeon KVM guest).
  */
 int64_t qw_consume(uint64_t seed, uint32_t domain, int64_t n, const int64_t *indptr,
                    const int32_t *indices, const uint64_t *rows, const int32_t *ranks,
                    uint64_t *state, int64_t *taken, const int32_t *parents, int64_t m,
-                   int32_t *image, uint64_t *marks, int64_t threads, uint64_t *work)
+                   int32_t *image, uint64_t *marks, uint64_t *work)
 {
     struct lists g = {indptr, indices, rows, ranks, (n + 63) / 64};
     filler fill = rows ? fill_broadword : fill_indices;
-    struct ahead ahead, *a = threads > 1 && !parents ? &ahead : NULL;
+    struct ahead ahead, *a = work && !parents ? &ahead : NULL;
     pthread_attr_t attr;
     pthread_t helper;
     int started = 0;
@@ -909,7 +882,7 @@ int64_t qw_consume(uint64_t seed, uint32_t domain, int64_t n, const int64_t *ind
 
 #if defined(__x86_64__) && defined(__GLIBC__)
     if (rows && fast_pdep())
-        fill = has_wide_fill() ? fill_wide : fill_pdep;
+        fill = g.w <= 32 && has_wide_fill() ? fill_wide : fill_pdep;
 #endif
     if (a) {
         a->seed = seed;
@@ -1067,11 +1040,9 @@ static uint64_t member_word(int64_t n, int64_t w, const uint64_t *s, int flip, i
  * ``s`` or, when ``flip`` is set, its complement: the popcounts of each
  * member's bit row and T's w words.
  */
-#if defined(__x86_64__) && defined(__GLIBC__)
-__attribute__((target_clones("popcnt", "default")))
-#endif
-static int64_t row_counts(int64_t n, int64_t w, const uint64_t *rows, const uint64_t *s,
-                          int flip, const uint64_t *t)
+static inline __attribute__((always_inline))
+int64_t row_counts(int64_t n, int64_t w, const uint64_t *rows, const uint64_t *s, int flip,
+                   const uint64_t *t)
 {
     int64_t i, j, c = 0;
     uint64_t bits;
@@ -1086,6 +1057,19 @@ static int64_t row_counts(int64_t n, int64_t w, const uint64_t *rows, const uint
 }
 
 #if defined(__x86_64__) && defined(__GLIBC__)
+/* row_counts by the popcnt instruction, for CPUs without the wide code
+ * that have it: at plain -O2, __builtin_popcountll calls libgcc's
+ * table-driven __popcountdi2 instead.  It is chosen at run time, as the
+ * wide code is: a target_clones pick, made by an ifunc resolver that the
+ * loader runs before a ThreadSanitizer runtime is set up, crashed such a
+ * build of the kernel at load. */
+__attribute__((target("popcnt")))
+static int64_t row_counts_popcnt(int64_t n, int64_t w, const uint64_t *rows, const uint64_t *s,
+                                 int flip, const uint64_t *t)
+{
+    return row_counts(n, w, rows, s, flip, t);
+}
+
 /* subset_mask in AVX-512: vpcompressq keeps the words of the cut's bucket,
  * 8 at a time, and each set word is built from 8-lane compares with the
  * cut; a scalar tail takes the last n % 8 words, so nothing is read or
@@ -1246,6 +1230,8 @@ static void *claim_trials(void *arg)
     if (has_wide()) {
         mask = subset_mask_wide;
         count = row_counts_wide;
+    } else if (__builtin_cpu_supports("popcnt")) {
+        count = row_counts_popcnt;
     }
 #endif
     /* relaxed: the claims need only be distinct; the join orders e */

@@ -39,8 +39,7 @@ kernel makes a vertex's entries a 64-byte chunk at a time, and
 may use CPUs (``_cpus``, which the sampler's call shares).  A walk of
 2^18 steps or more, where ``_cpus`` is 2 or more, runs with one helper
 thread that fills its chunks four at a time ahead of the walker, which
-never waits on it: 8.9 ns a step against 12.9 ns on one thread for a
-2e6-step walk on G(2000, 1/2) in process.  Its work, 320 bytes a vertex
+never waits on it (README gives its gain).  Its work, 320 bytes a vertex
 and a 64 kB ring made per call, is taken only where it is no more than
 the host's neighbour storage (``walks.ListModel._consume_kernel``).
 On x86-64 CPUs with AVX-512F and AVX-512 VPOPCNTDQ, found at run time,
@@ -48,10 +47,12 @@ the kernel computes eight or sixteen Philox blocks at a time for ``uniform_words
 G(n, p) rows, the sampler's sets and the list model's chunks, builds
 G(n, p)'s row words from 8-lane compares, and the sampler picks and
 counts its sets in 512-bit registers; with AVX-512F, AVX-512DQ and a
-fast pdep it finds the row words of 16 list entries at a time by a
-binary search of the row's ranks in 512-bit registers.  Elsewhere it
-draws one block at a time and counts in a popcnt clone on x86-64 glibc,
-with the same results.  The kernel is
+fast pdep it finds the row words of 16 list entries at a time, on rows
+of at most 32 words (n <= 2048), by a binary search of the row's ranks
+in 512-bit registers, and a wider row's from the rank directory, as
+other CPUs do.  Elsewhere it
+draws one block at a time and counts with the popcnt instruction where
+the CPU has it, with the same results.  The kernel is
 built on first use, never at import, with ``gcc -O2 -pthread`` into a
 user cache directory keyed by the sha256 of its flags and source, from
 CPython's built-in sha256 module, which names each build as ``hashlib``
@@ -236,7 +237,7 @@ def _declare(lib):
     lib.qw_words.argtypes = [u64, u32, u32, i64, i64, ptr]
     lib.qw_words.restype = None
     lib.qw_consume.argtypes = [u64, u32, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr,
-                               ptr, i64, ptr]
+                               ptr, ptr]
     lib.qw_consume.restype = i64
     lib.qw_mark_pairs.argtypes = [i64, ptr, ptr, i64, ptr]
     lib.qw_mark_pairs.restype = i64
@@ -268,8 +269,8 @@ def _cpus() -> int:
     subset sampler and G(n, p) rows are split among; from 2 on, a walk of
     2^18 steps or more also runs with the kernel's helper thread, which
     fills its list chunks ahead, given 320 bytes of work a vertex and a
-    64 kB ring where the host's neighbour storage is no smaller: 8.9 ns a
-    step against 12.9 ns for a 2e6-step walk on G(2000, 1/2)."""
+    64 kB ring where the host's neighbour storage is no smaller (README
+    gives its gain)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -280,13 +281,12 @@ def backend() -> str:
     and G(n, p) hosts, marks vertex pairs in bit rows and runs the subset
     sampler: "c" for the kernel, whose sampler trials and G(n, p) rows are
     split among the CPUs the process may use, and whose walks of 2^18
-    steps or more take a helper thread on a second CPU, with 320 bytes of
-    work a vertex where the host's neighbour storage is no smaller (8.9 ns
-    a step against 12.9 ns for a 2e6-step walk on G(2000, 1/2)), or
+    steps or more take a helper thread on a second CPU (``_cpus``;
+    README gives its gain), or
     "numpy", on one thread.  Both give the same words and results.
     Where the CPU has AVX-512F and AVX-512 VPOPCNTDQ, "c" draws eight or sixteen Philox blocks at a time
     and runs the sampler's and G(n, p)'s wide steps, and with AVX-512F,
-    AVX-512DQ and a fast pdep it fills list chunks in 512-bit registers;
-    the choice is made in the kernel at each call and shows nowhere
-    else."""
+    AVX-512DQ and a fast pdep it fills list chunks on rows of at most 32
+    words in 512-bit registers; the choice is made in the kernel at each
+    call and shows nowhere else."""
     return "numpy" if _kernel() is None else "c"

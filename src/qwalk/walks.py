@@ -216,7 +216,7 @@ class ListModel:
             *(None if a is None else a.ctypes.data for a in lists),
             self._state.ctypes.data, self._taken.ctypes.data,
             None if parents is None else parents.ctypes.data, m, image.ctypes.data,
-            None if marks is None else marks.ctypes.data, 1 if work is None else 2,
+            None if marks is None else marks.ctypes.data,
             None if work is None else work.ctypes.data)
 
     def _walk_rows(self, start: int, steps: int):
@@ -334,8 +334,7 @@ def walk_edges(g: Graph, model: ListModel, start: int, steps: int) -> Graph:
     and the helper's work (320 bytes a vertex and a 64 kB ring, made per
     call) is no larger than the host's rows and ranks or ``indices``, that
     call runs with a helper thread that fills the walk's list chunks ahead,
-    with the same result: on G(2000, 1/2), 8.9 ns a step against 12.9 ns on
-    one thread in process.
+    with the same result (README gives its gain).
     Otherwise ``graph._pairs_graph`` builds it from ``_BLOCK`` steps at a
     time, the reference, so no more than a block of the walk is held."""
     start, steps = _walk_args(g, model, start, steps)

@@ -270,38 +270,38 @@ def _int32_host():
 
 
 # hosts of the helper's tests: G(n, 1/2) rows of 4, 32 and 33 words, the
-# last past fill_wide's two-register search, a sparse host built from keys,
-# and one past 2^16 vertices
+# last too wide for fill_wide's two registers and so filled by fill_pdep, a
+# sparse host built from keys, and one past 2^16 vertices
 HELPER_HOSTS = {"gnp200": lambda: gen_gnp(200, 0.5, 3), "gnp2000": lambda: gen_gnp(2000, 0.5, 3),
                 "gnp2112": lambda: gen_gnp(2112, 0.5, 3),
                 "keys": lambda: Graph(3000, gen_gnp(3000, 0.03, 3).edge_codes()),
                 "int32": _int32_host}
 
 
-def _walk_call(lib, model, start, steps, threads, mark):
-    """One qw_consume walk of ``model``'s lists from ``start`` on
-    ``threads`` threads, with a zeroed work of its helper's size: (the
-    rows it marked, or with ``mark`` false its image, work[0:2])."""
+def _walk_call(lib, model, start, steps, helper, mark):
+    """One qw_consume walk of ``model``'s lists from ``start``, given with
+    ``helper`` a zeroed work of its helper's size and else none: (the rows
+    it marked, or with ``mark`` false its image, and work[0:2] or None)."""
     g = model.graph
     lists = (g.indices, None, None) if g._ranks is None else (None, g.bit_rows(), g._ranks)
     rows = graph._clear_rows(g.n) if mark else None
     image = np.full(1 if mark else steps + 1, start, dtype=np.int32)
-    work = np.zeros(walks_module._ahead_words(g.n), dtype=np.uint64)
+    work = np.zeros(walks_module._ahead_words(g.n), dtype=np.uint64) if helper else None
     done = lib.qw_consume(model.seed, rng.DOMAIN_LIST, g.n, g.indptr.ctypes.data,
                           *(None if a is None else a.ctypes.data for a in lists),
                           model._state.ctypes.data, model._taken.ctypes.data, None, steps,
                           image.ctypes.data, None if rows is None else rows.ctypes.data,
-                          threads, work.ctypes.data)
+                          None if work is None else work.ctypes.data)
     assert done == steps
-    return image if rows is None else rows, work[:2].tolist()
+    return image if rows is None else rows, None if work is None else work[:2].tolist()
 
 
 @pytest.mark.parametrize("host", sorted(HELPER_HOSTS))
 def test_walk_helper_changes_no_output(c_backend, host):
-    # threads = 2 runs a walk with the kernel's helper thread, which fills
+    # a walk given work runs with the kernel's helper thread, which fills
     # its chunks ahead, whatever the CPUs: the rows that the walk marks, or
     # the image that it writes, and the model's state and counts are those
-    # of threads = 1, for walks that end at and next to the edges of chunks
+    # of a walk given none, for walks that end at and next to the edges of chunks
     # and of 4-chunk groups, and for long ones; and so they are for a model
     # walked in two calls, the second starting with its vertices inside
     # their groups, whose pending requests the first call dropped
@@ -311,18 +311,18 @@ def test_walk_helper_changes_no_output(c_backend, host):
     for steps in (0, 1, 31, 32, 33, 127, 128, 129, 200_000):
         for mark in marks:
             runs = []
-            for threads in (1, 2):
+            for helper in (False, True):
                 m = ListModel(g, 11)
-                runs.append([_walk_call(c_backend, m, start, steps, threads, mark)[0],
+                runs.append([_walk_call(c_backend, m, start, steps, helper, mark)[0],
                              m._state, m._taken])
             for a, b in zip(*runs, strict=True):
                 assert np.array_equal(a, b), (steps, mark)
     runs = []
-    for threads in (1, 2):
+    for helper in (False, True):
         m = ListModel(g, 12)
-        image = _walk_call(c_backend, m, start, 150_001, threads, False)[0]
+        image = _walk_call(c_backend, m, start, 150_001, helper, False)[0]
         mid = m._taken.copy()
-        runs.append([image, _walk_call(c_backend, m, int(image[-1]), 200_000, threads,
+        runs.append([image, _walk_call(c_backend, m, int(image[-1]), 200_000, helper,
                                        marks[-1])[0], m._state, m._taken])
     assert ((mid % (4 * c) > c) & (mid > 0)).sum() > 50
     for a, b in zip(*runs, strict=True):
@@ -330,51 +330,47 @@ def test_walk_helper_changes_no_output(c_backend, host):
 
 
 def test_walk_helper_counts_its_chunks(c_backend):
-    # a call given threads = 2 writes into its work's header how many
-    # chunks the walker copied from the helper and how many it filled
-    # itself: the two are the chunks the walk needed, a vertex's first
-    # included, and on 2e5-step walks, the second resuming the first, the
-    # helper made some where the process may use a second CPU (on one,
-    # the scheduler may not run it during a 2 ms walk); threads = 1 leaves
-    # the work as it is
+    # a walk given work writes into its header how many chunks the walker
+    # copied from the helper and how many it filled itself: the two are the
+    # chunks the walk needed, a vertex's first included, and on 2e5-step
+    # walks, the second resuming the first, the helper made some where the
+    # process may use a second CPU (on one, the scheduler may not run it
+    # during a 2 ms walk); a walk given no work runs without the helper
     g = gen_gnp(200, 0.5, 3)
     m = ListModel(g, 13)
     for start in (0, 7):
         before = m._taken.copy()
-        copied, filled = _walk_call(c_backend, m, start, 200_000, 2, True)[1]
+        copied, filled = _walk_call(c_backend, m, start, 200_000, True, True)[1]
         after = m._taken
         need = (after // 32 - before // 32 + ((before == 0) & (after > 0))).sum()
         assert copied + filled == need and (copied > 0 or rng._cpus() == 1)
-    assert _walk_call(c_backend, m, 0, 200_000, 1, True)[1] == [0, 0]
+    assert _walk_call(c_backend, m, 0, 200_000, False, True)[1] is None
 
 
 def test_walks_take_the_helper_by_length_cpus_and_memory(kernel_calls, monkeypatch):
-    # a walk takes the helper (threads = 2, with its work) from
-    # _AHEAD_STEPS steps on, where the process may use 2 CPUs and the work
-    # takes no more bytes than the host's rows and ranks; a shorter walk, a
-    # tree, a process on one CPU and G(200, 1/2), whose rows and ranks take
-    # 9.6 kB, pass threads = 1 and no work
+    # a walk takes the helper, passing its work, from _AHEAD_STEPS steps
+    # on, where the process may use 2 CPUs and the work takes no more bytes
+    # than the host's rows and ranks; a shorter walk, a tree, a process on
+    # one CPU and G(200, 1/2), whose rows and ranks take 9.6 kB, pass no work
     def passed():
-        args = kernel_calls.args["qw_consume"]
-        assert (args[13] == 2) == (args[14] is not None)
-        return args[13]
+        return kernel_calls.args["qw_consume"][13] is not None
 
     g, small = gen_gnp(2000, 0.5, 3), gen_gnp(200, 0.5, 3)
     steps = walks_module._AHEAD_STEPS
     monkeypatch.setattr(rng, "_cpus", lambda: 2)
     walks_module.walk_edges(g, ListModel(g, 1), 0, steps)
-    assert passed() == 2
+    assert passed()
     run_walk(g, ListModel(g, 1), 0, steps)
-    assert passed() == 2
+    assert passed()
     walks_module.walk_edges(g, ListModel(g, 1), 0, steps - 1)
-    assert passed() == 1
+    assert not passed()
     random_homomorphism(g, gen_random_tree(steps + 1, 4, 1), ListModel(g, 1), 0)
-    assert passed() == 1
+    assert not passed()
     walks_module.walk_edges(small, ListModel(small, 1), 0, steps)
-    assert passed() == 1
+    assert not passed()
     monkeypatch.setattr(rng, "_cpus", lambda: 1)
     walks_module.walk_edges(g, ListModel(g, 1), 0, steps)
-    assert passed() == 1
+    assert not passed()
 
 
 def _rows_graph(n, keys):
@@ -400,7 +396,15 @@ def _select_hosts(n):
     yield (u * n + v)[(u < s) & (v >= s)]
     yield (u * n + v)[(u > 0) | (v == n - 1)]
     yield (u * n + v)[v < n - 1]
-    yield (u * n + v)[(10 * u < n) & (10 * v >= 7 * n) & (v % 2 == 1)]
+    yield _far_bits_keys(n)
+
+
+def _far_bits_keys(n):
+    """Sorted keys of ``_select_hosts``' last graph, the vertices below
+    n / 10 joined to the odd ones from 7n / 10 on, made without the n^2 / 2
+    pairs of K_n."""
+    u, v = np.arange(-(-n // 10)), np.arange(-(-7 * n // 10), n)
+    return (u[:, None] * n + v[v % 2 == 1]).ravel()
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 1000])
@@ -425,6 +429,26 @@ def test_row_select_matches_reference(c_backend, monkeypatch, n):
         if g.degree(n - 1) == 0:
             assert kernel.parts[1] == f"ValueError: vertex {n - 1} has no neighbors"
     assert g._rows is not None and g._ranks is not None
+
+
+@pytest.mark.parametrize("n", [2112, 4160])
+@pytest.mark.parametrize("host", ["gnp", "far"])
+def test_wide_rows_match_reference(c_backend, monkeypatch, n, host):
+    # rows of 33 and 65 words, too wide for fill_wide's two registers, so
+    # that the kernel fills their chunks by place and pdep (or broadword
+    # select): a 20,000-step walk on G(n, 1/2), and on the far-bits host,
+    # whose low vertices' neighbours lie in the top 3/10 of their rows and
+    # the others' in the bottom tenth, so that place's guess misses and its
+    # binary search runs, against the numpy reference's indices; the far
+    # host's n / 4 joined vertices are walked past their first chunks
+    keys = gen_gnp(n, 0.5, 5).edge_codes() if host == "gnp" else _far_bits_keys(n)
+    g = _rows_graph(n, keys)
+    assert g._ranks is not None and g._ranks.shape == (n, -(-n // 64))
+    kernel, reference = _pair(g, 17, c_backend, monkeypatch)
+    walks = [run_walk(g, m, 0, 20_000).sequence for m in (kernel, reference)]
+    assert np.array_equal(walks[0], walks[1])
+    assert np.array_equal(kernel.consumed, reference.consumed)
+    assert kernel.consumed.max() > 32 if host == "far" else (kernel.consumed > 0).sum() > n / 2
 
 
 @settings(max_examples=60, **PER_EXAMPLE)
@@ -620,7 +644,8 @@ int main(void)
         free(b);
         free(hist);
     }
-    /* the wide row_counts against the scalar one, at every w %% 8 */
+    /* the wide row_counts and the popcnt one against the scalar one, at
+     * every w %% 8 */
     for (w = 1; has && w <= 17; w++)
         for (k = 0; k < 6; k++) {
             uint64_t *rows, *set, *t;
@@ -637,6 +662,8 @@ int main(void)
             for (flip = 0; flip < 2; flip++) {
                 wrong += row_counts(n, w, rows, set, (int)flip, t)
                          != row_counts_wide(n, w, rows, set, (int)flip, t);
+                wrong += row_counts(n, w, rows, set, (int)flip, t)
+                         != row_counts_popcnt(n, w, rows, set, (int)flip, t);
                 wide_checks++;
             }
             free(rows);
@@ -657,7 +684,7 @@ def test_wide_code_matches_scalar(tmp_path, flags):
     # sampler's wide steps, and its Python-level tests reach only those:
     # here philox_8, philox_16 and philox_run, with its two-chain runs, at
     # every start % 4 and count 0..200, are checked against philox_block,
-    # and the wide subset_mask and row_counts
+    # and the wide subset_mask and row_counts, and row_counts_popcnt,
     # against the scalar ones, which other CPUs run; built with the
     # kernel's flags, and under AddressSanitizer and UBSan, where any
     # report aborts the run
@@ -736,10 +763,12 @@ WIDE_FILL static void search16(const int32_t *r, int64_t w, const int32_t *ks, i
 
 int main(void)
 {
-    /* every w from 1 to 32 words a row, n a multiple of 64 or not, and 47 */
-    int64_t sizes[33];
+    /* every w from 1 to 32 words a row, n a multiple of 64 or not, then 47
+     * and 65 */
+    int64_t sizes[34];
     uint64_t key[2], a[8], b[8], c[8], chunk_words[32], words[64], t64[64];
-    long fills = 0, pdep_fills = 0, wide_fills = 0, searches = 0, checks = 0, wrong = 0;
+    long fills = 0, narrow_fills = 0, pdep_fills = 0, wide_fills = 0, searches = 0, checks = 0,
+         wrong = 0;
     int64_t i, j, k, n, x, start, count;
     int small, kind, pdep = 0, wide = 0;
 
@@ -750,7 +779,9 @@ int main(void)
     for (i = 0; i < 32; i++)
         sizes[i] = 64 * (i + 1) - (13 * i) %% 64;
     sizes[32] = 3000;
-    /* fill_wide and fill_pdep against fill_broadword, at both chunk widths */
+    sizes[33] = 4160;
+    /* fill_pdep against fill_broadword at every width, and fill_wide at the
+     * widths qw_consume gives it, w <= 32, at both chunk widths */
     for (i = 0; i < (int64_t)(sizeof sizes / sizeof *sizes); i++) {
         int64_t w = (sizes[i] + 63) / 64;
         uint64_t *rows;
@@ -778,13 +809,14 @@ int main(void)
                         wrong += v < 0 || v >= n || !(rows[x * w + v / 64] >> (v %% 64) & 1);
                     }
                     fills++;
+                    narrow_fills += w <= 32;
 #if defined(__x86_64__) && defined(__GLIBC__)
                     if (pdep) {
                         fill_pdep(g, chunk_words, x, d, small, b);
                         wrong += memcmp(a, b, sizeof a) != 0;
                         pdep_fills++;
                     }
-                    if (wide) {
+                    if (wide && w <= 32) {
                         fill_wide(g, chunk_words, x, d, small, c);
                         wrong += memcmp(a, c, sizeof a) != 0;
                         wide_fills++;
@@ -853,8 +885,8 @@ int main(void)
                 wrong += (t64[i] >> j & 1) != (words[j] >> i & 1);
         checks++;
     }
-    printf("%%ld %%ld %%d %%ld %%ld %%ld %%ld\n", fills, pdep_fills, wide, wide_fills, searches,
-           checks, wrong);
+    printf("%%ld %%ld %%ld %%d %%ld %%ld %%ld %%ld\n", fills, narrow_fills, pdep_fills, wide,
+           wide_fills, searches, checks, wrong);
     return 0;
 }
 """
@@ -862,14 +894,16 @@ int main(void)
 
 @pytest.mark.parametrize("flags", [["-O2", "-pthread"], SANITIZE], ids=["O2", "sanitized"])
 def test_fill_and_row_code_match_reference(tmp_path, flags):
-    # qw_consume takes one fill by the CPU it runs on, so on a CPU with
-    # AVX-512F, AVX-512DQ and a fast pdep (``wide``) its Python-level tests reach only
-    # fill_wide: here fill_wide and fill_pdep are checked against
-    # fill_broadword, on rows of 1 to 47 words, of hosts whose bits sit
-    # far from the guessed word, at both chunk widths; the wide below_cut
-    # against the scalar one; and transpose64 bit by bit.  Built with the
-    # kernel's flags, and under AddressSanitizer and UBSan, where any
-    # report aborts the run
+    # qw_consume takes one fill by the CPU it runs on and the row's width,
+    # so on a CPU with AVX-512F, AVX-512DQ and a fast pdep (``wide``) its
+    # Python-level tests reach only fill_wide on rows of at most 32 words
+    # and fill_pdep on wider ones: here fill_pdep is checked against
+    # fill_broadword on rows of 1 to 32, 47 and 65 words, and fill_wide on
+    # every fill of 1 to 32 words, the widths it serves, of hosts whose
+    # bits sit far from the guessed word, at both chunk widths; the wide
+    # below_cut against the scalar one; and transpose64 bit by bit.  Built
+    # with the kernel's flags, and under AddressSanitizer and UBSan, where
+    # any report aborts the run
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
     if flags is SANITIZE:
@@ -880,10 +914,11 @@ def test_fill_and_row_code_match_reference(tmp_path, flags):
                    capture_output=True)
     run = subprocess.run([str(exe)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    fills, pdep_fills, wide, wide_fills, searches, checks, wrong = map(int, run.stdout.split())
-    assert wrong == 0 and fills > 3000
+    fills, narrow, pdep_fills, wide, wide_fills, searches, checks, wrong = map(
+        int, run.stdout.split())
+    assert wrong == 0 and 3000 < narrow < fills
     assert checks == 200 * 65 + 100
-    assert wide_fills == (fills if wide else 0) and pdep_fills in (0, fills)
+    assert wide_fills == (narrow if wide else 0) and pdep_fills in (0, fills)
     assert searches == (3200 if wide else 0)
     assert pdep_fills == fills or not wide
 
@@ -905,13 +940,17 @@ int refuse_create(pthread_t *id, const pthread_attr_t *attr, void *(*run)(void *
 
 /* G(100, 1/2) from a xorshift, and 600 trials of sizes 10..100 drawn and
  * counted on 1 thread and on 5 threads, none of which starts; then the
- * rows of G(300, 1/2) built by qw_gnp on 1 thread and on 5 */
+ * rows of G(300, 1/2) built by qw_gnp on 1 thread and on 5; then a walk
+ * on G(100, 1/2) given no work, and one given work, whose helper does not
+ * start, which fills every chunk itself */
 int main(void)
 {
     static uint64_t rows[100 * 2], work[5 * 204], gnp_one[300 * 5], gnp_five[300 * 5];
-    static int64_t indptr[101], sizes[1200], again[1200], one[600], five[600];
+    static uint64_t ahead[16 + 2 * RING + SLOT_WORDS * 100], state[2][STATE_WORDS * 100 + 50];
+    static int64_t indptr[101], sizes[1200], again[1200], one[600], five[600], taken[2][100];
+    static int32_t ranks[100 * 2], image[2][50001];
     uint64_t x = 0x9e3779b97f4a7c15u;
-    int64_t u, v, t, differ = 0;
+    int64_t u, v, t, differ = 0, need = 0;
 
     for (u = 0; u < 100; u++)
         for (v = u + 1; v < 100; v++) {
@@ -942,6 +981,20 @@ int main(void)
     for (u = 0, v = 0; u < 300 * 5; u++)
         v += __builtin_popcountll(gnp_one[u]);
     differ += v < 40000 || v > 50000;  /* about 44,850 ends of edges */
+    for (u = 0; u < 100; u++)
+        ranks[2 * u + 1] = __builtin_popcountll(rows[2 * u]);
+    for (t = 0; t < 2; t++)
+        differ += qw_consume(9, 1, 100, indptr, NULL, rows, ranks, state[t], taken[t], NULL,
+                             50000, image[t], NULL, t ? ahead : NULL) != 50000;
+    for (u = 0; u < STATE_WORDS * 100 + 50; u++)
+        differ += state[0][u] != state[1][u];
+    for (u = 0; u < 100; u++) {
+        differ += taken[0][u] != taken[1][u];
+        need += taken[1][u] ? taken[1][u] / 32 + 1 : 0;
+    }
+    for (t = 0; t < 50001; t++)
+        differ += image[0][t] != image[1][t];
+    differ += ahead[0] != 0 || (int64_t)ahead[1] != need || need < 1000;
     printf("%%ld\n", (long)differ);
     return 0;
 }
@@ -950,7 +1003,9 @@ int main(void)
 
 def test_sampler_counts_every_trial_when_no_thread_starts(tmp_path):
     # where pthread_create fails, the calling thread claims every trial,
-    # with the counts that one thread gives, and every G(n, p) row
+    # with the counts that one thread gives, and every G(n, p) row; and a
+    # walk given work fills every chunk itself, with the image, state and
+    # counts of a walk given none
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
     harness, exe = tmp_path / "refused.c", tmp_path / "refused"
@@ -962,11 +1017,6 @@ def test_sampler_counts_every_trial_when_no_thread_starts(tmp_path):
 
 
 HELPER_HARNESS = r"""
-/* row_counts' popcnt clone is chosen by an ifunc resolver, which the
- * loader runs before ThreadSanitizer's runtime is set up and which then
- * crashes the program: the harness, which counts no rows, takes the
- * default clone alone */
-#define target_clones(...) unused
 #include "%s"
 #include <stdio.h>
 #include <stdlib.h>
@@ -1032,36 +1082,40 @@ static struct host make(int wide)
 }
 
 /* A model's walk of m1 steps from 0, writing its image, then of m2 steps
- * from where it ended, marking rows where the host has them, on
- * ``threads`` threads; counts into copied and filled */
-static void walk(struct host h, int64_t threads, int64_t m1, int64_t m2, uint64_t *state,
+ * from where it ended, marking rows where the host has them, with the
+ * helper where ``helper`` is set; counts into copied and filled */
+static void walk(struct host h, int helper, int64_t m1, int64_t m2, uint64_t *state,
                  int64_t *taken, int32_t *image, uint64_t *marks, long *copied, long *filled)
 {
     int64_t words = 16 + 2 * RING + SLOT_WORDS * h.n;
-    uint64_t *work = calloc((size_t)words, sizeof *work);
+    uint64_t *work = helper ? calloc((size_t)words, sizeof *work) : NULL;
 
     image[0] = 0;
     if (qw_consume(7, 1, h.n, h.indptr, h.indices, h.rows, h.ranks, state, taken, NULL, m1,
-                   image, NULL, threads, work) != m1)
+                   image, NULL, work) != m1)
         abort();
-    *copied += (long)work[0];
-    *filled += (long)work[1];
-    memset(work, 0, (size_t)words * sizeof *work);
     image[m1 + 1] = image[m1];
+    if (helper) {
+        *copied += (long)work[0];
+        *filled += (long)work[1];
+        memset(work, 0, (size_t)words * sizeof *work);
+    }
     if (qw_consume(7, 1, h.n, h.indptr, h.indices, h.rows, h.ranks, state, taken, NULL, m2,
-                   image + m1 + 1, marks, threads, work) != m2)
+                   image + m1 + 1, marks, work) != m2)
         abort();
-    *copied += (long)work[0];
-    *filled += (long)work[1];
+    if (helper) {
+        *copied += (long)work[0];
+        *filled += (long)work[1];
+    }
     free(work);
 }
 
-/* Each host walked on 1 thread and on 2, first through its whole model
- * and then in two calls; prints the words and entries that differ, and
- * the chunks copied and filled on 2 threads */
+/* Each host walked without the helper and with it, first through its
+ * whole model and then in two calls; prints the words and entries that
+ * differ, and the chunks copied and filled with the helper */
 int main(void)
 {
-    long differ = 0, copied = 0, filled = 0, ignore = 0;
+    long differ = 0, copied = 0, filled = 0;
     int wide;
     int64_t i, m1 = 30001, m2 = 60000;
 
@@ -1077,8 +1131,7 @@ int main(void)
             taken[t] = calloc((size_t)h.n, sizeof **taken);
             image[t] = calloc((size_t)(m1 + m2 + 2), sizeof **image);
             marks[t] = wide ? NULL : calloc((size_t)mw, sizeof **marks);
-            walk(h, t + 1, m1, m2, state[t], taken[t], image[t], marks[t],
-                 t ? &copied : &ignore, t ? &filled : &ignore);
+            walk(h, t, m1, m2, state[t], taken[t], image[t], marks[t], &copied, &filled);
         }
         for (i = 0; i < sw; i++)
             differ += state[0][i] != state[1][i];
