@@ -19,17 +19,14 @@ from .certify import (QuasirandomnessReport, certify, count_c4_labelled,
                       discrepancy_exhaustive, discrepancy_refined,
                       discrepancy_sampled, lambda_bound_from_trace,
                       lambda_estimate, trace_p4)
-from .walks import (Distribution, ListModel, WalkTrace,
-                    balanced_start, default_block_length,
-                    empirical_step_distribution, hit_probability_check,
+from .walks import (Distribution, ListModel, WalkTrace, balanced_start,
                     list_subgraph, load_trace, run_walk, sandwich_bounds,
-                    save_trace, stationary, subsequence_visit_counts,
-                    tv_distance, walk_edges, walk_subgraph)
+                    save_trace, stationary, tv_distance, walk_edges,
+                    walk_subgraph)
 from .trees import (RootedTree, TreeDecomposition, TreeHomomorphism,
                     build_tree, decompose_tree, gen_nary_tree, gen_path_tree,
                     gen_random_tree, image_subgraph, load_tree,
-                    random_homomorphism, save_homomorphism, save_tree,
-                    tree_visit_counts)
+                    random_homomorphism, save_homomorphism, save_tree)
 from .experiments import (EXPERIMENTS, ExperimentConfig, ExperimentReport,
                           make_host, run_experiment)
 
@@ -43,16 +40,13 @@ __all__ = [
     "discrepancy_exhaustive", "discrepancy_sampled", "discrepancy_refined",
     "count_c4_labelled",
     "trace_p4", "lambda_bound_from_trace", "lambda_estimate",
-    "ListModel", "WalkTrace", "Distribution", "stationary",
-    "balanced_start", "run_walk", "walk_edges", "walk_subgraph",
-    "list_subgraph",
-    "sandwich_bounds", "subsequence_visit_counts", "default_block_length",
-    "empirical_step_distribution", "tv_distance", "hit_probability_check",
-    "save_trace", "load_trace",
+    "ListModel", "WalkTrace", "Distribution", "stationary", "balanced_start",
+    "run_walk", "walk_edges", "walk_subgraph", "list_subgraph",
+    "sandwich_bounds", "tv_distance", "save_trace", "load_trace",
     "RootedTree", "TreeHomomorphism", "TreeDecomposition", "build_tree",
-    "gen_path_tree", "gen_nary_tree", "gen_random_tree",
-    "random_homomorphism", "tree_visit_counts", "image_subgraph",
-    "decompose_tree", "save_tree", "load_tree", "save_homomorphism",
+    "gen_path_tree", "gen_nary_tree", "gen_random_tree", "random_homomorphism",
+    "image_subgraph", "decompose_tree", "save_tree", "load_tree",
+    "save_homomorphism",
     "ExperimentConfig", "ExperimentReport", "EXPERIMENTS", "make_host",
     "run_experiment",
 ]

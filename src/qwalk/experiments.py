@@ -134,6 +134,10 @@ class ExperimentConfig:
         for key in ("schedule", "monotone_steps"):
             if any(i < 0 for i in getattr(self, key) or ()):
                 raise ValueError(f"{key} steps must be non-negative")
+        if not self.schedule:
+            raise ValueError("schedule must hold at least one step")
+        if len(set(self.schedule)) < len(self.schedule):
+            raise ValueError("schedule steps must be distinct")
         if not set(self.monotone_steps or ()) <= set(self.schedule):
             raise ValueError("monotone_steps must be steps of the schedule")
         if min([self.tree_max_degree, *self.degree_sweep]) < 2:

@@ -206,11 +206,6 @@ def random_homomorphism(g: Graph, t: RootedTree, model: ListModel,
     return TreeHomomorphism(tree=t, host=g, image=image, _rows=rows)
 
 
-def tree_visit_counts(h: TreeHomomorphism) -> np.ndarray:
-    """``h.visit_counts``, per host vertex."""
-    return h.visit_counts
-
-
 def image_subgraph(h: TreeHomomorphism) -> Graph:
     """Host edges in the image of the tree, deduplicated, as a Graph: the
     rows the kernel marked as it embedded the tree, with no kernel call,

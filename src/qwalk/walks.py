@@ -37,10 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .graph import (Graph, VertexSet, _clear_rows, _integers, _pairs_graph, _rows_fit,
-                    _vertex, balanced_vertices, density, read_text)
-from .rng import (DOMAIN_LIST, DOMAIN_STEP_LAW, _checked_seed, _integer, _kernel, stream,
-                  uniform_words)
+from .graph import (Graph, _clear_rows, _integers, _pairs_graph, _rows_fit, _vertex,
+                    balanced_vertices, read_text)
+from .rng import DOMAIN_LIST, _checked_seed, _integer, _kernel, uniform_words
 
 _CHUNK = 2048
 # The shortest walk that the kernel's helper thread serves.  In process on
@@ -280,12 +279,6 @@ class Distribution:
             raise ValueError("probabilities must sum to 1 within 1e-12")
 
     @classmethod
-    def point_mass(cls, n: int, v: int) -> "Distribution":
-        p = np.zeros(n)
-        p[v] = 1.0
-        return cls(p)
-
-    @classmethod
     def from_counts(cls, counts: np.ndarray) -> "Distribution":
         total = counts.sum()
         if total <= 0:
@@ -440,6 +433,8 @@ def sandwich_bounds(trace, g: Graph) -> tuple[float, float]:
                          "bound it on the graph it ran on")
     deg = g.degrees
     live = deg > 0
+    if not live.any():  # every list prefix is empty, so both containments hold
+        return 0.0, 0.0
     visits, deg = trace.visit_counts[live], deg[live]
     ratios = visits / deg
     hi = ratios.max()
@@ -448,43 +443,19 @@ def sandwich_bounds(trace, g: Graph) -> tuple[float, float]:
     return float(ratios.min()), float(hi)
 
 
-def subsequence_visit_counts(trace: WalkTrace, L: int) -> np.ndarray:
-    """X^(i)_v for i in [0, L): visits at positions i, i+L, i+2L, ...
-
-    Row i counts the K = steps // L walk positions i + (j-1)L, j <= K.
-    When L divides steps the rows sum to the plain visit counts; the
-    trailing steps - K*L positions are truncated otherwise.
-    """
-    L = _integer(L, "L")
-    if L < 1:
-        raise ValueError("L must be positive")
-    if L > trace.steps:
-        raise ValueError("L exceeds the walk length")
-    K = trace.steps // L
-    block = trace.sequence[:K * L].reshape(K, L)
-    return np.array([_count_ids([block[:, i]], trace.graph.n) for i in range(L)])
-
-
-def default_block_length(n: int) -> int:
-    """Subsequence stride (log n)^2, natural logarithm, rounded."""
-    return max(1, round(float(np.log(n)) ** 2))
-
-
-def step_positions(g: Graph, start, i: int, trials: int, rng) -> np.ndarray:
+def step_positions(g: Graph, start, i: int, trials: int, gen) -> np.ndarray:
     """Vertices at step i of ``trials`` independent walks (vectorized).
 
     ``start`` is one vertex or one per walk, each in the host and, for i >=
-    1, with neighbors, or ValueError names it.  ``rng`` is a seed, whose
-    step-law stream is opened, or a generator to continue, so callers
-    can batch walks or advance them step by step.  Every step draws
-    ``trials`` words in order; draws are independent across trials and
-    steps, which realizes the law of W_i for fresh walks.
+    1, with neighbors, or ValueError names it.  ``gen`` is a generator to
+    continue, so callers can batch walks or advance them step by step.
+    Every step draws ``trials`` words in order; draws are independent
+    across trials and steps, which realizes the law of W_i for fresh walks.
     """
-    i, trials = _integer(i, "step index", natural=True), _integer(trials, "trials")
+    i, trials = _integer(i, "step index", natural=True), _integer(trials, "trials", natural=True)
     for v in np.unique(start).tolist():
         if g.degree(v) == 0 and i:
             raise ValueError(f"start vertex {v} has no neighbors")
-    gen = stream(rng, DOMAIN_STEP_LAW, 0) if isinstance(rng, (int, np.integer)) else rng
     cur = np.full(trials, start, dtype=np.int64)
     deg = g.degrees
     for _ in range(i):
@@ -493,45 +464,11 @@ def step_positions(g: Graph, start, i: int, trials: int, rng) -> np.ndarray:
     return cur
 
 
-def empirical_step_distribution(g: Graph, start: int, i: int, trials: int,
-                                seed: int) -> Distribution:
-    """Monte-Carlo law of W_i over independent walks from ``start``."""
-    if _integer(trials, "trials") < 1:
-        raise ValueError("need at least one trial")
-    where = step_positions(g, start, i, trials, seed)
-    return Distribution.from_counts(np.bincount(where, minlength=g.n))
-
-
 def tv_distance(p: Distribution, q: Distribution) -> float:
     """Total variation distance, half the l1 distance."""
     if len(p.probs) != len(q.probs):
         raise ValueError("distributions live on different universes")
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
-
-
-def hit_probability_check(g: Graph, start: int, s: VertexSet, i: int,
-                          trials: int, seed: int, *, eps: float) -> tuple[float, float]:
-    """Empirical Pr(W_i in S) from a balanced start, with its lower floor.
-
-    The floor is |S|/n - 9*sqrt(eps)/rho, valid for i >= 2 and |S| >= eps*n
-    when the host is eps-quasirandom.  Rejects unbalanced starts.
-    """
-    start, i, trials = _vertex(g, start), _integer(i, "step index"), _integer(trials, "trials")
-    if s.n != g.n:
-        raise ValueError("vertex sets must live on the graph's vertex range")
-    rho = density(g)
-    if abs(g.degree(start) - rho * g.n) > eps * g.n:
-        raise ValueError(f"start vertex {start} is not balanced at eps={eps}")
-    if s.size < eps * g.n:
-        raise ValueError("target set smaller than eps*n")
-    if i < 2:
-        raise ValueError("the floor applies to steps i >= 2")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    where = step_positions(g, start, i, trials, seed)
-    empirical = float(s.bool_mask()[where].mean())
-    floor = s.size / g.n - 9.0 * np.sqrt(eps) / rho
-    return empirical, float(floor)
 
 
 def save_trace(trace: WalkTrace, path: str) -> None:

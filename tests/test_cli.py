@@ -147,6 +147,8 @@ def test_directory_path_returns_2(tmp_path, capsys):
     ('{"degree_sweep": [0]}', 1,
      "tree_max_degree and degree_sweep caps must be at least 2"),
     ('{"schedule": [-1, 2]}', 1, "schedule steps must be non-negative"),
+    ('{"schedule": []}', 1, "schedule must hold at least one step"),
+    ('{"schedule": [0, 2, 2, 10]}', 1, "schedule steps must be distinct"),
     ('{"alpha": -1}', 1, "alpha must be non-negative"),
     ('{"mixing_trials": 0}', 1,
      "disc_trials and mixing_trials must be at least 1"),

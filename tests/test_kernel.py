@@ -36,9 +36,7 @@ from qwalk.graph import (Graph, VertexSet, _mark_rows, _pairs_graph, _vertex_cou
                          gen_two_clique_bridge, neighbour_counts, save_graph)
 from qwalk.trees import (build_tree, decompose_tree, gen_nary_tree, gen_path_tree,
                          gen_random_tree, image_subgraph, random_homomorphism)
-from qwalk.walks import (ListModel, empirical_step_distribution, hit_probability_check,
-                         list_subgraph, run_walk, step_positions, subsequence_visit_counts,
-                         walk_subgraph)
+from qwalk.walks import ListModel, list_subgraph, run_walk, step_positions, walk_subgraph
 
 SRC = Path(__file__).parents[1] / "src"
 # the package re-exports the function ``certify`` under the module's name
@@ -519,15 +517,33 @@ SANITIZE = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=
             "-pthread"]
 
 
-def _libasan():
-    """The path of gcc's libasan.so; skips the test without gcc or it."""
+def _gcc_runtime(name):
+    """The path of gcc's library ``name``.so; skips the test without gcc or it."""
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
-    path = subprocess.run(["gcc", "-print-file-name=libasan.so"], capture_output=True,
+    path = subprocess.run(["gcc", f"-print-file-name={name}.so"], capture_output=True,
                           text=True).stdout.strip()
     if not os.path.isabs(path) or not os.path.exists(path):
-        pytest.skip("gcc has no libasan")
+        pytest.skip(f"gcc has no {name}")
     return path
+
+
+def _harness(tmp_path, source, name, flags):
+    """The executable tmp_path/name that gcc builds with ``flags`` from the
+    C harness ``source``, which includes the kernel where it says %s;
+    skips the test without gcc, or without the runtime of the sanitizer
+    that ``flags`` name."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    if flags is SANITIZE:
+        _gcc_runtime("libasan")
+    if "-fsanitize=thread" in flags:
+        _gcc_runtime("libtsan")
+    harness, exe = tmp_path / f"{name}.c", tmp_path / name
+    harness.write_text(source % (SRC / "qwalk" / "_philox.c"))
+    subprocess.run(["gcc", *flags, "-o", str(exe), str(harness)], check=True,
+                   capture_output=True)
+    return exe
 
 
 @pytest.mark.parametrize("flags", [["-O2", "-pthread"], SANITIZE], ids=["O2", "sanitized"])
@@ -538,14 +554,7 @@ def test_broadword_select_matches_pdep(tmp_path, flags):
     # built with the kernel's flags, and under AddressSanitizer and UBSan,
     # where any report aborts the run: qw_consume takes one select by the
     # CPU it runs on, so the kernel's own sanitized run reaches only one
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
-    if flags is SANITIZE:
-        _libasan()
-    harness, exe = tmp_path / "select.c", tmp_path / "select"
-    harness.write_text(SELECT_HARNESS % (SRC / "qwalk" / "_philox.c"))
-    subprocess.run(["gcc", *flags, "-o", str(exe), str(harness)], check=True,
-                   capture_output=True)
+    exe = _harness(tmp_path, SELECT_HARNESS, "select", flags)
     run = subprocess.run([str(exe)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     checks, has_pdep, portable, pdep = map(int, run.stdout.split())
@@ -688,14 +697,7 @@ def test_wide_code_matches_scalar(tmp_path, flags):
     # against the scalar ones, which other CPUs run; built with the
     # kernel's flags, and under AddressSanitizer and UBSan, where any
     # report aborts the run
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
-    if flags is SANITIZE:
-        _libasan()
-    harness, exe = tmp_path / "wide.c", tmp_path / "wide"
-    harness.write_text(WIDE_HARNESS % (SRC / "qwalk" / "_philox.c"))
-    subprocess.run(["gcc", *flags, "-o", str(exe), str(harness)], check=True,
-                   capture_output=True)
+    exe = _harness(tmp_path, WIDE_HARNESS, "wide", flags)
     run = subprocess.run([str(exe)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     checks, has_wide, wide_checks, wrong = map(int, run.stdout.split())
@@ -904,14 +906,7 @@ def test_fill_and_row_code_match_reference(tmp_path, flags):
     # below_cut against the scalar one; and transpose64 bit by bit.  Built
     # with the kernel's flags, and under AddressSanitizer and UBSan, where
     # any report aborts the run
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
-    if flags is SANITIZE:
-        _libasan()
-    harness, exe = tmp_path / "fill.c", tmp_path / "fill"
-    harness.write_text(FILL_HARNESS % (SRC / "qwalk" / "_philox.c"))
-    subprocess.run(["gcc", *flags, "-o", str(exe), str(harness)], check=True,
-                   capture_output=True)
+    exe = _harness(tmp_path, FILL_HARNESS, "fill", flags)
     run = subprocess.run([str(exe)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     fills, narrow, pdep_fills, wide, wide_fills, searches, checks, wrong = map(
@@ -1006,12 +1001,7 @@ def test_sampler_counts_every_trial_when_no_thread_starts(tmp_path):
     # with the counts that one thread gives, and every G(n, p) row; and a
     # walk given work fills every chunk itself, with the image, state and
     # counts of a walk given none
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
-    harness, exe = tmp_path / "refused.c", tmp_path / "refused"
-    harness.write_text(REFUSED_THREADS_HARNESS % (SRC / "qwalk" / "_philox.c"))
-    subprocess.run(["gcc", "-O2", "-pthread", "-o", str(exe), str(harness)], check=True,
-                   capture_output=True)
+    exe = _harness(tmp_path, REFUSED_THREADS_HARNESS, "refused", ["-O2", "-pthread"])
     out = subprocess.run([str(exe)], capture_output=True, text=True, check=True).stdout
     assert out.split() == ["0"]
 
@@ -1168,16 +1158,8 @@ def test_walk_helper_runs_clean_under_thread_sanitizer(tmp_path, ring):
     # keeps memcpy a call, which ThreadSanitizer checks: gcc expands it
     # inline unchecked, and then a helper that published its tags relaxed
     # went unreported
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
-    path = subprocess.run(["gcc", "-print-file-name=libtsan.so"], capture_output=True,
-                          text=True).stdout.strip()
-    if not os.path.isabs(path) or not os.path.exists(path):
-        pytest.skip("gcc has no libtsan")
-    harness, exe = tmp_path / "helper.c", tmp_path / "helper"
-    harness.write_text(HELPER_HARNESS % (SRC / "qwalk" / "_philox.c"))
-    subprocess.run(["gcc", "-O1", "-g", "-fsanitize=thread", "-fno-builtin", "-pthread", *ring,
-                    "-o", str(exe), str(harness)], check=True, capture_output=True)
+    exe = _harness(tmp_path, HELPER_HARNESS, "helper",
+                   ["-O1", "-g", "-fsanitize=thread", "-fno-builtin", "-pthread", *ring])
     run = subprocess.run([str(exe)], capture_output=True, text=True, timeout=600,
                          env=dict(os.environ, TSAN_OPTIONS="halt_on_error=1:exitcode=66"))
     assert run.returncode == 0 and "ThreadSanitizer" not in run.stderr, run.stderr[-4000:]
@@ -1250,7 +1232,7 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
     # SANITIZED_TESTS in a child process with libasan preloaded, since
     # Python is not built with it; the sanitizers log to files, which
     # pytest's capture cannot swallow when a report aborts the child
-    libasan = _libasan()
+    libasan = _gcc_runtime("libasan")
     rng._build(rng._SOURCE.read_bytes(), SANITIZE, tmp_path / "kernel.so")
     (tmp_path / "sanitized_kernel.py").write_text(
         SANITIZED_PLUGIN % (str(tmp_path / "kernel.so"), str(tmp_path / "called.txt")))
@@ -1549,8 +1531,6 @@ def test_vertex_count_bound_keeps_keys_in_int64():
      "trials must be an integer, got 2.5"),
     (lambda: discrepancy_sampled(gen_complete(4), 0.5, True, 1),
      "trials must be an integer, got True"),
-    (lambda g=gen_complete(3): subsequence_visit_counts(
-        run_walk(g, ListModel(g, 1), 0, 6), True), "L must be an integer, got True"),
     (lambda: rng.derive_seed(True, 0, 0), "seed must be an integer, got True"),
     # tree sizes and piece sizes
     (lambda: gen_path_tree(2.5), "length must be an integer, got 2.5"),
@@ -1560,19 +1540,13 @@ def test_vertex_count_bound_keeps_keys_in_int64():
     (lambda: gen_random_tree(5.0, 3, 1), "n_vertices must be an integer, got 5.0"),
     (lambda: gen_random_tree(5, 3.0, 1), "max_deg must be an integer, got 3.0"),
     (lambda: decompose_tree(gen_path_tree(10), 1.5), "L must be an integer, got 1.5"),
-    # the step laws' step index and trials
-    (lambda: empirical_step_distribution(gen_complete(5), 0, 2, True, 1),
-     "trials must be an integer, got True"),
-    (lambda: empirical_step_distribution(gen_complete(5), 0, 2, 2.5, 1),
-     "trials must be an integer, got 2.5"),
-    (lambda: empirical_step_distribution(gen_complete(5), 0, 2.0, 3, 1),
+    # step_positions' step index and trials
+    (lambda: step_positions(gen_complete(5), 0, 2.0, 3, test_walks.step_law(1)),
      "step index must be an integer, got 2.0"),
-    (lambda: step_positions(gen_complete(5), 0, 2.0, 3, 1), "step index must be an integer, got 2.0"),
-    (lambda: step_positions(gen_complete(5), 0, 2, 3.0, 1), "trials must be an integer, got 3.0"),
-    (lambda: hit_probability_check(gen_complete(5), 0, VertexSet.full(5), 2, 2.5, 1, eps=0.5),
-     "trials must be an integer, got 2.5"),
-    (lambda: hit_probability_check(gen_complete(5), 0, VertexSet.full(5), 2.5, 3, 1, eps=0.5),
-     "step index must be an integer, got 2.5"),
+    (lambda: step_positions(gen_complete(5), 0, 2, 3.0, test_walks.step_law(1)),
+     "trials must be an integer, got 3.0"),
+    (lambda: step_positions(gen_complete(5), 0, 2, -3, test_walks.step_law(1)),
+     "trials must be non-negative, got -3"),
     # a list prefix's length parameter, refused in walk_steps' words
     (lambda g=gen_complete(3): list_subgraph(g, ListModel(g, 1), math.inf),
      "alpha must be finite, got inf"),
@@ -1868,14 +1842,7 @@ def test_size_draw_repeats_and_gives_up_as_numpy_would(tmp_path, flags):
     # about r, so a third of the 32-bit draws are drawn again, and the
     # kernel returns -1 where numpy's sizes take more than 2 trials words;
     # no graph is needed, since the trials are never reached
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
-    if flags is SANITIZE:
-        _libasan()
-    harness, exe = tmp_path / "sizes.c", tmp_path / "sizes"
-    harness.write_text(SIZES_HARNESS % (SRC / "qwalk" / "_philox.c"))
-    subprocess.run(["gcc", *flags, "-o", str(exe), str(harness)], check=True,
-                   capture_output=True)
+    exe = _harness(tmp_path, SIZES_HARNESS, "sizes", flags)
     n = 1431655766
     cases = [(seed, trials) for seed in range(40) for trials in (1, 2, 5)]
     lines = "".join(f"{seed} 1 {n} {trials}\n" for seed, trials in cases)

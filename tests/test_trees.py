@@ -16,7 +16,7 @@ from qwalk.rng import DOMAIN_TRIALS, derive_seed
 from qwalk.trees import (RootedTree, TreeHomomorphism, _edge_blocks, _tree_size, build_tree,
                          decompose_tree, gen_nary_tree, gen_path_tree, gen_random_tree,
                          image_subgraph, load_tree, random_homomorphism, save_homomorphism,
-                         save_tree, tree_visit_counts)
+                         save_tree)
 from qwalk.walks import ListModel, run_walk, walk_edges, walk_subgraph
 
 
@@ -291,24 +291,24 @@ class TestVisitCounts:
         g = gen_gnp(40, 0.5, 7)
         walk = run_walk(g, ListModel(g, 3), 5, 150)
         hom = random_homomorphism(g, gen_path_tree(150), ListModel(g, 3), 5)
-        assert np.array_equal(tree_visit_counts(hom), walk.visit_counts)
+        assert np.array_equal(hom.visit_counts, walk.visit_counts)
 
     def test_star_concentrates_on_root(self):
         g = gen_complete(10)
         star = build_tree([None] + [0] * 6)
         hom = random_homomorphism(g, star, ListModel(g, 2), 4)
-        counts = tree_visit_counts(hom)
+        counts = hom.visit_counts
         assert counts[4] == 6 and counts.sum() == 6
 
     def test_conservation(self):
         g = gen_gnp(30, 0.5, 1)
         t = gen_random_tree(120, 5, 8)
         hom = random_homomorphism(g, t, ListModel(g, 6), 0)
-        assert tree_visit_counts(hom).sum() == t.n_edges
+        assert hom.visit_counts.sum() == t.n_edges
 
 
 class TestEdgeBlocks:
-    """``is_edge_preserving`` and ``tree_visit_counts`` gather the parents'
+    """``is_edge_preserving`` and ``visit_counts`` gather the parents'
     images 2^16 tree edges at a time, as ``image_subgraph`` does."""
 
     def test_blocks_give_the_whole_tree_gather(self):
@@ -319,8 +319,8 @@ class TestEdgeBlocks:
         for t in (gen_path_tree(0), gen_path_tree(70_000), gen_nary_tree(300, 2)):
             hom = random_homomorphism(g, t, ListModel(g, 3), 0)
             heads = hom.image[t.parents[1:]]
-            assert np.array_equal(tree_visit_counts(hom), np.bincount(heads, minlength=g.n))
-            assert tree_visit_counts(hom).dtype == np.int64
+            assert np.array_equal(hom.visit_counts, np.bincount(heads, minlength=g.n))
+            assert hom.visit_counts.dtype == np.int64
             assert hom.is_edge_preserving() is bool(g.has_edges(heads, hom.image[1:]).all())
             assert hom.is_edge_preserving() is True
         bad = TreeHomomorphism(t, g, hom.image.copy())
@@ -328,7 +328,7 @@ class TestEdgeBlocks:
         assert t.n_edges - 1 >= 2**16
         assert not g.has_edges(bad.image[t.parents[1:]], bad.image[1:]).all()
         assert bad.is_edge_preserving() is False
-        assert np.array_equal(tree_visit_counts(bad), tree_visit_counts(hom))
+        assert np.array_equal(bad.visit_counts, hom.visit_counts)
 
     def test_edge_check_and_visit_counts_make_no_whole_tree_temporary(self, c_backend):
         # the 1000-ary depth-2 tree's 1,001,000 parent images take 4 MB as
@@ -337,7 +337,7 @@ class TestEdgeBlocks:
         g = gen_complete(2000)
         t = gen_nary_tree(1000, 2)
         hom = random_homomorphism(g, t, ListModel(g, 5), 0)
-        for call in (hom.is_edge_preserving, lambda: tree_visit_counts(hom)):
+        for call in (hom.is_edge_preserving, lambda: hom.visit_counts):
             tracemalloc.start()
             try:
                 call()

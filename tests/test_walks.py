@@ -11,16 +11,14 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from qwalk import rng, walks
-from qwalk.graph import Graph, VertexSet, build_graph, gen_complete, gen_gnp
+from qwalk.graph import Graph, build_graph, gen_complete, gen_gnp
 from qwalk.rng import DOMAIN_STEP_LAW, DOMAIN_TRIALS, derive_seed, stream
-from qwalk.trees import (build_tree, gen_nary_tree, gen_random_tree, image_subgraph,
-                         random_homomorphism, tree_visit_counts)
-from qwalk.walks import (Distribution, ListModel, WalkTrace, balanced_start,
-                         empirical_step_distribution, hit_probability_check,
-                         list_subgraph, load_trace, run_walk, sandwich_bounds,
-                         save_trace, stationary, step_positions,
-                         subsequence_visit_counts, tv_distance, walk_edges,
-                         walk_steps, walk_subgraph)
+from qwalk.trees import (build_tree, gen_nary_tree, gen_path_tree, gen_random_tree,
+                         image_subgraph, random_homomorphism)
+from qwalk.walks import (Distribution, ListModel, WalkTrace, balanced_start, list_subgraph,
+                         load_trace, run_walk, sandwich_bounds, save_trace, stationary,
+                         step_positions, tv_distance, walk_edges, walk_steps,
+                         walk_subgraph)
 
 # each example sets the block it needs; the fixtures restore it after the test
 PER_EXAMPLE = dict(derandomize=True, deadline=None,
@@ -38,6 +36,11 @@ def upper_gamma_regularized(k_int, y):
         term *= y / j
         total += term
     return math.exp(-y) * total
+
+
+def step_law(seed):
+    """The generator that the step-law stream of ``seed`` opens."""
+    return stream(seed, DOMAIN_STEP_LAW, 0)
 
 
 class TestStationary:
@@ -133,7 +136,7 @@ class TestListModel:
         replay = ListModel(g, 21)
         for v, got in taken.items():
             assert replay.entries(v, len(got)).tolist() == got
-        departures = (trace.visit_counts + tree_visit_counts(hom)
+        departures = (trace.visit_counts + hom.visit_counts
                       + np.bincount([v for v, _ in singles], minlength=g.n))
         assert np.array_equal(model.consumed, departures)
         assert (model.consumed == [len(taken[v]) for v in range(g.n)]).all()
@@ -285,7 +288,7 @@ class TestRunWalk:
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError, match="step index must be non-negative"):
-            step_positions(gen_complete(4), 0, -3, 4, 1)
+            step_positions(gen_complete(4), 0, -3, 4, step_law(1))
 
     @pytest.mark.parametrize("alpha,message", [
         (math.inf, "alpha must be finite, got inf"),
@@ -639,6 +642,7 @@ class TestSandwich:
         (gen_complete(200), gen_nary_tree(30, 2), 7),
         (gen_gnp(400, 0.1, 3), gen_random_tree(5_000, 3, 4), 5),
         (build_graph(4, [(0, 1), (1, 2), (2, 3)]), gen_random_tree(300, 3, 5), 3),
+        (build_graph(3, []), gen_path_tree(0), 0),  # no vertex to take a ratio at
     ])
     def test_tree_image_containments_exact(self, backend, host, tree, root):
         # a tree embedding takes each image vertex's entries in order, as
@@ -678,58 +682,17 @@ class TestVisitCounts:
         assert np.array_equal(model.consumed, trace.visit_counts)
         model = ListModel(g, seed)
         hom = random_homomorphism(g, gen_random_tree(size, cap, tree_seed), model, start)
-        assert np.array_equal(model.consumed, tree_visit_counts(hom))
         assert np.array_equal(model.consumed, hom.visit_counts)
 
 
-class TestSubsequenceCounts:
-    def test_l1_is_visit_counts(self):
-        g = gen_gnp(20, 0.5, 2)
-        trace = run_walk(g, ListModel(g, 5), 0, 100)
-        counts = subsequence_visit_counts(trace, 1)
-        assert np.array_equal(counts[0], trace.visit_counts)
-
-    def test_k2_hand_check(self):
-        g = gen_complete(2)
-        trace = run_walk(g, ListModel(g, 3), 0, 4)
-        counts = subsequence_visit_counts(trace, 2)
-        # row 0 counts W_0, W_2 = 0, 0; row 1 counts W_1, W_3 = 1, 1
-        assert counts[0].tolist() == [2, 0]
-        assert counts[1].tolist() == [0, 2]
-
-    def test_row_sums_equal_k(self):
-        g = gen_gnp(20, 0.5, 2)
-        trace = run_walk(g, ListModel(g, 5), 0, 103)
-        counts = subsequence_visit_counts(trace, 10)
-        assert (counts.sum(axis=1) == 10).all()
-
-    def test_bad_l(self):
-        g = gen_complete(2)
-        trace = run_walk(g, ListModel(g, 3), 0, 4)
-        with pytest.raises(ValueError):
-            subsequence_visit_counts(trace, 0)
-        with pytest.raises(ValueError):
-            subsequence_visit_counts(trace, 5)
-
-
 class TestStepDistribution:
-    def test_step_zero_point_mass(self):
-        g = gen_gnp(20, 0.5, 2)
-        law = empirical_step_distribution(g, 4, 0, 100, 9)
-        assert law.probs[4] == 1.0
-
     def test_k2_step_one(self):
-        g = gen_complete(2)
-        law = empirical_step_distribution(g, 0, 1, 50, 9)
-        assert law.probs.tolist() == [0.0, 1.0]
+        assert step_positions(gen_complete(2), 0, 1, 50, step_law(9)).tolist() == [1] * 50
 
     @pytest.mark.parametrize("start", [9, -1])
     def test_start_outside_host_rejected(self, start):
         with pytest.raises(ValueError, match=f"vertex {start} is not in the host's 0..3"):
-            empirical_step_distribution(gen_complete(4), start, 2, 10, 1)
-        with pytest.raises(ValueError, match=f"vertex {start} is not in the host's 0..3"):
-            hit_probability_check(gen_complete(4), start, VertexSet.full(4), 2, 10, 1,
-                                  eps=0.5)
+            step_positions(gen_complete(4), start, 2, 10, step_law(1))
 
     @pytest.mark.parametrize("host,start", [
         (build_graph(4, [(1, 2), (2, 3)]), 0),  # once walked on to vertex 2
@@ -738,20 +701,19 @@ class TestStepDistribution:
     ])
     def test_start_without_neighbors_rejected(self, host, start):
         with pytest.raises(ValueError, match=r"start vertex [03] has no neighbors"):
-            step_positions(host, start, 1, 4, 1)
-        assert (step_positions(host, start, 0, 4, 1) == start).all()  # no step taken
-        if isinstance(start, int):
-            with pytest.raises(ValueError, match=f"start vertex {start} has no neighbors"):
-                empirical_step_distribution(host, start, 3, 4, 1)
+            step_positions(host, start, 1, 4, step_law(1))
+        assert (step_positions(host, start, 0, 4, step_law(1)) == start).all()  # no step taken
 
     def test_starts_outside_host_rejected(self):
         with pytest.raises(ValueError, match="vertex 4 is not in the host's 0..3"):
-            step_positions(gen_complete(4), [0, 4, 1], 0, 3, 1)
-        assert step_positions(gen_complete(4), [0, 3, 1], 0, 3, 1).tolist() == [0, 3, 1]
+            step_positions(gen_complete(4), [0, 4, 1], 0, 3, step_law(1))
+        assert step_positions(gen_complete(4), [0, 3, 1], 0, 3, step_law(1)).tolist() == \
+            [0, 3, 1]
 
     def test_converges_to_stationary(self):
         g = gen_gnp(100, 0.5, 15)
-        law = empirical_step_distribution(g, 0, 8, 50_000, 3)
+        where = step_positions(g, 0, 8, 50_000, step_law(3))
+        law = Distribution.from_counts(np.bincount(where, minlength=g.n))
         assert tv_distance(law, stationary(g)) < 0.05
 
 
@@ -761,8 +723,8 @@ class TestTvDistance:
         assert tv_distance(p, p) == 0.0
 
     def test_disjoint_point_masses(self):
-        assert tv_distance(Distribution.point_mass(3, 0),
-                           Distribution.point_mass(3, 2)) == 1.0
+        assert tv_distance(Distribution(np.array([1.0, 0.0, 0.0])),
+                           Distribution(np.array([0.0, 0.0, 1.0]))) == 1.0
 
     def test_half(self):
         p = Distribution(np.array([0.5, 0.5]))
@@ -778,7 +740,8 @@ class TestTvDistance:
 
     def test_mismatched_universes(self):
         with pytest.raises(ValueError):
-            tv_distance(Distribution.point_mass(2, 0), Distribution.point_mass(3, 0))
+            tv_distance(Distribution(np.array([1.0, 0.0])),
+                        Distribution(np.array([1.0, 0.0, 0.0])))
 
 
 @pytest.mark.parametrize("probs,message", [
@@ -793,65 +756,6 @@ def test_distribution_refuses_non_finite_entries(probs, message):
     # which NaN fails, must refuse it
     with pytest.raises(ValueError, match=message):
         Distribution(np.array(probs))
-
-
-class TestHitProbability:
-    def test_full_set(self):
-        g = gen_gnp(50, 0.5, 21)
-        emp, floor = hit_probability_check(
-            g, balanced_start(g, 0.2), VertexSet.full(50), 2, 200, 5, eps=0.2)
-        assert emp == 1.0 and emp >= floor
-
-    def test_complete_graph_two_steps(self):
-        n = 40
-        g = gen_complete(n)
-        s = VertexSet.from_iterable(n, range(1, 13))
-        emp, _ = hit_probability_check(g, 0, s, 2, 40_000, 8, eps=0.05)
-        # step law on K_n is uniform off the current vertex
-        assert abs(emp - 12 / (n - 1)) < 0.02
-
-    def test_floor_formula(self):
-        g = gen_complete(40)
-        s = VertexSet.from_iterable(40, range(20))
-        _, floor = hit_probability_check(g, 0, s, 2, 10, 8, eps=0.04)
-        assert floor == pytest.approx(0.5 - 9 * 0.2 / 1.0)
-
-    @pytest.mark.parametrize("universe", [80, 20])
-    def test_set_on_another_vertex_range_rejected(self, universe):
-        # a larger range once read as a sure hit, a smaller one as an IndexError
-        with pytest.raises(ValueError, match="graph's vertex range"):
-            hit_probability_check(gen_complete(40), 0, VertexSet.full(universe),
-                                  2, 100, 8, eps=0.05)
-
-    def test_unbalanced_start_rejected(self):
-        star_plus = build_graph(12, [(0, i) for i in range(1, 12)] + [(1, 2)])
-        with pytest.raises(ValueError, match="balanced"):
-            hit_probability_check(star_plus, 0, VertexSet.full(12), 2, 10, 1,
-                                  eps=0.05)
-
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_no_trials_rejected(self, trials):
-        # 0 trials read as a nan hit rate, and -3 as numpy's negative dimensions
-        for check in (lambda: hit_probability_check(gen_complete(4), 0, VertexSet.full(4),
-                                                    2, trials, 1, eps=0.5),
-                      lambda: empirical_step_distribution(gen_complete(4), 0, 2, trials, 1)):
-            with pytest.raises(ValueError, match="need at least one trial"):
-                check()
-
-    def test_floor_holds_on_random_hosts(self):
-        for seed in range(10):
-            g = gen_gnp(500, 0.5, 300 + seed)
-            s = VertexSet.from_iterable(500, range(150))
-            emp, floor = hit_probability_check(
-                g, balanced_start(g, 0.01), s, 5, 5000, seed, eps=0.01)
-            assert emp >= floor
-
-
-class TestDefaultBlockLength:
-    def test_log_squared(self):
-        from qwalk.walks import default_block_length
-        assert default_block_length(300) == round(math.log(300) ** 2)
-        assert default_block_length(2) == 1  # floors at one step
 
 
 class TestTraceIO:
