@@ -1540,11 +1540,20 @@ def test_vertex_count_bound_keeps_keys_in_int64():
     (lambda: gen_random_tree(5.0, 3, 1), "n_vertices must be an integer, got 5.0"),
     (lambda: gen_random_tree(5, 3.0, 1), "max_deg must be an integer, got 3.0"),
     (lambda: decompose_tree(gen_path_tree(10), 1.5), "L must be an integer, got 1.5"),
+    (lambda: decompose_tree(gen_path_tree(10), True), "L must be an integer, got True"),
     # step_positions' step index and trials
     (lambda: step_positions(gen_complete(5), 0, 2.0, 3, test_walks.step_law(1)),
      "step index must be an integer, got 2.0"),
+    (lambda: step_positions(gen_complete(5), 0, 2.5, 3, test_walks.step_law(1)),
+     "step index must be an integer, got 2.5"),
+    (lambda: step_positions(gen_complete(5), 0, True, 3, test_walks.step_law(1)),
+     "step index must be an integer, got True"),
     (lambda: step_positions(gen_complete(5), 0, 2, 3.0, test_walks.step_law(1)),
      "trials must be an integer, got 3.0"),
+    (lambda: step_positions(gen_complete(5), 0, 2, 2.5, test_walks.step_law(1)),
+     "trials must be an integer, got 2.5"),
+    (lambda: step_positions(gen_complete(5), 0, 2, True, test_walks.step_law(1)),
+     "trials must be an integer, got True"),
     (lambda: step_positions(gen_complete(5), 0, 2, -3, test_walks.step_law(1)),
      "trials must be non-negative, got -3"),
     # a list prefix's length parameter, refused in walk_steps' words

@@ -710,6 +710,53 @@ class TestStepDistribution:
         assert step_positions(gen_complete(4), [0, 3, 1], 0, 3, step_law(1)).tolist() == \
             [0, 3, 1]
 
+    def test_step_zero_point_mass(self):
+        g = gen_gnp(20, 0.5, 2)
+        assert (step_positions(g, 4, 0, 100, step_law(9)) == 4).all()
+
+    def test_no_trials_is_empty(self):
+        assert step_positions(gen_complete(4), 0, 2, 0, step_law(1)).shape == (0,)
+
+    @pytest.mark.parametrize("host,start", [
+        (gen_gnp(30, 0.3, 4), 0),
+        (build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), [0, 1, 2, 3, 4] * 20),
+    ])
+    def test_step_one_lands_on_a_neighbour(self, host, start):
+        where = step_positions(host, start, 1, 100, step_law(2))
+        assert all(host.has_edge(int(u), int(v))
+                   for u, v in zip(np.broadcast_to(start, 100), where))
+
+    def test_step_one_is_uniform_on_neighbours(self):
+        star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        where = step_positions(star, 0, 1, 30_000, step_law(5))
+        assert np.abs(np.bincount(where, minlength=4)[1:] / 30_000 - 1 / 3).max() < 0.015
+
+    def test_complete_graph_two_steps(self):
+        # on K_n a step is uniform off the current vertex, so two steps
+        # return with probability 1/(n-1) and reach each other vertex with
+        # (n-2)/(n-1)^2
+        n = 40
+        where = step_positions(gen_complete(n), 0, 2, 40_000, step_law(8))
+        exact = np.full(n, (n - 2) / (n - 1) ** 2)
+        exact[0] = 1 / (n - 1)
+        law = Distribution.from_counts(np.bincount(where, minlength=n))
+        assert tv_distance(law, Distribution(exact)) < 0.03
+        assert abs(law.probs[0] - 1 / (n - 1)) < 0.005
+
+    @pytest.mark.parametrize("i", [3, 4])
+    def test_even_cycle_keeps_parity(self, i):
+        ring = build_graph(10, [(k, (k + 1) % 10) for k in range(10)])
+        assert (step_positions(ring, 0, i, 200, step_law(6)) % 2 == i % 2).all()
+
+    def test_steps_continue_the_generator(self):
+        # every step draws one word per walk in order, so walks advanced one
+        # step at a time on one generator end where walks of two steps do
+        g = gen_gnp(30, 0.3, 4)
+        gen = step_law(7)
+        one = step_positions(g, 0, 1, 50, gen)
+        assert np.array_equal(step_positions(g, one, 1, 50, gen),
+                              step_positions(g, 0, 2, 50, step_law(7)))
+
     def test_converges_to_stationary(self):
         g = gen_gnp(100, 0.5, 15)
         where = step_positions(g, 0, 8, 50_000, step_law(3))
