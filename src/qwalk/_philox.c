@@ -15,9 +15,10 @@
  * qwalk.rng.derive_seed the first key word.
  *
  * Runs of words come from one generator, philox_run: qw_words, qw_gnp's
- * rows, the subset sampler's sets and qw_consume's chunks call it.  On
- * x86-64 CPUs with AVX-512F and AVX-512 VPOPCNTDQ, chosen at run time by
- * __builtin_cpu_supports as pdep is, it computes each whole run of 16
+ * rows, the subset sampler's sets and qw_consume's chunks call it.  Each
+ * of them takes the code that the CPU runs from one chooser, cpu_paths,
+ * the one place that asks the CPU what it has.  On x86-64 CPUs with
+ * AVX-512F and AVX-512 VPOPCNTDQ, it computes each whole run of 16
  * blocks as two interleaved chains of 8 in the lanes of 512-bit registers
  * (philox_16), and a last run of 8 as one chain (philox_8); qw_gnp builds
  * its row words from 8-lane compares (below_cut_wide), and the subset
@@ -65,8 +66,7 @@
  * chunks at a time and never waits on; it copies each chunk that the
  * helper has made and fills any other itself, so its outputs are those of
  * one thread.  Without the wide code, the counts take the popcnt
- * instruction where the CPU has it (row_counts_popcnt), chosen at run
- * time as the wide code is.
+ * instruction where the CPU has it (row_counts_popcnt).
  *
  * Built with -O2 -pthread on first use by qwalk.rng and called through
  * ctypes, which releases the GIL for the call; the threads run C alone.
@@ -154,15 +154,37 @@ static void philox_block(const uint64_t key[2], uint64_t ctr, uint64_t out[4])
     out[3] = c3;
 }
 
+/* A graph's neighbour lists as qw_consume reads them: the CSR ``indices``
+ * of indptr, or the bit rows, w words a row, with ``ranks``, the set bits
+ * of a row before each of its words. */
+struct lists {
+    const int64_t *indptr;
+    const int32_t *indices;
+    const uint64_t *rows;
+    const int32_t *ranks;
+    int64_t w;
+};
+
+typedef void (*filler)(struct lists, const uint64_t *, int64_t, int64_t, int, void *);
+
+/* The code each site runs on this CPU, chosen by cpu_paths below: whether
+ * philox_run takes 16 and 8 blocks at a time, qw_consume's fillers on bit
+ * rows of more than 32 words and of at most 32, the subset sampler's mask
+ * and count, and qw_gnp's below_cut. */
+struct paths {
+    int wide;
+    filler fill, fill_narrow;
+    void (*mask)(const uint64_t *, int64_t, int64_t, int64_t, int, uint64_t *, uint64_t *,
+                 int64_t *, uint64_t *);
+    int64_t (*count)(int64_t, int64_t, const uint64_t *, const uint64_t *, int,
+                     const uint64_t *);
+    uint64_t (*below)(const uint64_t *, int64_t, uint64_t);
+};
+
+static inline __attribute__((always_inline)) struct paths cpu_paths(void);
+
 #if defined(__x86_64__) && defined(__GLIBC__)
 #define WIDE __attribute__((target("avx512f,avx512vpopcntdq,popcnt")))
-
-/* Whether the CPU runs the wide code: AVX-512 Foundation for Philox, the
- * subset sampler's compress and compares, and VPOPCNTDQ for its counts */
-static int has_wide(void)
-{
-    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vpopcntdq");
-}
 
 /* The high word of m x in each lane, m = (mh << 32) + ml, and its low word
  * in ``lo``, from four 32 x 32 -> 64 bit products (vpmuludq), since
@@ -239,12 +261,7 @@ void philox_lanes(const uint64_t key[2], uint64_t ctr, int chains, uint64_t *out
 #else
 #define WIDE
 
-static int has_wide(void)
-{
-    return 0;
-}
-
-/* philox_lanes where no CPU has the wide code: has_wide keeps it uncalled */
+/* philox_lanes where no CPU has the wide code: cpu_paths keeps it uncalled */
 static void philox_lanes(const uint64_t key[2], uint64_t ctr, int chains, uint64_t *out)
 {
     int i;
@@ -277,7 +294,7 @@ static void philox_run(const uint64_t key[2], int64_t start, int64_t count, uint
 {
     uint64_t block[4];
     int64_t j = start, end = start + count;
-    int wide = count >= 32 && has_wide();
+    int wide = count >= 32 && cpu_paths().wide;
 
     while (j < end) {
         if (wide && j % 4 == 0 && end - j >= 32) {
@@ -364,27 +381,7 @@ static int64_t select_pdep(uint64_t x, int64_t r)
 {
     return __builtin_ctzll(_pdep_u64((uint64_t)1 << r, x));
 }
-
-/* Whether the CPU runs pdep fast: Zen 1 and Zen 2 run it in microcode, at
- * a cost that grows with the set bits of the mask, so they take
- * select_broadword. */
-static int fast_pdep(void)
-{
-    return __builtin_cpu_supports("bmi2") && !__builtin_cpu_is("znver1")
-           && !__builtin_cpu_is("znver2");
-}
 #endif
-
-/* A graph's neighbour lists as qw_consume reads them: the CSR ``indices``
- * of indptr, or the bit rows, w words a row, with ``ranks``, the set bits
- * of a row before each of its words. */
-struct lists {
-    const int64_t *indptr;
-    const int32_t *indices;
-    const uint64_t *rows;
-    const int32_t *ranks;
-    int64_t w;
-};
 
 /* The place of the neighbour of rank k = floor(u d) of x, d its degree:
  * its position in ``indices`` when ``select`` is NULL, or else 64 times
@@ -539,13 +536,6 @@ WIDE_FILL static void fill_wide(struct lists g, const uint64_t *words, int64_t x
     for (k = 0; k < c; k++)
         put(chunk, small, k, 64 * at[k] + select_pdep(row[at[k]], ranks[k]));
 }
-
-/* Whether the CPU runs fill_wide: AVX-512F, AVX-512DQ for the rank
- * conversions, and a fast pdep; qw_consume gives it rows of w <= 32 words */
-static int has_wide_fill(void)
-{
-    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") && fast_pdep();
-}
 #endif
 
 /* The 64 x 64 bit block a[0..63], bit j of a[i] its entry (i, j),
@@ -590,8 +580,6 @@ static void mirror(int64_t n, uint64_t *rows)
                 rows[(64 * I + r) * w + J] |= b[r];
         }
 }
-
-typedef void (*filler)(struct lists, const uint64_t *, int64_t, int64_t, int, void *);
 
 /* x's chunk of entries t + 1 .. t + c, t a multiple of c, the chunk's
  * size: words t .. t + c - 1 of its stream, drawn at once by philox_run,
@@ -841,9 +829,8 @@ int64_t consume(uint64_t seed, uint32_t domain, struct lists g, filler fill, str
 /* consume on the lists of the graph with row starts indptr[0..n]: its
  * ``indices`` when ``rows`` is NULL, else its bit rows and ``ranks``,
  * int32 [v * w + i] the set bits of words 0..i-1 of row v, where a
- * neighbour is taken by select: fill_wide where the CPU has AVX-512F and
- * AVX-512DQ and runs pdep fast and the rows have w <= 32 words, fill_pdep
- * where it runs pdep fast otherwise, and fill_broadword elsewhere.
+ * neighbour is taken by select, in the filler that cpu_paths gives rows
+ * of that width.
  * ``state`` holds n (2 + CHUNK_BYTES / 8) words and then n int32, zeroed
  * before the first call.  The caller checks
  * that parents[j] lies in 0..j.  ``marks`` is NULL, or n zeroed bit rows
@@ -873,17 +860,13 @@ int64_t qw_consume(uint64_t seed, uint32_t domain, int64_t n, const int64_t *ind
                    int32_t *image, uint64_t *marks, uint64_t *work)
 {
     struct lists g = {indptr, indices, rows, ranks, (n + 63) / 64};
-    filler fill = rows ? fill_broadword : fill_indices;
+    filler fill = !rows ? fill_indices : g.w <= 32 ? cpu_paths().fill_narrow : cpu_paths().fill;
     struct ahead ahead, *a = work && !parents ? &ahead : NULL;
     pthread_attr_t attr;
     pthread_t helper;
     int started = 0;
     int64_t j;
 
-#if defined(__x86_64__) && defined(__GLIBC__)
-    if (rows && fast_pdep())
-        fill = g.w <= 32 && has_wide_fill() ? fill_wide : fill_pdep;
-#endif
     if (a) {
         a->seed = seed;
         a->ring = (int64_t (*)[2])(((uintptr_t)(work + 8) + 63) & ~(uintptr_t)63);
@@ -1221,34 +1204,23 @@ static void *claim_trials(void *arg)
     int64_t n = s->n, w = (n + 63) / 64, t;
     uint64_t *vals = p->work, *cand = vals + n, *a = cand + n, *b = a + w;
     int64_t hist[(int64_t)1 << HIST_BITS];
-    void (*mask)(const uint64_t *, int64_t, int64_t, int64_t, int, uint64_t *, uint64_t *,
-                 int64_t *, uint64_t *) = subset_mask;
-    int64_t (*count)(int64_t, int64_t, const uint64_t *, const uint64_t *, int,
-                     const uint64_t *) = row_counts;
+    struct paths cpu = cpu_paths();
 
-#if defined(__x86_64__) && defined(__GLIBC__)
-    if (has_wide()) {
-        mask = subset_mask_wide;
-        count = row_counts_wide;
-    } else if (__builtin_cpu_supports("popcnt")) {
-        count = row_counts_popcnt;
-    }
-#endif
     /* relaxed: the claims need only be distinct; the join orders e */
     while ((t = __atomic_fetch_add(&s->next, 1, __ATOMIC_RELAXED)) < s->trials) {
         int64_t t0 = t - t % s->block;
         int64_t rows_in_block = s->trials - t0 < s->block ? s->trials - t0 : s->block;
         int64_t start = s->offset + 2 * t0 * n + (t - t0) * n;
         int64_t sa = s->sizes[2 * t], sb = s->sizes[2 * t + 1], least;
-        mask(s->key, start, n, sa, s->bits, vals, cand, hist, a);
-        mask(s->key, start + rows_in_block * n, n, sb, s->bits, vals, cand, hist, b);
+        cpu.mask(s->key, start, n, sa, s->bits, vals, cand, hist, a);
+        cpu.mask(s->key, start + rows_in_block * n, n, sb, s->bits, vals, cand, hist, b);
         least = sa < sb ? sa : sb;
         if (n - sa < least || n - sb < least) {
             /* over the complement of the larger set, against the smaller */
             const uint64_t *big = sa > sb ? a : b, *small = sa > sb ? b : a;
-            s->e[t] = volume(n, w, s->indptr, small) - count(n, w, s->rows, big, 1, small);
+            s->e[t] = volume(n, w, s->indptr, small) - cpu.count(n, w, s->rows, big, 1, small);
         } else {
-            s->e[t] = count(n, w, s->rows, sa < sb ? a : b, 0, sa < sb ? b : a);
+            s->e[t] = cpu.count(n, w, s->rows, sa < sb ? a : b, 0, sa < sb ? b : a);
         }
     }
     return NULL;
@@ -1356,6 +1328,36 @@ WIDE static uint64_t below_cut_wide(const uint64_t *words, int64_t count, uint64
 }
 #endif
 
+/* struct paths for this CPU, the one place that asks it what it has: the
+ * wide Philox, sampler and G(n, p) code with AVX-512F and VPOPCNTDQ, else
+ * the popcnt count with popcnt; fill_pdep where pdep runs fast, and on
+ * rows of at most 32 words fill_wide with AVX-512F and AVX-512DQ too (Zen
+ * 1 and 2 run pdep in microcode, slower the more bits the mask has); the
+ * portable code elsewhere.  Each site inlines it and keeps its own tests. */
+static inline __attribute__((always_inline)) struct paths cpu_paths(void)
+{
+    struct paths p = {0, fill_broadword, fill_broadword, subset_mask, row_counts, below_cut};
+#if defined(__x86_64__) && defined(__GLIBC__)
+    int avx512 = __builtin_cpu_supports("avx512f");
+    int pdep = __builtin_cpu_supports("bmi2") && !__builtin_cpu_is("znver1")
+               && !__builtin_cpu_is("znver2");
+
+    if (avx512 && __builtin_cpu_supports("avx512vpopcntdq")) {
+        p.wide = 1;
+        p.mask = subset_mask_wide;
+        p.count = row_counts_wide;
+        p.below = below_cut_wide;
+    } else if (__builtin_cpu_supports("popcnt")) {
+        p.count = row_counts_popcnt;
+    }
+    if (pdep) {
+        p.fill = fill_pdep;
+        p.fill_narrow = avx512 && __builtin_cpu_supports("avx512dq") ? fill_wide : fill_pdep;
+    }
+#endif
+    return p;
+}
+
 /* The rows of one qw_gnp call, shared by its threads, each of which claims
  * the next unbuilt row, ``next``, until none is left */
 struct gnp {
@@ -1375,12 +1377,8 @@ static void *claim_rows(void *arg)
     struct gnp *s = arg;
     uint64_t key[2], words[64 * ROW_WORDS];
     int64_t u, i, k, n = s->n, w = (n + 63) / 64;
-    uint64_t (*below)(const uint64_t *, int64_t, uint64_t) = below_cut;
+    uint64_t (*below)(const uint64_t *, int64_t, uint64_t) = cpu_paths().below;
 
-#if defined(__x86_64__) && defined(__GLIBC__)
-    if (has_wide())
-        below = below_cut_wide;
-#endif
     /* relaxed: the claims need only be distinct; the join orders the rows */
     while ((u = __atomic_fetch_add(&s->next, 1, __ATOMIC_RELAXED)) < n - 1) {
         uint64_t *row = s->rows + u * w;

@@ -140,6 +140,9 @@ class ExperimentConfig:
             raise ValueError("schedule steps must be distinct")
         if not set(self.monotone_steps or ()) <= set(self.schedule):
             raise ValueError("monotone_steps must be steps of the schedule")
+        steps = self.monotone_steps or []
+        if any(a >= b for a, b in zip(steps, steps[1:])):
+            raise ValueError("monotone_steps must be strictly ascending")
         if min([self.tree_max_degree, *self.degree_sweep]) < 2:
             raise ValueError("tree_max_degree and degree_sweep caps must be "
                              "at least 2")

@@ -52,7 +52,10 @@ of at most 32 words (n <= 2048), by a binary search of the row's ranks
 in 512-bit registers, and a wider row's from the rank directory, as
 other CPUs do.  Elsewhere it
 draws one block at a time and counts with the popcnt instruction where
-the CPU has it, with the same results.  The kernel is
+the CPU has it, with the same results.  One function of the kernel,
+``cpu_paths``, makes each of these choices, and the test suite runs the
+pinned tests through the shipped build and through builds forced onto
+the ``pdep`` and ``portable`` paths (``tests/test_kernel.py``).  The kernel is
 built on first use, never at import, with ``gcc -O2 -pthread`` into a
 user cache directory keyed by the sha256 of its flags and source, from
 CPython's built-in sha256 module, which names each build as ``hashlib``
@@ -287,6 +290,8 @@ def backend() -> str:
     Where the CPU has AVX-512F and AVX-512 VPOPCNTDQ, "c" draws eight or sixteen Philox blocks at a time
     and runs the sampler's and G(n, p)'s wide steps, and with AVX-512F,
     AVX-512DQ and a fast pdep it fills list chunks on rows of at most 32
-    words in 512-bit registers; the choice is made in the kernel at each
-    call and shows nowhere else."""
+    words in 512-bit registers.  One chooser in the kernel, ``cpu_paths``,
+    makes that choice at each call; this name does not show it, and the
+    test suite runs the pinned tests through the shipped build and the
+    ``pdep`` and ``portable`` builds alike."""
     return "numpy" if _kernel() is None else "c"

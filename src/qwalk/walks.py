@@ -456,7 +456,7 @@ def step_positions(g: Graph, start, i: int, trials: int, gen) -> np.ndarray:
     for v in np.unique(start).tolist():
         if g.degree(v) == 0 and i:
             raise ValueError(f"start vertex {v} has no neighbors")
-    cur = np.full(trials, start, dtype=np.int64)
+    cur = np.full(trials, start, dtype=np.int32)
     deg = g.degrees
     for _ in range(i):
         u = gen.random(trials)

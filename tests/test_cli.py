@@ -154,6 +154,10 @@ def test_directory_path_returns_2(tmp_path, capsys):
      "disc_trials and mixing_trials must be at least 1"),
     ('{"monotone_steps": [3, 5]}', 1,
      "monotone_steps must be steps of the schedule"),
+    ('{"schedule": [0, 2, 4, 10], "monotone_steps": [10, 2]}', 1,
+     "monotone_steps must be strictly ascending"),
+    ('{"schedule": [0, 2, 4, 10], "monotone_steps": [2, 2, 4]}', 1,
+     "monotone_steps must be strictly ascending"),
     ('{"generator": "star"}', 1, "unknown generator 'star'; choose from "
      "['complete', 'gnp', 'two_clique_bridge']"),
     ('{"tree_kind": "star"}', 1,

@@ -42,7 +42,9 @@ class TestConfig:
         {"schedule": [-1, 2]}, {"monotone_steps": [2, -4]},
         {"monotone_steps": [2, 3]}, {"degree_sweep": [4, 1]},
         {"tree_max_degree": 1}, {"disc_trials": 0}, {"mixing_trials": 0},
-        {"schedule": []}, {"schedule": [0, 2, 2, 10]}])
+        {"schedule": []}, {"schedule": [0, 2, 2, 10]},
+        {"schedule": [0, 2, 4, 10], "monotone_steps": [10, 2]},
+        {"schedule": [0, 2, 4, 10], "monotone_steps": [2, 2, 4]}])
     def test_step_lists_counts_and_degree_caps(self, over):
         with pytest.raises(ValueError):
             cfg_density(**over)

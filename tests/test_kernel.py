@@ -467,9 +467,23 @@ def test_row_select_matches_reference_on_any_rows(c_backend, monkeypatch, seed, 
         assert np.array_equal(kernel.consumed, reference.consumed)
 
 
-SELECT_HARNESS = r"""
+# the C harness of the kernel's paths: one program whose argument names
+# the section it runs, each that of one test below
+KERNEL_HARNESS = r"""
 #include "%s"
 #include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+static uint64_t s = 0x9e3779b97f4a7c15u;
+
+static uint64_t xorshift(void)
+{
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    return s;
+}
 
 /* rank r by clearing the r lowest set bits */
 static int64_t select_loop(uint64_t x, int64_t r)
@@ -479,7 +493,9 @@ static int64_t select_loop(uint64_t x, int64_t r)
     return __builtin_ctzll(x);
 }
 
-int main(void)
+/* select: the portable select, and pdep where the CPU has bmi2, against
+ * select_loop */
+static void select_section(void)
 {
     uint64_t s = 0x9e3779b97f4a7c15u, x;
     uint64_t edge[] = {1, (uint64_t)1 << 63, ~(uint64_t)0, ~(uint64_t)0 << 1,
@@ -508,72 +524,6 @@ int main(void)
         }
     }
     printf("%%ld %%d %%ld %%ld\n", checks, has_pdep, portable, pdep);
-    return 0;
-}
-"""
-
-
-SANITIZE = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
-            "-pthread"]
-
-
-def _gcc_runtime(name):
-    """The path of gcc's library ``name``.so; skips the test without gcc or it."""
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
-    path = subprocess.run(["gcc", f"-print-file-name={name}.so"], capture_output=True,
-                          text=True).stdout.strip()
-    if not os.path.isabs(path) or not os.path.exists(path):
-        pytest.skip(f"gcc has no {name}")
-    return path
-
-
-def _harness(tmp_path, source, name, flags):
-    """The executable tmp_path/name that gcc builds with ``flags`` from the
-    C harness ``source``, which includes the kernel where it says %s;
-    skips the test without gcc, or without the runtime of the sanitizer
-    that ``flags`` name."""
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
-    if flags is SANITIZE:
-        _gcc_runtime("libasan")
-    if "-fsanitize=thread" in flags:
-        _gcc_runtime("libtsan")
-    harness, exe = tmp_path / f"{name}.c", tmp_path / name
-    harness.write_text(source % (SRC / "qwalk" / "_philox.c"))
-    subprocess.run(["gcc", *flags, "-o", str(exe), str(harness)], check=True,
-                   capture_output=True)
-    return exe
-
-
-@pytest.mark.parametrize("flags", [["-O2", "-pthread"], SANITIZE], ids=["O2", "sanitized"])
-def test_broadword_select_matches_pdep(tmp_path, flags):
-    # the portable select, which serves CPUs without a fast pdep, and
-    # pdep, where the CPU has it (has_pdep), against clearing the lowest
-    # set bits one by one, over every rank of edge-case and random words;
-    # built with the kernel's flags, and under AddressSanitizer and UBSan,
-    # where any report aborts the run: qw_consume takes one select by the
-    # CPU it runs on, so the kernel's own sanitized run reaches only one
-    exe = _harness(tmp_path, SELECT_HARNESS, "select", flags)
-    run = subprocess.run([str(exe)], capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    checks, has_pdep, portable, pdep = map(int, run.stdout.split())
-    assert checks > 1_500_000 and portable == 0 and pdep == 0
-
-
-WIDE_HARNESS = r"""
-#include "%s"
-#include <stdio.h>
-#include <stdlib.h>
-
-static uint64_t s = 0x9e3779b97f4a7c15u;
-
-static uint64_t xorshift(void)
-{
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    return s;
 }
 
 /* each array on its own allocation of exactly its words, so that a
@@ -583,13 +533,15 @@ static uint64_t *words(int64_t count)
     return malloc((size_t)(count > 0 ? count : 1) * sizeof(uint64_t));
 }
 
-int main(void)
+/* wide: the wide Philox, subset_mask and row_counts, and row_counts_popcnt,
+ * against the scalar code, where the kernel takes the wide code */
+static void wide_section(void)
 {
     uint64_t key[2], block[4], eight[32], sixteen[64];
     int64_t starts[] = {0, 1, 2, 3, 4, 5, 6, 7, 31, 32, 33, 1001, 1002, 1003, 1004};
     int64_t n, i, j, k, c, flip, start, count, w;
     long checks = 0, wide_checks = 0, wrong = 0;
-    int has = has_wide();
+    int has = cpu_paths().wide;
 
     for (k = 0; k < 6; k++) {
         key[0] = k ? xorshift() : 0;
@@ -681,44 +633,6 @@ int main(void)
         }
 #endif
     printf("%%ld %%d %%ld %%ld\n", checks, has, wide_checks, wrong);
-    return 0;
-}
-"""
-
-
-@pytest.mark.parametrize("flags", [["-O2", "-pthread"], SANITIZE], ids=["O2", "sanitized"])
-def test_wide_code_matches_scalar(tmp_path, flags):
-    # where the CPU has AVX-512F and VPOPCNTDQ (has_wide), the kernel
-    # draws Philox words 8 and 16 blocks at a time and runs the subset
-    # sampler's wide steps, and its Python-level tests reach only those:
-    # here philox_8, philox_16 and philox_run, with its two-chain runs, at
-    # every start % 4 and count 0..200, are checked against philox_block,
-    # and the wide subset_mask and row_counts, and row_counts_popcnt,
-    # against the scalar ones, which other CPUs run; built with the
-    # kernel's flags, and under AddressSanitizer and UBSan, where any
-    # report aborts the run
-    exe = _harness(tmp_path, WIDE_HARNESS, "wide", flags)
-    run = subprocess.run([str(exe)], capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    checks, has_wide, wide_checks, wrong = map(int, run.stdout.split())
-    assert checks == 6 * 15 * 201 * 200 // 2 and wrong == 0
-    assert wide_checks == (6 * 40 + 131 * 12 + 17 * 6 * 2 if has_wide else 0)
-
-
-FILL_HARNESS = r"""
-#include "%s"
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
-
-static uint64_t s = 0x9e3779b97f4a7c15u;
-
-static uint64_t xorshift(void)
-{
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    return s;
 }
 
 /* The bit rows, ranks and row starts of host ``kind`` on n vertices: 0 a
@@ -763,7 +677,9 @@ WIDE_FILL static void search16(const int32_t *r, int64_t w, const int32_t *ks, i
 }
 #endif
 
-int main(void)
+/* fill: the fillers, row_words, below_cut_wide and transpose64 against
+ * their references */
+static void fill_section(void)
 {
     /* every w from 1 to 32 words a row, n a multiple of 64 or not, then 47
      * and 65 */
@@ -775,8 +691,8 @@ int main(void)
     int small, kind, pdep = 0, wide = 0;
 
 #if defined(__x86_64__) && defined(__GLIBC__)
-    pdep = fast_pdep();
-    wide = has_wide_fill();
+    pdep = cpu_paths().fill == fill_pdep;
+    wide = cpu_paths().fill_narrow == fill_wide;
 #endif
     for (i = 0; i < 32; i++)
         sizes[i] = 64 * (i + 1) - (13 * i) %% 64;
@@ -866,7 +782,7 @@ int main(void)
         }
         for (count = 0; count <= 64; count++) {
 #if defined(__x86_64__) && defined(__GLIBC__)
-            if (has_wide()) {
+            if (cpu_paths().wide) {
                 uint64_t *part = malloc((size_t)(count > 0 ? count : 1) * sizeof *part);
                 memcpy(part, words, (size_t)count * sizeof *part);
                 wrong += below_cut(part, count, cut) != below_cut_wide(part, count, cut);
@@ -889,25 +805,128 @@ int main(void)
     }
     printf("%%ld %%ld %%ld %%d %%ld %%ld %%ld %%ld\n", fills, narrow_fills, pdep_fills, wide,
            wide_fills, searches, checks, wrong);
+}
+
+/* for each line "seed lo n trials" of stdin, draw_sizes' offset and sizes */
+static void sizes_section(void)
+{
+    static int64_t sizes[64];
+    unsigned long long seed;
+    long long lo, n, trials;
+    uint64_t key[2];
+    int64_t i, offset;
+
+    while (scanf("%%llu %%lld %%lld %%lld", &seed, &lo, &n, &trials) == 4) {
+        seed_key(seed, 2, 0, key);
+        offset = draw_sizes(key, lo, n, trials, sizes);
+        printf("%%ld", (long)offset);
+        for (i = 0; offset >= 0 && i < 2 * trials; i++)
+            printf(" %%ld", (long)sizes[i]);
+        printf("\n");
+    }
+}
+
+/* the section that argv[1] names */
+int main(int argc, char **argv)
+{
+    const char *name = argc == 2 ? argv[1] : "";
+
+    if (strcmp(name, "select") == 0)
+        select_section();
+    else if (strcmp(name, "wide") == 0)
+        wide_section();
+    else if (strcmp(name, "fill") == 0)
+        fill_section();
+    else if (strcmp(name, "sizes") == 0)
+        sizes_section();
+    else
+        return 2;
     return 0;
 }
 """
 
 
-@pytest.mark.parametrize("flags", [["-O2", "-pthread"], SANITIZE], ids=["O2", "sanitized"])
-def test_fill_and_row_code_match_reference(tmp_path, flags):
+SANITIZE = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+            "-pthread"]
+
+
+def _gcc_runtime(name):
+    """The path of gcc's library ``name``.so; skips the test without gcc or it."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    path = subprocess.run(["gcc", f"-print-file-name={name}.so"], capture_output=True,
+                          text=True).stdout.strip()
+    if not os.path.isabs(path) or not os.path.exists(path):
+        pytest.skip(f"gcc has no {name}")
+    return path
+
+
+def _harness(tmp_path, source, name, flags):
+    """The executable tmp_path/name that gcc builds with ``flags`` from the
+    C harness ``source``, which includes the kernel where it says %s;
+    skips the test without gcc, or without the runtime of the sanitizer
+    that ``flags`` name."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    if flags is SANITIZE:
+        _gcc_runtime("libasan")
+    if "-fsanitize=thread" in flags:
+        _gcc_runtime("libtsan")
+    harness, exe = tmp_path / f"{name}.c", tmp_path / name
+    harness.write_text(source % (SRC / "qwalk" / "_philox.c"))
+    subprocess.run(["gcc", *flags, "-o", str(exe), str(harness)], check=True,
+                   capture_output=True)
+    return exe
+
+
+@pytest.fixture(scope="session", params=[["-O2", "-pthread"], SANITIZE], ids=["O2", "sanitized"])
+def kernel_harness(request, tmp_path_factory):
+    """KERNEL_HARNESS, built once a session with the kernel's flags and once
+    under AddressSanitizer and UBSan, where any report aborts the run."""
+    return _harness(tmp_path_factory.mktemp("harness"), KERNEL_HARNESS, "kernel", request.param)
+
+
+def _section(exe, name, **run):
+    """The finished run of section ``name`` of the harness ``exe``."""
+    return subprocess.run([str(exe), name], capture_output=True, text=True, **run)
+
+
+def test_broadword_select_matches_pdep(kernel_harness):
+    # the portable select, which serves CPUs without a fast pdep, and
+    # pdep, where the CPU has bmi2 (has_pdep), against clearing the
+    # lowest set bits one by one, over every rank of edge-case and random
+    # words; qw_consume takes one select by the CPU it runs on, so the
+    # kernel's own sanitized run reaches only one
+    run = _section(kernel_harness, "select")
+    assert run.returncode == 0, run.stderr
+    checks, has_pdep, portable, pdep = map(int, run.stdout.split())
+    assert checks > 1_500_000 and portable == 0 and pdep == 0
+
+
+def test_wide_code_matches_scalar(kernel_harness):
+    # where the CPU has AVX-512F and VPOPCNTDQ (cpu_paths' wide), the
+    # kernel draws Philox words 8 and 16 blocks at a time and runs the
+    # subset sampler's wide steps: here philox_8, philox_16 and
+    # philox_run, with its two-chain runs, at every start % 4 and count
+    # 0..200, are checked against philox_block, and the wide subset_mask
+    # and row_counts, and row_counts_popcnt, against the scalar ones,
+    # which other CPUs run
+    run = _section(kernel_harness, "wide")
+    assert run.returncode == 0, run.stderr
+    checks, has_wide, wide_checks, wrong = map(int, run.stdout.split())
+    assert checks == 6 * 15 * 201 * 200 // 2 and wrong == 0
+    assert wide_checks == (6 * 40 + 131 * 12 + 17 * 6 * 2 if has_wide else 0)
+
+
+def test_fill_and_row_code_match_reference(kernel_harness):
     # qw_consume takes one fill by the CPU it runs on and the row's width,
-    # so on a CPU with AVX-512F, AVX-512DQ and a fast pdep (``wide``) its
-    # Python-level tests reach only fill_wide on rows of at most 32 words
-    # and fill_pdep on wider ones: here fill_pdep is checked against
-    # fill_broadword on rows of 1 to 32, 47 and 65 words, and fill_wide on
-    # every fill of 1 to 32 words, the widths it serves, of hosts whose
-    # bits sit far from the guessed word, at both chunk widths; the wide
-    # below_cut against the scalar one; and transpose64 bit by bit.  Built
-    # with the kernel's flags, and under AddressSanitizer and UBSan, where
-    # any report aborts the run
-    exe = _harness(tmp_path, FILL_HARNESS, "fill", flags)
-    run = subprocess.run([str(exe)], capture_output=True, text=True)
+    # fill_wide on rows of at most 32 words where cpu_paths gives it
+    # (``wide``) and fill_pdep on wider ones: here fill_pdep is checked
+    # against fill_broadword on rows of 1 to 32, 47 and 65 words, and
+    # fill_wide on every fill of 1 to 32 words, the widths it serves, of
+    # hosts whose bits sit far from the guessed word, at both chunk widths;
+    # the wide below_cut against the scalar one; and transpose64 bit by bit
+    run = _section(kernel_harness, "fill")
     assert run.returncode == 0, run.stderr
     fills, narrow, pdep_fills, wide, wide_fills, searches, checks, wrong = map(
         int, run.stdout.split())
@@ -1194,7 +1213,7 @@ SANITIZED_TESTS = ["-k", "not numpy and not 1000 and not 2000"] + [
 
 # a -p plugin that serves the kernel build at %r wherever the tests load it
 # and writes the name of each entry point they call to %r when they end
-SANITIZED_PLUGIN = """
+SERVED_PLUGIN = """
 import ctypes
 from qwalk import rng
 lib = rng._declare(ctypes.CDLL(%r))
@@ -1216,6 +1235,11 @@ proxy = Recorded()
 rng._load = lambda: proxy
 
 
+def pytest_collection_finish(session):
+    with open(%r, "w") as fh:
+        fh.write("\\n".join(item.nodeid for item in session.items))
+
+
 def pytest_sessionfinish():
     with open(%r, "w") as fh:
         fh.write(" ".join(sorted(called)))
@@ -1227,29 +1251,82 @@ def _declared():
     return re.findall(r"lib\.(qw_\w+)\.argtypes", inspect.getsource(rng._declare))
 
 
+def _served(tmp_path, source, flags, tests, **env):
+    """The run of pytest on ``tests`` in a child process whose tests load
+    the kernel that gcc builds with ``flags`` from ``source`` into
+    tmp_path, served by SERVED_PLUGIN, with ``env`` added to its
+    environment; the ids of the tests it selected are in
+    tmp_path/selected.txt, one a line, and the entry points they called in
+    tmp_path/called.txt."""
+    rng._build(source, flags, tmp_path / "kernel.so")
+    (tmp_path / "served_kernel.py").write_text(SERVED_PLUGIN % tuple(
+        str(tmp_path / name) for name in ("kernel.so", "selected.txt", "called.txt")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(SRC)]), **env)
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "served_kernel",
+                           "-p", "no:cacheprovider", *tests], cwd=SRC.parent, env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
 def test_kernel_runs_clean_under_sanitizers(tmp_path):
     # the kernel built with AddressSanitizer and UBSan into tmp_path runs
     # SANITIZED_TESTS in a child process with libasan preloaded, since
     # Python is not built with it; the sanitizers log to files, which
     # pytest's capture cannot swallow when a report aborts the child
     libasan = _gcc_runtime("libasan")
-    rng._build(rng._SOURCE.read_bytes(), SANITIZE, tmp_path / "kernel.so")
-    (tmp_path / "sanitized_kernel.py").write_text(
-        SANITIZED_PLUGIN % (str(tmp_path / "kernel.so"), str(tmp_path / "called.txt")))
     logs = tmp_path / "logs"
     logs.mkdir()
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(SRC)]),
-               LD_PRELOAD=libasan, ASAN_OPTIONS=f"log_path={logs / 'asan'}:detect_leaks=0",
-               UBSAN_OPTIONS=f"log_path={logs / 'ubsan'}:print_stacktrace=1")
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "sanitized_kernel",
-                          "-p", "no:cacheprovider", *SANITIZED_TESTS], cwd=SRC.parent,
-                         env=env, capture_output=True, text=True, timeout=600)
+    run = _served(tmp_path, rng._SOURCE.read_bytes(), SANITIZE, SANITIZED_TESTS,
+                  LD_PRELOAD=libasan, ASAN_OPTIONS=f"log_path={logs / 'asan'}:detect_leaks=0",
+                  UBSAN_OPTIONS=f"log_path={logs / 'ubsan'}:print_stacktrace=1")
     reports = "".join(log.read_text() for log in sorted(logs.iterdir()))
     assert not reports, reports
     assert run.returncode == 0, run.stdout[-4000:]
     assert " passed" in run.stdout and " skipped" not in run.stdout
     # SANITIZED_TESTS reach every entry point
     assert sorted((tmp_path / "called.txt").read_text().split()) == sorted(_declared())
+
+
+# the CPU features that each forced build of the kernel takes as absent:
+# "pdep" runs the code of a CPU without AVX-512, "portable" that of one
+# without AVX-512, bmi2 and popcnt
+FORCED = {"pdep": ["avx512f"], "portable": ["avx512f", "bmi2", "popcnt"]}
+
+
+def _forced_source(paths):
+    """The kernel's source with cpu_paths' one test of each feature that
+    FORCED[paths] names made 0; every site reads cpu_paths, so that one
+    edit forces the code of each."""
+    source = rng._SOURCE.read_text()
+    for feature in FORCED[paths]:
+        test = f'__builtin_cpu_supports("{feature}")'
+        assert source.count(test) == 1, test
+        source = source.replace(test, "0")
+    return source
+
+
+@pytest.mark.parametrize("paths", sorted(FORCED))
+def test_seeded_outputs_hold_on_every_cpu_path(tmp_path, paths):
+    # on an AVX-512 host the other tests reach only the kernel's wide
+    # paths; here the pinned tests (-k pinned: the seeded reports, graphs,
+    # list models and tree pieces) of every test file that defines one run
+    # in a child process on a build forced onto the paths of another CPU,
+    # and reach each site of cpu_paths through the entry points that hold
+    # them.  This test's own name must not match -k pinned, or the child
+    # would run it again
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    files = [path for path in sorted((SRC.parent / "tests").glob("test_*.py"))
+             if re.search(r"^\s*(?:def|class) \w*pinned", path.read_text(), re.M | re.I)]
+    run = _served(tmp_path, _forced_source(paths).encode(), rng._FLAGS,
+                  ["-k", "pinned", *map(str, files)])
+    assert run.returncode == 0, run.stdout[-4000:]
+    # every test selected passed, and each file gave at least one
+    selected = (tmp_path / "selected.txt").read_text().split()
+    assert re.search(rf"^{len(selected)} passed, \d+ deselected in ", run.stdout, re.M), \
+        run.stdout[-4000:]
+    assert {node.split("::")[0] for node in selected} == {f"tests/{path.name}" for path in files}
+    called = set((tmp_path / "called.txt").read_text().split())
+    assert {"qw_words", "qw_consume", "qw_sampled_counts", "qw_gnp"} <= called
 
 
 def test_dense_graphs_read_no_indices_out(c_backend, monkeypatch):
@@ -1755,12 +1832,18 @@ def test_kernel_entry_points_are_the_loaded_ones():
 
 
 def test_kernel_compiles_without_warnings():
-    # rng._build discards gcc's output, so a warning would show nowhere else
+    # rng._build discards gcc's output, so a warning would show nowhere
+    # else: the kernel as shipped and each forced source
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
-    out = subprocess.run(["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-                          str(SRC / "qwalk" / "_philox.c")], capture_output=True, text=True)
+    check = ["gcc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
+    out = subprocess.run([*check, str(SRC / "qwalk" / "_philox.c")], capture_output=True,
+                         text=True)
     assert out.returncode == 0, out.stderr
+    for paths in sorted(FORCED):
+        out = subprocess.run([*check, "-x", "c", "-"], input=_forced_source(paths),
+                             capture_output=True, text=True)
+        assert out.returncode == 0, (paths, out.stderr)
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 2000])
@@ -1819,44 +1902,15 @@ def test_kernel_sizes_match_generator_integers(c_backend, n, lo):
         assert (offset == 0) == (lo == n)
 
 
-SIZES_HARNESS = r"""
-#include "%s"
-#include <stdio.h>
-
-/* for each line "seed lo n trials" of stdin, draw_sizes' offset and sizes */
-int main(void)
-{
-    static int64_t sizes[64];
-    unsigned long long seed;
-    long long lo, n, trials;
-    uint64_t key[2];
-    int64_t i, offset;
-
-    while (scanf("%%llu %%lld %%lld %%lld", &seed, &lo, &n, &trials) == 4) {
-        seed_key(seed, 2, 0, key);
-        offset = draw_sizes(key, lo, n, trials, sizes);
-        printf("%%ld", (long)offset);
-        for (i = 0; offset >= 0 && i < 2 * trials; i++)
-            printf(" %%ld", (long)sizes[i]);
-        printf("\n");
-    }
-    return 0;
-}
-"""
-
-
-@pytest.mark.parametrize("flags", [["-O2", "-pthread"], SANITIZE], ids=["O2", "sanitized"])
-def test_size_draw_repeats_and_gives_up_as_numpy_would(tmp_path, flags):
+def test_size_draw_repeats_and_gives_up_as_numpy_would(kernel_harness):
     # the sizes of a 1431655766-vertex graph from lo = 1: 2^32 mod r is
     # about r, so a third of the 32-bit draws are drawn again, and the
     # kernel returns -1 where numpy's sizes take more than 2 trials words;
     # no graph is needed, since the trials are never reached
-    exe = _harness(tmp_path, SIZES_HARNESS, "sizes", flags)
     n = 1431655766
     cases = [(seed, trials) for seed in range(40) for trials in (1, 2, 5)]
     lines = "".join(f"{seed} 1 {n} {trials}\n" for seed, trials in cases)
-    out = subprocess.run([str(exe)], input=lines, capture_output=True, text=True,
-                         check=True).stdout.splitlines()
+    out = _section(kernel_harness, "sizes", input=lines, check=True).stdout.splitlines()
     seen = set()
     for (seed, trials), line in zip(cases, out, strict=True):
         offset, sizes, half = _numpy_sizes(1, n, seed, trials)

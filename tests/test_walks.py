@@ -711,8 +711,9 @@ class TestStepDistribution:
             [0, 3, 1]
 
     def test_step_zero_point_mass(self):
-        g = gen_gnp(20, 0.5, 2)
-        assert (step_positions(g, 4, 0, 100, step_law(9)) == 4).all()
+        # int32 vertex ids before any step, as after one
+        where = step_positions(gen_gnp(20, 0.5, 2), 4, 0, 100, step_law(9))
+        assert (where == 4).all() and where.dtype == np.int32
 
     def test_no_trials_is_empty(self):
         assert step_positions(gen_complete(4), 0, 2, 0, step_law(1)).shape == (0,)
@@ -734,9 +735,10 @@ class TestStepDistribution:
     def test_complete_graph_two_steps(self):
         # on K_n a step is uniform off the current vertex, so two steps
         # return with probability 1/(n-1) and reach each other vertex with
-        # (n-2)/(n-1)^2
+        # (n-2)/(n-1)^2; the positions are int32 vertex ids
         n = 40
         where = step_positions(gen_complete(n), 0, 2, 40_000, step_law(8))
+        assert where.dtype == np.int32
         exact = np.full(n, (n - 2) / (n - 1) ** 2)
         exact[0] = 1 / (n - 1)
         law = Distribution.from_counts(np.bincount(where, minlength=n))
