@@ -27,7 +27,8 @@ the numpy sort of both arcs of every edge, from rows as each row's set
 bits in order; until then ``neighbors(v)`` of a graph built from rows
 reads row v alone.  Rows become ``indices``, keys and the dense matrix
 in numpy alone, through ``_row_bits``.  ``gen_gnp`` draws G(n, p) into
-rows, ``gen_complete`` writes K_n's, and ``_mark_rows`` alone marks
+rows, ``gen_complete`` and ``gen_two_clique_bridge`` write their cliques'
+(``_clique_rows``), and ``_mark_rows`` alone marks
 given pairs in them, by the C kernel of ``rng`` or by numpy, the
 reference; both OR into rows, so pairs may be marked a block at a time.
 
@@ -40,10 +41,10 @@ marks each block into the n bit rows of the ``Graph``, no larger than
 the m int64 keys a sort needs, so no key is made until
 ``Graph.edge_codes`` reads them out.  Otherwise it packs each block's
 keys into one array, which numpy sorts, the reference.  Under the same
-rule ``walks.walk_edges`` and ``trees.random_homomorphism`` have the list
-model's kernel mark a walk's or a tree image's edges as it takes their
-entries, and ``walk_edges`` and ``trees.image_subgraph`` build the
-``Graph`` from those rows.
+rule (``walks.ListModel._marks``) the list model's kernel marks a walk's
+or a tree image's edges as it takes their entries, and
+``walks.walk_edges`` and ``trees.image_subgraph`` build the ``Graph``
+from those rows.
 
 ``Graph.bit_rows`` holds the adjacency as n bit rows of ceil(n/64)
 uint64 words, n^2/8 bytes, packed once: kept from construction where it
@@ -600,16 +601,24 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, np.concatenate(rows))
 
 
+def _clique_rows(n: int, cliques) -> np.ndarray:
+    """n bit rows in which each range (lo, hi) of ``cliques`` is a clique:
+    one row holding bits lo..hi-1 is packed, broadcast over rows lo..hi-1,
+    and their diagonal bits cleared, so no pair is made."""
+    rows = _clear_rows(_vertex_count(n))
+    for lo, hi in cliques:
+        members = np.zeros(64 * rows.shape[1], dtype=bool)
+        members[lo:hi] = True
+        rows[lo:hi] = np.packbits(members, bitorder="little").view("<u8")
+        v = np.arange(lo, hi)
+        rows[v, v // 64] ^= np.uint64(1) << (v % 64).astype(np.uint64)
+    return rows
+
+
 def gen_complete(n: int) -> Graph:
-    """K_n from its bit rows, where row v holds every u != v, so no key
-    is made."""
-    n = _vertex_count(n)
-    rows = np.full((n, -(-n // 64)), np.uint64(2**64 - 1))
-    if n % 64:
-        rows[:, -1] = np.uint64(2**(n % 64) - 1)
-    v = np.arange(n)
-    rows[v, v // 64] ^= np.uint64(1) << (v % 64).astype(np.uint64)
-    return Graph._from_rows(rows)
+    """K_n from its bit rows (``_clique_rows``), where row v holds every
+    u != v."""
+    return Graph._from_rows(_clique_rows(n, [(0, n)]))
 
 
 def small_clique_size(n: int, eps: float) -> int:
@@ -623,7 +632,8 @@ def small_clique_size(n: int, eps: float) -> int:
 
 
 def gen_two_clique_bridge(n: int, eps: float) -> Graph:
-    """Two disjoint cliques joined by a single edge.
+    """Two disjoint cliques joined by a single edge, from their bit rows
+    (``_clique_rows``).
 
     The small clique has ceil(eps^2 * n / 2) vertices 0 .. s-1, the large
     clique the rest; the bridge joins the lowest-id vertex of each.
@@ -633,14 +643,10 @@ def gen_two_clique_bridge(n: int, eps: float) -> Graph:
         raise ValueError(f"small clique would have {s} < 2 vertices")
     if n - s < 2:
         raise ValueError("large clique needs at least 2 vertices")
-    iu, iv = np.triu_indices(s, k=1)
-    ju, jv = np.triu_indices(n - s, k=1)
-    edges = np.concatenate([
-        np.column_stack((iu, iv)),
-        np.column_stack((ju + s, jv + s)),
-        np.array([[0, s]]),
-    ]).astype(np.int64)
-    return build_graph(n, edges)
+    rows = _clique_rows(n, [(0, s), (s, n)])
+    rows[0, s // 64] |= np.uint64(1) << np.uint64(s % 64)
+    rows[s, 0] |= np.uint64(1)
+    return Graph._from_rows(rows)
 
 
 def connectivity_profile(g: Graph) -> tuple[bool, bool]:

@@ -36,12 +36,11 @@ e(A, B) from the bit rows by popcount in one call, with its trials
 claimed one at a time by POSIX threads that run C alone.  The list model's
 kernel makes a vertex's entries a 64-byte chunk at a time, and
 ``gen_gnp``'s call builds its rows on as many threads as the process
-may use CPUs (``_cpus``, which the sampler's call shares).  A walk of
-2^18 steps or more, where ``_cpus`` is 2 or more, runs with one helper
-thread that fills its chunks four at a time ahead of the walker, which
-never waits on it (README gives its gain).  Its work, 320 bytes a vertex
-and a 64 kB ring made per call, is taken only where it is no more than
-the host's neighbour storage (``walks.ListModel._consume_kernel``).
+may use CPUs (``_cpus``, which the sampler's call shares).  A long
+walk, where ``_cpus`` is 2 or more, runs with one helper thread that
+fills its chunks four at a time ahead of the walker, which never waits
+on it; ``walks.ListModel._consume`` applies that policy, and README
+states it with its gain.
 On x86-64 CPUs with AVX-512F and AVX-512 VPOPCNTDQ, found at run time,
 the kernel computes eight or sixteen Philox blocks at a time for ``uniform_words``,
 G(n, p) rows, the sampler's sets and the list model's chunks, builds
@@ -269,11 +268,9 @@ def _kernel(seed: int = 0, domain: int = 0, index: int = 0, end: int = 0):
 
 def _cpus() -> int:
     """The CPUs this process may run on: the threads that the kernel's
-    subset sampler and G(n, p) rows are split among; from 2 on, a walk of
-    2^18 steps or more also runs with the kernel's helper thread, which
-    fills its list chunks ahead, given 320 bytes of work a vertex and a
-    64 kB ring where the host's neighbour storage is no smaller (README
-    gives its gain)."""
+    subset sampler and G(n, p) rows are split among; from 2 on, a long
+    walk also runs with the kernel's helper thread, as
+    ``walks.ListModel._consume`` decides."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -283,9 +280,8 @@ def backend() -> str:
     """Which code draws list words, ``uniform_words``, ``derive_seed``
     and G(n, p) hosts, marks vertex pairs in bit rows and runs the subset
     sampler: "c" for the kernel, whose sampler trials and G(n, p) rows are
-    split among the CPUs the process may use, and whose walks of 2^18
-    steps or more take a helper thread on a second CPU (``_cpus``;
-    README gives its gain), or
+    split among the CPUs the process may use, and whose long walks take
+    a helper thread on a second CPU (``walks.ListModel._consume``), or
     "numpy", on one thread.  Both give the same words and results.
     Where the CPU has AVX-512F and AVX-512 VPOPCNTDQ, "c" draws eight or sixteen Philox blocks at a time
     and runs the sampler's and G(n, p)'s wide steps, and with AVX-512F,

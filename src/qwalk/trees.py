@@ -6,11 +6,11 @@ order: every prefix of the vertex list spans a connected subtree
 containing the root.  A random homomorphism maps the root to a chosen
 host vertex and each later vertex to the next unused list entry of its
 parent's image, through ``ListModel.consume``, the loop that also drives
-walks.  A path tree therefore reproduces a walk exactly, seed for seed.
-Where an image's edges go into bit rows (``graph._rows_fit``) and the
-kernel serves the model, the kernel call that embeds the tree also marks
-its edges in rows, which ``image_subgraph`` hands to the ``Graph``, as
-``walks.walk_edges`` does for a walk.  Otherwise, and for the edge check
+walks.  A path tree therefore reproduces a walk exactly, seed for seed,
+errors and the 0-step walk from an isolated vertex included.  Where the
+model marks an image's edges (``ListModel._marks``), the kernel call that
+embeds the tree also marks them in rows, which ``image_subgraph`` hands
+to the ``Graph``, as ``walks.walk_edges`` does for a walk.  Otherwise, and for the edge check
 and the visit counts, which ``walks.sandwich_bounds`` reads for an image
 as for a walk, an image's edges are gathered a block of tree edges at a
 time.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _integers, _pairs_graph, _rows_fit, _write_pairs, read_text
+from .graph import Graph, _integers, _pairs_graph, _write_pairs, read_text
 from .rng import DOMAIN_TREE_GEN, _integer, uniform_words
 from .walks import _BLOCK, ListModel, _check_model, _count_ids, _tree_size
 
@@ -196,12 +196,12 @@ def random_homomorphism(g: Graph, t: RootedTree, model: ListModel,
 
     Vertices are processed in enumeration order, so a path tree consumes
     entries exactly as run_walk does and yields the identical sequence.
-    The image is read-only.  Where its edges go into bit rows
-    (``graph._rows_fit``) and the kernel serves the model, the kernel call
-    that embeds the tree marks them in rows, kept for ``image_subgraph``.
+    The image is read-only.  Where the model marks its edges
+    (``ListModel._marks``), the kernel call that embeds the tree marks them
+    in rows, kept for ``image_subgraph``.
     """
     _check_model(g, model)
-    image, rows = model._consume(t.parents[1:], root_image, _rows_fit(g.n, t.n_edges))
+    image, rows = model._consume(t.parents[1:], root_image, True)
     image.setflags(write=False)
     return TreeHomomorphism(tree=t, host=g, image=image, _rows=rows)
 

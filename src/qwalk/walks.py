@@ -162,12 +162,18 @@ class ListModel:
         """
         return self._consume(parents, root, False)[0]
 
+    def _marks(self, m: int) -> bool:
+        """Whether a consumption of m entries marks its edges in bit rows:
+        where the kernel serves this model and m pairs go into rows
+        (``graph._rows_fit``)."""
+        return self._lib is not None and _rows_fit(self.graph.n, m)
+
     def _consume(self, parents, root: int, mark: bool):
-        """(image, rows): ``consume(parents, root)``, and for a tree given
-        by an array of parents with ``mark``, where the kernel serves this
-        model, the symmetric bit rows of the image's edges, which the same
-        kernel call marks as it takes their entries; else None.  A walk's
-        rows are ``_walk_rows``'."""
+        """(image, rows): ``consume(parents, root)``, and with ``mark``,
+        where ``_marks`` holds, the symmetric bit rows of the image's edges,
+        which the same kernel call marks as it takes their entries; else
+        None.  A walk given rows keeps the one-vertex image [root], as the
+        kernel writes no other."""
         root = _vertex(self.graph, root)
         if isinstance(parents, range) and parents.start == 0 and parents.step == 1:
             m, parents = len(parents), None  # a walk: parents[j] = j
@@ -183,54 +189,38 @@ class ListModel:
                     j = int(bad[0])
                     raise ValueError(f"parents[{j}] is {parents[j]}; it must lie in 0..{j}")
             parents = np.ascontiguousarray(parents, dtype=np.int32)
+        g, marked = self.graph, mark and self._marks(m)
         # before any entry is taken, so that an image too large for memory
         # fails at once on both backends
-        image = np.empty(m + 1, dtype=np.int32)
+        image = np.empty(1 if marked and parents is None else m + 1, dtype=np.int32)
         image[0] = root
         if self._lib is None:
             return self._consume_numpy(parents, image), None
-        rows = _clear_rows(self.graph.n) if mark else None
-        done = self._consume_kernel(parents, m, image, rows)
-        if done < m:  # the list's vertex at position done has no neighbors
-            p = done if parents is None else parents[done]
-            raise ValueError(f"vertex {image[p]} has no neighbors")
-        return image, rows
-
-    def _consume_kernel(self, parents, m: int, image: np.ndarray, marks=None) -> int:
-        """``qw_consume`` of m entries from image[0]: the entries it took,
-        m or the position of a vertex without neighbors.  A walk of at
-        least ``_AHEAD_STEPS`` steps, in a process that may use 2 CPUs or
-        more, runs with the kernel's helper thread, which fills the walk's
-        chunks ahead, where its work (``_ahead_words``, 320 bytes a vertex)
-        takes no more bytes than the host's neighbour storage."""
-        g = self.graph
+        rows = _clear_rows(g.n) if marked else None
         lists = (g.indices, None, None) if g._ranks is None else \
             (None, g.bit_rows(), g._ranks)
+        # A walk of at least _AHEAD_STEPS steps, in a process that may use 2
+        # CPUs or more, runs with the kernel's helper thread, which fills the
+        # walk's chunks ahead, where its work (_ahead_words, 320 bytes a
+        # vertex) takes no more bytes than the host's neighbour storage
         work = None
         if parents is None and m >= _AHEAD_STEPS and rng._cpus() > 1 and \
                 8 * _ahead_words(g.n) <= sum(a.nbytes for a in lists if a is not None):
             work = np.zeros(_ahead_words(g.n), dtype=np.uint64)
-        return self._lib.qw_consume(
+        done = self._lib.qw_consume(
             self.seed, DOMAIN_LIST, g.n, g.indptr.ctypes.data,
             *(None if a is None else a.ctypes.data for a in lists),
             self._state.ctypes.data, self._taken.ctypes.data,
             None if parents is None else parents.ctypes.data, m, image.ctypes.data,
-            None if marks is None else marks.ctypes.data,
+            None if rows is None else rows.ctypes.data,
             None if work is None else work.ctypes.data)
-
-    def _walk_rows(self, start: int, steps: int):
-        """The symmetric bit rows of the edges that a walk of ``steps``
-        steps from ``start`` traverses, marked by the kernel in one call as
-        it walks, with no step held; None where the kernel does not serve
-        this model.  The lists are taken as ``consume(range(steps), start)``
-        takes them, and a start without neighbors raises its ValueError."""
-        if self._lib is None:
-            return None
-        rows = _clear_rows(self.graph.n)
-        if self._consume_kernel(None, steps, np.array([start], dtype=np.int32), rows) < steps:
-            # every vertex after the start ends an edge, so only it can stop a walk
-            raise ValueError(f"vertex {start} has no neighbors")
-        return rows
+        if done < m:
+            # the list's vertex at position done has no neighbors; every
+            # vertex after a walk's start ends an edge, so a walk, whose
+            # image may hold its start alone, stops only at image[0]
+            p = done if parents is None else parents[done]
+            raise ValueError(f"vertex {image[p]} has no neighbors")
+        return image, rows
 
     def _consume_numpy(self, parents, image: np.ndarray) -> np.ndarray:
         iters = self._iters
@@ -306,12 +296,13 @@ def run_walk(g: Graph, model: ListModel, start: int, steps: int) -> WalkTrace:
 
     Step i+1 takes the next unused entry of the current vertex's list,
     so repeated runs against one model continue its streams while a
-    fresh model with the same seed reproduces the trace exactly.
+    fresh model with the same seed reproduces the trace exactly.  As for
+    its path tree, the start needs neighbors only when a step is taken: a
+    0-step walk from an isolated vertex is [start], and a longer one raises
+    ValueError naming it.
     """
     start, steps = _walk_args(g, model, start, steps)
     sequence = model.consume(range(steps), start)
-    if g.degree(start) == 0:
-        raise ValueError(f"start vertex {start} has no neighbors")
     return WalkTrace(graph=g, start=start, steps=steps, sequence=sequence)
 
 
@@ -320,23 +311,16 @@ def walk_edges(g: Graph, model: ListModel, start: int, steps: int) -> Graph:
     graph ``walk_subgraph(run_walk(g, model, start, steps))`` returns,
     with the model left in the state that leaves and the same errors.
 
-    Where its pairs go into bit rows (``graph._rows_fit``) and the kernel
-    serves the model, one kernel call walks and marks each step's edge in
-    the rows (``ListModel._walk_rows``) and holds no block of steps.  From
-    ``_AHEAD_STEPS`` (2^18) steps on, where the process may use 2 CPUs
-    and the helper's work (320 bytes a vertex and a 64 kB ring, made per
-    call) is no larger than the host's rows and ranks or ``indices``, that
-    call runs with a helper thread that fills the walk's list chunks ahead,
-    with the same result (README gives its gain).
-    Otherwise ``graph._pairs_graph`` builds it from ``_BLOCK`` steps at a
-    time, the reference, so no more than a block of the walk is held."""
+    Where the model marks the walk's edges (``ListModel._marks``), one
+    kernel call walks and marks each step's edge in bit rows and holds no
+    block of steps; a long walk's helper thread (``ListModel._consume``)
+    gives the same result.  Otherwise ``graph._pairs_graph`` builds it
+    from ``_BLOCK`` steps at a time, the reference, so no more than a block
+    of the walk is held."""
     start, steps = _walk_args(g, model, start, steps)
-    rows = model._walk_rows(start, steps) if _rows_fit(g.n, steps) else None
-    edges = _pairs_graph(g.n, steps, _walk_blocks(model, start, steps)) if rows is None \
-        else Graph._from_rows(rows)
-    if g.degree(start) == 0:  # run_walk's check; a walk of a step or more failed sooner
-        raise ValueError(f"start vertex {start} has no neighbors")
-    return edges
+    if model._marks(steps):
+        return Graph._from_rows(model._consume(range(steps), start, True)[1])
+    return _pairs_graph(g.n, steps, _walk_blocks(model, start, steps))
 
 
 def _walk_blocks(model: ListModel, start: int, steps: int):
@@ -446,13 +430,18 @@ def sandwich_bounds(trace, g: Graph) -> tuple[float, float]:
 def step_positions(g: Graph, start, i: int, trials: int, gen) -> np.ndarray:
     """Vertices at step i of ``trials`` independent walks (vectorized).
 
-    ``start`` is one vertex or one per walk, each in the host and, for i >=
-    1, with neighbors, or ValueError names it.  ``gen`` is a generator to
+    ``start`` is one vertex or a 1-d array of one per walk, or ValueError
+    names its shape; each is in the host and, for i >= 1, has neighbors,
+    or ValueError names it, before any draw.  ``gen`` is a generator to
     continue, so callers can batch walks or advance them step by step.
     Every step draws ``trials`` words in order; draws are independent
     across trials and steps, which realizes the law of W_i for fresh walks.
     """
     i, trials = _integer(i, "step index", natural=True), _integer(trials, "trials", natural=True)
+    shape = np.shape(start)
+    if shape not in ((), (trials,)):
+        raise ValueError(f"start must be one vertex or {trials} vertices, one per "
+                         f"walk, got shape {shape}")
     for v in np.unique(start).tolist():
         if g.degree(v) == 0 and i:
             raise ValueError(f"start vertex {v} has no neighbors")

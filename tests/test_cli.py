@@ -60,6 +60,21 @@ def test_walk_counts_the_vertex_it_ends_at(tmp_path, capsys, steps, distinct):
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["distinct_vertices"] == distinct
 
 
+def test_walk_from_an_isolated_vertex_needs_no_step(tmp_path, capsys):
+    # vertex 3 of this host has no neighbour: a 0-step walk from it is the
+    # trivial walk, as its path tree is, and a walk of one step is refused
+    # with the vertex named
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("4 2\n0 1\n1 2\n")
+    assert main(["walk", "--graph", str(gpath), "--seed", "1", "--start", "3",
+                 "--steps", "0"]) == 0
+    out = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (out["distinct_edges"], out["distinct_vertices"]) == (0, 1)
+    assert main(["walk", "--graph", str(gpath), "--seed", "1", "--start", "3",
+                 "--steps", "1"]) == 2
+    assert capsys.readouterr().err == "error: vertex 3 has no neighbors\n"
+
+
 def test_tree_embedding_command(tmp_path, capsys):
     gpath = str(tmp_path / "g.txt")
     main(["generate", "--kind", "complete", "--n", "40", "--out", gpath])

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from qwalk.graph import (VertexSet, _pairs_graph, balanced_vertices,
                          build_graph, connectivity_profile, density,
                          edges_between, gen_complete, gen_gnp,
-                         gen_two_clique_bridge, load_graph, save_graph)
+                         gen_two_clique_bridge, load_graph, save_graph,
+                         small_clique_size)
 
 
 def brute_edges_between(g, a, b):
@@ -290,6 +292,16 @@ class TestBalancedVertices:
             assert unbalanced < 2 * 0.1 * 400
 
 
+def assert_rows_match_pairs(g, pairs):
+    """``g`` keeps bit rows and no keys, and has the rows, row starts,
+    neighbours and keys of the graph ``build_graph`` makes from ``pairs``."""
+    want = build_graph(g.n, pairs)
+    assert g._rows is not None and g._edge_codes is None
+    assert np.array_equal(g.bit_rows(), want.bit_rows())
+    assert np.array_equal(g.indptr, want.indptr) and np.array_equal(g.indices, want.indices)
+    assert np.array_equal(g.edge_codes(), want.edge_codes())
+
+
 class TestGenerators:
     def test_gnp_extremes(self):
         assert gen_gnp(10, 0.0, 5).edge_count == 0
@@ -321,6 +333,37 @@ class TestGenerators:
         assert g.has_edge(0, s)
         connected, _ = connectivity_profile(g)
         assert connected
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129, 130])
+    def test_complete_rows_match_pair_reference(self, backend, n):
+        # K_n's rows, one packed row broadcast with its diagonal cleared,
+        # are those that build_graph marks from every pair, for rows of one
+        # word or several that end inside a word or on its boundary
+        assert_rows_match_pairs(gen_complete(n), np.column_stack(np.triu_indices(n, 1)))
+
+    # the small clique of s vertices ends inside a word, on a word's end
+    # (s = 64) and past it, and the host ends inside a word or on its end
+    @pytest.mark.parametrize("n,eps,s", [
+        (40, 0.3, 2), (130, 0.5, 17), (126, 1.0, 63), (200, 0.8, 64), (128, 1.0, 64),
+        (200, 0.81, 66), (192, 0.83, 67),
+    ])
+    def test_two_clique_rows_match_pair_reference(self, backend, n, eps, s):
+        assert small_clique_size(n, eps) == s
+        small, large = np.triu_indices(s, 1), np.triu_indices(n - s, 1)
+        pairs = np.concatenate([np.column_stack(small), np.column_stack(large) + s, [[0, s]]])
+        g = gen_two_clique_bridge(n, eps)
+        assert_rows_match_pairs(g, pairs)
+        assert g.edge_count == s * (s - 1) // 2 + (n - s) * (n - s - 1) // 2 + 1
+
+    def test_two_clique_makes_no_pairs(self, backend):
+        # the 1,827,101 pairs of n = 2000 took 83.6 MiB; its rows take 0.5 MiB
+        tracemalloc.start()
+        try:
+            gen_two_clique_bridge(2000, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_two_clique_small_size_ceiling(self):
         g = gen_two_clique_bridge(100, 0.2)

@@ -1311,14 +1311,15 @@ def test_seeded_outputs_hold_on_every_cpu_path(tmp_path, paths):
     # list models and tree pieces) of every test file that defines one run
     # in a child process on a build forced onto the paths of another CPU,
     # and reach each site of cpu_paths through the entry points that hold
-    # them.  This test's own name must not match -k pinned, or the child
-    # would run it again
+    # them.  The pins of the numpy backend never load the build, so they
+    # are left out.  This test's own name must not match -k pinned, or the
+    # child would run it again
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
     files = [path for path in sorted((SRC.parent / "tests").glob("test_*.py"))
              if re.search(r"^\s*(?:def|class) \w*pinned", path.read_text(), re.M | re.I)]
     run = _served(tmp_path, _forced_source(paths).encode(), rng._FLAGS,
-                  ["-k", "pinned", *map(str, files)])
+                  ["-k", "pinned and not numpy", *map(str, files)])
     assert run.returncode == 0, run.stdout[-4000:]
     # every test selected passed, and each file gave at least one
     selected = (tmp_path / "selected.txt").read_text().split()

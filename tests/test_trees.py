@@ -7,11 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qwalk import rng
-from qwalk.graph import Graph, _pairs_graph, gen_complete, gen_gnp
+from qwalk.graph import Graph, _pairs_graph, build_graph, gen_complete, gen_gnp
 from qwalk.rng import DOMAIN_TRIALS, derive_seed
 from qwalk.trees import (RootedTree, TreeHomomorphism, _edge_blocks, _tree_size, build_tree,
                          decompose_tree, gen_nary_tree, gen_path_tree, gen_random_tree,
@@ -232,7 +232,61 @@ class TestGenerators:
             gen_nary_tree(2, 31)
 
 
+@st.composite
+def path_tree_cases(draw):
+    """(host, seed, start, steps): G(k, p) on 0 to 36 vertices, built
+    from rows or from keys, then a vertex hung on vertex 0 where k > 0, so
+    of degree 1, and an isolated vertex; any start, the last two often, and
+    a walk of 0 to 300 steps, on either side of the table rule; seeds past
+    2^64 drive the numpy model beside the kernel."""
+    k = draw(st.integers(0, 36))
+    core = gen_gnp(k, draw(st.sampled_from([0.1, 0.5, 1.0])), draw(st.integers(0, 99)))
+    n = k + 2
+    g = build_graph(n, core.edge_array().tolist() + ([(0, k)] if k else []))
+    if draw(st.booleans()):
+        g = Graph(n, g.edge_codes())
+    start = draw(st.one_of(st.sampled_from([k, k + 1]), st.integers(0, n - 1)))
+    steps = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 300)))
+    seed = draw(st.sampled_from([0, 5, 2**64 - 1, 2**64 + 5]))
+    return g, seed, start, steps
+
+
+def _value_or_error(make):
+    """What ``make()`` returns, or the message of its ValueError."""
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestHomomorphism:
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=path_tree_cases())
+    @example(case=(build_graph(4, [(1, 2), (2, 3)]), 1, 0, 0))  # a 0-step isolated start
+    def test_walk_is_its_path_tree(self, backend, case):
+        # run_walk gives the sequence of the path tree's image and
+        # walk_edges its image_subgraph, with the same error text and the
+        # same entries consumed, on any start, an isolated one included
+        g, seed, start, steps = case
+        models = [ListModel(g, seed) for _ in range(4)]
+        path = gen_path_tree(steps)
+        walked = _value_or_error(lambda: run_walk(g, models[0], start, steps).sequence)
+        image = _value_or_error(lambda: random_homomorphism(g, path, models[1], start).image)
+        if isinstance(image, str):
+            assert isinstance(walked, str) and walked == image
+        else:
+            assert np.array_equal(walked, image)
+        edges = _value_or_error(lambda: walk_edges(g, models[2], start, steps))
+        imaged = _value_or_error(
+            lambda: image_subgraph(random_homomorphism(g, path, models[3], start)))
+        if isinstance(imaged, str):
+            assert edges == imaged == image
+        else:
+            assert (edges._rows is None) == (imaged._rows is None)
+            assert np.array_equal(edges.edge_codes(), imaged.edge_codes())
+        assert all(np.array_equal(m.consumed, models[0].consumed) for m in models)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_path_tree_reproduces_walk(self, seed):
         g = gen_gnp(40, 0.5, 7)

@@ -527,6 +527,15 @@ class TestWalkEdges:
         (gen_complete(0), 0, 3),
     ])
     def test_errors_are_run_walks(self, backend, graph, start, steps):
+        if (graph.n, start, steps) == (3, 2, 0):
+            # the first row: as for its path tree, a 0-step walk from an
+            # isolated vertex is the trivial walk, with no edge and no entry
+            # taken, on both routes
+            model = ListModel(graph, 2)
+            assert run_walk(graph, model, start, steps).sequence.tolist() == [2]
+            edges = walk_edges(graph, model, start, steps)
+            assert len(edges) == 0 and edges.n == 3 and model.consumed.tolist() == [0, 0, 0]
+            return
         raised = []
         for walk in (run_walk, walk_edges):
             model = ListModel(graph, 2)
@@ -709,6 +718,18 @@ class TestStepDistribution:
             step_positions(gen_complete(4), [0, 4, 1], 0, 3, step_law(1))
         assert step_positions(gen_complete(4), [0, 3, 1], 0, 3, step_law(1)).tolist() == \
             [0, 3, 1]
+
+    @pytest.mark.parametrize("start,shape", [
+        ([0, 1, 2], r"\(3,\)"),                # 3 starts for 4 walks
+        ([[0, 1], [2, 3]], r"\(2, 2\)"),       # not 1-d
+    ])
+    def test_start_of_another_shape_rejected(self, start, shape):
+        # refused before any draw, naming the shape and the trials
+        gen = step_law(1)
+        with pytest.raises(ValueError, match=rf"start must be one vertex or 4 vertices, "
+                                             rf"one per walk, got shape {shape}$"):
+            step_positions(gen_complete(4), start, 2, 4, gen)
+        assert gen.random() == step_law(1).random()
 
     def test_step_zero_point_mass(self):
         # int32 vertex ids before any step, as after one
